@@ -10,20 +10,37 @@ import (
 
 // ForwardI8 is an int8 inference program compiled from a Network and a
 // QuantCalib once: dense weights are quantized per output channel
-// (symmetric, scale = maxabs/127), activations are quantized per layer
-// from the calibrated ranges, and batches then run i8×i8→i32 through
-// tensor.MatMulInt8Into — a quarter of the f32 path's weight bytes per
-// MAC. The step that pays for itself on MLP surrogates is the fused
-// epilogue: requantization, bias, zero-point correction, and the entire
-// elementwise tail (activation + affines) collapse into one per-column
-// multiply-add followed by a table lookup, so tanh/sigmoid layers cost
-// a table index per element instead of a float64 transcendental. The
-// lookup is indexed by an int16 pre-activation code — 64 Ki entries —
-// because 8 bits across a wide pre-activation range steps tanh's
-// active region too coarsely to hold the accuracy gate; 16 bits make
-// the table's own error negligible next to the i8 activation encoding.
-// The final segment dequantizes straight to float64 through the exact
-// tail math, so output resolution is not limited to 8 bits.
+// (symmetric, scale = maxabs/127) and packed two lanes per 64-bit word
+// (tensor.PackedInt8 — 4 bytes per weight resident, the same as the f32
+// path; the int8 slab is not kept), activations are quantized per layer
+// from the calibrated ranges, and each segment then runs as one
+// row-fused kernel: tensor.PackedInt8.MatMulRows produces a row's exact
+// int32 accumulator and the segment's epilogue consumes it while it is
+// still in L1, inside the GEMM's own parallel row split — no
+// [rows, n] accumulator slab, no serial pass.
+//
+// Two things make the path faster than f32 rather than merely smaller.
+// The kernel skips activations equal to the segment's centre, the input
+// zero point clamped to int8: an asymmetric encoding stores a real 0.0
+// as the zero-point code, not as 0, so this is what restores the skip
+// of the exact zeros ReLU produces that the float kernels get for free
+// (sum((q-c)*w) = sum(q*w) - c*colSum is exact in integers, so the
+// centre is purely a work-saving choice and any zero point, including
+// one a one-sided calibration range pushes outside int8, is handled by
+// the same code). And the fused epilogue collapses requantization,
+// bias, zero-point correction and the entire elementwise tail
+// (activation + affines) into one per-column multiply-add followed by a
+// table lookup, so tanh/sigmoid layers cost a table index per element
+// instead of a float64 transcendental. The lookup is indexed by an
+// int16 pre-activation code — 64 Ki entries — because 8 bits across a
+// wide pre-activation range steps tanh's active region too coarsely to
+// hold the accuracy gate; 16 bits make the table's own error negligible
+// next to the i8 activation encoding. The final segment dequantizes
+// straight to float64 through the exact tail math, so output resolution
+// is not limited to 8 bits.
+//
+// Accumulation is exact for dense layers up to tensor.MaxInt8Depth
+// (65536) inputs wide; NewForwardI8 refuses wider ones.
 //
 // Like Forward32, the compiled program snapshots the weights (rebuild
 // after a reload), supports the registry's vector-MLP layer set (Dense,
@@ -89,17 +106,19 @@ func tailEval(tail []tailOp, j int, v float64) float64 {
 	return v
 }
 
-// segI8 is one compiled segment: quantized weights and the fused
-// epilogue. Non-final segments requantize the i32 accumulator to an
-// int16 pre-activation code (one multiply-add per element — bias and
-// zero-point correction are folded into off) and map it through lut to
-// the next segment's input encoding. Column-dependent tails
-// (ChannelAffine — one table per column would cost 64 KiB each) and the
-// final segment skip the table: they dequantize the accumulator and run
-// the tail exactly, the final segment into float64 output.
+// segI8 is one compiled segment: packed quantized weights, the code the
+// kernel skips, and the fused epilogue. Non-final segments requantize
+// the i32 accumulator to an int16 pre-activation code (one multiply-add
+// per element — bias and zero-point correction are folded into off) and
+// map it through lut to the next segment's input encoding.
+// Column-dependent tails (ChannelAffine — one table per column would
+// cost 64 KiB each) and the final segment skip the table: they
+// dequantize the accumulator and run the tail exactly, the final
+// segment into float64 output.
 type segI8 struct {
 	inCols, outCols int
-	w               []int8 // [in, out], per-column symmetric
+	w               *tensor.PackedInt8 // [in, out], per-column symmetric
+	centre          int8               // input zero point clamped to int8
 
 	// Table epilogue (uniform non-final tails):
 	// out = lut[clamp16(round(mult[j]*acc + off[j])) + 32768].
@@ -119,9 +138,14 @@ type segI8 struct {
 	tail        []tailOp
 }
 
+// i8Scratch is one Forward call's state: the ping-pong activation
+// slabs, and the segment in flight with its destinations, which is what
+// Int8Row — the epilogue the row kernel calls back — works from.
 type i8Scratch struct {
-	q   [2][]int8
-	acc []int32
+	q    [2][]int8
+	seg  *segI8
+	next []int8    // non-final segments: the next segment's input codes
+	dst  []float64 // final segment: the caller's output
 }
 
 // compileSegments partitions net into an elementwise prelude (layers
@@ -260,7 +284,7 @@ func NewForwardI8(net *Network, calib *QuantCalib) (*ForwardI8, error) {
 		q := segI8{inCols: seg.inCols, outCols: seg.outCols, final: s == len(segs)-1}
 		// Per-output-channel symmetric weight quantization, plus the
 		// column sums the zero-point correction needs.
-		q.w = make([]int8, len(seg.w))
+		qw := make([]int8, len(seg.w))
 		sw := make([]float64, seg.outCols)
 		colSum := make([]int32, seg.outCols)
 		for j := 0; j < seg.outCols; j++ {
@@ -279,14 +303,21 @@ func NewForwardI8(net *Network, calib *QuantCalib) (*ForwardI8, error) {
 			}
 			sw[j] = m / 127
 			for k := 0; k < seg.inCols; k++ {
-				q.w[k*seg.outCols+j] = roundSatI8(seg.w[k*seg.outCols+j] / sw[j])
-				colSum[j] += int32(q.w[k*seg.outCols+j])
+				qw[k*seg.outCols+j] = roundSatI8(seg.w[k*seg.outCols+j] / sw[j])
+				colSum[j] += int32(qw[k*seg.outCols+j])
 			}
+		}
+		if q.w, err = tensor.PackInt8(qw, seg.inCols, seg.outCols); err != nil {
+			return nil, fmt.Errorf("nn: i8 path: segment %d: %w", s, err)
 		}
 		segIn, err := rangeQParams(calib.Bounds[s])
 		if err != nil {
 			return nil, err
 		}
+		// A range that excludes 0 puts the zero point outside int8; the
+		// kernel centres on the nearest code, the epilogue keeps the true
+		// zero point.
+		q.centre = int8(min(max(segIn.zero, -128), 127))
 		for _, op := range seg.tail {
 			if op.kind == tailChanAffine {
 				q.perCol = true
@@ -358,7 +389,11 @@ func (f *ForwardI8) Forward(dst, x []float64, rows int) error {
 			len(x), len(dst), rows, f.inDim, rows, f.outDim)
 	}
 	s := f.scratch.Get().(*i8Scratch)
-	defer f.scratch.Put(s)
+	s.dst = dst
+	defer func() {
+		s.dst = nil // the pool must not pin the caller's slab
+		f.scratch.Put(s)
+	}()
 	if cap(s.q[0]) < len(x) {
 		s.q[0] = make([]int8, len(x))
 	}
@@ -379,46 +414,51 @@ func (f *ForwardI8) Forward(dst, x []float64, rows int) error {
 	slot := 1
 	for si := range f.segs {
 		seg := &f.segs[si]
-		need := rows * seg.outCols
-		if cap(s.acc) < need {
-			s.acc = make([]int32, need)
+		s.seg, s.next = seg, nil
+		if !seg.final {
+			need := rows * seg.outCols
+			if cap(s.q[slot]) < need {
+				s.q[slot] = make([]int8, need)
+			}
+			s.next = s.q[slot][:need]
 		}
-		acc := s.acc[:need]
-		if err := tensor.MatMulInt8Into(acc, cur, seg.w, rows, seg.inCols, seg.outCols); err != nil {
+		if err := seg.w.MatMulRows(cur, rows, seg.centre, s); err != nil {
 			return err
 		}
-		if seg.final {
-			cols := seg.outCols
-			for i, a := range acc {
-				j := i % cols
-				dst[i] = tailEval(seg.tail, j, seg.deqScale[j]*float64(a)+seg.deqOff[j])
-			}
-			return nil
-		}
-		if cap(s.q[slot]) < need {
-			s.q[slot] = make([]int8, need)
-		}
-		next := s.q[slot][:need]
-		cols := seg.outCols
-		if seg.perCol {
-			zf := float64(seg.outZero)
-			for i, a := range acc {
-				j := i % cols
-				v := tailEval(seg.tail, j, seg.deqScale[j]*float64(a)+seg.deqOff[j])
-				next[i] = roundSatI8(v*seg.outInvScale + zf)
-			}
-		} else {
-			lut := seg.lut
-			for i, a := range acc {
-				j := i % cols
-				qp := roundSatI16f32(seg.mult[j]*float32(a) + seg.off[j])
-				next[i] = lut[int(qp)+32768]
-			}
-		}
-		cur = next
+		cur = s.next
 		slot ^= 1
 	}
 	return nil
+}
+
+// Int8Row is the fused epilogue: the row kernel hands over row i's
+// exact int32 accumulator and it becomes the next segment's input codes
+// (table or exact tail) or, on the final segment, the float64 output.
+// It runs concurrently for different rows and only reads s.
+func (s *i8Scratch) Int8Row(i int, acc []int32) {
+	seg := s.seg
+	cols := len(acc)
+	if seg.final {
+		out := s.dst[i*cols : (i+1)*cols]
+		for j, a := range acc {
+			out[j] = tailEval(seg.tail, j, seg.deqScale[j]*float64(a)+seg.deqOff[j])
+		}
+		return
+	}
+	out := s.next[i*cols : (i+1)*cols]
+	if seg.perCol {
+		zf := float64(seg.outZero)
+		for j, a := range acc {
+			v := tailEval(seg.tail, j, seg.deqScale[j]*float64(a)+seg.deqOff[j])
+			out[j] = roundSatI8(v*seg.outInvScale + zf)
+		}
+		return
+	}
+	lut, mult, off := seg.lut, seg.mult[:cols], seg.off[:cols]
+	for j, a := range acc {
+		qp := roundSatI16f32(mult[j]*float32(a) + off[j])
+		out[j] = lut[int(qp)+32768]
+	}
 }
 
 // roundSatI8 rounds half away from zero and saturates to int8.

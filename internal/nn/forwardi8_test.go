@@ -91,43 +91,90 @@ func TestForwardI8Accuracy(t *testing.T) {
 
 // TestForwardI8AllLayers covers every compilable layer kind — multiple
 // dense segments, all four activations, affine and channel-affine tails
-// (the per-column LUT path), and the inference-identity dropout.
+// (the per-column exact path), and the inference-identity dropout —
+// under two calibrations. The one-sided case feeds strictly positive
+// features through sigmoid tails shifted above zero and calibrates by
+// percentile, so every segment's input range excludes 0 and its zero
+// point falls outside int8: the kernel must centre on the clamped code
+// while the epilogue keeps correcting with the true zero point.
 func TestForwardI8AllLayers(t *testing.T) {
-	net := NewNetwork(11)
-	net.Add(
-		net.NewDense(6, 12),
+	symmetric := NewNetwork(11)
+	symmetric.Add(
+		symmetric.NewDense(6, 12),
 		NewActivation(ActLeakyReLU),
-		net.NewDropout(0.3), // identity at inference
-		net.NewDense(12, 8),
+		symmetric.NewDropout(0.3), // identity at inference
+		symmetric.NewDense(12, 8),
 		NewActivation(ActSigmoid),
 		NewChannelAffine(4, []float64{2, -3}, []float64{0.25, 0}),
-		net.NewDense(8, 3),
+		symmetric.NewDense(8, 3),
 		NewActivation(ActReLU),
 	)
-	calibX, err := tensor.FromSlice(calibSlab(5, 800, 6, 1), 800, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	calib, err := CalibrateI8(net, calibX, CalibConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calib.Segments() != 3 {
-		t.Fatalf("calibrated %d segments, want 3", calib.Segments())
-	}
-	f, err := NewForwardI8(net, calib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const rows = 33
-	in := calibSlab(6, rows, 6, 1)
-	ref := f64Forward(t, net, in, rows, 6)
-	got := make([]float64, rows*3)
-	if err := f.Forward(got, in, rows); err != nil {
-		t.Fatal(err)
-	}
-	if e := meanRelL2(got, ref, rows, 3); !(e < 0.15) {
-		t.Fatalf("int8 mean relative L2 %g vs f64 across 3 quantized segments, want < 0.15", e)
+	oneSided := NewNetwork(11)
+	oneSided.Add(
+		oneSided.NewDense(6, 12),
+		NewActivation(ActSigmoid),
+		NewAffine(2, 0.5), // (0.5, 2.5), table epilogue
+		oneSided.NewDense(12, 8),
+		NewActivation(ActSigmoid),
+		NewChannelAffine(4, []float64{2, 3}, []float64{0.25, 1}), // exact epilogue
+		oneSided.NewDense(8, 3),
+		NewActivation(ActTanh),
+	)
+	for _, tc := range []struct {
+		name     string
+		net      *Network
+		shift    float64 // added to the N(0,1) features
+		cfg      CalibConfig
+		oneSided bool
+	}{
+		{"symmetric", symmetric, 0, CalibConfig{}, false},
+		{"one-sided", oneSided, 5, CalibConfig{Mode: QuantPercentile, Q: 0.001}, true},
+	} {
+		slab := func(seed int64, rows int) []float64 {
+			s := calibSlab(seed, rows, 6, 1)
+			for i := range s {
+				s[i] += tc.shift
+			}
+			return s
+		}
+		calibX, err := tensor.FromSlice(slab(5, 800), 800, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calib, err := CalibrateI8(tc.net, calibX, tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if calib.Segments() != 3 {
+			t.Fatalf("%s: calibrated %d segments, want 3", tc.name, calib.Segments())
+		}
+		f, err := NewForwardI8(tc.net, calib)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for s, r := range calib.Bounds {
+			q, err := rangeQParams(r)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if outside := q.zero < -128 || q.zero > 127; outside != tc.oneSided {
+				t.Fatalf("%s: segment %d zero point %d for range [%g, %g], want outside int8 = %v",
+					tc.name, s, q.zero, r.Lo, r.Hi, tc.oneSided)
+			}
+			if want := int8(min(max(q.zero, -128), 127)); f.segs[s].centre != want {
+				t.Fatalf("%s: segment %d centre %d, want the clamped zero point %d", tc.name, s, f.segs[s].centre, want)
+			}
+		}
+		const rows = 33
+		in := slab(6, rows)
+		ref := f64Forward(t, tc.net, in, rows, 6)
+		got := make([]float64, rows*3)
+		if err := f.Forward(got, in, rows); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if e := meanRelL2(got, ref, rows, 3); !(e < 0.15) {
+			t.Fatalf("%s: int8 mean relative L2 %g vs f64 across 3 quantized segments, want < 0.15", tc.name, e)
+		}
 	}
 }
 
@@ -371,33 +418,327 @@ func TestForwardI8Concurrent(t *testing.T) {
 	}
 }
 
+// refForwardI8 is the differential reference for ForwardI8.Forward: the
+// weights requantized from net, a naive widening int32 GEMM over a full
+// [rows, n] slab, and f's own epilogue constants applied element by
+// element — no packing, no centring, no lists, no row fusion. Integer
+// accumulation is exact and the epilogue arithmetic is the same
+// expression, so Forward must match it bit for bit.
+func refForwardI8(t *testing.T, net *Network, f *ForwardI8, x []float64, rows int) []float64 {
+	t.Helper()
+	prelude, segs, inDim, _, err := compileSegments(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := make([]int8, len(x))
+	inv := 1 / f.inScale
+	for i, v := range x {
+		cur[i] = roundSatI8(tailEval(prelude, i%inDim, v)*inv + float64(f.inZero))
+	}
+	for si := range segs {
+		seg, q := &segs[si], &f.segs[si]
+		k, n := seg.inCols, seg.outCols
+		qw := make([]int8, k*n)
+		for j := 0; j < n; j++ {
+			m := 0.0
+			for kk := 0; kk < k; kk++ {
+				m = math.Max(m, math.Abs(seg.w[kk*n+j]))
+			}
+			if m == 0 {
+				m = 1
+			}
+			for kk := 0; kk < k; kk++ {
+				qw[kk*n+j] = roundSatI8(seg.w[kk*n+j] / (m / 127))
+			}
+		}
+		acc := make([]int32, rows*n)
+		for i := 0; i < rows; i++ {
+			for j := 0; j < n; j++ {
+				var sum int32
+				for kk := 0; kk < k; kk++ {
+					sum += int32(cur[i*k+kk]) * int32(qw[kk*n+j])
+				}
+				acc[i*n+j] = sum
+			}
+		}
+		if q.final {
+			out := make([]float64, rows*n)
+			for i, a := range acc {
+				j := i % n
+				out[i] = tailEval(q.tail, j, q.deqScale[j]*float64(a)+q.deqOff[j])
+			}
+			return out
+		}
+		next := make([]int8, rows*n)
+		for i, a := range acc {
+			j := i % n
+			if q.perCol {
+				v := tailEval(q.tail, j, q.deqScale[j]*float64(a)+q.deqOff[j])
+				next[i] = roundSatI8(v*q.outInvScale + float64(q.outZero))
+			} else {
+				next[i] = q.lut[int(roundSatI16f32(q.mult[j]*float32(a)+q.off[j]))+32768]
+			}
+		}
+		cur = next
+	}
+	t.Fatal("program has no final segment")
+	return nil
+}
+
+// randomMLP draws a vector MLP the int8 path compiles: one to four
+// dense layers of width 1..48 (odd and unit widths included), ReLU /
+// tanh / sigmoid / no activation, Affine and ChannelAffine tails, and an
+// optional normalization prelude.
+func randomMLP(rng *rand.Rand) (*Network, int, int) {
+	chanAffine := func(width int) *ChannelAffine {
+		blocks := 1
+		for _, b := range []int{4, 3, 2} {
+			if width%b == 0 && rng.Intn(2) == 0 {
+				blocks = b
+				break
+			}
+		}
+		scales, shifts := make([]float64, blocks), make([]float64, blocks)
+		for i := range scales {
+			scales[i] = 0.5 + 2*rng.Float64()
+			if rng.Intn(3) == 0 {
+				scales[i] = -scales[i]
+			}
+			shifts[i] = rng.NormFloat64()
+		}
+		return NewChannelAffine(width/blocks, scales, shifts)
+	}
+	width := func() int {
+		if rng.Intn(5) == 0 {
+			return 1
+		}
+		return 1 + rng.Intn(48)
+	}
+	net := NewNetwork(rng.Int63())
+	inDim := width()
+	switch rng.Intn(3) {
+	case 1:
+		net.Add(NewAffine(0.5+rng.Float64(), rng.NormFloat64()))
+	case 2:
+		net.Add(chanAffine(inDim))
+	}
+	cols := inDim
+	for depth := 1 + rng.Intn(4); depth > 0; depth-- {
+		out := width()
+		net.Add(net.NewDense(cols, out))
+		cols = out
+		if act := []string{ActReLU, ActTanh, ActSigmoid, ""}[rng.Intn(4)]; act != "" {
+			net.Add(NewActivation(act))
+		}
+		switch rng.Intn(4) {
+		case 1:
+			net.Add(NewAffine(0.5+rng.Float64(), rng.NormFloat64()))
+		case 2:
+			net.Add(chanAffine(cols))
+		}
+	}
+	return net, inDim, cols
+}
+
+// TestForwardI8MatchesReference is the bitwise differential test of the
+// fused path: over randomly generated MLPs and both calibration modes,
+// Forward equals refForwardI8 in every output bit — including batches
+// wide enough to take the parallel row split, single rows and no rows.
+func TestForwardI8MatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	for trial := 0; trial < 60; trial++ {
+		net, inDim, outDim := randomMLP(rng)
+		spread := 0.5 + 2*rng.Float64()
+		shift := 0.0
+		if rng.Intn(3) == 0 {
+			shift = 4 * rng.NormFloat64() // one-sided input ranges
+		}
+		slab := func(rows int) []float64 {
+			s := calibSlab(rng.Int63(), rows, inDim, spread)
+			for i := range s {
+				s[i] += shift
+			}
+			return s
+		}
+		calibX, err := tensor.FromSlice(slab(300), 300, inDim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := CalibConfig{}
+		if trial%2 == 1 {
+			cfg = CalibConfig{Mode: QuantPercentile, Q: 0.01}
+		}
+		calib, err := CalibrateI8(net, calibX, cfg)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		f, err := NewForwardI8(net, calib)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		for _, rows := range []int{0, 1, 1 + rng.Intn(40), 600} {
+			in := slab(rows)
+			want := refForwardI8(t, net, f, in, rows)
+			got := make([]float64, rows*outDim)
+			if err := f.Forward(got, in, rows); err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("trial %d (%s, %d -> %d, %d segments) rows %d element %d: got %v, want %v",
+						trial, cfg.Mode, inDim, outDim, len(f.segs), rows, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestForwardI8SteadyStateAllocs: once the pooled scratch — the
+// activation slabs here, the index/value lists and lane accumulator in
+// tensor — has grown to the batch, Forward allocates nothing. (Batches
+// past the GEMM's parallel threshold pay for their goroutines, like the
+// float paths.)
+func TestForwardI8SteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	net := NewNetwork(5)
+	net.Add(net.NewDense(9, 33), NewActivation(ActReLU), net.NewDense(33, 20), NewActivation(ActTanh),
+		NewChannelAffine(10, []float64{2, -1}, []float64{0, 1}), net.NewDense(20, 3))
+	x, _ := tensor.FromSlice(calibSlab(3, 256, 9, 2), 256, 9)
+	calib, err := CalibrateI8(net, x, CalibConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewForwardI8(net, calib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 40
+	in, out := calibSlab(4, rows, 9, 2), make([]float64, rows*3)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := f.Forward(out, in, rows); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("steady-state Forward allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestForwardI8DepthBound: a dense layer wider than the kernel's
+// exactness bound must fail compilation — stay on the wider path — not
+// overflow an accumulator lane at serve time.
+func TestForwardI8DepthBound(t *testing.T) {
+	for _, tc := range []struct {
+		in int
+		ok bool
+	}{{tensor.MaxInt8Depth, true}, {tensor.MaxInt8Depth + 1, false}} {
+		net := NewNetwork(1)
+		net.Add(net.NewDense(tc.in, 2))
+		calib := &QuantCalib{InDim: tc.in, OutDim: 2,
+			Bounds: []QuantRange{{-1, 1}}, Preacts: []QuantRange{{-4, 4}}}
+		if _, err := NewForwardI8(net, calib); (err == nil) != tc.ok {
+			t.Fatalf("%d inputs: NewForwardI8 error %v, want ok = %v", tc.in, err, tc.ok)
+		}
+	}
+}
+
+// FuzzDecodeQuant: the sidecar decoder never panics on truncated or
+// forged input; whatever it accepts re-encodes to the bytes it was read
+// from; and compiling a network of the decoded geometry under the
+// decoded ranges either fails or yields a program whose Forward runs.
+func FuzzDecodeQuant(f *testing.F) {
+	golden := &QuantCalib{
+		InDim: 5, OutDim: 1,
+		Bounds:  []QuantRange{{-3.25, 3.5}, {-0.875, 0.9921875}},
+		Preacts: []QuantRange{{-11.5, 7.75}, {-2.125, 2.25}},
+		GateErr: 0.0123, GateRTol: 0.05,
+	}
+	var buf bytes.Buffer
+	if err := golden.Encode(&buf); err != nil {
+		f.Fatal(err)
+	}
+	raw := buf.Bytes()
+	f.Add(raw)
+	f.Add(raw[:20])
+	f.Add(raw[:len(raw)-1])
+	f.Add(append([]byte{0xae}, raw[1:]...))
+	oneSided := *golden
+	oneSided.Bounds = []QuantRange{{2, 9}, {1e-300, 1e300}}
+	oneSided.GateErr = math.NaN()
+	buf.Reset()
+	if err := oneSided.Encode(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append([]byte(nil), buf.Bytes()...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := DecodeQuant(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := c.Encode(&out); err != nil {
+			t.Fatalf("accepted sidecar does not re-encode: %v", err)
+		}
+		if !bytes.HasPrefix(data, out.Bytes()) {
+			t.Fatalf("re-encoded sidecar differs from the accepted bytes:\n%x\n%x", out.Bytes(), data)
+		}
+		if c.InDim > 64 || c.OutDim > 64 || c.Segments() > 4 {
+			return // a forged geometry is refused by the size check alone
+		}
+		net := NewNetwork(1)
+		cols := c.InDim
+		for s := 1; s < c.Segments(); s++ {
+			net.Add(net.NewDense(cols, 7), NewActivation(ActTanh))
+			cols = 7
+		}
+		net.Add(net.NewDense(cols, c.OutDim))
+		prog, err := NewForwardI8(net, c)
+		if err != nil {
+			return
+		}
+		const rows = 3
+		if err := prog.Forward(make([]float64, rows*c.OutDim), calibSlab(1, rows, c.InDim, 1), rows); err != nil {
+			t.Fatalf("compiled program refuses a well-formed batch: %v", err)
+		}
+	})
+}
+
 // BenchmarkForwardI8vsF32 is the acceptance benchmark: on the h16
-// quickstart MLP the int8 path must beat the f32 path by ≥ 1.3x. Both
-// run through their float64 engine seams, so the comparison includes
-// each path's staging conversions — exactly what the serve hot path
-// pays. The wider MLP shows the matmul-bound regime.
+// quickstart MLP the int8 path must beat the f32 path by ≥ 1.3x — tiny
+// k and n = 1 must not pay for the packing. Both run through their
+// float64 engine seams, so the comparison includes each path's staging
+// conversions — exactly what the serve hot path pays. The tanh MLP shows
+// the matmul-bound regime with dense activations; the ReLU one is the
+// serve-sized model, calibrated by percentile so the hidden zero points
+// are non-zero codes: its exact zeros are skipped only because the
+// kernel centres on the zero point, which is the regression this case
+// exists to show.
 func BenchmarkForwardI8vsF32(b *testing.B) {
 	cases := []struct {
 		name   string
 		widths []int
 		rows   int
+		act    string
+		cfg    CalibConfig
 	}{
-		{"h16/b64", []int{5, 16, 1}, 64},
-		{"h16/b1024", []int{5, 16, 1}, 1024},
-		{"h256x256/b256", []int{64, 256, 256, 8}, 256},
+		{"h16/b64", []int{5, 16, 1}, 64, ActTanh, CalibConfig{}},
+		{"h16/b1024", []int{5, 16, 1}, 1024, ActTanh, CalibConfig{}},
+		{"h256x256/b256", []int{64, 256, 256, 8}, 256, ActTanh, CalibConfig{}},
+		{"relu-h512x512/b32", []int{64, 512, 512, 16}, 32, ActReLU, CalibConfig{Mode: QuantPercentile, Q: 0.001}},
 	}
 	for _, tc := range cases {
 		net := NewNetwork(7)
 		for i := 0; i < len(tc.widths)-1; i++ {
 			net.Add(net.NewDense(tc.widths[i], tc.widths[i+1]))
 			if i < len(tc.widths)-2 {
-				net.Add(NewActivation(ActTanh))
+				net.Add(NewActivation(tc.act))
 			}
 		}
 		inDim, outDim := tc.widths[0], tc.widths[len(tc.widths)-1]
 		in := calibSlab(1, tc.rows, inDim, 1)
 		x, _ := tensor.FromSlice(append([]float64(nil), in...), tc.rows, inDim)
-		calib, err := CalibrateI8(net, x, CalibConfig{})
+		calib, err := CalibrateI8(net, x, tc.cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -408,6 +749,9 @@ func BenchmarkForwardI8vsF32(b *testing.B) {
 		fi8, err := NewForwardI8(net, calib)
 		if err != nil {
 			b.Fatal(err)
+		}
+		if tc.act == ActReLU && fi8.segs[1].centre == 0 {
+			b.Fatalf("%s: hidden zero point is code 0, the case cannot show a lost skip", tc.name)
 		}
 		out := make([]float64, tc.rows*outDim)
 		b.Run("f32/"+tc.name, func(b *testing.B) {

@@ -2,19 +2,220 @@ package tensor
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/parallel"
 )
 
+// MaxInt8Depth is the largest inner dimension k the int8 kernel
+// accepts. Activations enter centred (|q - c| <= 255) against weights
+// of magnitude at most 128, so a 32-bit lane holds any sum of up to
+// 65536 such products (65536 * 255 * 128 < 2^31) and nothing past it;
+// packing refuses deeper matrices instead of overflowing silently.
+const MaxInt8Depth = 1 << 16
+
+// PackedInt8 is a [k, n] int8 weight matrix packed for the int8 row
+// kernel: columns 2j and 2j+1 of row kk share one int64 word,
+// w[kk][2j] + w[kk][2j+1]<<32, so one 64-bit multiply-add by a widened
+// activation performs two MACs with no per-element sign extension (an
+// odd n leaves the last word's high lane empty). The two 32-bit lanes
+// accumulate independently as long as each stays exact — the
+// MaxInt8Depth bound — and are separated again after the k loop. The
+// packed form is 4 bytes per weight, the same resident cost as the f32
+// path. A PackedInt8 is immutable once packed and safe for concurrent
+// use.
+type PackedInt8 struct {
+	k, n   int
+	words  int     // (n+1)/2 int64 words per row
+	w      []int64 // [k, words]
+	colSum []int32 // per-column weight sums, for the centring identity
+}
+
+// PackInt8 packs the row-major [k, n] int8 matrix b.
+func PackInt8(b []int8, k, n int) (*PackedInt8, error) {
+	p := new(PackedInt8)
+	if err := p.pack(b, k, n); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// pack fills p from b, reusing p's buffers when they are large enough.
+func (p *PackedInt8) pack(b []int8, k, n int) error {
+	if k < 0 || n < 0 || len(b) != k*n {
+		return fmt.Errorf("tensor: packing %d int8 elems as [%d %d]", len(b), k, n)
+	}
+	if k > MaxInt8Depth {
+		return fmt.Errorf("tensor: int8 depth %d exceeds %d, past which a 32-bit accumulator lane is no longer exact", k, MaxInt8Depth)
+	}
+	words := (n + 1) / 2
+	p.k, p.n, p.words = k, n, words
+	p.w = growSlice(p.w, k*words)
+	p.colSum = growSlice(p.colSum, n)
+	clear(p.colSum)
+	colSum := p.colSum
+	for kk := 0; kk < k; kk++ {
+		brow := b[kk*n : (kk+1)*n]
+		wrow := p.w[kk*words : (kk+1)*words]
+		for j := 0; j+1 < n; j += 2 {
+			l, h := brow[j], brow[j+1]
+			colSum[j] += int32(l)
+			colSum[j+1] += int32(h)
+			wrow[j/2] = int64(l) + int64(h)<<32
+		}
+		if n%2 == 1 {
+			colSum[n-1] += int32(brow[n-1])
+			wrow[words-1] = int64(brow[n-1])
+		}
+	}
+	return nil
+}
+
+// Int8RowSink receives each finished output row of MatMulRows: acc is
+// the exact [n] int32 accumulator of row i, valid only for the duration
+// of the call. Rows arrive from several goroutines at once, each row
+// exactly once.
+type Int8RowSink interface {
+	Int8Row(i int, acc []int32)
+}
+
+// MatMulRows computes a @ p one output row at a time, a being [m, k]
+// row-major int8 activation codes, and hands each row's int32
+// accumulator to sink as soon as it is complete — the caller's epilogue
+// runs on an L1-resident row inside the same parallel row split, and no
+// [m, n] accumulator slab exists.
+//
+// centre is the code the kernel skips: per row it lists the activations
+// that differ from centre as (index, q - centre) pairs, accumulates only
+// those, and adds centre * colSum[j] back, which is exact in integers
+// because sum((q-c) * w) = sum(q * w) - c * colSum. Passing the
+// (clamped) zero point of an asymmetric encoding therefore skips every
+// activation that encodes a real 0.0 — what ReLU produces in bulk —
+// whatever code that zero happens to land on; a row with nothing to skip
+// takes the same loop with a full list. The accumulator handed to sink
+// is sum(q * w) bit for bit, independent of centre, blocking and split.
+func (p *PackedInt8) MatMulRows(a []int8, m int, centre int8, sink Int8RowSink) error {
+	if m < 0 || len(a) != m*p.k {
+		return fmt.Errorf("tensor: matmul-i8 activations %d elems, want [%d %d]", len(a), m, p.k)
+	}
+	p.matMul(nil, a, m, centre, sink)
+	return nil
+}
+
+// matMul splits the rows like the float kernels do and runs the row
+// kernel on each range, into dst when it is non-nil and through sink
+// otherwise.
+func (p *PackedInt8) matMul(dst []int32, a []int8, m int, centre int8, sink Int8RowSink) {
+	if m*p.k*p.n < matMulParFLOPs {
+		p.rows(dst, a, 0, m, centre, sink)
+		return
+	}
+	parallel.ForRange(m, func(lo, hi int) {
+		p.rows(dst, a, lo, hi, centre, sink)
+	})
+}
+
+// int8RowScratch is one worker's per-row state: the compacted
+// activation list, the two-lane accumulator, and the unpacked row handed
+// to the sink.
+type int8RowScratch struct {
+	idx   []int32
+	val   []int64
+	lanes []int64
+	acc   []int32
+}
+
+var int8RowPool = sync.Pool{New: func() any { return new(int8RowScratch) }}
+
+// rows is the one int8 inner loop: output rows [lo, hi).
+func (p *PackedInt8) rows(dst []int32, a []int8, lo, hi int, centre int8, sink Int8RowSink) {
+	k, n, words := p.k, p.n, p.words
+	s := int8RowPool.Get().(*int8RowScratch)
+	defer int8RowPool.Put(s)
+	s.idx = growSlice(s.idx, k)
+	s.val = growSlice(s.val, k)
+	s.lanes = growSlice(s.lanes, words)
+	idx, val, lanes := s.idx, s.val, s.lanes
+	var acc []int32 // row i of dst, or scratch when the row goes to sink
+	if dst == nil {
+		s.acc = growSlice(s.acc, n)
+		acc = s.acc
+	}
+	c := int32(centre)
+	for i := lo; i < hi; i++ {
+		// (a) List the activations that differ from the centre.
+		cnt := 0
+		for kk, q := range a[i*k : (i+1)*k] {
+			if d := int32(q) - c; d != 0 {
+				idx[cnt], val[cnt] = int32(kk), int64(d)
+				cnt++
+			}
+		}
+		// (b) Accumulate four listed weight rows per pass over the lanes:
+		// one load and one store of each lane word per eight MACs.
+		clear(lanes)
+		t := 0
+		for ; t+4 <= cnt; t += 4 {
+			v0, v1, v2, v3 := val[t], val[t+1], val[t+2], val[t+3]
+			r0 := p.w[int(idx[t])*words:][:len(lanes)]
+			r1 := p.w[int(idx[t+1])*words:][:len(lanes)]
+			r2 := p.w[int(idx[t+2])*words:][:len(lanes)]
+			r3 := p.w[int(idx[t+3])*words:][:len(lanes)]
+			for j := range lanes {
+				lanes[j] += v0*r0[j] + v1*r1[j] + v2*r2[j] + v3*r3[j]
+			}
+		}
+		for ; t < cnt; t++ {
+			v0 := val[t]
+			r0 := p.w[int(idx[t])*words:][:len(lanes)]
+			for j := range lanes {
+				lanes[j] += v0 * r0[j]
+			}
+		}
+		// (c) Separate the lanes. The low lane is the word's low 32 bits;
+		// subtracting it back out removes the borrow a negative low lane
+		// took from the high one. Then undo the centring.
+		if dst != nil {
+			acc = dst[i*n : (i+1)*n]
+		}
+		colSum := p.colSum[:len(acc)]
+		for j := 0; j+1 < len(acc); j += 2 {
+			v := lanes[j/2]
+			l := int32(v)
+			h := int32((v - int64(l)) >> 32)
+			acc[j] = l + c*colSum[j]
+			acc[j+1] = h + c*colSum[j+1]
+		}
+		if n%2 == 1 {
+			acc[n-1] = int32(lanes[words-1]) + c*colSum[n-1]
+		}
+		if sink != nil {
+			sink.Int8Row(i, acc)
+		}
+	}
+}
+
+// growSlice returns s resized to n elements, reallocating only when its
+// capacity is too small; contents are unspecified.
+func growSlice[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+var packedInt8Pool = sync.Pool{New: func() any { return new(PackedInt8) }}
+
 // MatMulInt8Into computes a @ b into dst over flat row-major slabs of
 // quantized integers: a is [m,k] int8, b is [k,n] int8, dst is [m,n]
-// int32. Accumulation is exact — every product of two int8 values fits
-// int16, and k products fit int32 for any k below 2^17, far beyond the
-// layer widths the registry serves — so the kernel is bitwise
+// int32. It packs b into pooled scratch and runs the same row kernel as
+// PackedInt8.MatMulRows with centre 0 (zero codes are skipped), so a
+// caller that multiplies by the same b repeatedly should pack it once
+// with PackInt8 instead. Accumulation is exact — integer addition is
+// associative, and k is refused past MaxInt8Depth, the depth up to which
+// a 32-bit lane cannot overflow — so the result is bitwise
 // deterministic regardless of blocking or parallel split, which is what
-// the property tests pin down. It is the integer twin of MatMulInto32:
-// same stream-vs-panel blocking, same parallelization across row
-// ranges, same k-ascending order. Requantization (scales, zero-point
+// the property tests pin down. Requantization (scales, zero-point
 // correction) is the caller's business: nn.ForwardI8 folds it into a
 // per-column multiplier applied to these raw accumulators. dst must not
 // overlap a or b; its previous contents are overwritten.
@@ -28,62 +229,11 @@ func MatMulInt8Into(dst []int32, a, b []int8, m, k, n int) error {
 	if len(dst) != m*n {
 		return fmt.Errorf("tensor: matmul-i8 dst %d elems, want [%d %d]", len(dst), m, n)
 	}
-	for i := range dst {
-		dst[i] = 0
+	p := packedInt8Pool.Get().(*PackedInt8)
+	defer packedInt8Pool.Put(p)
+	if err := p.pack(b, k, n); err != nil {
+		return err
 	}
-	if m*k*n < matMulParFLOPs {
-		matMulRowsI8(a, b, dst, k, n, 0, m)
-		return nil
-	}
-	parallel.ForRange(m, func(lo, hi int) {
-		matMulRowsI8(a, b, dst, k, n, lo, hi)
-	})
+	p.matMul(dst, a, m, 0, nil)
 	return nil
-}
-
-// matMulRowsI8 accumulates output rows [lo, hi), choosing stream or
-// panel order by the size of B — one-byte elements stretch the stream
-// order to 8x the [k,n] footprint of the float64 kernel under the same
-// matMulPanelBytes budget, and the i32 accumulator rows are the only
-// 4-byte traffic. The inner loops run over contiguous rows with the
-// scalar broadcast hoisted and widened once, the unit-stride
-// multiply-accumulate shape the compiler keeps bounds-check-free.
-func matMulRowsI8(ad, bd []int8, od []int32, k, n, lo, hi int) {
-	if k*n <= matMulPanelBytes {
-		for i := lo; i < hi; i++ {
-			arow := ad[i*k : (i+1)*k]
-			orow := od[i*n : (i+1)*n]
-			for kk := 0; kk < k; kk++ {
-				av := int32(arow[kk])
-				if av == 0 {
-					continue
-				}
-				brow := bd[kk*n : (kk+1)*n]
-				for j := range orow {
-					orow[j] += av * int32(brow[j])
-				}
-			}
-		}
-		return
-	}
-	for k0 := 0; k0 < k; k0 += matMulBlockK {
-		k1 := min(k0+matMulBlockK, k)
-		for j0 := 0; j0 < n; j0 += matMulBlockJ {
-			j1 := min(j0+matMulBlockJ, n)
-			for i := lo; i < hi; i++ {
-				arow := ad[i*k : (i+1)*k]
-				orow := od[i*n+j0 : i*n+j1]
-				for kk := k0; kk < k1; kk++ {
-					av := int32(arow[kk])
-					if av == 0 {
-						continue
-					}
-					brow := bd[kk*n+j0 : kk*n+j1]
-					for j := range orow {
-						orow[j] += av * int32(brow[j])
-					}
-				}
-			}
-		}
-	}
 }

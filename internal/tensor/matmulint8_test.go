@@ -3,13 +3,14 @@ package tensor
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 )
 
 // matMulRefI8 is the naive integer reference: widen each int8 operand
 // to int32 and accumulate in k-ascending order. Integer addition is
-// associative, so the blocked kernel must reproduce this bit for bit on
-// every shape and split.
+// associative, so the packed two-lane kernel must reproduce this bit for
+// bit on every shape, split and centre.
 func matMulRefI8(a, b []int8, m, k, n int) []int32 {
 	out := make([]int32, m*n)
 	for i := 0; i < m; i++ {
@@ -34,19 +35,18 @@ func randSlabI8(rng *rand.Rand, n int) []int8 {
 	return s
 }
 
-// TestPropMatMulInt8MatchesReference checks the blocked, parallel int8
-// kernel bitwise against the naive reference across shapes that cross
-// the parallel-dispatch and panel-path thresholds, including saturating
-// extremes (-128 everywhere maximizes accumulator magnitude).
+// TestPropMatMulInt8MatchesReference checks MatMulInt8Into — pack into
+// pooled scratch, row kernel at centre 0 — bitwise against the naive
+// reference across shapes that cross the parallel-dispatch threshold,
+// back to back so the pooled packing is reused across sizes.
 func TestPropMatMulInt8MatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	shapes := [][3]int{{1, 1, 1}, {1, 7, 3}, {5, 1, 4}, {3, 300, 2}}
 	for trial := 0; trial < 20; trial++ {
 		shapes = append(shapes, [3]int{1 + rng.Intn(40), 1 + rng.Intn(40), 1 + rng.Intn(40)})
 	}
-	// One-byte elements stretch the stream path to k*n = 8M elements;
-	// these cross the parallel threshold in stream order and the last
-	// shape crosses into the panel path too.
+	// These cross the parallel threshold; the last is the deepest and
+	// widest (odd word count per row: n = 2100 packs to 1050 words).
 	shapes = append(shapes, [3]int{70, 300, 64}, [3]int{900, 64, 64}, [3]int{2, 4200, 2100})
 	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]
@@ -66,27 +66,151 @@ func TestPropMatMulInt8MatchesReference(t *testing.T) {
 	}
 }
 
-// TestMatMulInt8Extremes pins the worst-case accumulator: every operand
-// at -128 yields k * 16384 per element with no overflow at serving
-// depths.
-func TestMatMulInt8Extremes(t *testing.T) {
-	m, k, n := 3, 1024, 5
-	a := make([]int8, m*k)
-	b := make([]int8, k*n)
-	for i := range a {
-		a[i] = -128
+// slabSink collects MatMulRows output into an [m, n] slab and counts
+// deliveries per row.
+type slabSink struct {
+	n    int
+	dst  []int32
+	seen []atomic.Int32
+}
+
+func (s *slabSink) Int8Row(i int, acc []int32) {
+	s.seen[i].Add(1)
+	copy(s.dst[i*s.n:(i+1)*s.n], acc)
+}
+
+// runPackedRows runs a @ b through PackInt8 + MatMulRows at the given
+// centre and returns the collected accumulators, failing unless every
+// row was delivered exactly once at full width.
+func runPackedRows(t *testing.T, a, b []int8, m, k, n int, centre int8) []int32 {
+	t.Helper()
+	p, err := PackInt8(b, k, n)
+	if err != nil {
+		t.Fatalf("[%d %d %d]: %v", m, k, n, err)
 	}
-	for i := range b {
-		b[i] = -128
+	sink := &slabSink{n: n, dst: make([]int32, m*n), seen: make([]atomic.Int32, m)}
+	if err := p.MatMulRows(a, m, centre, sink); err != nil {
+		t.Fatalf("[%d %d %d]: %v", m, k, n, err)
 	}
-	dst := make([]int32, m*n)
-	if err := MatMulInt8Into(dst, a, b, m, k, n); err != nil {
-		t.Fatal(err)
+	for i := range sink.seen {
+		if c := sink.seen[i].Load(); c != 1 {
+			t.Fatalf("[%d %d %d] row %d delivered %d times", m, k, n, i, c)
+		}
 	}
-	want := int32(k) * 16384
-	for i, v := range dst {
-		if v != want {
-			t.Fatalf("element %d: got %d, want %d", i, v, want)
+	return sink.dst
+}
+
+// TestPropPackedRowsMatchReference is the differential property of the
+// row kernel: for any centre the accumulator handed to the sink is
+// sum(q*w) bit for bit. Shapes cover n = 1, odd n, k not a multiple of
+// the 4-way unroll, no rows, no depth, and the parallel split; operands
+// cover codes at -128/127, rows entirely at the centre (an empty list)
+// and rows with nothing at the centre (a full one); centres cover both
+// ends of int8 and their neighbours.
+func TestPropPackedRowsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	shapes := [][3]int{
+		{0, 5, 3}, {4, 0, 3}, {4, 5, 0}, {1, 1, 1}, {3, 2, 1}, {3, 3, 1}, {2, 4, 1},
+		{5, 7, 3}, {5, 9, 2}, {6, 13, 17}, {70, 300, 65}, {900, 64, 63},
+	}
+	for trial := 0; trial < 40; trial++ {
+		shapes = append(shapes, [3]int{rng.Intn(12), rng.Intn(70), rng.Intn(40)})
+	}
+	centres := []int8{-128, -127, -1, 0, 1, 126, 127}
+	for si, s := range shapes {
+		m, k, n := s[0], s[1], s[2]
+		centre := centres[si%len(centres)]
+		if si >= len(centres)*2 {
+			centre = int8(rng.Intn(256) - 128)
+		}
+		a := make([]int8, m*k)
+		for i := range a {
+			switch rng.Intn(6) {
+			case 0:
+				a[i] = centre
+			case 1:
+				a[i] = -128
+			case 2:
+				a[i] = 127
+			default:
+				a[i] = int8(rng.Intn(256) - 128)
+			}
+		}
+		if m > 1 && k > 0 {
+			for kk := 0; kk < k; kk++ {
+				a[kk] = centre // row 0: nothing to accumulate
+				if a[k+kk] == centre {
+					a[k+kk] = centre ^ 0x55 // row 1: nothing to skip
+				}
+			}
+		}
+		b := make([]int8, k*n)
+		for i := range b {
+			switch rng.Intn(5) {
+			case 0:
+				b[i] = -128
+			case 1:
+				b[i] = 127
+			default:
+				b[i] = int8(rng.Intn(256) - 128)
+			}
+		}
+		got := runPackedRows(t, a, b, m, k, n, centre)
+		want := matMulRefI8(a, b, m, k, n)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("[%d %d %d] centre %d element %d: got %d, want %d",
+					m, k, n, centre, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestMatMulInt8DepthBound pins the exactness bound the kernel
+// enforces: with every activation code at -128 against centre 127 the
+// centred multiplier is -255, the widest there is, and each lane must
+// still be exact at k = MaxInt8Depth for weights at either extreme. One
+// deeper and packing refuses instead of overflowing a lane.
+func TestMatMulInt8DepthBound(t *testing.T) {
+	const m, n = 2, 5
+	for _, tc := range []struct {
+		k  int
+		ok bool
+	}{{MaxInt8Depth, true}, {MaxInt8Depth + 1, false}} {
+		a := make([]int8, m*tc.k)
+		for i := range a {
+			a[i] = -128
+		}
+		b := make([]int8, tc.k*n)
+		for kk := 0; kk < tc.k; kk++ {
+			row := b[kk*n : (kk+1)*n]
+			row[0], row[1], row[2], row[3] = 127, -127, -128, 127
+			row[4] = int8(127 - 254*(kk%2)) // alternating: the lanes cancel
+		}
+		_, err := PackInt8(b, tc.k, n)
+		if (err == nil) != tc.ok {
+			t.Fatalf("k = %d: PackInt8 error %v, want ok = %v", tc.k, err, tc.ok)
+		}
+		dst := make([]int32, m*n)
+		if err := MatMulInt8Into(dst, a, b, m, tc.k, n); (err == nil) != tc.ok {
+			t.Fatalf("k = %d: MatMulInt8Into error %v, want ok = %v", tc.k, err, tc.ok)
+		}
+		if !tc.ok {
+			continue
+		}
+		want := matMulRefI8(a, b, m, tc.k, n)
+		for _, centre := range []int8{127, 0, -128} {
+			got := runPackedRows(t, a, b, m, tc.k, n, centre)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("k = %d centre %d element %d: got %d, want %d", tc.k, centre, i, got[i], want[i])
+				}
+			}
+		}
+		for i := range want {
+			if dst[i] != want[i] {
+				t.Fatalf("k = %d wrapper element %d: got %d, want %d", tc.k, i, dst[i], want[i])
+			}
 		}
 	}
 }
@@ -106,23 +230,50 @@ func TestMatMulInt8Errors(t *testing.T) {
 	if err := MatMulInt8Into(dst, a, b, -2, -3, -2); err == nil {
 		t.Fatal("negative dims must fail")
 	}
+	if _, err := PackInt8(b, 2, 2); err == nil {
+		t.Fatal("packing a mis-sized matrix must fail")
+	}
+	p, err := PackInt8(b, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.MatMulRows(a, 3, 0, nil); err == nil {
+		t.Fatal("activation size mismatch must fail")
+	}
 }
 
 // BenchmarkMatMulInt8vs32 compares the int8 kernel against the f32 one
-// on the same logical product: a quarter of the operand bytes moved per
-// MAC is the bandwidth story behind the quantized serving path.
+// on the same logical product. The first three cases draw nearly dense
+// operands; sparse40 zeroes 40% of the activations — the share ReLU
+// produces on the serve-sized MLP — which both kernels skip, so it shows
+// whether the int8 list compaction keeps pace with the f32 zero test.
+// The 16-wide case is the one that must not pay for the packing.
 func BenchmarkMatMulInt8vs32(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
-	for _, s := range [][3]int{{64, 16, 16}, {256, 256, 256}, {64, 1024, 1024}} {
-		m, k, n := s[0], s[1], s[2]
+	for _, tc := range []struct {
+		tag     string
+		m, k, n int
+		zeros   float64 // extra share of activations forced to zero
+	}{
+		{"", 64, 16, 16, 0},
+		{"", 256, 256, 256, 0},
+		{"", 64, 1024, 1024, 0},
+		{"sparse40/", 32, 512, 512, 0.4},
+	} {
+		m, k, n := tc.m, tc.k, tc.n
 		a32 := randSlab32(rng, m*k)
 		b32 := randSlab32(rng, k*n)
 		dst32 := make([]float32, m*n)
 		a8 := randSlabI8(rng, m*k)
 		b8 := randSlabI8(rng, k*n)
 		dst8 := make([]int32, m*n)
-		name := func(tag string) string {
-			return fmt.Sprintf("%s/%dx%dx%d", tag, m, k, n)
+		for i := range a8 {
+			if rng.Float64() < tc.zeros {
+				a32[i], a8[i] = 0, 0
+			}
+		}
+		name := func(prec string) string {
+			return fmt.Sprintf("%s/%s%dx%dx%d", prec, tc.tag, m, k, n)
 		}
 		b.Run(name("f32"), func(b *testing.B) {
 			b.SetBytes(int64(2 * m * k * n))
