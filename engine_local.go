@@ -98,6 +98,22 @@ func (e *LocalEngine) Float32() bool { return e.f32 }
 // sidecar leaves the engine serving in wide precision regardless.
 func (e *LocalEngine) Int8() bool { return e.i8 }
 
+// Precision reports which program a contiguous rank-2 batch runs on
+// the currently resolved model: "int8", "f32" or "f64". Unlike Int8
+// and Float32 it is the outcome, not the request — a missing, corrupt
+// or gate-failed sidecar, or a model a compiler refused, reads as the
+// wider path that actually serves. Before Warmup (or after Refresh)
+// nothing is compiled and it reads "f64".
+func (e *LocalEngine) Precision() string {
+	switch {
+	case e.fwdI8 != nil:
+		return "int8"
+	case e.fwd32 != nil:
+		return "f32"
+	}
+	return "f64"
+}
+
 // Path returns the model path the engine loads from.
 func (e *LocalEngine) Path() string { return e.path }
 

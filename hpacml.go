@@ -173,8 +173,9 @@ func (s Stats) BridgeOverhead() float64 {
 // counters; two goroutines calling into the same Region race on all of
 // them. Concurrent callers should instead give each worker goroutine its
 // own replica Region (same directives, its own bound arrays) and feed the
-// replicas from a shared queue — the replica-pool idiom internal/serve
-// uses to turn independent concurrent requests into ExecuteBatch calls.
+// replicas from a shared queue. (internal/serve applies the same
+// replica-pool idiom one level down, to Engines: its requests already
+// arrive as tensors and have no application memory to bridge.)
 type Region struct {
 	name string
 

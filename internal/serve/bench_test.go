@@ -1,6 +1,9 @@
 package serve
 
 import (
+	"fmt"
+	"io"
+	"log/slog"
 	"runtime"
 	"sync"
 	"testing"
@@ -19,8 +22,9 @@ const clients = 64
 // BenchmarkCoalescedVsSerial is the acceptance benchmark: N concurrent
 // single-invocation clients served through the micro-batching coalescer
 // versus the same clients serialized through one Region.Execute behind a
-// mutex (the only correct alternative, since a Region is not safe for
-// concurrent use). ns/op is per completed request; the coalesced number
+// mutex — the embedded programming model's only correct alternative,
+// since a Region is not safe for concurrent use, built here through the
+// public API the way an application would. ns/op is per completed request; the coalesced number
 // must be at least 2x better under concurrent load.
 func BenchmarkCoalescedVsSerial(b *testing.B) {
 	dir := b.TempDir()
@@ -37,11 +41,21 @@ func BenchmarkCoalescedVsSerial(b *testing.B) {
 
 	b.Run("serial-mutex", func(b *testing.B) {
 		hpacml.ClearModelCache()
-		rep, err := newReplica("serial", []string{path}, 0, in, out, false, false)
+		x, y := make([]float64, in), make([]float64, out)
+		region, err := hpacml.NewRegion("serial",
+			hpacml.Directives(fmt.Sprintf(`
+tensor functor(vin: [i, 0:FIN] = ([0:FIN]))
+tensor functor(vout: [i, 0:FOUT] = ([0:FOUT]))
+tensor map(to: vin(x[0:1]))
+tensor map(from: vout(y[0:1]))
+ml(infer) in(x) out(y) model(%q)
+`, path)),
+			hpacml.BindInt("FIN", in), hpacml.BindInt("FOUT", out),
+			hpacml.BindArray("x", x, in), hpacml.BindArray("y", y, out))
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer rep.region.Close()
+		defer region.Close()
 		var mu sync.Mutex
 		var k int
 		b.SetParallelism(clients / runtime.GOMAXPROCS(0))
@@ -51,13 +65,13 @@ func BenchmarkCoalescedVsSerial(b *testing.B) {
 			for pb.Next() {
 				mu.Lock()
 				k++
-				copy(rep.in, inputs[k%len(inputs)])
-				if err := rep.region.Execute(nil); err != nil {
+				copy(x, inputs[k%len(inputs)])
+				if err := region.Execute(nil); err != nil {
 					mu.Unlock()
 					b.Error(err)
 					return
 				}
-				copy(buf, rep.out)
+				copy(buf, y)
 				mu.Unlock()
 			}
 		})
@@ -104,4 +118,33 @@ func BenchmarkCoalescedVsSerial(b *testing.B) {
 			b.ReportMetric(snap.MeanBatch, "mean-batch")
 		}
 	})
+}
+
+// BenchmarkServeFrame times the binary /v1/infer handler end to end
+// without a network: one caller, a 256-row f64 frame, a small MLP, the
+// default batching policy — so the request path (decode, range queue,
+// replica engine on views, encode), not the model, is what it measures.
+// It reports rows/s beside ns/op and allocs/op; the allocation count is
+// what TestFrameAllocsGrowWithRanges bounds.
+func BenchmarkServeFrame(b *testing.B) {
+	hpacml.ClearModelCache()
+	const rows, cols = 256, 6
+	path := b.TempDir() + "/frame.gmod"
+	if err := mlp(4, cols, 16, 2).Save(path); err != nil {
+		b.Fatal(err)
+	}
+	s, err := NewServer(Config{}, ModelSpec{Name: "m", Path: path})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	d := newFrameDriver(b, NewHandler(s, WithLogger(quiet)), rows, cols)
+	d.do(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.do(b)
+	}
+	b.ReportMetric(float64(b.N)*rows/b.Elapsed().Seconds(), "rows/s")
 }

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -156,13 +155,13 @@ func TestFrameNegotiation(t *testing.T) {
 	}
 }
 
-// zeroReader yields zero bytes forever; wrapped in io.LimitReader it
-// stands in for an attacker streaming an arbitrarily long frame body.
-type zeroReader struct{}
+// repeatReader yields its byte forever; wrapped in io.LimitReader it
+// stands in for an attacker streaming an arbitrarily long body.
+type repeatReader byte
 
-func (zeroReader) Read(p []byte) (int, error) {
+func (b repeatReader) Read(p []byte) (int, error) {
 	for i := range p {
-		p[i] = 0
+		p[i] = byte(b)
 	}
 	return len(p), nil
 }
@@ -170,9 +169,9 @@ func (zeroReader) Read(p []byte) (int, error) {
 // TestFrameRequestLimits pins the request-size armor on the frame
 // endpoints: a forged Content-Length is refused before any allocation
 // or read (413), a body that actually overruns serveapi.MaxFrameLen
-// dies mid-read (413), a frame claiming more rows than the per-request
-// fan-out cap is a 400, and a forged zero-cols geometry never reaches
-// the row fan-out (400 from the decoder).
+// dies mid-read (413), a frame claiming more rows than one request may
+// carry is a 400, and a forged zero-cols geometry never reaches the
+// model queue (400 from the decoder).
 func TestFrameRequestLimits(t *testing.T) {
 	hpacml.ClearModelCache()
 	dir := t.TempDir()
@@ -199,11 +198,11 @@ func TestFrameRequestLimits(t *testing.T) {
 		t.Fatalf("forged Content-Length: %d %s", rec.Code, rec.Body)
 	}
 	// Unknown length (chunked), body really too long: killed mid-read.
-	long := io.LimitReader(zeroReader{}, serveapi.MaxFrameLen+1)
+	long := io.LimitReader(repeatReader(0), serveapi.MaxFrameLen+1)
 	if rec := do("/v1/capture", long, -1); rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("overlong chunked body: %d %s", rec.Code, rec.Body)
 	}
-	// A well-formed frame with more rows than one request may fan out.
+	// A well-formed frame with more rows than one request may carry.
 	rows := maxInferRows + 1
 	frame, err := serveapi.AppendInferRequest(nil, serveapi.DtypeF32, "m", rows, 1, make([]float64, rows))
 	if err != nil {
@@ -225,33 +224,6 @@ func TestFrameRequestLimits(t *testing.T) {
 	forged = append(forged, body...)
 	if rec := do("/v1/infer", bytes.NewReader(forged), int64(len(forged))); rec.Code != http.StatusBadRequest {
 		t.Fatalf("forged zero-cols frame: %d %s", rec.Code, rec.Body)
-	}
-}
-
-// TestForEachRowBoundedFanout: every row index runs exactly once, and
-// concurrency never exceeds maxInferFanout no matter the batch size.
-func TestForEachRowBoundedFanout(t *testing.T) {
-	const rows = 5000
-	hits := make([]atomic.Int32, rows)
-	var cur, peak atomic.Int32
-	forEachRow(rows, func(i int) {
-		c := cur.Add(1)
-		for {
-			p := peak.Load()
-			if c <= p || peak.CompareAndSwap(p, c) {
-				break
-			}
-		}
-		hits[i].Add(1)
-		cur.Add(-1)
-	})
-	for i := range hits {
-		if n := hits[i].Load(); n != 1 {
-			t.Fatalf("row %d ran %d times", i, n)
-		}
-	}
-	if p := peak.Load(); p > maxInferFanout {
-		t.Fatalf("fan-out peaked at %d goroutines, cap %d", p, maxInferFanout)
 	}
 }
 

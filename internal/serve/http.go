@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/learner"
@@ -106,8 +105,9 @@ const (
 //	GET  /healthz     liveness + build/version info
 //
 // Backpressure surfaces as 429, unknown models/capture DBs as 404,
-// malformed bodies, wrong input widths and bad capture records as 400,
-// shutdown as 503.
+// malformed bodies, wrong input widths, too many rows and bad capture
+// records as 400, a body over serveapi.MaxFrameLen (either wire) as
+// 413, shutdown as 503.
 //
 // Both POST endpoints also speak the binary frame protocol: a request
 // with Content-Type application/x-hpacml-frame is decoded as a frame
@@ -283,7 +283,6 @@ func (h *handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if !h.log.Enabled(r.Context(), level) {
 		return
 	}
-	queue, forward := sp.stageDurations()
 	attrs := make([]slog.Attr, 0, 13)
 	attrs = append(attrs,
 		slog.String("rid", rid),
@@ -304,8 +303,8 @@ func (h *handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			slog.String("dtype", sp.dtype),
 			slog.Int("rows", sp.rows),
 			slog.Duration("decode", sp.decode),
-			slog.Duration("queue", queue),
-			slog.Duration("forward", forward),
+			slog.Duration("queue", sp.queue),
+			slog.Duration("forward", sp.forward),
 			slog.Duration("encode", sp.encode),
 		)
 	}
@@ -330,8 +329,7 @@ func (h *handler) serveInfer(w http.ResponseWriter, r *http.Request) {
 	h.wireInfer[wireSlotJSON].Inc()
 	decodeStart := time.Now()
 	var req InferRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err))
+	if !decodeJSONBody(w, r, &req) {
 		return
 	}
 	h.observeDecode(sp, time.Since(decodeStart))
@@ -339,29 +337,63 @@ func (h *handler) serveInfer(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case req.Input != nil && req.Inputs == nil:
 		sp.rows = 1
-		out, err := s.infer(req.Model, req.Input, sp)
+		out, err := s.inferRow(req.Model, req.Input, sp)
 		if err != nil {
 			writeErr(w, r, statusFor(err), err)
 			return
 		}
 		h.encodeJSON(w, sp, InferResponse{Model: req.Model, Output: out})
 	case req.Inputs != nil && req.Input == nil:
-		sp.rows = len(req.Inputs)
-		outs := make([][]float64, len(req.Inputs))
-		errs := make([]error, len(req.Inputs))
-		forEachRow(len(req.Inputs), func(i int) {
-			outs[i], errs[i] = s.infer(req.Model, req.Inputs[i], sp)
-		})
-		for _, err := range errs {
+		rows := len(req.Inputs)
+		sp.rows = rows
+		if err := checkRowCount(rows); err != nil {
+			writeErr(w, r, http.StatusBadRequest, err)
+			return
+		}
+		// Flatten into one slab so a JSON batch takes the frame's path.
+		fs := framePool.Get().(*frameScratch)
+		defer framePool.Put(fs)
+		m, err := s.lookup(req.Model, len(req.Inputs[0]))
+		fs.in = fs.in[:0]
+		for _, row := range req.Inputs {
+			if err == nil {
+				err = m.checkWidth(len(row))
+			}
 			if err != nil {
 				writeErr(w, r, statusFor(err), err)
 				return
 			}
+			fs.in = append(fs.in, row...)
+		}
+		fs.out = grow(fs.out, rows*m.out)
+		if err := s.inferSlab(m, fs.in, fs.out, rows, sp); err != nil {
+			writeErr(w, r, statusFor(err), err)
+			return
+		}
+		outs := make([][]float64, rows)
+		for i := range outs {
+			outs[i] = fs.out[i*m.out : (i+1)*m.out]
 		}
 		h.encodeJSON(w, sp, InferResponse{Model: req.Model, Outputs: outs})
 	default:
 		writeErr(w, r, http.StatusBadRequest, errors.New(`set exactly one of "input" or "inputs"`))
 	}
+}
+
+// decodeJSONBody decodes a JSON request body of at most
+// serveapi.MaxFrameLen bytes into v — the same bound the frame wire
+// has — answering 413 for an oversized body and 400 for a malformed
+// one. It reports whether v is usable.
+func decodeJSONBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := limitBody(w, r)
+	if err == nil {
+		err = json.NewDecoder(r.Body).Decode(v)
+	}
+	if err != nil {
+		writeErr(w, r, bodyReadStatus(err), fmt.Errorf("bad JSON: %w", err))
+		return false
+	}
+	return true
 }
 
 // serveCapture handles POST /v1/capture on either wire.
@@ -379,8 +411,7 @@ func (h *handler) serveCapture(w http.ResponseWriter, r *http.Request) {
 	h.wireCapture[wireSlotJSON].Inc()
 	decodeStart := time.Now()
 	var req serveapi.CaptureRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err))
+	if !decodeJSONBody(w, r, &req) {
 		return
 	}
 	h.observeDecode(sp, time.Since(decodeStart))
@@ -471,9 +502,12 @@ func frameStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// frameScratch holds one frame request's reusable buffers: the raw
-// request body, the decoded input slab, the flattened output slab, and
-// the encoded response frame.
+// frameScratch holds one request's reusable buffers: the raw request
+// body, the input slab (a decoded frame, or flattened JSON rows), the
+// output slab the replicas write into, and the encoded response frame.
+// in and out are what a request's queued ranges view, so the scratch
+// goes back to the pool only after inferSlab has returned — which it
+// does only once every range it enqueued has completed.
 type frameScratch struct {
 	body []byte
 	in   []float64
@@ -483,32 +517,51 @@ type frameScratch struct {
 
 var framePool = sync.Pool{New: func() any { return new(frameScratch) }}
 
-// errFrameTooLarge reports a request whose declared Content-Length
-// already exceeds the frame size limit, before any byte is read.
-var errFrameTooLarge = fmt.Errorf("frame exceeds %d bytes", serveapi.MaxFrameLen)
+// grow returns buf resized to n elements, reallocating only when its
+// capacity is short.
+func grow(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}
 
-// readFrameStatus maps a frame body-read failure: an oversized frame —
-// declared up front or discovered mid-read — is 413, anything else
-// (client disconnects, chunked-encoding garbage) a plain 400.
-func readFrameStatus(err error) int {
+// errBodyTooLarge reports a request whose declared Content-Length
+// already exceeds the body size limit, before any byte is read.
+var errBodyTooLarge = fmt.Errorf("body exceeds %d bytes", serveapi.MaxFrameLen)
+
+// bodyReadStatus maps a body read or decode failure: an oversized body
+// — declared up front or discovered mid-read — is 413, anything else
+// (malformed JSON, client disconnects, chunked-encoding garbage) a
+// plain 400.
+func bodyReadStatus(err error) int {
 	var mbe *http.MaxBytesError
-	if errors.Is(err, errFrameTooLarge) || errors.As(err, &mbe) {
+	if errors.Is(err, errBodyTooLarge) || errors.As(err, &mbe) {
 		return http.StatusRequestEntityTooLarge
 	}
 	return http.StatusBadRequest
 }
 
+// limitBody bounds the request body by serveapi.MaxFrameLen on both
+// the declared Content-Length (refused before any read) and the actual
+// byte count (the read fails past the limit).
+func limitBody(w http.ResponseWriter, r *http.Request) error {
+	if r.ContentLength > serveapi.MaxFrameLen {
+		return fmt.Errorf("%w (declared %d)", errBodyTooLarge, r.ContentLength)
+	}
+	r.Body = http.MaxBytesReader(w, r.Body, serveapi.MaxFrameLen)
+	return nil
+}
+
 // readFrameBody reads the whole request body into buf's storage (grown
 // as needed), so pooled buffers absorb the read. The read is bounded by
-// serveapi.MaxFrameLen on both the declared Content-Length and the
-// actual byte count, and the attacker-controlled Content-Length only
-// sizes the pre-allocation up to a modest cap — a forged header costs
-// the sender real bytes, never a large allocation on this side.
+// limitBody, and the attacker-controlled Content-Length only sizes the
+// pre-allocation up to a modest cap — a forged header costs the sender
+// real bytes, never a large allocation on this side.
 func readFrameBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, error) {
-	if r.ContentLength > serveapi.MaxFrameLen {
-		return buf[:0], fmt.Errorf("%w (declared %d)", errFrameTooLarge, r.ContentLength)
+	if err := limitBody(w, r); err != nil {
+		return buf[:0], err
 	}
-	body := http.MaxBytesReader(w, r.Body, serveapi.MaxFrameLen)
 	buf = buf[:0]
 	const maxPrealloc = 1 << 20
 	if n := r.ContentLength; n > 0 && n <= maxPrealloc && int64(cap(buf)) < n {
@@ -518,7 +571,7 @@ func readFrameBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, 
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
 		}
-		n, err := body.Read(buf[len(buf):cap(buf)])
+		n, err := r.Body.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
 		if err == io.EOF {
 			return buf, nil
@@ -529,43 +582,19 @@ func readFrameBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, 
 	}
 }
 
-// Per-request batch fan-out bounds: one request may carry at most
-// maxInferRows rows, served by at most maxInferFanout goroutines. The
-// rows still reach the coalescer concurrently, like independent
-// clients, but a single huge (or forged) batch cannot spawn a
-// goroutine per row or size multi-GB bookkeeping slices.
-const (
-	maxInferRows   = 1 << 20
-	maxInferFanout = 64
-)
+// maxInferRows is the most rows one request may carry, on either wire:
+// a single huge (or forged) batch cannot size multi-GB slabs.
+const maxInferRows = 1 << 20
 
-// forEachRow runs fn(i) for every i in [0, rows) across at most
-// maxInferFanout goroutines.
-func forEachRow(rows int, fn func(i int)) {
-	if rows == 1 {
-		fn(0)
-		return
+// checkRowCount applies the per-request row limits.
+func checkRowCount(rows int) error {
+	if rows == 0 {
+		return errors.New("request must carry at least one row")
 	}
-	workers := rows
-	if workers > maxInferFanout {
-		workers = maxInferFanout
+	if rows > maxInferRows {
+		return fmt.Errorf("request carries %d rows, limit %d", rows, maxInferRows)
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= rows {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+	return nil
 }
 
 // wireSnapshot folds the hot-path wire counters into the /v1/stats
@@ -607,8 +636,9 @@ func dtypeSlot(dt serveapi.Dtype) (slot int, label string) {
 }
 
 // serveInferFrame is the binary hot path of /v1/infer: decode the
-// request slab into pooled buffers, submit every row to the coalescer
-// concurrently, and answer a response frame of the request's dtype.
+// request slab into pooled buffers, hand it to the model queue as row
+// ranges whose outputs land directly in the pooled response slab, and
+// answer a response frame of the request's dtype.
 func (h *handler) serveInferFrame(w http.ResponseWriter, r *http.Request) {
 	s, sp := h.s, spanFrom(r.Context())
 	sp.wire = "binary"
@@ -617,7 +647,7 @@ func (h *handler) serveInferFrame(w http.ResponseWriter, r *http.Request) {
 	decodeStart := time.Now()
 	var err error
 	if fs.body, err = readFrameBody(w, r, fs.body); err != nil {
-		writeErr(w, r, readFrameStatus(err), fmt.Errorf("reading frame: %w", err))
+		writeErr(w, r, bodyReadStatus(err), fmt.Errorf("reading frame: %w", err))
 		return
 	}
 	req, err := serveapi.DecodeInferRequest(fs.body, fs.in)
@@ -631,35 +661,22 @@ func (h *handler) serveInferFrame(w http.ResponseWriter, r *http.Request) {
 	sp.dtype = dlabel
 	sp.model, sp.rows = req.Model, req.Rows
 	h.wireInfer[slot].Inc()
-	if req.Rows == 0 {
-		writeErr(w, r, http.StatusBadRequest, errors.New("frame must carry at least one row"))
+	if err := checkRowCount(req.Rows); err != nil {
+		writeErr(w, r, http.StatusBadRequest, err)
 		return
 	}
-	if req.Rows > maxInferRows {
-		writeErr(w, r, http.StatusBadRequest, fmt.Errorf("frame carries %d rows, limit %d", req.Rows, maxInferRows))
+	m, err := s.lookup(req.Model, req.Cols)
+	if err != nil {
+		writeErr(w, r, statusFor(err), err)
 		return
 	}
-	outs := make([][]float64, req.Rows)
-	errs := make([]error, req.Rows)
-	forEachRow(req.Rows, func(i int) {
-		outs[i], errs[i] = s.infer(req.Model, req.Data[i*req.Cols:(i+1)*req.Cols], sp)
-	})
-	for _, err := range errs {
-		if err != nil {
-			writeErr(w, r, statusFor(err), err)
-			return
-		}
+	fs.out = grow(fs.out, req.Rows*m.out)
+	if err := s.inferSlab(m, req.Data, fs.out, req.Rows, sp); err != nil {
+		writeErr(w, r, statusFor(err), err)
+		return
 	}
 	encStart := time.Now()
-	outCols := len(outs[0])
-	if cap(fs.out) < req.Rows*outCols {
-		fs.out = make([]float64, 0, req.Rows*outCols)
-	}
-	fs.out = fs.out[:0]
-	for _, row := range outs {
-		fs.out = append(fs.out, row...)
-	}
-	if fs.enc, err = serveapi.AppendInferResponse(fs.enc[:0], req.Dtype, req.Model, req.Rows, outCols, fs.out); err != nil {
+	if fs.enc, err = serveapi.AppendInferResponse(fs.enc[:0], req.Dtype, req.Model, req.Rows, m.out, fs.out); err != nil {
 		writeErr(w, r, http.StatusInternalServerError, err)
 		return
 	}
@@ -683,7 +700,7 @@ func (h *handler) serveCaptureFrame(w http.ResponseWriter, r *http.Request) {
 	decodeStart := time.Now()
 	var err error
 	if fs.body, err = readFrameBody(w, r, fs.body); err != nil {
-		writeErr(w, r, readFrameStatus(err), fmt.Errorf("reading frame: %w", err))
+		writeErr(w, r, bodyReadStatus(err), fmt.Errorf("reading frame: %w", err))
 		return
 	}
 	db, recs, err := serveapi.DecodeCaptureRequest(fs.body)

@@ -77,13 +77,13 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		inferBatches: reg.CounterVec("hpacml_infer_batches_total",
 			"Coalesced batches executed per model.", "model"),
 		batchSize: reg.HistogramVec("hpacml_infer_batch_size",
-			"Invocations per coalesced batch — mass above 1 is the coalescer doing its job.", batchSizeBuckets, "model"),
+			"Rows per engine batch — mass above 1 is the coalescer doing its job.", batchSizeBuckets, "model"),
 		queueWait: reg.HistogramVec("hpacml_infer_queue_seconds",
-			"Per-request wait from enqueue to batch cut.", lat, "model"),
+			"Per-row wait from enqueue to batch cut.", lat, "model"),
 		forward: reg.HistogramVec("hpacml_infer_forward_seconds",
-			"Per-batch Region.ExecuteBatch duration.", lat, "model"),
+			"Per-batch engine phase: the replica engine call plus the staging copies of a coalesced batch.", lat, "model"),
 		latency: reg.HistogramVec("hpacml_infer_latency_seconds",
-			"Per-request latency from enqueue to completion.", lat, "model"),
+			"Per-row latency from enqueue to completion.", lat, "model"),
 		reloads: reg.CounterVec("hpacml_model_reloads_total",
 			"Hot-reload attempts by model and result.", "model", "result"),
 
@@ -138,17 +138,17 @@ func (s *Server) registerServerFuncs() {
 		"Seconds since the server started accepting traffic.", nil,
 		func(emit telemetry.Emit) { emit(s.Uptime().Seconds()) })
 	reg.GaugeFunc("hpacml_queue_depth",
-		"Requests currently waiting in each model's bounded queue.", []string{"model"},
+		"Rows currently waiting in each model's bounded queue.", []string{"model"},
 		func(emit telemetry.Emit) {
 			for name, m := range s.models {
-				emit(float64(len(m.queue)), name)
+				emit(float64(m.waiting.Load()), name)
 			}
 		})
 	reg.GaugeFunc("hpacml_queue_capacity",
-		"Capacity of each model's bounded queue (submissions beyond it are rejected).", []string{"model"},
+		"Most rows that may wait in each model's queue (submissions beyond it are rejected).", []string{"model"},
 		func(emit telemetry.Emit) {
-			for name, m := range s.models {
-				emit(float64(cap(m.queue)), name)
+			for name := range s.models {
+				emit(float64(s.cfg.QueueCap), name)
 			}
 		})
 

@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
+	"log/slog"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -32,19 +35,19 @@ type ModelSpec struct {
 	In       int
 	Out      int
 	// F32 serves the model through the single-precision inference path:
-	// each replica's directive gains f32(on), so its LocalEngine
-	// converts the weights to float32 once at load and runs batches in
-	// single precision. Ensembles ignore it (their injected engine owns
-	// precision), as do models the f32 compiler cannot handle — those
-	// silently stay float64.
+	// each replica's LocalEngine is built WithFloat32Inference, converts
+	// the weights to float32 once at load and runs batches in single
+	// precision. Ensembles ignore it, and a model the f32 compiler
+	// cannot handle stays float64 — ModelInfo.Precision says which path
+	// serves, and a downgrade is logged once per load.
 	F32 bool
 	// I8 serves the model through the quantized int8 path: each
-	// replica's directive gains quant(int8), so its LocalEngine
-	// auto-loads the ".quant" calibration sidecar beside the model file
-	// (written by hpacml-quant) and compiles the int8 program. A
-	// missing, corrupt, or gate-failed sidecar silently keeps the wider
-	// path, and ensembles ignore it like F32. When both F32 and I8 are
-	// set the engine prefers int8 where the sidecar allows it.
+	// replica's LocalEngine is built WithInt8Inference, auto-loads the
+	// ".quant" calibration sidecar beside the model file (written by
+	// hpacml-quant) and compiles the int8 program. A missing, corrupt,
+	// or gate-failed sidecar keeps the wider path (reported and logged
+	// like F32's), and ensembles ignore it. When both F32 and I8 are set
+	// the engine prefers int8 where the sidecar allows it.
 	I8 bool
 }
 
@@ -59,33 +62,49 @@ type model struct {
 	path    string
 	members []string // every served model file: path first, then the ensemble
 	in, out int
+	asked   string // the precision the spec requested: "int8", "f32" or "f64"
 
-	queue    chan *request
+	// queue carries row ranges of caller-owned slabs; waiting counts the
+	// rows in it, which is what QueueCap bounds.
+	queue   chan rowRange
+	waiting atomic.Int64
+
 	replicas []*replica
 	stats    *modelStats
 
 	// gen counts accepted reloads; replicas compare it against their own
-	// generation at each batch boundary and RefreshModel on mismatch,
-	// picking up the network checkReload published to the shared cache.
+	// generation at each batch boundary and re-resolve their engine on
+	// mismatch, picking up the network checkReload published to the
+	// shared cache.
 	gen   atomic.Uint64
 	sumMu sync.Mutex
 	sum   [sha256.Size]byte
 	// loadedAt is when the served weights were (re)loaded — provenance
 	// for /v1/models, guarded by sumMu like the checksum it travels with.
 	loadedAt time.Time
+	// precision is the compute path the replicas actually run, as the
+	// first replica to load generation precGen found it. Guarded by
+	// sumMu.
+	precision string
+	precGen   uint64
 }
 
-// replica is one worker's single-threaded execution context: a Region
-// plus the application arrays it is bound to. The worker copies request
-// inputs into in, runs the region, and copies outputs from out.
+// replicaEngine is what a replica needs of its engine: the Engine calls
+// plus the hot-reload hook both local backends export.
+type replicaEngine interface {
+	hpacml.Engine
+	Refresh()
+}
+
+// replica is one worker's single-threaded execution context: an engine
+// (a LocalEngine, or an EnsembleEngine for a member set — engine
+// scratch is single-threaded, so replicas never share one), the phase
+// accounting a Region would have kept for it, and the [MaxBatch, in] /
+// [MaxBatch, out] staging slabs that stack short ranges into one batch.
 type replica struct {
 	idx    int
-	region *hpacml.Region
-	// engine is the replica's injected ensemble engine, nil for
-	// single-model replicas (the region derives and owns a LocalEngine
-	// itself). Injected engines are not owned by the region, so the
-	// replica closes it alongside.
-	engine *hpacml.EnsembleEngine
+	engine replicaEngine
+	stats  hpacml.Stats
 	in     []float64
 	out    []float64
 	gen    uint64
@@ -130,30 +149,71 @@ func newModel(spec ModelSpec, cfg Config, met *metrics) (*model, error) {
 		members:  members,
 		in:       in,
 		out:      out,
-		queue:    make(chan *request, cfg.QueueCap),
+		asked:    askedPrecision(spec),
+		queue:    make(chan rowRange, cfg.QueueCap),
 		stats:    newModelStats(cfg.MaxBatch, cfg.Workers, met.forModel(spec.Name)),
 		sum:      sum,
 		loadedAt: time.Now(),
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		rep, err := newReplica(spec.Name, members, i, in, out, spec.F32, spec.I8)
+		rep, err := newReplica(m, spec, i, cfg.MaxBatch)
 		if err != nil {
 			m.closeReplicas()
 			return nil, err
 		}
 		m.replicas = append(m.replicas, rep)
 	}
+	m.notePrecision(0, m.replicas[0].precision())
 	return m, nil
 }
 
-// closeReplicas releases every replica region (and injected ensemble
-// engine) built so far.
+// askedPrecision names the compute path a spec requests, in
+// LocalEngine.Precision's vocabulary.
+func askedPrecision(spec ModelSpec) string {
+	switch {
+	case spec.I8:
+		return "int8"
+	case spec.F32:
+		return "f32"
+	}
+	return "f64"
+}
+
+// localOptions are the LocalEngine options that request it.
+func localOptions(spec ModelSpec) []hpacml.LocalOption {
+	var opts []hpacml.LocalOption
+	if spec.F32 {
+		opts = append(opts, hpacml.WithFloat32Inference())
+	}
+	if spec.I8 {
+		opts = append(opts, hpacml.WithInt8Inference())
+	}
+	return opts
+}
+
+// notePrecision records the compute path a replica found itself on
+// after loading generation gen. The first replica to report a
+// generation sets what /v1/models shows and, when that is not what the
+// spec asked for (no sidecar, a corrupt or gate-failed one, a model the
+// compiler refused, an ensemble), logs the downgrade — once per load,
+// not once per replica.
+func (m *model) notePrecision(gen uint64, serving string) {
+	m.sumMu.Lock()
+	first := m.precision == "" || gen > m.precGen
+	if first {
+		m.precision, m.precGen = serving, gen
+	}
+	m.sumMu.Unlock()
+	if first && serving != m.asked {
+		slog.Warn("serve: model is not served at the precision it was registered with",
+			"model", m.name, "asked", m.asked, "serving", serving, "generation", gen)
+	}
+}
+
+// closeReplicas releases every replica engine built so far.
 func (m *model) closeReplicas() {
 	for _, rep := range m.replicas {
-		rep.region.Close()
-		if rep.engine != nil {
-			rep.engine.Close()
-		}
+		rep.close()
 	}
 }
 
@@ -197,68 +257,69 @@ func validateDims(net *nn.Network, in, out int) error {
 	return nil
 }
 
-// newReplica builds one generic vector-in/vector-out inference region
-// bound to fresh staging arrays: the bridge gathers the in-array as a
-// [1, FIN] sample and scatters the model's [1, FOUT] output back into
-// the out-array, so ExecuteBatch over n requests stacks to [n, FIN].
-// With more than one member path the replica gets its own injected
-// EnsembleEngine (engine scratch is single-threaded, so replicas never
-// share one). A zero-input warmup runs immediately so a bad model file
-// fails replica construction, not the first request.
-func newReplica(name string, members []string, idx, in, out int, f32, i8 bool) (*replica, error) {
-	x := make([]float64, in)
-	y := make([]float64, out)
-	precClause := ""
-	if f32 {
-		precClause += " f32(on)"
+// newReplica builds one worker's engine and staging slabs: a
+// LocalEngine at the spec's precision, or with more than one member
+// path an EnsembleEngine of its own. The engine is warmed and serves one
+// zero-input row immediately, so a bad model file fails replica
+// construction, not the first request.
+func newReplica(m *model, spec ModelSpec, idx, maxBatch int) (*replica, error) {
+	rep := &replica{
+		idx: idx,
+		in:  make([]float64, maxBatch*m.in),
+		out: make([]float64, maxBatch*m.out),
 	}
-	if i8 {
-		precClause += " quant(int8)"
-	}
-	opts := []hpacml.Option{
-		hpacml.BindInt("FIN", in),
-		hpacml.BindInt("FOUT", out),
-		hpacml.BindArray("x", x, in),
-		hpacml.BindArray("y", y, out),
-	}
-	var engine *hpacml.EnsembleEngine
-	if len(members) > 1 {
-		var err error
-		if engine, err = hpacml.NewLocalEnsemble(members...); err != nil {
-			return nil, fmt.Errorf("serve: model %q replica %d: %w", name, idx, err)
+	if len(m.members) > 1 {
+		ens, err := hpacml.NewLocalEnsemble(m.members...)
+		if err != nil {
+			return nil, fmt.Errorf("serve: model %q replica %d: %w", m.name, idx, err)
 		}
-		opts = append(opts, hpacml.WithEngine(engine))
+		rep.engine = ens
+	} else {
+		rep.engine = hpacml.NewLocalEngine(m.path, localOptions(spec)...)
 	}
-	region, err := hpacml.NewRegion(fmt.Sprintf("%s/replica%d", name, idx),
-		append([]hpacml.Option{hpacml.Directives(fmt.Sprintf(`
-tensor functor(vin: [i, 0:FIN] = ([0:FIN]))
-tensor functor(vout: [i, 0:FOUT] = ([0:FOUT]))
-tensor map(to: vin(x[0:1]))
-tensor map(from: vout(y[0:1]))
-ml(infer) in(x) out(y) model(%q)%s
-`, members[0], precClause))}, opts...)...,
-	)
+	err := rep.engine.Warmup(context.Background(), []int{1, m.in})
+	if err == nil {
+		err = rep.run(m, []rowRange{{in: rep.in[:m.in], out: rep.out[:m.out], n: 1}}, 1)
+	}
 	if err != nil {
-		if engine != nil {
-			engine.Close()
-		}
-		return nil, fmt.Errorf("serve: model %q replica %d: %w", name, idx, err)
+		rep.close()
+		return nil, fmt.Errorf("serve: model %q warmup: %w", m.name, err)
 	}
-	fail := func(err error) (*replica, error) {
-		region.Close()
-		if engine != nil {
-			engine.Close()
-		}
-		return nil, err
+	rep.stats = hpacml.Stats{} // don't count the warmup as served traffic
+	return rep, nil
+}
+
+// reload swaps the replica onto generation gen: Refresh drops the
+// resolved model and Warmup re-resolves it from the shared cache, where
+// checkReload published the validated network — never from disk, where
+// a concurrent retrain could hand replicas different or torn bytes. A
+// failed swap leaves the replica's generation behind, so the next batch
+// boundary tries again.
+func (rep *replica) reload(m *model, gen uint64) error {
+	rep.engine.Refresh()
+	if err := rep.engine.Warmup(context.Background(), []int{1, m.in}); err != nil {
+		return fmt.Errorf("serve: model %q replica %d reload: %w", m.name, rep.idx, err)
 	}
-	if shape, err := region.InputShape(); err != nil || len(shape) != 2 || shape[0] != 1 || shape[1] != in {
-		return fail(fmt.Errorf("serve: model %q replica %d: bridge presents %v (err %v), want [1 %d]", name, idx, shape, err, in))
+	rep.gen = gen
+	m.notePrecision(gen, rep.precision())
+	return nil
+}
+
+// precision is the compute path the replica's batches run. Ensembles
+// run their members in float64.
+func (rep *replica) precision() string {
+	if local, ok := rep.engine.(*hpacml.LocalEngine); ok {
+		return local.Precision()
 	}
-	if err := region.Execute(nil); err != nil {
-		return fail(fmt.Errorf("serve: model %q warmup: %w", name, err))
+	return "f64"
+}
+
+// close releases the engine when it holds resources (an ensemble owns
+// its members).
+func (rep *replica) close() {
+	if c, ok := rep.engine.(io.Closer); ok {
+		c.Close()
 	}
-	region.ResetStats() // don't count the warmup as served traffic
-	return &replica{idx: idx, region: region, engine: engine, in: x, out: y}, nil
 }
 
 // info snapshots the registry view.
@@ -266,6 +327,7 @@ func (m *model) info() ModelInfo {
 	m.sumMu.Lock()
 	sum := m.sum
 	loadedAt := m.loadedAt
+	precision := m.precision
 	m.sumMu.Unlock()
 	return ModelInfo{
 		Name:       m.name,
@@ -276,19 +338,21 @@ func (m *model) info() ModelInfo {
 		Checksum:   hex.EncodeToString(sum[:]),
 		Generation: m.gen.Load(),
 		Replicas:   len(m.replicas),
+		Precision:  precision,
 		LoadedAt:   loadedAt,
 	}
 }
 
 // checkReload re-checksums every member file. When any byte changed,
 // each changed file is loaded and validated (loadable, same I/O widths
-// — a width change would break the replicas' bound arrays and is
-// refused), the validated networks are published to the shared model
-// cache, and the model generation is bumped; each replica swaps onto
-// the published weights at its next batch boundary via RefreshModel
-// (which the ensemble engine forwards to every member), so in-flight
-// requests finish on the old ones and every replica sees the same
-// objects — never a torn or re-retrained file read of its own.
+// — a width change would no longer fit the slabs callers and replicas
+// size by them and is refused), the validated networks are published
+// to the shared model cache, and the model generation is bumped; each
+// replica swaps onto the published weights at its next batch boundary
+// (replica.reload; an ensemble engine forwards the refresh to every
+// member), so in-flight ranges finish on the old ones and every replica
+// sees the same objects — never a torn or re-retrained file read of its
+// own.
 func (m *model) checkReload() error {
 	sum, err := filesChecksum(m.members)
 	if err != nil {

@@ -2,32 +2,40 @@
 // concurrent-caller execution path the embedded programming model lacks.
 //
 // Region.ExecuteBatch amortizes bridge and model-call overhead only when
-// one caller already holds a batch of invocations. A deployment serving
-// many independent simulation clients has the opposite shape: thousands
-// of goroutines (or HTTP requests), each carrying a single invocation.
-// This package turns the second shape into the first with a dynamic
-// micro-batching coalescer:
+// one caller already holds a batch of invocations in application memory.
+// A serving deployment has two other shapes: simulation ranks that each
+// send a slab of rows (a frame that is already a tensor), and many
+// independent callers carrying a single invocation each. This package
+// serves both through one queue whose unit is a row range of a
+// caller-owned slab:
 //
-//   - Callers submit one invocation each (Server.Infer) into a bounded
-//     per-model queue. A full queue rejects immediately (ErrQueueFull) —
-//     explicit backpressure, never unbounded buffering.
-//   - Worker goroutines drain the queue, cutting a batch when either
-//     MaxBatch invocations have accumulated or MaxDelay has elapsed since
-//     the batch's first request, then run one Region.ExecuteBatch call.
-//   - Because a Region is not safe for concurrent use, each worker owns a
-//     replica Region (same directives, its own bound arrays) — the
-//     replica-pool idiom. Replicas share the loaded model through the
-//     runtime's path-keyed model cache, and the nn engine's pooled
-//     scratch buffers keep concurrent Forward calls safe.
+//   - A request's rows enter the bounded per-model queue as ranges of at
+//     most MaxBatch rows — views of the decoded request and of the
+//     response slab, never copies — at most 64 rows of one request at a
+//     time. More than QueueCap rows waiting rejects immediately
+//     (ErrQueueFull): explicit backpressure, never unbounded buffering.
+//   - Worker goroutines drain the queue. A MaxBatch-row range is a batch
+//     by itself and the engine runs directly on the caller's memory;
+//     shorter ranges (Server.Infer, a frame's tail) are stacked across
+//     requests in a per-replica staging slab until MaxBatch rows have
+//     accumulated or MaxDelay has elapsed since the batch's first range
+//     — the micro-batching coalescer.
+//   - An engine is not safe for concurrent use, so each worker owns a
+//     replica: its own hpacml.Engine (LocalEngine, or EnsembleEngine for
+//     a member set), staging slabs and phase counters. Replicas share
+//     the loaded model through the runtime's path-keyed model cache, and
+//     the nn engine's pooled scratch buffers keep concurrent Forward
+//     calls safe. The bridge (Region) is not involved: it maps
+//     application memory to tensors, and the server already holds one.
 //
 // Models are named entries in a registry loaded from .gmod files; a
 // checksum poll detects retrained files, validates and publishes the new
 // network once (hpacml.StoreModel), and swaps replicas onto it at their
-// next batch boundary (Region.RefreshModel) without dropping in-flight
-// requests or re-reading disk per replica. A serving stats layer tracks per-model
-// throughput, the batch-size histogram (the direct evidence coalescing
-// happens), and p50/p95/p99 latency, and aggregates the regions' own
-// bridge/inference phase counters.
+// next batch boundary without dropping in-flight requests or re-reading
+// disk per replica. A serving stats layer tracks per-model throughput,
+// the batch-size histogram (the direct evidence coalescing happens),
+// p50/p95/p99 latency, the compute precision actually serving, and the
+// replicas' staging/engine phase counters in Region.Stats form.
 //
 // The server is also the capture-side aggregation point: a registry of
 // server-owned sharded .gh5 databases (Config.CaptureDBs) behind the
@@ -66,16 +74,16 @@ var (
 // Config is the batching and pooling policy shared by every model the
 // server hosts.
 type Config struct {
-	// MaxBatch caps invocations per ExecuteBatch call. A batch is cut as
-	// soon as it reaches MaxBatch. Default 32.
+	// MaxBatch caps the rows of one engine call. A batch is cut as soon
+	// as it reaches MaxBatch. Default 32.
 	MaxBatch int
 	// MaxDelay bounds how long the first request of a batch waits for
 	// company before the batch is cut anyway. Default 2ms.
 	MaxDelay time.Duration
-	// QueueCap bounds each model's request queue; submissions beyond it
-	// fail with ErrQueueFull. Default 8 * MaxBatch.
+	// QueueCap bounds the rows waiting in each model's queue;
+	// submissions beyond it fail with ErrQueueFull. Default 8 * MaxBatch.
 	QueueCap int
-	// Workers is the replica-pool size per model: how many Regions serve
+	// Workers is the replica-pool size per model: how many engines serve
 	// the shared queue concurrently. Default 2.
 	Workers int
 	// ReloadInterval is how often model files are re-checksummed for
@@ -95,9 +103,10 @@ type Config struct {
 	// its own registry. Nil gets a fresh private one.
 	Metrics *telemetry.Registry
 
-	// batchHook, when set, runs before each ExecuteBatch call. Test seam
-	// for stalling workers deterministically.
-	batchHook func(model string, n int)
+	// batchHook, when set, runs before each batch's engine call with the
+	// batch's row count. Test seam for stalling workers
+	// deterministically.
+	batchHook func(model string, rows int)
 }
 
 // withDefaults fills unset fields.
@@ -120,7 +129,11 @@ func (c Config) withDefaults() Config {
 // Server hosts a registry of surrogate models behind micro-batching
 // queues. All methods are safe for concurrent use.
 type Server struct {
-	cfg    Config
+	cfg Config
+	// rangeRows is the most rows one queued range carries and inflight
+	// the most ranges one request keeps outstanding.
+	rangeRows, inflight int
+
 	models map[string]*model // immutable after NewServer
 	ingest *ingest           // nil when capture ingest is disabled
 	met    *metrics
@@ -145,13 +158,16 @@ func NewServer(cfg Config, specs ...ModelSpec) (*Server, error) {
 		return nil, fmt.Errorf("serve: no models registered")
 	}
 	cfg = cfg.withDefaults()
+	rangeRows := min(cfg.MaxBatch, cfg.QueueCap) // a range QueueCap could never admit would be refused forever
 	s := &Server{
-		cfg:      cfg,
-		models:   make(map[string]*model, len(specs)),
-		met:      newMetrics(cfg.Metrics),
-		start:    time.Now(),
-		stopPoll: make(chan struct{}),
-		pollDone: make(chan struct{}),
+		cfg:       cfg,
+		rangeRows: rangeRows,
+		inflight:  max(1, maxInflightRows/rangeRows),
+		models:    make(map[string]*model, len(specs)),
+		met:       newMetrics(cfg.Metrics),
+		start:     time.Now(),
+		stopPoll:  make(chan struct{}),
+		pollDone:  make(chan struct{}),
 	}
 	closeAll := func() {
 		for _, m := range s.models {
@@ -200,47 +216,38 @@ func NewServer(cfg Config, specs ...ModelSpec) (*Server, error) {
 // The call blocks until a worker has served the request as part of a
 // coalesced batch; it fails fast with ErrQueueFull under backpressure.
 func (s *Server) Infer(modelName string, in []float64) ([]float64, error) {
-	return s.infer(modelName, in, nil)
+	return s.inferRow(modelName, in, nil)
 }
 
-// infer is Infer plus trace plumbing: when sp is non-nil, the served
-// request's queue-wait and forward durations fold into the HTTP span
-// so the request's log line carries its stage breakdown.
-func (s *Server) infer(modelName string, in []float64, sp *span) ([]float64, error) {
+// inferRow is Infer plus trace plumbing: the row is a one-row slab, and
+// its queue-wait and forward durations fold into sp when it is non-nil.
+func (s *Server) inferRow(modelName string, in []float64, sp *span) ([]float64, error) {
+	m, err := s.lookup(modelName, len(in))
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, m.out)
+	if err := s.inferSlab(m, in, out, 1, sp); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// lookup resolves a request's model and checks its rows' input width.
+func (s *Server) lookup(modelName string, width int) (*model, error) {
 	m := s.models[modelName]
 	if m == nil {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownModel, modelName)
 	}
-	if len(in) != m.in {
-		return nil, fmt.Errorf("%w: model %q wants %d input features, got %d", ErrBadInput, modelName, m.in, len(in))
+	return m, m.checkWidth(width)
+}
+
+// checkWidth refuses a row that is not the model's input width.
+func (m *model) checkWidth(width int) error {
+	if width != m.in {
+		return fmt.Errorf("%w: model %q wants %d input features, got %d", ErrBadInput, m.name, m.in, width)
 	}
-	req := &request{
-		in:   in,
-		out:  make([]float64, m.out),
-		enq:  time.Now(),
-		done: make(chan error, 1),
-	}
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return nil, ErrServerClosed
-	}
-	select {
-	case m.queue <- req:
-		s.mu.RUnlock()
-	default:
-		s.mu.RUnlock()
-		m.stats.reject()
-		return nil, fmt.Errorf("%w: model %q at capacity %d", ErrQueueFull, modelName, cap(m.queue))
-	}
-	err := <-req.done
-	if sp != nil {
-		sp.addRow(req.queued, req.forward)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return req.out, nil
+	return nil
 }
 
 // Metrics returns the server's telemetry registry — the one the
@@ -307,9 +314,9 @@ func (s *Server) Uptime() time.Duration { return time.Since(s.start) }
 
 // CheckReload re-checksums every model file now, arming replica swaps
 // for any that changed. It returns the first validation failure (a
-// missing file, an unloadable model, or a dimension change, which would
-// break the replicas' bound arrays); failed models keep serving their
-// current weights.
+// missing file, an unloadable model, or a dimension change, which the
+// slabs sized by the registered widths could not hold); failed models
+// keep serving their current weights.
 func (s *Server) CheckReload() error {
 	var first error
 	for _, info := range s.Models() {
@@ -361,7 +368,8 @@ func (s *Server) pollReload() {
 
 // Close stops accepting requests, lets the workers drain everything
 // already queued, and waits for them to exit. In-flight and queued
-// requests complete normally; only later Infer calls see
+// ranges complete normally; only later submissions — a new request, or
+// the not-yet-enqueued remainder of a multi-range one — see
 // ErrServerClosed.
 func (s *Server) Close() error {
 	s.mu.Lock()
@@ -378,9 +386,7 @@ func (s *Server) Close() error {
 	s.wg.Wait()
 	<-s.pollDone
 	for _, m := range s.models {
-		for _, rep := range m.replicas {
-			rep.region.Close()
-		}
+		m.closeReplicas()
 	}
 	if s.ingest != nil {
 		return s.ingest.close()

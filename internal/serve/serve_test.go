@@ -174,7 +174,7 @@ func TestCoalescerFormsBatches(t *testing.T) {
 	for k := 1; k <= later; k++ {
 		go func(k int) { _, err := s.Infer("m", inputVec(k, 3)); results <- err }(k)
 	}
-	waitFor(t, func() bool { return len(m.queue) == later })
+	waitFor(t, func() bool { return m.waiting.Load() == later })
 	close(release)
 
 	for i := 0; i < later+1; i++ {
@@ -233,7 +233,7 @@ func TestBackpressure(t *testing.T) {
 	for k := 1; k <= 2; k++ {
 		go func(k int) { _, err := s.Infer("m", inputVec(k, 3)); results <- err }(k)
 	}
-	waitFor(t, func() bool { return len(m.queue) == 2 })
+	waitFor(t, func() bool { return m.waiting.Load() == 2 })
 
 	if _, err := s.Infer("m", inputVec(9, 3)); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("want ErrQueueFull, got %v", err)

@@ -11,7 +11,7 @@ import (
 	"repro/internal/serveapi"
 )
 
-// latWindow is the number of most-recent request latencies kept per
+// latWindow is the number of most-recent per-row latencies kept per
 // model for quantile estimation.
 const latWindow = 4096
 
@@ -21,25 +21,25 @@ const latWindow = 4096
 // the /metrics exposition, so the JSON snapshot and a Prometheus
 // scrape read the same source of truth. Under mu live only the things
 // a lock genuinely serializes: the exact batch-size array, the latency
-// ring, and the replicas' latest Region.Stats copies.
+// ring, and the replicas' latest phase-counter copies.
 type modelStats struct {
 	tm modelMetrics
 
 	mu    sync.Mutex
 	start time.Time
 
-	// hist[n] counts batches that served exactly n invocations
+	// hist[n] counts batches that served exactly n rows
 	// (1 <= n <= MaxBatch) — the exact per-size map /v1/stats reports
 	// (the telemetry histogram buckets the same sizes for scrapers).
 	hist []uint64
 
-	// lat is a ring of the last latWindow request latencies in seconds.
+	// lat is a ring of the last latWindow per-row latencies in seconds.
 	lat   []float64
 	latAt int
 
-	// replicaRegion holds each replica's latest Region.Stats() copy, so
-	// the aggregate bridges/inference phase split stays readable while
-	// the replicas keep running.
+	// replicaRegion holds each replica's latest hpacml.Stats copy, so
+	// the aggregate staging/engine phase split stays readable while the
+	// replicas keep running.
 	replicaRegion []hpacml.Stats
 }
 
@@ -53,46 +53,44 @@ func newModelStats(maxBatch, workers int, tm modelMetrics) *modelStats {
 	}
 }
 
-// observe records one served batch: its size, outcome, the forward
-// (ExecuteBatch) duration, each request's queue wait and
-// queue-to-completion latency, and the owning replica's region
+// observe records one served batch: its row count, outcome, the forward
+// (engine phase) duration, each row's queue wait and
+// queue-to-completion latency — one weighted observation per range,
+// since a range's rows share both — and the owning replica's phase
 // counters. cut is when the batch was cut (forward started), end when
-// the forward call returned.
-func (st *modelStats) observe(replicaIdx int, region hpacml.Stats, batch []*request, cut, end time.Time, err error) {
-	n := len(batch)
+// the engine call returned.
+func (st *modelStats) observe(replicaIdx int, region hpacml.Stats, batch []rowRange, rows int, cut, end time.Time, err error) {
 	st.tm.batches.Inc()
-	st.tm.batchSize.Observe(float64(n))
+	st.tm.batchSize.Observe(float64(rows))
 	st.tm.forward.Observe(end.Sub(cut).Seconds())
 	if err != nil {
-		st.tm.errors.Add(uint64(n))
+		st.tm.errors.Add(uint64(rows))
 	} else {
-		st.tm.ok.Add(uint64(n))
-		for _, req := range batch {
-			st.tm.queueWait.Observe(cut.Sub(req.enq).Seconds())
-			st.tm.latency.Observe(end.Sub(req.enq).Seconds())
+		st.tm.ok.Add(uint64(rows))
+		for _, rg := range batch {
+			st.tm.queueWait.ObserveN(cut.Sub(rg.enq).Seconds(), uint64(rg.n))
+			st.tm.latency.ObserveN(end.Sub(rg.enq).Seconds(), uint64(rg.n))
 		}
 	}
 
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	h := n
-	if h >= len(st.hist) {
-		h = len(st.hist) - 1
-	}
-	st.hist[h]++
+	st.hist[min(rows, len(st.hist)-1)]++
 	if replicaIdx < len(st.replicaRegion) {
 		st.replicaRegion[replicaIdx] = region
 	}
 	if err != nil {
 		return
 	}
-	for _, req := range batch {
-		sec := end.Sub(req.enq).Seconds()
-		if len(st.lat) < cap(st.lat) {
-			st.lat = append(st.lat, sec)
-		} else {
-			st.lat[st.latAt] = sec
-			st.latAt = (st.latAt + 1) % cap(st.lat)
+	for _, rg := range batch {
+		sec := end.Sub(rg.enq).Seconds()
+		for i := 0; i < rg.n; i++ {
+			if len(st.lat) < cap(st.lat) {
+				st.lat = append(st.lat, sec)
+			} else {
+				st.lat[st.latAt] = sec
+				st.latAt = (st.latAt + 1) % cap(st.lat)
+			}
 		}
 	}
 }
@@ -101,7 +99,7 @@ func (st *modelStats) reject()       { st.tm.rejected.Inc() }
 func (st *modelStats) reloaded()     { st.tm.reloadOK.Inc() }
 func (st *modelStats) reloadFailed() { st.tm.reloadErr.Inc() }
 
-// regionSum returns the replica pool's summed Region accounting — the
+// regionSum returns the replica pool's summed phase accounting — the
 // source the JSON snapshot and the /metrics region bridge both read.
 func (st *modelStats) regionSum() hpacml.Stats {
 	st.mu.Lock()

@@ -157,24 +157,25 @@ func TestRejectedCountsInMetrics(t *testing.T) {
 	hpacml.ClearModelCache()
 	dir := t.TempDir()
 	path := saveMLP(t, dir, "m.gmod", 23, 3, 8, 1)
-	stall := make(chan struct{})
+	stall, entered := make(chan struct{}), make(chan struct{}, 8)
 	cfg := Config{MaxBatch: 1, MaxDelay: time.Millisecond, QueueCap: 1, Workers: 1,
-		batchHook: func(string, int) { <-stall }}
+		batchHook: func(string, int) { entered <- struct{}{}; <-stall }}
 	s, err := NewServer(cfg, ModelSpec{Name: "m", Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
-	// Fill the worker (blocked in the hook) and the 1-slot queue, then
+	// Fill the worker (blocked in the hook), then the 1-row queue, then
 	// overflow it.
 	errc := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			_, err := s.Infer("m", []float64{1, 2, 3})
-			errc <- err
-		}()
+	submit := func() {
+		_, err := s.Infer("m", []float64{1, 2, 3})
+		errc <- err
 	}
+	go submit()
+	<-entered
+	go submit()
 	var rejected int
 	deadline := time.After(5 * time.Second)
 	for metricValue(t, string(s.Metrics().AppendPrometheus(nil)), `hpacml_queue_depth{model="m"}`) < 1 {

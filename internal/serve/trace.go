@@ -2,18 +2,18 @@ package serve
 
 import (
 	"context"
-	"sync"
 	"time"
 )
 
 // span is one HTTP request's trace record: the request ID (honored
 // from the X-Request-ID header or minted at entry), what the request
 // addressed, and per-stage timings — decode (request body to typed
-// request), queue (enqueue to batch cut), forward (ExecuteBatch), and
-// encode (typed response to response body). The logging middleware
-// renders it as one structured log line per request, which is what
-// makes a client-reported request ID greppable into the exact server-
-// side stage breakdown of that request.
+// request), queue (enqueue to batch cut), forward (the batch's engine
+// phase), and encode (typed response to response body). The logging
+// middleware renders it as one structured log line per request, which
+// is what makes a client-reported request ID greppable into the exact
+// server-side stage breakdown of that request. Only the request's own
+// handler goroutine touches it.
 type span struct {
 	id    string
 	start time.Time
@@ -27,32 +27,18 @@ type span struct {
 	decode time.Duration
 	encode time.Duration
 
-	// Queue and forward are filled per row as coalesced batches
-	// complete; concurrent rows of one request keep the maximum (the
-	// stage as the caller experienced it). Guarded by mu because a
-	// multi-row request's rows finish on different workers.
-	mu      sync.Mutex
+	// Queue and forward are folded in per range as the request's
+	// ranges complete; ranges of one request keep the maximum (the
+	// stage as the caller experienced it).
 	queue   time.Duration
 	forward time.Duration
 }
 
-// addRow folds one served row's queue/forward durations into the span.
-func (sp *span) addRow(queued, forward time.Duration) {
-	sp.mu.Lock()
-	if queued > sp.queue {
-		sp.queue = queued
-	}
-	if forward > sp.forward {
-		sp.forward = forward
-	}
-	sp.mu.Unlock()
-}
-
-// stageDurations returns the queue/forward pair race-free.
-func (sp *span) stageDurations() (queue, forward time.Duration) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return sp.queue, sp.forward
+// addRange folds one served range's queue/forward durations into the
+// span.
+func (sp *span) addRange(queued, forward time.Duration) {
+	sp.queue = max(sp.queue, queued)
+	sp.forward = max(sp.forward, forward)
 }
 
 type spanKey struct{}

@@ -13,9 +13,10 @@ package serveapi
 import "time"
 
 // InferRequest is the /v1/infer request body. Input carries one
-// invocation; Inputs carries several, which the handler submits
-// concurrently so they coalesce into batches like independent clients
-// would. Exactly one of the two must be set.
+// invocation; Inputs carries several rows of the model's input width,
+// which the handler flattens into one slab and serves in ranges of at
+// most MaxBatch rows, like a binary frame. Exactly one of the two must
+// be set.
 type InferRequest struct {
 	Model  string      `json:"model"`
 	Input  []float64   `json:"input,omitempty"`
@@ -117,6 +118,12 @@ type ModelInfo struct {
 	Checksum   string `json:"checksum"`
 	Generation uint64 `json:"generation"`
 	Replicas   int    `json:"replicas"`
+	// Precision is the compute path that actually serves the model's
+	// batches — "int8", "f32" or "f64" — as opposed to the one the
+	// registry entry asked for: an int8 or f32 request whose sidecar is
+	// missing, corrupt or gate-failed, or whose model does not compile,
+	// reads as the wider path here. Ensembles report "f64".
+	Precision string `json:"precision,omitempty"`
 	// LoadedAt is when the currently served weights were (re)loaded —
 	// provenance for the hot-reload path alongside Path and Checksum.
 	LoadedAt time.Time `json:"loaded_at,omitzero"`

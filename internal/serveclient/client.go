@@ -136,8 +136,8 @@ func (c *Client) Infer(ctx context.Context, model string, in []float64) ([]float
 }
 
 // InferBatch runs several independent invocations in one request; the
-// server submits them concurrently so they coalesce into micro-batches
-// exactly like independent clients would. Outputs are returned in input
+// server flattens them into one slab and serves it in ranges of at most
+// MaxBatch rows, like a binary frame. Outputs are returned in input
 // order, one vector per input.
 func (c *Client) InferBatch(ctx context.Context, model string, ins [][]float64) ([][]float64, error) {
 	if len(ins) == 0 {

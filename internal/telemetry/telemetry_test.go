@@ -73,6 +73,39 @@ func TestHistogramBoundaries(t *testing.T) {
 	}
 }
 
+// TestObserveNEqualsRepeatedObserve: a weighted observation leaves the
+// histogram exactly where n single ones would — count, sum and every
+// bucket — including a value on a bound, one past the last bound, and
+// n = 0. The values are dyadic, so the repeated float additions are
+// exact and the sums compare bitwise.
+func TestObserveNEqualsRepeatedObserve(t *testing.T) {
+	r := NewRegistry()
+	bounds := []float64{0.25, 1, 4}
+	weighted := r.Histogram("t_weighted", "w", bounds)
+	repeated := r.Histogram("t_repeated", "r", bounds)
+	for _, o := range []struct {
+		v float64
+		n uint64
+	}{{0.125, 3}, {0.25, 32}, {0.75, 1}, {4, 7}, {16.5, 5}, {2, 0}} {
+		weighted.ObserveN(o.v, o.n)
+		for i := uint64(0); i < o.n; i++ {
+			repeated.Observe(o.v)
+		}
+	}
+	if weighted.Count() != repeated.Count() || weighted.Count() != 48 {
+		t.Fatalf("count: weighted %d, repeated %d, want 48", weighted.Count(), repeated.Count())
+	}
+	if weighted.Sum() != repeated.Sum() {
+		t.Fatalf("sum: weighted %v, repeated %v", weighted.Sum(), repeated.Sum())
+	}
+	w, rp := weighted.snapshotInto(nil), repeated.snapshotInto(nil)
+	for i := range rp {
+		if w[i] != rp[i] {
+			t.Fatalf("cumulative buckets: weighted %v, repeated %v", w, rp)
+		}
+	}
+}
+
 // TestBucketHelpers: the two bound constructors produce the documented
 // sequences.
 func TestBucketHelpers(t *testing.T) {
