@@ -1,0 +1,202 @@
+// Parity test for the two batched entry points. ExecuteBatch and
+// ExecuteBatchRouted share one gather -> infer -> scatter loop and differ
+// only in what a rejected block or a failed engine does: without an
+// accurate callback the trust gate is advisory and engine errors
+// propagate; with one, rejected blocks are recomputed and recaptured and
+// a failed fallback-wrapped engine degrades the whole batch. Each case
+// pins the outputs and every Stats counter of both.
+package hpacml_test
+
+import (
+	"context"
+	"errors"
+	"reflect"
+	"testing"
+
+	hpacml "repro"
+
+	"repro/internal/tensor"
+)
+
+// reportEngine maps each input row (a, b) to 10a + b and reports a
+// preset per-row trust verdict; a nil report means ungated.
+type reportEngine struct{ rep *hpacml.TrustReport }
+
+func (e *reportEngine) Infer(ctx context.Context, in, out *tensor.Tensor) error {
+	x, y := in.Data(), out.Data()
+	for r := range y {
+		y[r] = 10*x[2*r] + x[2*r+1]
+	}
+	return nil
+}
+func (e *reportEngine) OutputShape(in []int) ([]int, error)             { return []int{in[0], 1}, nil }
+func (e *reportEngine) Warmup(ctx context.Context, inShape []int) error { return nil }
+func (e *reportEngine) TrustReport() *hpacml.TrustReport                { return e.rep }
+
+// downEngine warms up but fails every inference.
+type downEngine struct{}
+
+func (downEngine) Infer(ctx context.Context, in, out *tensor.Tensor) error {
+	return errors.New("engine down")
+}
+func (downEngine) OutputShape(in []int) ([]int, error)             { return []int{in[0], 1}, nil }
+func (downEngine) Warmup(ctx context.Context, inShape []int) error { return nil }
+
+// countSink accepts captures and counts them.
+type countSink struct{ n int }
+
+func (s *countSink) Capture(*hpacml.CaptureRecord) error { s.n++; return nil }
+func (s *countSink) Flush() error                        { return nil }
+func (s *countSink) Close() error                        { return nil }
+
+// batchCounters is every Stats counter the batch loop touches.
+type batchCounters struct {
+	Invocations, Inferences, Batches, BatchedInvocations int
+	TrustedRows, UncertainRows, OutOfDomainRows          int
+	AccurateRuns, Fallbacks, Collections                 int
+}
+
+func countersOf(s hpacml.Stats) batchCounters {
+	return batchCounters{
+		Invocations: s.Invocations, Inferences: s.Inferences, Batches: s.Batches,
+		BatchedInvocations: s.BatchedInvocations, TrustedRows: s.TrustedRows,
+		UncertainRows: s.UncertainRows, OutOfDomainRows: s.OutOfDomainRows,
+		AccurateRuns: s.AccurateRuns, Fallbacks: s.Fallbacks, Collections: s.Collections,
+	}
+}
+
+// verdicts builds a six-row report with the given rows rejected.
+func verdicts(ood, uncertain []int) *hpacml.TrustReport {
+	rep := &hpacml.TrustReport{Rows: 6, OOD: make([]bool, 6), Uncertain: make([]bool, 6)}
+	for _, r := range ood {
+		rep.OOD[r] = true
+	}
+	for _, r := range uncertain {
+		rep.Uncertain[r] = true
+	}
+	return rep
+}
+
+// TestBatchEntryPointParity runs three invocations of two rows each
+// (block i is rows 2i, 2i+1) through both entry points. Surrogate
+// outputs for invocation i are {10i+1, 10i+2}; the accurate path writes
+// their negatives, so every finished invocation says which path served it.
+func TestBatchEntryPointParity(t *testing.T) {
+	const n = 3
+	sur := func(i int) []float64 { return []float64{float64(10*i + 1), float64(10*i + 2)} }
+	acc := func(i int) []float64 { return []float64{-float64(10*i + 1), -float64(10*i + 2)} }
+	all := [][]float64{sur(0), sur(1), sur(2)}
+
+	cases := []struct {
+		name     string
+		engine   func() hpacml.Engine
+		advisory batchCounters
+		advErr   bool
+		routed   batchCounters
+		routedY  [][]float64
+	}{
+		{
+			name:     "ungated",
+			engine:   func() hpacml.Engine { return &reportEngine{} },
+			advisory: batchCounters{Invocations: 3, Inferences: 3, Batches: 1, BatchedInvocations: 3, TrustedRows: 6},
+			routed:   batchCounters{Invocations: 3, Inferences: 3, Batches: 1, BatchedInvocations: 3, TrustedRows: 6},
+			routedY:  all,
+		},
+		{
+			name:     "gated-clean",
+			engine:   func() hpacml.Engine { return &reportEngine{rep: verdicts(nil, nil)} },
+			advisory: batchCounters{Invocations: 3, Inferences: 3, Batches: 1, BatchedInvocations: 3, TrustedRows: 6},
+			routed:   batchCounters{Invocations: 3, Inferences: 3, Batches: 1, BatchedInvocations: 3, TrustedRows: 6},
+			routedY:  all,
+		},
+		{
+			// Row 4 trips both gates and counts once, as out-of-domain.
+			name:     "ood",
+			engine:   func() hpacml.Engine { return &reportEngine{rep: verdicts([]int{1, 4}, []int{4})} },
+			advisory: batchCounters{Invocations: 3, Inferences: 3, Batches: 1, BatchedInvocations: 3, TrustedRows: 4, OutOfDomainRows: 2},
+			routed: batchCounters{Invocations: 3, Inferences: 1, Batches: 1, BatchedInvocations: 1, TrustedRows: 2,
+				OutOfDomainRows: 2, AccurateRuns: 2, Collections: 2},
+			routedY: [][]float64{acc(0), sur(1), acc(2)},
+		},
+		{
+			name:     "uncertain",
+			engine:   func() hpacml.Engine { return &reportEngine{rep: verdicts(nil, []int{3})} },
+			advisory: batchCounters{Invocations: 3, Inferences: 3, Batches: 1, BatchedInvocations: 3, TrustedRows: 5, UncertainRows: 1},
+			routed: batchCounters{Invocations: 3, Inferences: 2, Batches: 1, BatchedInvocations: 2, TrustedRows: 4,
+				UncertainRows: 1, AccurateRuns: 1, Collections: 1},
+			routedY: [][]float64{sur(0), acc(1), sur(2)},
+		},
+		{
+			name:    "engine-fails",
+			engine:  func() hpacml.Engine { return hpacml.NewFallbackEngine(downEngine{}) },
+			advErr:  true,
+			routed:  batchCounters{Invocations: 3, AccurateRuns: 3, Fallbacks: 3},
+			routedY: [][]float64{acc(0), acc(1), acc(2)},
+		},
+	}
+
+	for _, tc := range cases {
+		for _, routed := range []bool{false, true} {
+			name := tc.name + "/advisory"
+			if routed {
+				name = tc.name + "/routed"
+			}
+			t.Run(name, func(t *testing.T) {
+				x := make([]float64, 4)
+				y := make([]float64, 2)
+				sink := &countSink{}
+				r, err := hpacml.NewRegion("parity",
+					hpacml.Directives(`
+tensor functor(vin: [i, 0:2] = ([i*2:i*2+2]))
+tensor functor(vout: [i, 0:1] = ([i:i+1]))
+tensor map(to: vin(x[0:2]))
+tensor map(from: vout(y[0:2]))
+ml(infer) in(x) out(y)
+`),
+					hpacml.BindArray("x", x, 4),
+					hpacml.BindArray("y", y, 2),
+					hpacml.WithEngine(tc.engine()),
+					hpacml.WithSink(sink),
+				)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer r.Close()
+
+				stage := func(i int) error {
+					copy(x, []float64{float64(i), 1, float64(i), 2})
+					copy(y, []float64{0, 0})
+					return nil
+				}
+				accurate := func(i int) error { copy(y, acc(i)); return nil }
+				var got [][]float64
+				finish := func(i int) error { got = append(got, append([]float64(nil), y...)); return nil }
+
+				want, wantY, wantErr := tc.advisory, all, tc.advErr
+				if routed {
+					err = r.ExecuteBatchRouted(context.Background(), n, stage, accurate, finish)
+					want, wantY, wantErr = tc.routed, tc.routedY, false
+				} else {
+					err = r.ExecuteBatch(n, stage, finish)
+				}
+				if wantErr {
+					if err == nil {
+						t.Fatal("engine failure must propagate without an accurate callback")
+					}
+					wantY = nil
+				} else if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, wantY) {
+					t.Errorf("outputs %v, want %v", got, wantY)
+				}
+				if c := countersOf(r.Stats()); c != want {
+					t.Errorf("counters\n got %+v\nwant %+v", c, want)
+				}
+				if sink.n != want.Collections {
+					t.Errorf("sink saw %d captures, want %d", sink.n, want.Collections)
+				}
+			})
+		}
+	}
+}
