@@ -113,8 +113,11 @@ func (t *TrustReport) reset(rows int) {
 func (t *TrustReport) Untrusted(i int) bool { return t.OOD[i] || t.Uncertain[i] }
 
 // AnyUntrusted reports whether any row was rejected.
-func (t *TrustReport) AnyUntrusted() bool {
-	for i := 0; i < t.Rows; i++ {
+func (t *TrustReport) AnyUntrusted() bool { return t.anyUntrusted(0, t.Rows) }
+
+// anyUntrusted reports whether any row of [lo, hi) was rejected.
+func (t *TrustReport) anyUntrusted(lo, hi int) bool {
+	for i := lo; i < hi && i < t.Rows; i++ {
 		if t.OOD[i] || t.Uncertain[i] {
 			return true
 		}

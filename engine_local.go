@@ -38,30 +38,28 @@ type LocalEngine struct {
 	path  string
 	net   *nn.Network
 	f32   bool
-	fwd32 *nn.Forward32
 	i8    bool
 	fwdI8 *nn.ForwardI8
 
-	// Shaped f32 program for conv models, compiled lazily on the first
-	// higher-rank batch (the sample shape is not known at load time).
-	// shapedSample remembers which shape the program — or the cached
-	// compile failure — belongs to.
-	fwdShaped    *nn.Forward32
-	shapedSample []int
-	shapedFailed bool
+	// fwd32 is the f32 program compiled for the per-sample input shape
+	// sample32; a nil fwd32 with sample32 set is that shape's cached
+	// compile failure. One slot, last shape wins: a batch with another
+	// sample shape recompiles it. ensure seeds it with VectorIO's [in],
+	// so vector models compile at load; conv models compile on their
+	// first batch, the sample shape being unknown until then.
+	fwd32    *nn.Forward32
+	sample32 []int
 }
 
 // LocalOption configures a LocalEngine at construction.
 type LocalOption func(*LocalEngine)
 
 // WithFloat32Inference makes the engine run batched inference in
-// single precision: the network's weights are converted to float32
-// once at load, and rank-2 batches then run through the flat f32
-// kernels (nn.Forward32) instead of the float64 tensor path. Conv
-// models compile lazily on the first higher-rank contiguous batch via
-// nn.NewForward32Shaped (the per-sample shape is only known then);
-// models neither compiler supports silently keep the float64 path, as
-// do non-contiguous inputs.
+// single precision through nn.Forward32: the network's weights are
+// converted to float32 once per compiled sample shape — at load for
+// vector models, on the first contiguous batch for conv models. Models
+// the compiler does not support silently keep the float64 path, as do
+// non-contiguous inputs.
 func WithFloat32Inference() LocalOption {
 	return func(e *LocalEngine) { e.f32 = true }
 }
@@ -89,21 +87,13 @@ func NewLocalEngine(path string, opts ...LocalOption) *LocalEngine {
 	return e
 }
 
-// Float32 reports whether the engine was built with
-// WithFloat32Inference.
-func (e *LocalEngine) Float32() bool { return e.f32 }
-
-// Int8 reports whether the engine was built with WithInt8Inference.
-// Note this is the request, not the outcome: a missing or gate-failed
-// sidecar leaves the engine serving in wide precision regardless.
-func (e *LocalEngine) Int8() bool { return e.i8 }
-
-// Precision reports which program a contiguous rank-2 batch runs on
-// the currently resolved model: "int8", "f32" or "f64". Unlike Int8
-// and Float32 it is the outcome, not the request — a missing, corrupt
-// or gate-failed sidecar, or a model a compiler refused, reads as the
-// wider path that actually serves. Before Warmup (or after Refresh)
-// nothing is compiled and it reads "f64".
+// Precision reports which program batches run on the currently
+// resolved model: "int8", "f32" or "f64". It is the outcome, not the
+// request — a missing, corrupt or gate-failed sidecar, or a model the
+// f32 compiler refused, reads as the wider path that actually serves.
+// Vector models report their compiled path right after Warmup; conv
+// models read "f64" until their first f32 batch. Before Warmup (or
+// after Refresh) nothing is compiled and it reads "f64".
 func (e *LocalEngine) Precision() string {
 	switch {
 	case e.fwdI8 != nil:
@@ -132,33 +122,44 @@ func (e *LocalEngine) ensure() error {
 	}
 	if cached, ok := modelCache.Load(e.path); ok {
 		e.net = cached.(*nn.Network)
-		e.compile32()
-		e.compileI8()
-		return nil
+	} else {
+		m, err := nn.Load(e.path)
+		if err != nil {
+			return err
+		}
+		modelCache.Store(e.path, m)
+		e.net = m
 	}
-	m, err := nn.Load(e.path)
-	if err != nil {
-		return err
+	e.fwd32, e.sample32 = nil, nil
+	if e.f32 {
+		if in, _, err := e.net.VectorIO(); err == nil {
+			e.compile32([]int{in})
+		}
 	}
-	modelCache.Store(e.path, m)
-	e.net = m
-	e.compile32()
 	e.compileI8()
 	return nil
 }
 
-// compile32 snapshots the freshly resolved network into a float32
-// program when the engine opted in. Compilation failure (unsupported
-// layers) is not an error: the engine keeps the float64 path.
-func (e *LocalEngine) compile32() {
-	e.fwd32 = nil
-	e.fwdShaped, e.shapedSample, e.shapedFailed = nil, nil, false
-	if !e.f32 {
-		return
+// compile32 fills the f32 slot for sample. Compilation failure
+// (unsupported layers, a shape the model rejects) is not an error: the
+// slot caches the verdict and those batches keep the float64 path.
+func (e *LocalEngine) compile32(sample []int) {
+	e.fwd32, _ = nn.NewForward32(e.net, sample...)
+	e.sample32 = sample
+}
+
+// holds32 reports whether the f32 slot was compiled for in's per-sample
+// shape, without allocating on the hot path.
+func (e *LocalEngine) holds32(in *tensor.Tensor) bool {
+	if len(e.sample32) != in.Rank()-1 {
+		return false
 	}
-	if f, err := nn.NewForward32(e.net); err == nil {
-		e.fwd32 = f
+	for i, d := range e.sample32 {
+		if in.Dim(i+1) != d {
+			return false
+		}
 	}
+	return true
 }
 
 // compileI8 compiles the freshly resolved network into an int8 program
@@ -223,53 +224,16 @@ func (e *LocalEngine) Infer(ctx context.Context, in, out *tensor.Tensor) error {
 		in.Dim(1) == f.InDim() && out.Dim(0) == in.Dim(0) && out.Dim(1) == f.OutDim() {
 		return f.Forward(out.Data(), in.Data(), in.Dim(0))
 	}
-	if f := e.fwd32; f != nil &&
-		in.Rank() == 2 && out.Rank() == 2 && in.IsContiguous() && out.IsContiguous() &&
-		in.Dim(1) == f.InDim() && out.Dim(0) == in.Dim(0) && out.Dim(1) == f.OutDim() {
-		return f.ForwardFloat64(out.Data(), in.Data(), in.Dim(0))
-	}
-	if e.f32 && e.fwd32 == nil && in.Rank() >= 2 && out.Rank() >= 2 &&
+	if e.f32 && in.Rank() >= 2 && out.Rank() >= 2 &&
 		in.IsContiguous() && out.IsContiguous() && out.Dim(0) == in.Dim(0) {
-		if f := e.shaped(in.Shape()[1:]); f != nil &&
-			in.Len() == in.Dim(0)*f.InDim() && out.Len() == in.Dim(0)*f.OutDim() {
+		if !e.holds32(in) {
+			e.compile32(in.Shape()[1:])
+		}
+		if f := e.fwd32; f != nil && out.Len() == in.Dim(0)*f.OutDim() {
 			return f.ForwardFloat64(out.Data(), in.Data(), in.Dim(0))
 		}
 	}
 	return e.net.ForwardInto(out, in)
-}
-
-// shaped returns the f32 program compiled for the given per-sample
-// shape, compiling on first use and caching one program (and one
-// failure verdict) per shape — batches with a new sample shape
-// recompile, repeated shapes pay nothing. A nil return means "use the
-// float64 path for this batch".
-func (e *LocalEngine) shaped(sample []int) *nn.Forward32 {
-	if sameInts(e.shapedSample, sample) {
-		if e.shapedFailed {
-			return nil
-		}
-		return e.fwdShaped
-	}
-	e.shapedSample = append([]int(nil), sample...)
-	f, err := nn.NewForward32Shaped(e.net, sample)
-	if err != nil {
-		e.fwdShaped, e.shapedFailed = nil, true
-		return nil
-	}
-	e.fwdShaped, e.shapedFailed = f, false
-	return f
-}
-
-func sameInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Refresh drops the engine's network pointer so the next use
@@ -277,16 +241,14 @@ func sameInts(a, b []int) bool {
 // which must not re-read disk (a concurrent retrain could hand
 // different replicas different or torn bytes for the same swap).
 func (e *LocalEngine) Refresh() {
-	e.net, e.fwd32, e.fwdI8 = nil, nil, nil
-	e.fwdShaped, e.shapedSample, e.shapedFailed = nil, nil, false
+	e.net, e.fwd32, e.sample32, e.fwdI8 = nil, nil, nil, nil
 }
 
 // Invalidate additionally evicts the shared cache entry, forcing the
 // next load to re-read the file (e.g. after a new training round wrote
 // it).
 func (e *LocalEngine) Invalidate() {
-	e.net, e.fwd32, e.fwdI8 = nil, nil, nil
-	e.fwdShaped, e.shapedSample, e.shapedFailed = nil, nil, false
+	e.Refresh()
 	if e.path != "" {
 		modelCache.Delete(e.path)
 	}

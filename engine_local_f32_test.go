@@ -2,6 +2,7 @@ package hpacml
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"path/filepath"
 	"testing"
@@ -30,15 +31,17 @@ func TestLocalEngineFloat32(t *testing.T) {
 
 	e32 := NewLocalEngine(path, WithFloat32Inference())
 	e64 := NewLocalEngine(path)
-	if !e32.Float32() || e64.Float32() {
-		t.Fatal("Float32() must reflect the option")
-	}
 	ctx := context.Background()
-	if err := e32.Warmup(ctx, []int{4, 5}); err != nil {
-		t.Fatal(err)
+	for _, e := range []*LocalEngine{e32, e64} {
+		if err := e.Warmup(ctx, []int{4, 5}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if e32.fwd32 == nil {
 		t.Fatal("f32 engine must compile the float32 program at load")
+	}
+	if e32.Precision() != "f32" || e64.Precision() != "f64" {
+		t.Fatalf("Precision() after load = %s / %s, want f32 / f64", e32.Precision(), e64.Precision())
 	}
 
 	const rows = 9
@@ -80,10 +83,10 @@ func TestLocalEngineFloat32(t *testing.T) {
 }
 
 // TestLocalEngineFloat32ShapedConv: conv models compile to f32 lazily —
-// the vector program stays nil at load (the sample shape is unknown),
-// the first higher-rank batch compiles the shaped program, results stay
-// within single-precision tolerance of the float64 engine, and
-// Refresh drops the program with the network.
+// the slot stays empty at load (the sample shape is unknown), the first
+// higher-rank batch compiles it and Precision reports f32 from then on,
+// results stay within single-precision tolerance of the float64 engine,
+// and Refresh drops the program with the network.
 func TestLocalEngineFloat32ShapedConv(t *testing.T) {
 	ClearModelCache()
 	path := filepath.Join(t.TempDir(), "cnn.gmod")
@@ -98,11 +101,11 @@ func TestLocalEngineFloat32ShapedConv(t *testing.T) {
 	if err := e.Warmup(ctx, []int{2, 1, 8}); err != nil {
 		t.Fatal(err)
 	}
-	if e.fwd32 != nil {
-		t.Fatal("conv model must not compile to the vector f32 program")
+	if e.fwd32 != nil || e.sample32 != nil {
+		t.Fatal("conv program must not compile before the first batch")
 	}
-	if e.fwdShaped != nil {
-		t.Fatal("shaped program must not compile before the first batch")
+	if e.Precision() != "f64" {
+		t.Fatalf("Precision() before the first batch = %s, want f64", e.Precision())
 	}
 	in := tensor.New(2, 1, 8)
 	for i, d := 0, in.Data(); i < len(d); i++ {
@@ -113,35 +116,38 @@ func TestLocalEngineFloat32ShapedConv(t *testing.T) {
 	if err := e.Infer(ctx, in, out); err != nil {
 		t.Fatal(err)
 	}
-	if e.fwdShaped == nil {
-		t.Fatal("first conv batch must compile the shaped f32 program")
+	if e.fwd32 == nil {
+		t.Fatal("first conv batch must compile the f32 program")
 	}
-	first := e.fwdShaped
+	if e.Precision() != "f32" {
+		t.Fatalf("Precision() after the first conv batch = %s, want f32", e.Precision())
+	}
+	first := e.fwd32
 	if err := e64.Infer(ctx, in, out64); err != nil {
 		t.Fatal(err)
 	}
 	want := out64.Data()
 	for i, got := range out.Data() {
 		if diff := math.Abs(got - want[i]); diff > 1e-5*math.Abs(want[i])+1e-6 {
-			t.Fatalf("element %d: shaped f32 %g vs f64 %g", i, got, want[i])
+			t.Fatalf("element %d: conv f32 %g vs f64 %g", i, got, want[i])
 		}
 	}
 	// A repeat batch with the same sample shape reuses the program.
 	if err := e.Infer(ctx, in, out); err != nil {
 		t.Fatal(err)
 	}
-	if e.fwdShaped != first {
-		t.Fatal("same-shape batch must reuse the compiled shaped program")
+	if e.fwd32 != first {
+		t.Fatal("same-shape batch must reuse the compiled program")
 	}
 	e.Refresh()
-	if e.fwdShaped != nil {
-		t.Fatal("Refresh must drop the shaped program")
+	if e.fwd32 != nil {
+		t.Fatal("Refresh must drop the program")
 	}
 }
 
-// TestLocalEngineFloat32Fallback: a model neither f32 compiler supports
-// (a residual block) still serves through the float64 path, and the
-// compile failure is latched instead of retried per batch.
+// TestLocalEngineFloat32Fallback: a model the f32 compiler does not
+// support (a residual block) still serves through the float64 path, and
+// the compile failure is latched instead of retried per batch.
 func TestLocalEngineFloat32Fallback(t *testing.T) {
 	ClearModelCache()
 	path := filepath.Join(t.TempDir(), "res.gmod")
@@ -165,67 +171,68 @@ func TestLocalEngineFloat32Fallback(t *testing.T) {
 	if err := e.Infer(ctx, in, out); err != nil {
 		t.Fatalf("float64 fallback inference: %v", err)
 	}
-	if e.fwdShaped != nil || !e.shapedFailed {
-		t.Fatal("shaped compile failure must be latched")
+	if e.fwd32 != nil || len(e.sample32) != 2 {
+		t.Fatal("compile failure must be latched for the batch's sample shape")
 	}
+	latched := &e.sample32[0]
 	if err := e.Infer(ctx, in, out); err != nil {
 		t.Fatalf("float64 fallback inference after latch: %v", err)
+	}
+	if &e.sample32[0] != latched {
+		t.Fatal("a latched failure must not be recompiled for the same shape")
+	}
+	if e.Precision() != "f64" {
+		t.Fatalf("Precision() = %s, want f64", e.Precision())
 	}
 }
 
 // TestRegionF32Precedence: the f32(on|off) clause configures the
-// region's own engine, and WithFloat32 overrides the clause — the same
-// option-beats-directive rule capture and trust follow.
+// region's own engine, and Precision reports the path it loads onto.
 func TestRegionF32Precedence(t *testing.T) {
 	ClearModelCache()
 	path := filepath.Join(t.TempDir(), "m.gmod")
 	saveF32TestModel(t, path)
 
-	mk := func(clause string, opts ...Option) *Region {
-		t.Helper()
-		in := make([]float64, 5)
-		out := make([]float64, 2)
-		all := append([]Option{
-			Directives(`
-tensor functor(ifn: [i, 0:5] = ([i*5:i*5+5]))
-tensor functor(ofn: [i, 0:2] = ([i*2:i*2+2]))
-tensor map(to: ifn(x[0:1]))
-tensor map(from: ofn(y[0:1]))
-ml(infer) in(x) out(y) model("` + path + `")` + clause),
-			BindArray("x", in, 5),
-			BindArray("y", out, 2),
-		}, opts...)
-		r, err := NewRegion("r", all...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { r.Close() })
-		return r
-	}
-
-	cases := []struct {
-		name   string
-		clause string
-		opts   []Option
-		want   bool
-	}{
-		{"default-off", "", nil, false},
-		{"clause-on", " f32(on)", nil, true},
-		{"clause-off", " f32(off)", nil, false},
-		{"option-beats-clause", " f32(on)", []Option{WithFloat32(false)}, false},
-		{"option-on", "", []Option{WithFloat32(true)}, true},
+	cases := []struct{ clause, want string }{
+		{"", "f64"},
+		{" f32(on)", "f32"},
+		{" f32(off)", "f64"},
 	}
 	for _, tc := range cases {
-		r := mk(tc.clause, tc.opts...)
-		if err := r.ensureEngine(); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		le, ok := r.Engine().(*LocalEngine)
-		if !ok {
-			t.Fatalf("%s: engine %T", tc.name, r.Engine())
-		}
-		if le.Float32() != tc.want {
-			t.Fatalf("%s: Float32() = %v, want %v", tc.name, le.Float32(), tc.want)
+		if got := regionPrecision(t, path, 5, 2, tc.clause); got != tc.want {
+			t.Fatalf("clause %q: Precision() = %s, want %s", tc.clause, got, tc.want)
 		}
 	}
+}
+
+// regionPrecision builds an in-width, out-width flat region over the
+// model at path with the given ml clause suffix, warms its own engine,
+// and reports the precision it serves at.
+func regionPrecision(t *testing.T, path string, in, out int, clause string) string {
+	t.Helper()
+	r, err := NewRegion("r",
+		Directives(fmt.Sprintf(`
+tensor functor(ifn: [i, 0:%[1]d] = ([i*%[1]d:i*%[1]d+%[1]d]))
+tensor functor(ofn: [i, 0:%[2]d] = ([i*%[2]d:i*%[2]d+%[2]d]))
+tensor map(to: ifn(x[0:1]))
+tensor map(from: ofn(y[0:1]))
+ml(infer) in(x) out(y) model("%[3]s")%[4]s`, in, out, path, clause)),
+		BindArray("x", make([]float64, in), in),
+		BindArray("y", make([]float64, out), out),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.ensureEngine(); err != nil {
+		t.Fatal(err)
+	}
+	le, ok := r.Engine().(*LocalEngine)
+	if !ok {
+		t.Fatalf("engine %T", r.Engine())
+	}
+	if err := le.Warmup(context.Background(), []int{1, in}); err != nil {
+		t.Fatal(err)
+	}
+	return le.Precision()
 }

@@ -44,15 +44,17 @@ func TestLocalEngineInt8(t *testing.T) {
 
 	e8 := NewLocalEngine(path, WithInt8Inference())
 	e64 := NewLocalEngine(path)
-	if !e8.Int8() || e64.Int8() {
-		t.Fatal("Int8() must reflect the option")
-	}
 	ctx := context.Background()
-	if err := e8.Warmup(ctx, []int{4, 5}); err != nil {
-		t.Fatal(err)
+	for _, e := range []*LocalEngine{e8, e64} {
+		if err := e.Warmup(ctx, []int{4, 5}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if e8.fwdI8 == nil {
 		t.Fatal("int8 engine must compile the sidecar program at load")
+	}
+	if e8.Precision() != "int8" || e64.Precision() != "f64" {
+		t.Fatalf("Precision() after load = %s / %s, want int8 / f64", e8.Precision(), e64.Precision())
 	}
 
 	const rows = 32
@@ -161,63 +163,24 @@ func TestLocalEngineInt8Fallback(t *testing.T) {
 }
 
 // TestRegionInt8Precedence: the quant(int8|off) clause configures the
-// region's own engine, and WithInt8 overrides the clause — the same
-// option-beats-directive rule f32, capture, and trust follow.
+// region's own engine, composes with f32(on), and Precision reports the
+// path it loads onto.
 func TestRegionInt8Precedence(t *testing.T) {
 	ClearModelCache()
 	path := filepath.Join(t.TempDir(), "m.gmod")
 	net := quantTestNet(7)
 	fitI8Sidecar(t, net, path, QuantFitConfig{RTol: 0.1})
 
-	mk := func(clause string, opts ...Option) *Region {
-		t.Helper()
-		in := make([]float64, 5)
-		out := make([]float64, 1)
-		all := append([]Option{
-			Directives(`
-tensor functor(ifn: [i, 0:5] = ([i*5:i*5+5]))
-tensor functor(ofn: [i, 0:1] = ([i*1:i*1+1]))
-tensor map(to: ifn(x[0:1]))
-tensor map(from: ofn(y[0:1]))
-ml(infer) in(x) out(y) model("` + path + `")` + clause),
-			BindArray("x", in, 5),
-			BindArray("y", out, 1),
-		}, opts...)
-		r, err := NewRegion("r", all...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { r.Close() })
-		return r
-	}
-
-	cases := []struct {
-		name   string
-		clause string
-		opts   []Option
-		want   bool
-	}{
-		{"default-off", "", nil, false},
-		{"clause-int8", " quant(int8)", nil, true},
-		{"clause-off", " quant(off)", nil, false},
-		{"option-beats-clause", " quant(int8)", []Option{WithInt8(false)}, false},
-		{"option-on", "", []Option{WithInt8(true)}, true},
-		{"composes-with-f32", " f32(on) quant(int8)", nil, true},
+	cases := []struct{ clause, want string }{
+		{"", "f64"},
+		{" quant(int8)", "int8"},
+		{" quant(off)", "f64"},
+		{" f32(on) quant(int8)", "int8"},
+		{" f32(on) quant(off)", "f32"},
 	}
 	for _, tc := range cases {
-		r := mk(tc.clause, tc.opts...)
-		if err := r.ensureEngine(); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		le, ok := r.Engine().(*LocalEngine)
-		if !ok {
-			t.Fatalf("%s: engine %T", tc.name, r.Engine())
-		}
-		if le.Int8() != tc.want {
-			t.Fatalf("%s: Int8() = %v, want %v", tc.name, le.Int8(), tc.want)
-		}
-		if tc.name == "composes-with-f32" && !le.Float32() {
-			t.Fatalf("%s: f32(on) lost when composed with quant", tc.name)
+		if got := regionPrecision(t, path, 5, 1, tc.clause); got != tc.want {
+			t.Fatalf("clause %q: Precision() = %s, want %s", tc.clause, got, tc.want)
 		}
 	}
 }

@@ -228,19 +228,6 @@ type Region struct {
 	trust      *TrustConfig
 	trustWired bool
 
-	// f32 is the resolved single-precision-inference setting (from the
-	// f32(on|off) clause unless WithFloat32 overrode it; nil means the
-	// float64 default). It only affects engines the region builds
-	// itself — an injected engine's precision is the injector's call.
-	f32 *bool
-
-	// i8 is the resolved int8-inference setting (from the
-	// quant(int8|off) clause unless WithInt8 overrode it; nil means
-	// off). Like f32 it only affects engines the region builds itself,
-	// and it is a request, not a guarantee: without a gate-passing
-	// ".quant" sidecar beside the model the engine keeps wide precision.
-	i8 *bool
-
 	stats Stats
 	// sinkBase is the sink-counter snapshot taken at the last
 	// ResetStats, so Stats reports only capture activity since then
@@ -252,9 +239,9 @@ type Region struct {
 	// Inference staging caches, reused across invocations so steady-state
 	// Execute and ExecuteBatch calls stop allocating and re-planning per
 	// call. singleX/Y serve Execute; batches holds one batchState per
-	// distinct ExecuteBatch size, so callers whose batch size fluctuates
-	// (the serving coalescer cuts batches anywhere in [1, MaxBatch]) don't
-	// rebuild staging on every size change; imgScratch holds the
+	// distinct ExecuteBatch size, so an application loop that batches
+	// its invocations in fixed chunks and ends on a shorter tail batch
+	// doesn't rebuild staging on every size change; imgScratch holds the
 	// pre-transpose composition buffer of the image layout. The *St
 	// stagers are precomputed bridge views bound to the staging tensors
 	// (nil when the layout needs per-call transforms). The output buffers
@@ -269,8 +256,9 @@ type Region struct {
 }
 
 // maxBatchStates caps how many distinct batch sizes keep cached staging
-// at once (the serving coalescer cuts batches anywhere in [1, MaxBatch],
-// so 64 covers its default policy without eviction).
+// at once: an application loop needs its chunk size plus a tail size or
+// two, and a caller cycling through many sizes must not accumulate
+// staging tensors forever.
 const maxBatchStates = 64
 
 // batchState is the cached staging for one ExecuteBatch size n: the
@@ -353,27 +341,6 @@ func BindPredicate(name string, fn func() bool) Option {
 		r.predicates[name] = fn
 		return nil
 	}
-}
-
-// WithFloat32 overrides the directive's f32(on|off) clause: on=true
-// asks the region's own LocalEngine to run batched inference in single
-// precision (converting the model's weights once at load). Models and
-// input shapes the f32 path cannot compile silently keep float64, so
-// enabling it never changes which calls succeed — only their precision
-// and speed. It has no effect on engines injected with WithEngine.
-func WithFloat32(on bool) Option {
-	return func(r *Region) error { r.f32 = &on; return nil }
-}
-
-// WithInt8 overrides the directive's quant(int8|off) clause: on=true
-// asks the region's own LocalEngine to serve through the int8 program
-// compiled from the model's ".quant" sidecar (fit by hpacml-quant,
-// accuracy-gated against the float64 reference). When the sidecar is
-// missing, corrupt, or carries a failing gate verdict, the engine
-// silently keeps the wider path — enabling int8 never changes which
-// calls succeed. It has no effect on engines injected with WithEngine.
-func WithInt8(on bool) Option {
-	return func(r *Region) error { r.i8 = &on; return nil }
 }
 
 // WithModel overrides the model path from the ml clause.
@@ -474,16 +441,6 @@ func (r *Region) finalize() error {
 	// overrode it through WithTrust (same precedence as capture).
 	if r.ml.Trust != nil && r.trust == nil {
 		r.trust = &TrustConfig{MaxVariance: r.ml.Trust.MaxVariance, Domain: r.ml.Trust.Domain}
-	}
-	// The directive's f32(...) precision choice applies unless the
-	// caller overrode it through WithFloat32 (same precedence again).
-	if r.ml.F32 != nil && r.f32 == nil {
-		r.f32 = r.ml.F32
-	}
-	// Same rule for the quant(int8|off) clause and WithInt8.
-	if r.ml.Quant != "" && r.i8 == nil {
-		on := r.ml.Quant == "int8"
-		r.i8 = &on
 	}
 
 	// Inline functor applications in the ml clause (fa-exprs) create
@@ -847,11 +804,14 @@ func (r *Region) ensureEngine() error {
 		r.setEngine(NewFallbackEngine(remote), true)
 		return nil
 	}
+	// The f32(on) and quant(int8) clauses are requests to the region's
+	// own engine, which keeps the wider path for whatever it cannot
+	// compile (LocalEngine.Precision reports the outcome).
 	var opts []LocalOption
-	if r.f32 != nil && *r.f32 {
+	if r.ml.F32 != nil && *r.ml.F32 {
 		opts = append(opts, WithFloat32Inference())
 	}
-	if r.i8 != nil && *r.i8 {
+	if r.ml.Quant == "int8" {
 		opts = append(opts, WithInt8Inference())
 	}
 	r.setEngine(NewLocalEngine(r.modelPath, opts...), true)
@@ -957,7 +917,7 @@ func (r *Region) runInference(ctx context.Context, accurate func() error) error 
 		r.stats.RemoteInference++
 	}
 	if rep != nil {
-		r.countTrust(rep, true)
+		r.countTrust(rep, 0, rep.Rows, true)
 	} else {
 		r.stats.TrustedRows += inputRows(x)
 	}
@@ -1123,13 +1083,24 @@ func (r *Region) ExecuteBatch(n int, stage func(i int) error, finish func(i int)
 
 // ExecuteBatchContext is ExecuteBatch with a caller-supplied context,
 // which flows through the engine to the backend exactly as in
-// ExecuteContext. Unlike the single-invocation path, a batched engine
-// failure always propagates — there is no accurate form of a batch to
-// fall back to (the invocations are independent precisely because only
-// the surrogate runs them together), so callers that want the paper's
-// conditional execution under batching must retry invocations
-// individually through ExecuteContext.
+// ExecuteContext. Without an accurate callback a batched engine failure
+// always propagates and a trust gate is advisory: every invocation
+// keeps the surrogate's output while the counters record the gate's
+// verdicts. ExecuteBatchRouted is the same loop with an accurate path
+// to route rejected invocations and engine failures to.
 func (r *Region) ExecuteBatchContext(ctx context.Context, n int, stage func(i int) error, finish func(i int) error) error {
+	return r.executeBatch(ctx, n, stage, nil, finish)
+}
+
+// executeBatch is the one batched loop behind ExecuteBatchContext and
+// ExecuteBatchRouted: stage and gather every invocation into one staging
+// tensor, run the engine once, then scatter and finish invocation by
+// invocation. accurate == nil is the advisory policy (keep every
+// invocation, count each block's verdicts, propagate engine errors);
+// with accurate, a block with a rejected row goes through
+// routeInvocationAccurate, and a failure of a fallback-policy engine
+// degrades the whole batch to the accurate path.
+func (r *Region) executeBatch(ctx context.Context, n int, stage, accurate, finish func(i int) error) error {
 	if r.closed {
 		return fmt.Errorf("hpacml: region %q used after Close", r.name)
 	}
@@ -1148,35 +1119,20 @@ func (r *Region) ExecuteBatchContext(ctx context.Context, n int, stage func(i in
 	if err := r.ensureTrustEngine(); err != nil {
 		return err
 	}
-	if err := r.warmEngine(ctx); err != nil {
+	engineFailed := func(err error) error {
+		if accurate != nil && r.engineFallback {
+			return r.degradeBatch(n, stage, accurate, finish)
+		}
 		return fmt.Errorf("hpacml: batched inference in region %q: %w", r.name, err)
 	}
-	bs := r.batches[n]
-	if bs == nil {
-		shape, err := r.modelInputShape()
-		if err != nil {
-			return err
-		}
-		if bs, err = r.buildBatchStaging(n, shape); err != nil {
-			return err
-		}
-		if r.batches == nil {
-			r.batches = make(map[int]*batchState)
-		}
-		// Bound the cache: a caller cycling through many distinct batch
-		// sizes (variable tail batches) must not accumulate staging
-		// tensors forever. Evicting an arbitrary entry costs at most one
-		// rebuild for that size later.
-		if len(r.batches) >= maxBatchStates {
-			for k := range r.batches {
-				delete(r.batches, k)
-				break
-			}
-		}
-		r.batches[n] = bs
+	if err := r.warmEngine(ctx); err != nil {
+		return engineFailed(err)
+	}
+	bs, err := r.batchStaging(n)
+	if err != nil {
+		return err
 	}
 
-	var err error
 	for i := 0; i < n; i++ {
 		if stage != nil {
 			if err := stage(i); err != nil {
@@ -1204,7 +1160,7 @@ func (r *Region) ExecuteBatchContext(ctx context.Context, n int, stage func(i in
 		outShape, oerr := r.engine.OutputShape(bs.x.Shape())
 		if oerr != nil {
 			r.stats.BatchInference += time.Since(start)
-			return fmt.Errorf("hpacml: batched inference in region %q: %w", r.name, oerr)
+			return engineFailed(oerr)
 		}
 		if err := r.buildBatchOutput(bs, tensor.New(outShape...), n); err != nil {
 			r.stats.BatchInference += time.Since(start)
@@ -1215,26 +1171,25 @@ func (r *Region) ExecuteBatchContext(ctx context.Context, n int, stage func(i in
 	r.stats.BatchInference += time.Since(start)
 	if err != nil {
 		bs.y, bs.outViews, bs.outSt = nil, nil, nil
-		return fmt.Errorf("hpacml: batched inference in region %q: %w", r.name, err)
-	}
-	r.stats.Invocations += n
-	r.stats.Inferences += n
-	r.stats.Batches++
-	r.stats.BatchedInvocations += n
-	if r.engineRemote {
-		r.stats.RemoteInference += n
-	}
-	// Without an accurate form of the batch the trust gate is advisory:
-	// outputs are kept either way, but a gated engine's per-row
-	// verdicts still land in the counters (ExecuteBatchRouted is the
-	// routed variant).
-	if tr, ok := r.engine.(trustReporter); ok && tr.TrustReport() != nil {
-		r.countTrust(tr.TrustReport(), true)
-	} else {
-		r.stats.TrustedRows += inputRows(bs.x)
+		return engineFailed(err)
 	}
 
+	var rep *TrustReport
+	if tr, ok := r.engine.(trustReporter); ok {
+		rep = tr.TrustReport()
+	}
+	per := inputRows(bs.x) / n
+	r.stats.Invocations += n
+	r.stats.Batches++
 	for i := 0; i < n; i++ {
+		lo, hi := i*per, (i+1)*per
+		if rep != nil && accurate != nil && rep.anyUntrusted(lo, hi) {
+			r.countTrust(rep, lo, hi, false)
+			if err := r.routeInvocationAccurate(i, stage, accurate, finish); err != nil {
+				return err
+			}
+			continue
+		}
 		start := time.Now()
 		if bs.outSt != nil {
 			err = scatterStagers(bs.outSt[i])
@@ -1245,6 +1200,16 @@ func (r *Region) ExecuteBatchContext(ctx context.Context, n int, stage func(i in
 		if err != nil {
 			return err
 		}
+		r.stats.Inferences++
+		r.stats.BatchedInvocations++
+		if r.engineRemote {
+			r.stats.RemoteInference++
+		}
+		if rep != nil {
+			r.countTrust(rep, lo, hi, true)
+		} else {
+			r.stats.TrustedRows += per
+		}
 		if finish != nil {
 			if err := finish(i); err != nil {
 				return fmt.Errorf("hpacml: batch finish %d in region %q: %w", i, r.name, err)
@@ -1254,18 +1219,26 @@ func (r *Region) ExecuteBatchContext(ctx context.Context, n int, stage func(i in
 	return nil
 }
 
-// buildBatchStaging allocates the batched input staging tensor for n
-// invocations, precomputing each invocation's row block and, when the
-// layout allows, its gather stagers. One batchState is cached per batch
-// size, so a caller alternating sizes (the serving coalescer) pays the
-// build once per distinct size, not once per size change.
-func (r *Region) buildBatchStaging(n int, shape []int) (*batchState, error) {
+// batchStaging returns the cached staging for batch size n, building it
+// on first use: the batched input tensor, each invocation's row block
+// and, when the layout allows, its gather stagers. The cache keeps one
+// batchState per size, so an application loop alternating between its
+// chunk size and a tail size pays the build once per size, not once per
+// size change. Past maxBatchStates sizes an arbitrary entry is evicted,
+// costing at most one rebuild for that size later.
+func (r *Region) batchStaging(n int) (*batchState, error) {
+	if bs := r.batches[n]; bs != nil {
+		return bs, nil
+	}
+	shape, err := r.modelInputShape()
+	if err != nil {
+		return nil, err
+	}
 	per := shape[0]
 	x := tensor.New(append([]int{n * per}, shape[1:]...)...)
 	bs := &batchState{x: x, blocks: make([]*tensor.Tensor, n)}
 	inSt := make([][]*bridge.Stager, 0, n)
 	for i := range bs.blocks {
-		var err error
 		if bs.blocks[i], err = x.Narrow(0, i*per, per); err != nil {
 			return nil, err
 		}
@@ -1278,6 +1251,16 @@ func (r *Region) buildBatchStaging(n int, shape []int) (*batchState, error) {
 		}
 	}
 	bs.inSt = inSt
+	if r.batches == nil {
+		r.batches = make(map[int]*batchState)
+	}
+	if len(r.batches) >= maxBatchStates {
+		for k := range r.batches {
+			delete(r.batches, k)
+			break
+		}
+	}
+	r.batches[n] = bs
 	return bs, nil
 }
 

@@ -10,22 +10,20 @@ import (
 )
 
 // Forward32 is a single-precision inference program compiled from a
-// Network once: dense weights and biases are converted to flat float32
-// slabs at construction, and batches then run start-to-finish in
-// float32 — half the memory traffic and twice the SIMD lanes of the
-// float64 path, with no per-batch conversion of the model. It exists
-// for the serving hot path (hpacml.LocalEngine's f32 option); training
-// and the default inference path stay float64.
+// Network once: weights and biases are converted to flat float32 slabs
+// at construction, and batches then run start-to-finish in float32 —
+// half the memory traffic and twice the SIMD lanes of the float64 path,
+// with no per-batch conversion of the model. It exists for the serving
+// hot path (hpacml.LocalEngine's f32 option); training and the default
+// inference path stay float64.
 //
 // The compiled program snapshots the network's weights: after a
-// parameter update or hot reload, build a new Forward32. NewForward32
-// compiles vector models — the layer set the registry's MLP surrogates
-// use (Dense, activations, Affine, ChannelAffine, and the
-// inference-identity Dropout and Flatten); NewForward32Shaped
-// additionally compiles conv models (Conv1D, Conv2D, MaxPool1D,
-// MaxPool2D) given the per-sample input shape. Anything else (residual
-// blocks) fails both and the caller keeps the float64 path. A Forward32
-// is safe for concurrent use; per-call state lives in pooled scratch.
+// parameter update or hot reload, build a new Forward32. It compiles
+// Dense, activations, Affine, ChannelAffine, Conv1D, Conv2D, MaxPool1D,
+// MaxPool2D, and the inference-identity Dropout and Flatten; anything
+// else (residual blocks) fails and the caller keeps the float64 path. A
+// Forward32 is safe for concurrent use; per-call state lives in pooled
+// scratch.
 type Forward32 struct {
 	inDim, outDim int
 	ops           []op32
@@ -39,6 +37,10 @@ const (
 	op32Act
 	op32Affine
 	op32ChanAffine
+	op32Conv1
+	op32Conv2
+	op32Pool1
+	op32Pool2
 )
 
 type op32 struct {
@@ -50,7 +52,7 @@ type op32 struct {
 	scale, shift   float32   // affine
 	blockLen       int       // channel affine
 	scales, shifts []float32
-	conv           *conv32 // conv/pool geometry (shape-aware programs only)
+	conv           *conv32 // conv/pool geometry
 }
 
 type f32Scratch struct {
@@ -64,51 +66,74 @@ type convScratch32 struct {
 	in, out []float32
 }
 
-// NewForward32 compiles net into a float32 inference program,
-// converting its weights once. It fails on networks the float32 path
-// does not support; callers treat that as "stay on float64", not as a
-// hard error.
-func NewForward32(net *Network) (*Forward32, error) {
-	in, out, err := net.VectorIO()
-	if err != nil {
-		return nil, fmt.Errorf("nn: f32 path: %w", err)
+// NewForward32 compiles net into a float32 inference program for inputs
+// whose per-sample shape is sample, converting its weights once. With
+// no sample it compiles for VectorIO's [in], the shape of a vector
+// model (MLP); conv models need their sample shape, which the model
+// file does not carry. The full shape is threaded through every layer
+// (validated by the same OutShape methods the float64 path uses), so a
+// program is valid only for that sample shape: Conv1D becomes f32
+// im2col + MatMulInto32 against a kernel transposed at compile time, Conv2D a
+// direct cross-correlation, and the pools windowed maxima. All layouts
+// are channel-major and contiguous, so Flatten stays an identity and
+// the program runs on flat [rows, InDim] slabs. Failure means "stay on
+// float64", not a hard error.
+func NewForward32(net *Network, sample ...int) (*Forward32, error) {
+	if len(sample) == 0 {
+		in, _, err := net.VectorIO()
+		if err != nil {
+			return nil, fmt.Errorf("nn: f32 path: %w", err)
+		}
+		sample = []int{in}
 	}
-	f := &Forward32{inDim: in, outDim: out}
+	for _, d := range sample {
+		if d <= 0 {
+			return nil, fmt.Errorf("nn: f32 path: bad sample shape %v", sample)
+		}
+	}
+	var err error
+	f := &Forward32{inDim: tensor.NumElements(sample)}
 	f.scratch.New = func() any { return new(f32Scratch) }
 	f.conv.New = func() any { return new(convScratch32) }
-	cols := in
+	shape := sample
 	for i, e := range net.Layers {
+		in := shape
+		if shape, err = e.Layer.OutShape(in); err != nil {
+			return nil, fmt.Errorf("nn: f32 path: layer %d: %w", i, err)
+		}
+		op := op32{inCols: tensor.NumElements(in), outCols: tensor.NumElements(shape)}
 		switch l := e.Layer.(type) {
 		case *Dense:
-			if l.In != cols {
-				return nil, fmt.Errorf("nn: f32 path: layer %d (%s) wants width %d, have %d", i, l.Kind(), l.In, cols)
-			}
-			f.ops = append(f.ops, op32{kind: op32Dense, inCols: cols, outCols: l.Out,
-				w: toF32(l.Weight.W.Contiguous().Data()), b: toF32(l.Bias.W.Contiguous().Data())})
-			cols = l.Out
+			op.kind, op.w, op.b = op32Dense, toF32(l.Weight.W.Contiguous().Data()), toF32(l.Bias.W.Contiguous().Data())
 		case *Activation:
 			if !validActivation(l.Fn) {
 				return nil, fmt.Errorf("nn: f32 path: layer %d: unknown activation %q", i, l.Fn)
 			}
-			f.ops = append(f.ops, op32{kind: op32Act, inCols: cols, outCols: cols, fn: l.Fn})
+			op.kind, op.fn = op32Act, l.Fn
 		case *Affine:
-			f.ops = append(f.ops, op32{kind: op32Affine, inCols: cols, outCols: cols,
-				scale: float32(l.Scale), shift: float32(l.Shift)})
+			op.kind, op.scale, op.shift = op32Affine, float32(l.Scale), float32(l.Shift)
 		case *ChannelAffine:
-			if l.BlockLen <= 0 || len(l.Scales) != len(l.Shifts) || cols != l.BlockLen*len(l.Scales) {
-				return nil, fmt.Errorf("nn: f32 path: layer %d (%s) does not fit width %d", i, l.Kind(), cols)
-			}
-			f.ops = append(f.ops, op32{kind: op32ChanAffine, inCols: cols, outCols: cols,
-				blockLen: l.BlockLen, scales: toF32(l.Scales), shifts: toF32(l.Shifts)})
+			// OutShape already validated the width against the blocks.
+			op.kind, op.blockLen, op.scales, op.shifts = op32ChanAffine, l.BlockLen, toF32(l.Scales), toF32(l.Shifts)
 		case *Dropout, *Flatten:
-			// Identity at inference on [rows, cols] vectors.
+			continue // identity on the contiguous channel-major slab
+		case *Conv1D:
+			op.kind, op.conv = op32Conv1, newConv1D32(l, in, shape)
+		case *Conv2D:
+			op.kind, op.conv = op32Conv2, &conv32{inC: l.InC, inH: in[1], inW: in[2], outC: l.OutC,
+				outH: shape[1], outW: shape[2], k: l.KH, kw: l.KW, stride: l.Stride,
+				wd: toF32(l.Weight.W.Contiguous().Data()), b: toF32(l.Bias.W.Contiguous().Data())}
+		case *MaxPool1D:
+			op.kind, op.conv = op32Pool1, &conv32{inC: in[0], inL: in[1], outL: shape[1], k: l.K}
+		case *MaxPool2D:
+			op.kind, op.conv = op32Pool2, &conv32{inC: in[0], inH: in[1], inW: in[2],
+				outH: shape[1], outW: shape[2], k: l.K}
 		default:
 			return nil, fmt.Errorf("nn: f32 path does not support layer %d (%s)", i, e.Layer.Kind())
 		}
+		f.ops = append(f.ops, op)
 	}
-	if cols != out {
-		return nil, fmt.Errorf("nn: f32 path: compiled width %d, VectorIO says %d", cols, out)
-	}
+	f.outDim = tensor.NumElements(shape)
 	if len(f.ops) == 0 {
 		return nil, fmt.Errorf("nn: f32 path: network has no compilable ops")
 	}

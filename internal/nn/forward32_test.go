@@ -124,16 +124,36 @@ func TestForward32AllLayers(t *testing.T) {
 	}
 }
 
-// TestForward32RejectsUnsupported: convolutional models stay on the
-// float64 path.
+// TestForward32RejectsUnsupported: unsupported layers, geometry
+// mismatches, conv models without a sample shape, and degenerate sample
+// shapes fail compilation instead of miscompiling — the caller keeps
+// the float64 path.
 func TestForward32RejectsUnsupported(t *testing.T) {
-	net := NewNetwork(3)
-	net.Add(net.NewConv1D(2, 4, 3, 1), NewFlatten(), net.NewDense(40, 2))
-	if _, err := NewForward32(net); err == nil {
-		t.Fatal("conv model must fail f32 compilation")
+	body := NewNetwork(7)
+	body.Add(NewActivation(ActTanh))
+	res := NewNetwork(7)
+	res.Add(NewResidual(body), NewFlatten(), res.NewDense(12, 2))
+	conv := NewNetwork(7)
+	conv.Add(conv.NewConv1D(2, 3, 3, 1), NewFlatten(), conv.NewDense(3*9, 2))
+	cases := []struct {
+		name   string
+		net    *Network
+		sample []int
+	}{
+		{"residual", res, []int{2, 6}},
+		{"conv without sample shape", conv, nil},
+		{"wrong channels", conv, []int{3, 11}},
+		{"input shorter than kernel", conv, []int{2, 2}},
+		{"dense width mismatch", conv, []int{2, 12}}, // lOut 10, flatten 30 != 27
+		{"zero dim", conv, []int{2, 0}},
+		{"mlp wrong width", quickstartNet(), []int{4}},
+		{"empty network", NewNetwork(1), nil},
+		{"empty network with sample", NewNetwork(1), []int{4}},
 	}
-	if _, err := NewForward32(NewNetwork(1)); err == nil {
-		t.Fatal("empty network must fail f32 compilation")
+	for _, tc := range cases {
+		if _, err := NewForward32(tc.net, tc.sample...); err == nil {
+			t.Errorf("%s: compile must fail", tc.name)
+		}
 	}
 }
 

@@ -1,26 +1,16 @@
 package nn
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
-// Shaped-program op kinds, continuing the op32 space. These only appear
-// in programs built by NewForward32Shaped; NewForward32's vector
-// programs never emit them.
-const (
-	op32Conv1 = iota + 16
-	op32Conv2
-	op32Pool1
-	op32Pool2
-)
-
-// conv32 is the compiled geometry of one conv or pool op. Weights are
-// converted (and for Conv1D pre-transposed) once at compile time so the
-// per-batch hot path is pure f32 data movement and GEMM.
+// conv32 is the compiled geometry of one conv or pool op of a Forward32
+// program. Weights are converted (and for Conv1D pre-transposed) once by
+// NewForward32 so the per-batch hot path is pure f32 data movement and
+// GEMM.
 type conv32 struct {
 	inC, inL   int // 1-D input geometry (inC doubles as C for pools)
 	inH, inW   int // 2-D input geometry
@@ -33,96 +23,21 @@ type conv32 struct {
 	b          []float32
 }
 
-// NewForward32Shaped compiles net into a float32 inference program for
-// inputs whose per-sample shape is sample — the conv-capable sibling of
-// NewForward32. Where the vector compiler only tracks a width, this one
-// threads the full sample shape through every layer (validated by the
-// same OutShape methods the float64 path uses), so Conv1D, Conv2D,
-// MaxPool1D, and MaxPool2D compile too: Conv1D becomes f32 im2col +
-// MatMulInto32 against a kernel transposed once at compile time, Conv2D
-// a direct cross-correlation, and the pools windowed maxima. All layouts
-// are channel-major and contiguous, so Flatten stays an identity and the
-// program still runs on flat [rows, InDim] slabs.
-//
-// The program is valid only for that sample shape; callers seeing a
-// different shape must compile another program. Like NewForward32,
-// failure means "stay on float64", not a hard error.
-func NewForward32Shaped(net *Network, sample []int) (*Forward32, error) {
-	if net == nil || len(net.Layers) == 0 {
-		return nil, fmt.Errorf("nn: f32 path: empty network")
-	}
-	if len(sample) == 0 {
-		return nil, fmt.Errorf("nn: f32 path: empty sample shape")
-	}
-	for _, d := range sample {
-		if d <= 0 {
-			return nil, fmt.Errorf("nn: f32 path: bad sample shape %v", sample)
+// newConv1D32 compiles a Conv1D mapping sample shape in to out. The
+// kernel is transposed from [OutC, InC, K] to [InC*K, OutC] once here,
+// so the hot path is a plain row-major GEMM with no per-call transpose.
+func newConv1D32(l *Conv1D, in, out []int) *conv32 {
+	c := &conv32{inC: l.InC, inL: in[1], outC: l.OutC, outL: out[1],
+		k: l.K, stride: l.Stride, b: toF32(l.Bias.W.Contiguous().Data())}
+	w := l.Weight.W.Contiguous().Data()
+	kc := l.InC * l.K
+	c.wT = make([]float32, kc*l.OutC)
+	for oc := 0; oc < l.OutC; oc++ {
+		for j := 0; j < kc; j++ {
+			c.wT[j*l.OutC+oc] = float32(w[oc*kc+j])
 		}
 	}
-	f := &Forward32{inDim: tensor.NumElements(sample)}
-	f.scratch.New = func() any { return new(f32Scratch) }
-	f.conv.New = func() any { return new(convScratch32) }
-	shape := append([]int(nil), sample...)
-	for i, e := range net.Layers {
-		next, err := e.Layer.OutShape(shape)
-		if err != nil {
-			return nil, fmt.Errorf("nn: f32 path: layer %d: %w", i, err)
-		}
-		cols, outCols := tensor.NumElements(shape), tensor.NumElements(next)
-		switch l := e.Layer.(type) {
-		case *Dense:
-			f.ops = append(f.ops, op32{kind: op32Dense, inCols: cols, outCols: l.Out,
-				w: toF32(l.Weight.W.Contiguous().Data()), b: toF32(l.Bias.W.Contiguous().Data())})
-		case *Activation:
-			if !validActivation(l.Fn) {
-				return nil, fmt.Errorf("nn: f32 path: layer %d: unknown activation %q", i, l.Fn)
-			}
-			f.ops = append(f.ops, op32{kind: op32Act, inCols: cols, outCols: cols, fn: l.Fn})
-		case *Affine:
-			f.ops = append(f.ops, op32{kind: op32Affine, inCols: cols, outCols: cols,
-				scale: float32(l.Scale), shift: float32(l.Shift)})
-		case *ChannelAffine:
-			// OutShape already validated cols == BlockLen*len(Scales).
-			f.ops = append(f.ops, op32{kind: op32ChanAffine, inCols: cols, outCols: cols,
-				blockLen: l.BlockLen, scales: toF32(l.Scales), shifts: toF32(l.Shifts)})
-		case *Dropout, *Flatten:
-			// Identity on the contiguous channel-major slab.
-		case *Conv1D:
-			c := &conv32{inC: l.InC, inL: shape[1], outC: l.OutC, outL: next[1],
-				k: l.K, stride: l.Stride, b: toF32(l.Bias.W.Contiguous().Data())}
-			// Transpose [OutC, InC, K] to [InC*K, OutC] once so the hot
-			// path is a plain row-major GEMM with no per-call transpose.
-			w := l.Weight.W.Contiguous().Data()
-			kc := l.InC * l.K
-			c.wT = make([]float32, kc*l.OutC)
-			for oc := 0; oc < l.OutC; oc++ {
-				for j := 0; j < kc; j++ {
-					c.wT[j*l.OutC+oc] = float32(w[oc*kc+j])
-				}
-			}
-			f.ops = append(f.ops, op32{kind: op32Conv1, inCols: cols, outCols: outCols, conv: c})
-		case *Conv2D:
-			c := &conv32{inC: l.InC, inH: shape[1], inW: shape[2], outC: l.OutC,
-				outH: next[1], outW: next[2], k: l.KH, kw: l.KW, stride: l.Stride,
-				wd: toF32(l.Weight.W.Contiguous().Data()), b: toF32(l.Bias.W.Contiguous().Data())}
-			f.ops = append(f.ops, op32{kind: op32Conv2, inCols: cols, outCols: outCols, conv: c})
-		case *MaxPool1D:
-			c := &conv32{inC: shape[0], inL: shape[1], outL: next[1], k: l.K}
-			f.ops = append(f.ops, op32{kind: op32Pool1, inCols: cols, outCols: outCols, conv: c})
-		case *MaxPool2D:
-			c := &conv32{inC: shape[0], inH: shape[1], inW: shape[2],
-				outH: next[1], outW: next[2], k: l.K}
-			f.ops = append(f.ops, op32{kind: op32Pool2, inCols: cols, outCols: outCols, conv: c})
-		default:
-			return nil, fmt.Errorf("nn: f32 path does not support layer %d (%s)", i, e.Layer.Kind())
-		}
-		shape = next
-	}
-	f.outDim = tensor.NumElements(shape)
-	if len(f.ops) == 0 {
-		return nil, fmt.Errorf("nn: f32 path: network has no compilable ops")
-	}
-	return f, nil
+	return c
 }
 
 func grow32(buf *[]float32, n int) []float32 {

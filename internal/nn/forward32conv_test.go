@@ -9,11 +9,11 @@ import (
 )
 
 // shapedVsF64 runs net on a [rows, sample...] batch through both the
-// float64 reference and the shaped f32 program and asserts agreement
-// within single-precision tolerance.
+// float64 reference and the f32 program compiled for sample and asserts
+// agreement within single-precision tolerance.
 func shapedVsF64(t *testing.T, net *Network, sample []int, rows int, seed int64) {
 	t.Helper()
-	f32, err := NewForward32Shaped(net, sample)
+	f32, err := NewForward32(net, sample...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,38 +78,53 @@ func TestForward32Shaped2D(t *testing.T) {
 	shapedVsF64(t, net, []int{2, 9, 8}, 7, 102)
 }
 
-// TestForward32ShapedVector: on a plain MLP and a vector sample shape,
-// the shaped compiler agrees with what NewForward32 builds.
+// TestForward32ShapedVector: on the vector MLPs, compiling for an
+// explicit [in] sample shape and for the VectorIO default build the same
+// program — bitwise-identical outputs — and both match float64.
 func TestForward32ShapedVector(t *testing.T) {
-	net := quickstartNet()
-	shapedVsF64(t, net, []int{5}, 13, 103)
-}
-
-// TestForward32ShapedRejects: unsupported layers, geometry mismatches,
-// and degenerate sample shapes fail compilation instead of miscompiling.
-func TestForward32ShapedRejects(t *testing.T) {
-	body := NewNetwork(7)
-	body.Add(NewActivation(ActTanh))
-	res := NewNetwork(7)
-	res.Add(NewResidual(body), NewFlatten(), res.NewDense(12, 2))
-	conv := NewNetwork(7)
-	conv.Add(conv.NewConv1D(2, 3, 3, 1), NewFlatten(), conv.NewDense(3*9, 2))
-	cases := []struct {
-		name   string
-		net    *Network
-		sample []int
-	}{
-		{"residual", res, []int{2, 6}},
-		{"wrong channels", conv, []int{3, 11}},
-		{"input shorter than kernel", conv, []int{2, 2}},
-		{"dense width mismatch", conv, []int{2, 12}}, // lOut 10, flatten 30 != 27
-		{"empty sample", conv, nil},
-		{"zero dim", conv, []int{2, 0}},
-		{"empty network", NewNetwork(1), []int{4}},
-	}
-	for _, tc := range cases {
-		if _, err := NewForward32Shaped(tc.net, tc.sample); err == nil {
-			t.Errorf("%s: compile must fail", tc.name)
+	all := NewNetwork(11)
+	all.Add(
+		all.NewDense(6, 12),
+		NewActivation(ActLeakyReLU),
+		all.NewDropout(0.3),
+		all.NewDense(12, 8),
+		NewActivation(ActSigmoid),
+		NewChannelAffine(4, []float64{2, -3}, []float64{0.25, 0}),
+		all.NewDense(8, 3),
+		NewActivation(ActReLU),
+	)
+	for _, net := range []*Network{quickstartNet(), all} {
+		in, _, err := net.VectorIO()
+		if err != nil {
+			t.Fatal(err)
+		}
+		shapedVsF64(t, net, []int{in}, 13, 103)
+		byDefault, err := NewForward32(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bySample, err := NewForward32(net, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const rows = 29
+		rng := rand.New(rand.NewSource(104))
+		x := make([]float64, rows*in)
+		for i := range x {
+			x[i] = rng.NormFloat64() * 2
+		}
+		a := make([]float64, rows*byDefault.OutDim())
+		b := make([]float64, rows*bySample.OutDim())
+		if err := byDefault.ForwardFloat64(a, x, rows); err != nil {
+			t.Fatal(err)
+		}
+		if err := bySample.ForwardFloat64(b, x, rows); err != nil {
+			t.Fatal(err)
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("element %d: NewForward32(net) %g != NewForward32(net, %d) %g", i, a[i], in, b[i])
+			}
 		}
 	}
 }

@@ -99,13 +99,13 @@ func inputRows(x *tensor.Tensor) int {
 	return 1
 }
 
-// countTrust folds one trust report into the stats counters. The
-// domain verdict wins when a row tripped both gates. keptTrusted says
-// whether the trusted rows' surrogate outputs were actually used
-// (false when the whole invocation was routed to the accurate path,
-// which discards them).
-func (r *Region) countTrust(rep *TrustReport, keptTrusted bool) {
-	for i := 0; i < rep.Rows; i++ {
+// countTrust folds the verdicts of report rows [lo, hi) into the stats
+// counters. The domain verdict wins when a row tripped both gates.
+// keptTrusted says whether the trusted rows' surrogate outputs were
+// actually used (false when the invocation was routed to the accurate
+// path, which discards them).
+func (r *Region) countTrust(rep *TrustReport, lo, hi int, keptTrusted bool) {
+	for i := lo; i < hi && i < rep.Rows; i++ {
 		switch {
 		case rep.OOD[i]:
 			r.stats.OutOfDomainRows++
@@ -119,24 +119,13 @@ func (r *Region) countTrust(rep *TrustReport, keptTrusted bool) {
 	}
 }
 
-// blockUntrusted reports whether any row of the half-open row range
-// [at, at+per) was rejected.
-func blockUntrusted(rep *TrustReport, at, per int) bool {
-	for i := at; i < at+per && i < rep.Rows; i++ {
-		if rep.OOD[i] || rep.Uncertain[i] {
-			return true
-		}
-	}
-	return false
-}
-
 // routeUntrustedSingle handles a single invocation whose trust report
 // rejected at least one row: the surrogate's output is discarded, the
 // rejected rows are counted, the accurate closure recomputes the
 // invocation, and the recomputed sample is recaptured through the sink
 // when the region has a capture target.
 func (r *Region) routeUntrustedSingle(rep *TrustReport, accurate func() error) error {
-	r.countTrust(rep, false)
+	r.countTrust(rep, 0, rep.Rows, false)
 	start := time.Now()
 	inputs, err := r.modelInput()
 	r.stats.ToTensor += time.Since(start)
@@ -198,157 +187,10 @@ func (r *Region) recaptureInvocation(inputs *tensor.Tensor, runtime time.Duratio
 // finish(i) call, in index order. stage and finish may be nil;
 // accurate must not be.
 func (r *Region) ExecuteBatchRouted(ctx context.Context, n int, stage func(i int) error, accurate func(i int) error, finish func(i int) error) error {
-	if r.closed {
-		return fmt.Errorf("hpacml: region %q used after Close", r.name)
-	}
-	if n <= 0 {
-		return nil
-	}
 	if accurate == nil {
 		return fmt.Errorf("hpacml: ExecuteBatchRouted in region %q needs an accurate callback (use ExecuteBatch otherwise)", r.name)
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := r.requireInference(); err != nil {
-		return err
-	}
-	if err := r.ensureEngine(); err != nil {
-		return err
-	}
-	if err := r.ensureTrustEngine(); err != nil {
-		return err
-	}
-	if err := r.warmEngine(ctx); err != nil {
-		if r.engineFallback {
-			return r.degradeBatch(n, stage, accurate, finish)
-		}
-		return fmt.Errorf("hpacml: batched inference in region %q: %w", r.name, err)
-	}
-
-	bs := r.batches[n]
-	if bs == nil {
-		shape, err := r.modelInputShape()
-		if err != nil {
-			return err
-		}
-		if bs, err = r.buildBatchStaging(n, shape); err != nil {
-			return err
-		}
-		if r.batches == nil {
-			r.batches = make(map[int]*batchState)
-		}
-		if len(r.batches) >= maxBatchStates {
-			for k := range r.batches {
-				delete(r.batches, k)
-				break
-			}
-		}
-		r.batches[n] = bs
-	}
-
-	var err error
-	for i := 0; i < n; i++ {
-		if stage != nil {
-			if err := stage(i); err != nil {
-				return fmt.Errorf("hpacml: batch stage %d in region %q: %w", i, r.name, err)
-			}
-		}
-		start := time.Now()
-		if bs.inSt != nil {
-			for _, st := range bs.inSt[i] {
-				if err = st.Gather(); err != nil {
-					break
-				}
-			}
-		} else {
-			err = r.modelInputInto(bs.blocks[i])
-		}
-		r.stats.ToTensor += time.Since(start)
-		if err != nil {
-			return err
-		}
-	}
-
-	start := time.Now()
-	if bs.y == nil {
-		outShape, oerr := r.engine.OutputShape(bs.x.Shape())
-		if oerr != nil {
-			r.stats.BatchInference += time.Since(start)
-			if r.engineFallback {
-				return r.degradeBatch(n, stage, accurate, finish)
-			}
-			return fmt.Errorf("hpacml: batched inference in region %q: %w", r.name, oerr)
-		}
-		if err := r.buildBatchOutput(bs, tensor.New(outShape...), n); err != nil {
-			r.stats.BatchInference += time.Since(start)
-			return err
-		}
-	}
-	err = r.engine.Infer(ctx, bs.x, bs.y)
-	r.stats.BatchInference += time.Since(start)
-	if err != nil {
-		bs.y, bs.outViews, bs.outSt = nil, nil, nil
-		if r.engineFallback {
-			return r.degradeBatch(n, stage, accurate, finish)
-		}
-		return fmt.Errorf("hpacml: batched inference in region %q: %w", r.name, err)
-	}
-
-	var rep *TrustReport
-	if tr, ok := r.engine.(trustReporter); ok {
-		rep = tr.TrustReport()
-	}
-	rows := inputRows(bs.x)
-	per := rows / n
-
-	r.stats.Invocations += n
-	r.stats.Batches++
-	kept := 0
-	for i := 0; i < n; i++ {
-		if rep != nil && blockUntrusted(rep, i*per, per) {
-			for ri := i * per; ri < (i+1)*per && ri < rep.Rows; ri++ {
-				switch {
-				case rep.OOD[ri]:
-					r.stats.OutOfDomainRows++
-				case rep.Uncertain[ri]:
-					r.stats.UncertainRows++
-				}
-			}
-			if err := r.routeInvocationAccurate(i, stage, accurate, finish); err != nil {
-				return err
-			}
-			continue
-		}
-		start := time.Now()
-		if bs.outSt != nil {
-			err = scatterStagers(bs.outSt[i])
-		} else {
-			err = r.scatterModelOutput(bs.outViews[i])
-		}
-		r.stats.FromTensor += time.Since(start)
-		if err != nil {
-			return err
-		}
-		if finish != nil {
-			if err := finish(i); err != nil {
-				return fmt.Errorf("hpacml: batch finish %d in region %q: %w", i, r.name, err)
-			}
-		}
-		kept++
-		if rep != nil {
-			r.stats.TrustedRows += per
-		}
-	}
-	r.stats.Inferences += kept
-	r.stats.BatchedInvocations += kept
-	if r.engineRemote {
-		r.stats.RemoteInference += kept
-	}
-	if rep == nil {
-		r.stats.TrustedRows += rows
-	}
-	return nil
+	return r.executeBatch(ctx, n, stage, accurate, finish)
 }
 
 // routeInvocationAccurate recomputes one batched invocation on the
