@@ -128,3 +128,26 @@ func TestForward32ShapedVector(t *testing.T) {
 		}
 	}
 }
+
+// TestForward32ShapedRejects: geometry mismatches and degenerate sample
+// shapes fail compilation instead of miscompiling.
+func TestForward32ShapedRejects(t *testing.T) {
+	conv := NewNetwork(7)
+	conv.Add(conv.NewConv1D(2, 3, 3, 1), NewFlatten(), conv.NewDense(3*9, 2))
+	cases := []struct {
+		name   string
+		net    *Network
+		sample []int
+	}{
+		{"wrong channels", conv, []int{3, 11}},
+		{"input shorter than kernel", conv, []int{2, 2}},
+		{"dense width mismatch", conv, []int{2, 12}}, // lOut 10, flatten 30 != 27
+		{"zero dim", conv, []int{2, 0}},
+		{"empty network with sample", NewNetwork(1), []int{4}},
+	}
+	for _, tc := range cases {
+		if _, err := NewForward32(tc.net, tc.sample...); err == nil {
+			t.Errorf("%s: compile must fail", tc.name)
+		}
+	}
+}
