@@ -1,10 +1,10 @@
-// Parity test for the two batched entry points. ExecuteBatch and
-// ExecuteBatchRouted share one gather -> infer -> scatter loop and differ
-// only in what a rejected block or a failed engine does: without an
-// accurate callback the trust gate is advisory and engine errors
-// propagate; with one, rejected blocks are recomputed and recaptured and
-// a failed fallback-wrapped engine degrades the whole batch. Each case
-// pins the outputs and every Stats counter of both.
+// Parity tests for the region's inference entry points. ExecuteBatch,
+// ExecuteBatchRouted and Execute share one gather -> infer -> scatter
+// loop and differ only in what a rejected block or a failed engine does:
+// without an accurate callback the trust gate is advisory and engine
+// errors propagate; with one, rejected blocks are recomputed and
+// recaptured and a failed fallback-wrapped engine degrades to the
+// accurate path. Each case pins the outputs and every Stats counter.
 package hpacml_test
 
 import (
@@ -33,11 +33,14 @@ func (e *reportEngine) OutputShape(in []int) ([]int, error)             { return
 func (e *reportEngine) Warmup(ctx context.Context, inShape []int) error { return nil }
 func (e *reportEngine) TrustReport() *hpacml.TrustReport                { return e.rep }
 
+// errEngineDown is the error every downEngine inference returns.
+var errEngineDown = errors.New("engine down")
+
 // downEngine warms up but fails every inference.
 type downEngine struct{}
 
 func (downEngine) Infer(ctx context.Context, in, out *tensor.Tensor) error {
-	return errors.New("engine down")
+	return errEngineDown
 }
 func (downEngine) OutputShape(in []int) ([]int, error)             { return []int{in[0], 1}, nil }
 func (downEngine) Warmup(ctx context.Context, inShape []int) error { return nil }
@@ -65,9 +68,9 @@ func countersOf(s hpacml.Stats) batchCounters {
 	}
 }
 
-// verdicts builds a six-row report with the given rows rejected.
-func verdicts(ood, uncertain []int) *hpacml.TrustReport {
-	rep := &hpacml.TrustReport{Rows: 6, OOD: make([]bool, 6), Uncertain: make([]bool, 6)}
+// verdicts builds a report of the given rows with the listed rows rejected.
+func verdicts(rows int, ood, uncertain []int) *hpacml.TrustReport {
+	rep := &hpacml.TrustReport{Rows: rows, OOD: make([]bool, rows), Uncertain: make([]bool, rows)}
 	for _, r := range ood {
 		rep.OOD[r] = true
 	}
@@ -104,7 +107,7 @@ func TestBatchEntryPointParity(t *testing.T) {
 		},
 		{
 			name:     "gated-clean",
-			engine:   func() hpacml.Engine { return &reportEngine{rep: verdicts(nil, nil)} },
+			engine:   func() hpacml.Engine { return &reportEngine{rep: verdicts(6, nil, nil)} },
 			advisory: batchCounters{Invocations: 3, Inferences: 3, Batches: 1, BatchedInvocations: 3, TrustedRows: 6},
 			routed:   batchCounters{Invocations: 3, Inferences: 3, Batches: 1, BatchedInvocations: 3, TrustedRows: 6},
 			routedY:  all,
@@ -112,7 +115,7 @@ func TestBatchEntryPointParity(t *testing.T) {
 		{
 			// Row 4 trips both gates and counts once, as out-of-domain.
 			name:     "ood",
-			engine:   func() hpacml.Engine { return &reportEngine{rep: verdicts([]int{1, 4}, []int{4})} },
+			engine:   func() hpacml.Engine { return &reportEngine{rep: verdicts(6, []int{1, 4}, []int{4})} },
 			advisory: batchCounters{Invocations: 3, Inferences: 3, Batches: 1, BatchedInvocations: 3, TrustedRows: 4, OutOfDomainRows: 2},
 			routed: batchCounters{Invocations: 3, Inferences: 1, Batches: 1, BatchedInvocations: 1, TrustedRows: 2,
 				OutOfDomainRows: 2, AccurateRuns: 2, Collections: 2},
@@ -120,7 +123,7 @@ func TestBatchEntryPointParity(t *testing.T) {
 		},
 		{
 			name:     "uncertain",
-			engine:   func() hpacml.Engine { return &reportEngine{rep: verdicts(nil, []int{3})} },
+			engine:   func() hpacml.Engine { return &reportEngine{rep: verdicts(6, nil, []int{3})} },
 			advisory: batchCounters{Invocations: 3, Inferences: 3, Batches: 1, BatchedInvocations: 3, TrustedRows: 5, UncertainRows: 1},
 			routed: batchCounters{Invocations: 3, Inferences: 2, Batches: 1, BatchedInvocations: 2, TrustedRows: 4,
 				UncertainRows: 1, AccurateRuns: 1, Collections: 1},
@@ -145,23 +148,7 @@ func TestBatchEntryPointParity(t *testing.T) {
 				x := make([]float64, 4)
 				y := make([]float64, 2)
 				sink := &countSink{}
-				r, err := hpacml.NewRegion("parity",
-					hpacml.Directives(`
-tensor functor(vin: [i, 0:2] = ([i*2:i*2+2]))
-tensor functor(vout: [i, 0:1] = ([i:i+1]))
-tensor map(to: vin(x[0:2]))
-tensor map(from: vout(y[0:2]))
-ml(infer) in(x) out(y)
-`),
-					hpacml.BindArray("x", x, 4),
-					hpacml.BindArray("y", y, 2),
-					hpacml.WithEngine(tc.engine()),
-					hpacml.WithSink(sink),
-				)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer r.Close()
+				r := parityRegion(t, x, y, tc.engine(), sink)
 
 				stage := func(i int) error {
 					copy(x, []float64{float64(i), 1, float64(i), 2})
@@ -173,6 +160,7 @@ ml(infer) in(x) out(y)
 				finish := func(i int) error { got = append(got, append([]float64(nil), y...)); return nil }
 
 				want, wantY, wantErr := tc.advisory, all, tc.advErr
+				var err error
 				if routed {
 					err = r.ExecuteBatchRouted(context.Background(), n, stage, accurate, finish)
 					want, wantY, wantErr = tc.routed, tc.routedY, false
@@ -195,6 +183,135 @@ ml(infer) in(x) out(y)
 				}
 				if sink.n != want.Collections {
 					t.Errorf("sink saw %d captures, want %d", sink.n, want.Collections)
+				}
+			})
+		}
+	}
+	t.Run("execute", testExecuteParity)
+}
+
+// parityRegion builds the two-row region both parity tests drive: one
+// invocation gathers x's two (a, b) pairs and scatters y's two entries.
+func parityRegion(t *testing.T, x, y []float64, e hpacml.Engine, sink hpacml.Sink) *hpacml.Region {
+	t.Helper()
+	r, err := hpacml.NewRegion("parity",
+		hpacml.Directives(`
+tensor functor(vin: [i, 0:2] = ([i*2:i*2+2]))
+tensor functor(vout: [i, 0:1] = ([i:i+1]))
+tensor map(to: vin(x[0:2]))
+tensor map(from: vout(y[0:2]))
+ml(infer) in(x) out(y)
+`),
+		hpacml.BindArray("x", x, 4),
+		hpacml.BindArray("y", y, 2),
+		hpacml.WithEngine(e),
+		hpacml.WithSink(sink),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	return r
+}
+
+// testExecuteParity pins the single-invocation entry point on the same
+// region: Execute(nil) is advisory, Execute(accurate) routes a rejected
+// invocation and a failed fallback-policy engine to the accurate path.
+// Engine time lands in Stats.Inference, never BatchInference, and no
+// batch counter moves.
+func testExecuteParity(t *testing.T) {
+	sur, acc := []float64{1, 2}, []float64{-1, -2}
+	cases := []struct {
+		name   string
+		engine func() hpacml.Engine
+		// served says the engine answered, so engine time was recorded.
+		served   bool
+		advisory batchCounters
+		advY     []float64
+		advErr   bool
+		routed   batchCounters
+		routedY  []float64
+		routeErr bool
+	}{
+		{
+			name:     "ungated",
+			engine:   func() hpacml.Engine { return &reportEngine{} },
+			served:   true,
+			advisory: batchCounters{Invocations: 1, Inferences: 1, TrustedRows: 2},
+			advY:     sur,
+			routed:   batchCounters{Invocations: 1, Inferences: 1, TrustedRows: 2},
+			routedY:  sur,
+		},
+		{
+			// Advisory keeps the surrogate's rows; routed recomputes the
+			// invocation and recaptures it.
+			name:     "reject",
+			engine:   func() hpacml.Engine { return &reportEngine{rep: verdicts(2, []int{1}, nil)} },
+			served:   true,
+			advisory: batchCounters{Invocations: 1, Inferences: 1, TrustedRows: 1, OutOfDomainRows: 1},
+			advY:     sur,
+			routed:   batchCounters{Invocations: 1, OutOfDomainRows: 1, AccurateRuns: 1, Collections: 1},
+			routedY:  acc,
+		},
+		{
+			name:     "engine-down-fallback",
+			engine:   func() hpacml.Engine { return hpacml.NewFallbackEngine(downEngine{}) },
+			advisory: batchCounters{Invocations: 1},
+			advY:     []float64{0, 0},
+			advErr:   true,
+			routed:   batchCounters{Invocations: 1, AccurateRuns: 1, Fallbacks: 1},
+			routedY:  acc,
+		},
+		{
+			name:     "engine-down",
+			engine:   func() hpacml.Engine { return downEngine{} },
+			advisory: batchCounters{Invocations: 1},
+			advY:     []float64{0, 0},
+			advErr:   true,
+			routed:   batchCounters{Invocations: 1},
+			routedY:  []float64{0, 0},
+			routeErr: true,
+		},
+	}
+
+	for _, tc := range cases {
+		for _, routed := range []bool{false, true} {
+			name := tc.name + "/nil"
+			if routed {
+				name = tc.name + "/accurate"
+			}
+			t.Run(name, func(t *testing.T) {
+				x := []float64{0, 1, 0, 2}
+				y := make([]float64, 2)
+				sink := &countSink{}
+				r := parityRegion(t, x, y, tc.engine(), sink)
+
+				want, wantY, wantErr := tc.advisory, tc.advY, tc.advErr
+				var accurate func() error
+				if routed {
+					accurate = func() error { copy(y, acc); return nil }
+					want, wantY, wantErr = tc.routed, tc.routedY, tc.routeErr
+				}
+				err := r.Execute(accurate)
+				if wantErr {
+					if !errors.Is(err, errEngineDown) {
+						t.Fatalf("err = %v, want one wrapping %v", err, errEngineDown)
+					}
+				} else if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(y, wantY) {
+					t.Errorf("outputs %v, want %v", y, wantY)
+				}
+				st := r.Stats()
+				if c := countersOf(st); c != want {
+					t.Errorf("counters\n got %+v\nwant %+v", c, want)
+				}
+				if sink.n != want.Collections {
+					t.Errorf("sink saw %d captures, want %d", sink.n, want.Collections)
+				}
+				if st.BatchInference != 0 || (tc.served && st.Inference <= 0) {
+					t.Errorf("engine time Inference=%v BatchInference=%v, want it all in Inference", st.Inference, st.BatchInference)
 				}
 			})
 		}

@@ -183,7 +183,7 @@ func main() {
 	out := flag.String("out", "", "loadgen: result JSON path (default stdout)")
 	seed := flag.Int64("seed", 29, "loadgen: input-vector seed")
 	wire := flag.String("wire", "json", "loadgen: client protocol — json, binary (length-prefixed frames), or both (JSON baseline then binary, one record)")
-	lgDtype := flag.String("dtype", "f64", "loadgen: binary-wire frame element encoding — f64, f32, or int8 (int8 sends integer-valued inputs; ignored under -wire json)")
+	lgDtype := flag.String("dtype", "f64", "loadgen: binary-wire frame element encoding — f64 or f32 (ignored under -wire json)")
 	lgCapture := flag.String("capture-db", "", "loadgen: ship every completed inference back to this server-side capture database (the closed-loop retraining feed; empty disables)")
 	flag.Parse()
 

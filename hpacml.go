@@ -238,21 +238,16 @@ type Region struct {
 
 	// Inference staging caches, reused across invocations so steady-state
 	// Execute and ExecuteBatch calls stop allocating and re-planning per
-	// call. singleX/Y serve Execute; batches holds one batchState per
-	// distinct ExecuteBatch size, so an application loop that batches
-	// its invocations in fixed chunks and ends on a shorter tail batch
-	// doesn't rebuild staging on every size change; imgScratch holds the
-	// pre-transpose composition buffer of the image layout. The *St
-	// stagers are precomputed bridge views bound to the staging tensors
-	// (nil when the layout needs per-call transforms). The output buffers
-	// and their stagers are model-dependent and dropped by
-	// InvalidateModel.
-	singleX     *tensor.Tensor
-	singleInSt  []*bridge.Stager
-	singleY     *tensor.Tensor
-	singleOutSt []*bridge.Stager
-	batches     map[int]*batchState
-	imgScratch  *tensor.Tensor
+	// call. batches holds one batchState per distinct batch size (Execute
+	// is size 1), so an application loop that batches its invocations in
+	// fixed chunks and ends on a shorter tail batch doesn't rebuild
+	// staging on every size change; imgScratch holds the pre-transpose
+	// composition buffer of the image layout. The batchState stagers are
+	// precomputed bridge views bound to the staging tensors (nil when the
+	// layout needs per-call transforms). The output buffers and their
+	// stagers are model-dependent and dropped by InvalidateModel.
+	batches    map[int]*batchState
+	imgScratch *tensor.Tensor
 }
 
 // maxBatchStates caps how many distinct batch sizes keep cached staging
@@ -649,44 +644,67 @@ func (r *Region) ExecuteContext(ctx context.Context, accurate func() error) erro
 	if r.closed {
 		return fmt.Errorf("hpacml: region %q used after Close", r.name)
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	r.stats.Invocations++
+	p, err := r.resolvePath()
+	if err != nil {
+		return err
+	}
+	switch p {
+	case pathAccurate:
+		return r.runAccurate(accurate)
+	case pathCollect:
+		return r.runCollection(accurate)
+	}
+	// One invocation is the n = 1 case of the batched loop.
+	var acc func(int) error
+	if accurate != nil {
+		acc = func(int) error { return accurate() }
+	}
+	return r.executeBatch(ctx, 1, nil, acc, nil, false)
+}
 
-	// The if clause gates surrogate use entirely: when false, the region
-	// runs the original code with no HPAC-ML involvement (the paper's
-	// MiniWeather interleaving control).
+// regionPath is what one invocation of the region resolves to.
+type regionPath int
+
+const (
+	pathInfer    regionPath = iota // surrogate inference
+	pathCollect                    // accurate run, captured
+	pathAccurate                   // accurate run only: the if() clause is false
+)
+
+// resolvePath evaluates the if() clause and the ml mode's predicate once.
+// A false if() gates HPAC-ML out entirely (the paper's MiniWeather
+// interleaving control); otherwise the mode, or for predicated regions
+// the predicate, picks inference or collection.
+func (r *Region) resolvePath() (regionPath, error) {
 	if r.ml.If != "" {
 		gate, err := r.evalPredicate(r.ml.If)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if !gate() {
-			return r.runAccurate(accurate)
+			return pathAccurate, nil
 		}
 	}
-
 	switch r.ml.Mode {
 	case directive.Infer:
-		return r.runInference(ctx, accurate)
+		return pathInfer, nil
 	case directive.Collect:
-		return r.runCollection(accurate)
+		return pathCollect, nil
 	case directive.Predicated:
-		cond := true
-		if r.ml.Cond != "" {
-			fn, err := r.evalPredicate(r.ml.Cond)
-			if err != nil {
-				return err
-			}
-			cond = fn()
+		if r.ml.Cond == "" {
+			return pathInfer, nil
 		}
-		if cond {
-			return r.runInference(ctx, accurate)
+		fn, err := r.evalPredicate(r.ml.Cond)
+		if err != nil {
+			return 0, err
 		}
-		return r.runCollection(accurate)
+		if fn() {
+			return pathInfer, nil
+		}
+		return pathCollect, nil
 	}
-	return fmt.Errorf("hpacml: unknown ml mode %v", r.ml.Mode)
+	return 0, fmt.Errorf("hpacml: unknown ml mode %v", r.ml.Mode)
 }
 
 func (r *Region) runAccurate(accurate func() error) error {
@@ -838,117 +856,6 @@ func (r *Region) warmEngine(ctx context.Context) error {
 	return nil
 }
 
-// fallbackOr applies the engine's fallback policy to an inference
-// failure: when engaged and an accurate closure exists, the accurate
-// region runs (counted in Stats.Fallbacks) and the error is swallowed;
-// otherwise the error propagates.
-func (r *Region) fallbackOr(accurate func() error, err error) error {
-	if r.engineFallback && accurate != nil {
-		r.stats.Fallbacks++
-		return r.runAccurate(accurate)
-	}
-	return err
-}
-
-// runInference replaces the region with surrogate evaluation: gather
-// inputs, run the engine, scatter outputs. Staging input and output
-// tensors are cached on the region, so steady-state calls reuse buffers
-// instead of allocating.
-func (r *Region) runInference(ctx context.Context, accurate func() error) error {
-	if err := r.ensureEngine(); err != nil {
-		return err
-	}
-	if err := r.ensureTrustEngine(); err != nil {
-		return err
-	}
-	if err := r.warmEngine(ctx); err != nil {
-		return r.fallbackOr(accurate, err)
-	}
-
-	start := time.Now()
-	x, err := r.stagedInput()
-	r.stats.ToTensor += time.Since(start)
-	if err != nil {
-		return err
-	}
-
-	start = time.Now()
-	if r.singleY == nil {
-		outShape, oerr := r.engine.OutputShape(x.Shape())
-		if oerr != nil {
-			r.stats.Inference += time.Since(start)
-			return r.fallbackOr(accurate, fmt.Errorf("hpacml: inference in region %q: %w", r.name, oerr))
-		}
-		r.singleY = tensor.New(outShape...)
-		r.singleOutSt = r.outputStagers(r.singleY)
-	}
-	err = r.engine.Infer(ctx, x, r.singleY)
-	r.stats.Inference += time.Since(start)
-	if err != nil {
-		r.singleY, r.singleOutSt = nil, nil
-		return r.fallbackOr(accurate, fmt.Errorf("hpacml: inference in region %q: %w", r.name, err))
-	}
-
-	// Per-row trust gate: a gated engine reports which rows it rejects.
-	// With an accurate closure the whole invocation is recomputed and
-	// recaptured when any row is rejected (a single Execute has no
-	// finer granularity than the invocation); without one the gate is
-	// advisory — outputs are kept, counters still record the verdicts.
-	var rep *TrustReport
-	if tr, ok := r.engine.(trustReporter); ok {
-		rep = tr.TrustReport()
-	}
-	if rep != nil && accurate != nil && rep.AnyUntrusted() {
-		return r.routeUntrustedSingle(rep, accurate)
-	}
-
-	start = time.Now()
-	if r.singleOutSt != nil {
-		err = scatterStagers(r.singleOutSt)
-	} else {
-		err = r.scatterModelOutput(r.singleY)
-	}
-	r.stats.FromTensor += time.Since(start)
-	if err != nil {
-		return err
-	}
-	r.stats.Inferences++
-	if r.engineRemote {
-		r.stats.RemoteInference++
-	}
-	if rep != nil {
-		r.countTrust(rep, 0, rep.Rows, true)
-	} else {
-		r.stats.TrustedRows += inputRows(x)
-	}
-	return nil
-}
-
-// stagedInput gathers the region inputs into the cached single-invocation
-// staging tensor, allocating it (and its stagers) on first use.
-func (r *Region) stagedInput() (*tensor.Tensor, error) {
-	if r.singleX == nil {
-		shape, err := r.modelInputShape()
-		if err != nil {
-			return nil, err
-		}
-		r.singleX = tensor.New(shape...)
-		r.singleInSt = r.inputStagers(r.singleX)
-	}
-	if r.singleInSt != nil {
-		for _, st := range r.singleInSt {
-			if err := st.Gather(); err != nil {
-				return nil, err
-			}
-		}
-		return r.singleX, nil
-	}
-	if err := r.modelInputInto(r.singleX); err != nil {
-		return nil, err
-	}
-	return r.singleX, nil
-}
-
 // inputStagers precomputes gather stagers binding the in-plans to dst.
 // It returns nil when the layout needs a per-call transform (image) or a
 // stager cannot be built; callers then fall back to modelInputInto,
@@ -1089,18 +996,22 @@ func (r *Region) ExecuteBatch(n int, stage func(i int) error, finish func(i int)
 // verdicts. ExecuteBatchRouted is the same loop with an accurate path
 // to route rejected invocations and engine failures to.
 func (r *Region) ExecuteBatchContext(ctx context.Context, n int, stage func(i int) error, finish func(i int) error) error {
-	return r.executeBatch(ctx, n, stage, nil, finish)
+	return r.executeBatch(ctx, n, stage, nil, finish, true)
 }
 
-// executeBatch is the one batched loop behind ExecuteBatchContext and
-// ExecuteBatchRouted: stage and gather every invocation into one staging
-// tensor, run the engine once, then scatter and finish invocation by
-// invocation. accurate == nil is the advisory policy (keep every
-// invocation, count each block's verdicts, propagate engine errors);
-// with accurate, a block with a rejected row goes through
+// executeBatch is the one inference loop behind Execute and the
+// ExecuteBatch entry points: stage and gather every invocation into one
+// staging tensor, run the engine once, then scatter and finish
+// invocation by invocation. accurate == nil is the advisory policy (keep
+// every invocation, count each block's verdicts, propagate engine
+// errors); with accurate, a block with a rejected row goes through
 // routeInvocationAccurate, and a failure of a fallback-policy engine
 // degrades the whole batch to the accurate path.
-func (r *Region) executeBatch(ctx context.Context, n int, stage, accurate, finish func(i int) error) error {
+//
+// batched is false only for Execute, which has already resolved the
+// region's path and counted its invocation: its engine time then lands
+// in Stats.Inference and the batch counters stay untouched.
+func (r *Region) executeBatch(ctx context.Context, n int, stage, accurate, finish func(i int) error, batched bool) error {
 	if r.closed {
 		return fmt.Errorf("hpacml: region %q used after Close", r.name)
 	}
@@ -1110,8 +1021,18 @@ func (r *Region) executeBatch(ctx context.Context, n int, stage, accurate, finis
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := r.requireInference(); err != nil {
-		return err
+	if batched {
+		p, err := r.resolvePath()
+		switch {
+		case err != nil:
+			return err
+		case p == pathAccurate:
+			return fmt.Errorf("hpacml: ExecuteBatch in region %q: if() clause is false; batching requires the surrogate path", r.name)
+		case p == pathCollect && r.ml.Mode == directive.Predicated:
+			return fmt.Errorf("hpacml: ExecuteBatch in region %q: predicate selects collection; batching requires inference", r.name)
+		case p == pathCollect:
+			return fmt.Errorf("hpacml: ExecuteBatch in region %q: region is in collection mode", r.name)
+		}
 	}
 	if err := r.ensureEngine(); err != nil {
 		return err
@@ -1121,9 +1042,13 @@ func (r *Region) executeBatch(ctx context.Context, n int, stage, accurate, finis
 	}
 	engineFailed := func(err error) error {
 		if accurate != nil && r.engineFallback {
-			return r.degradeBatch(n, stage, accurate, finish)
+			return r.degradeBatch(n, stage, accurate, finish, batched)
 		}
-		return fmt.Errorf("hpacml: batched inference in region %q: %w", r.name, err)
+		return fmt.Errorf("hpacml: inference in region %q: %w", r.name, err)
+	}
+	engineTime := &r.stats.Inference
+	if batched {
+		engineTime = &r.stats.BatchInference
 	}
 	if err := r.warmEngine(ctx); err != nil {
 		return engineFailed(err)
@@ -1159,16 +1084,16 @@ func (r *Region) executeBatch(ctx context.Context, n int, stage, accurate, finis
 	if bs.y == nil {
 		outShape, oerr := r.engine.OutputShape(bs.x.Shape())
 		if oerr != nil {
-			r.stats.BatchInference += time.Since(start)
+			*engineTime += time.Since(start)
 			return engineFailed(oerr)
 		}
 		if err := r.buildBatchOutput(bs, tensor.New(outShape...), n); err != nil {
-			r.stats.BatchInference += time.Since(start)
+			*engineTime += time.Since(start)
 			return err
 		}
 	}
 	err = r.engine.Infer(ctx, bs.x, bs.y)
-	r.stats.BatchInference += time.Since(start)
+	*engineTime += time.Since(start)
 	if err != nil {
 		bs.y, bs.outViews, bs.outSt = nil, nil, nil
 		return engineFailed(err)
@@ -1179,8 +1104,10 @@ func (r *Region) executeBatch(ctx context.Context, n int, stage, accurate, finis
 		rep = tr.TrustReport()
 	}
 	per := inputRows(bs.x) / n
-	r.stats.Invocations += n
-	r.stats.Batches++
+	if batched {
+		r.stats.Invocations += n
+		r.stats.Batches++
+	}
 	for i := 0; i < n; i++ {
 		lo, hi := i*per, (i+1)*per
 		if rep != nil && accurate != nil && rep.anyUntrusted(lo, hi) {
@@ -1201,7 +1128,9 @@ func (r *Region) executeBatch(ctx context.Context, n int, stage, accurate, finis
 			return err
 		}
 		r.stats.Inferences++
-		r.stats.BatchedInvocations++
+		if batched {
+			r.stats.BatchedInvocations++
+		}
 		if r.engineRemote {
 			r.stats.RemoteInference++
 		}
@@ -1293,38 +1222,6 @@ func (r *Region) buildBatchOutput(bs *batchState, y *tensor.Tensor, n int) error
 	return nil
 }
 
-// requireInference verifies the region currently resolves to the
-// surrogate path, which is the only path ExecuteBatch can serve.
-func (r *Region) requireInference() error {
-	if r.ml.If != "" {
-		gate, err := r.evalPredicate(r.ml.If)
-		if err != nil {
-			return err
-		}
-		if !gate() {
-			return fmt.Errorf("hpacml: ExecuteBatch in region %q: if() clause is false; batching requires the surrogate path", r.name)
-		}
-	}
-	switch r.ml.Mode {
-	case directive.Infer:
-		return nil
-	case directive.Predicated:
-		if r.ml.Cond != "" {
-			fn, err := r.evalPredicate(r.ml.Cond)
-			if err != nil {
-				return err
-			}
-			if !fn() {
-				return fmt.Errorf("hpacml: ExecuteBatch in region %q: predicate selects collection; batching requires inference", r.name)
-			}
-		}
-		return nil
-	case directive.Collect:
-		return fmt.Errorf("hpacml: ExecuteBatch in region %q: region is in collection mode", r.name)
-	}
-	return fmt.Errorf("hpacml: unknown ml mode %v", r.ml.Mode)
-}
-
 // Engine returns the region's surrogate-execution engine, or nil when
 // none has been resolved yet (no inference has run and none was
 // injected with WithEngine).
@@ -1362,7 +1259,6 @@ func (r *Region) dropModel() {
 	if rf, ok := r.engine.(refresher); ok {
 		rf.Refresh()
 	}
-	r.singleY, r.singleOutSt = nil, nil
 	for _, bs := range r.batches {
 		bs.y, bs.outViews, bs.outSt = nil, nil, nil
 	}

@@ -312,11 +312,23 @@ func decodeLayer(r io.Reader, net *Network, depth int) (Layer, error) {
 	return layer, nil
 }
 
+// maxLayerWeights bounds the product of a layer's size configs, which
+// is at least its weight count, so a forged config cannot size an
+// allocation before the weights it claims are read.
+const maxLayerWeights = 1 << 24
+
 // buildLayer reconstructs a layer from its serialized spec.
 func buildLayer(net *Network, sp layerSpec) (Layer, error) {
 	wantInts := func(n int) error {
 		if len(sp.Ints) != n {
 			return fmt.Errorf("%s wants %d int configs, got %d", sp.Kind, n, len(sp.Ints))
+		}
+		prod := 1
+		for _, v := range sp.Ints {
+			if v < 1 || v > maxLayerWeights/prod {
+				return fmt.Errorf("%s: implausible size configs %v", sp.Kind, sp.Ints)
+			}
+			prod *= v
 		}
 		return nil
 	}
@@ -356,8 +368,11 @@ func buildLayer(net *Network, sp layerSpec) (Layer, error) {
 		}
 		return NewAffine(sp.Floats[0], sp.Floats[1]), nil
 	case sp.Kind == "chanaffine":
-		if len(sp.Ints) != 1 || len(sp.Floats) == 0 || len(sp.Floats)%2 != 0 {
+		if len(sp.Floats) == 0 || len(sp.Floats)%2 != 0 {
 			return nil, fmt.Errorf("channel affine wants 1 int and 2k float configs")
+		}
+		if err := wantInts(1); err != nil {
+			return nil, err
 		}
 		k := len(sp.Floats) / 2
 		return NewChannelAffine(sp.Ints[0], sp.Floats[:k], sp.Floats[k:]), nil

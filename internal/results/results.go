@@ -120,8 +120,8 @@ type Serving struct {
 	// Wire names the client protocol the run used ("json" or
 	// "binary"); empty in records that predate the binary wire.
 	Wire string `json:"wire,omitempty"`
-	// Dtype names the binary wire's frame element encoding ("f64",
-	// "f32", or "i8"); empty for JSON runs and pre-dtype records.
+	// Dtype names the binary wire's frame element encoding ("f64" or
+	// "f32"); empty for JSON runs and pre-dtype records.
 	Dtype string `json:"dtype,omitempty"`
 	// RecordsPerSec is the completed-inference throughput (same value
 	// AchievedRPS holds for single-row requests; kept separate so the

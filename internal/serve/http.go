@@ -80,8 +80,8 @@ type handler struct {
 	stageDecode *telemetry.Histogram
 	stageEncode *telemetry.Histogram
 
-	wireInfer   [4]*telemetry.Counter // json, frame-f64, frame-f32, frame-i8
-	wireCapture [4]*telemetry.Counter
+	wireInfer   [3]*telemetry.Counter // json, frame-f64, frame-f32
+	wireCapture [3]*telemetry.Counter
 }
 
 // wire-counter slots, indexed by how the request body arrived.
@@ -89,7 +89,6 @@ const (
 	wireSlotJSON = iota
 	wireSlotF64
 	wireSlotF32
-	wireSlotI8
 )
 
 // NewHandler exposes the server over the HTTP API:
@@ -132,17 +131,15 @@ func NewHandler(s *Server, opts ...HandlerOption) http.Handler {
 		okRequests:  make(map[string]*telemetry.Counter),
 		stageDecode: s.met.httpStage.With("decode"),
 		stageEncode: s.met.httpStage.With("encode"),
-		wireInfer: [4]*telemetry.Counter{
+		wireInfer: [3]*telemetry.Counter{
 			s.met.wireRequests.With("infer", "json", "f64"),
 			s.met.wireRequests.With("infer", "binary", "f64"),
 			s.met.wireRequests.With("infer", "binary", "f32"),
-			s.met.wireRequests.With("infer", "binary", "i8"),
 		},
-		wireCapture: [4]*telemetry.Counter{
+		wireCapture: [3]*telemetry.Counter{
 			s.met.wireRequests.With("capture", "json", "f64"),
 			s.met.wireRequests.With("capture", "binary", "f64"),
 			s.met.wireRequests.With("capture", "binary", "f32"),
-			s.met.wireRequests.With("capture", "binary", "i8"),
 		},
 	}
 	for _, opt := range opts {
@@ -606,12 +603,11 @@ func (h *handler) wireSnapshot() []serveapi.WireStats {
 		{"json", "f64"},
 		{"binary", "f64"},
 		{"binary", "f32"},
-		{"binary", "i8"},
 	}
 	var out []serveapi.WireStats
 	for _, ep := range []struct {
 		name     string
-		counters *[4]*telemetry.Counter
+		counters *[3]*telemetry.Counter
 	}{{"infer", &h.wireInfer}, {"capture", &h.wireCapture}} {
 		for i, slot := range slots {
 			if n := ep.counters[i].Value(); n > 0 {
@@ -629,8 +625,6 @@ func dtypeSlot(dt serveapi.Dtype) (slot int, label string) {
 	switch dt {
 	case serveapi.DtypeF32:
 		return wireSlotF32, "f32"
-	case serveapi.DtypeI8:
-		return wireSlotI8, "i8"
 	}
 	return wireSlotF64, "f64"
 }

@@ -37,9 +37,7 @@ type LoadGenConfig struct {
 	// the before/after comparison.
 	Wire string
 	// Dtype selects the binary wire's element encoding: "f64"
-	// (default), "f32", or "int8"/"i8". It shapes only the frame
-	// payload bytes; inputs are generated as integer-valued floats when
-	// int8 is selected so the round-clamp transport encoding is exact.
+	// (default) or "f32". It shapes only the frame payload bytes.
 	// Ignored under the JSON wire.
 	Dtype string
 	// CaptureDB, when set, ships every completed inference back to the
@@ -93,10 +91,8 @@ func runLoadGen(cfg LoadGenConfig, wire serveclient.Wire) (*results.Record, erro
 		dtype = serveapi.DtypeF64
 	case "f32":
 		dtype = serveapi.DtypeF32
-	case "int8", "i8":
-		dtype = serveapi.DtypeI8
 	default:
-		return nil, fmt.Errorf("serve: loadgen: unknown dtype %q (want f64, f32, or int8)", cfg.Dtype)
+		return nil, fmt.Errorf("serve: loadgen: unknown dtype %q (want f64 or f32)", cfg.Dtype)
 	}
 	client := serveclient.New(cfg.Target, serveclient.WithTimeout(10*time.Second),
 		serveclient.WithWire(wire), serveclient.WithFrameDtype(dtype))
@@ -180,13 +176,7 @@ func runLoadGen(cfg LoadGenConfig, wire serveclient.Wire) (*results.Record, erro
 					}
 				}
 				for i := range in {
-					if dtype == serveapi.DtypeI8 {
-						// Integer-valued features so the i8 wire's
-						// round-clamp encoding is exact transport.
-						in[i] = float64(rng.Intn(17) - 8)
-					} else {
-						in[i] = rng.Float64()
-					}
+					in[i] = rng.Float64()
 				}
 				sent.Add(1)
 				start := time.Now()

@@ -15,7 +15,7 @@ import (
 //     capture side a db label;
 //   - outcome-style labels are closed enums: outcome=ok|error|rejected,
 //     result=ok|error, verdict=trusted|uncertain|out_of_domain,
-//     stage=decode|encode, wire=json|binary, dtype=f64|f32|i8.
+//     stage=decode|encode, wire=json|binary, dtype=f64|f32.
 //
 // The hot path records through child handles resolved once per model
 // at registration (see modelStats / captureDB), so serving traffic

@@ -298,7 +298,7 @@ type ModelSnapshot struct {
 type WireStats struct {
 	Endpoint string `json:"endpoint"` // "infer" or "capture"
 	Wire     string `json:"wire"`     // "json" or "binary"
-	Dtype    string `json:"dtype"`    // "f64", "f32", or "i8"
+	Dtype    string `json:"dtype"`    // "f64" or "f32"
 	Requests uint64 `json:"requests"`
 }
 
@@ -314,7 +314,7 @@ type StatsResponse struct {
 	Learners []LearnerSnapshot `json:"learners,omitempty"`
 	// Wire breaks the hot-path traffic down by endpoint, wire protocol,
 	// and payload dtype — the JSON view of the
-	// hpacml_wire_requests_total metric, so the encoding mix (and the
-	// int8 wire's adoption) is visible without a metrics scraper.
+	// hpacml_wire_requests_total metric, so the encoding mix is
+	// visible without a metrics scraper.
 	Wire []WireStats `json:"wire,omitempty"`
 }

@@ -23,7 +23,7 @@ const ContentTypeFrame = "application/x-hpacml-frame"
 //	0       4     magic    "MFPH" on the wire (0x4850464d LE)
 //	4       1     version  FrameVersion
 //	5       1     kind     FrameInferRequest | FrameInferResponse | FrameCaptureRequest
-//	6       1     dtype    DtypeF64 | DtypeF32 | DtypeI8
+//	6       1     dtype    DtypeF64 | DtypeF32
 //	7       1     reserved (must be 0)
 //	8       4     body length in bytes (the length prefix; total frame = 12 + body)
 //
@@ -55,17 +55,12 @@ type Dtype byte
 // Wire float encodings. DtypeF64 is lossless against the runtime's
 // float64 staging tensors; DtypeF32 halves payload bytes for callers
 // that accept single-precision transport (e.g. regions already running
-// the float32 compute path). DtypeI8 cuts the payload to one byte per
-// element: values are rounded half-away-from-zero and saturated to
-// [-128, 127] on encode (NaN encodes as 0), so it is a transport
-// encoding for feature spaces that are integer-valued and small — not
-// a general float compression. It pairs naturally with servers running
-// the quantized int8 compute path (hpacml-serve -int8), but the wire
-// dtype and the compute dtype are independent choices.
+// the float32 compute path). The wire dtype and the compute precision
+// are independent choices: a server running the quantized int8 compute
+// path (hpacml-serve -int8) takes f64 or f32 frames like any other.
 const (
 	DtypeF64 Dtype = 0
 	DtypeF32 Dtype = 1
-	DtypeI8  Dtype = 2
 )
 
 // Size returns the element size in bytes.
@@ -73,8 +68,6 @@ func (d Dtype) Size() int {
 	switch d {
 	case DtypeF32:
 		return 4
-	case DtypeI8:
-		return 1
 	}
 	return 8
 }
@@ -85,13 +78,11 @@ func (d Dtype) String() string {
 		return "f64"
 	case DtypeF32:
 		return "f32"
-	case DtypeI8:
-		return "i8"
 	}
 	return fmt.Sprintf("dtype(%d)", byte(d))
 }
 
-func validDtype(d Dtype) bool { return d == DtypeF64 || d == DtypeF32 || d == DtypeI8 }
+func validDtype(d Dtype) bool { return d == DtypeF64 || d == DtypeF32 }
 
 // frame size sanity bounds, mirroring the .gmod reader's plausibility
 // checks: a decoder fed garbage must fail fast, never allocate
@@ -133,35 +124,12 @@ func appendFloats(dst []byte, dtype Dtype, data []float64) []byte {
 		for _, v := range data {
 			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(v)))
 		}
-	case DtypeI8:
-		for _, v := range data {
-			dst = append(dst, byte(encodeI8(v)))
-		}
 	default:
 		for _, v := range data {
 			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 		}
 	}
 	return dst
-}
-
-// encodeI8 is the i8 wire encoding: round half-away-from-zero,
-// saturate to int8, NaN to 0. Saturation (not wrapping) keeps a
-// slightly-out-of-range value nearest its true magnitude.
-func encodeI8(v float64) int8 {
-	if math.IsNaN(v) {
-		return 0
-	}
-	if v >= 127 {
-		return 127
-	}
-	if v <= -128 {
-		return -128
-	}
-	if v >= 0 {
-		return int8(v + 0.5)
-	}
-	return int8(v - 0.5)
 }
 
 // inferBodyLen is the exact body size of an infer frame, so encoders
@@ -353,10 +321,6 @@ func (r *frameReader) floats(dtype Dtype, count int, into []float64) ([]float64,
 	case DtypeF32:
 		for i := range out {
 			out[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:])))
-		}
-	case DtypeI8:
-		for i := range out {
-			out[i] = float64(int8(b[i]))
 		}
 	default:
 		for i := range out {

@@ -14,10 +14,11 @@ import (
 // conversion is involved; f32 sNaN payloads quiet on the f32->f64->f32
 // trip, so f32 asserts value-level idempotence). The seeds cover the
 // documented failure classes: truncated headers and bodies, forged
-// dimension fields (overflow), and dtype/kind mismatches.
+// dimension fields (overflow), dtype/kind mismatches, and frames of the
+// retired i8 dtype (byte 2), which every decoder must refuse.
 func FuzzDecodeFrame(f *testing.F) {
 	// Valid frames of every kind and dtype.
-	for _, dtype := range []Dtype{DtypeF64, DtypeF32, DtypeI8} {
+	for _, dtype := range []Dtype{DtypeF64, DtypeF32} {
 		req, _ := AppendInferRequest(nil, dtype, "binomial", 2, 3, []float64{1, 2, 3, 4, 5, 6})
 		f.Add(req)
 		resp, _ := AppendInferResponse(nil, dtype, "binomial", 2, 1, []float64{7, 8})
@@ -48,19 +49,20 @@ func FuzzDecodeFrame(f *testing.F) {
 	badKind := append([]byte(nil), good...)
 	badKind[5] = FrameCaptureRequest
 	f.Add(badKind)
-	// An i8 frame with every byte value, and a capture frame whose i8
-	// payload exercises the size-1 element bound in decodeShape.
-	allBytes := make([]float64, 256)
-	for i := range allBytes {
-		allBytes[i] = float64(int8(i))
+	// Retired i8 frames: every kind with dtype byte 2, and infer request
+	// and response frames carrying one byte per element as the old
+	// encoder wrote them.
+	for _, frame := range i8Frames() {
+		f.Add(frame)
 	}
-	i8Frame, _ := AppendInferRequest(nil, DtypeI8, "q", 16, 16, allBytes)
-	f.Add(i8Frame)
-	i8Cap, _ := AppendCaptureRequest(nil, DtypeI8, "db", []CaptureRecord{
-		{Region: "r", InputShape: []int{1, 8}, Inputs: allBytes[:8],
-			OutputShape: []int{1, 1}, Outputs: []float64{-5}, RuntimeNS: 2},
-	})
-	f.Add(i8Cap)
+	allBytes := make([]byte, 256)
+	for i := range allBytes {
+		allBytes[i] = byte(i)
+	}
+	f.Add(rawInferFrame(dtypeI8, "q", 16, 16, allBytes))
+	i8Resp := rawInferFrame(dtypeI8, "q", 16, 16, allBytes)
+	i8Resp[5] = FrameInferResponse
+	f.Add(i8Resp)
 
 	sameFloats := func(a, b []float64) bool {
 		if len(a) != len(b) {
@@ -85,9 +87,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted frame did not re-encode: %v", err)
 		}
-		// f64 re-encodes bit-identically; so does i8, whose decoded
-		// values are always integers in [-128, 127] and therefore fixed
-		// points of the round-clamp encoder.
+		// f64 re-encodes bit-identically.
 		if inf.Dtype != DtypeF32 && !bytes.Equal(re, frame) {
 			t.Fatalf("%s round trip changed bytes:\n%x\n%x", inf.Dtype, frame, re)
 		}

@@ -32,16 +32,9 @@ func sampleSlab(rows, cols int) []float64 {
 }
 
 func TestInferFrameRoundTrip(t *testing.T) {
-	for _, dtype := range []Dtype{DtypeF64, DtypeF32, DtypeI8} {
+	for _, dtype := range []Dtype{DtypeF64, DtypeF32} {
 		rows, cols := 7, 5
 		data := sampleSlab(rows, cols)
-		if dtype == DtypeI8 {
-			// i8 is exact only for integer values in [-128, 127]; the
-			// round trip is asserted bitwise, so feed it its own domain.
-			for i := range data {
-				data[i] = float64(int8(i*13 - 90))
-			}
-		}
 		frame, err := AppendInferRequest(nil, dtype, "binomial", rows, cols, data)
 		if err != nil {
 			t.Fatalf("%s: encode: %v", dtype, err)
@@ -63,9 +56,6 @@ func TestInferFrameRoundTrip(t *testing.T) {
 				t.Fatalf("%s: element %d = %g, want %g", dtype, i, v, want)
 			}
 		}
-		if dtype == DtypeI8 && len(frame) != FrameHeaderLen+2+len("binomial")+8+rows*cols {
-			t.Fatalf("i8 frame is %d bytes, want one byte per element", len(frame))
-		}
 		// Response kind must not decode as a request.
 		resp, err := AppendInferResponse(nil, dtype, "binomial", rows, cols, data)
 		if err != nil {
@@ -80,23 +70,47 @@ func TestInferFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestI8WireEncoding pins the i8 transport semantics: round
-// half-away-from-zero, saturate to [-128, 127], NaN to 0. These are
-// wire-format guarantees — changing them breaks cross-version peers.
+// dtypeI8 is the retired one-byte wire dtype. Peers that still send it
+// must be refused, never decoded as some other encoding.
+const dtypeI8 Dtype = 2
+
+// i8Frames returns a well-formed f64 infer request, infer response and
+// capture request, each with its dtype byte rewritten to dtypeI8.
+func i8Frames() [][]byte {
+	req, _ := AppendInferRequest(nil, DtypeF64, "m", 2, 3, []float64{1, 2, 3, 4, 5, 6})
+	resp, _ := AppendInferResponse(nil, DtypeF64, "m", 2, 1, []float64{7, 8})
+	capFrame, _ := AppendCaptureRequest(nil, DtypeF64, "db", []CaptureRecord{
+		{Region: "r", InputShape: []int{1, 2}, Inputs: []float64{1, 2},
+			OutputShape: []int{1, 1}, Outputs: []float64{3}, RuntimeNS: 5},
+	})
+	frames := [][]byte{req, resp, capFrame}
+	for _, f := range frames {
+		f[6] = byte(dtypeI8)
+	}
+	return frames
+}
+
+// TestI8WireEncoding pins that the i8 wire dtype is gone: encoders
+// refuse it, and a dtype-2 request, response or capture frame fails to
+// decode, both at full f64 width and at the old one byte per element.
 func TestI8WireEncoding(t *testing.T) {
-	in := []float64{0, 1, -1, 0.5, -0.5, 0.49, -0.49, 126.6, 127, 128, 1e300, -127.5, -128, -129, -1e300, math.NaN(), math.Inf(1), math.Inf(-1)}
-	want := []float64{0, 1, -1, 1, -1, 0, 0, 127, 127, 127, 127, -128, -128, -128, -128, 0, 127, -128}
-	frame, err := AppendInferRequest(nil, DtypeI8, "m", 1, len(in), in)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := AppendInferRequest(nil, dtypeI8, "m", 1, 2, []float64{1, 2}); err == nil {
+		t.Error("infer encoder accepted dtype 2")
 	}
-	got, err := DecodeInferRequest(frame, nil)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := AppendCaptureRequest(nil, dtypeI8, "db", nil); err == nil {
+		t.Error("capture encoder accepted dtype 2")
 	}
-	for i, v := range got.Data {
-		if v != want[i] {
-			t.Errorf("encode(%g) round-tripped to %g, want %g", in[i], v, want[i])
+	frames := i8Frames()
+	frames = append(frames, rawInferFrame(dtypeI8, "m", 2, 3, []byte{1, 2, 3, 4, 5, 6}))
+	for i, frame := range frames {
+		if _, err := DecodeInferRequest(frame, nil); err == nil {
+			t.Errorf("frame %d: dtype-2 infer request decoded", i)
+		}
+		if _, err := DecodeInferResponse(frame, nil); err == nil {
+			t.Errorf("frame %d: dtype-2 infer response decoded", i)
+		}
+		if _, _, err := DecodeCaptureRequest(frame); err == nil {
+			t.Errorf("frame %d: dtype-2 capture request decoded", i)
 		}
 	}
 }
@@ -161,7 +175,12 @@ func TestFrameDecodeRejectsMalformed(t *testing.T) {
 		"bad magic":        corrupt(func(b []byte) { b[0] ^= 0xFF }),
 		"bad version":      corrupt(func(b []byte) { b[4] = 99 }),
 		"bad dtype":        corrupt(func(b []byte) { b[6] = 7 }),
-		"forged rows":      corrupt(func(b []byte) { b[FrameHeaderLen+3] = 0xFF; b[FrameHeaderLen+4] = 0xFF; b[FrameHeaderLen+5] = 0xFF; b[FrameHeaderLen+6] = 0xFF }),
+		"forged rows": corrupt(func(b []byte) {
+			b[FrameHeaderLen+3] = 0xFF
+			b[FrameHeaderLen+4] = 0xFF
+			b[FrameHeaderLen+5] = 0xFF
+			b[FrameHeaderLen+6] = 0xFF
+		}),
 	}
 	for name, frame := range cases {
 		if _, err := DecodeInferRequest(frame, nil); err == nil {

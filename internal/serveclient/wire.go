@@ -44,11 +44,9 @@ func WithWire(w Wire) Option {
 
 // WithFrameDtype selects the element encoding of outgoing binary
 // frames (default serveapi.DtypeF64). DtypeF32 halves the request
-// payload; DtypeI8 shrinks it to a byte per element but rounds and
-// saturates each value to [-128, 127] on encode, so it is only
-// appropriate for integer-valued, small-range feature spaces. The
-// server answers /v1/infer in the request's dtype, so this choice
-// bounds the response precision too. It has no effect under WireJSON.
+// payload. The server answers /v1/infer in the request's dtype, so
+// this choice bounds the response precision too. It has no effect
+// under WireJSON.
 func WithFrameDtype(d serveapi.Dtype) Option {
 	return func(c *Client) { c.dtype = d }
 }

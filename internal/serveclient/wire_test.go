@@ -230,43 +230,27 @@ func TestClientBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestClientBinaryI8Dtype: a client built with WithFrameDtype(DtypeI8)
-// ships one-byte elements, the server answers in kind, and
-// integer-valued inputs survive the round-clamp transport exactly.
+// TestClientBinaryI8Dtype: the one-byte i8 frame dtype is retired, so
+// a client configured with it (dtype byte 2) fails locally on both hot
+// paths and never puts a frame on the wire.
 func TestClientBinaryI8Dtype(t *testing.T) {
 	ts, counts := dualStub(t)
 	c := serveclient.New(ts.URL,
 		serveclient.WithWire(serveclient.WireBinary),
-		serveclient.WithFrameDtype(serveapi.DtypeI8))
+		serveclient.WithFrameDtype(serveapi.Dtype(2)))
 	ctx := context.Background()
 
-	rows, cols := 4, 2
-	in := make([]float64, rows*cols)
-	for i := range in {
-		in[i] = float64(i - 4) // integer-valued: exact on the i8 wire
-	}
-	out, outCols, err := c.InferMatrix(ctx, "sum", rows, cols, in, nil)
-	if err != nil || outCols != 1 || len(out) != rows {
-		t.Fatalf("InferMatrix = %v, %d, %v", out, outCols, err)
-	}
-	for i := 0; i < rows; i++ {
-		// The stub doubles the row sum; inputs and (integer) outputs
-		// both fit i8, so the answer is exact despite the 1-byte wire.
-		if want := 2 * (in[i*cols] + in[i*cols+1]); out[i] != want {
-			t.Fatalf("row %d = %g, want %g", i, out[i], want)
-		}
+	if _, _, err := c.InferMatrix(ctx, "sum", 1, 2, []float64{1, 2}, nil); err == nil {
+		t.Fatal("InferMatrix with dtype 2 succeeded")
 	}
 	recs := []serveapi.CaptureRecord{
 		{Region: "r", InputShape: []int{1, 2}, Inputs: []float64{5, -3}, OutputShape: []int{1, 1}, Outputs: []float64{4}},
 	}
-	if n, err := c.Capture(ctx, "d", recs); err != nil || n != 1 {
-		t.Fatalf("Capture = %d, %v", n, err)
+	if _, err := c.Capture(ctx, "d", recs); err == nil {
+		t.Fatal("Capture with dtype 2 succeeded")
 	}
-	if got := counts.frames.Load(); got != 2 {
-		t.Fatalf("i8 client sent %d frames, want 2", got)
-	}
-	if got := counts.jsons.Load(); got != 0 {
-		t.Fatalf("i8 client sent %d JSON hot-path requests", got)
+	if got := counts.frames.Load() + counts.jsons.Load(); got != 0 {
+		t.Fatalf("dtype-2 client sent %d requests", got)
 	}
 }
 

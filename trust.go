@@ -119,29 +119,6 @@ func (r *Region) countTrust(rep *TrustReport, lo, hi int, keptTrusted bool) {
 	}
 }
 
-// routeUntrustedSingle handles a single invocation whose trust report
-// rejected at least one row: the surrogate's output is discarded, the
-// rejected rows are counted, the accurate closure recomputes the
-// invocation, and the recomputed sample is recaptured through the sink
-// when the region has a capture target.
-func (r *Region) routeUntrustedSingle(rep *TrustReport, accurate func() error) error {
-	r.countTrust(rep, 0, rep.Rows, false)
-	start := time.Now()
-	inputs, err := r.modelInput()
-	r.stats.ToTensor += time.Since(start)
-	if err != nil {
-		return err
-	}
-	runStart := time.Now()
-	if err := accurate(); err != nil {
-		return err
-	}
-	runtime := time.Since(runStart)
-	r.stats.Accurate += runtime
-	r.stats.AccurateRuns++
-	return r.recaptureInvocation(inputs, runtime)
-}
-
 // recaptureInvocation hands one accurately recomputed invocation to
 // the capture sink — the retraining loop's feedstock. inputs must have
 // been gathered before the accurate run (inout arrays are overwritten
@@ -190,7 +167,7 @@ func (r *Region) ExecuteBatchRouted(ctx context.Context, n int, stage func(i int
 	if accurate == nil {
 		return fmt.Errorf("hpacml: ExecuteBatchRouted in region %q needs an accurate callback (use ExecuteBatch otherwise)", r.name)
 	}
-	return r.executeBatch(ctx, n, stage, accurate, finish)
+	return r.executeBatch(ctx, n, stage, accurate, finish, true)
 }
 
 // routeInvocationAccurate recomputes one batched invocation on the
@@ -231,7 +208,7 @@ func (r *Region) routeInvocationAccurate(i int, stage, accurate, finish func(int
 // costs surrogate speedup, never rows. No recapture happens here —
 // these are fallbacks (the engine failed), not trust rejections (the
 // model answered and was overruled).
-func (r *Region) degradeBatch(n int, stage, accurate, finish func(int) error) error {
+func (r *Region) degradeBatch(n int, stage, accurate, finish func(int) error, batched bool) error {
 	for i := 0; i < n; i++ {
 		if stage != nil {
 			if err := stage(i); err != nil {
@@ -245,7 +222,9 @@ func (r *Region) degradeBatch(n int, stage, accurate, finish func(int) error) er
 		r.stats.Accurate += time.Since(start)
 		r.stats.AccurateRuns++
 		r.stats.Fallbacks++
-		r.stats.Invocations++
+		if batched {
+			r.stats.Invocations++
+		}
 		if finish != nil {
 			if err := finish(i); err != nil {
 				return fmt.Errorf("hpacml: batch finish %d in region %q: %w", i, r.name, err)
