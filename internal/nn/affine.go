@@ -39,6 +39,26 @@ func (a *Affine) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	return out, nil
 }
 
+// inferDims reports that the transform preserves rank-2 extents.
+func (a *Affine) inferDims(x *tensor.Tensor) (int, int, bool) {
+	if x.Rank() != 2 {
+		return 0, 0, false
+	}
+	return x.Dim(0), x.Dim(1), true
+}
+
+// forwardInto applies the transform from x into dst without allocating.
+func (a *Affine) forwardInto(dst, x *tensor.Tensor) error {
+	if !tensor.SameShape(dst, x) || !dst.IsContiguous() {
+		return fmt.Errorf("affine dst wants contiguous %v, got %v", x.Shape(), dst.Shape())
+	}
+	d := dst.Data()
+	for i, v := range x.Contiguous().Data() {
+		d[i] = a.Scale*v + a.Shift
+	}
+	return nil
+}
+
 // Backward scales the gradient.
 func (a *Affine) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	out := grad.Contiguous().Clone()
@@ -109,6 +129,35 @@ func (c *ChannelAffine) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, e
 		d[i] = c.Scales[b]*d[i] + c.Shifts[b]
 	}
 	return out, nil
+}
+
+// inferDims accepts rank-2 inputs whose rows are one sample of the
+// block structure.
+func (c *ChannelAffine) inferDims(x *tensor.Tensor) (int, int, bool) {
+	if x.Rank() != 2 || c.BlockLen <= 0 || len(c.Scales) != len(c.Shifts) || x.Dim(1) != c.BlockLen*len(c.Scales) {
+		return 0, 0, false
+	}
+	return x.Dim(0), x.Dim(1), true
+}
+
+// forwardInto applies the per-block transform from x into dst without
+// allocating.
+func (c *ChannelAffine) forwardInto(dst, x *tensor.Tensor) error {
+	if _, _, ok := c.inferDims(x); !ok {
+		return fmt.Errorf("channel affine wants [batch, %d], got %v", c.BlockLen*len(c.Scales), x.Shape())
+	}
+	if !tensor.SameShape(dst, x) || !dst.IsContiguous() {
+		return fmt.Errorf("channel affine dst wants contiguous %v, got %v", x.Shape(), dst.Shape())
+	}
+	d, xd := dst.Data(), x.Contiguous().Data()
+	for lo := 0; lo < len(d); lo += c.BlockLen {
+		b := (lo / c.BlockLen) % len(c.Scales)
+		s, sh := c.Scales[b], c.Shifts[b]
+		for i := lo; i < lo+c.BlockLen; i++ {
+			d[i] = s*xd[i] + sh
+		}
+	}
+	return nil
 }
 
 // Backward scales the gradient per block.

@@ -65,19 +65,26 @@ func TestForwardIntoZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc assertions run in the non-race job")
 	}
-	net := mlpForTest(3)
-	x := randInput(rand.New(rand.NewSource(9)), 1, 6)
-	dst := tensor.New(1, 3)
-	if err := net.ForwardInto(dst, x); err != nil { // warm the arena
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := net.ForwardInto(dst, x); err != nil {
+	// normalized is the standardization-wrapped MLP hpacml-train
+	// -normalize writes: per-feature affine in, affine out.
+	normalized := NewNetwork(3)
+	normalized.Add(NewChannelAffine(1, []float64{0.5, 2, 1, 0.25, 4, 1}, []float64{0.1, -1, 0, 0.3, 2, -0.5}),
+		normalized.NewDense(6, 24), NewActivation(ActTanh), normalized.NewDense(24, 3),
+		NewAffine(2, 0.5))
+	for name, net := range map[string]*Network{"mlp": mlpForTest(3), "normalized": normalized} {
+		x := randInput(rand.New(rand.NewSource(9)), 1, 6)
+		dst := tensor.New(1, 3)
+		if err := net.ForwardInto(dst, x); err != nil { // warm the arena
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state ForwardInto allocates %.1f objects/call, want 0", allocs)
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := net.ForwardInto(dst, x); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: steady-state ForwardInto allocates %.1f objects/call, want 0", name, allocs)
+		}
 	}
 }
 

@@ -183,11 +183,11 @@ func compileSegments(net *Network) ([]tailOp, []i8seg, int, int, error) {
 				w: l.Weight.W.Contiguous().Data(), b: l.Bias.W.Contiguous().Data()})
 			cols = l.Out
 		case *Activation:
-			fn, err := l.fn()
+			act, err := l.kind()
 			if err != nil {
 				return nil, nil, 0, 0, fmt.Errorf("nn: i8 path: layer %d: %w", i, err)
 			}
-			addTail(tailOp{kind: tailAct, fn: fn})
+			addTail(tailOp{kind: tailAct, fn: act.Of})
 		case *Affine:
 			addTail(tailOp{kind: tailAffine, scale: l.Scale, shift: l.Shift})
 		case *ChannelAffine:

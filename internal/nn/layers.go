@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/parallel"
@@ -81,6 +80,13 @@ func (d *Dense) inferDims(x *tensor.Tensor) (int, int, bool) {
 
 // forwardInto computes xW + b into dst without allocating.
 func (d *Dense) forwardInto(dst, x *tensor.Tensor) error {
+	return d.forwardActInto(dst, x, tensor.ActIdentity)
+}
+
+// forwardActInto computes act(xW + b) into dst without allocating: the
+// f64 row kernel applies act to each output before storing it, which is
+// how inference fuses a Dense with the Activation after it.
+func (d *Dense) forwardActInto(dst, x *tensor.Tensor, act tensor.Act) error {
 	if x.Rank() != 2 || x.Dim(1) != d.In {
 		return fmt.Errorf("dense wants [batch, %d], got %v", d.In, x.Shape())
 	}
@@ -88,43 +94,7 @@ func (d *Dense) forwardInto(dst, x *tensor.Tensor) error {
 	if dst.Rank() != 2 || dst.Dim(0) != b || dst.Dim(1) != d.Out || !dst.IsContiguous() {
 		return fmt.Errorf("dense dst wants contiguous [%d, %d], got %v", b, d.Out, dst.Shape())
 	}
-	x = x.Contiguous()
-	xd, wd, bd, od := x.Data(), d.Weight.W.Data(), d.Bias.W.Data(), dst.Data()
-	in, outW := d.In, d.Out
-	// Small products run the loop directly: no closure, no goroutines,
-	// no allocation. The loop body must mirror the parallel branch so
-	// results are bit-identical either way.
-	if b*in*outW < denseParFLOPs {
-		for r := 0; r < b; r++ {
-			denseRow(xd[r*in:(r+1)*in], wd, bd, od[r*outW:(r+1)*outW])
-		}
-		return nil
-	}
-	parallel.ForRange(b, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			denseRow(xd[r*in:(r+1)*in], wd, bd, od[r*outW:(r+1)*outW])
-		}
-	})
-	return nil
-}
-
-// denseParFLOPs is the multiply-accumulate count below which a dense
-// forward pass runs serially on the calling goroutine.
-const denseParFLOPs = 1 << 18
-
-// denseRow computes one output row: orow = xrow @ W + bias.
-func denseRow(xrow, wd, bd, orow []float64) {
-	outW := len(orow)
-	copy(orow, bd)
-	for k, xv := range xrow {
-		if xv == 0 {
-			continue
-		}
-		wrow := wd[k*outW : (k+1)*outW]
-		for j := range orow {
-			orow[j] += xv * wrow[j]
-		}
-	}
+	return tensor.DenseInto(dst.Data(), x.Contiguous().Data(), d.Weight.W.Data(), d.Bias.W.Data(), b, d.In, d.Out, act)
 }
 
 // Backward computes input gradients and accumulates dW, db. Both matrix
@@ -217,52 +187,54 @@ func (a *Activation) OutShape(in []int) ([]int, error) {
 }
 
 func validActivation(fn string) bool {
+	_, ok := actKind(fn)
+	return ok
+}
+
+// actKind maps an activation name to the kernel's kind.
+func actKind(fn string) (tensor.Act, bool) {
 	switch fn {
-	case ActReLU, ActTanh, ActSigmoid, ActLeakyReLU, ActIdentity:
-		return true
-	}
-	return false
-}
-
-// fn returns the scalar map for the activation kind.
-func (a *Activation) fn() (func(float64) float64, error) {
-	switch a.Fn {
 	case ActReLU:
-		return func(v float64) float64 {
-			if v > 0 {
-				return v
-			}
-			return 0
-		}, nil
+		return tensor.ActReLU, true
 	case ActTanh:
-		return math.Tanh, nil
+		return tensor.ActTanh, true
 	case ActSigmoid:
-		return func(v float64) float64 { return 1 / (1 + math.Exp(-v)) }, nil
+		return tensor.ActSigmoid, true
 	case ActLeakyReLU:
-		return func(v float64) float64 {
-			if v > 0 {
-				return v
-			}
-			return 0.01 * v
-		}, nil
+		return tensor.ActLeakyReLU, true
 	case ActIdentity:
-		return func(v float64) float64 { return v }, nil
+		return tensor.ActIdentity, true
 	}
-	return nil, fmt.Errorf("unknown activation %q", a.Fn)
+	return 0, false
 }
 
-// applyElemwise maps dst[i] = f(src[i]) (src may alias dst), running the
-// small case inline with no closure and chunk-parallelizing the rest.
+// kind returns the kernel's kind for the activation.
+func (a *Activation) kind() (tensor.Act, error) {
+	k, ok := actKind(a.Fn)
+	if !ok {
+		return 0, fmt.Errorf("unknown activation %q", a.Fn)
+	}
+	return k, nil
+}
+
+// applyElemwise maps dst[i] = act(src[i]) (src may alias dst), running
+// the small case inline with no closure and splitting the rest into
+// chunks of at least elemwiseParMin elements, each one act.Map call.
 // One home for the elementwise threshold keeps the activation paths'
 // parallelization policy consistent.
-func applyElemwise(dst, src []float64, f func(float64) float64) {
+func applyElemwise(dst, src []float64, act tensor.Act) {
 	if len(dst) < elemwiseParMin {
-		for i := range dst {
-			dst[i] = f(src[i])
-		}
+		act.Map(dst, src)
 		return
 	}
-	parallel.ForChunked(len(dst), elemwiseParMin, func(i int) { dst[i] = f(src[i]) })
+	chunks := len(dst) / elemwiseParMin
+	parallel.ForChunked(chunks, 1, func(c int) {
+		lo, hi := c*elemwiseParMin, (c+1)*elemwiseParMin
+		if c == chunks-1 {
+			hi = len(dst)
+		}
+		act.Map(dst[lo:hi], src[lo:hi])
+	})
 }
 
 // elemwiseParMin is the element count below which elementwise maps run
@@ -273,7 +245,7 @@ const elemwiseParMin = 4096
 // the input into a layer-owned arena; inference clones (the rank-2 hot
 // path goes through forwardInto and the pooled arena instead).
 func (a *Activation) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
-	f, err := a.fn()
+	act, err := a.kind()
 	if err != nil {
 		return nil, err
 	}
@@ -285,9 +257,9 @@ func (a *Activation) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, erro
 	if out == nil {
 		out = xc.Clone()
 		d := out.Data()
-		applyElemwise(d, d, f)
+		applyElemwise(d, d, act)
 	} else {
-		applyElemwise(out.Data(), xc.Data(), f)
+		applyElemwise(out.Data(), xc.Data(), act)
 	}
 	if train {
 		a.lastIn = xc
@@ -307,14 +279,14 @@ func (a *Activation) inferDims(x *tensor.Tensor) (int, int, bool) {
 // forwardInto applies the nonlinearity from x into dst without
 // allocating. dst may not alias a non-contiguous x.
 func (a *Activation) forwardInto(dst, x *tensor.Tensor) error {
-	f, err := a.fn()
+	act, err := a.kind()
 	if err != nil {
 		return err
 	}
 	if dst.Rank() != 2 || x.Rank() != 2 || dst.Dim(0) != x.Dim(0) || dst.Dim(1) != x.Dim(1) || !dst.IsContiguous() {
 		return fmt.Errorf("activation dst wants contiguous %v, got %v", x.Shape(), dst.Shape())
 	}
-	applyElemwise(dst.Data(), x.Contiguous().Data(), f)
+	applyElemwise(dst.Data(), x.Contiguous().Data(), act)
 	return nil
 }
 

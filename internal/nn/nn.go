@@ -168,30 +168,42 @@ func (n *Network) ForwardTrain(x *tensor.Tensor) (*tensor.Tensor, error) {
 }
 
 // inferScratch holds one inference pass's ping-pong intermediate buffers
-// plus cached tensor headers, reused while layer output shapes repeat.
+// plus a cached tensor header per layer, reused while that layer's output
+// shape repeats and its slot's buffer has not been reallocated. A header
+// per layer, not per slot, keeps a slot shared by layers of different
+// widths from rebuilding its header on every pass.
 type inferScratch struct {
-	bufs       [2][]float64
-	ts         [2]*tensor.Tensor
-	rows, cols [2]int
+	bufs [2][]float64
+	gen  [2]int // bumped each time a slot's buffer is reallocated
+	hdrs []scratchHeader
 }
 
-// tensorFor returns a [rows, cols] tensor backed by the slot's buffer,
-// growing the buffer and rebuilding the header only when the shape
-// changed since the slot's last use.
-func (s *inferScratch) tensorFor(slot, rows, cols int) *tensor.Tensor {
-	if s.ts[slot] != nil && s.rows[slot] == rows && s.cols[slot] == cols {
-		return s.ts[slot]
-	}
+type scratchHeader struct {
+	t                     *tensor.Tensor
+	slot, gen, rows, cols int
+}
+
+// tensorFor returns layer i's [rows, cols] output tensor backed by the
+// slot's buffer, growing the buffer and rebuilding the header only when
+// needed.
+func (s *inferScratch) tensorFor(i, slot, rows, cols int) *tensor.Tensor {
 	n := rows * cols
 	if cap(s.bufs[slot]) < n {
 		s.bufs[slot] = make([]float64, n)
+		s.gen[slot]++
+	}
+	if i >= len(s.hdrs) {
+		s.hdrs = append(s.hdrs, make([]scratchHeader, i+1-len(s.hdrs))...)
+	}
+	h := &s.hdrs[i]
+	if h.t != nil && h.slot == slot && h.gen == s.gen[slot] && h.rows == rows && h.cols == cols {
+		return h.t
 	}
 	t, err := tensor.Wrap(s.bufs[slot][:n], rows, cols)
 	if err != nil {
 		panic("nn: scratch wrap: " + err.Error()) // cannot happen: buffer sized above
 	}
-	s.ts[slot] = t
-	s.rows[slot], s.cols[slot] = rows, cols
+	*h = scratchHeader{t: t, slot: slot, gen: s.gen[slot], rows: rows, cols: cols}
 	return t
 }
 
@@ -223,12 +235,20 @@ func (n *Network) forwardInference(x *tensor.Tensor, dst *tensor.Tensor) (*tenso
 	// layers can return views of their input (Flatten, Dropout), so the
 	// flag stays set across them conservatively.
 	inScratch := false
-	for i, e := range n.Layers {
-		last := i == len(n.Layers)-1
+	for i := 0; i < len(n.Layers); i++ {
+		e := n.Layers[i]
 		il, ok := e.Layer.(intoLayer)
 		if ok {
 			rows, cols, dimsOK := il.inferDims(cur)
 			if dimsOK {
+				// A Dense followed by an Activation is one kernel call that
+				// applies the activation to each output before storing it.
+				at := i
+				fused, act := fuseActivation(n.Layers, i)
+				if fused != nil {
+					i++
+				}
+				last := i == len(n.Layers)-1
 				var out *tensor.Tensor
 				switch {
 				case last && dst != nil:
@@ -239,11 +259,17 @@ func (n *Network) forwardInference(x *tensor.Tensor, dst *tensor.Tensor) (*tenso
 				case last:
 					out = tensor.New(rows, cols)
 				default:
-					out = s.tensorFor(slot, rows, cols)
+					out = s.tensorFor(i, slot, rows, cols)
 					slot ^= 1
 				}
-				if err := il.forwardInto(out, cur); err != nil {
-					return nil, fmt.Errorf("nn: layer %d (%s): %w", i, e.Layer.Kind(), err)
+				var err error
+				if fused != nil {
+					err = fused.forwardActInto(out, cur, act)
+				} else {
+					err = il.forwardInto(out, cur)
+				}
+				if err != nil {
+					return nil, fmt.Errorf("nn: layer %d (%s): %w", at, e.Layer.Kind(), err)
 				}
 				cur = out
 				inScratch = out != dst && !last
@@ -269,6 +295,24 @@ func (n *Network) forwardInference(x *tensor.Tensor, dst *tensor.Tensor) (*tenso
 		cur = cur.Clone()
 	}
 	return cur, nil
+}
+
+// fuseActivation returns layer i when it is a Dense followed by an
+// Activation of a known kind, with that kind; otherwise nil.
+func fuseActivation(layers []*layerEntry, i int) (*Dense, tensor.Act) {
+	d, ok := layers[i].Layer.(*Dense)
+	if !ok || i+1 == len(layers) {
+		return nil, 0
+	}
+	a, ok := layers[i+1].Layer.(*Activation)
+	if !ok {
+		return nil, 0
+	}
+	act, ok := actKind(a.Fn)
+	if !ok {
+		return nil, 0
+	}
+	return d, act
 }
 
 func (n *Network) forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {

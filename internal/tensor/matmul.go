@@ -2,22 +2,15 @@ package tensor
 
 import (
 	"fmt"
+	"math"
+	"sync"
 
 	"repro/internal/parallel"
 )
 
-// The MatMul kernel parallelizes across output-row ranges and adapts its
-// loop order to the size of B. While B fits in the last-level cache, each
-// output row is accumulated fully while resident in L1 and B's rows are
-// streamed — panel blocking would only add C re-traffic. Once B outgrows
-// the cache, the kernel switches to [matMulBlockK x matMulBlockJ] panels
-// of B that stay cache-resident while applied to every row of the
-// worker's range. Both orders accumulate each output element over k
-// ascending, so the paths (and any row split across workers) are
-// bit-identical.
 const (
 	// matMulPanelBytes approximates the last-level cache share available
-	// to B; beyond it the kernel blocks B into panels.
+	// to B; beyond it the f32 and transpose kernels block B into panels.
 	matMulPanelBytes = 8 << 20
 	// matMulBlockK bounds the depth of a B panel.
 	matMulBlockK = 256
@@ -30,8 +23,8 @@ const (
 	matMulParFLOPs = 1 << 18
 )
 
-// MatMul computes a @ b for rank-2 tensors [m,k] x [k,n] -> [m,n] with a
-// cache-aware kernel parallelized across row ranges.
+// MatMul computes a @ b for rank-2 tensors [m,k] x [k,n] -> [m,n] with
+// the packed f64 row kernel (see DenseInto).
 func MatMul(a, b *Tensor) (*Tensor, error) {
 	m, n, err := matMulDims(a, b)
 	if err != nil {
@@ -76,59 +69,274 @@ func matMulDims(a, b *Tensor) (m, n int, err error) {
 func matMulKernel(dst, a, b *Tensor) {
 	m, k, n := a.shape[0], a.shape[1], b.shape[1]
 	ac, bc := a.Contiguous(), b.Contiguous()
-	ad := ac.data[ac.offset:]
-	bd := bc.data[bc.offset:]
-	od := dst.data[dst.offset : dst.offset+m*n]
-	for i := range od {
-		od[i] = 0
-	}
-	if m*k*n < matMulParFLOPs {
-		matMulRows(ad, bd, od, k, n, 0, m)
-		return
-	}
-	parallel.ForRange(m, func(lo, hi int) {
-		matMulRows(ad, bd, od, k, n, lo, hi)
-	})
+	denseF64(dst.data[dst.offset:dst.offset+m*n], ac.data[ac.offset:ac.offset+m*k],
+		bc.data[bc.offset:bc.offset+k*n], nil, m, k, n, ActIdentity)
 }
 
-// matMulRows accumulates output rows [lo, hi), choosing stream or panel
-// order by the size of B.
-func matMulRows(ad, bd, od []float64, k, n, lo, hi int) {
-	if k*n*8 <= matMulPanelBytes {
-		for i := lo; i < hi; i++ {
-			arow := ad[i*k : (i+1)*k]
-			orow := od[i*n : (i+1)*n]
-			for kk := 0; kk < k; kk++ {
-				av := arow[kk]
-				if av == 0 {
-					continue
-				}
-				brow := bd[kk*n : (kk+1)*n]
-				for j := range orow {
-					orow[j] += av * brow[j]
-				}
-			}
-		}
+// DenseInto computes dst = act(a @ b + bias) over flat row-major slabs:
+// a is [m,k], b is [k,n], bias is [n] (nil adds nothing) and dst is
+// [m,n]; dst must not overlap the operands, and its previous contents are
+// overwritten. It is the one f64 GEMM: MatMul and MatMulInto run it too.
+//
+// Each call packs b into pooled 8-column panels ([k][8] float64s, the
+// last one zero-padded). Rows are taken a block at a time: each row's
+// nonzero activations are listed as (index, value) pairs, then
+// the panels are swept in the outer loop and the block's rows in the
+// inner one, so a panel stays in L1 across the block while each row
+// keeps its eight outputs in registers across its list. act is applied
+// to those registers before they are stored.
+//
+// Every output element is bias[j] followed by x_k*b[k][j] added for each
+// nonzero x_k in ascending k, one rounded multiply and one rounded add
+// each, exactly what a plain row loop computes — so the result is
+// bitwise independent of packing, blocking and the parallel split.
+// Zero activations (either sign) are skipped, so a zero row leaves the
+// bias, -0 included, and a 0 * Inf weight never turns an output into
+// NaN.
+func DenseInto(dst, a, b, bias []float64, m, k, n int, act Act) error {
+	if m < 0 || k < 0 || n < 0 {
+		return fmt.Errorf("tensor: dense dims [%d %d %d] negative", m, k, n)
+	}
+	if len(a) != m*k || len(b) != k*n {
+		return fmt.Errorf("tensor: dense operands %d and %d elems, want [%d %d] x [%d %d]", len(a), len(b), m, k, k, n)
+	}
+	if bias != nil && len(bias) != n {
+		return fmt.Errorf("tensor: dense bias %d elems, want %d", len(bias), n)
+	}
+	if len(dst) != m*n {
+		return fmt.Errorf("tensor: dense dst %d elems, want [%d %d]", len(dst), m, n)
+	}
+	if act >= actCount {
+		return fmt.Errorf("tensor: unknown activation %d", act)
+	}
+	denseF64(dst, a, b, bias, m, k, n, act)
+	return nil
+}
+
+// denseF64 is DenseInto on validated operands. A large product is split
+// across workers by rows, after one pack. When it has more columns than
+// rows, a row split would leave the pack — as much work as a row per
+// column — serial, so the workers split the panels instead and each packs
+// its own.
+func denseF64(dst, a, b, bias []float64, m, k, n int, act Act) {
+	if m == 0 || n == 0 {
 		return
 	}
-	for k0 := 0; k0 < k; k0 += matMulBlockK {
-		k1 := min(k0+matMulBlockK, k)
-		for j0 := 0; j0 < n; j0 += matMulBlockJ {
-			j1 := min(j0+matMulBlockJ, n)
-			for i := lo; i < hi; i++ {
-				arow := ad[i*k : (i+1)*k]
-				orow := od[i*n+j0 : i*n+j1]
-				for kk := k0; kk < k1; kk++ {
-					av := arow[kk]
-					if av == 0 {
-						continue
-					}
-					brow := bd[kk*n+j0 : kk*n+j1]
-					for j := range orow {
-						orow[j] += av * brow[j]
-					}
+	p := packedF64Pool.Get().(*packedF64)
+	defer packedF64Pool.Put(p)
+	p.init(bias, k, n)
+	switch {
+	case m*k*n < matMulParFLOPs:
+		p.pack(b, 0, p.panels)
+		p.rows(dst, a, 0, m, 0, p.panels, act)
+	case n > m:
+		parallel.ForRange(p.panels, func(q0, q1 int) {
+			p.pack(b, q0, q1)
+			p.rows(dst, a, 0, m, q0, q1, act)
+		})
+	default:
+		p.pack(b, 0, p.panels)
+		parallel.ForRange(m, func(lo, hi int) {
+			p.rows(dst, a, lo, hi, 0, p.panels, act)
+		})
+	}
+}
+
+// panelWidth is the column count of a packed panel: the accumulators one
+// row keeps in registers.
+const panelWidth = 8
+
+// f64RowBlock is how many rows list their activations before the panels
+// sweep them. A larger block reuses each L1-resident panel across more
+// rows; the block's lists (16 bytes per nonzero) stay in L2.
+const f64RowBlock = 32
+
+// packedF64 is a [k, n] f64 matrix in 8-column panels plus its bias
+// padded to whole panels. It lives for one DenseInto call.
+type packedF64 struct {
+	k, n, panels int
+	w            [][panelWidth]float64 // [panels][k]; columns past n are 0
+	bias         [][panelWidth]float64 // [panels]; 0 past n, or everywhere without a bias
+}
+
+var packedF64Pool = sync.Pool{New: func() any { return new(packedF64) }}
+
+// init sizes p for a [k, n] matrix, reusing its buffers when they are
+// large enough, and packs the bias.
+func (p *packedF64) init(bias []float64, k, n int) {
+	p.k, p.n, p.panels = k, n, (n+panelWidth-1)/panelWidth
+	p.w = growSlice(p.w, p.panels*k)
+	p.bias = growSlice(p.bias, p.panels)
+	clear(p.bias)
+	for j, v := range bias {
+		p.bias[j/panelWidth][j%panelWidth] = v
+	}
+}
+
+// pack fills panels [q0, q1) from b, panel by panel so the writes
+// stream; each read is one 64-byte run of a row of b.
+func (p *packedF64) pack(b []float64, q0, q1 int) {
+	k, n := p.k, p.n
+	for q := q0; q < q1; q++ {
+		pw, j0 := p.w[q*k:(q+1)*k], q*panelWidth
+		if j0+panelWidth <= n {
+			for kk := range pw {
+				pw[kk] = [panelWidth]float64(b[kk*n+j0:])
+			}
+			continue
+		}
+		for kk := range pw {
+			pw[kk] = [panelWidth]float64{}
+			copy(pw[kk][:], b[kk*n+j0:(kk+1)*n])
+		}
+	}
+}
+
+// f64Entry is one listed activation: its index k and its value.
+type f64Entry struct {
+	k int
+	v float64
+}
+
+// f64RowScratch is one worker's row-block lists.
+type f64RowScratch struct {
+	list []f64Entry // [f64RowBlock][k]
+	cnt  [f64RowBlock]int
+}
+
+var f64RowPool = sync.Pool{New: func() any { return new(f64RowScratch) }}
+
+// rows is the one f64 inner loop: output rows [lo, hi) of panels
+// [q0, q1).
+func (p *packedF64) rows(dst, a []float64, lo, hi, q0, q1 int, act Act) {
+	k, n := p.k, p.n
+	s := f64RowPool.Get().(*f64RowScratch)
+	defer f64RowPool.Put(s)
+	s.list = growSlice(s.list, f64RowBlock*k)
+	for r0 := lo; r0 < hi; r0 += f64RowBlock {
+		r1 := min(r0+f64RowBlock, hi)
+		// (a) List each row's nonzero activations.
+		for r := r0; r < r1; r++ {
+			list := s.list[(r-r0)*k:][:k]
+			cnt := 0
+			for kk, v := range a[r*k : (r+1)*k] {
+				// Store unconditionally and advance only past a nonzero:
+				// no branch to mispredict on ReLU-sparse rows.
+				list[cnt] = f64Entry{kk, v}
+				if v != 0 {
+					cnt++
+				}
+			}
+			s.cnt[r-r0] = cnt
+		}
+		// (b) Sweep the panels over the block.
+		for q := q0; q < q1; q++ {
+			pw := p.w[q*k : (q+1)*k]
+			bias := &p.bias[q]
+			j0 := q * panelWidth
+			for r := r0; r < r1; r++ {
+				c0, c1, c2, c3 := bias[0], bias[1], bias[2], bias[3]
+				c4, c5, c6, c7 := bias[4], bias[5], bias[6], bias[7]
+				for _, e := range s.list[(r-r0)*k:][:s.cnt[r-r0]] {
+					w := &pw[e.k]
+					c0 += e.v * w[0]
+					c1 += e.v * w[1]
+					c2 += e.v * w[2]
+					c3 += e.v * w[3]
+					c4 += e.v * w[4]
+					c5 += e.v * w[5]
+					c6 += e.v * w[6]
+					c7 += e.v * w[7]
+				}
+				switch act {
+				case ActIdentity:
+				case ActReLU:
+					c0, c1, c2, c3 = relu(c0), relu(c1), relu(c2), relu(c3)
+					c4, c5, c6, c7 = relu(c4), relu(c5), relu(c6), relu(c7)
+				default:
+					c0, c1, c2, c3 = act.Of(c0), act.Of(c1), act.Of(c2), act.Of(c3)
+					c4, c5, c6, c7 = act.Of(c4), act.Of(c5), act.Of(c6), act.Of(c7)
+				}
+				orow := dst[r*n+j0 : (r+1)*n]
+				if len(orow) >= panelWidth {
+					*(*[panelWidth]float64)(orow) = [panelWidth]float64{c0, c1, c2, c3, c4, c5, c6, c7}
+				} else {
+					tail := [panelWidth]float64{c0, c1, c2, c3, c4, c5, c6, c7}
+					copy(orow, tail[:])
 				}
 			}
 		}
 	}
 }
+
+// Act is an elementwise activation: DenseInto applies it to each output
+// as it is stored, and Map applies it to a slice.
+type Act uint8
+
+// The activations. ActIdentity is the zero value.
+const (
+	ActIdentity Act = iota
+	ActReLU
+	ActLeakyReLU
+	ActTanh
+	ActSigmoid
+	actCount
+)
+
+// Of returns a applied to v.
+func (a Act) Of(v float64) float64 {
+	switch a {
+	case ActReLU:
+		return relu(v)
+	case ActLeakyReLU:
+		return leakyReLU(v)
+	case ActTanh:
+		return math.Tanh(v)
+	case ActSigmoid:
+		return sigmoid(v)
+	}
+	return v
+}
+
+// Map sets dst[i] = a.Of(src[i]); src may alias dst. It chooses the loop
+// once per call, not per element.
+func (a Act) Map(dst, src []float64) {
+	src = src[:len(dst)]
+	switch a {
+	case ActReLU:
+		for i, v := range src {
+			dst[i] = relu(v)
+		}
+	case ActLeakyReLU:
+		for i, v := range src {
+			dst[i] = leakyReLU(v)
+		}
+	case ActTanh:
+		for i, v := range src {
+			dst[i] = math.Tanh(v)
+		}
+	case ActSigmoid:
+		for i, v := range src {
+			dst[i] = sigmoid(v)
+		}
+	default:
+		copy(dst, src)
+	}
+}
+
+// relu is max(v, 0) with every zero, and NaN, mapped to +0.
+func relu(v float64) float64 {
+	if v > 0 {
+		return v
+	}
+	return 0
+}
+
+func leakyReLU(v float64) float64 {
+	if v > 0 {
+		return v
+	}
+	return 0.01 * v
+}
+
+func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }

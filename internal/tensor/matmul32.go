@@ -7,11 +7,11 @@ import (
 )
 
 // MatMulInto32 computes a @ b into dst over flat row-major float32
-// slabs: a is [m,k], b is [k,n], dst is [m,n]. It is the
-// single-precision twin of MatMulInto — same stream-vs-panel blocking,
-// same parallelization across row ranges, same k-ascending
-// accumulation order — operating on raw slices because the float32
-// path has no Tensor type: it exists for engines that keep weights
+// slabs: a is [m,k], b is [k,n], dst is [m,n]. Like DenseInto it
+// parallelizes across row ranges and accumulates in k-ascending order;
+// it picks stream or panel order by the size of b, and works on raw
+// slices because the float32 path has no Tensor type: it exists for
+// engines that keep weights
 // converted once (nn.Forward32) and need the halved element size for
 // bandwidth and SIMD width, not a second tensor algebra. dst must not
 // overlap a or b; its previous contents are overwritten.
