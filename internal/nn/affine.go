@@ -31,10 +31,9 @@ func (a *Affine) OutShape(in []int) ([]int, error) {
 
 // Forward applies the transform elementwise.
 func (a *Affine) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
-	out := x.Contiguous().Clone()
-	d := out.Data()
-	for i := range d {
-		d[i] = a.Scale*d[i] + a.Shift
+	out := tensor.New(x.Shape()...)
+	if err := a.forwardInto(out, x); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -115,18 +114,9 @@ func (c *ChannelAffine) OutShape(in []int) ([]int, error) {
 
 // Forward applies the per-block transform.
 func (c *ChannelAffine) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
-	if x.Rank() < 2 {
-		return nil, fmt.Errorf("channel affine wants rank >= 2 input, got %v", x.Shape())
-	}
-	per := x.Len() / x.Dim(0)
-	if per != c.BlockLen*len(c.Scales) {
-		return nil, fmt.Errorf("channel affine wants %d-element samples, got %d", c.BlockLen*len(c.Scales), per)
-	}
-	out := x.Contiguous().Clone()
-	d := out.Data()
-	for i := range d {
-		b := (i % per) / c.BlockLen
-		d[i] = c.Scales[b]*d[i] + c.Shifts[b]
+	out := tensor.New(x.Shape()...)
+	if err := c.forwardInto(out, x); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -141,10 +131,17 @@ func (c *ChannelAffine) inferDims(x *tensor.Tensor) (int, int, bool) {
 }
 
 // forwardInto applies the per-block transform from x into dst without
-// allocating.
+// allocating. x is a batch of samples of any rank.
 func (c *ChannelAffine) forwardInto(dst, x *tensor.Tensor) error {
-	if _, _, ok := c.inferDims(x); !ok {
-		return fmt.Errorf("channel affine wants [batch, %d], got %v", c.BlockLen*len(c.Scales), x.Shape())
+	if x.Rank() < 2 {
+		return fmt.Errorf("channel affine wants rank >= 2 input, got %v", x.Shape())
+	}
+	per := 1
+	for i := 1; i < x.Rank(); i++ {
+		per *= x.Dim(i)
+	}
+	if c.BlockLen <= 0 || len(c.Scales) != len(c.Shifts) || per != c.BlockLen*len(c.Scales) {
+		return fmt.Errorf("channel affine wants %d-element samples, got %d", c.BlockLen*len(c.Scales), per)
 	}
 	if !tensor.SameShape(dst, x) || !dst.IsContiguous() {
 		return fmt.Errorf("channel affine dst wants contiguous %v, got %v", x.Shape(), dst.Shape())

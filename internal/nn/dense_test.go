@@ -180,7 +180,8 @@ func TestDenseKernelMatchesRowLoop(t *testing.T) {
 				p.W.Data()[0] = math.Copysign(0, -1)
 			}
 		}
-		for _, rows := range []int{0, 1, 7, 600} {
+		// 7 rows read the panels in place, 9 pack them (packMinRows is 8).
+		for _, rows := range []int{0, 1, 7, 9, 600} {
 			x := denseKernelInputs(rng, rows, m.in, rows%2 == 1)
 			want, denseIn := rowLoopForward(t, m.net, x, rows, m.in)
 			xt, err := tensor.FromSlice(x, rows, m.in)
@@ -258,7 +259,8 @@ func TestForwardSeesInPlaceWeightWrites(t *testing.T) {
 // BenchmarkForwardF64 times Network.ForwardInto on the benchmark's two
 // f64 model shapes: small (3-64-32-1, binomial-range inputs) over a
 // whole 8192-row portfolio, and wide (64-512-512-16) on one 32-row
-// batch. ns/row is the figure to compare.
+// batch. The one-row cases are a single Region.Execute or a serve tail
+// batch, where the per-call cost shows. ns/row is the figure to compare.
 func BenchmarkForwardF64(b *testing.B) {
 	for _, tc := range []struct {
 		name   string
@@ -266,7 +268,9 @@ func BenchmarkForwardF64(b *testing.B) {
 		rows   int
 	}{
 		{"small/b8192", []int{3, 64, 32, 1}, 8192},
+		{"small/b1", []int{3, 64, 32, 1}, 1},
 		{"wide/b32", []int{64, 512, 512, 16}, 32},
+		{"wide/b1", []int{64, 512, 512, 16}, 1},
 	} {
 		net := reluMLP(11, tc.widths...)
 		in, out := tc.widths[0], tc.widths[len(tc.widths)-1]

@@ -94,7 +94,8 @@ func (d *Dense) forwardActInto(dst, x *tensor.Tensor, act tensor.Act) error {
 	if dst.Rank() != 2 || dst.Dim(0) != b || dst.Dim(1) != d.Out || !dst.IsContiguous() {
 		return fmt.Errorf("dense dst wants contiguous [%d, %d], got %v", b, d.Out, dst.Shape())
 	}
-	return tensor.DenseInto(dst.Data(), x.Contiguous().Data(), d.Weight.W.Data(), d.Bias.W.Data(), b, d.In, d.Out, act)
+	tensor.DenseInto(dst.Data(), x.Contiguous().Data(), d.Weight.W.Data(), d.Bias.W.Data(), b, d.In, d.Out, act)
+	return nil
 }
 
 // Backward computes input gradients and accumulates dW, db. Both matrix

@@ -48,8 +48,10 @@ func TestPropMatMulMatchesReference(t *testing.T) {
 		shapes = append(shapes, [3]int{1 + rng.Intn(40), 1 + rng.Intn(40), 1 + rng.Intn(40)})
 	}
 	// Cross matMulParFLOPs and both parallel splits: by rows, and by
-	// panels where n > m. Odd n leaves a partial last panel.
-	shapes = append(shapes, [3]int{70, 300, 64}, [3]int{9, 520, 530}, [3]int{3, 1100, 1000})
+	// panels where n > m. Odd n leaves a partial last panel; with fewer
+	// than packMinRows rows it is read in place, overlapping the panel
+	// before it.
+	shapes = append(shapes, [3]int{70, 300, 64}, [3]int{9, 520, 530}, [3]int{3, 1100, 1000}, [3]int{5, 700, 1001})
 	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]
 		a := randTensor(rng, m, k)
@@ -175,25 +177,6 @@ func TestMatMulIntoErrors(t *testing.T) {
 	}
 	if err := MatMulInto(New(3, 2), New(3, 5), b); err == nil {
 		t.Fatal("want error for inner-dim mismatch")
-	}
-}
-
-func TestDenseIntoErrors(t *testing.T) {
-	a, b, bias, dst := make([]float64, 6), make([]float64, 8), make([]float64, 4), make([]float64, 12)
-	if err := DenseInto(dst, a, b, bias, 3, 2, 4, ActReLU); err != nil {
-		t.Fatal(err)
-	}
-	for name, err := range map[string]error{
-		"negative dims":  DenseInto(dst, a, b, bias, -3, -2, 4, ActReLU),
-		"operand size":   DenseInto(dst, a[:5], b, bias, 3, 2, 4, ActReLU),
-		"bias size":      DenseInto(dst, a, b, bias[:3], 3, 2, 4, ActReLU),
-		"dst size":       DenseInto(dst[:11], a, b, bias, 3, 2, 4, ActReLU),
-		"unknown act":    DenseInto(dst, a, b, bias, 3, 2, 4, actCount),
-		"inner mismatch": DenseInto(dst, a, b, bias, 3, 2, 5, ActReLU),
-	} {
-		if err == nil {
-			t.Errorf("%s: want error", name)
-		}
 	}
 }
 
