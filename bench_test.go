@@ -4,6 +4,7 @@
 package hpacml_test
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"runtime"
@@ -264,6 +265,20 @@ func stencilPlan(b *testing.B, n, m int) (*bridge.Plan, []float64) {
 	return plan, grid
 }
 
+// stagedGather composes plan into a fresh tensor through a Stager bound
+// for this one call — the work a capture record does.
+func stagedGather(b *testing.B, plan *bridge.Plan) *tensor.Tensor {
+	out := tensor.New(plan.TensorShape()...)
+	st, err := plan.NewStager(out)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := st.Gather(); err != nil {
+		b.Fatal(err)
+	}
+	return out
+}
+
 // BenchmarkAblationWrapVsCopy compares the bridge's zero-copy wrapped
 // gather against a naive per-element gather loop.
 func BenchmarkAblationWrapVsCopy(b *testing.B) {
@@ -271,9 +286,7 @@ func BenchmarkAblationWrapVsCopy(b *testing.B) {
 	plan, grid := stencilPlan(b, N, M)
 	b.Run("bridge-wrapped", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := plan.Gather(); err != nil {
-				b.Fatal(err)
-			}
+			stagedGather(b, plan)
 		}
 	})
 	b.Run("naive-copy", func(b *testing.B) {
@@ -301,17 +314,12 @@ func BenchmarkAblationBatchedGather(b *testing.B) {
 	plan, _ := stencilPlan(b, N, M)
 	b.Run("batched", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := plan.Gather(); err != nil {
-				b.Fatal(err)
-			}
+			stagedGather(b, plan)
 		}
 	})
 	b.Run("per-entry", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			g, err := plan.Gather()
-			if err != nil {
-				b.Fatal(err)
-			}
+			g := stagedGather(b, plan)
 			// Per-entry traversal through the tensor API models the
 			// cost of entrywise functor application.
 			var sink float64
@@ -325,6 +333,91 @@ func BenchmarkAblationBatchedGather(b *testing.B) {
 			_ = sink
 		}
 	})
+}
+
+// copyEngine stands in for a model in bridge benchmarks: it copies as
+// much of the input as fits into an output of a fixed shape, so only the
+// Region's gathers and scatters cost anything.
+type copyEngine struct{ out []int }
+
+func (e copyEngine) Infer(ctx context.Context, in, out *tensor.Tensor) error {
+	copy(out.Data(), in.Data())
+	return nil
+}
+func (e copyEngine) OutputShape([]int) ([]int, error)    { return e.out, nil }
+func (e copyEngine) Warmup(context.Context, []int) error { return nil }
+
+// BenchmarkRegionLayouts times one Region.Execute per layout in infer
+// mode (gather, a copying engine, scatter) and in collect mode (gather
+// both directions into a fresh record, handed to a discarding sink):
+// a flat three-array region, a 64x64 Image2D region with two features in
+// and out, and a four-channel 64x64 Channels region.
+func BenchmarkRegionLayouts(b *testing.B) {
+	const N, H, W, C = 4096, 64, 64, 4
+	cases := []struct {
+		name       string
+		directives string
+		arrays     map[string][]int
+		layout     hpacml.Layout
+		out        []int
+	}{
+		{"flat", `
+tensor functor(ifn: [i, 0:3] = ([i]))
+tensor functor(ofn: [i, 0:1] = ([i]))
+tensor map(to: ifn(S[0:N], X[0:N], T[0:N]))
+tensor map(from: ofn(P[0:N]))
+ml(predicated:infer) in(S, X, T) out(P)`,
+			map[string][]int{"S": {N}, "X": {N}, "T": {N}, "P": {N}}, hpacml.LayoutFlat, []int{N, 1}},
+		{"image2d", `
+tensor functor(f2: [i, j, 0:2] = ([i, j]))
+tensor map(to: f2(g[0:H, 0:W], h[0:H, 0:W]))
+tensor map(from: f2(a[0:H, 0:W], c[0:H, 0:W]))
+ml(predicated:infer) in(g, h) out(a, c)`,
+			map[string][]int{"g": {H, W}, "h": {H, W}, "a": {H, W}, "c": {H, W}}, hpacml.LayoutImage2D, []int{1, 2 * H * W}},
+		{"channels", `
+tensor functor(cell: [k, i, j, 0:1] = ([k, i, j]))
+tensor map(to: cell(s[0:C, 0:H, 0:W]))
+tensor map(from: cell(u[0:C, 0:H, 0:W]))
+ml(predicated:infer) in(s) out(u)`,
+			map[string][]int{"s": {C, H, W}, "u": {C, H, W}}, hpacml.LayoutChannels, []int{1, C, H, W}},
+	}
+	for _, tc := range cases {
+		for _, infer := range []bool{true, false} {
+			mode := "collect"
+			if infer {
+				mode = "infer"
+			}
+			b.Run(tc.name+"/"+mode, func(b *testing.B) {
+				opts := []hpacml.Option{
+					hpacml.Directives(tc.directives),
+					hpacml.BindInt("N", N), hpacml.BindInt("H", H), hpacml.BindInt("W", W), hpacml.BindInt("C", C),
+					hpacml.InputLayout(tc.layout), hpacml.OutputLayout(tc.layout),
+					hpacml.BindPredicate("infer", func() bool { return infer }),
+					hpacml.WithEngine(copyEngine{tc.out}), hpacml.WithSink(&countSink{}),
+				}
+				for name, shape := range tc.arrays {
+					data := make([]float64, tensor.NumElements(shape))
+					for i := range data {
+						data[i] = float64(i)
+					}
+					opts = append(opts, hpacml.BindArray(name, data, shape...))
+				}
+				r, err := hpacml.NewRegion(tc.name, opts...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer r.Close()
+				accurate := func() error { return nil }
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := r.Execute(accurate); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }
 
 // BenchmarkAblationParallelInference compares batch inference with the

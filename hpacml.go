@@ -241,13 +241,11 @@ type Region struct {
 	// call. batches holds one batchState per distinct batch size (Execute
 	// is size 1), so an application loop that batches its invocations in
 	// fixed chunks and ends on a shorter tail batch doesn't rebuild
-	// staging on every size change; imgScratch holds the pre-transpose
-	// composition buffer of the image layout. The batchState stagers are
-	// precomputed bridge views bound to the staging tensors (nil when the
-	// layout needs per-call transforms). The output buffers and their
-	// stagers are model-dependent and dropped by InvalidateModel.
-	batches    map[int]*batchState
-	imgScratch *tensor.Tensor
+	// staging on every size change. The batchState stagers are bridge
+	// views bound once to the staging tensors by bindStagers. The output
+	// buffers and their stagers are model-dependent and dropped by
+	// InvalidateModel.
+	batches map[int]*batchState
 }
 
 // maxBatchStates caps how many distinct batch sizes keep cached staging
@@ -257,16 +255,14 @@ type Region struct {
 const maxBatchStates = 64
 
 // batchState is the cached staging for one ExecuteBatch size n: the
-// batched input tensor with its per-invocation row blocks and gather
-// stagers, and (once the first batch of this size has run) the batched
-// output tensor with its per-invocation views and scatter stagers.
+// batched input tensor with each invocation's gather stagers, and (once
+// the first batch of this size has run) the batched output tensor with
+// each invocation's scatter stagers.
 type batchState struct {
-	x        *tensor.Tensor
-	blocks   []*tensor.Tensor   // per-invocation row blocks of x
-	inSt     [][]*bridge.Stager // per invocation, per in-plan
-	y        *tensor.Tensor
-	outViews []*tensor.Tensor   // per-invocation row blocks of y
-	outSt    [][]*bridge.Stager // per invocation, per out-plan
+	x     *tensor.Tensor
+	inSt  [][]*bridge.Stager // per invocation, per in-plan
+	y     *tensor.Tensor
+	outSt [][]*bridge.Stager // per invocation, per out-plan
 }
 
 // Option configures a Region under construction.
@@ -587,7 +583,7 @@ func (r *Region) DirectiveLines() []string {
 // the model. Serving-layer replica pools use it to validate that a
 // registered model's expected input matches the region's bridging before
 // any traffic arrives.
-func (r *Region) InputShape() ([]int, error) { return r.modelInputShape() }
+func (r *Region) InputShape() ([]int, error) { return layoutShape(r.inPlans, r.inLayout) }
 
 // Stats returns a snapshot of the region's runtime accounting, with
 // the capture sink's counters folded in (relative to the last
@@ -653,7 +649,7 @@ func (r *Region) ExecuteContext(ctx context.Context, accurate func() error) erro
 	case pathAccurate:
 		return r.runAccurate(accurate)
 	case pathCollect:
-		return r.runCollection(accurate)
+		return r.collect(accurate)
 	}
 	// One invocation is the n = 1 case of the batched loop.
 	var acc func(int) error
@@ -715,22 +711,25 @@ func (r *Region) runAccurate(accurate func() error) error {
 	return err
 }
 
-// runCollection executes the accurate path, capturing inputs beforehand
-// and outputs afterwards, then hands the pair to the capture sink as
-// one atomic record along with the region runtime. Records are stored
-// in the model's layout, so one region invocation is one training
-// sample: [entries, features] rows for flat regions, one [1, C, H, W]
-// image for image/channel regions. With the default asynchronous sink
-// the solver pays only the gather and an enqueue here — serialization
-// and I/O happen on the sink's writer goroutine (Stats.DBWrite now
-// measures the enqueue cost, which is the point).
+// collect is the one capture step behind ml(collect) and trust
+// recapture: gather the inputs, run the accurate path, gather the
+// outputs, and hand the pair to the capture sink as one atomic record
+// along with the region runtime. Both gathers go through bindStagers
+// with the layouts inference uses, so one region invocation is one
+// training sample in the model's own layout: [entries, features] rows
+// for flat regions, one [1, C, H, W] input image for image/channel
+// regions, whose targets are recorded as the flat [1, N] sample their
+// dense decoders emit (channel-first, the order inference scatters).
+// With the default asynchronous sink the solver pays only the gathers
+// and an enqueue here — serialization and I/O happen on the sink's
+// writer goroutine (Stats.DBWrite measures the enqueue cost).
 //
 // The gathered tensors are freshly allocated (never views of the bound
 // application arrays), so the sink may write them after the solver has
 // already overwritten the application state.
-func (r *Region) runCollection(accurate func() error) error {
+func (r *Region) collect(accurate func() error) error {
 	start := time.Now()
-	inputs, err := r.modelInput()
+	inputs, err := gatherRecord(r.inPlans, r.inLayout)
 	r.stats.ToTensor += time.Since(start)
 	if err != nil {
 		return err
@@ -743,10 +742,12 @@ func (r *Region) runCollection(accurate func() error) error {
 	runtime := time.Since(runStart)
 	r.stats.Accurate += runtime
 	r.stats.AccurateRuns++
-	r.stats.Collections++
 
 	start = time.Now()
-	outputs, err := r.modelTarget()
+	outputs, err := gatherRecord(r.outPlans, r.outLayout)
+	if err == nil && r.outLayout != LayoutFlat {
+		outputs, err = outputs.Reshape(1, outputs.Len())
+	}
 	r.stats.FromTensor += time.Since(start)
 	if err != nil {
 		return err
@@ -757,6 +758,7 @@ func (r *Region) runCollection(accurate func() error) error {
 	if err := r.ensureSink(); err != nil {
 		return err
 	}
+	r.stats.Collections++
 	return r.sink.Capture(&CaptureRecord{
 		Region:    r.name,
 		Inputs:    inputs,
@@ -845,7 +847,7 @@ func (r *Region) warmEngine(ctx context.Context) error {
 	if r.warmed {
 		return nil
 	}
-	shape, err := r.modelInputShape()
+	shape, err := r.InputShape()
 	if err != nil {
 		return err
 	}
@@ -856,103 +858,106 @@ func (r *Region) warmEngine(ctx context.Context) error {
 	return nil
 }
 
-// inputStagers precomputes gather stagers binding the in-plans to dst.
-// It returns nil when the layout needs a per-call transform (image) or a
-// stager cannot be built; callers then fall back to modelInputInto,
-// which reports any real layout error.
-func (r *Region) inputStagers(dst *tensor.Tensor) []*bridge.Stager {
-	switch r.inLayout {
+// layoutShape returns the model-layout shape of one invocation of plans
+// and checks the layout's constraints: [entries, features] for
+// LayoutFlat, [1, F, S0, S1] for LayoutImage2D (one map, a 2-D sweep),
+// [1, C, S0, S1] for LayoutChannels (one map, a 3-D sweep, one feature).
+// Plans of one direction agree on entries (finalize checks it).
+func layoutShape(plans []*bridge.Plan, layout Layout) ([]int, error) {
+	switch layout {
 	case LayoutFlat:
-		out := make([]*bridge.Stager, 0, len(r.inPlans))
-		if len(r.inPlans) == 1 {
-			st, err := r.inPlans[0].NewStager(dst)
-			if err != nil {
-				return nil
-			}
-			return append(out, st)
+		feat := 0
+		for _, p := range plans {
+			feat += p.Features()
 		}
-		fOff := 0
-		for _, p := range r.inPlans {
-			part, err := dst.Narrow(1, fOff, p.Features())
-			if err != nil {
-				return nil
-			}
-			st, err := p.NewStager(part)
-			if err != nil {
-				return nil
-			}
-			out = append(out, st)
-			fOff += p.Features()
+		return []int{plans[0].Entries(), feat}, nil
+	case LayoutImage2D, LayoutChannels:
+		if len(plans) != 1 {
+			return nil, fmt.Errorf("hpacml: image/channels layout wants exactly one map per direction, got %d", len(plans))
 		}
-		return out
-	case LayoutChannels:
-		if len(r.inPlans) != 1 {
-			return nil
-		}
-		st, err := r.inPlans[0].NewStager(dst)
-		if err != nil {
-			return nil
-		}
-		return []*bridge.Stager{st}
-	}
-	return nil
-}
-
-// outputStagers precomputes scatter stagers binding the out-plans to the
-// model output tensor y. It mirrors scatterModelOutput's flat and
-// channels layouts; nil means the caller must scatter generically.
-func (r *Region) outputStagers(y *tensor.Tensor) []*bridge.Stager {
-	switch r.outLayout {
-	case LayoutFlat:
-		totalF := 0
-		for _, p := range r.outPlans {
-			totalF += p.Features()
-		}
-		entries := r.outPlans[0].Entries()
-		if y.Len() != entries*totalF || !y.IsContiguous() {
-			return nil
-		}
-		flat, err := y.Reshape(entries, totalF)
-		if err != nil {
-			return nil
-		}
-		out := make([]*bridge.Stager, 0, len(r.outPlans))
-		fOff := 0
-		for _, p := range r.outPlans {
-			part, err := flat.Narrow(1, fOff, p.Features())
-			if err != nil {
-				return nil
-			}
-			st, err := p.NewStager(part)
-			if err != nil {
-				return nil
-			}
-			out = append(out, st)
-			fOff += p.Features()
-		}
-		return out
-	case LayoutChannels:
-		if len(r.outPlans) != 1 {
-			return nil
-		}
-		p := r.outPlans[0]
+		p := plans[0]
 		sweep := p.SweepShape()
-		if len(sweep) != 3 || p.Features() != 1 || y.Len() != tensor.NumElements(sweep) {
-			return nil
+		if layout == LayoutImage2D {
+			if len(sweep) != 2 {
+				return nil, fmt.Errorf("hpacml: image layout wants a 2-D sweep, got %v", sweep)
+			}
+			return []int{1, p.Features(), sweep[0], sweep[1]}, nil
 		}
-		st, err := p.NewStager(y)
-		if err != nil {
-			return nil
+		if len(sweep) != 3 || p.Features() != 1 {
+			return nil, fmt.Errorf("hpacml: channels layout wants a 3-D sweep with 1 feature, got %v/%d", sweep, p.Features())
 		}
-		return []*bridge.Stager{st}
+		return []int{1, sweep[0], sweep[1], sweep[2]}, nil
 	}
-	return nil
+	return nil, fmt.Errorf("hpacml: unknown layout %d", layout)
 }
 
-// scatterStagers runs precomputed scatter stagers in plan order.
-func scatterStagers(sts []*bridge.Stager) error {
+// bindStagers binds one invocation's model-layout tensor t to plans. It
+// is the whole data bridge of a Region: the cached batch input blocks
+// and output views, and the freshly allocated capture records, are all
+// bound here, so gathers and scatters share one layout by construction.
+// t must be contiguous and hold layoutShape's element count in any shape
+// (a model may emit an image as [1, N]). The layout view puts every
+// plan's features on its last axis — [entries, ΣF] for flat and
+// channels, the [S0, S1, F] transpose of a [1, F, S0, S1] image — and
+// each plan binds its narrow of that axis.
+func bindStagers(plans []*bridge.Plan, layout Layout, t *tensor.Tensor) ([]*bridge.Stager, error) {
+	shape, err := layoutShape(plans, layout)
+	if err != nil {
+		return nil, err
+	}
+	if t.Len() != tensor.NumElements(shape) || !t.IsContiguous() {
+		return nil, fmt.Errorf("hpacml: model tensor %v does not hold the layout's %v", t.Shape(), shape)
+	}
+	var view *tensor.Tensor
+	if layout == LayoutImage2D {
+		view, err = t.Reshape(shape[1:]...) // [F, S0, S1]
+		if err == nil {
+			view, err = view.Transpose(0, 2) // [S1, S0, F]
+		}
+		if err == nil {
+			view, err = view.Transpose(0, 1) // [S0, S1, F]
+		}
+	} else {
+		view, err = t.Reshape(plans[0].Entries(), -1)
+	}
+	if err != nil {
+		return nil, err
+	}
+	sts := make([]*bridge.Stager, len(plans))
+	fOff, last := 0, view.Rank()-1
+	for i, p := range plans {
+		part, err := view.Narrow(last, fOff, p.Features())
+		if err != nil {
+			return nil, err
+		}
+		if sts[i], err = p.NewStager(part); err != nil {
+			return nil, err
+		}
+		fOff += p.Features()
+	}
+	return sts, nil
+}
+
+// gatherRecord gathers plans into a freshly allocated model-layout
+// tensor — a capture record, which must never alias application memory.
+func gatherRecord(plans []*bridge.Plan, layout Layout) (*tensor.Tensor, error) {
+	shape, err := layoutShape(plans, layout)
+	if err != nil {
+		return nil, err
+	}
+	t := tensor.New(shape...)
+	sts, err := bindStagers(plans, layout, t)
+	if err != nil {
+		return nil, err
+	}
+	return t, runStagers(sts, (*bridge.Stager).Gather)
+}
+
+// runStagers runs one transfer (Stager.Gather or Stager.Scatter) over
+// sts in plan order.
+func runStagers(sts []*bridge.Stager, transfer func(*bridge.Stager) error) error {
 	for _, st := range sts {
-		if err := st.Scatter(); err != nil {
+		if err := transfer(st); err != nil {
 			return err
 		}
 	}
@@ -1065,15 +1070,7 @@ func (r *Region) executeBatch(ctx context.Context, n int, stage, accurate, finis
 			}
 		}
 		start := time.Now()
-		if bs.inSt != nil {
-			for _, st := range bs.inSt[i] {
-				if err = st.Gather(); err != nil {
-					break
-				}
-			}
-		} else {
-			err = r.modelInputInto(bs.blocks[i])
-		}
+		err = runStagers(bs.inSt[i], (*bridge.Stager).Gather)
 		r.stats.ToTensor += time.Since(start)
 		if err != nil {
 			return err
@@ -1095,7 +1092,7 @@ func (r *Region) executeBatch(ctx context.Context, n int, stage, accurate, finis
 	err = r.engine.Infer(ctx, bs.x, bs.y)
 	*engineTime += time.Since(start)
 	if err != nil {
-		bs.y, bs.outViews, bs.outSt = nil, nil, nil
+		bs.y, bs.outSt = nil, nil
 		return engineFailed(err)
 	}
 
@@ -1118,11 +1115,7 @@ func (r *Region) executeBatch(ctx context.Context, n int, stage, accurate, finis
 			continue
 		}
 		start := time.Now()
-		if bs.outSt != nil {
-			err = scatterStagers(bs.outSt[i])
-		} else {
-			err = r.scatterModelOutput(bs.outViews[i])
-		}
+		err = runStagers(bs.outSt[i], (*bridge.Stager).Scatter)
 		r.stats.FromTensor += time.Since(start)
 		if err != nil {
 			return err
@@ -1149,37 +1142,32 @@ func (r *Region) executeBatch(ctx context.Context, n int, stage, accurate, finis
 }
 
 // batchStaging returns the cached staging for batch size n, building it
-// on first use: the batched input tensor, each invocation's row block
-// and, when the layout allows, its gather stagers. The cache keeps one
-// batchState per size, so an application loop alternating between its
-// chunk size and a tail size pays the build once per size, not once per
-// size change. Past maxBatchStates sizes an arbitrary entry is evicted,
-// costing at most one rebuild for that size later.
+// on first use: the batched input tensor and each invocation's gather
+// stagers, bound to its row block. The cache keeps one batchState per
+// size, so an application loop alternating between its chunk size and a
+// tail size pays the build once per size, not once per size change.
+// Past maxBatchStates sizes an arbitrary entry is evicted, costing at
+// most one rebuild for that size later.
 func (r *Region) batchStaging(n int) (*batchState, error) {
 	if bs := r.batches[n]; bs != nil {
 		return bs, nil
 	}
-	shape, err := r.modelInputShape()
+	shape, err := r.InputShape()
 	if err != nil {
 		return nil, err
 	}
 	per := shape[0]
 	x := tensor.New(append([]int{n * per}, shape[1:]...)...)
-	bs := &batchState{x: x, blocks: make([]*tensor.Tensor, n)}
-	inSt := make([][]*bridge.Stager, 0, n)
-	for i := range bs.blocks {
-		if bs.blocks[i], err = x.Narrow(0, i*per, per); err != nil {
+	bs := &batchState{x: x, inSt: make([][]*bridge.Stager, n)}
+	for i := range bs.inSt {
+		block, err := x.Narrow(0, i*per, per)
+		if err != nil {
 			return nil, err
 		}
-		if inSt != nil {
-			if sts := r.inputStagers(bs.blocks[i]); sts != nil {
-				inSt = append(inSt, sts)
-			} else {
-				inSt = nil
-			}
+		if bs.inSt[i], err = bindStagers(r.inPlans, r.inLayout, block); err != nil {
+			return nil, err
 		}
 	}
-	bs.inSt = inSt
 	if r.batches == nil {
 		r.batches = make(map[int]*batchState)
 	}
@@ -1195,30 +1183,24 @@ func (r *Region) batchStaging(n int) (*batchState, error) {
 
 // buildBatchOutput caches the first batched model output of a batch size:
 // it validates that y splits evenly into n per-invocation row blocks and
-// precomputes each block's view and, when the layout allows, its scatter
-// stagers.
+// binds each block's scatter stagers.
 func (r *Region) buildBatchOutput(bs *batchState, y *tensor.Tensor, n int) error {
 	if y.Rank() < 1 || y.Dim(0)%n != 0 {
 		return fmt.Errorf("hpacml: batched model output %v in region %q does not split into %d invocations",
 			y.Shape(), r.name, n)
 	}
 	outPer := y.Dim(0) / n
-	views := make([]*tensor.Tensor, n)
-	outSt := make([][]*bridge.Stager, 0, n)
-	for i := range views {
-		var err error
-		if views[i], err = y.Narrow(0, i*outPer, outPer); err != nil {
+	outSt := make([][]*bridge.Stager, n)
+	for i := range outSt {
+		view, err := y.Narrow(0, i*outPer, outPer)
+		if err != nil {
 			return err
 		}
-		if outSt != nil {
-			if sts := r.outputStagers(views[i]); sts != nil {
-				outSt = append(outSt, sts)
-			} else {
-				outSt = nil
-			}
+		if outSt[i], err = bindStagers(r.outPlans, r.outLayout, view); err != nil {
+			return fmt.Errorf("hpacml: model output in region %q: %w", r.name, err)
 		}
 	}
-	bs.y, bs.outViews, bs.outSt = y, views, outSt
+	bs.y, bs.outSt = y, outSt
 	return nil
 }
 
@@ -1260,231 +1242,8 @@ func (r *Region) dropModel() {
 		rf.Refresh()
 	}
 	for _, bs := range r.batches {
-		bs.y, bs.outViews, bs.outSt = nil, nil, nil
+		bs.y, bs.outSt = nil, nil
 	}
-}
-
-// gatherOutputs composes all from-plans (reading current application
-// memory) into [entries, total features] — used during collection.
-func (r *Region) gatherOutputs() (*tensor.Tensor, error) {
-	return gatherFlat(r.outPlans)
-}
-
-// modelTarget gathers the region's outputs in the layout the model is
-// trained to produce: [entries, features] rows for flat regions, a single
-// flattened [1, N] sample for image/channel regions (whose decoders end
-// in a dense layer).
-func (r *Region) modelTarget() (*tensor.Tensor, error) {
-	switch r.outLayout {
-	case LayoutFlat:
-		return r.gatherOutputs()
-	case LayoutImage2D, LayoutChannels:
-		if len(r.outPlans) != 1 {
-			return nil, fmt.Errorf("hpacml: image/channels layout wants exactly one output map, got %d", len(r.outPlans))
-		}
-		g, err := r.outPlans[0].Gather()
-		if err != nil {
-			return nil, err
-		}
-		return g.Reshape(1, g.Len())
-	}
-	return nil, fmt.Errorf("hpacml: unknown output layout %d", r.outLayout)
-}
-
-func gatherFlat(plans []*bridge.Plan) (*tensor.Tensor, error) {
-	parts := make([]*tensor.Tensor, len(plans))
-	for i, p := range plans {
-		g, err := p.Gather()
-		if err != nil {
-			return nil, err
-		}
-		flat, err := g.Reshape(p.Entries(), p.Features())
-		if err != nil {
-			return nil, err
-		}
-		parts[i] = flat
-	}
-	if len(parts) == 1 {
-		return parts[0], nil
-	}
-	return tensor.Concat(1, parts...)
-}
-
-// modelInputShape returns the model input shape of one region invocation
-// for the configured input layout, validating layout constraints.
-func (r *Region) modelInputShape() ([]int, error) {
-	switch r.inLayout {
-	case LayoutFlat:
-		totalF := 0
-		for _, p := range r.inPlans {
-			totalF += p.Features()
-		}
-		return []int{r.inPlans[0].Entries(), totalF}, nil
-	case LayoutImage2D:
-		if len(r.inPlans) != 1 {
-			return nil, fmt.Errorf("hpacml: image layout wants exactly one input map, got %d", len(r.inPlans))
-		}
-		p := r.inPlans[0]
-		sweep := p.SweepShape()
-		if len(sweep) != 2 {
-			return nil, fmt.Errorf("hpacml: image layout wants a 2-D sweep, got %v", sweep)
-		}
-		return []int{1, p.Features(), sweep[0], sweep[1]}, nil
-	case LayoutChannels:
-		if len(r.inPlans) != 1 {
-			return nil, fmt.Errorf("hpacml: channels layout wants exactly one input map, got %d", len(r.inPlans))
-		}
-		p := r.inPlans[0]
-		sweep := p.SweepShape()
-		if len(sweep) != 3 || p.Features() != 1 {
-			return nil, fmt.Errorf("hpacml: channels layout wants a 3-D sweep with 1 feature, got %v/%d", sweep, p.Features())
-		}
-		return []int{1, sweep[0], sweep[1], sweep[2]}, nil
-	}
-	return nil, fmt.Errorf("hpacml: unknown input layout %d", r.inLayout)
-}
-
-// modelInputInto gathers the region inputs into dst, which must have the
-// single-invocation model input shape — typically the cached staging
-// tensor, or one row block of the batched staging tensor.
-func (r *Region) modelInputInto(dst *tensor.Tensor) error {
-	switch r.inLayout {
-	case LayoutFlat:
-		if len(r.inPlans) == 1 {
-			return r.inPlans[0].GatherInto(dst)
-		}
-		fOff := 0
-		for _, p := range r.inPlans {
-			part, err := dst.Narrow(1, fOff, p.Features())
-			if err != nil {
-				return err
-			}
-			if err := p.GatherInto(part); err != nil {
-				return err
-			}
-			fOff += p.Features()
-		}
-		return nil
-	case LayoutImage2D:
-		p := r.inPlans[0]
-		sweep := p.SweepShape()
-		if len(sweep) != 2 {
-			return fmt.Errorf("hpacml: image layout wants a 2-D sweep, got %v", sweep)
-		}
-		// Compose as [S0, S1, F] in the cached scratch, then transpose
-		// into dst's [1, F, S0, S1] channel-first layout.
-		if r.imgScratch == nil {
-			r.imgScratch = tensor.New(sweep[0], sweep[1], p.Features())
-		}
-		if err := p.GatherInto(r.imgScratch); err != nil {
-			return err
-		}
-		t1, err := r.imgScratch.Transpose(0, 2) // [F, S1, S0]
-		if err != nil {
-			return err
-		}
-		t2, err := t1.Transpose(1, 2) // [F, S0, S1]
-		if err != nil {
-			return err
-		}
-		return tensor.CopyFlat(dst, t2)
-	case LayoutChannels:
-		return r.inPlans[0].GatherInto(dst)
-	}
-	return fmt.Errorf("hpacml: unknown input layout %d", r.inLayout)
-}
-
-// modelInput gathers the inputs into a freshly allocated tensor laid out
-// for the model (the collection path, which records the tensor, uses this
-// instead of the cached staging buffers).
-func (r *Region) modelInput() (*tensor.Tensor, error) {
-	shape, err := r.modelInputShape()
-	if err != nil {
-		return nil, err
-	}
-	dst := tensor.New(shape...)
-	if err := r.modelInputInto(dst); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// scatterModelOutput converts the model output back to the bridge layout
-// and scatters it into application memory.
-func (r *Region) scatterModelOutput(y *tensor.Tensor) error {
-	switch r.outLayout {
-	case LayoutFlat:
-		// Split [entries, totalF] across the from-plans in order.
-		totalF := 0
-		for _, p := range r.outPlans {
-			totalF += p.Features()
-		}
-		entries := r.outPlans[0].Entries()
-		if y.Len() != entries*totalF {
-			return fmt.Errorf("hpacml: model output has %d elements, outputs want %d entries x %d features",
-				y.Len(), entries, totalF)
-		}
-		flat, err := y.Contiguous().Reshape(entries, totalF)
-		if err != nil {
-			return err
-		}
-		at := 0
-		for _, p := range r.outPlans {
-			part, err := flat.Narrow(1, at, p.Features())
-			if err != nil {
-				return err
-			}
-			if err := p.Scatter(part.Contiguous()); err != nil {
-				return err
-			}
-			at += p.Features()
-		}
-		return nil
-	case LayoutImage2D:
-		if len(r.outPlans) != 1 {
-			return fmt.Errorf("hpacml: image layout wants exactly one output map, got %d", len(r.outPlans))
-		}
-		p := r.outPlans[0]
-		sweep := p.SweepShape()
-		if len(sweep) != 2 {
-			return fmt.Errorf("hpacml: image layout wants a 2-D sweep, got %v", sweep)
-		}
-		want := []int{1, p.Features(), sweep[0], sweep[1]}
-		if y.Len() != tensor.NumElements(want) {
-			return fmt.Errorf("hpacml: model output %v, want %v", y.Shape(), want)
-		}
-		img, err := y.Contiguous().Reshape(p.Features(), sweep[0], sweep[1])
-		if err != nil {
-			return err
-		}
-		t1, err := img.Transpose(0, 1) // [S0, F, S1]
-		if err != nil {
-			return err
-		}
-		t2, err := t1.Transpose(1, 2) // [S0, S1, F]
-		if err != nil {
-			return err
-		}
-		return p.Scatter(t2.Contiguous())
-	case LayoutChannels:
-		if len(r.outPlans) != 1 {
-			return fmt.Errorf("hpacml: channels layout wants exactly one output map, got %d", len(r.outPlans))
-		}
-		p := r.outPlans[0]
-		sweep := p.SweepShape()
-		if len(sweep) != 3 || p.Features() != 1 {
-			return fmt.Errorf("hpacml: channels layout wants a 3-D sweep with 1 feature")
-		}
-		if y.Len() != tensor.NumElements(sweep) {
-			return fmt.Errorf("hpacml: model output %v, want %v x 1", y.Shape(), sweep)
-		}
-		cube, err := y.Contiguous().Reshape(sweep[0], sweep[1], sweep[2], 1)
-		if err != nil {
-			return err
-		}
-		return p.Scatter(cube)
-	}
-	return fmt.Errorf("hpacml: unknown output layout %d", r.outLayout)
 }
 
 // Flush is a capture barrier: it returns once every record captured so

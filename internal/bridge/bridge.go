@@ -87,9 +87,10 @@ type targetPlan struct {
 }
 
 // Plan is a reusable, concretized mapping between one functor and its map
-// targets. Building it wraps application memory without copying; Gather
-// performs the single composition copy, Scatter copies model output back
-// through the wrapped views.
+// targets. Building it wraps application memory without copying; a
+// Stager bound to a tensor then performs the single composition copy
+// (Gather) or copies model output back through the wrapped views
+// (Scatter).
 type Plan struct {
 	Functor *directive.FunctorDecl
 	Dir     directive.Direction
@@ -219,7 +220,6 @@ func buildTarget(f *directive.FunctorDecl, target directive.MapTarget, arr *Arra
 	// ranges select (e.g. poses[0:N, 0:6] with functor [i, 0:6]); points
 	// only contribute a fixed index.
 	sweeps := make([]sweepRange, 0, len(target.Slices))
-	fixed := make([]int, len(target.Slices))
 	for d, cs := range target.Slices {
 		start, err := cs.Start.Eval(env)
 		if err != nil {
@@ -229,7 +229,6 @@ func buildTarget(f *directive.FunctorDecl, target directive.MapTarget, arr *Arra
 			if start < 0 || start >= arr.Shape[d] {
 				return targetPlan{}, nil, fmt.Errorf("point index %d out of range [0,%d) in dim %d", start, arr.Shape[d], d)
 			}
-			fixed[d] = start
 			continue
 		}
 		stop, err := cs.Stop.Eval(env)
@@ -283,7 +282,7 @@ func buildTarget(f *directive.FunctorDecl, target directive.MapTarget, arr *Arra
 			return targetPlan{}, nil, fmt.Errorf("RHS slice %d rank %d != target rank %d",
 				si, len(rhs.Slices), len(target.Slices))
 		}
-		sv, err := resolveSlice(rhs, arr, astrides, baseEnv, farEnv, env, symbols, sweeps, sweepShape, fixed)
+		sv, err := resolveSlice(rhs, arr, astrides, baseEnv, farEnv, env, symbols, sweeps, sweepShape)
 		if err != nil {
 			return targetPlan{}, nil, fmt.Errorf("RHS slice %d %s: %w", si, rhs, err)
 		}
@@ -297,7 +296,7 @@ func buildTarget(f *directive.FunctorDecl, target directive.MapTarget, arr *Arra
 // [sweep dims..., feature dims...] over the target array's memory.
 func resolveSlice(rhs directive.SliceSpec, arr *Array, astrides []int,
 	baseEnv, farEnv, env directive.Env, symbols []string,
-	sweeps []sweepRange, sweepShape []int, fixed []int) (sliceView, error) {
+	sweeps []sweepRange, sweepShape []int) (sliceView, error) {
 
 	rank := len(rhs.Slices)
 
@@ -381,11 +380,6 @@ func resolveSlice(rhs directive.SliceSpec, arr *Array, astrides []int,
 		return sliceView{}, fmt.Errorf("index expressions are not affine in the sweep symbols")
 	}
 
-	// Points on fixed target dims contribute through baseIdx already; the
-	// fixed slice values were concretized into the expressions' env via
-	// evaluation, nothing further needed (fixed kept for documentation).
-	_ = fixed
-
 	shape := append(append([]int(nil), sweepShape...), featLen...)
 	strides := append(append([]int(nil), viewStrides...), featStride...)
 
@@ -449,46 +443,6 @@ func (p *Plan) TensorShape() []int {
 	return append(append([]int(nil), p.sweepShape...), p.lhsFeat...)
 }
 
-// Gather executes the plan in the "to" direction: tensor composition of the
-// wrapped RHS views into a single contiguous LHS tensor. This is the only
-// step of the bridge that copies data, and each element is copied exactly
-// once.
-func (p *Plan) Gather() (*tensor.Tensor, error) {
-	outFlat := tensor.New(append(append([]int(nil), p.sweepShape...), p.featTotal)...)
-	if err := p.GatherInto(outFlat); err != nil {
-		return nil, err
-	}
-	return outFlat.Reshape(p.TensorShape()...)
-}
-
-// GatherInto is Gather writing into a caller-provided destination, letting
-// callers reuse one staging tensor across invocations (the batched
-// region-execution path stages every invocation of a batch into row blocks
-// of a single tensor this way). dst must have the composition layout
-// [sweep dims..., features] or the flattened [entries, features] layout;
-// it may be a strided view (e.g. a Narrow of a larger staging tensor) as
-// long as its trailing dimension covers all features.
-func (p *Plan) GatherInto(dst *tensor.Tensor) error {
-	d, dim, err := p.composeLayout(dst)
-	if err != nil {
-		return fmt.Errorf("bridge: gather dst: %w", err)
-	}
-	fOff := 0
-	for _, tp := range p.targets {
-		for _, sv := range tp.slices {
-			part, err := d.Narrow(dim, fOff, sv.featElem)
-			if err != nil {
-				return err
-			}
-			if err := tensor.CopyFlat(part, sv.view); err != nil {
-				return fmt.Errorf("bridge: compose: %w", err)
-			}
-			fOff += sv.featElem
-		}
-	}
-	return nil
-}
-
 // ioPair couples one RHS slice's application-memory view with its slot
 // in a fixed composition tensor.
 type ioPair struct{ comp, view *tensor.Tensor }
@@ -496,16 +450,20 @@ type ioPair struct{ comp, view *tensor.Tensor }
 // Stager is a Plan bound to one fixed staging tensor: every per-slice
 // Narrow of the composition layout is resolved once at construction, so
 // repeated transfers through the same staging memory do no per-call
-// planning or allocation. This is what lets the batched region-execution
-// path stage thousands of invocations without re-deriving views.
+// planning or allocation. It is the plan's only transfer: the batched
+// region-execution path binds stagers once per staging block, and a
+// capture record binds one to its freshly allocated tensor.
 type Stager struct {
 	pairs []ioPair
 }
 
-// NewStager binds the plan to dst, which must satisfy the same layout
-// rules as GatherInto. The returned stager aliases both dst and the
-// plan's application memory; it stays valid as long as neither is
-// reallocated.
+// NewStager binds the plan to dst, which must have the composition
+// layout [sweep dims..., features] or the flattened [entries, features]
+// layout. dst may be a strided view (a Narrow of a larger staging
+// tensor, or a transposed image) as long as its trailing dimension
+// covers all features; a contiguous dst of the right element count is
+// reshaped. The returned stager aliases both dst and the plan's
+// application memory; it stays valid as long as neither is reallocated.
 func (p *Plan) NewStager(dst *tensor.Tensor) (*Stager, error) {
 	d, dim, err := p.composeLayout(dst)
 	if err != nil {
@@ -538,7 +496,8 @@ func (s *Stager) Gather() error {
 }
 
 // Scatter copies the staging tensor back into application memory (the
-// "from" direction), writing slices in declaration order.
+// "from" direction). Overlapping RHS views are written in declaration
+// order (last writer wins).
 func (s *Stager) Scatter() error {
 	for _, pr := range s.pairs {
 		if err := tensor.CopyFlat(pr.view, pr.comp); err != nil {
@@ -572,35 +531,4 @@ func (p *Plan) composeLayout(t *tensor.Tensor) (*tensor.Tensor, int, error) {
 		return r, 1, nil
 	}
 	return nil, 0, fmt.Errorf("shape %v incompatible with composition layout %v", t.Shape(), flatComp)
-}
-
-// Scatter executes the plan in the "from" direction: the model-produced LHS
-// tensor t is copied back through the wrapped views into application
-// memory. Overlapping RHS views are written in declaration order
-// (last-writer-wins). t may also arrive in the flattened [entries,
-// features] layout the NN runtime produces.
-func (p *Plan) Scatter(t *tensor.Tensor) error {
-	want := p.TensorShape()
-	if !tensor.ShapeEqual(t.Shape(), want) && t.Len() != tensor.NumElements(want) {
-		return fmt.Errorf("bridge: scatter shape %v, plan wants %v", t.Shape(), want)
-	}
-	nSweep := len(p.sweepShape)
-	src, err := t.Reshape(append(append([]int(nil), p.sweepShape...), p.featTotal)...)
-	if err != nil {
-		return fmt.Errorf("bridge: scatter reshape: %w", err)
-	}
-	fOff := 0
-	for _, tp := range p.targets {
-		for _, sv := range tp.slices {
-			part, err := src.Narrow(nSweep, fOff, sv.featElem)
-			if err != nil {
-				return err
-			}
-			if err := tensor.CopyFlat(sv.view, part); err != nil {
-				return fmt.Errorf("bridge: scatter: %w", err)
-			}
-			fOff += sv.featElem
-		}
-	}
-	return nil
 }

@@ -28,6 +28,31 @@ func parseMap(t *testing.T, src string) *directive.MapDecl {
 	return d.(*directive.MapDecl)
 }
 
+// gatherInto composes the plan into dst, which may be a strided view,
+// through a Stager, the bridge's one transfer path.
+func gatherInto(p *Plan, dst *tensor.Tensor) error {
+	st, err := p.NewStager(dst)
+	if err != nil {
+		return err
+	}
+	return st.Gather()
+}
+
+// gather composes the plan into a fresh tensor of its LHS shape.
+func gather(p *Plan) (*tensor.Tensor, error) {
+	out := tensor.New(p.TensorShape()...)
+	return out, gatherInto(p, out)
+}
+
+// scatter copies src back through the plan's views.
+func scatter(p *Plan, src *tensor.Tensor) error {
+	st, err := p.NewStager(src)
+	if err != nil {
+		return err
+	}
+	return st.Scatter()
+}
+
 // TestFigure4StencilGather reproduces the exact example of Figures 2 and 4:
 // a 5-point stencil functor applied to a 2-D grid.
 func TestFigure4StencilGather(t *testing.T) {
@@ -54,7 +79,7 @@ func TestFigure4StencilGather(t *testing.T) {
 	if plan.Entries() != (N-2)*(M-2) || plan.Features() != 5 {
 		t.Fatalf("entries/features = %d/%d", plan.Entries(), plan.Features())
 	}
-	out, err := plan.Gather()
+	out, err := gather(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +121,7 @@ func TestFigure2Scatter(t *testing.T) {
 			modelOut.Set(float64(100+10*i+j), i, j, 0)
 		}
 	}
-	if err := plan.Scatter(modelOut); err != nil {
+	if err := scatter(plan, modelOut); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < N; i++ {
@@ -116,7 +141,7 @@ func TestFigure2Scatter(t *testing.T) {
 }
 
 // TestScatterAcceptsFlattenedBatch checks the NN-runtime layout
-// [entries, features] is accepted by Scatter.
+// [entries, features] is accepted by a scatter stager.
 func TestScatterAcceptsFlattenedBatch(t *testing.T) {
 	const N = 6
 	f := parseFunctor(t, "tensor functor(of: [i, 0:1] = ([i]))")
@@ -131,7 +156,7 @@ func TestScatterAcceptsFlattenedBatch(t *testing.T) {
 	for i := 0; i < N; i++ {
 		flat.Set(float64(i)*2, i, 0)
 	}
-	if err := plan.Scatter(flat); err != nil {
+	if err := scatter(plan, flat); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < N; i++ {
@@ -162,7 +187,7 @@ func TestMultiTargetFeatureConcat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := plan.Gather()
+	out, err := gather(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +215,7 @@ func TestSteppedSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := plan.Gather()
+	out, err := gather(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +244,7 @@ func TestScaledIndexExpression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := plan.Gather()
+	out, err := gather(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +270,7 @@ func TestPointTargetDim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := plan.Gather()
+	out, err := gather(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +358,7 @@ func TestGatherZeroCopyUntilCompose(t *testing.T) {
 		t.Fatal(err)
 	}
 	data[2] = 42
-	out, err := plan.Gather()
+	out, err := gather(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +395,7 @@ func TestPropGatherScatterRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		gathered, err := toPlan.Gather()
+		gathered, err := gather(toPlan)
 		if err != nil {
 			return false
 		}
@@ -378,7 +403,7 @@ func TestPropGatherScatterRoundTrip(t *testing.T) {
 		for i := range data {
 			data[i] = math.NaN()
 		}
-		if err := fromPlan.Scatter(gathered); err != nil {
+		if err := scatter(fromPlan, gathered); err != nil {
 			return false
 		}
 		for i := range data {
@@ -415,7 +440,7 @@ func TestPropStencilMatchesReference(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		out, err := plan.Gather()
+		out, err := gather(plan)
 		if err != nil {
 			return false
 		}
@@ -438,9 +463,9 @@ func TestPropStencilMatchesReference(t *testing.T) {
 	}
 }
 
-// TestGatherIntoMatchesGather checks the buffer-reusing composition path
-// against the allocating one, including gathering into a strided row
-// block of a larger batched staging tensor.
+// TestGatherIntoMatchesGather checks stagers bound to reused staging
+// memory against a gather into a fresh tensor, including gathering into a
+// strided row block of a larger batched staging tensor.
 func TestGatherIntoMatchesGather(t *testing.T) {
 	const N, M = 6, 7
 	f := parseFunctor(t, "tensor functor(ifnctr: [i, j, 0:5] = (([i-1, j], [i+1, j], [i, j-1:j+2])))")
@@ -457,7 +482,7 @@ func TestGatherIntoMatchesGather(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := plan.Gather()
+	want, err := gather(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +501,7 @@ func TestGatherIntoMatchesGather(t *testing.T) {
 		for i := 0; i < plan.Entries(); i++ {
 			for j := 0; j < plan.Features(); j++ {
 				if gc.At(i, j) != wantFlat.At(i, j) {
-					t.Fatalf("GatherInto differs at (%d,%d)", i, j)
+					t.Fatalf("staged gather differs at (%d,%d)", i, j)
 				}
 			}
 		}
@@ -484,14 +509,14 @@ func TestGatherIntoMatchesGather(t *testing.T) {
 
 	// Composition layout [sweep..., features].
 	dst := tensor.New(N-2, M-2, 5)
-	if err := plan.GatherInto(dst); err != nil {
+	if err := gatherInto(plan, dst); err != nil {
 		t.Fatal(err)
 	}
 	check(dst)
 
 	// Flattened [entries, features] layout.
 	flat := tensor.New(plan.Entries(), plan.Features())
-	if err := plan.GatherInto(flat); err != nil {
+	if err := gatherInto(plan, flat); err != nil {
 		t.Fatal(err)
 	}
 	check(flat)
@@ -503,12 +528,12 @@ func TestGatherIntoMatchesGather(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := plan.GatherInto(mid); err != nil {
+	if err := gatherInto(plan, mid); err != nil {
 		t.Fatal(err)
 	}
 	check(mid)
 	if batch.At(0, 0) != -7 || batch.At(2*plan.Entries(), 0) != -7 {
-		t.Fatal("GatherInto wrote outside its row block")
+		t.Fatal("staged gather wrote outside its row block")
 	}
 
 	// A feature-column block of a wider staging tensor (multi-plan
@@ -518,19 +543,19 @@ func TestGatherIntoMatchesGather(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := plan.GatherInto(col); err != nil {
+	if err := gatherInto(plan, col); err != nil {
 		t.Fatal(err)
 	}
 	check(col)
 	if wide.At(0, 0) != -3 || wide.At(0, plan.Features()+2) != -3 {
-		t.Fatal("GatherInto wrote outside its column block")
+		t.Fatal("staged gather wrote outside its column block")
 	}
 
 	// Incompatible destination shapes are rejected.
-	if err := plan.GatherInto(tensor.New(plan.Entries(), plan.Features()+1)); err == nil {
+	if err := gatherInto(plan, tensor.New(plan.Entries(), plan.Features()+1)); err == nil {
 		t.Fatal("want error for wrong feature count")
 	}
-	if err := plan.GatherInto(nil); err == nil {
+	if err := gatherInto(plan, nil); err == nil {
 		t.Fatal("want error for nil dst")
 	}
 }

@@ -346,31 +346,7 @@ func (t *Tensor) CopyFrom(src *Tensor) error {
 	if !ShapeEqual(t.shape, src.shape) {
 		return fmt.Errorf("tensor: copy shape mismatch %v vs %v", t.shape, src.shape)
 	}
-	// Fast path: both contiguous.
-	if t.IsContiguous() && src.IsContiguous() {
-		copy(t.data[t.offset:t.offset+t.Len()], src.data[src.offset:src.offset+src.Len()])
-		return nil
-	}
-	dst := t
-	src.iterate(func(flat int, v float64) {
-		dst.setFlatLogical(flat, v)
-	})
-	return nil
-}
-
-// setFlatLogical writes v at the row-major logical position flat.
-func (t *Tensor) setFlatLogical(flat int, v float64) {
-	pos := t.offset
-	rem := flat
-	for d := 0; d < len(t.shape); d++ {
-		size := 1
-		for e := d + 1; e < len(t.shape); e++ {
-			size *= t.shape[e]
-		}
-		pos += (rem / size) * t.strides[d]
-		rem %= size
-	}
-	t.data[pos] = v
+	return CopyFlat(t, src)
 }
 
 // CopyFlat copies src into dst in row-major logical order. The shapes may
@@ -615,44 +591,6 @@ func (t *Tensor) Min() float64 {
 		}
 	})
 	return m
-}
-
-// Concat concatenates tensors along dim. All inputs must share rank and all
-// non-dim extents. The result is freshly allocated and contiguous.
-func Concat(dim int, ts ...*Tensor) (*Tensor, error) {
-	if len(ts) == 0 {
-		return nil, fmt.Errorf("tensor: concat of zero tensors")
-	}
-	rank := ts[0].Rank()
-	if dim < 0 || dim >= rank {
-		return nil, fmt.Errorf("tensor: concat dim %d out of range for rank %d", dim, rank)
-	}
-	outShape := ts[0].Shape()
-	outShape[dim] = 0
-	for _, t := range ts {
-		if t.Rank() != rank {
-			return nil, fmt.Errorf("tensor: concat rank mismatch %d vs %d", t.Rank(), rank)
-		}
-		for d := 0; d < rank; d++ {
-			if d != dim && t.shape[d] != ts[0].shape[d] {
-				return nil, fmt.Errorf("tensor: concat extent mismatch in dim %d: %d vs %d", d, t.shape[d], ts[0].shape[d])
-			}
-		}
-		outShape[dim] += t.shape[dim]
-	}
-	out := New(outShape...)
-	at := 0
-	for _, t := range ts {
-		dst, err := out.Narrow(dim, at, t.shape[dim])
-		if err != nil {
-			return nil, err
-		}
-		if err := dst.CopyFrom(t); err != nil {
-			return nil, err
-		}
-		at += t.shape[dim]
-	}
-	return out, nil
 }
 
 // Stack stacks tensors along a new leading dimension at position dim.

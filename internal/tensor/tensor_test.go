@@ -231,6 +231,25 @@ func TestCopyFromStrided(t *testing.T) {
 	if dstBase.At(1, 0) != 1 || dstBase.At(1, 2) != 2 || dstBase.At(2, 4) != 6 {
 		t.Fatalf("strided copy wrong: %v", dstBase)
 	}
+
+	// Strided source too: the transpose of src into a stride-2 column
+	// view of a [3, 4] buffer.
+	srcT, _ := src.Transpose(0, 1) // [3, 2]
+	base2 := Full(-1, 3, 4)
+	dst2, _ := base2.Slice(1, 1, 4, 2) // columns 1 and 3
+	if err := dst2.CopyFrom(srcT); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		for j := 0; j < 2; j++ {
+			if got, want := base2.At(i, 1+2*j), src.At(j, i); got != want {
+				t.Fatalf("transposed copy (%d,%d) = %g, want %g", i, j, got, want)
+			}
+			if base2.At(i, 2*j) != -1 {
+				t.Fatalf("copy wrote outside the view at (%d,%d)", i, 2*j)
+			}
+		}
+	}
 }
 
 func TestCopyFromShapeMismatch(t *testing.T) {
@@ -280,36 +299,6 @@ func TestCopyFlatStridedBothSides(t *testing.T) {
 func TestCopyFlatCountMismatch(t *testing.T) {
 	if err := CopyFlat(New(3), New(4)); err == nil {
 		t.Fatal("want element count mismatch error")
-	}
-}
-
-func TestConcat(t *testing.T) {
-	a := Full(1, 2, 2)
-	b := Full(2, 2, 3)
-	c, err := Concat(1, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ShapeEqual(c.Shape(), []int{2, 5}) {
-		t.Fatalf("shape = %v, want [2 5]", c.Shape())
-	}
-	if c.At(0, 1) != 1 || c.At(1, 4) != 2 {
-		t.Fatal("concat contents wrong")
-	}
-}
-
-func TestConcatErrors(t *testing.T) {
-	if _, err := Concat(0); err == nil {
-		t.Fatal("want error for empty concat")
-	}
-	if _, err := Concat(2, New(2, 2), New(2, 2)); err == nil {
-		t.Fatal("want error for out-of-range dim")
-	}
-	if _, err := Concat(0, New(2, 2), New(2, 3)); err == nil {
-		t.Fatal("want error for mismatched non-concat extent")
-	}
-	if _, err := Concat(0, New(2, 2), New(2)); err == nil {
-		t.Fatal("want error for rank mismatch")
 	}
 }
 
@@ -544,7 +533,8 @@ func TestPropDoubleTranspose(t *testing.T) {
 	}
 }
 
-// Property: Concat then Narrow recovers the parts.
+// Property: copying parts into Narrow column blocks of one tensor (the
+// bridge's multi-plan composition) and narrowing again recovers them.
 func TestPropConcatNarrowRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -557,10 +547,7 @@ func TestPropConcatNarrowRoundTrip(t *testing.T) {
 		for i := range b.Data() {
 			b.Data()[i] = r.NormFloat64()
 		}
-		c, err := Concat(1, a, b)
-		if err != nil {
-			return false
-		}
+		c := New(rows, ca+cb)
 		pa, err := c.Narrow(1, 0, ca)
 		if err != nil {
 			return false
@@ -569,6 +556,11 @@ func TestPropConcatNarrowRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		if pa.CopyFrom(a) != nil || pb.CopyFrom(b) != nil {
+			return false
+		}
+		pa, _ = c.Narrow(1, 0, ca)
+		pb, _ = c.Narrow(1, ca, cb)
 		return reflect.DeepEqual(pa.Clone().Data(), a.Data()) &&
 			reflect.DeepEqual(pb.Clone().Data(), b.Data())
 	}

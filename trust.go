@@ -119,35 +119,6 @@ func (r *Region) countTrust(rep *TrustReport, lo, hi int, keptTrusted bool) {
 	}
 }
 
-// recaptureInvocation hands one accurately recomputed invocation to
-// the capture sink — the retraining loop's feedstock. inputs must have
-// been gathered before the accurate run (inout arrays are overwritten
-// by it). Regions with no capture target (no db() clause, no injected
-// sink) skip the capture but keep the routing.
-func (r *Region) recaptureInvocation(inputs *tensor.Tensor, runtime time.Duration) error {
-	if r.sink == nil && r.dbPath == "" {
-		return nil
-	}
-	start := time.Now()
-	outputs, err := r.modelTarget()
-	r.stats.FromTensor += time.Since(start)
-	if err != nil {
-		return err
-	}
-	start = time.Now()
-	defer func() { r.stats.DBWrite += time.Since(start) }()
-	if err := r.ensureSink(); err != nil {
-		return err
-	}
-	r.stats.Collections++
-	return r.sink.Capture(&CaptureRecord{
-		Region:    r.name,
-		Inputs:    inputs,
-		Outputs:   outputs,
-		RuntimeNS: float64(runtime.Nanoseconds()),
-	})
-}
-
 // ExecuteBatchRouted is ExecuteBatch with per-invocation trust routing
 // and accurate fallback: the surrogate predicts the whole batch once,
 // then each invocation whose rows the trust gates accept is scattered
@@ -171,28 +142,30 @@ func (r *Region) ExecuteBatchRouted(ctx context.Context, n int, stage func(i int
 }
 
 // routeInvocationAccurate recomputes one batched invocation on the
-// accurate path: re-stage its inputs, gather them for the capture
-// record, run accurate(i), recapture, and finish.
+// accurate path: re-stage its inputs, run accurate(i) through the
+// region's capture step, so the recomputed sample is recaptured — the
+// retraining loop's feedstock — and finish. Regions with no capture
+// target (no db() clause, no injected sink) keep the routing but skip
+// the capture.
 func (r *Region) routeInvocationAccurate(i int, stage, accurate, finish func(int) error) error {
 	if stage != nil {
 		if err := stage(i); err != nil {
 			return fmt.Errorf("hpacml: batch stage %d in region %q: %w", i, r.name, err)
 		}
 	}
-	start := time.Now()
-	inputs, err := r.modelInput()
-	r.stats.ToTensor += time.Since(start)
+	run := func() error {
+		if err := accurate(i); err != nil {
+			return fmt.Errorf("hpacml: batch accurate %d in region %q: %w", i, r.name, err)
+		}
+		return nil
+	}
+	var err error
+	if r.sink == nil && r.dbPath == "" {
+		err = r.runAccurate(run)
+	} else {
+		err = r.collect(run)
+	}
 	if err != nil {
-		return err
-	}
-	runStart := time.Now()
-	if err := accurate(i); err != nil {
-		return fmt.Errorf("hpacml: batch accurate %d in region %q: %w", i, r.name, err)
-	}
-	runtime := time.Since(runStart)
-	r.stats.Accurate += runtime
-	r.stats.AccurateRuns++
-	if err := r.recaptureInvocation(inputs, runtime); err != nil {
 		return err
 	}
 	if finish != nil {
