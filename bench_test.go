@@ -646,38 +646,3 @@ func BenchmarkExecuteSingleVsBatch(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkForwardBatch measures the NN-engine half of the amortization:
-// many small Forward calls against one ForwardBatch call over the same
-// rows.
-func BenchmarkForwardBatch(b *testing.B) {
-	net := nn.NewNetwork(3)
-	net.Add(net.NewDense(16, 128), nn.NewActivation(nn.ActReLU), net.NewDense(128, 4))
-	const parts, rows = 32, 8
-	xs := make([]*tensor.Tensor, parts)
-	for i := range xs {
-		xs[i] = tensor.New(rows, 16)
-		d := xs[i].Data()
-		for j := range d {
-			d[j] = float64((i*37 + j) % 19)
-		}
-	}
-	b.Run("sequential", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, x := range xs {
-				if _, err := net.Forward(x); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("batched", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := net.ForwardBatch(xs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 
-	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -34,14 +33,7 @@ type VarianceReporter interface{ RowVariance() []float64 }
 type EnsembleEngine struct {
 	members []Engine
 
-	// locals is the fast path: when every member is a LocalEngine the
-	// batch runs through nn.ForwardEnsembleInto, sharing one scratch
-	// accumulator instead of a tensor round-trip per member.
-	locals []*LocalEngine
-	nets   []*nn.Network
-	scr    nn.EnsembleScratch
-
-	// Generic-path scratch: one member-output tensor plus accumulators.
+	// Infer scratch: one member-output tensor plus accumulators.
 	memberOut  *tensor.Tensor
 	sum, sumSq []float64
 
@@ -56,20 +48,12 @@ func NewEnsembleEngine(members ...Engine) (*EnsembleEngine, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("hpacml: ensemble engine needs at least one member")
 	}
-	e := &EnsembleEngine{members: members}
-	e.locals = make([]*LocalEngine, len(members))
 	for i, m := range members {
 		if m == nil {
 			return nil, fmt.Errorf("hpacml: ensemble member %d is nil", i)
 		}
-		le, ok := m.(*LocalEngine)
-		if !ok {
-			e.locals = nil
-			break
-		}
-		e.locals[i] = le
 	}
-	return e, nil
+	return &EnsembleEngine{members: members}, nil
 }
 
 // NewLocalEnsemble builds an ensemble of LocalEngines, one per .gmod
@@ -125,55 +109,24 @@ func (e *EnsembleEngine) OutputShape(in []int) ([]int, error) {
 	return shape, nil
 }
 
-// Infer predicts the batch with every member, writes the member mean
-// into out, and records per-row predictive variance for RowVariance.
+// Infer runs every member over the batch into the engine's own
+// scratch, writes the member mean into out, and records per-row
+// predictive variance for RowVariance.
 func (e *EnsembleEngine) Infer(ctx context.Context, in, out *tensor.Tensor) error {
+	n := out.Len()
 	rows := 1
 	if out.Rank() >= 1 {
 		rows = out.Dim(0)
+	}
+	features := 0
+	if rows > 0 {
+		features = n / rows
 	}
 	if cap(e.rowVar) < rows {
 		e.rowVar = make([]float64, rows)
 	}
 	e.rowVar = e.rowVar[:rows]
-	if e.locals != nil && out.Rank() == 2 {
-		return e.localInfer(ctx, in, out)
-	}
-	return e.genericInfer(ctx, in, out)
-}
-
-// localInfer is the all-local fast path: resolve member networks and
-// run the variance-aware batched forward over the model slots.
-func (e *EnsembleEngine) localInfer(ctx context.Context, in, out *tensor.Tensor) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if cap(e.nets) < len(e.locals) {
-		e.nets = make([]*nn.Network, len(e.locals))
-	}
-	e.nets = e.nets[:len(e.locals)]
-	for i, le := range e.locals {
-		if le.Network() == nil {
-			if err := le.Warmup(ctx, nil); err != nil {
-				return fmt.Errorf("hpacml: ensemble member %d: %w", i, err)
-			}
-		}
-		e.nets[i] = le.Network()
-	}
-	return nn.ForwardEnsembleInto(e.nets, out, in, e.rowVar, &e.scr)
-}
-
-// genericInfer runs each member through the Engine interface —
-// required for mixed or remote members and for non-rank-2 outputs —
-// accumulating mean and variance in the engine's own scratch.
-func (e *EnsembleEngine) genericInfer(ctx context.Context, in, out *tensor.Tensor) error {
-	n := out.Len()
-	rows := len(e.rowVar)
-	features := 0
-	if rows > 0 {
-		features = n / rows
-	}
-	if e.memberOut == nil || !tensor.ShapeEqual(e.memberOut.Shape(), out.Shape()) {
+	if e.memberOut == nil || !tensor.SameShape(e.memberOut, out) {
 		e.memberOut = tensor.New(out.Shape()...)
 	}
 	if cap(e.sum) < n {
@@ -188,7 +141,7 @@ func (e *EnsembleEngine) genericInfer(ctx context.Context, in, out *tensor.Tenso
 		if err := m.Infer(ctx, in, e.memberOut); err != nil {
 			return fmt.Errorf("hpacml: ensemble member %d: %w", mi, err)
 		}
-		for i, v := range e.memberOut.Contiguous().Data() {
+		for i, v := range e.memberOut.Data() {
 			sum[i] += v
 			sumSq[i] += v * v
 		}
@@ -211,15 +164,12 @@ func (e *EnsembleEngine) genericInfer(ctx context.Context, in, out *tensor.Tenso
 				acc = math.Inf(1)
 				break
 			}
-			if v > 0 {
+			if v > 0 { // clamp the tiny negative values of cancellation
 				acc += v
 			}
 		}
 		if features > 0 {
 			acc /= float64(features)
-		}
-		if math.IsNaN(acc) {
-			acc = math.Inf(1)
 		}
 		e.rowVar[r] = acc
 	}

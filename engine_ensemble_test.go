@@ -4,7 +4,10 @@
 package hpacml_test
 
 import (
+	"context"
+	"fmt"
 	"math"
+	"path/filepath"
 	"testing"
 
 	hpacml "repro"
@@ -173,5 +176,106 @@ func TestEnsembleMatchesMemberOracle(t *testing.T) {
 	}
 	if _, err := hpacml.NewEnsembleEngine(); err == nil {
 		t.Error("an ensemble without members must be rejected")
+	}
+}
+
+// TestEnsembleEngineSteadyStateAllocs: once warm, an ensemble Infer
+// allocates nothing, whether its members are LocalEngines or hidden
+// behind a generic Engine.
+func TestEnsembleEngineSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc assertions run in the non-race job")
+	}
+	const inDim, outDim, rows = 3, 2, 32
+	dir := t.TempDir()
+	var paths []string
+	var wrappedMembers []hpacml.Engine
+	for _, seed := range []int64{311, 312, 313} {
+		p := saveVectorNet(t, dir, seed, inDim, outDim)
+		paths = append(paths, p)
+		wrappedMembers = append(wrappedMembers, passThrough{hpacml.NewLocalEngine(p)})
+	}
+	local, err := hpacml.NewLocalEnsemble(paths...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	wrapped, err := hpacml.NewEnsembleEngine(wrappedMembers...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wrapped.Close()
+
+	ctx := t.Context()
+	x := goldenBatch(t, rows, inDim)
+	out := tensor.New(rows, outDim)
+	for name, eng := range map[string]*hpacml.EnsembleEngine{"local": local, "wrapped": wrapped} {
+		if err := eng.Infer(ctx, x, out); err != nil { // warm members and scratch
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := eng.Infer(ctx, x, out); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s members: steady-state Infer allocates %.1f objects/call, want 0", name, allocs)
+		}
+	}
+}
+
+// BenchmarkEnsembleInfer times a 3-member NewLocalEnsemble on the
+// benchmark's two f64 MLP shapes, small (3-64-32-1) and wide
+// (64-512-512-16), at 32 rows: three member forwards plus the
+// mean/variance pass. ns/row is the figure to compare.
+func BenchmarkEnsembleInfer(b *testing.B) {
+	const rows = 32
+	for _, tc := range []struct {
+		name   string
+		widths []int
+	}{
+		{"small/b32", []int{3, 64, 32, 1}},
+		{"wide/b32", []int{64, 512, 512, 16}},
+	} {
+		dir := b.TempDir()
+		paths := make([]string, 3)
+		for i := range paths {
+			net := nn.NewNetwork(int64(11 + i))
+			for l := 0; l+1 < len(tc.widths); l++ {
+				if l > 0 {
+					net.Add(nn.NewActivation(nn.ActReLU))
+				}
+				net.Add(net.NewDense(tc.widths[l], tc.widths[l+1]))
+			}
+			paths[i] = filepath.Join(dir, fmt.Sprintf("member%d.gmod", i))
+			if err := net.Save(paths[i]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		eng, err := hpacml.NewLocalEnsemble(paths...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		in, outDim := tc.widths[0], tc.widths[len(tc.widths)-1]
+		x := tensor.New(rows, in)
+		xd := x.Data()
+		for i := range xd {
+			xd[i] = math.Sin(float64(i) * 0.37)
+		}
+		out := tensor.New(rows, outDim)
+		ctx := context.Background()
+		if err := eng.Infer(ctx, x, out); err != nil { // load members and warm scratch
+			b.Fatal(err)
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := eng.Infer(ctx, x, out); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+		})
+		eng.Close()
 	}
 }

@@ -54,19 +54,12 @@ type RemoteOption func(*remoteConfig)
 
 type remoteConfig struct {
 	timeout time.Duration
-	client  *serveclient.Client
 }
 
 // WithRequestTimeout bounds each inference request end-to-end,
 // independent of the caller's context (whichever expires first wins).
 func WithRequestTimeout(d time.Duration) RemoteOption {
 	return func(c *remoteConfig) { c.timeout = d }
-}
-
-// WithClient substitutes the underlying serve client (shared pools,
-// custom transports). The base URL of the client wins over the URI's.
-func WithClient(c *serveclient.Client) RemoteOption {
-	return func(rc *remoteConfig) { rc.client = c }
 }
 
 // NewRemoteEngine builds a remote engine from a model URI
@@ -80,15 +73,11 @@ func NewRemoteEngine(uri string, opts ...RemoteOption) (*RemoteEngine, error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	client := cfg.client
-	if client == nil {
-		copts := []serveclient.Option{serveclient.WithWire(serveclient.WireBinary)}
-		if cfg.timeout > 0 {
-			copts = append(copts, serveclient.WithTimeout(cfg.timeout))
-		}
-		client = serveclient.New(base, copts...)
+	copts := []serveclient.Option{serveclient.WithWire(serveclient.WireBinary)}
+	if cfg.timeout > 0 {
+		copts = append(copts, serveclient.WithTimeout(cfg.timeout))
 	}
-	return &RemoteEngine{client: client, model: name}, nil
+	return &RemoteEngine{client: serveclient.New(base, copts...), model: name}, nil
 }
 
 // ModelName returns the registered model name the engine targets.

@@ -12,7 +12,7 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/device"
+	"repro/internal/parallel"
 )
 
 // Config sizes the portfolio and the lattice.
@@ -42,8 +42,6 @@ type Instance struct {
 	T []float64
 	// Prices is the computed QoI: the region's output array.
 	Prices []float64
-
-	dev *device.Device
 }
 
 // New generates a deterministic portfolio: spot in [5, 30), strike in
@@ -56,17 +54,14 @@ func New(cfg Config) (*Instance, error) {
 	if cfg.Volatility <= 0 {
 		return nil, fmt.Errorf("binomial: volatility must be positive")
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	in := &Instance{
 		Cfg:    cfg,
 		S:      make([]float64, cfg.NumOptions),
 		X:      make([]float64, cfg.NumOptions),
 		T:      make([]float64, cfg.NumOptions),
 		Prices: make([]float64, cfg.NumOptions),
-		dev:    device.New("binomial"),
 	}
 	in.RandomizeOptions(cfg.Seed + 1)
-	_ = rng
 	return in, nil
 }
 
@@ -80,13 +75,10 @@ func (in *Instance) RandomizeOptions(seed int64) {
 	}
 }
 
-// Device exposes the kernel-timing device.
-func (in *Instance) Device() *device.Device { return in.dev }
-
 // ComputePrices is the accurate execution path: one lattice per option.
 func (in *Instance) ComputePrices() {
 	steps := in.Cfg.Steps
-	in.dev.LaunchBlocks("binomialOptionsKernel", in.Cfg.NumOptions, func(lo, hi int) {
+	parallel.ForRange(in.Cfg.NumOptions, func(lo, hi int) {
 		// Per-block scratch reused across the options of this block,
 		// mirroring the CUDA kernel's shared-memory call value array.
 		scratch := make([]float64, steps+1)

@@ -13,7 +13,7 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/device"
+	"repro/internal/parallel"
 )
 
 // Config sizes the portfolio.
@@ -44,8 +44,6 @@ type Instance struct {
 	DirtyPrice []float64
 	CleanPrice []float64
 	YTM        []float64
-
-	dev *device.Device
 }
 
 // New generates a deterministic portfolio.
@@ -63,7 +61,6 @@ func New(cfg Config) (*Instance, error) {
 		DirtyPrice: make([]float64, cfg.NumBonds),
 		CleanPrice: make([]float64, cfg.NumBonds),
 		YTM:        make([]float64, cfg.NumBonds),
-		dev:        device.New("bonds"),
 	}
 	in.RandomizeBonds(cfg.Seed + 1)
 	return in, nil
@@ -81,9 +78,6 @@ func (in *Instance) RandomizeBonds(seed int64) {
 	}
 }
 
-// Device exposes the kernel-timing device.
-func (in *Instance) Device() *device.Device { return in.dev }
-
 const (
 	faceValue   = 100.0
 	periodsYear = 2 // semiannual coupons
@@ -92,7 +86,7 @@ const (
 // ComputeValuations is the accurate execution path: full valuation of
 // every bond in the portfolio.
 func (in *Instance) ComputeValuations() {
-	in.dev.Launch1D("bondsKernel", in.Cfg.NumBonds, func(i int) {
+	parallel.For(in.Cfg.NumBonds, func(i int) {
 		acc, dirty, clean, ytm := Value(in.Coupon[i], in.Rate[i], in.Maturity[i], in.Settle[i])
 		in.Accrued[i] = acc
 		in.DirtyPrice[i] = dirty

@@ -13,7 +13,7 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/device"
+	"repro/internal/parallel"
 )
 
 // Atom is one forcefield particle: position plus a type index selecting
@@ -56,8 +56,6 @@ type Instance struct {
 	epsilon []float64
 	sigma   []float64
 	charge  []float64
-
-	dev *device.Device
 }
 
 // New generates a deterministic deck from the config.
@@ -75,7 +73,6 @@ func New(cfg Config) (*Instance, error) {
 		epsilon:  make([]float64, cfg.AtomTypes*cfg.AtomTypes),
 		sigma:    make([]float64, cfg.AtomTypes*cfg.AtomTypes),
 		charge:   make([]float64, cfg.AtomTypes*cfg.AtomTypes),
-		dev:      device.New("minibude"),
 	}
 	// Protein: a loose globular cluster.
 	for i := range in.Protein {
@@ -122,15 +119,12 @@ func (in *Instance) RandomizePoses(seed int64) {
 	}
 }
 
-// Device exposes the kernel-timing device.
-func (in *Instance) Device() *device.Device { return in.dev }
-
 // ComputeEnergies is the accurate execution path: the fasten-style kernel
 // that scores every pose against the full protein.
 func (in *Instance) ComputeEnergies() {
 	lig, prot := in.Ligand, in.Protein
 	nt := in.Cfg.AtomTypes
-	in.dev.Launch1D("fasten_main", in.Cfg.NumPoses, func(p int) {
+	parallel.For(in.Cfg.NumPoses, func(p int) {
 		in.Energies[p] = in.scorePose(in.Poses[p*6:p*6+6], lig, prot, nt)
 	})
 }

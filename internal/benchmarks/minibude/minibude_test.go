@@ -116,14 +116,6 @@ func TestRandomizePosesChangesInputs(t *testing.T) {
 	}
 }
 
-func TestKernelTimed(t *testing.T) {
-	in, _ := New(smallConfig())
-	in.ComputeEnergies()
-	if in.Device().KernelTime("fasten_main") <= 0 {
-		t.Fatal("kernel time not recorded")
-	}
-}
-
 func TestPosesMatrixShape(t *testing.T) {
 	in, _ := New(smallConfig())
 	data, n, f := in.PosesMatrix()

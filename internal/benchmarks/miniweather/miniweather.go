@@ -17,7 +17,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/device"
+	"repro/internal/parallel"
 )
 
 // Physical constants (matching the reference implementation).
@@ -80,7 +80,6 @@ type Instance struct {
 	hyPressureInt   []float64
 
 	directionSwitch bool
-	dev             *device.Device
 }
 
 // New builds an initialized simulation with the thermal-bubble initial
@@ -95,7 +94,7 @@ func New(cfg Config) (*Instance, error) {
 	if cfg.CFL <= 0 || cfg.CFL > 1.5 {
 		return nil, fmt.Errorf("miniweather: CFL %g out of (0, 1.5]", cfg.CFL)
 	}
-	in := &Instance{Cfg: cfg, dev: device.New("miniweather")}
+	in := &Instance{Cfg: cfg}
 	in.dx = cfg.XLen / float64(cfg.NX)
 	in.dz = cfg.ZLen / float64(cfg.NZ)
 	maxSpeed := 450.0 // max gravity/acoustic wave speed, per the reference
@@ -194,9 +193,6 @@ func (in *Instance) tendIdx(v, k, i int) int {
 // DT returns the stable timestep length in seconds.
 func (in *Instance) DT() float64 { return in.dt }
 
-// Device exposes the kernel-timing device.
-func (in *Instance) Device() *device.Device { return in.dev }
-
 // Step advances the state by one full timestep using Strang-like
 // dimensional splitting with the reference three-substep integrator.
 func (in *Instance) Step() {
@@ -227,7 +223,7 @@ func (in *Instance) semiStep(init, cur, out []float64, dt float64, xdir bool) {
 		in.tendenciesZ(cur, dt)
 	}
 	cfg := in.Cfg
-	in.dev.Launch1D("apply_tendencies", NumVars*cfg.NZ, func(vk int) {
+	parallel.For(NumVars*cfg.NZ, func(vk int) {
 		v, k := vk/cfg.NZ, vk%cfg.NZ
 		for i := 0; i < cfg.NX; i++ {
 			id := in.idx(v, k+hs, i+hs)
@@ -239,7 +235,7 @@ func (in *Instance) semiStep(init, cur, out []float64, dt float64, xdir bool) {
 // setHalosX applies periodic boundaries in x.
 func (in *Instance) setHalosX(s []float64) {
 	cfg := in.Cfg
-	in.dev.Launch1D("halo_x", NumVars*(cfg.NZ+2*hs), func(vk int) {
+	parallel.For(NumVars*(cfg.NZ+2*hs), func(vk int) {
 		v, k := vk/(cfg.NZ+2*hs), vk%(cfg.NZ+2*hs)
 		for h := 0; h < hs; h++ {
 			s[in.idx(v, k, h)] = s[in.idx(v, k, cfg.NX+h)]
@@ -252,7 +248,7 @@ func (in *Instance) setHalosX(s []float64) {
 // with zero vertical momentum and density-scaled horizontal momentum.
 func (in *Instance) setHalosZ(s []float64) {
 	cfg := in.Cfg
-	in.dev.Launch1D("halo_z", NumVars*(cfg.NX+2*hs), func(vi int) {
+	parallel.For(NumVars*(cfg.NX+2*hs), func(vi int) {
 		v, i := vi/(cfg.NX+2*hs), vi%(cfg.NX+2*hs)
 		for h := 0; h < hs; h++ {
 			bot, top := hs, cfg.NZ+hs-1
@@ -277,7 +273,7 @@ func (in *Instance) tendenciesX(s []float64, dt float64) {
 	hvCoef := -0.25 * in.dx / (16 * dt) // hyperviscosity (hv_beta = 0.25)
 	nxi := cfg.NX + 1
 	flux := make([]float64, NumVars*cfg.NZ*nxi)
-	in.dev.Launch1D("tend_x_flux", cfg.NZ, func(k int) {
+	parallel.For(cfg.NZ, func(k int) {
 		var vals, d3 [NumVars]float64
 		for i := 0; i <= cfg.NX; i++ {
 			for v := 0; v < NumVars; v++ {
@@ -301,7 +297,7 @@ func (in *Instance) tendenciesX(s []float64, dt float64) {
 			flux[base+IDRhoT] = r*u*t - hvCoef*d3[IDRhoT]
 		}
 	})
-	in.dev.Launch1D("tend_x_div", cfg.NZ, func(k int) {
+	parallel.For(cfg.NZ, func(k int) {
 		for i := 0; i < cfg.NX; i++ {
 			for v := 0; v < NumVars; v++ {
 				l := (k*nxi + i) * NumVars
@@ -319,7 +315,7 @@ func (in *Instance) tendenciesZ(s []float64, dt float64) {
 	hvCoef := -0.25 * in.dz / (16 * dt)
 	nzi := cfg.NZ + 1
 	flux := make([]float64, NumVars*nzi*cfg.NX)
-	in.dev.Launch1D("tend_z_flux", nzi, func(k int) {
+	parallel.For(nzi, func(k int) {
 		var vals, d3 [NumVars]float64
 		for i := 0; i < cfg.NX; i++ {
 			for v := 0; v < NumVars; v++ {
@@ -348,7 +344,7 @@ func (in *Instance) tendenciesZ(s []float64, dt float64) {
 			flux[base+IDRhoT] = r*w*t - hvCoef*d3[IDRhoT]
 		}
 	})
-	in.dev.Launch1D("tend_z_div", cfg.NZ, func(k int) {
+	parallel.For(cfg.NZ, func(k int) {
 		for i := 0; i < cfg.NX; i++ {
 			for v := 0; v < NumVars; v++ {
 				lo := (k*cfg.NX + i) * NumVars

@@ -199,13 +199,3 @@ func TestDirectiveCount(t *testing.T) {
 		t.Fatalf("directive count = %d, want 3 (Table II)", count)
 	}
 }
-
-func TestKernelsTimed(t *testing.T) {
-	in, _ := New(smallConfig())
-	in.Step()
-	for _, k := range []string{"tend_x_flux", "tend_z_flux", "apply_tendencies", "halo_x", "halo_z"} {
-		if in.Device().KernelTime(k) <= 0 {
-			t.Fatalf("kernel %s not timed", k)
-		}
-	}
-}

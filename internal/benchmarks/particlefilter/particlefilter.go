@@ -15,7 +15,7 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/device"
+	"repro/internal/parallel"
 )
 
 // Config sizes the video and the filter.
@@ -55,7 +55,6 @@ type Instance struct {
 	rng      *rand.Rand
 	template []int // disk offsets (dy, dx interleaved)
 
-	dev *device.Device
 }
 
 // Object appearance constants from the Rodinia generator: the object is a
@@ -85,7 +84,6 @@ func New(cfg Config) (*Instance, error) {
 		weights: make([]float64, cfg.Particles),
 		cdf:     make([]float64, cfg.Particles),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		dev:     device.New("particlefilter"),
 	}
 	for dy := -diskRadius; dy <= diskRadius; dy++ {
 		for dx := -diskRadius; dx <= diskRadius; dx++ {
@@ -149,9 +147,6 @@ func (in *Instance) Frame(f int) []float64 {
 	return in.Video[f*n : (f+1)*n]
 }
 
-// Device exposes the kernel-timing device.
-func (in *Instance) Device() *device.Device { return in.dev }
-
 // ResetFilter re-seeds the particles at the first ground-truth location,
 // as the Rodinia code does.
 func (in *Instance) ResetFilter() {
@@ -180,7 +175,7 @@ func (in *Instance) RunFilterFrame(f int) (x, y float64) {
 	// Likelihood kernel: for each particle, compare the disk template
 	// against the frame (the Rodinia likelihood with foreground and
 	// background hypotheses).
-	in.dev.Launch1D("likelihood", cfg.Particles, func(p int) {
+	parallel.For(cfg.Particles, func(p int) {
 		cx := int(math.Round(in.px[p]))
 		cy := int(math.Round(in.py[p]))
 		var like float64

@@ -106,14 +106,6 @@ func TestFrameAliasesVideo(t *testing.T) {
 	}
 }
 
-func TestLikelihoodKernelTimed(t *testing.T) {
-	in, _ := New(smallConfig())
-	in.RunFilter()
-	if in.Device().KernelTime("likelihood") <= 0 {
-		t.Fatal("likelihood kernel not timed")
-	}
-}
-
 func TestWeightsFormDistribution(t *testing.T) {
 	in, _ := New(smallConfig())
 	in.ResetFilter()

@@ -88,61 +88,6 @@ func TestForwardIntoZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestForwardBatchMatchesSequential checks the stacked pass against
-// per-input Forward calls bit for bit, including a non-uniform row split.
-func TestForwardBatchMatchesSequential(t *testing.T) {
-	net := mlpForTest(17)
-	rng := rand.New(rand.NewSource(5))
-	xs := []*tensor.Tensor{
-		randInput(rng, 3, 6),
-		randInput(rng, 1, 6),
-		randInput(rng, 8, 6),
-	}
-	got, err := net.ForwardBatch(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(xs) {
-		t.Fatalf("got %d outputs, want %d", len(got), len(xs))
-	}
-	for i, x := range xs {
-		want, err := net.Forward(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !tensor.ShapeEqual(got[i].Shape(), want.Shape()) {
-			t.Fatalf("output %d shape %v, want %v", i, got[i].Shape(), want.Shape())
-		}
-		for r := 0; r < want.Dim(0); r++ {
-			for c := 0; c < want.Dim(1); c++ {
-				if got[i].At(r, c) != want.At(r, c) {
-					t.Fatalf("output %d differs at (%d,%d): %g vs %g",
-						i, r, c, got[i].At(r, c), want.At(r, c))
-				}
-			}
-		}
-	}
-}
-
-func TestForwardBatchEdgeCases(t *testing.T) {
-	net := mlpForTest(1)
-	if out, err := net.ForwardBatch(nil); err != nil || out != nil {
-		t.Fatalf("empty batch: got %v, %v", out, err)
-	}
-	one, err := net.ForwardBatch([]*tensor.Tensor{tensor.New(2, 6)})
-	if err != nil || len(one) != 1 {
-		t.Fatalf("singleton batch: got %d outputs, err %v", len(one), err)
-	}
-	_, err = net.ForwardBatch([]*tensor.Tensor{tensor.New(2, 6), tensor.New(2, 5)})
-	if err == nil {
-		t.Fatal("want error for mismatched feature dims")
-	}
-	_, err = net.ForwardBatch([]*tensor.Tensor{tensor.Scalar(1), tensor.Scalar(2)})
-	if err == nil {
-		t.Fatal("want error for rank-0 inputs")
-	}
-}
-
 // TestForwardTrailingViewLayerDetachesScratch guards the arena against
 // view-returning trailing layers: a network ending in Flatten must not
 // hand the caller a tensor aliasing pooled scratch memory.

@@ -102,66 +102,6 @@ func (n *Network) ForwardInto(dst, x *tensor.Tensor) error {
 	return err
 }
 
-// ForwardBatch runs inference for several independent inputs in a single
-// forward pass, amortizing per-call kernel dispatch across the batch.
-// All inputs must share their non-leading dimensions; they are stacked
-// along dim 0, evaluated once, and the combined output is split back at
-// the same row boundaries. The returned tensors are views into one
-// shared result buffer. Results are bit-identical to calling Forward on
-// each input separately, because every kernel accumulates per output row
-// in a batch-size-independent order.
-func (n *Network) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	switch len(xs) {
-	case 0:
-		return nil, nil
-	case 1:
-		y, err := n.Forward(xs[0])
-		if err != nil {
-			return nil, err
-		}
-		return []*tensor.Tensor{y}, nil
-	}
-	if xs[0].Rank() < 1 {
-		return nil, fmt.Errorf("nn: ForwardBatch input 0 has no batch dimension (shape %v)", xs[0].Shape())
-	}
-	rest := xs[0].Shape()[1:]
-	total := 0
-	for i, x := range xs {
-		if x.Rank() < 1 || !tensor.ShapeEqual(x.Shape()[1:], rest) {
-			return nil, fmt.Errorf("nn: ForwardBatch input %d shape %v incompatible with %v", i, x.Shape(), xs[0].Shape())
-		}
-		total += x.Dim(0)
-	}
-	big := tensor.New(append([]int{total}, rest...)...)
-	at := 0
-	for _, x := range xs {
-		slot, err := big.Narrow(0, at, x.Dim(0))
-		if err != nil {
-			return nil, err
-		}
-		if err := slot.CopyFrom(x); err != nil {
-			return nil, err
-		}
-		at += x.Dim(0)
-	}
-	y, err := n.forwardInference(big, nil)
-	if err != nil {
-		return nil, err
-	}
-	if y.Rank() < 1 || y.Dim(0) != total {
-		return nil, fmt.Errorf("nn: ForwardBatch output shape %v does not preserve the %d stacked rows", y.Shape(), total)
-	}
-	outs := make([]*tensor.Tensor, len(xs))
-	at = 0
-	for i, x := range xs {
-		if outs[i], err = y.Narrow(0, at, x.Dim(0)); err != nil {
-			return nil, err
-		}
-		at += x.Dim(0)
-	}
-	return outs, nil
-}
-
 // ForwardTrain runs a training-mode forward pass, caching activations.
 func (n *Network) ForwardTrain(x *tensor.Tensor) (*tensor.Tensor, error) {
 	return n.forward(x, true)

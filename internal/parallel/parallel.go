@@ -1,6 +1,7 @@
 // Package parallel provides the chunked parallel-for primitive used by the
-// device layer and the NN engine. It follows the Effective Go pattern of a
-// fixed worker count with completion signalling over a channel.
+// benchmarks' accurate kernels and the NN engine. It follows the Effective
+// Go pattern of a fixed worker count with completion signalling over a
+// channel.
 package parallel
 
 import (

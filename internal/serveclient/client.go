@@ -63,12 +63,6 @@ func Rejected(err error) bool {
 // Option configures a Client.
 type Option func(*Client)
 
-// WithHTTPClient substitutes the underlying *http.Client (tests, custom
-// transports, proxies). The caller keeps responsibility for pooling.
-func WithHTTPClient(h *http.Client) Option {
-	return func(c *Client) { c.http = h }
-}
-
 // WithTimeout bounds every request end-to-end. Per-call contexts still
 // apply; whichever expires first wins. Zero leaves requests unbounded
 // except by their context.

@@ -157,26 +157,6 @@ func (h *Histogram) snapshotInto(dst []uint64) []uint64 {
 	return dst
 }
 
-// LinearBuckets returns n bounds start, start+width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = start + float64(i)*width
-	}
-	return b
-}
-
-// ExpBuckets returns n bounds start, start*factor, start*factor², ...
-func ExpBuckets(start, factor float64, n int) []float64 {
-	b := make([]float64, n)
-	v := start
-	for i := range b {
-		b[i] = v
-		v *= factor
-	}
-	return b
-}
-
 // DefaultLatencyBuckets spans 100µs to ~100s in powers of ~3 — wide
 // enough for both a coalesced micro-batch wait and a pathological
 // stall, in seconds (the base unit every *_seconds metric uses).

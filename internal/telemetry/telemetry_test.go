@@ -106,19 +106,6 @@ func TestObserveNEqualsRepeatedObserve(t *testing.T) {
 	}
 }
 
-// TestBucketHelpers: the two bound constructors produce the documented
-// sequences.
-func TestBucketHelpers(t *testing.T) {
-	lin := LinearBuckets(1, 2, 3)
-	if lin[0] != 1 || lin[1] != 3 || lin[2] != 5 {
-		t.Fatalf("LinearBuckets = %v", lin)
-	}
-	exp := ExpBuckets(1, 4, 3)
-	if exp[0] != 1 || exp[1] != 4 || exp[2] != 16 {
-		t.Fatalf("ExpBuckets = %v", exp)
-	}
-}
-
 // TestExpositionGolden locks the Prometheus text rendering byte for
 // byte: family and label-set ordering, histogram le/_sum/_count
 // layout, the +Inf bucket, and help escaping.

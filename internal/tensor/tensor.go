@@ -123,9 +123,6 @@ func contiguousStrides(shape []int) []int {
 // Shape returns a copy of the tensor's shape.
 func (t *Tensor) Shape() []int { return append([]int(nil), t.shape...) }
 
-// Strides returns a copy of the tensor's strides (in elements).
-func (t *Tensor) Strides() []int { return append([]int(nil), t.strides...) }
-
 // Rank returns the number of dimensions.
 func (t *Tensor) Rank() int { return len(t.shape) }
 
@@ -504,65 +501,11 @@ func (t *Tensor) applyInPlace(fn func(float64) float64) {
 	}
 }
 
-// Apply returns a new contiguous tensor with fn applied elementwise.
-func (t *Tensor) Apply(fn func(float64) float64) *Tensor {
-	out := t.Clone()
-	d := out.Data()
-	for i := range d {
-		d[i] = fn(d[i])
-	}
-	return out
-}
-
-// AddInPlace adds other into t elementwise; shapes must match.
-func (t *Tensor) AddInPlace(other *Tensor) error {
-	return t.zipInPlace(other, func(a, b float64) float64 { return a + b })
-}
-
-// SubInPlace subtracts other from t elementwise.
-func (t *Tensor) SubInPlace(other *Tensor) error {
-	return t.zipInPlace(other, func(a, b float64) float64 { return a - b })
-}
-
-// MulInPlace multiplies t by other elementwise.
-func (t *Tensor) MulInPlace(other *Tensor) error {
-	return t.zipInPlace(other, func(a, b float64) float64 { return a * b })
-}
-
-// ScaleInPlace multiplies every element by s.
-func (t *Tensor) ScaleInPlace(s float64) {
-	t.applyInPlace(func(v float64) float64 { return v * s })
-}
-
-func (t *Tensor) zipInPlace(other *Tensor, fn func(a, b float64) float64) error {
-	if !ShapeEqual(t.shape, other.shape) {
-		return fmt.Errorf("tensor: elementwise shape mismatch %v vs %v", t.shape, other.shape)
-	}
-	o := other.Contiguous()
-	od := o.data[o.offset:]
-	i := 0
-	t.applyInPlace(func(v float64) float64 {
-		r := fn(v, od[i])
-		i++
-		return r
-	})
-	return nil
-}
-
 // Sum returns the sum of all elements.
 func (t *Tensor) Sum() float64 {
 	var s float64
 	t.iterate(func(_ int, v float64) { s += v })
 	return s
-}
-
-// Mean returns the arithmetic mean of all elements (0 for empty tensors).
-func (t *Tensor) Mean() float64 {
-	n := t.Len()
-	if n == 0 {
-		return 0
-	}
-	return t.Sum() / float64(n)
 }
 
 // Max returns the maximum element; it panics on empty tensors.

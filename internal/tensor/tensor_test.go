@@ -350,63 +350,19 @@ func TestMatMulErrors(t *testing.T) {
 	}
 }
 
-func TestElementwiseOps(t *testing.T) {
-	a, _ := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
-	b, _ := FromSlice([]float64{10, 20, 30, 40}, 2, 2)
-	if err := a.AddInPlace(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.At(1, 1) != 44 {
-		t.Fatalf("add: got %g, want 44", a.At(1, 1))
-	}
-	if err := a.SubInPlace(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.At(0, 0) != 1 {
-		t.Fatalf("sub: got %g, want 1", a.At(0, 0))
-	}
-	if err := a.MulInPlace(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.At(0, 1) != 40 {
-		t.Fatalf("mul: got %g, want 40", a.At(0, 1))
-	}
-	a.ScaleInPlace(0.5)
-	if a.At(0, 1) != 20 {
-		t.Fatalf("scale: got %g, want 20", a.At(0, 1))
-	}
-	if err := a.AddInPlace(New(3)); err == nil {
-		t.Fatal("want shape mismatch error")
-	}
-}
-
 func TestReductions(t *testing.T) {
 	x, _ := FromSlice([]float64{3, -1, 4, 1}, 4)
 	if x.Sum() != 7 {
 		t.Fatalf("sum = %g, want 7", x.Sum())
 	}
-	if x.Mean() != 1.75 {
-		t.Fatalf("mean = %g", x.Mean())
-	}
 	if x.Max() != 4 || x.Min() != -1 {
 		t.Fatalf("max/min = %g/%g", x.Max(), x.Min())
 	}
-	empty := New(0)
-	if empty.Mean() != 0 {
-		t.Fatal("mean of empty should be 0")
-	}
 }
 
-func TestApplyAndFill(t *testing.T) {
-	x := Full(2, 2, 2)
-	y := x.Apply(func(v float64) float64 { return v * v })
-	if y.At(1, 1) != 4 {
-		t.Fatalf("apply: got %g, want 4", y.At(1, 1))
-	}
-	if x.At(0, 0) != 2 {
-		t.Fatal("apply must not mutate the receiver")
-	}
-	// Fill through a strided view only touches the view.
+// TestFillStridedView: Fill through a strided view only touches the
+// view.
+func TestFillStridedView(t *testing.T) {
 	base := New(2, 4)
 	v, _ := base.Slice(1, 0, 4, 2)
 	v.Fill(5)

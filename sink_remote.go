@@ -58,8 +58,8 @@ func NewRemoteSink(uri string, cfg CaptureConfig) (*RemoteSink, error) {
 	s := &RemoteSink{
 		client: serveclient.New(base, serveclient.WithTimeout(DefaultCaptureTimeout),
 			serveclient.WithWire(serveclient.WireBinary)),
-		db:     name,
-		batch:  cfg.BatchRecords,
+		db:    name,
+		batch: cfg.BatchRecords,
 	}
 	s.initQueue(cfg.QueueCap, cfg.DropWhenFull)
 	go s.run(cfg.FlushEvery)
