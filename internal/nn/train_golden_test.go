@@ -11,17 +11,17 @@ import (
 // The golden losses below were captured from the pre-arena trainer (the
 // PR 1 code: per-sample Gather, hand-rolled Dense/Conv1D backward loops,
 // map-keyed optimizer state) on the exact seeded runs performed here.
-// They freeze the training semantics across the zero-allocation rewrite:
+// They freeze the training semantics across every rewrite since:
 //
-//   - Dense networks must reproduce them bit for bit — the transpose-
-//     aware kernels accumulate in the same element order as the old
-//     loops, so any drift is a real regression.
+//   - Dense networks must reproduce them exactly: every product,
+//     forward and backward, sums each output in ascending order from
+//     +0 as the old loops did, so any drift is a real regression.
 //   - Conv1D networks must reproduce them within a small relative
 //     tolerance: im2col reduces each output in one flat (channel, tap)
 //     sweep where the old kernel kept a per-channel accumulator, an
 //     FP reassociation documented on the layer.
 const (
-	goldenDenseTol = 1e-12
+	goldenDenseTol = 0
 	goldenConvTol  = 1e-6
 )
 
@@ -93,7 +93,7 @@ func checkGolden(t *testing.T, key string, h *History, tol float64) {
 }
 
 // TestFitGoldenLossesMLP pins Dense-network training (both optimizers)
-// to the pre-rewrite trainer bit for bit.
+// to the pre-rewrite trainer bit for bit: goldenDenseTol is 0.
 func TestFitGoldenLossesMLP(t *testing.T) {
 	for _, opt := range []string{"adam", "sgd"} {
 		net := NewNetwork(7)
