@@ -519,8 +519,8 @@ func naiveMatMul(a, b *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// BenchmarkMatMulBlockedVsNaive measures the tensor engine's blocked,
-// parallel MatMul against the seed's serial triple loop.
+// BenchmarkMatMulBlockedVsNaive measures the tensor engine's packed,
+// parallel MatMulInto against the seed's serial triple loop.
 func BenchmarkMatMulBlockedVsNaive(b *testing.B) {
 	for _, size := range []int{128, 512} {
 		a := tensor.New(size, size)
@@ -536,13 +536,6 @@ func BenchmarkMatMulBlockedVsNaive(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("blocked-%d", size), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := tensor.MatMul(a, w); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("blocked-into-%d", size), func(b *testing.B) {
 			dst := tensor.New(size, size)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -18,6 +18,16 @@ type scratch struct {
 	rank  int
 }
 
+// grow returns (*buf)[:n], reallocating *buf only when it is too short:
+// the flat counterpart of scratch for intermediates no caller sees as a
+// tensor. Contents are unspecified.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
+}
+
 // maxScratchRank bounds the shapes a scratch can cache; higher-rank
 // tensors fall back to the allocating paths.
 const maxScratchRank = 4

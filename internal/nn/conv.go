@@ -4,69 +4,234 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
-// Conv1D is a 1-D convolution over [batch, InC, L] inputs producing
-// [batch, OutC, L'] with L' = (L-K)/Stride + 1 (valid padding).
+// conv is the one convolution Conv1D and Conv2D run: valid padding, a
+// KH x KW kernel at one stride, over [batch, InC, H, W] inputs. Conv1D
+// is its h = kh = 1 case.
 //
-// Both passes run as im2col + blocked MatMul: the input is unrolled into
-// a [batch*L', InC*K] patch matrix once, after which forward is one
-// patches@Wᵀ product, and backward is two more (dW = dYᵀ@patches,
-// dPatches = dY@W) plus a col2im scatter — every O(n·k) loop rides the
-// cache-aware parallel kernels in internal/tensor.
+// The input is unrolled into a [batch*H'*W', InC*KH*KW] patch matrix
+// (im2col). Forward is one tensor.DenseInto of the patches with the
+// transposed kernel; its [batch*H'*W', OutC] result is transposed into
+// [batch, OutC, H', W'] and the bias added. Backward reuses the patches
+// cached by the training forward: dW = dYᵀ·patches and dPatches = dY·W
+// are two more DenseInto calls, and col2im adds the patch gradients
+// into dX.
+//
+// DenseInto sums each output over (ic, ky, kx) from +0 and adds the bias
+// last; dW sums over (n, oy, ox) and dX over oc, then over the patches
+// that cover each input. Against direct loops, which keep one
+// accumulator per input channel and add dX term by term, the forward,
+// dX and dB reassociate; dW keeps the direct loops' term order.
+type conv struct {
+	last   convGeom // the training forward's geometry
+	cached bool     // the patches in train.col are the training forward's
+	// Training-path arenas, reused across steps.
+	train  convBufs
+	fwdOut scratch
+	dxBuf  scratch
+	// pool recycles inference-path buffers so concurrent Forward callers
+	// (regions sharing a cached model) never contend on the training
+	// arenas.
+	pool sync.Pool
+}
+
+// convBufs are one pass's flat intermediates: the patch matrix, the
+// transposed kernel and the [rows, OutC] product y; training adds dY as
+// [rows, OutC] and as [OutC, rows], the dW staging and the patch
+// gradients.
+type convBufs struct {
+	col, wt, y        []float64
+	gt, gtT, dw, dcol []float64
+}
+
+// convGeom is one call's geometry. rank is the layer's tensor rank: 3
+// leaves the h axis out of the shapes it builds.
+type convGeom struct {
+	rank            int
+	b, inC, h, w    int
+	outC, kh, kw, s int
+	hOut, wOut      int
+}
+
+// convParFLOPs is the multiply-accumulate count below which the
+// per-sample conv passes run serially on the calling goroutine.
+const convParFLOPs = 1 << 18
+
+func (g convGeom) rows() int { return g.b * g.hOut * g.wOut }
+func (g convGeom) cols() int { return g.inC * g.kh * g.kw }
+
+// shape returns [b, ch, h, w] at the layer's rank.
+func (g convGeom) shape(ch, h, w int) (int, [4]int) {
+	if g.rank == 3 {
+		return 3, [4]int{g.b, ch, w}
+	}
+	return 4, [4]int{g.b, ch, h, w}
+}
+
+// overBatch runs pass over the batch's samples, split across workers
+// when the convolution is large enough to repay the fan-out. pass is a
+// method expression, so the serial case builds no closure.
+func (g convGeom) overBatch(pass func(g convGeom, dst, src []float64, lo, hi int), dst, src []float64) {
+	if g.rows()*g.outC*g.cols() < convParFLOPs {
+		pass(g, dst, src, 0, g.b)
+		return
+	}
+	parallel.ForRange(g.b, func(lo, hi int) { pass(g, dst, src, lo, hi) })
+}
+
+// im2col unrolls samples [lo, hi) of x into col:
+// col[(n*hOut+oy)*wOut+ox][(ic*kh+ky)*kw+kx] = x[n, ic, oy*s+ky, ox*s+kx],
+// one kw-long copy per (row, ic, ky).
+func (g convGeom) im2col(col, x []float64, lo, hi int) {
+	cols := g.cols()
+	for n := lo; n < hi; n++ {
+		for oy := 0; oy < g.hOut; oy++ {
+			for ox := 0; ox < g.wOut; ox++ {
+				row := col[((n*g.hOut+oy)*g.wOut+ox)*cols:]
+				for ic := 0; ic < g.inC; ic++ {
+					for ky := 0; ky < g.kh; ky++ {
+						src := x[((n*g.inC+ic)*g.h+oy*g.s+ky)*g.w+ox*g.s:][:g.kw]
+						copy(row[(ic*g.kh+ky)*g.kw:], src)
+					}
+				}
+			}
+		}
+	}
+}
+
+// col2im adds the patch gradients of samples [lo, hi) into dx, in
+// (n, oy, ox, ic, ky, kx) order: the inverse scatter of im2col.
+func (g convGeom) col2im(dx, dcol []float64, lo, hi int) {
+	cols := g.cols()
+	for n := lo; n < hi; n++ {
+		for oy := 0; oy < g.hOut; oy++ {
+			for ox := 0; ox < g.wOut; ox++ {
+				row := dcol[((n*g.hOut+oy)*g.wOut+ox)*cols:]
+				for ic := 0; ic < g.inC; ic++ {
+					for ky := 0; ky < g.kh; ky++ {
+						dst := dx[((n*g.inC+ic)*g.h+oy*g.s+ky)*g.w+ox*g.s:][:g.kw]
+						for kx, v := range row[(ic*g.kh+ky)*g.kw:][:g.kw] {
+							dst[kx] += v
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// unbatch transposes samples [lo, hi) of the [b*H'*W', OutC] product y
+// into out's [b, OutC, H'*W'].
+func (g convGeom) unbatch(out, y []float64, lo, hi int) {
+	per := g.hOut * g.wOut
+	for n := lo; n < hi; n++ {
+		tensor.TransposeInto(out[n*g.outC*per:], y[n*per*g.outC:], per, g.outC)
+	}
+}
+
+// forward computes the valid cross-correlation of x with the
+// [OutC, InC*KH*KW] kernel w plus bias. The training pass stages through
+// the layer's arenas and caches the patches for backward; inference
+// recycles pooled buffers.
+func (c *conv) forward(g convGeom, x *tensor.Tensor, w, bias []float64, train bool) *tensor.Tensor {
+	rows, cols, outC, per := g.rows(), g.cols(), g.outC, g.hOut*g.wOut
+	rank, shape := g.shape(outC, g.hOut, g.wOut)
+	var buf *convBufs
+	var out *tensor.Tensor
+	if train {
+		c.last, c.cached = g, true
+		buf, out = &c.train, c.fwdOut.get(rank, shape)
+	} else {
+		buf, _ = c.pool.Get().(*convBufs)
+		if buf == nil {
+			buf = new(convBufs)
+		}
+		defer c.pool.Put(buf)
+		out = tensor.New(shape[:rank]...)
+	}
+	col := grow(&buf.col, rows*cols)
+	g.overBatch(convGeom.im2col, col, x.Contiguous().Data())
+	wt, y := grow(&buf.wt, cols*outC), grow(&buf.y, rows*outC)
+	tensor.TransposeInto(wt, w, outC, cols)
+	tensor.DenseInto(y, col, wt, nil, rows, cols, outC, tensor.ActIdentity)
+	od := out.Data()
+	g.overBatch(convGeom.unbatch, od, y)
+	for r := range g.b * outC {
+		row, bv := od[r*per:(r+1)*per], bias[r%outC]
+		for p := range row {
+			row[p] += bv
+		}
+	}
+	return out
+}
+
+// backward checks grad against the cached forward's output shape before
+// reading it, then returns dX and adds dW and dB into the parameters'
+// gradients.
+func (c *conv) backward(kind string, grad *tensor.Tensor, weight, bias *Param) (*tensor.Tensor, error) {
+	if !c.cached {
+		return nil, fmt.Errorf("%s backward without cached forward", kind)
+	}
+	g := c.last
+	rank, want := g.shape(g.outC, g.hOut, g.wOut)
+	ok := grad.Rank() == rank
+	for i := 0; ok && i < rank; i++ {
+		ok = grad.Dim(i) == want[i]
+	}
+	if !ok {
+		return nil, fmt.Errorf("%s backward grad shape %v, want %v", kind, grad.Shape(), append([]int(nil), want[:rank]...))
+	}
+	gd := grad.Contiguous().Data()
+	rows, cols, outC, per := g.rows(), g.cols(), g.outC, g.hOut*g.wOut
+	buf := &c.train
+
+	// dB, and dY as [rows, OutC] and as [OutC, rows].
+	gt, gtT := grow(&buf.gt, rows*outC), grow(&buf.gtT, outC*rows)
+	dB := bias.Grad.Data()
+	for n := 0; n < g.b; n++ {
+		gn := gd[n*outC*per : (n+1)*outC*per]
+		tensor.TransposeInto(gt[n*per*outC:], gn, outC, per)
+		for oc := range dB {
+			img := gn[oc*per : (oc+1)*per]
+			copy(gtT[oc*rows+n*per:], img)
+			var sum float64
+			for _, v := range img {
+				sum += v
+			}
+			dB[oc] += sum
+		}
+	}
+	// dW += dYᵀ·patches.
+	dw := grow(&buf.dw, outC*cols)
+	tensor.DenseInto(dw, gtT, buf.col[:rows*cols], nil, outC, rows, cols, tensor.ActIdentity)
+	dW := weight.Grad.Data()
+	for i, v := range dw {
+		dW[i] += v
+	}
+	// dPatches = dY·W, then col2im adds them into dX.
+	dcol := grow(&buf.dcol, rows*cols)
+	tensor.DenseInto(dcol, gt, weight.W.Data(), nil, rows, outC, cols, tensor.ActIdentity)
+	dx := c.dxBuf.get(g.shape(g.inC, g.h, g.w))
+	dxd := dx.Data()
+	clear(dxd)
+	g.overBatch(convGeom.col2im, dxd, dcol)
+	c.cached = false
+	return dx, nil
+}
+
+// Conv1D is a 1-D convolution over [batch, InC, L] inputs producing
+// [batch, OutC, L'] with L' = (L-K)/Stride + 1 (valid padding). It runs
+// the shared im2col convolution with h = kh = 1.
 type Conv1D struct {
 	InC, OutC, K, Stride int
 	Weight               *Param // [OutC, InC, K]
 	Bias                 *Param // [OutC]
 
-	lastX *tensor.Tensor
-	// wMat lazily caches the [OutC, InC*K] view of Weight.W (whose
-	// backing storage never changes after construction). Atomic because
-	// concurrent inference callers may race to build it; building twice
-	// is harmless (idempotent views of the same storage), and the warm
-	// path is a bare load so it costs no allocation.
-	wMat atomic.Pointer[tensor.Tensor]
-	// Training-path arenas, reused across steps: the im2col patch
-	// matrix, the [batch*L', OutC] pre-transpose output, the forward
-	// output, the transposed incoming gradient, the patch gradient, the
-	// weight-gradient staging and the input gradient.
-	colBuf  scratch
-	out2Buf scratch
-	fwdOut  scratch
-	gtBuf   scratch
-	dcolBuf scratch
-	dwBuf   scratch
-	dxBuf   scratch
-	// pool recycles inference-path patch/output buffers so concurrent
-	// Forward callers (regions sharing a cached model) never contend on
-	// the training arenas.
-	pool sync.Pool
-}
-
-// convScratch is one inference pass's im2col buffers.
-type convScratch struct {
-	col, out2 []float64
-}
-
-// convParFLOPs is the multiply-accumulate count below which conv
-// im2col/col2im/transpose passes run serially on the calling goroutine.
-const convParFLOPs = 1 << 18
-
-// weightMat returns Weight.W viewed as [OutC, InC*K].
-func (c *Conv1D) weightMat() *tensor.Tensor {
-	if m := c.wMat.Load(); m != nil {
-		return m
-	}
-	m, err := c.Weight.W.Reshape(c.OutC, c.InC*c.K)
-	if err != nil {
-		panic("nn: conv1d weight reshape: " + err.Error()) // cannot happen: contiguous [OutC,InC,K]
-	}
-	c.wMat.Store(m)
-	return m
+	conv conv
 }
 
 // NewConv1D constructs a 1-D convolution with He-uniform init.
@@ -103,35 +268,8 @@ func (c *Conv1D) OutShape(in []int) ([]int, error) {
 	return []int{c.OutC, (l-c.K)/c.Stride + 1}, nil
 }
 
-// im2col1d unrolls x ([b, inC, l] flat) into col ([b*lOut, inC*k] flat):
-// col[(n*lOut+p), ic*k+t] = x[n, ic, p*s+t]. Each patch row is assembled
-// from contiguous copies.
-func im2col1d(col, xd []float64, b, inC, l, lOut, k, s int, par bool) {
-	cols := inC * k
-	body := func(lo, hi int) {
-		for n := lo; n < hi; n++ {
-			xn := xd[n*inC*l : (n+1)*inC*l]
-			for p := 0; p < lOut; p++ {
-				row := col[(n*lOut+p)*cols : (n*lOut+p+1)*cols]
-				base := p * s
-				for ic := 0; ic < inC; ic++ {
-					copy(row[ic*k:(ic+1)*k], xn[ic*l+base:ic*l+base+k])
-				}
-			}
-		}
-	}
-	if par {
-		parallel.ForRange(b, body)
-	} else {
-		body(0, b)
-	}
-}
-
-// Forward computes the valid cross-correlation as im2col + patches@Wᵀ
-// through the blocked MatMul kernel. The training pass stages through
-// layer-owned arenas (and caches the patch matrix for Backward);
-// inference recycles pooled buffers so shared networks stay safe under
-// concurrent callers.
+// Forward computes the valid cross-correlation (see conv). Inference is
+// safe under concurrent callers.
 func (c *Conv1D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	if x.Rank() != 3 || x.Dim(1) != c.InC {
 		return nil, fmt.Errorf("conv1d wants [batch, %d, L], got %v", c.InC, x.Shape())
@@ -140,147 +278,15 @@ func (c *Conv1D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	x = x.Contiguous()
-	b, l, lOut := x.Dim(0), x.Dim(2), sample[1]
-	inC, outC, k, s := c.InC, c.OutC, c.K, c.Stride
-	rows, cols := b*lOut, inC*k
-	par := b*outC*lOut*inC*k >= convParFLOPs
-
-	var col, out2, out *tensor.Tensor
-	var ps *convScratch
-	if train {
-		c.lastX = x
-		col = c.colBuf.get2(rows, cols)
-		out2 = c.out2Buf.get2(rows, outC)
-		out = c.fwdOut.get3(b, outC, lOut)
-	} else {
-		ps, _ = c.pool.Get().(*convScratch)
-		if ps == nil {
-			ps = &convScratch{}
-		}
-		if cap(ps.col) < rows*cols {
-			ps.col = make([]float64, rows*cols)
-		}
-		if cap(ps.out2) < rows*outC {
-			ps.out2 = make([]float64, rows*outC)
-		}
-		if col, err = tensor.Wrap(ps.col[:rows*cols], rows, cols); err != nil {
-			return nil, err
-		}
-		if out2, err = tensor.Wrap(ps.out2[:rows*outC], rows, outC); err != nil {
-			return nil, err
-		}
-		out = tensor.New(b, outC, lOut)
-	}
-
-	im2col1d(col.Data(), x.Data(), b, inC, l, lOut, k, s, par)
-	if err := tensor.MatMulTransBInto(out2, col, c.weightMat()); err != nil {
-		return nil, err
-	}
-	// Transpose [b*lOut, outC] into [b, outC, lOut] and add the bias.
-	o2d, od, bd := out2.Data(), out.Data(), c.Bias.W.Data()
-	scatter := func(lo, hi int) {
-		for n := lo; n < hi; n++ {
-			o2n := o2d[n*lOut*outC : (n+1)*lOut*outC]
-			on := od[n*outC*lOut : (n+1)*outC*lOut]
-			for oc := 0; oc < outC; oc++ {
-				bv := bd[oc]
-				orow := on[oc*lOut : (oc+1)*lOut]
-				for p := range orow {
-					orow[p] = o2n[p*outC+oc] + bv
-				}
-			}
-		}
-	}
-	if par {
-		parallel.ForRange(b, scatter)
-	} else {
-		scatter(0, b)
-	}
-	if ps != nil {
-		c.pool.Put(ps)
-	}
-	return out, nil
+	g := convGeom{rank: 3, b: x.Dim(0), inC: c.InC, h: 1, w: x.Dim(2),
+		outC: c.OutC, kh: 1, kw: c.K, s: c.Stride, hOut: 1, wOut: sample[1]}
+	return c.conv.forward(g, x, c.Weight.W.Data(), c.Bias.W.Data(), train), nil
 }
 
 // Backward computes input gradients and accumulates kernel/bias
-// gradients, reusing the patch matrix cached by the training forward:
-// dW = dYᵀ@patches (MatMulTransAInto), dPatches = dY@W (MatMulInto), and
-// a col2im scatter-add parallelized over the batch (samples are
-// independent, so there is no accumulation race).
+// gradients from the patches cached by the training forward.
 func (c *Conv1D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
-	if c.lastX == nil {
-		return nil, fmt.Errorf("conv1d backward without cached forward")
-	}
-	x := c.lastX
-	g := grad.Contiguous()
-	b, l := x.Dim(0), x.Dim(2)
-	lOut := g.Dim(2)
-	if g.Rank() != 3 || g.Dim(0) != b || g.Dim(1) != c.OutC {
-		return nil, fmt.Errorf("conv1d backward grad shape %v", g.Shape())
-	}
-	gd := g.Data()
-	dB := c.Bias.Grad.Data()
-	inC, outC, k, s := c.InC, c.OutC, c.K, c.Stride
-	rows, cols := b*lOut, inC*k
-	par := b*outC*lOut*inC*k >= convParFLOPs
-
-	// dB plus the [b, outC, lOut] -> [b*lOut, outC] gradient transpose
-	// feeding the matrix products.
-	gt := c.gtBuf.get2(rows, outC)
-	gtd := gt.Data()
-	for n := 0; n < b; n++ {
-		gn := gd[n*outC*lOut : (n+1)*outC*lOut]
-		for oc := 0; oc < outC; oc++ {
-			grow := gn[oc*lOut : (oc+1)*lOut]
-			var sum float64
-			for p, gv := range grow {
-				sum += gv
-				gtd[(n*lOut+p)*outC+oc] = gv
-			}
-			dB[oc] += sum
-		}
-	}
-	// dW += dYᵀ @ patches.
-	col := c.colBuf.get2(rows, cols) // still holds im2col(lastX) from Forward
-	dwm := c.dwBuf.get2(outC, cols)
-	if err := tensor.MatMulTransAInto(dwm, gt, col); err != nil {
-		return nil, err
-	}
-	dW, dwd := c.Weight.Grad.Data(), dwm.Data()
-	for i := range dW {
-		dW[i] += dwd[i]
-	}
-	// dPatches = dY @ W, then col2im scatter-add into dX.
-	dcol := c.dcolBuf.get2(rows, cols)
-	if err := tensor.MatMulInto(dcol, gt, c.weightMat()); err != nil {
-		return nil, err
-	}
-	dx := c.dxBuf.get3(b, inC, l)
-	dx.Fill(0)
-	dcd, dxd := dcol.Data(), dx.Data()
-	col2im := func(lo, hi int) {
-		for n := lo; n < hi; n++ {
-			dxn := dxd[n*inC*l : (n+1)*inC*l]
-			for p := 0; p < lOut; p++ {
-				drow := dcd[(n*lOut+p)*cols : (n*lOut+p+1)*cols]
-				base := p * s
-				for ic := 0; ic < inC; ic++ {
-					dxrow := dxn[ic*l+base : ic*l+base+k]
-					for t, dv := range drow[ic*k : (ic+1)*k] {
-						dxrow[t] += dv
-					}
-				}
-			}
-		}
-	}
-	if par {
-		parallel.ForRange(b, col2im)
-	} else {
-		col2im(0, b)
-	}
-	c.lastX = nil
-	return dx, nil
+	return c.conv.backward("conv1d", grad, c.Weight, c.Bias)
 }
 
 func (c *Conv1D) spec() layerSpec {
@@ -294,7 +300,7 @@ type Conv2D struct {
 	Weight                    *Param // [OutC, InC, KH, KW]
 	Bias                      *Param // [OutC]
 
-	lastX *tensor.Tensor
+	conv conv
 }
 
 // NewConv2D constructs a 2-D convolution with He-uniform init.
@@ -331,7 +337,8 @@ func (c *Conv2D) OutShape(in []int) ([]int, error) {
 	return []int{c.OutC, (h-c.KH)/c.Stride + 1, (w-c.KW)/c.Stride + 1}, nil
 }
 
-// Forward computes the valid cross-correlation, parallel over the batch.
+// Forward computes the valid cross-correlation (see conv). Inference is
+// safe under concurrent callers.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	if x.Rank() != 4 || x.Dim(1) != c.InC {
 		return nil, fmt.Errorf("conv2d wants [batch, %d, H, W], got %v", c.InC, x.Shape())
@@ -340,100 +347,15 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	x = x.Contiguous()
-	if train {
-		c.lastX = x
-	}
-	b, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	hOut, wOut := sample[1], sample[2]
-	out := tensor.New(b, c.OutC, hOut, wOut)
-	xd, wd, bd, od := x.Data(), c.Weight.W.Data(), c.Bias.W.Data(), out.Data()
-	inC, outC, kh, kw, s := c.InC, c.OutC, c.KH, c.KW, c.Stride
-	parallel.ForRange(b, func(lo, hi int) {
-		for n := lo; n < hi; n++ {
-			xn := xd[n*inC*h*w : (n+1)*inC*h*w]
-			on := od[n*outC*hOut*wOut : (n+1)*outC*hOut*wOut]
-			for oc := 0; oc < outC; oc++ {
-				oImg := on[oc*hOut*wOut : (oc+1)*hOut*wOut]
-				for p := range oImg {
-					oImg[p] = bd[oc]
-				}
-				for ic := 0; ic < inC; ic++ {
-					xImg := xn[ic*h*w : (ic+1)*h*w]
-					wKer := wd[(oc*inC+ic)*kh*kw : (oc*inC+ic+1)*kh*kw]
-					for oy := 0; oy < hOut; oy++ {
-						for ox := 0; ox < wOut; ox++ {
-							baseY, baseX := oy*s, ox*s
-							var acc float64
-							for ky := 0; ky < kh; ky++ {
-								xrow := xImg[(baseY+ky)*w+baseX : (baseY+ky)*w+baseX+kw]
-								wrow := wKer[ky*kw : (ky+1)*kw]
-								for kx := 0; kx < kw; kx++ {
-									acc += xrow[kx] * wrow[kx]
-								}
-							}
-							oImg[oy*wOut+ox] += acc
-						}
-					}
-				}
-			}
-		}
-	})
-	return out, nil
+	g := convGeom{rank: 4, b: x.Dim(0), inC: c.InC, h: x.Dim(2), w: x.Dim(3),
+		outC: c.OutC, kh: c.KH, kw: c.KW, s: c.Stride, hOut: sample[1], wOut: sample[2]}
+	return c.conv.forward(g, x, c.Weight.W.Data(), c.Bias.W.Data(), train), nil
 }
 
-// Backward computes input gradients and accumulates kernel/bias gradients.
+// Backward computes input gradients and accumulates kernel/bias
+// gradients from the patches cached by the training forward.
 func (c *Conv2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
-	if c.lastX == nil {
-		return nil, fmt.Errorf("conv2d backward without cached forward")
-	}
-	x := c.lastX
-	g := grad.Contiguous()
-	b, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	hOut, wOut := g.Dim(2), g.Dim(3)
-	if g.Rank() != 4 || g.Dim(0) != b || g.Dim(1) != c.OutC {
-		return nil, fmt.Errorf("conv2d backward grad shape %v", g.Shape())
-	}
-	xd, gd, wd := x.Data(), g.Data(), c.Weight.W.Data()
-	dW, dB := c.Weight.Grad.Data(), c.Bias.Grad.Data()
-	inC, outC, kh, kw, s := c.InC, c.OutC, c.KH, c.KW, c.Stride
-	dx := tensor.New(b, inC, h, w)
-	dxd := dx.Data()
-	for n := 0; n < b; n++ {
-		xin := xd[n*inC*h*w : (n+1)*inC*h*w]
-		dxn := dxd[n*inC*h*w : (n+1)*inC*h*w]
-		gn := gd[n*outC*hOut*wOut : (n+1)*outC*hOut*wOut]
-		for oc := 0; oc < outC; oc++ {
-			gImg := gn[oc*hOut*wOut : (oc+1)*hOut*wOut]
-			for _, gv := range gImg {
-				dB[oc] += gv
-			}
-			for ic := 0; ic < inC; ic++ {
-				xImg := xin[ic*h*w : (ic+1)*h*w]
-				dxImg := dxn[ic*h*w : (ic+1)*h*w]
-				wKer := wd[(oc*inC+ic)*kh*kw : (oc*inC+ic+1)*kh*kw]
-				dWKer := dW[(oc*inC+ic)*kh*kw : (oc*inC+ic+1)*kh*kw]
-				for oy := 0; oy < hOut; oy++ {
-					for ox := 0; ox < wOut; ox++ {
-						gv := gImg[oy*wOut+ox]
-						if gv == 0 {
-							continue
-						}
-						baseY, baseX := oy*s, ox*s
-						for ky := 0; ky < kh; ky++ {
-							for kx := 0; kx < kw; kx++ {
-								idx := (baseY+ky)*w + baseX + kx
-								dWKer[ky*kw+kx] += gv * xImg[idx]
-								dxImg[idx] += gv * wKer[ky*kw+kx]
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	c.lastX = nil
-	return dx, nil
+	return c.conv.backward("conv2d", grad, c.Weight, c.Bias)
 }
 
 func (c *Conv2D) spec() layerSpec {

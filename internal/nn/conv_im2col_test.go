@@ -151,10 +151,48 @@ func TestConv1DBackwardAccumulates(t *testing.T) {
 	}
 }
 
+// TestConvBackwardRejectsMismatchedGrad: Backward errors, before it
+// reads any data, on a gradient whose rank, batch, channels or spatial
+// extent differs from the cached training forward's output, and when no
+// training forward precedes it.
+func TestConvBackwardRejectsMismatchedGrad(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		layer   func() Layer
+		in, out []int
+	}{
+		{"conv1d", func() Layer { return NewNetwork(1).NewConv1D(2, 3, 3, 1) }, []int{4, 2, 9}, []int{4, 3, 7}},
+		{"conv2d", func() Layer { return NewNetwork(1).NewConv2D(2, 3, 3, 2, 1) }, []int{4, 2, 6, 5}, []int{4, 3, 4, 4}},
+	} {
+		with := func(i, d int) []int {
+			s := append([]int(nil), tc.out...)
+			s[i] += d
+			return s
+		}
+		bad := [][]int{tc.out[:len(tc.out)-1], with(0, 1), with(1, -1)}
+		for i := 2; i < len(tc.out); i++ {
+			bad = append(bad, with(i, 1), with(i, -1))
+		}
+		for _, shape := range bad {
+			l := tc.layer()
+			if _, err := l.Forward(tensor.New(tc.in...), true); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := l.Backward(tensor.New(shape...)); err == nil {
+				t.Errorf("%s: grad %v after a %v forward: no error", tc.name, shape, tc.in)
+			}
+		}
+		if _, err := tc.layer().Backward(tensor.New(tc.out...)); err == nil {
+			t.Errorf("%s: backward without forward: no error", tc.name)
+		}
+	}
+}
+
 // TestConv1DConcurrentInference: a never-trained Conv1D shared by
 // concurrent inference callers (regions sharing a cached model) must be
-// race-free — including the lazy weight-matrix view build — and every
-// caller must see identical outputs. Run under -race in CI.
+// race-free, each caller transposing the kernel into its own pooled
+// buffers, and every caller must see identical outputs. Run under -race
+// in CI.
 func TestConv1DConcurrentInference(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	net := NewNetwork(7)
@@ -164,7 +202,7 @@ func TestConv1DConcurrentInference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fresh layer so the concurrent callers race on the cold wMat build.
+	// Fresh layer so the concurrent callers start with an empty pool.
 	c2 := net.NewConv1D(2, 3, 3, 1)
 	c2.Weight.W.CopyFrom(c.Weight.W)
 	c2.Bias.W.CopyFrom(c.Bias.W)

@@ -40,15 +40,9 @@ func newConv1D32(l *Conv1D, in, out []int) *conv32 {
 	return c
 }
 
-func grow32(buf *[]float32, n int) []float32 {
-	if cap(*buf) < n {
-		*buf = make([]float32, n)
-	}
-	return (*buf)[:n]
-}
-
 // im2col1d32 unrolls x ([b, inC, l] flat) into col ([b*lOut, inC*k]
-// flat), mirroring im2col1d: col[(n*lOut+p), ic*k+t] = x[n, ic, p*s+t].
+// flat), the f32 form of im2col's h = kh = 1 case:
+// col[(n*lOut+p), ic*k+t] = x[n, ic, p*s+t].
 func im2col1d32(col, xd []float32, b, inC, l, lOut, k, s int, par bool) {
 	cols := inC * k
 	body := func(lo, hi int) {
@@ -78,8 +72,8 @@ func im2col1d32(col, xd []float32, b, inC, l, lOut, k, s int, par bool) {
 func (c *conv32) runConv1(dst, x []float32, rows int, s *f32Scratch) error {
 	inC, l, outC, lOut, k := c.inC, c.inL, c.outC, c.outL, c.k
 	mrows, mcols := rows*lOut, inC*k
-	col := grow32(&s.aux[0], mrows*mcols)
-	out2 := grow32(&s.aux[1], mrows*outC)
+	col := grow(&s.aux[0], mrows*mcols)
+	out2 := grow(&s.aux[1], mrows*outC)
 	par := rows*outC*lOut*inC*k >= convParFLOPs
 	im2col1d32(col, x, rows, inC, l, lOut, k, c.stride, par)
 	if err := tensor.MatMulInto32(out2, col, c.wT, mrows, mcols, outC); err != nil {

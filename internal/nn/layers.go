@@ -18,9 +18,11 @@ type Dense struct {
 	// Training-path arenas, reused across steps so a steady-state step
 	// allocates nothing. Inference keeps its allocating/pooled paths so
 	// concurrent Forward callers never touch these.
-	fwdOut scratch // forward output [batch, Out]
-	dxBuf  scratch // input gradient [batch, In]
-	dwBuf  scratch // weight-gradient staging [In, Out]
+	fwdOut scratch   // forward output [batch, Out]
+	dxBuf  scratch   // input gradient [batch, In]
+	dwBuf  []float64 // weight-gradient staging [In, Out]
+	xtBuf  []float64 // Xᵀ [In, batch]
+	wtBuf  []float64 // Wᵀ [Out, In]
 }
 
 // NewDense constructs a Dense layer with He-uniform initialized weights.
@@ -99,12 +101,11 @@ func (d *Dense) forwardActInto(dst, x *tensor.Tensor, act tensor.Act) error {
 }
 
 // Backward computes input gradients and accumulates dW, db. Both matrix
-// products run through the transpose-aware blocked kernels: dW = XᵀG via
-// MatMulTransAInto (into a reusable staging buffer, then accumulated so
-// gradient-accumulation semantics are preserved) and dX = GWᵀ via
-// MatMulTransBInto, neither materializing a transposed copy. The kernels
-// accumulate over the shared dimension ascending — the same order as the
-// old hand-rolled loops — so results are bit-identical.
+// products are tensor.DenseInto calls over a transposed copy of one
+// operand: dW = XᵀG (into a staging buffer, then added so gradients
+// accumulate) and dX = GWᵀ. DenseInto sums over the shared dimension
+// ascending from +0, so both equal plain loops bit for bit, which the
+// Dense golden losses rely on.
 func (d *Dense) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	if d.lastX == nil {
 		return nil, fmt.Errorf("dense backward without cached forward")
@@ -117,29 +118,28 @@ func (d *Dense) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	}
 	gd := g.Data()
 	dB := d.Bias.Grad.Data()
-	out := d.Out
+	in, out := d.In, d.Out
 
 	// db = column sums of G.
 	for r := 0; r < b; r++ {
-		grow := gd[r*out : (r+1)*out]
-		for j, gv := range grow {
+		for j, gv := range gd[r*out : (r+1)*out] {
 			dB[j] += gv
 		}
 	}
-	// dW += X^T G.
-	dw := d.dwBuf.get2(d.In, out)
-	if err := tensor.MatMulTransAInto(dw, x, g); err != nil {
-		return nil, err
+	// dW += XᵀG.
+	xt := grow(&d.xtBuf, in*b)
+	tensor.TransposeInto(xt, x.Data(), b, in)
+	dw := grow(&d.dwBuf, in*out)
+	tensor.DenseInto(dw, xt, gd, nil, in, b, out, tensor.ActIdentity)
+	dW := d.Weight.Grad.Data()
+	for i, v := range dw {
+		dW[i] += v
 	}
-	dW, dwd := d.Weight.Grad.Data(), dw.Data()
-	for i := range dW {
-		dW[i] += dwd[i]
-	}
-	// dX = G W^T.
-	dx := d.dxBuf.get2(b, d.In)
-	if err := tensor.MatMulTransBInto(dx, g, d.Weight.W); err != nil {
-		return nil, err
-	}
+	// dX = GWᵀ.
+	wt := grow(&d.wtBuf, out*in)
+	tensor.TransposeInto(wt, d.Weight.W.Data(), in, out)
+	dx := d.dxBuf.get2(b, in)
+	tensor.DenseInto(dx.Data(), gd, wt, nil, b, out, in, tensor.ActIdentity)
 	d.lastX = nil
 	return dx, nil
 }

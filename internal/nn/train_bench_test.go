@@ -79,24 +79,33 @@ func BenchmarkTrainEpoch(b *testing.B) {
 	}
 }
 
-// BenchmarkConvIm2col measures a Conv1D training step (forward +
-// backward) on a particlefilter-shaped input. Run it against the
-// pre-im2col direct-loop kernel to see the blocked-MatMul win.
+// BenchmarkConvIm2col measures one conv training step (forward +
+// backward) through the shared im2col convolution: a Conv1D over a
+// 32-sample, 4-channel, 128-long batch, and the ParticleFilter example's
+// Conv2D (1->4 channels, 4x4 kernel, stride 2) over 32 32x32 frames.
+// allocs/op is per training step.
 func BenchmarkConvIm2col(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	net := NewNetwork(13)
-	c := net.NewConv1D(4, 16, 5, 1)
-	x := randTensor(rng, 32, 4, 128)
-	g := randTensor(rng, 32, 16, 124)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Forward(x, true); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.Backward(g); err != nil {
-			b.Fatal(err)
-		}
+	for _, tc := range []struct {
+		name  string
+		layer Layer
+		x, g  *tensor.Tensor
+	}{
+		{"conv1d", net.NewConv1D(4, 16, 5, 1), randTensor(rng, 32, 4, 128), randTensor(rng, 32, 16, 124)},
+		{"conv2d-particlefilter", net.NewConv2D(1, 4, 4, 4, 2), randTensor(rng, 32, 1, 32, 32), randTensor(rng, 32, 4, 15, 15)},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := tc.layer.Forward(tc.x, true); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := tc.layer.Backward(tc.g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -10,12 +10,12 @@ import (
 
 const (
 	// matMulPanelBytes approximates the last-level cache share available
-	// to B; beyond it the f32 and transpose kernels block B into panels.
+	// to B; beyond it the f32 kernel blocks B into panels.
 	matMulPanelBytes = 8 << 20
 	// matMulBlockK bounds the depth of a B panel.
 	matMulBlockK = 256
 	// matMulBlockJ bounds a panel's column window so one panel
-	// (matMulBlockK x matMulBlockJ float64s, ~1 MB) fits in L2.
+	// (matMulBlockK x matMulBlockJ float32s, 512 KB) fits in L2.
 	matMulBlockJ = 512
 	// matMulParFLOPs is the multiply-accumulate count below which the
 	// goroutine fan-out costs more than it saves and the kernel runs
@@ -23,60 +23,47 @@ const (
 	matMulParFLOPs = 1 << 18
 )
 
-// MatMul computes a @ b for rank-2 tensors [m,k] x [k,n] -> [m,n] with
-// the packed f64 row kernel (see DenseInto).
-func MatMul(a, b *Tensor) (*Tensor, error) {
-	m, n, err := matMulDims(a, b)
-	if err != nil {
-		return nil, err
-	}
-	out := New(m, n)
-	matMulKernel(out, a, b)
-	return out, nil
-}
-
-// MatMulInto computes a @ b into dst, which must be a contiguous [m,n]
-// tensor whose storage does not overlap a or b. dst's previous contents
-// are overwritten, letting hot paths (the NN engine's dense layers, the
-// batched region-inference staging) reuse one output buffer across calls
-// instead of allocating per invocation.
+// MatMulInto computes a @ b for rank-2 tensors [m,k] x [k,n] into dst,
+// which must be a contiguous [m,n] tensor whose storage does not overlap
+// a or b. dst's previous contents are overwritten, so a caller (int8
+// calibration, the benchmark's GEMM replay) reuses one output buffer
+// across calls.
 func MatMulInto(dst, a, b *Tensor) error {
-	m, n, err := matMulDims(a, b)
-	if err != nil {
-		return err
+	if a.Rank() != 2 || b.Rank() != 2 {
+		return fmt.Errorf("tensor: matmul wants rank-2 operands, got %d and %d", a.Rank(), b.Rank())
 	}
+	if a.shape[1] != b.shape[0] {
+		return fmt.Errorf("tensor: matmul inner dims differ: %d vs %d", a.shape[1], b.shape[0])
+	}
+	m, k, n := a.shape[0], a.shape[1], b.shape[1]
 	if dst.Rank() != 2 || dst.shape[0] != m || dst.shape[1] != n {
 		return fmt.Errorf("tensor: matmul dst shape %v, want [%d %d]", dst.shape, m, n)
 	}
 	if !dst.IsContiguous() {
 		return fmt.Errorf("tensor: matmul dst must be contiguous")
 	}
-	matMulKernel(dst, a, b)
-	return nil
-}
-
-func matMulDims(a, b *Tensor) (m, n int, err error) {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		return 0, 0, fmt.Errorf("tensor: matmul wants rank-2 operands, got %d and %d", a.Rank(), b.Rank())
-	}
-	if a.shape[1] != b.shape[0] {
-		return 0, 0, fmt.Errorf("tensor: matmul inner dims differ: %d vs %d", a.shape[1], b.shape[0])
-	}
-	return a.shape[0], b.shape[1], nil
-}
-
-// matMulKernel assumes shapes were validated and dst is contiguous.
-func matMulKernel(dst, a, b *Tensor) {
-	m, k, n := a.shape[0], a.shape[1], b.shape[1]
 	ac, bc := a.Contiguous(), b.Contiguous()
 	DenseInto(dst.data[dst.offset:dst.offset+m*n], ac.data[ac.offset:ac.offset+m*k],
 		bc.data[bc.offset:bc.offset+k*n], nil, m, k, n, ActIdentity)
+	return nil
+}
+
+// TransposeInto writes the row-major [m,n] slab src into dst as [n,m].
+// Training runs its transposed products, XᵀG and GWᵀ, as DenseInto over
+// a transposed copy of one operand.
+func TransposeInto(dst, src []float64, m, n int) {
+	for i := 0; i < m; i++ {
+		for j, v := range src[i*n : (i+1)*n] {
+			dst[j*m+i] = v
+		}
+	}
 }
 
 // DenseInto computes dst = act(a @ b + bias) over flat row-major slabs:
 // a is [m,k], b is [k,n], bias is [n] (nil adds nothing) and dst is
 // [m,n]; dst must not overlap the operands, and its previous contents are
-// overwritten. It is the one f64 GEMM: MatMul and MatMulInto run it too.
+// overwritten. It is the one f64 GEMM: MatMulInto, every Dense and conv
+// forward, and every training product (Dense and conv dW and dX) run it.
 // Callers validate the shapes; a slab shorter than its dims panics.
 //
 // b is read in 8-column panels of [k][8] float64s. From packMinRows rows

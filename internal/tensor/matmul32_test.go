@@ -81,10 +81,7 @@ func TestMatMul32MatchesFloat64(t *testing.T) {
 	for i, v := range b64.Data() {
 		b32[i] = float32(v)
 	}
-	want, err := MatMul(a64, b64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := matMul(t, a64, b64)
 	dst := make([]float32, m*n)
 	if err := MatMulInto32(dst, a32, b32, m, k, n); err != nil {
 		t.Fatal(err)

@@ -24,6 +24,16 @@ func matMulRef(a, b *Tensor) *Tensor {
 	return out
 }
 
+// matMul returns a @ b in a new tensor through MatMulInto.
+func matMul(t testing.TB, a, b *Tensor) *Tensor {
+	t.Helper()
+	out := New(a.Dim(0), b.Dim(1))
+	if err := MatMulInto(out, a, b); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func randTensor(rng *rand.Rand, shape ...int) *Tensor {
 	t := New(shape...)
 	d := t.Data()
@@ -56,10 +66,7 @@ func TestPropMatMulMatchesReference(t *testing.T) {
 		m, k, n := s[0], s[1], s[2]
 		a := randTensor(rng, m, k)
 		b := randTensor(rng, k, n)
-		got, err := MatMul(a, b)
-		if err != nil {
-			t.Fatalf("[%d %d %d]: %v", m, k, n, err)
-		}
+		got := matMul(t, a, b)
 		want := matMulRef(a, b)
 		for i := 0; i < m; i++ {
 			for j := 0; j < n; j++ {
@@ -80,10 +87,7 @@ func TestMatMulBitIdenticalAcrossRowSplits(t *testing.T) {
 	const m, k, n = 96, 130, 50
 	a := randTensor(rng, m, k)
 	b := randTensor(rng, k, n)
-	whole, err := MatMul(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	whole := matMul(t, a, b)
 	for _, rows := range []int{1, 7, 32} {
 		for lo := 0; lo < m; lo += rows {
 			hi := min(lo+rows, m)
@@ -91,10 +95,7 @@ func TestMatMulBitIdenticalAcrossRowSplits(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			part, err := MatMul(sub, b)
-			if err != nil {
-				t.Fatal(err)
-			}
+			part := matMul(t, sub, b)
 			for i := lo; i < hi; i++ {
 				for j := 0; j < n; j++ {
 					if part.At(i-lo, j) != whole.At(i, j) {
@@ -114,10 +115,7 @@ func TestMatMulStridedOperands(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := randTensor(rng, 6, 4)
-	got, err := MatMul(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := matMul(t, a, b)
 	want := matMulRef(a.Contiguous(), b)
 	for i := 0; i < 9; i++ {
 		for j := 0; j < 4; j++ {
@@ -138,10 +136,7 @@ func TestMatMulInto(t *testing.T) {
 	if err := MatMulInto(dst, a, b); err != nil {
 		t.Fatal(err)
 	}
-	want, err := MatMul(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := matMulRef(a, b)
 	for i := 0; i < 8; i++ {
 		for j := 0; j < 5; j++ {
 			if dst.At(i, j) != want.At(i, j) {
@@ -154,7 +149,7 @@ func TestMatMulInto(t *testing.T) {
 	if err := MatMulInto(dst, a2, b); err != nil {
 		t.Fatal(err)
 	}
-	want2, _ := MatMul(a2, b)
+	want2 := matMulRef(a2, b)
 	if dst.At(3, 2) != want2.At(3, 2) {
 		t.Fatal("dst not refreshed on reuse")
 	}
@@ -180,20 +175,33 @@ func TestMatMulIntoErrors(t *testing.T) {
 	}
 }
 
+// TestTransposeInto checks the transposed copy against a materialized
+// Transpose view, including single-row and single-column slabs.
+func TestTransposeInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, s := range [][2]int{{1, 1}, {1, 9}, {9, 1}, {33, 17}, {8, 64}} {
+		m, n := s[0], s[1]
+		src := randTensor(rng, m, n)
+		dst := make([]float64, m*n)
+		TransposeInto(dst, src.Data(), m, n)
+		view, err := src.Transpose(0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range view.Contiguous().Data() {
+			if dst[i] != w {
+				t.Fatalf("[%d %d]: element %d = %g, want %g", m, n, i, dst[i], w)
+			}
+		}
+	}
+}
+
 func BenchmarkMatMul(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, size := range []int{64, 256} {
 		x := randTensor(rng, size, size)
 		y := randTensor(rng, size, size)
 		b.Run(fmt.Sprintf("n%d", size), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := MatMul(x, y); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("n%d-into", size), func(b *testing.B) {
 			dst := New(size, size)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
