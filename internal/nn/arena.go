@@ -74,11 +74,6 @@ func (s *scratch) get2(r, c int) *tensor.Tensor {
 	return s.get(2, [4]int{r, c})
 }
 
-// get3 returns an [a, b, c] scratch tensor.
-func (s *scratch) get3(a, b, c int) *tensor.Tensor {
-	return s.get(3, [4]int{a, b, c})
-}
-
 // like returns a scratch tensor with x's shape, or nil when x's rank
 // exceeds maxScratchRank (callers then fall back to allocating).
 func (s *scratch) like(x *tensor.Tensor) *tensor.Tensor {

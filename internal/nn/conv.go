@@ -13,22 +13,26 @@ import (
 // KH x KW kernel at one stride, over [batch, InC, H, W] inputs. Conv1D
 // is its h = kh = 1 case.
 //
-// The input is unrolled into a [batch*H'*W', InC*KH*KW] patch matrix
-// (im2col). Forward is one tensor.DenseInto of the patches with the
-// transposed kernel; its [batch*H'*W', OutC] result is transposed into
-// [batch, OutC, H', W'] and the bias added. Backward reuses the patches
-// cached by the training forward: dW = dYᵀ·patches and dPatches = dY·W
-// are two more DenseInto calls, and col2im adds the patch gradients
-// into dX.
+// The batch runs in blocks of whole samples whose patches fit in
+// colBudget. Each block's input is unrolled into a [rows, InC*KH*KW]
+// patch matrix (im2col), rows = samples*H'*W'. Forward is one
+// tensor.DenseInto of the patches with the transposed kernel per block;
+// its [rows, OutC] result is transposed into [batch, OutC, H', W'] and
+// the bias added. Backward reuses the training forward's patches when
+// the batch is one block, and otherwise unrolls each block again from
+// the input that forward kept: dW = dYᵀ·patches and dPatches = dY·W are
+// two more DenseInto calls, and col2im adds the patch gradients into dX.
 //
-// DenseInto sums each output over (ic, ky, kx) from +0 and adds the bias
-// last; dW sums over (n, oy, ox) and dX over oc, then over the patches
-// that cover each input. Against direct loops, which keep one
-// accumulator per input channel and add dX term by term, the forward,
-// dX and dB reassociate; dW keeps the direct loops' term order.
+// Each output is its sum over (ic, ky, kx) from +0, plus the bias. dW
+// sums a block's (n, oy, ox) from +0 and adds that into the gradient; dX
+// sums over oc, then over the patches that cover each input. Against
+// direct loops, which keep one accumulator per input channel and add dX
+// term by term, the forward, dX and dB reassociate; dW keeps the direct
+// loops' term order within a block, so it matches them bit for bit when
+// the batch is one block.
 type conv struct {
-	last   convGeom // the training forward's geometry
-	cached bool     // the patches in train.col are the training forward's
+	last  convGeom       // the training forward's geometry
+	lastX *tensor.Tensor // and its input; nil outside a training step
 	// Training-path arenas, reused across steps.
 	train  convBufs
 	fwdOut scratch
@@ -39,13 +43,13 @@ type conv struct {
 	pool sync.Pool
 }
 
-// convBufs are one pass's flat intermediates: the patch matrix, the
-// transposed kernel and the [rows, OutC] product y; training adds dY as
-// [rows, OutC] and as [OutC, rows], the dW staging and the patch
-// gradients.
+// convBufs are one block's flat intermediates: the patch matrix (in
+// backward, then the patch gradients), the transposed kernel and the
+// [rows, OutC] product y; training adds dY as [rows, OutC] and as
+// [OutC, rows], and the dW staging.
 type convBufs struct {
-	col, wt, y        []float64
-	gt, gtT, dw, dcol []float64
+	col, wt, y  []float64
+	gt, gtT, dw []float64
 }
 
 // convGeom is one call's geometry. rank is the layer's tensor rank: 3
@@ -57,9 +61,14 @@ type convGeom struct {
 	hOut, wOut      int
 }
 
-// convParFLOPs is the multiply-accumulate count below which the
-// per-sample conv passes run serially on the calling goroutine.
-const convParFLOPs = 1 << 18
+const (
+	// colBudget bounds a block's patch matrix, in float64s (4 MB): a
+	// block holds as many samples as fit, and at least one.
+	colBudget = 1 << 19
+	// convParFLOPs is the multiply-accumulate count below which im2col
+	// and col2im run serially on the calling goroutine.
+	convParFLOPs = 1 << 18
+)
 
 func (g convGeom) rows() int { return g.b * g.hOut * g.wOut }
 func (g convGeom) cols() int { return g.inC * g.kh * g.kw }
@@ -72,78 +81,81 @@ func (g convGeom) shape(ch, h, w int) (int, [4]int) {
 	return 4, [4]int{g.b, ch, h, w}
 }
 
-// overBatch runs pass over the batch's samples, split across workers
-// when the convolution is large enough to repay the fan-out. pass is a
-// method expression, so the serial case builds no closure.
-func (g convGeom) overBatch(pass func(g convGeom, dst, src []float64, lo, hi int), dst, src []float64) {
+// blockSamples is the number of samples in a full block.
+func (g convGeom) blockSamples() int {
+	return max(1, min(g.b, colBudget/(g.hOut*g.wOut*g.cols())))
+}
+
+// block returns the geometry of the up to n samples from sample lo on.
+func (g convGeom) block(lo, n int) convGeom {
+	g.b = min(n, g.b-lo)
+	return g
+}
+
+// overPairs runs pass over g's (sample, input channel) pairs, split
+// across workers when the convolution is large enough to repay the
+// fan-out. pass is a method expression, so the serial case builds no
+// closure.
+func (g convGeom) overPairs(pass func(g convGeom, dst, src []float64, lo, hi int), dst, src []float64) {
 	if g.rows()*g.outC*g.cols() < convParFLOPs {
-		pass(g, dst, src, 0, g.b)
+		pass(g, dst, src, 0, g.b*g.inC)
 		return
 	}
-	parallel.ForRange(g.b, func(lo, hi int) { pass(g, dst, src, lo, hi) })
+	parallel.ForRange(g.b*g.inC, func(lo, hi int) { pass(g, dst, src, lo, hi) })
 }
 
-// im2col unrolls samples [lo, hi) of x into col:
+// im2col unrolls pairs [lo, hi) of x into col:
 // col[(n*hOut+oy)*wOut+ox][(ic*kh+ky)*kw+kx] = x[n, ic, oy*s+ky, ox*s+kx],
-// one kw-long copy per (row, ic, ky).
+// one kw-long copy per (row, ky).
 func (g convGeom) im2col(col, x []float64, lo, hi int) {
-	cols := g.cols()
-	for n := lo; n < hi; n++ {
+	cols, kk := g.cols(), g.kh*g.kw
+	for u := lo; u < hi; u++ {
+		n, ic := u/g.inC, u%g.inC
+		img := x[u*g.h*g.w:][:g.h*g.w]
 		for oy := 0; oy < g.hOut; oy++ {
 			for ox := 0; ox < g.wOut; ox++ {
-				row := col[((n*g.hOut+oy)*g.wOut+ox)*cols:]
-				for ic := 0; ic < g.inC; ic++ {
-					for ky := 0; ky < g.kh; ky++ {
-						src := x[((n*g.inC+ic)*g.h+oy*g.s+ky)*g.w+ox*g.s:][:g.kw]
-						copy(row[(ic*g.kh+ky)*g.kw:], src)
-					}
+				patch := col[((n*g.hOut+oy)*g.wOut+ox)*cols+ic*kk:][:kk]
+				for ky := 0; ky < g.kh; ky++ {
+					copy(patch[ky*g.kw:], img[(oy*g.s+ky)*g.w+ox*g.s:][:g.kw])
 				}
 			}
 		}
 	}
 }
 
-// col2im adds the patch gradients of samples [lo, hi) into dx, in
-// (n, oy, ox, ic, ky, kx) order: the inverse scatter of im2col.
+// col2im adds the patch gradients of pairs [lo, hi) into dx, in
+// (oy, ox, ky, kx) order per pair: the inverse scatter of im2col.
 func (g convGeom) col2im(dx, dcol []float64, lo, hi int) {
-	cols := g.cols()
-	for n := lo; n < hi; n++ {
+	cols, kk := g.cols(), g.kh*g.kw
+	for u := lo; u < hi; u++ {
+		n, ic := u/g.inC, u%g.inC
+		img := dx[u*g.h*g.w:][:g.h*g.w]
 		for oy := 0; oy < g.hOut; oy++ {
 			for ox := 0; ox < g.wOut; ox++ {
-				row := dcol[((n*g.hOut+oy)*g.wOut+ox)*cols:]
-				for ic := 0; ic < g.inC; ic++ {
-					for ky := 0; ky < g.kh; ky++ {
-						dst := dx[((n*g.inC+ic)*g.h+oy*g.s+ky)*g.w+ox*g.s:][:g.kw]
-						for kx, v := range row[(ic*g.kh+ky)*g.kw:][:g.kw] {
-							dst[kx] += v
-						}
+				patch := dcol[((n*g.hOut+oy)*g.wOut+ox)*cols+ic*kk:][:kk]
+				for ky := 0; ky < g.kh; ky++ {
+					dst := img[(oy*g.s+ky)*g.w+ox*g.s:][:g.kw]
+					for kx, v := range patch[ky*g.kw:][:g.kw] {
+						dst[kx] += v
 					}
 				}
 			}
 		}
-	}
-}
-
-// unbatch transposes samples [lo, hi) of the [b*H'*W', OutC] product y
-// into out's [b, OutC, H'*W'].
-func (g convGeom) unbatch(out, y []float64, lo, hi int) {
-	per := g.hOut * g.wOut
-	for n := lo; n < hi; n++ {
-		tensor.TransposeInto(out[n*g.outC*per:], y[n*per*g.outC:], per, g.outC)
 	}
 }
 
 // forward computes the valid cross-correlation of x with the
 // [OutC, InC*KH*KW] kernel w plus bias. The training pass stages through
-// the layer's arenas and caches the patches for backward; inference
-// recycles pooled buffers.
+// the layer's arenas and keeps x for backward; inference recycles pooled
+// buffers.
 func (c *conv) forward(g convGeom, x *tensor.Tensor, w, bias []float64, train bool) *tensor.Tensor {
-	rows, cols, outC, per := g.rows(), g.cols(), g.outC, g.hOut*g.wOut
+	x = x.Contiguous()
+	cols, outC, per := g.cols(), g.outC, g.hOut*g.wOut
 	rank, shape := g.shape(outC, g.hOut, g.wOut)
 	var buf *convBufs
 	var out *tensor.Tensor
 	if train {
-		c.last, c.cached = g, true
+		c.last, c.lastX = g, x
 		buf, out = &c.train, c.fwdOut.get(rank, shape)
 	} else {
 		buf, _ = c.pool.Get().(*convBufs)
@@ -153,13 +165,20 @@ func (c *conv) forward(g convGeom, x *tensor.Tensor, w, bias []float64, train bo
 		defer c.pool.Put(buf)
 		out = tensor.New(shape[:rank]...)
 	}
-	col := grow(&buf.col, rows*cols)
-	g.overBatch(convGeom.im2col, col, x.Contiguous().Data())
-	wt, y := grow(&buf.wt, cols*outC), grow(&buf.y, rows*outC)
+	wt := grow(&buf.wt, cols*outC)
 	tensor.TransposeInto(wt, w, outC, cols)
-	tensor.DenseInto(y, col, wt, nil, rows, cols, outC, tensor.ActIdentity)
-	od := out.Data()
-	g.overBatch(convGeom.unbatch, od, y)
+	xd, od := x.Data(), out.Data()
+	bs := g.blockSamples()
+	for lo := 0; lo < g.b; lo += bs {
+		blk := g.block(lo, bs)
+		rows := blk.rows()
+		col, y := grow(&buf.col, rows*cols), grow(&buf.y, rows*outC)
+		blk.overPairs(convGeom.im2col, col, xd[lo*g.inC*g.h*g.w:])
+		tensor.DenseInto(y, col, wt, nil, rows, cols, outC, tensor.ActIdentity)
+		for n := range blk.b {
+			tensor.TransposeInto(od[(lo+n)*outC*per:], y[n*per*outC:], per, outC)
+		}
+	}
 	for r := range g.b * outC {
 		row, bv := od[r*per:(r+1)*per], bias[r%outC]
 		for p := range row {
@@ -169,11 +188,11 @@ func (c *conv) forward(g convGeom, x *tensor.Tensor, w, bias []float64, train bo
 	return out
 }
 
-// backward checks grad against the cached forward's output shape before
-// reading it, then returns dX and adds dW and dB into the parameters'
-// gradients.
+// backward checks grad against the training forward's output shape
+// before reading it, then returns dX and adds dW and dB into the
+// parameters' gradients.
 func (c *conv) backward(kind string, grad *tensor.Tensor, weight, bias *Param) (*tensor.Tensor, error) {
-	if !c.cached {
+	if c.lastX == nil {
 		return nil, fmt.Errorf("%s backward without cached forward", kind)
 	}
 	g := c.last
@@ -185,41 +204,48 @@ func (c *conv) backward(kind string, grad *tensor.Tensor, weight, bias *Param) (
 	if !ok {
 		return nil, fmt.Errorf("%s backward grad shape %v, want %v", kind, grad.Shape(), append([]int(nil), want[:rank]...))
 	}
-	gd := grad.Contiguous().Data()
-	rows, cols, outC, per := g.rows(), g.cols(), g.outC, g.hOut*g.wOut
+	gd, xd := grad.Contiguous().Data(), c.lastX.Data()
+	cols, outC, per, inN := g.cols(), g.outC, g.hOut*g.wOut, g.inC*g.h*g.w
 	buf := &c.train
-
-	// dB, and dY as [rows, OutC] and as [OutC, rows].
-	gt, gtT := grow(&buf.gt, rows*outC), grow(&buf.gtT, outC*rows)
-	dB := bias.Grad.Data()
-	for n := 0; n < g.b; n++ {
-		gn := gd[n*outC*per : (n+1)*outC*per]
-		tensor.TransposeInto(gt[n*per*outC:], gn, outC, per)
-		for oc := range dB {
-			img := gn[oc*per : (oc+1)*per]
-			copy(gtT[oc*rows+n*per:], img)
-			var sum float64
-			for _, v := range img {
-				sum += v
-			}
-			dB[oc] += sum
-		}
-	}
-	// dW += dYᵀ·patches.
-	dw := grow(&buf.dw, outC*cols)
-	tensor.DenseInto(dw, gtT, buf.col[:rows*cols], nil, outC, rows, cols, tensor.ActIdentity)
-	dW := weight.Grad.Data()
-	for i, v := range dw {
-		dW[i] += v
-	}
-	// dPatches = dY·W, then col2im adds them into dX.
-	dcol := grow(&buf.dcol, rows*cols)
-	tensor.DenseInto(dcol, gt, weight.W.Data(), nil, rows, outC, cols, tensor.ActIdentity)
+	dW, dB := weight.Grad.Data(), bias.Grad.Data()
 	dx := c.dxBuf.get(g.shape(g.inC, g.h, g.w))
 	dxd := dx.Data()
 	clear(dxd)
-	g.overBatch(convGeom.col2im, dxd, dcol)
-	c.cached = false
+	bs := g.blockSamples()
+	for lo := 0; lo < g.b; lo += bs {
+		blk := g.block(lo, bs)
+		rows := blk.rows()
+		col := grow(&buf.col, rows*cols)
+		if bs < g.b { // one block: col still holds the forward's patches
+			blk.overPairs(convGeom.im2col, col, xd[lo*inN:])
+		}
+		// dB, and the block's dY as [rows, OutC] and as [OutC, rows].
+		gt, gtT := grow(&buf.gt, rows*outC), grow(&buf.gtT, outC*rows)
+		for n := range blk.b {
+			gn := gd[(lo+n)*outC*per:][:outC*per]
+			tensor.TransposeInto(gt[n*per*outC:], gn, outC, per)
+			for oc := range dB {
+				img := gn[oc*per:][:per]
+				copy(gtT[oc*rows+n*per:], img)
+				var sum float64
+				for _, v := range img {
+					sum += v
+				}
+				dB[oc] += sum
+			}
+		}
+		// dW += dYᵀ·patches.
+		dw := grow(&buf.dw, outC*cols)
+		tensor.DenseInto(dw, gtT, col, nil, outC, rows, cols, tensor.ActIdentity)
+		for i, v := range dw {
+			dW[i] += v
+		}
+		// dPatches = dY·W over the spent patches, then col2im adds them
+		// into dX.
+		tensor.DenseInto(col, gt, weight.W.Data(), nil, rows, outC, cols, tensor.ActIdentity)
+		blk.overPairs(convGeom.col2im, dxd[lo*inN:], col)
+	}
+	c.lastX = nil
 	return dx, nil
 }
 

@@ -100,8 +100,9 @@ func (c *conv32) runConv1(dst, x []float32, rows int, s *f32Scratch) error {
 	return nil
 }
 
-// runConv2 computes the valid 2-D cross-correlation directly, parallel
-// over the batch, mirroring Conv2D.Forward.
+// runConv2 computes the valid 2-D cross-correlation with direct loops,
+// parallel over the batch; the f64 Conv2D runs the shared im2col
+// convolution instead.
 func (c *conv32) runConv2(dst, x []float32, rows int) {
 	inC, h, w := c.inC, c.inH, c.inW
 	outC, hOut, wOut := c.outC, c.outH, c.outW

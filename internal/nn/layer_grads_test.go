@@ -233,9 +233,10 @@ func layerStep(t *testing.T, name string, l Layer, x, g *tensor.Tensor) (y, dx *
 // TestLayerGradsMatchReference pins the forward output and the dW, dB
 // and dX of Dense, Conv1D and Conv2D against plain-loop oracles. Dense
 // and Conv1D match bit for bit, as does Conv2D's dW, whose terms keep
-// the oracle's order; Conv2D's output, dX and dB reassociate their sums
-// and match within 1e-12 of each element's sum of absolute terms. About
-// a third of every input and gradient is zero, as behind a ReLU.
+// the oracle's order (every batch here is one patch block); Conv2D's
+// output, dX and dB reassociate their sums and match within 1e-12 of
+// each element's sum of absolute terms. About a third of every input
+// and gradient is zero, as behind a ReLU.
 func TestLayerGradsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, rows := range []int{1, 7, 9, 33} {
@@ -283,4 +284,50 @@ func TestLayerGradsMatchReference(t *testing.T) {
 			assertWithinTerms(t, name+" dX", dx.Data(), dX, absX)
 		}
 	}
+}
+
+// TestConvBlocksMatchSampleBySample: a batch whose samples each fill a
+// patch block (the full-scale MiniWeather conv1 shape) runs block by
+// block. Its output and dX must equal, bit for bit, those of its samples
+// run one at a time, and its dW and dB those of the one-sample passes
+// added into the gradients in sample order.
+func TestConvBlocksMatchSampleBySample(t *testing.T) {
+	const b, inC, outC, k, h, w = 3, 4, 8, 8, 32, 64
+	hOut, wOut := h-k+1, w-k+1
+	geom := convGeom{b: b, inC: inC, outC: outC, kh: k, kw: k, hOut: hOut, wOut: wOut}
+	if n := geom.blockSamples(); n != 1 {
+		t.Fatalf("%d samples per block, want 1", n)
+	}
+	rng := rand.New(rand.NewSource(37))
+	c := NewNetwork(5).NewConv2D(inC, outC, k, k, 1)
+	x, g := reluZeroed(rng, b, inC, h, w), reluZeroed(rng, b, outC, hOut, wOut)
+	y, dx := layerStep(t, "batch", c, x, g)
+	dx = dx.Clone() // the one-sample passes reuse its arena
+	dW, dB := c.Weight.Grad.Clone(), c.Bias.Grad.Clone()
+
+	c.Weight.ZeroGrad()
+	c.Bias.ZeroGrad()
+	inN, outN := inC*h*w, outC*hOut*wOut
+	for n := 0; n < b; n++ {
+		xn, err := tensor.Wrap(x.Data()[n*inN:(n+1)*inN], 1, inC, h, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gn, err := tensor.Wrap(g.Data()[n*outN:(n+1)*outN], 1, outC, hOut, wOut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		yn, err := c.Forward(xn, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameBits(t, fmt.Sprintf("sample %d forward", n), y.Data()[n*outN:(n+1)*outN], yn.Data())
+		dxn, err := c.Backward(gn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameBits(t, fmt.Sprintf("sample %d dX", n), dx.Data()[n*inN:(n+1)*inN], dxn.Data())
+	}
+	assertSameBits(t, "dW", dW.Data(), c.Weight.Grad.Data())
+	assertSameBits(t, "dB", dB.Data(), c.Bias.Grad.Data())
 }

@@ -81,9 +81,12 @@ func BenchmarkTrainEpoch(b *testing.B) {
 
 // BenchmarkConvIm2col measures one conv training step (forward +
 // backward) through the shared im2col convolution: a Conv1D over a
-// 32-sample, 4-channel, 128-long batch, and the ParticleFilter example's
-// Conv2D (1->4 channels, 4x4 kernel, stride 2) over 32 32x32 frames.
-// allocs/op is per training step.
+// 32-sample, 4-channel, 128-long batch; the ParticleFilter example's
+// Conv2D (1->4 channels, 4x4 kernel, stride 2) over 32 32x32 frames; and
+// the largest layers of the full-scale MiniWeather family (Table IV) at
+// its training batch of 64 on the 64x32 grid: conv1 (4->8 channels, 8x8
+// kernel) and conv2 (8->8 channels, 6x6 kernel). allocs/op is per
+// training step.
 func BenchmarkConvIm2col(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	net := NewNetwork(13)
@@ -94,6 +97,8 @@ func BenchmarkConvIm2col(b *testing.B) {
 	}{
 		{"conv1d", net.NewConv1D(4, 16, 5, 1), randTensor(rng, 32, 4, 128), randTensor(rng, 32, 16, 124)},
 		{"conv2d-particlefilter", net.NewConv2D(1, 4, 4, 4, 2), randTensor(rng, 32, 1, 32, 32), randTensor(rng, 32, 4, 15, 15)},
+		{"conv2d-miniweather-k8", net.NewConv2D(4, 8, 8, 8, 1), randTensor(rng, 64, 4, 32, 64), randTensor(rng, 64, 8, 25, 57)},
+		{"conv2d-miniweather-k6", net.NewConv2D(8, 8, 6, 6, 1), randTensor(rng, 64, 8, 25, 57), randTensor(rng, 64, 8, 20, 52)},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
