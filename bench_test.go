@@ -1,6 +1,7 @@
 // Benchmarks regenerating the paper's tables and figures (one Benchmark*
-// per table/figure; see EXPERIMENTS.md for the mapping) plus the ablation
-// benches for the design choices called out in DESIGN.md §6.
+// per table/figure, named after it; the harnesses are in
+// internal/experiments) plus ablation benches for the runtime's design
+// choices (docs/ARCHITECTURE.md).
 package hpacml_test
 
 import (
@@ -237,7 +238,7 @@ func BenchmarkFig9MiniWeather(b *testing.B) {
 	b.ReportMetric(last.Error, "rollout-rmse")
 }
 
-// --- DESIGN.md §6 ablations ---
+// --- Ablations ---
 
 func stencilPlan(b *testing.B, n, m int) (*bridge.Plan, []float64) {
 	b.Helper()

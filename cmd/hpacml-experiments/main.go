@@ -1,5 +1,6 @@
 // hpacml-experiments regenerates the paper's tables and figures end to
-// end: Tables I–V and Figures 5–9 (see EXPERIMENTS.md for the mapping).
+// end: Tables I–V and Figures 5–9 (the harnesses are in
+// internal/experiments, tables.go and figures.go).
 //
 // Usage:
 //

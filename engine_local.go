@@ -25,7 +25,16 @@ func ClearModelCache() { modelCache = sync.Map{} }
 // that path resolves to this exact object on its next (re)load. The
 // serving registry's hot reload validates one loaded network and then
 // publishes it here, making the swap atomic across its replica pool.
-func StoreModel(path string, m *nn.Network) { modelCache.Store(path, m) }
+//
+// StoreModel freezes m first (nn.Network.Freeze), so every engine that
+// resolves it shares one copy of its packed weights. A published network
+// must not be written afterwards: training it fails, and a write to its
+// weights would go unseen. To change a model, load a fresh copy and
+// publish that.
+func StoreModel(path string, m *nn.Network) {
+	m.Freeze()
+	modelCache.Store(path, m)
+}
 
 // LocalEngine is the default backend: in-process inference on a
 // network loaded from a .gmod file through the shared path-keyed model
@@ -33,7 +42,10 @@ func StoreModel(path string, m *nn.Network) { modelCache.Store(path, m) }
 // model() clause gets, and its behavior — cache sharing, refresh
 // re-resolving from the cache without touching disk, invalidate
 // evicting the cache entry — is exactly the model handling Region
-// itself used to hard-wire.
+// itself used to hard-wire. Every network it resolves is frozen before
+// the cache publishes it, so batches read the weights packed once, and
+// the network must not be written while it is published (see
+// StoreModel).
 type LocalEngine struct {
 	path  string
 	net   *nn.Network
@@ -112,7 +124,8 @@ func (e *LocalEngine) Path() string { return e.path }
 func (e *LocalEngine) Network() *nn.Network { return e.net }
 
 // ensure resolves the network: the engine's own pointer, then the
-// shared cache, then disk (publishing the load for other engines).
+// shared cache, then disk (freezing the load and publishing it for other
+// engines; of two concurrent loads, the first published serves both).
 func (e *LocalEngine) ensure() error {
 	if e.net != nil {
 		return nil
@@ -127,8 +140,9 @@ func (e *LocalEngine) ensure() error {
 		if err != nil {
 			return err
 		}
-		modelCache.Store(e.path, m)
-		e.net = m
+		m.Freeze()
+		cached, _ := modelCache.LoadOrStore(e.path, m)
+		e.net = cached.(*nn.Network)
 	}
 	e.fwd32, e.sample32 = nil, nil
 	if e.f32 {

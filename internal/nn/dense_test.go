@@ -180,7 +180,6 @@ func TestDenseKernelMatchesRowLoop(t *testing.T) {
 				p.W.Data()[0] = math.Copysign(0, -1)
 			}
 		}
-		// 7 rows read the panels in place, 9 pack them (packMinRows is 8).
 		for _, rows := range []int{0, 1, 7, 9, 600} {
 			x := denseKernelInputs(rng, rows, m.in, rows%2 == 1)
 			want, denseIn := rowLoopForward(t, m.net, x, rows, m.in)
@@ -256,11 +255,116 @@ func TestForwardSeesInPlaceWeightWrites(t *testing.T) {
 	}
 }
 
+// TestFrozenForwardMatchesPerCall is the differential test of Freeze:
+// a frozen network's Forward and ForwardInto equal the same network's
+// per-call outputs, taken before it was frozen, in every bit. It covers
+// random MLPs, the benchmark's small and wide shapes and a
+// Residual-wrapped body, at zero, one, short, odd and parallel-split row
+// counts, with -0 biases and ±Inf/NaN inputs.
+func TestFrozenForwardMatchesPerCall(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	type model struct {
+		name    string
+		net     *Network
+		in, out int
+	}
+	var models []model
+	for i := 0; i < 40; i++ {
+		net, in, out := randomMLP(rng)
+		models = append(models, model{fmt.Sprintf("random%d", i), net, in, out})
+	}
+	body := NewNetwork(7)
+	body.Add(body.NewDense(12, 40), NewActivation(ActReLU), body.NewDense(40, 12))
+	residual := NewNetwork(8)
+	residual.Add(residual.NewDense(5, 12), NewActivation(ActTanh), NewResidual(body), residual.NewDense(12, 3))
+	models = append(models,
+		model{"small", reluMLP(11, 3, 64, 32, 1), 3, 1},
+		model{"wide", reluMLP(11, 64, 512, 512, 16), 64, 16},
+		model{"residual", residual, 5, 3})
+	rowCounts := []int{0, 1, 7, 8, 9, 33, 600}
+	for mi, m := range models {
+		for _, p := range m.net.Params() {
+			if p.Name == "bias" && mi%2 == 0 {
+				p.W.Data()[0] = math.Copysign(0, -1)
+			}
+		}
+		inputs := make([]*tensor.Tensor, len(rowCounts))
+		want := make([][]float64, len(rowCounts))
+		for i, rows := range rowCounts {
+			x, err := tensor.FromSlice(denseKernelInputs(rng, rows, m.in, rows%2 == 1), rows, m.in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			y, err := m.net.Forward(x)
+			if err != nil {
+				t.Fatalf("%s/rows=%d per call: %v", m.name, rows, err)
+			}
+			inputs[i], want[i] = x, y.Data()
+		}
+		m.net.Freeze()
+		for i, rows := range rowCounts {
+			name := fmt.Sprintf("%s/rows=%d", m.name, rows)
+			got, err := m.net.Forward(inputs[i])
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			assertSameBits(t, name+" frozen Forward", got.Data(), want[i])
+			dst := tensor.Full(math.NaN(), rows, m.out)
+			if err := m.net.ForwardInto(dst, inputs[i]); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			assertSameBits(t, name+" frozen ForwardInto", dst.Data(), want[i])
+		}
+	}
+	if !body.frozen {
+		t.Fatal("Freeze did not reach the Residual body")
+	}
+}
+
+// TestFrozenNetworkRefusesTraining pins the contract of Freeze: the
+// network must not be written afterwards, so ForwardTrain and Fit fail
+// instead of training weights that inference no longer reads, and leave
+// the weights as they were. A second Freeze keeps the packed copy.
+func TestFrozenNetworkRefusesTraining(t *testing.T) {
+	body := NewNetwork(2)
+	body.Add(body.NewDense(4, 4))
+	net := reluMLP(1, 4, 16, 4)
+	net.Add(NewResidual(body))
+	var before [][]float64
+	for _, p := range net.Params() {
+		before = append(before, append([]float64(nil), p.W.Data()...))
+	}
+	net.Freeze()
+	packed := net.Layers[0].Layer.(*Dense).packed
+	net.Freeze()
+	if net.Layers[0].Layer.(*Dense).packed != packed {
+		t.Fatal("a second Freeze repacked the weights")
+	}
+	rng := rand.New(rand.NewSource(4))
+	x := randTensor(rng, 8, 4)
+	if _, err := net.ForwardTrain(x); err == nil {
+		t.Fatal("ForwardTrain on a frozen network succeeded")
+	}
+	if _, err := body.ForwardTrain(x); err == nil {
+		t.Fatal("ForwardTrain on a frozen Residual body succeeded")
+	}
+	ds := &Dataset{X: x, Y: randTensor(rng, 8, 4)}
+	if _, err := net.Fit(ds, nil, TrainConfig{Epochs: 2, BatchSize: 4, LR: 0.1, Seed: 1}); err == nil {
+		t.Fatal("Fit on a frozen network succeeded")
+	}
+	for i, p := range net.Params() {
+		assertSameBits(t, fmt.Sprintf("param %d after refused training", i), p.W.Data(), before[i])
+	}
+}
+
 // BenchmarkForwardF64 times Network.ForwardInto on the benchmark's two
 // f64 model shapes: small (3-64-32-1, binomial-range inputs) over a
 // whole 8192-row portfolio, and wide (64-512-512-16) on one 32-row
 // batch. The one-row cases are a single Region.Execute or a serve tail
-// batch, where the per-call cost shows. ns/row is the figure to compare.
+// batch, where the per-call cost shows. Each case runs twice: per-call,
+// which packs the weights on every call, and frozen, which reads them
+// packed once by Freeze, as LocalEngine does. ns/row is the figure to
+// compare.
 func BenchmarkForwardF64(b *testing.B) {
 	for _, tc := range []struct {
 		name   string
@@ -286,14 +390,21 @@ func BenchmarkForwardF64(b *testing.B) {
 			}
 		}
 		y := tensor.New(tc.rows, out)
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				if err := net.ForwardInto(y, x); err != nil {
-					b.Fatal(err)
+		frozen := reluMLP(11, tc.widths...)
+		frozen.Freeze()
+		for _, arm := range []struct {
+			name string
+			net  *Network
+		}{{"per-call", net}, {"frozen", frozen}} {
+			b.Run(tc.name+"/"+arm.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					if err := arm.net.ForwardInto(y, x); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tc.rows), "ns/row")
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tc.rows), "ns/row")
+			})
+		}
 	}
 }

@@ -14,6 +14,10 @@ type Dense struct {
 	Weight  *Param // [In, Out]
 	Bias    *Param // [Out]
 
+	// packed is the weights and bias packed once by Network.Freeze;
+	// inference reads it instead of packing Weight on every call.
+	packed *tensor.PackedF64
+
 	lastX *tensor.Tensor
 	// Training-path arenas, reused across steps so a steady-state step
 	// allocates nothing. Inference keeps its allocating/pooled paths so
@@ -87,7 +91,8 @@ func (d *Dense) forwardInto(dst, x *tensor.Tensor) error {
 
 // forwardActInto computes act(xW + b) into dst without allocating: the
 // f64 row kernel applies act to each output before storing it, which is
-// how inference fuses a Dense with the Activation after it.
+// how inference fuses a Dense with the Activation after it. A frozen
+// layer reads its packed weights; any other packs them for this call.
 func (d *Dense) forwardActInto(dst, x *tensor.Tensor, act tensor.Act) error {
 	if x.Rank() != 2 || x.Dim(1) != d.In {
 		return fmt.Errorf("dense wants [batch, %d], got %v", d.In, x.Shape())
@@ -95,6 +100,10 @@ func (d *Dense) forwardActInto(dst, x *tensor.Tensor, act tensor.Act) error {
 	b := x.Dim(0)
 	if dst.Rank() != 2 || dst.Dim(0) != b || dst.Dim(1) != d.Out || !dst.IsContiguous() {
 		return fmt.Errorf("dense dst wants contiguous [%d, %d], got %v", b, d.Out, dst.Shape())
+	}
+	if d.packed != nil {
+		d.packed.Into(dst.Data(), x.Contiguous().Data(), b, act)
+		return nil
 	}
 	tensor.DenseInto(dst.Data(), x.Contiguous().Data(), d.Weight.W.Data(), d.Bias.W.Data(), b, d.In, d.Out, act)
 	return nil

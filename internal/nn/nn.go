@@ -61,6 +61,7 @@ type Network struct {
 	// passes. Pooling (rather than a single arena) keeps concurrent
 	// Forward calls safe when regions share a cached model.
 	scratch sync.Pool
+	frozen  bool // set by Freeze
 }
 
 type layerEntry struct {
@@ -103,8 +104,35 @@ func (n *Network) ForwardInto(dst, x *tensor.Tensor) error {
 }
 
 // ForwardTrain runs a training-mode forward pass, caching activations.
+// It fails on a frozen network.
 func (n *Network) ForwardTrain(x *tensor.Tensor) (*tensor.Tensor, error) {
 	return n.forward(x, true)
+}
+
+// Freeze packs the weights of every Dense layer, those inside Residual
+// bodies included, once, so that inference reads the packed panels
+// instead of packing them again on every call. The runtime freezes a
+// network before it publishes it to the engines that serve it, which
+// then share one packed copy.
+//
+// A frozen network must not be written: inference no longer reads the
+// Dense layers' Param.W, so a write to it would go unseen. ForwardTrain,
+// and so Fit, fails on a frozen network; train a copy loaded with Load
+// instead. Freeze is idempotent. It must not run concurrently with other
+// use of the network, so freeze before sharing it.
+func (n *Network) Freeze() {
+	if n.frozen {
+		return
+	}
+	for _, e := range n.Layers {
+		switch l := e.Layer.(type) {
+		case *Dense:
+			l.packed = tensor.PackF64(l.Weight.W.Data(), l.Bias.W.Data(), l.In, l.Out)
+		case containerLayer:
+			l.subNetwork().Freeze()
+		}
+	}
+	n.frozen = true
 }
 
 // inferScratch holds one inference pass's ping-pong intermediate buffers
@@ -256,6 +284,9 @@ func fuseActivation(layers []*layerEntry, i int) (*Dense, tensor.Act) {
 }
 
 func (n *Network) forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
+	if train && n.frozen {
+		return nil, fmt.Errorf("nn: training a frozen network would leave its packed weights stale; train a copy loaded with nn.Load")
+	}
 	var err error
 	for i, e := range n.Layers {
 		if x, err = e.Layer.Forward(x, train); err != nil {

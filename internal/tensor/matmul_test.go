@@ -58,9 +58,7 @@ func TestPropMatMulMatchesReference(t *testing.T) {
 		shapes = append(shapes, [3]int{1 + rng.Intn(40), 1 + rng.Intn(40), 1 + rng.Intn(40)})
 	}
 	// Cross matMulParFLOPs and both parallel splits: by rows, and by
-	// panels where n > m. Odd n leaves a partial last panel; with fewer
-	// than packMinRows rows it is read in place, overlapping the panel
-	// before it.
+	// panels where n > m. Odd n leaves a partial, zero-padded last panel.
 	shapes = append(shapes, [3]int{70, 300, 64}, [3]int{9, 520, 530}, [3]int{3, 1100, 1000}, [3]int{5, 700, 1001})
 	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]
@@ -101,6 +99,43 @@ func TestMatMulBitIdenticalAcrossRowSplits(t *testing.T) {
 					if part.At(i-lo, j) != whole.At(i, j) {
 						t.Fatalf("rows=%d: row %d differs from whole product", rows, i)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestPackedF64MatchesDenseInto checks that a matrix packed once by
+// PackF64 gives DenseInto's answer bit for bit, with and without a bias,
+// across the serial case and both parallel splits, and that the packed
+// copy does not see later writes to the matrix it was packed from.
+func TestPackedF64MatchesDenseInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, s := range [][3]int{{0, 4, 5}, {1, 1, 1}, {1, 7, 3}, {7, 13, 8}, {9, 30, 17}, {70, 300, 64}, {9, 520, 530}} {
+		m, k, n := s[0], s[1], s[2]
+		a := randTensor(rng, m, k).Data()
+		b := randTensor(rng, k, n).Data()
+		for _, bias := range [][]float64{nil, randTensor(rng, n).Data()} {
+			want := make([]float64, m*n)
+			DenseInto(want, a, b, bias, m, k, n, ActReLU)
+			p := PackF64(b, bias, k, n)
+			got := make([]float64, m*n)
+			for i := range got {
+				got[i] = math.NaN()
+			}
+			p.Into(got, a, m, ActReLU)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("[%d %d %d] bias=%t: element %d = %g, want %g", m, k, n, bias != nil, i, got[i], want[i])
+				}
+			}
+			for i := range b {
+				b[i] += 1
+			}
+			p.Into(got, a, m, ActReLU)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("[%d %d %d]: the packed copy saw a write to b", m, k, n)
 				}
 			}
 		}
