@@ -215,15 +215,16 @@ func DecodeGuardrail(r io.Reader) (*Guardrail, error) {
 	if n == 0 || n > guardMaxFeats {
 		return nil, fmt.Errorf("hpacml: implausible guardrail feature count %d", n)
 	}
-	g := &Guardrail{Lo: make([]float64, n), Hi: make([]float64, n)}
+	g := new(Guardrail)
 	if err := binary.Read(r, binary.LittleEndian, &g.Margin); err != nil {
 		return nil, fmt.Errorf("hpacml: guardrail margin: %w", err)
 	}
-	if err := binary.Read(r, binary.LittleEndian, g.Lo); err != nil {
-		return nil, fmt.Errorf("hpacml: guardrail bounds: %w", err)
+	var err error
+	if g.Lo, err = readBounds(r, n); err != nil {
+		return nil, err
 	}
-	if err := binary.Read(r, binary.LittleEndian, g.Hi); err != nil {
-		return nil, fmt.Errorf("hpacml: guardrail bounds: %w", err)
+	if g.Hi, err = readBounds(r, n); err != nil {
+		return nil, err
 	}
 	for f := 0; f < n; f++ {
 		if g.Lo[f] > g.Hi[f] {
@@ -231,6 +232,25 @@ func DecodeGuardrail(r io.Reader) (*Guardrail, error) {
 		}
 	}
 	return g, nil
+}
+
+// guardChunk is how many bounds readBounds reads per step.
+const guardChunk = 4096
+
+// readBounds reads n float64 bounds in chunks of guardChunk, growing the
+// slice only as the bytes arrive: a forged header's feature count then
+// costs what the input really holds, not 8n bytes up front.
+func readBounds(r io.Reader, n int) ([]float64, error) {
+	var out []float64
+	chunk := make([]float64, min(n, guardChunk))
+	for len(out) < n {
+		c := chunk[:min(n-len(out), len(chunk))]
+		if err := binary.Read(r, binary.LittleEndian, c); err != nil {
+			return nil, fmt.Errorf("hpacml: guardrail bounds: %w", err)
+		}
+		out = append(out, c...)
+	}
+	return out, nil
 }
 
 // LoadGuardrail reads the sidecar file at path.

@@ -396,8 +396,8 @@ func (t TrustPolicy) String() string {
 // be covered by tensor map directives) or inline functor applications
 // (fa-exprs, which create implicit maps). Cond and If hold the raw
 // condition text; the runtime binds them to caller-supplied predicates (a
-// compiler would have generated code for the expression — see DESIGN.md
-// substitution table).
+// compiler would have generated code for the expression — see
+// docs/ARCHITECTURE.md, "Paper concept → package map").
 type MLDecl struct {
 	Mode      Mode
 	Cond      string // optional bool-expr after the mode keyword

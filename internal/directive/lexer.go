@@ -3,7 +3,8 @@
 // clause, and the approx ml clause. In the original system a Clang extension
 // parses these as #pragma annotations; Go has no annotation mechanism, so
 // the same grammar is parsed at run time from directive strings and lowered
-// onto the runtime API (see DESIGN.md, substitution table).
+// onto the runtime API (see docs/ARCHITECTURE.md, "Paper concept →
+// package map").
 package directive
 
 import (

@@ -454,20 +454,23 @@ func (s *i8Scratch) Int8Row(i int, acc []int32) {
 		}
 		return
 	}
-	lut, mult, off := seg.lut, seg.mult[:cols], seg.off[:cols]
+	// A uint16 index into the fixed-size table needs no bounds check:
+	// code qp sits at qp+32768, which is uint16(qp) with its top bit
+	// flipped.
+	lut, mult, off := (*[1 << 16]int8)(seg.lut), seg.mult[:cols], seg.off[:cols]
 	for j, a := range acc {
 		qp := roundSatI16f32(mult[j]*float32(a) + off[j])
-		out[j] = lut[int(qp)+32768]
+		out[j] = lut[uint16(qp)^0x8000]
 	}
 }
 
-// roundSatI8 rounds half away from zero and saturates to int8.
+// roundSatI8 rounds half away from zero and saturates to int8. It adds
+// copysign(0.5, v) — 0.5 with v's sign bit ORed in — rather than
+// branching on the sign, which pre-activations of either sign would
+// mispredict; v-0.5 and v+(-0.5) are the same IEEE sum, so the result
+// matches the branchy form on every input, ±0 and NaN included.
 func roundSatI8(v float64) int8 {
-	if v >= 0 {
-		v += 0.5
-	} else {
-		v -= 0.5
-	}
+	v += math.Float64frombits(math.Float64bits(v)&(1<<63) | math.Float64bits(0.5))
 	i := int32(v)
 	if i > 127 {
 		return 127
@@ -479,13 +482,10 @@ func roundSatI8(v float64) int8 {
 }
 
 // roundSatI16f32 rounds half away from zero and saturates to int16 —
-// the f32 requant step that indexes the tail LUT.
+// the f32 requant step that indexes the tail LUT — adding
+// copysign(0.5, v) like roundSatI8.
 func roundSatI16f32(v float32) int16 {
-	if v >= 0 {
-		v += 0.5
-	} else {
-		v -= 0.5
-	}
+	v += math.Float32frombits(math.Float32bits(v)&(1<<31) | math.Float32bits(0.5))
 	i := int32(v)
 	if i > 32767 {
 		return 32767

@@ -713,7 +713,9 @@ func FuzzDecodeQuant(f *testing.F) {
 // serve-sized model, calibrated by percentile so the hidden zero points
 // are non-zero codes: its exact zeros are skipped only because the
 // kernel centres on the zero point, which is the regression this case
-// exists to show.
+// exists to show. It cycles through 64 seeded input slabs, because the
+// serve path sees fresh rows: a branch predictor that has learned one
+// repeated batch's codes would flatter a kernel that branches on them.
 func BenchmarkForwardI8vsF32(b *testing.B) {
 	cases := []struct {
 		name   string
@@ -721,11 +723,12 @@ func BenchmarkForwardI8vsF32(b *testing.B) {
 		rows   int
 		act    string
 		cfg    CalibConfig
+		slabs  int // distinct input slabs the timed loop cycles through
 	}{
-		{"h16/b64", []int{5, 16, 1}, 64, ActTanh, CalibConfig{}},
-		{"h16/b1024", []int{5, 16, 1}, 1024, ActTanh, CalibConfig{}},
-		{"h256x256/b256", []int{64, 256, 256, 8}, 256, ActTanh, CalibConfig{}},
-		{"relu-h512x512/b32", []int{64, 512, 512, 16}, 32, ActReLU, CalibConfig{Mode: QuantPercentile, Q: 0.001}},
+		{"h16/b64", []int{5, 16, 1}, 64, ActTanh, CalibConfig{}, 1},
+		{"h16/b1024", []int{5, 16, 1}, 1024, ActTanh, CalibConfig{}, 1},
+		{"h256x256/b256", []int{64, 256, 256, 8}, 256, ActTanh, CalibConfig{}, 1},
+		{"relu-h512x512/b32", []int{64, 512, 512, 16}, 32, ActReLU, CalibConfig{Mode: QuantPercentile, Q: 0.001}, 64},
 	}
 	for _, tc := range cases {
 		net := NewNetwork(7)
@@ -736,8 +739,11 @@ func BenchmarkForwardI8vsF32(b *testing.B) {
 			}
 		}
 		inDim, outDim := tc.widths[0], tc.widths[len(tc.widths)-1]
-		in := calibSlab(1, tc.rows, inDim, 1)
-		x, _ := tensor.FromSlice(append([]float64(nil), in...), tc.rows, inDim)
+		ins := make([][]float64, tc.slabs)
+		for i := range ins {
+			ins[i] = calibSlab(int64(1+i), tc.rows, inDim, 1)
+		}
+		x, _ := tensor.FromSlice(append([]float64(nil), ins[0]...), tc.rows, inDim)
 		calib, err := CalibrateI8(net, x, tc.cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -757,7 +763,7 @@ func BenchmarkForwardI8vsF32(b *testing.B) {
 		b.Run("f32/"+tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := f32.ForwardFloat64(out, in, tc.rows); err != nil {
+				if err := f32.ForwardFloat64(out, ins[i%len(ins)], tc.rows); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -765,7 +771,7 @@ func BenchmarkForwardI8vsF32(b *testing.B) {
 		b.Run("i8/"+tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := fi8.Forward(out, in, tc.rows); err != nil {
+				if err := fi8.Forward(out, ins[i%len(ins)], tc.rows); err != nil {
 					b.Fatal(err)
 				}
 			}

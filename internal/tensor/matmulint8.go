@@ -144,26 +144,15 @@ func (p *PackedInt8) rows(dst []int32, a []int8, lo, hi int, centre int8, sink I
 	c := int32(centre)
 	for i := lo; i < hi; i++ {
 		// (a) List the activations that differ from the centre.
-		cnt := 0
-		for kk, q := range a[i*k : (i+1)*k] {
-			if d := int32(q) - c; d != 0 {
-				idx[cnt], val[cnt] = int32(kk), int64(d)
-				cnt++
-			}
-		}
+		cnt := listRow(idx, val, a[i*k:(i+1)*k], c)
 		// (b) Accumulate four listed weight rows per pass over the lanes:
 		// one load and one store of each lane word per eight MACs.
 		clear(lanes)
 		t := 0
 		for ; t+4 <= cnt; t += 4 {
-			v0, v1, v2, v3 := val[t], val[t+1], val[t+2], val[t+3]
-			r0 := p.w[int(idx[t])*words:][:len(lanes)]
-			r1 := p.w[int(idx[t+1])*words:][:len(lanes)]
-			r2 := p.w[int(idx[t+2])*words:][:len(lanes)]
-			r3 := p.w[int(idx[t+3])*words:][:len(lanes)]
-			for j := range lanes {
-				lanes[j] += v0*r0[j] + v1*r1[j] + v2*r2[j] + v3*r3[j]
-			}
+			lanes4(lanes, p.w[int(idx[t])*words:], p.w[int(idx[t+1])*words:],
+				p.w[int(idx[t+2])*words:], p.w[int(idx[t+3])*words:],
+				val[t], val[t+1], val[t+2], val[t+3])
 		}
 		for ; t < cnt; t++ {
 			v0 := val[t]
@@ -192,6 +181,39 @@ func (p *PackedInt8) rows(dst []int32, a []int8, lo, hi int, centre int8, sink I
 		if sink != nil {
 			sink.Int8Row(i, acc)
 		}
+	}
+}
+
+// listRow lists the codes of row a that differ from centre c as
+// (index, q - c) pairs in idx and val and returns how many there are.
+// It stores every code unconditionally and advances the count only past
+// one off the centre: ReLU leaves a large share of the hidden codes at
+// the centre in no order, and a branch on each would mispredict. Like
+// lanes4 it stays out of line, where its loop keeps everything in
+// registers.
+//
+//go:noinline
+func listRow(idx []int32, val []int64, a []int8, c int32) int {
+	cnt := 0
+	for kk, q := range a {
+		d := int32(q) - c
+		idx[cnt], val[cnt] = int32(kk), int64(d)
+		if d != 0 {
+			cnt++
+		}
+	}
+	return cnt
+}
+
+// lanes4 adds v0*r0 + v1*r1 + v2*r2 + v3*r3 into lanes. Kept out of
+// line so the pass runs with its pointers in registers: inlined into
+// rows, the loop reloaded two of them from the stack on every word.
+//
+//go:noinline
+func lanes4(lanes, r0, r1, r2, r3 []int64, v0, v1, v2, v3 int64) {
+	r0, r1, r2, r3 = r0[:len(lanes)], r1[:len(lanes)], r2[:len(lanes)], r3[:len(lanes)]
+	for j := range lanes {
+		lanes[j] += v0*r0[j] + v1*r1[j] + v2*r2[j] + v3*r3[j]
 	}
 }
 

@@ -164,6 +164,31 @@ func TestPropPackedRowsMatchReference(t *testing.T) {
 			}
 		}
 	}
+	// The list stores every code and advances only past one off the
+	// centre, so its ends need rows of their own: all codes at the centre
+	// (every store is overwritten), none at it (the list fills to k), and
+	// only the last off it (one entry, stored on the final iteration).
+	for _, centre := range []int8{-128, -1, 0, 127} {
+		for _, k := range []int{1, 2, 3, 4, 5, 7, 8, 9, 64} {
+			const m, n = 3, 5
+			a := make([]int8, m*k)
+			for kk := 0; kk < k; kk++ {
+				a[kk] = centre
+				a[k+kk] = centre ^ int8(1+rng.Intn(127))
+				a[2*k+kk] = centre
+			}
+			a[3*k-1] = ^centre
+			b := randSlabI8(rng, k*n)
+			got := runPackedRows(t, a, b, m, k, n, centre)
+			want := matMulRefI8(a, b, m, k, n)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("edge rows k = %d centre %d element %d: got %d, want %d",
+						k, centre, i, got[i], want[i])
+				}
+			}
+		}
+	}
 }
 
 // TestMatMulInt8DepthBound pins the exactness bound the kernel
@@ -247,6 +272,9 @@ func TestMatMulInt8Errors(t *testing.T) {
 // operands; sparse40 zeroes 40% of the activations — the share ReLU
 // produces on the serve-sized MLP — which both kernels skip, so it shows
 // whether the int8 list compaction keeps pace with the f32 zero test.
+// It cycles through 64 seeded activation slabs, as a served layer sees
+// fresh rows: a branch predictor that has learned where one repeated
+// slab's zeros are would flatter a kernel that branches on them.
 // The 16-wide case is the one that must not pay for the packing.
 func BenchmarkMatMulInt8vs32(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
@@ -254,31 +282,36 @@ func BenchmarkMatMulInt8vs32(b *testing.B) {
 		tag     string
 		m, k, n int
 		zeros   float64 // extra share of activations forced to zero
+		slabs   int     // distinct activation slabs the timed loop cycles through
 	}{
-		{"", 64, 16, 16, 0},
-		{"", 256, 256, 256, 0},
-		{"", 64, 1024, 1024, 0},
-		{"sparse40/", 32, 512, 512, 0.4},
+		{"", 64, 16, 16, 0, 1},
+		{"", 256, 256, 256, 0, 1},
+		{"", 64, 1024, 1024, 0, 1},
+		{"sparse40/", 32, 512, 512, 0.4, 64},
 	} {
 		m, k, n := tc.m, tc.k, tc.n
-		a32 := randSlab32(rng, m*k)
+		a32s := make([][]float32, tc.slabs)
+		a8s := make([][]int8, tc.slabs)
+		for s := range a8s {
+			a32, a8 := randSlab32(rng, m*k), randSlabI8(rng, m*k)
+			for i := range a8 {
+				if rng.Float64() < tc.zeros {
+					a32[i], a8[i] = 0, 0
+				}
+			}
+			a32s[s], a8s[s] = a32, a8
+		}
 		b32 := randSlab32(rng, k*n)
 		dst32 := make([]float32, m*n)
-		a8 := randSlabI8(rng, m*k)
 		b8 := randSlabI8(rng, k*n)
 		dst8 := make([]int32, m*n)
-		for i := range a8 {
-			if rng.Float64() < tc.zeros {
-				a32[i], a8[i] = 0, 0
-			}
-		}
 		name := func(prec string) string {
 			return fmt.Sprintf("%s/%s%dx%dx%d", prec, tc.tag, m, k, n)
 		}
 		b.Run(name("f32"), func(b *testing.B) {
 			b.SetBytes(int64(2 * m * k * n))
 			for i := 0; i < b.N; i++ {
-				if err := MatMulInto32(dst32, a32, b32, m, k, n); err != nil {
+				if err := MatMulInto32(dst32, a32s[i%len(a32s)], b32, m, k, n); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -286,7 +319,7 @@ func BenchmarkMatMulInt8vs32(b *testing.B) {
 		b.Run(name("i8"), func(b *testing.B) {
 			b.SetBytes(int64(2 * m * k * n))
 			for i := 0; i < b.N; i++ {
-				if err := MatMulInt8Into(dst8, a8, b8, m, k, n); err != nil {
+				if err := MatMulInt8Into(dst8, a8s[i%len(a8s)], b8, m, k, n); err != nil {
 					b.Fatal(err)
 				}
 			}
