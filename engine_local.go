@@ -2,7 +2,9 @@ package hpacml
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io/fs"
 	"sync"
 
 	"repro/internal/nn"
@@ -46,32 +48,40 @@ func StoreModel(path string, m *nn.Network) {
 // the cache publishes it, so batches read the weights packed once, and
 // the network must not be written while it is published (see
 // StoreModel).
+//
+// An engine opted into reduced precision compiles one program when it
+// resolves the network — int8 if asked and its sidecar serves, else f32
+// if asked and the model compiles, else none — and runs every
+// contiguous rank-2 batch of the program's widths through it; anything
+// else runs the float64 network. Precision and PrecisionReason are
+// therefore final from Warmup until the next Refresh.
 type LocalEngine struct {
-	path  string
-	net   *nn.Network
-	f32   bool
-	i8    bool
-	fwdI8 *nn.ForwardI8
+	path string
+	net  *nn.Network
+	f32  bool
+	i8   bool
 
-	// fwd32 is the f32 program compiled for the per-sample input shape
-	// sample32; a nil fwd32 with sample32 set is that shape's cached
-	// compile failure. One slot, last shape wins: a batch with another
-	// sample shape recompiles it. ensure seeds it with VectorIO's [in],
-	// so vector models compile at load; conv models compile on their
-	// first batch, the sample shape being unknown until then.
-	fwd32    *nn.Forward32
-	sample32 []int
+	prog   *program // nil: batches run the float64 network
+	reason string   // why the first precision asked for is not served
+}
+
+// program is a compiled reduced-precision forward pass over flat
+// [rows, in] float64 slabs.
+type program struct {
+	precision string // "int8" or "f32"
+	in, out   int
+	forward   func(dst, x []float64, rows int) error
 }
 
 // LocalOption configures a LocalEngine at construction.
 type LocalOption func(*LocalEngine)
 
 // WithFloat32Inference makes the engine run batched inference in
-// single precision through nn.Forward32: the network's weights are
-// converted to float32 once per compiled sample shape — at load for
-// vector models, on the first contiguous batch for conv models. Models
-// the compiler does not support silently keep the float64 path, as do
-// non-contiguous inputs.
+// single precision through nn.Forward32, whose weights are converted to
+// float32 once at load. It serves vector models (dense segments with
+// elementwise layers between them) on contiguous [rows, in] batches;
+// models the compiler refuses — CNNs, residual blocks — keep the
+// float64 path, and PrecisionReason says why.
 func WithFloat32Inference() LocalOption {
 	return func(e *LocalEngine) { e.f32 = true }
 }
@@ -82,9 +92,10 @@ func WithFloat32Inference() LocalOption {
 // is resolved beside the model file at load, exactly like the
 // guardrail's ".guard" convention. The path only activates when the
 // sidecar exists, decodes, carries a passing accuracy-gate verdict, and
-// compiles against the loaded network; any failure silently keeps the
-// wider path (f32 if also enabled, else float64), so enabling int8
-// never changes which calls succeed — only their precision and speed.
+// compiles against the loaded network; any failure keeps the wider path
+// (f32 if also enabled, else float64) and is reported by
+// PrecisionReason, so enabling int8 never changes which calls succeed —
+// only their precision and speed.
 func WithInt8Inference() LocalOption {
 	return func(e *LocalEngine) { e.i8 = true }
 }
@@ -103,18 +114,21 @@ func NewLocalEngine(path string, opts ...LocalOption) *LocalEngine {
 // resolved model: "int8", "f32" or "f64". It is the outcome, not the
 // request — a missing, corrupt or gate-failed sidecar, or a model the
 // f32 compiler refused, reads as the wider path that actually serves.
-// Vector models report their compiled path right after Warmup; conv
-// models read "f64" until their first f32 batch. Before Warmup (or
-// after Refresh) nothing is compiled and it reads "f64".
+// It is final after Warmup; before Warmup (or after Refresh) nothing is
+// compiled and it reads "f64".
 func (e *LocalEngine) Precision() string {
-	switch {
-	case e.fwdI8 != nil:
-		return "int8"
-	case e.fwd32 != nil:
-		return "f32"
+	if e.prog != nil {
+		return e.prog.precision
 	}
 	return "f64"
 }
+
+// PrecisionReason says why the engine does not serve the first
+// precision it was asked for: the int8 sidecar is missing, corrupt,
+// gate-failed or does not fit the network, or the f32 compiler refused
+// a layer. It is empty when that precision serves, when only float64
+// was asked for, and before Warmup.
+func (e *LocalEngine) PrecisionReason() string { return e.reason }
 
 // Path returns the model path the engine loads from.
 func (e *LocalEngine) Path() string { return e.path }
@@ -126,6 +140,7 @@ func (e *LocalEngine) Network() *nn.Network { return e.net }
 // ensure resolves the network: the engine's own pointer, then the
 // shared cache, then disk (freezing the load and publishing it for other
 // engines; of two concurrent loads, the first published serves both).
+// It then compiles the reduced-precision program the engine asked for.
 func (e *LocalEngine) ensure() error {
 	if e.net != nil {
 		return nil
@@ -144,58 +159,51 @@ func (e *LocalEngine) ensure() error {
 		cached, _ := modelCache.LoadOrStore(e.path, m)
 		e.net = cached.(*nn.Network)
 	}
-	e.fwd32, e.sample32 = nil, nil
-	if e.f32 {
-		if in, _, err := e.net.VectorIO(); err == nil {
-			e.compile32([]int{in})
+	e.prog, e.reason = nil, ""
+	if e.i8 {
+		if err := e.compileI8(); err != nil {
+			e.reason = "int8: " + err.Error()
 		}
 	}
-	e.compileI8()
+	if e.f32 && e.prog == nil {
+		if f, err := nn.NewForward32(e.net); err != nil {
+			if e.reason == "" {
+				e.reason = "f32: " + err.Error()
+			}
+		} else {
+			e.prog = &program{"f32", f.InDim(), f.OutDim(), f.ForwardFloat64}
+		}
+	}
 	return nil
 }
 
-// compile32 fills the f32 slot for sample. Compilation failure
-// (unsupported layers, a shape the model rejects) is not an error: the
-// slot caches the verdict and those batches keep the float64 path.
-func (e *LocalEngine) compile32(sample []int) {
-	e.fwd32, _ = nn.NewForward32(e.net, sample...)
-	e.sample32 = sample
-}
-
-// holds32 reports whether the f32 slot was compiled for in's per-sample
-// shape, without allocating on the hot path.
-func (e *LocalEngine) holds32(in *tensor.Tensor) bool {
-	if len(e.sample32) != in.Rank()-1 {
-		return false
-	}
-	for i, d := range e.sample32 {
-		if in.Dim(i+1) != d {
-			return false
-		}
-	}
-	return true
-}
-
 // compileI8 compiles the freshly resolved network into an int8 program
-// from its ".quant" sidecar when the engine opted in. Every failure —
-// no sidecar on disk, a corrupt sidecar, a stamped-but-failed accuracy
-// gate, a calibration that does not match the network's geometry — is
-// deliberately not an error: the engine keeps the wider path. The gate
-// re-check here is the load-time half of the accuracy contract: the fit
-// step refuses to write a failing sidecar, and the engine refuses to
-// serve one even if it somehow appears.
-func (e *LocalEngine) compileI8() {
-	e.fwdI8 = nil
-	if !e.i8 || e.path == "" {
-		return
+// from its ".quant" sidecar. Every failure — no sidecar on disk, a
+// corrupt sidecar, a stamped-but-failed accuracy gate, a calibration
+// that does not match the network's geometry or depth — is returned as
+// the reason, not as an engine error: the engine keeps the wider path.
+// The gate re-check here is the load-time half of the accuracy
+// contract: the fit step refuses to write a failing sidecar, and the
+// engine refuses to serve one even if it somehow appears.
+func (e *LocalEngine) compileI8() error {
+	qpath := nn.QuantPath(e.path)
+	calib, err := nn.LoadQuant(qpath)
+	if errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("no sidecar at %s", qpath)
 	}
-	calib, err := nn.LoadQuant(nn.QuantPath(e.path))
-	if err != nil || !calib.GatePassed() {
-		return
+	if err != nil {
+		return err
 	}
-	if f, err := nn.NewForwardI8(e.net, calib); err == nil {
-		e.fwdI8 = f
+	if !calib.GatePassed() {
+		return fmt.Errorf("sidecar %s failed its accuracy gate (error %g, tolerance %g)",
+			qpath, calib.GateErr, calib.GateRTol)
 	}
+	f, err := nn.NewForwardI8(e.net, calib)
+	if err != nil {
+		return err
+	}
+	e.prog = &program{"int8", f.InDim(), f.OutDim(), f.Forward}
+	return nil
 }
 
 // Warmup loads the model (via the shared cache) so load errors surface
@@ -233,19 +241,10 @@ func (e *LocalEngine) Infer(ctx context.Context, in, out *tensor.Tensor) error {
 	if err := e.ensure(); err != nil {
 		return err
 	}
-	if f := e.fwdI8; f != nil &&
+	if p := e.prog; p != nil &&
 		in.Rank() == 2 && out.Rank() == 2 && in.IsContiguous() && out.IsContiguous() &&
-		in.Dim(1) == f.InDim() && out.Dim(0) == in.Dim(0) && out.Dim(1) == f.OutDim() {
-		return f.Forward(out.Data(), in.Data(), in.Dim(0))
-	}
-	if e.f32 && in.Rank() >= 2 && out.Rank() >= 2 &&
-		in.IsContiguous() && out.IsContiguous() && out.Dim(0) == in.Dim(0) {
-		if !e.holds32(in) {
-			e.compile32(in.Shape()[1:])
-		}
-		if f := e.fwd32; f != nil && out.Len() == in.Dim(0)*f.OutDim() {
-			return f.ForwardFloat64(out.Data(), in.Data(), in.Dim(0))
-		}
+		in.Dim(1) == p.in && out.Dim(0) == in.Dim(0) && out.Dim(1) == p.out {
+		return p.forward(out.Data(), in.Data(), in.Dim(0))
 	}
 	return e.net.ForwardInto(out, in)
 }
@@ -255,7 +254,7 @@ func (e *LocalEngine) Infer(ctx context.Context, in, out *tensor.Tensor) error {
 // which must not re-read disk (a concurrent retrain could hand
 // different replicas different or torn bytes for the same swap).
 func (e *LocalEngine) Refresh() {
-	e.net, e.fwd32, e.sample32, e.fwdI8 = nil, nil, nil, nil
+	e.net, e.prog, e.reason = nil, nil, ""
 }
 
 // Invalidate additionally evicts the shared cache entry, forcing the

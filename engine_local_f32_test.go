@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/nn"
@@ -37,11 +38,11 @@ func TestLocalEngineFloat32(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if e32.fwd32 == nil {
-		t.Fatal("f32 engine must compile the float32 program at load")
-	}
 	if e32.Precision() != "f32" || e64.Precision() != "f64" {
 		t.Fatalf("Precision() after load = %s / %s, want f32 / f64", e32.Precision(), e64.Precision())
+	}
+	if r := e32.PrecisionReason() + e64.PrecisionReason(); r != "" {
+		t.Fatalf("served engines must give no downgrade reason, got %q", r)
 	}
 
 	const rows = 9
@@ -67,27 +68,26 @@ func TestLocalEngineFloat32(t *testing.T) {
 	// Refresh drops the compiled program alongside the network and the
 	// next inference rebuilds both from the shared cache.
 	e32.Refresh()
-	if e32.fwd32 != nil {
+	if e32.prog != nil {
 		t.Fatal("Refresh must drop the f32 program")
 	}
 	if err := e32.Infer(ctx, in, out32); err != nil {
 		t.Fatal(err)
 	}
-	if e32.fwd32 == nil {
+	if e32.Precision() != "f32" {
 		t.Fatal("inference after Refresh must recompile the f32 program")
 	}
 	e32.Invalidate()
-	if e32.fwd32 != nil {
+	if e32.prog != nil {
 		t.Fatal("Invalidate must drop the f32 program")
 	}
 }
 
-// TestLocalEngineFloat32ShapedConv: conv models compile to f32 lazily —
-// the slot stays empty at load (the sample shape is unknown), the first
-// higher-rank batch compiles it and Precision reports f32 from then on,
-// results stay within single-precision tolerance of the float64 engine,
-// and Refresh drops the program with the network.
-func TestLocalEngineFloat32ShapedConv(t *testing.T) {
+// TestLocalEngineFloat32CNN: the f32 compiler serves vector models
+// only, so a CNN under WithFloat32Inference reads f64 with a reason
+// right after Warmup, and its outputs are bitwise those of a plain
+// float64 engine.
+func TestLocalEngineFloat32CNN(t *testing.T) {
 	ClearModelCache()
 	path := filepath.Join(t.TempDir(), "cnn.gmod")
 	net := nn.NewNetwork(3)
@@ -101,11 +101,8 @@ func TestLocalEngineFloat32ShapedConv(t *testing.T) {
 	if err := e.Warmup(ctx, []int{2, 1, 8}); err != nil {
 		t.Fatal(err)
 	}
-	if e.fwd32 != nil || e.sample32 != nil {
-		t.Fatal("conv program must not compile before the first batch")
-	}
-	if e.Precision() != "f64" {
-		t.Fatalf("Precision() before the first batch = %s, want f64", e.Precision())
+	if e.Precision() != "f64" || e.PrecisionReason() == "" {
+		t.Fatalf("after Warmup: Precision() = %s, reason %q; want f64 with a reason", e.Precision(), e.PrecisionReason())
 	}
 	in := tensor.New(2, 1, 8)
 	for i, d := 0, in.Data(); i < len(d); i++ {
@@ -116,38 +113,23 @@ func TestLocalEngineFloat32ShapedConv(t *testing.T) {
 	if err := e.Infer(ctx, in, out); err != nil {
 		t.Fatal(err)
 	}
-	if e.fwd32 == nil {
-		t.Fatal("first conv batch must compile the f32 program")
-	}
-	if e.Precision() != "f32" {
-		t.Fatalf("Precision() after the first conv batch = %s, want f32", e.Precision())
-	}
-	first := e.fwd32
 	if err := e64.Infer(ctx, in, out64); err != nil {
 		t.Fatal(err)
 	}
-	want := out64.Data()
 	for i, got := range out.Data() {
-		if diff := math.Abs(got - want[i]); diff > 1e-5*math.Abs(want[i])+1e-6 {
-			t.Fatalf("element %d: conv f32 %g vs f64 %g", i, got, want[i])
+		if math.Float64bits(got) != math.Float64bits(out64.Data()[i]) {
+			t.Fatalf("element %d: %g, plain f64 engine %g", i, got, out64.Data()[i])
 		}
 	}
-	// A repeat batch with the same sample shape reuses the program.
-	if err := e.Infer(ctx, in, out); err != nil {
-		t.Fatal(err)
-	}
-	if e.fwd32 != first {
-		t.Fatal("same-shape batch must reuse the compiled program")
-	}
-	e.Refresh()
-	if e.fwd32 != nil {
-		t.Fatal("Refresh must drop the program")
+	if e.Precision() != "f64" {
+		t.Fatalf("Precision() after a batch = %s, want f64", e.Precision())
 	}
 }
 
 // TestLocalEngineFloat32Fallback: a model the f32 compiler does not
-// support (a residual block) still serves through the float64 path, and
-// the compile failure is latched instead of retried per batch.
+// support (a residual block) still serves through the float64 path;
+// the compile failure is decided once at load, reported as the reason,
+// and batches never recompile.
 func TestLocalEngineFloat32Fallback(t *testing.T) {
 	ClearModelCache()
 	path := filepath.Join(t.TempDir(), "res.gmod")
@@ -163,23 +145,21 @@ func TestLocalEngineFloat32Fallback(t *testing.T) {
 	if err := e.Warmup(ctx, []int{2, 2, 6}); err != nil {
 		t.Fatal(err)
 	}
-	if e.fwd32 != nil {
+	if e.prog != nil {
 		t.Fatal("residual model must not compile to f32")
+	}
+	if r := e.PrecisionReason(); !strings.HasPrefix(r, "f32: ") {
+		t.Fatalf("PrecisionReason() = %q, want the f32 compile failure", r)
 	}
 	in := tensor.New(2, 2, 6)
 	out := tensor.New(2, 2)
-	if err := e.Infer(ctx, in, out); err != nil {
-		t.Fatalf("float64 fallback inference: %v", err)
-	}
-	if e.fwd32 != nil || len(e.sample32) != 2 {
-		t.Fatal("compile failure must be latched for the batch's sample shape")
-	}
-	latched := &e.sample32[0]
-	if err := e.Infer(ctx, in, out); err != nil {
-		t.Fatalf("float64 fallback inference after latch: %v", err)
-	}
-	if &e.sample32[0] != latched {
-		t.Fatal("a latched failure must not be recompiled for the same shape")
+	for i := 0; i < 2; i++ {
+		if err := e.Infer(ctx, in, out); err != nil {
+			t.Fatalf("float64 fallback inference: %v", err)
+		}
+		if e.prog != nil {
+			t.Fatal("a batch must not compile a program")
+		}
 	}
 	if e.Precision() != "f64" {
 		t.Fatalf("Precision() = %s, want f64", e.Precision())

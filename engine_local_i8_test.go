@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/nn"
@@ -50,9 +51,6 @@ func TestLocalEngineInt8(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if e8.fwdI8 == nil {
-		t.Fatal("int8 engine must compile the sidecar program at load")
-	}
 	if e8.Precision() != "int8" || e64.Precision() != "f64" {
 		t.Fatalf("Precision() after load = %s / %s, want int8 / f64", e8.Precision(), e64.Precision())
 	}
@@ -84,33 +82,37 @@ func TestLocalEngineInt8(t *testing.T) {
 	}
 
 	e8.Refresh()
-	if e8.fwdI8 != nil {
+	if e8.prog != nil {
 		t.Fatal("Refresh must drop the int8 program")
 	}
 	if err := e8.Infer(ctx, in, out8); err != nil {
 		t.Fatal(err)
 	}
-	if e8.fwdI8 == nil {
+	if e8.Precision() != "int8" {
 		t.Fatal("inference after Refresh must recompile the int8 program")
 	}
 	e8.Invalidate()
-	if e8.fwdI8 != nil {
+	if e8.prog != nil {
 		t.Fatal("Invalidate must drop the int8 program")
 	}
 }
 
 // TestLocalEngineInt8Fallback: no sidecar, a corrupt sidecar, or a
 // hand-edited failing gate verdict all leave the engine serving the
-// wide path — opting in never changes which calls succeed.
+// wide path — opting in never changes which calls succeed — and
+// PrecisionReason names which of them it was.
 func TestLocalEngineInt8Fallback(t *testing.T) {
 	ctx := context.Background()
-	run := func(t *testing.T, path string) {
+	run := func(t *testing.T, path, reason string) {
 		e := NewLocalEngine(path, WithInt8Inference())
 		if err := e.Warmup(ctx, []int{2, 5}); err != nil {
 			t.Fatal(err)
 		}
-		if e.fwdI8 != nil {
-			t.Fatal("engine must not compile an int8 program here")
+		if e.Precision() != "f64" {
+			t.Fatalf("Precision() = %s, want f64", e.Precision())
+		}
+		if r := e.PrecisionReason(); !strings.HasPrefix(r, "int8: ") || !strings.Contains(r, reason) {
+			t.Fatalf("PrecisionReason() = %q, want an int8 reason containing %q", r, reason)
 		}
 		in := tensor.New(2, 5)
 		out := tensor.New(2, 1)
@@ -125,7 +127,7 @@ func TestLocalEngineInt8Fallback(t *testing.T) {
 		if err := quantTestNet(3).Save(path); err != nil {
 			t.Fatal(err)
 		}
-		run(t, path)
+		run(t, path, "no sidecar")
 	})
 
 	t.Run("corrupt-sidecar", func(t *testing.T) {
@@ -137,7 +139,7 @@ func TestLocalEngineInt8Fallback(t *testing.T) {
 		if err := os.WriteFile(nn.QuantPath(path), []byte("not a sidecar"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		run(t, path)
+		run(t, path, "quant sidecar")
 	})
 
 	t.Run("failed-gate-verdict", func(t *testing.T) {
@@ -158,7 +160,7 @@ func TestLocalEngineInt8Fallback(t *testing.T) {
 		if err := calib.SaveQuant(nn.QuantPath(path)); err != nil {
 			t.Fatal(err)
 		}
-		run(t, path)
+		run(t, path, "accuracy gate")
 	})
 }
 

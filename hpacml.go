@@ -826,7 +826,8 @@ func (r *Region) ensureEngine() error {
 	}
 	// The f32(on) and quant(int8) clauses are requests to the region's
 	// own engine, which keeps the wider path for whatever it cannot
-	// compile (LocalEngine.Precision reports the outcome).
+	// compile (LocalEngine.Precision reports the outcome and
+	// PrecisionReason why).
 	var opts []LocalOption
 	if r.ml.F32 != nil && *r.ml.F32 {
 		opts = append(opts, WithFloat32Inference())

@@ -34,6 +34,14 @@ const (
 
 	maxNameLen = 1 << 12
 	maxRank    = 16
+	// maxRecordElems bounds one record's element count (2 GiB of data),
+	// on write and on read, so a forged shape can neither overflow the
+	// count nor promise more than a record may hold.
+	maxRecordElems = 1 << 28
+	// recordChunk caps the elements a record's data buffer starts with;
+	// it grows only as values are actually read, so a forged count costs
+	// what the file really holds.
+	recordChunk = 1 << 15
 )
 
 // Writer appends datasets to a .gh5 file. It is not safe for concurrent
@@ -162,6 +170,9 @@ func (w *Writer) Write(group, name string, t *tensor.Tensor) error {
 	shape := ct.Shape()
 	if len(shape) > maxRank {
 		return fmt.Errorf("h5: rank %d exceeds maximum %d", len(shape), maxRank)
+	}
+	if ct.Len() > maxRecordElems {
+		return fmt.Errorf("h5: %d elements exceed the record maximum %d", ct.Len(), maxRecordElems)
 	}
 	if err := writeU32(w.buf, recordMagic); err != nil {
 		return err
@@ -342,8 +353,11 @@ func decodeRecord(r io.Reader, skim bool) (*record, error) {
 		if err != nil {
 			return nil, recordErr(err)
 		}
-		if v < 0 || v > 1<<28 {
+		if v < 0 || v > maxRecordElems {
 			return nil, fmt.Errorf("implausible dimension %d", v)
+		}
+		if v > 0 && count > maxRecordElems/int(v) {
+			return nil, fmt.Errorf("implausible record shape: dimension %d (%d) takes it past %d elements", i, v, maxRecordElems)
 		}
 		shape[i] = int(v)
 		count *= shape[i]
@@ -354,11 +368,13 @@ func decodeRecord(r io.Reader, skim bool) (*record, error) {
 		}
 		return nil, nil
 	}
-	data := make([]float64, count)
-	for i := range data {
-		if data[i], err = readF64(r); err != nil {
+	data := make([]float64, 0, min(count, recordChunk))
+	for len(data) < count {
+		v, err := readF64(r)
+		if err != nil {
 			return nil, recordErr(err)
 		}
+		data = append(data, v)
 	}
 	return &record{group: group, name: name, shape: shape, data: data}, nil
 }

@@ -244,7 +244,7 @@ func (m *managed) loadOrSeed() error {
 		m.trained = m.state.trainedRows()
 		return nil
 	}
-	sum, err := filesChecksum(m.pol.Paths)
+	sum, err := serveapi.ModelChecksum(m.pol.Paths)
 	if err != nil {
 		return fmt.Errorf("learner: model %q: %w", m.pol.Model, err)
 	}
@@ -604,7 +604,7 @@ func (c *Controller) publish(m *managed, entry serveapi.LineageEntry, cands []*n
 			return
 		}
 	}
-	sum, err := filesChecksum(m.pol.Paths)
+	sum, err := serveapi.ModelChecksum(m.pol.Paths)
 	if err == nil {
 		entry.Checksum = sum
 	}
@@ -678,7 +678,7 @@ func (c *Controller) Rollback(model string) (serveapi.RollbackResponse, error) {
 	if err := m.pol.Reload(); err != nil {
 		return serveapi.RollbackResponse{}, fmt.Errorf("learner: reload after rollback: %w", err)
 	}
-	sum, _ := filesChecksum(m.pol.Paths)
+	sum, _ := serveapi.ModelChecksum(m.pol.Paths)
 	entry := serveapi.LineageEntry{
 		Gen:       m.state.nextGen(),
 		Time:      time.Now().UTC(),

@@ -198,7 +198,7 @@ func TestGatePublishesBetterCandidate(t *testing.T) {
 		t.Fatalf("registry reloaded %d times, want 1", h.reloads)
 	}
 	// The candidate's bytes are live and match the recorded checksum.
-	sum, err := filesChecksum([]string{h.path})
+	sum, err := serveapi.ModelChecksum([]string{h.path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestGateRejectsWorseCandidate(t *testing.T) {
 	if h.reloads != 0 {
 		t.Fatal("registry reloaded for a rejected candidate")
 	}
-	sum, err := filesChecksum([]string{h.path})
+	sum, err := serveapi.ModelChecksum([]string{h.path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestRollbackRestoresParent(t *testing.T) {
 	if h.liveGen() != 0 {
 		t.Fatalf("live generation %d after rollback, want 0", h.liveGen())
 	}
-	sum, err := filesChecksum([]string{h.path})
+	sum, err := serveapi.ModelChecksum([]string{h.path})
 	if err != nil {
 		t.Fatal(err)
 	}

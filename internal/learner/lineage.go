@@ -1,8 +1,6 @@
 package learner
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -107,23 +105,6 @@ func (st *lineageState) trainedRows() int {
 		}
 	}
 	return rows
-}
-
-// filesChecksum matches the serve registry's member-set checksum (the
-// concatenation of each file's sha256), hex-encoded — so the checksum
-// a lineage entry records is the same string /v1/models shows once the
-// registry reloads those bytes.
-func filesChecksum(paths []string) (string, error) {
-	h := sha256.New()
-	for _, p := range paths {
-		b, err := os.ReadFile(p)
-		if err != nil {
-			return "", err
-		}
-		s := sha256.Sum256(b)
-		h.Write(s[:])
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // copyFile copies src to dst (overwriting), used for generation

@@ -59,25 +59,12 @@ func TestForward32AccuracyGate(t *testing.T) {
 				i, got[i], w, diff, rtol*math.Abs(w)+atol)
 		}
 	}
-
-	// The pure-f32 entry agrees bitwise with ForwardFloat64's core.
-	in32 := make([]float32, len(in))
-	for i, v := range in {
-		in32[i] = float32(v)
-	}
-	out32 := make([]float32, rows)
-	if err := f32.Forward(out32, in32, rows); err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if float64(out32[i]) != got[i] {
-			t.Fatalf("row %d: Forward %g != ForwardFloat64 %g", i, out32[i], got[i])
-		}
-	}
 }
 
 // TestForward32AllLayers covers every compilable layer kind plus the
-// inference-identity ones, against the f64 reference.
+// inference-identity ones, against the f64 reference: once with a
+// leading Affine, which compiles into the float64 prelude fused into
+// the input conversion, and once without it.
 func TestForward32AllLayers(t *testing.T) {
 	net := NewNetwork(11)
 	net.Add(
@@ -91,44 +78,128 @@ func TestForward32AllLayers(t *testing.T) {
 		net.NewDense(8, 3),
 		NewActivation(ActReLU),
 	)
-	// Affine first: VectorIO requires a leading Dense, so this must be
-	// rejected, not miscompiled.
-	if _, err := NewForward32(net); err == nil {
-		t.Fatal("leading non-dense layer must fail compilation")
-	}
-	net.Layers = net.Layers[1:]
-	f32, err := NewForward32(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rng := rand.New(rand.NewSource(5))
-	const rows = 33
-	in := make([]float64, rows*6)
-	for i := range in {
-		in[i] = rng.NormFloat64()
-	}
-	x, _ := tensor.FromSlice(append([]float64(nil), in...), rows, 6)
-	want, err := net.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]float64, rows*3)
-	if err := f32.ForwardFloat64(got, in, rows); err != nil {
-		t.Fatal(err)
-	}
-	for i, w := range want.Contiguous().Data() {
-		if diff := math.Abs(got[i] - w); diff > 1e-5*math.Abs(w)+1e-6 {
-			t.Fatalf("element %d: f32 %g vs f64 %g", i, got[i], w)
+	for _, n := range []*Network{net, {Layers: net.Layers[1:]}} {
+		f32, err := NewForward32(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(5))
+		const rows = 33
+		in := make([]float64, rows*6)
+		for i := range in {
+			in[i] = rng.NormFloat64()
+		}
+		x, _ := tensor.FromSlice(append([]float64(nil), in...), rows, 6)
+		want, err := n.Forward(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]float64, rows*3)
+		if err := f32.ForwardFloat64(got, in, rows); err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range want.Contiguous().Data() {
+			if diff := math.Abs(got[i] - w); diff > 1e-5*math.Abs(w)+1e-6 {
+				t.Fatalf("%d layers, element %d: f32 %g vs f64 %g", len(n.Layers), i, got[i], w)
+			}
 		}
 	}
 }
 
-// TestForward32RejectsUnsupported: unsupported layers, conv models
-// without a sample shape, an MLP given the wrong width, and an empty
-// network fail compilation instead of miscompiling — the caller keeps
-// the float64 path. Geometry errors in conv sample shapes are covered by
-// TestForward32ShapedRejects.
+// forward32Reference runs a prelude-free Dense+activation MLP layer by
+// layer in float32: each Dense is MatMulInto32 on f32 weights, then the
+// f32 bias add, then each activation over the whole slab in f32. That
+// op order is what Forward32's fused per-row epilogue must reproduce
+// bit for bit.
+func forward32Reference(t *testing.T, net *Network, x []float64, rows int) []float64 {
+	t.Helper()
+	cur := make([]float32, len(x))
+	for i, v := range x {
+		cur[i] = float32(v)
+	}
+	cols := len(x) / rows
+	for _, e := range net.Layers {
+		switch l := e.Layer.(type) {
+		case *Dense:
+			out := make([]float32, rows*l.Out)
+			if err := tensor.MatMulInto32(out, cur, toF32(l.Weight.W.Contiguous().Data()), rows, l.In, l.Out); err != nil {
+				t.Fatal(err)
+			}
+			b := toF32(l.Bias.W.Contiguous().Data())
+			for i := range out {
+				out[i] += b[i%l.Out]
+			}
+			cur, cols = out, l.Out
+		case *Activation:
+			for i, v := range cur {
+				switch l.Fn {
+				case ActReLU:
+					if v > 0 {
+						cur[i] = v
+					} else {
+						cur[i] = 0
+					}
+				case ActTanh:
+					cur[i] = float32(math.Tanh(float64(v)))
+				case ActSigmoid:
+					cur[i] = float32(1 / (1 + math.Exp(float64(-v))))
+				case ActIdentity:
+				default:
+					t.Fatalf("reference has no %q", l.Fn)
+				}
+			}
+		default:
+			t.Fatalf("reference has no %s layer", l.Kind())
+		}
+	}
+	out := make([]float64, rows*cols)
+	for i, v := range cur {
+		out[i] = float64(v)
+	}
+	return out
+}
+
+// TestForward32MatchesReference pins the segment-compiled program bit
+// for bit to forward32Reference on random prelude-free MLPs, one per
+// activation, at row counts on both sides of the GEMM's and the
+// epilogue's parallel thresholds.
+func TestForward32MatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	for _, act := range []string{ActReLU, ActTanh, ActSigmoid, ActIdentity} {
+		for _, rows := range []int{1, 7, 64} {
+			widths := []int{1 + rng.Intn(40), 8 + rng.Intn(300), 8 + rng.Intn(300), 1 + rng.Intn(20)}
+			net := NewNetwork(int64(rows) + 3)
+			for i := 0; i < len(widths)-1; i++ {
+				net.Add(net.NewDense(widths[i], widths[i+1]))
+				if i < len(widths)-2 {
+					net.Add(NewActivation(act))
+				}
+			}
+			f32, err := NewForward32(net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := make([]float64, rows*widths[0])
+			for i := range x {
+				x[i] = rng.NormFloat64() * 2
+			}
+			got := make([]float64, rows*f32.OutDim())
+			if err := f32.ForwardFloat64(got, x, rows); err != nil {
+				t.Fatal(err)
+			}
+			want := forward32Reference(t, net, x, rows)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s %v rows %d element %d: %g, reference %g", act, widths, rows, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestForward32RejectsUnsupported: unsupported layers (residual blocks,
+// conv) and an empty network fail compilation instead of miscompiling —
+// the caller keeps the float64 path.
 func TestForward32RejectsUnsupported(t *testing.T) {
 	body := NewNetwork(7)
 	body.Add(NewActivation(ActTanh))
@@ -137,17 +208,15 @@ func TestForward32RejectsUnsupported(t *testing.T) {
 	conv := NewNetwork(7)
 	conv.Add(conv.NewConv1D(2, 3, 3, 1), NewFlatten(), conv.NewDense(3*9, 2))
 	cases := []struct {
-		name   string
-		net    *Network
-		sample []int
+		name string
+		net  *Network
 	}{
-		{"residual", res, []int{2, 6}},
-		{"conv without sample shape", conv, nil},
-		{"mlp wrong width", quickstartNet(), []int{4}},
-		{"empty network", NewNetwork(1), nil},
+		{"residual", res},
+		{"conv", conv},
+		{"empty network", NewNetwork(1)},
 	}
 	for _, tc := range cases {
-		if _, err := NewForward32(tc.net, tc.sample...); err == nil {
+		if _, err := NewForward32(tc.net); err == nil {
 			t.Errorf("%s: compile must fail", tc.name)
 		}
 	}
@@ -246,21 +315,8 @@ func BenchmarkForward32vs64(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		in32 := make([]float32, len(in))
-		for i, v := range in {
-			in32[i] = float32(v)
-		}
-		out32 := make([]float32, tc.rows*outDim)
-		b.Run("f32/"+tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := f32.Forward(out32, in32, tc.rows); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		out64 := make([]float64, tc.rows*outDim)
-		b.Run("f32via64/"+tc.name, func(b *testing.B) {
+		b.Run("f32/"+tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if err := f32.ForwardFloat64(out64, in, tc.rows); err != nil {

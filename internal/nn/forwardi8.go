@@ -42,10 +42,11 @@ import (
 // Accumulation is exact for dense layers up to tensor.MaxInt8Depth
 // (65536) inputs wide; NewForwardI8 refuses wider ones.
 //
-// Like Forward32, the compiled program snapshots the weights (rebuild
-// after a reload), supports the registry's vector-MLP layer set (Dense,
+// It compiles through compileSegments, as Forward32 does, so both
+// reduced-precision programs accept the same vector layer set (Dense,
 // activations, Affine, ChannelAffine, inference-identity Dropout and
-// Flatten), and is safe for concurrent use — per-call state lives in
+// Flatten). The compiled program snapshots the weights (rebuild after a
+// reload) and is safe for concurrent use — per-call state lives in
 // pooled scratch. Elementwise layers BEFORE the first dense layer (the
 // input-normalization idiom: an Affine or ChannelAffine scaling raw
 // features into model range) compile into a float64 prelude fused into
@@ -61,11 +62,11 @@ type ForwardI8 struct {
 	scratch       sync.Pool // *i8Scratch
 }
 
-// i8seg is one dense segment before quantization: the float64 weights
-// plus the elementwise tail up to the next dense layer. compileSegments
-// produces these for both CalibrateI8 (which forwards calibration rows
-// through them in float64) and NewForwardI8 (which quantizes them).
-type i8seg struct {
+// denseSeg is one dense segment as compileSegments produces it: the
+// float64 weights plus the elementwise tail up to the next dense layer.
+// CalibrateI8 forwards calibration rows through them in float64,
+// NewForwardI8 quantizes them and NewForward32 converts them to f32.
+type denseSeg struct {
 	inCols, outCols int
 	w, b            []float64
 	tail            []tailOp
@@ -78,14 +79,15 @@ const (
 	tailChanAffine
 )
 
-// tailOp is one elementwise op of a segment tail, evaluated per column
-// in float64 — at LUT build time for the quantized segments, per
-// element for the final dequantizing segment.
+// tailOp is one elementwise op of a segment tail (or of the prelude).
+// The int8 program evaluates it per column in float64 — at LUT build
+// time for the quantized segments, per element for the final
+// dequantizing segment; the f32 program applies it per row in float32.
 type tailOp struct {
 	kind           int
-	fn             func(float64) float64 // tailAct
-	scale, shift   float64               // tailAffine
-	blockLen       int                   // tailChanAffine
+	act            tensor.Act // tailAct
+	scale, shift   float64    // tailAffine
+	blockLen       int        // tailChanAffine
 	scales, shifts []float64
 }
 
@@ -95,7 +97,7 @@ func tailEval(tail []tailOp, j int, v float64) float64 {
 		op := &tail[i]
 		switch op.kind {
 		case tailAct:
-			v = op.fn(v)
+			v = op.act.Of(v)
 		case tailAffine:
 			v = op.scale*v + op.shift
 		case tailChanAffine:
@@ -150,18 +152,19 @@ type i8Scratch struct {
 
 // compileSegments partitions net into an elementwise prelude (layers
 // before the first dense — input normalization), dense segments with
-// elementwise tails — the structure both calibration and quantized
-// compilation walk. The input width is pinned by the first dense layer
-// (or an earlier ChannelAffine, which knows its own width); prelude ops
-// are width-preserving, so that pin is the network's input width. It
-// fails on networks the int8 path does not support; callers treat that
-// as "stay on the wider path", not as a hard error.
-func compileSegments(net *Network) ([]tailOp, []i8seg, int, int, error) {
+// elementwise tails — the structure calibration and both
+// reduced-precision programs walk, and so the one place that decides
+// which layers they accept. The input width is pinned by the first
+// dense layer (or an earlier ChannelAffine, which knows its own width);
+// prelude ops are width-preserving, so that pin is the network's input
+// width. It fails on networks outside that layer set; callers treat
+// that as "stay on the wider path", not as a hard error.
+func compileSegments(net *Network) ([]tailOp, []denseSeg, int, int, error) {
 	if net == nil || len(net.Layers) == 0 {
-		return nil, nil, 0, 0, fmt.Errorf("nn: i8 path: empty network")
+		return nil, nil, 0, 0, fmt.Errorf("nn: reduced-precision path: empty network")
 	}
 	var prelude []tailOp
-	var segs []i8seg
+	var segs []denseSeg
 	in, cols := -1, -1
 	addTail := func(op tailOp) {
 		if len(segs) == 0 {
@@ -174,42 +177,42 @@ func compileSegments(net *Network) ([]tailOp, []i8seg, int, int, error) {
 		switch l := e.Layer.(type) {
 		case *Dense:
 			if cols != -1 && l.In != cols {
-				return nil, nil, 0, 0, fmt.Errorf("nn: i8 path: layer %d (%s) wants width %d, have %d", i, l.Kind(), l.In, cols)
+				return nil, nil, 0, 0, fmt.Errorf("nn: reduced-precision path: layer %d (%s) wants width %d, have %d", i, l.Kind(), l.In, cols)
 			}
 			if in == -1 {
 				in = l.In
 			}
-			segs = append(segs, i8seg{inCols: l.In, outCols: l.Out,
+			segs = append(segs, denseSeg{inCols: l.In, outCols: l.Out,
 				w: l.Weight.W.Contiguous().Data(), b: l.Bias.W.Contiguous().Data()})
 			cols = l.Out
 		case *Activation:
 			act, err := l.kind()
 			if err != nil {
-				return nil, nil, 0, 0, fmt.Errorf("nn: i8 path: layer %d: %w", i, err)
+				return nil, nil, 0, 0, fmt.Errorf("nn: reduced-precision path: layer %d: %w", i, err)
 			}
-			addTail(tailOp{kind: tailAct, fn: act.Of})
+			addTail(tailOp{kind: tailAct, act: act})
 		case *Affine:
 			addTail(tailOp{kind: tailAffine, scale: l.Scale, shift: l.Shift})
 		case *ChannelAffine:
 			if l.BlockLen <= 0 || len(l.Scales) != len(l.Shifts) {
-				return nil, nil, 0, 0, fmt.Errorf("nn: i8 path: layer %d (%s) misconfigured", i, l.Kind())
+				return nil, nil, 0, 0, fmt.Errorf("nn: reduced-precision path: layer %d (%s) misconfigured", i, l.Kind())
 			}
 			width := l.BlockLen * len(l.Scales)
 			if cols == -1 {
 				in, cols = width, width
 			} else if cols != width {
-				return nil, nil, 0, 0, fmt.Errorf("nn: i8 path: layer %d (%s) does not fit width %d", i, l.Kind(), cols)
+				return nil, nil, 0, 0, fmt.Errorf("nn: reduced-precision path: layer %d (%s) does not fit width %d", i, l.Kind(), cols)
 			}
 			addTail(tailOp{kind: tailChanAffine,
 				blockLen: l.BlockLen, scales: l.Scales, shifts: l.Shifts})
 		case *Dropout, *Flatten:
 			// Identity at inference on [rows, cols] vectors.
 		default:
-			return nil, nil, 0, 0, fmt.Errorf("nn: i8 path does not support layer %d (%s)", i, e.Layer.Kind())
+			return nil, nil, 0, 0, fmt.Errorf("nn: reduced-precision path does not support layer %d (%s)", i, e.Layer.Kind())
 		}
 	}
 	if len(segs) == 0 {
-		return nil, nil, 0, 0, fmt.Errorf("nn: i8 path: network has no dense layers")
+		return nil, nil, 0, 0, fmt.Errorf("nn: reduced-precision path: network has no dense layers")
 	}
 	return prelude, segs, in, cols, nil
 }
@@ -254,8 +257,8 @@ func rangeQParams16(r QuantRange) (qparams, error) {
 
 // NewForwardI8 compiles net into an int8 inference program under the
 // fitted calibration, quantizing its weights once. The calibration must
-// match the network's geometry and segment count. Like NewForward32,
-// failure means "stay on the wider path".
+// match the network's geometry and segment count. Failure means "stay
+// on the wider path".
 func NewForwardI8(net *Network, calib *QuantCalib) (*ForwardI8, error) {
 	if calib == nil {
 		return nil, fmt.Errorf("nn: i8 path: nil calibration")

@@ -2,12 +2,9 @@ package serve
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"log/slog"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,7 +36,8 @@ type ModelSpec struct {
 	// the weights to float32 once at load and runs batches in single
 	// precision. Ensembles ignore it, and a model the f32 compiler
 	// cannot handle stays float64 — ModelInfo.Precision says which path
-	// serves, and a downgrade is logged once per load.
+	// serves, ModelInfo.PrecisionReason why it is not the asked one, and
+	// a downgrade is logged once per load.
 	F32 bool
 	// I8 serves the model through the quantized int8 path: each
 	// replica's LocalEngine is built WithInt8Inference, auto-loads the
@@ -78,14 +76,15 @@ type model struct {
 	// shared cache.
 	gen   atomic.Uint64
 	sumMu sync.Mutex
-	sum   [sha256.Size]byte
+	sum   string // ModelInfo.Checksum
 	// loadedAt is when the served weights were (re)loaded — provenance
 	// for /v1/models, guarded by sumMu like the checksum it travels with.
 	loadedAt time.Time
 	// precision is the compute path the replicas actually run, as the
-	// first replica to load generation precGen found it. Guarded by
-	// sumMu.
+	// first replica to load generation precGen found it, and reason why
+	// it is not the asked one. Guarded by sumMu.
 	precision string
+	reason    string
 	precGen   uint64
 }
 
@@ -122,7 +121,7 @@ func newModel(spec ModelSpec, cfg Config, met *metrics) (*model, error) {
 	// Checksum the same bytes being loaded: hash first, then load, so a
 	// concurrent retrain is caught by the next poll rather than pinning a
 	// wrong checksum to the loaded weights.
-	sum, err := filesChecksum(members)
+	sum, err := serveapi.ModelChecksum(members)
 	if err != nil {
 		return nil, fmt.Errorf("serve: model %q: %w", spec.Name, err)
 	}
@@ -163,7 +162,7 @@ func newModel(spec ModelSpec, cfg Config, met *metrics) (*model, error) {
 		}
 		m.replicas = append(m.replicas, rep)
 	}
-	m.notePrecision(0, m.replicas[0].precision())
+	m.notePrecision(0, m.replicas[0])
 	return m, nil
 }
 
@@ -191,22 +190,26 @@ func localOptions(spec ModelSpec) []hpacml.LocalOption {
 	return opts
 }
 
-// notePrecision records the compute path a replica found itself on
-// after loading generation gen. The first replica to report a
-// generation sets what /v1/models shows and, when that is not what the
-// spec asked for (no sidecar, a corrupt or gate-failed one, a model the
-// compiler refused, an ensemble), logs the downgrade — once per load,
-// not once per replica.
-func (m *model) notePrecision(gen uint64, serving string) {
+// notePrecision records the compute path rep found itself on after
+// loading generation gen. The first replica to report a generation sets
+// what /v1/models shows and, when that is not what the spec asked for
+// (no sidecar, a corrupt or gate-failed one, a model the compiler
+// refused, an ensemble), logs the downgrade with its reason — once per
+// load, not once per replica.
+func (m *model) notePrecision(gen uint64, rep *replica) {
+	serving, reason := rep.precision()
+	if serving == m.asked {
+		reason = ""
+	}
 	m.sumMu.Lock()
 	first := m.precision == "" || gen > m.precGen
 	if first {
-		m.precision, m.precGen = serving, gen
+		m.precision, m.reason, m.precGen = serving, reason, gen
 	}
 	m.sumMu.Unlock()
 	if first && serving != m.asked {
 		slog.Warn("serve: model is not served at the precision it was registered with",
-			"model", m.name, "asked", m.asked, "serving", serving, "generation", gen)
+			"model", m.name, "asked", m.asked, "serving", serving, "reason", reason, "generation", gen)
 	}
 }
 
@@ -301,17 +304,18 @@ func (rep *replica) reload(m *model, gen uint64) error {
 		return fmt.Errorf("serve: model %q replica %d reload: %w", m.name, rep.idx, err)
 	}
 	rep.gen = gen
-	m.notePrecision(gen, rep.precision())
+	m.notePrecision(gen, rep)
 	return nil
 }
 
-// precision is the compute path the replica's batches run. Ensembles
-// run their members in float64.
-func (rep *replica) precision() string {
+// precision is the compute path the replica's batches run, and why it
+// may not be the one the spec asked for. Ensembles run their members in
+// float64.
+func (rep *replica) precision() (string, string) {
 	if local, ok := rep.engine.(*hpacml.LocalEngine); ok {
-		return local.Precision()
+		return local.Precision(), local.PrecisionReason()
 	}
-	return "f64"
+	return "f64", "ensemble runs f64"
 }
 
 // close releases the engine when it holds resources (an ensemble owns
@@ -327,19 +331,20 @@ func (m *model) info() ModelInfo {
 	m.sumMu.Lock()
 	sum := m.sum
 	loadedAt := m.loadedAt
-	precision := m.precision
+	precision, reason := m.precision, m.reason
 	m.sumMu.Unlock()
 	return ModelInfo{
-		Name:       m.name,
-		Path:       m.path,
-		Ensemble:   len(m.members),
-		InDim:      m.in,
-		OutDim:     m.out,
-		Checksum:   hex.EncodeToString(sum[:]),
-		Generation: m.gen.Load(),
-		Replicas:   len(m.replicas),
-		Precision:  precision,
-		LoadedAt:   loadedAt,
+		Name:            m.name,
+		Path:            m.path,
+		Ensemble:        len(m.members),
+		InDim:           m.in,
+		OutDim:          m.out,
+		Checksum:        sum,
+		Generation:      m.gen.Load(),
+		Replicas:        len(m.replicas),
+		Precision:       precision,
+		PrecisionReason: reason,
+		LoadedAt:        loadedAt,
 	}
 }
 
@@ -354,7 +359,7 @@ func (m *model) info() ModelInfo {
 // sees the same objects — never a torn or re-retrained file read of its
 // own.
 func (m *model) checkReload() error {
-	sum, err := filesChecksum(m.members)
+	sum, err := serveapi.ModelChecksum(m.members)
 	if err != nil {
 		m.stats.reloadFailed()
 		return fmt.Errorf("serve: model %q reload: %w", m.name, err)
@@ -390,31 +395,4 @@ func (m *model) checkReload() error {
 	m.gen.Add(1)
 	m.stats.reloaded()
 	return nil
-}
-
-// fileChecksum hashes a model file's contents.
-func fileChecksum(path string) ([sha256.Size]byte, error) {
-	var sum [sha256.Size]byte
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return sum, err
-	}
-	return sha256.Sum256(b), nil
-}
-
-// filesChecksum hashes a member set: the concatenation of each file's
-// own hash, so member order matters and any member change changes the
-// set checksum.
-func filesChecksum(paths []string) ([sha256.Size]byte, error) {
-	h := sha256.New()
-	for _, p := range paths {
-		s, err := fileChecksum(p)
-		if err != nil {
-			return [sha256.Size]byte{}, err
-		}
-		h.Write(s[:])
-	}
-	var sum [sha256.Size]byte
-	copy(sum[:], h.Sum(nil))
-	return sum, nil
 }

@@ -216,15 +216,15 @@ func TestPrecisionReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Models()[0].Precision; got != "f64" {
-		t.Fatalf("no sidecar: precision %q, want f64", got)
+	if info := s.Models()[0]; info.Precision != "f64" || !strings.Contains(info.PrecisionReason, "no sidecar") {
+		t.Fatalf("no sidecar: precision %q, reason %q; want f64 for want of a sidecar", info.Precision, info.PrecisionReason)
 	}
 	s.Close()
 	if n := strings.Count(logs.String(), downgrade); n != 1 {
 		t.Fatalf("no sidecar: %d downgrade warnings, want 1 (not one per replica):\n%s", n, logs.String())
 	}
-	if l := logs.String(); !strings.Contains(l, "asked=int8") || !strings.Contains(l, "serving=f64") {
-		t.Fatalf("warning does not name both precisions: %s", l)
+	if l := logs.String(); !strings.Contains(l, "asked=int8") || !strings.Contains(l, "serving=f64") || !strings.Contains(l, "no sidecar") {
+		t.Fatalf("warning does not name both precisions and the reason: %s", l)
 	}
 
 	hpacml.ClearModelCache()
@@ -242,8 +242,8 @@ func TestPrecisionReported(t *testing.T) {
 	var infos []serveapi.ModelInfo
 	err = json.NewDecoder(resp.Body).Decode(&infos)
 	resp.Body.Close()
-	if err != nil || len(infos) != 1 || infos[0].Precision != "int8" {
-		t.Fatalf("fitted sidecar: /v1/models = %+v, %v; want precision int8", infos, err)
+	if err != nil || len(infos) != 1 || infos[0].Precision != "int8" || infos[0].PrecisionReason != "" {
+		t.Fatalf("fitted sidecar: /v1/models = %+v, %v; want precision int8 and no reason", infos, err)
 	}
 	if n := strings.Count(logs.String(), downgrade); n != 1 {
 		t.Fatalf("fitted sidecar: a warning was logged for a model served as asked:\n%s", logs.String())
@@ -268,6 +268,23 @@ func TestPrecisionReported(t *testing.T) {
 	}
 	if n := strings.Count(logs.String(), downgrade); n != 2 {
 		t.Fatalf("reload downgrade: %d warnings in total, want 2:\n%s", n, logs.String())
+	}
+}
+
+// TestEnsemblePrecisionReason: an ensemble asked for f32 serves f64
+// and says why.
+func TestEnsemblePrecisionReason(t *testing.T) {
+	hpacml.ClearModelCache()
+	dir := t.TempDir()
+	spec := ModelSpec{Name: "e", Path: saveMLP(t, dir, "a.gmod", 43, 5, 8, 2),
+		Ensemble: []string{saveMLP(t, dir, "b.gmod", 44, 5, 8, 2)}, F32: true}
+	s, err := NewServer(Config{Workers: 1}, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if info := s.Models()[0]; info.Precision != "f64" || info.PrecisionReason != "ensemble runs f64" {
+		t.Fatalf("f32 ensemble: precision %q, reason %q", info.Precision, info.PrecisionReason)
 	}
 }
 

@@ -10,7 +10,12 @@
 // is what breaks that cycle.
 package serveapi
 
-import "time"
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"time"
+)
 
 // InferRequest is the /v1/infer request body. Input carries one
 // invocation; Inputs carries several rows of the model's input width,
@@ -124,6 +129,11 @@ type ModelInfo struct {
 	// missing, corrupt or gate-failed, or whose model does not compile,
 	// reads as the wider path here. Ensembles report "f64".
 	Precision string `json:"precision,omitempty"`
+	// PrecisionReason says why Precision is not the asked path: the
+	// engine's first compile failure (no, corrupt or gate-failed int8
+	// sidecar, a geometry or depth mismatch, a layer the f32 compiler
+	// refuses) or "ensemble runs f64". Empty when the asked path serves.
+	PrecisionReason string `json:"precision_reason,omitempty"`
 	// LoadedAt is when the currently served weights were (re)loaded —
 	// provenance for the hot-reload path alongside Path and Checksum.
 	LoadedAt time.Time `json:"loaded_at,omitzero"`
@@ -317,4 +327,22 @@ type StatsResponse struct {
 	// hpacml_wire_requests_total metric, so the encoding mix is
 	// visible without a metrics scraper.
 	Wire []WireStats `json:"wire,omitempty"`
+}
+
+// ModelChecksum is ModelInfo.Checksum of a member set: the hex sha256
+// of the concatenation of each file's own sha256, so member order
+// matters and any member change changes it. The registry computes it
+// over the files it serves and the learner over the files it
+// publishes, so a lineage entry and /v1/models agree on the same bytes.
+func ModelChecksum(paths []string) (string, error) {
+	h := sha256.New()
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			return "", err
+		}
+		s := sha256.Sum256(b)
+		h.Write(s[:])
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
