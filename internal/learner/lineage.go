@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"repro/internal/serveapi"
@@ -43,7 +44,8 @@ func archivePath(member string, gen uint64) string {
 }
 
 // loadLineage reads an existing sidecar; a missing file returns nil
-// (fresh model, the caller seeds generation 0).
+// (fresh model, the caller seeds generation 0). A sidecar the learner
+// could not continue from is refused (see validate).
 func loadLineage(path string) (*lineageState, error) {
 	b, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -56,7 +58,32 @@ func loadLineage(path string) (*lineageState, error) {
 	if err := json.Unmarshal(b, &st); err != nil {
 		return nil, fmt.Errorf("learner: %s: %w", path, err)
 	}
+	if err := st.validate(); err != nil {
+		return nil, fmt.Errorf("learner: %s: %w", path, err)
+	}
 	return &st, nil
+}
+
+// validate checks the invariants the learner relies on: at least one
+// entry, strictly increasing generations, a last generation that
+// nextGen can step past without wrapping to a used number, and an
+// entry for the live generation.
+func (st *lineageState) validate() error {
+	if len(st.Entries) == 0 {
+		return errors.New("lineage has no entries")
+	}
+	for i := 1; i < len(st.Entries); i++ {
+		if prev, gen := st.Entries[i-1].Gen, st.Entries[i].Gen; gen <= prev {
+			return fmt.Errorf("lineage generation %d follows %d", gen, prev)
+		}
+	}
+	if last := st.Entries[len(st.Entries)-1].Gen; last == math.MaxUint64 {
+		return fmt.Errorf("lineage generation %d leaves no next generation", last)
+	}
+	if st.entryByGen(st.LiveGen) == nil {
+		return fmt.Errorf("live generation %d has no lineage entry", st.LiveGen)
+	}
+	return nil
 }
 
 // persist writes the sidecar atomically (temp + rename), so a crash

@@ -10,9 +10,10 @@ import (
 
 // ForwardI8 is an int8 inference program compiled from a Network and a
 // QuantCalib once: dense weights are quantized per output channel
-// (symmetric, scale = maxabs/127) and packed two lanes per 64-bit word
-// (tensor.PackedInt8 — 4 bytes per weight resident, the same as the f32
-// path; the int8 slab is not kept), activations are quantized per layer
+// (symmetric, scale = maxabs/127) and packed three 21-bit lanes per
+// 64-bit word (tensor.PackedInt8 — 8/3 bytes per weight resident, two
+// thirds of the f32 path; the int8 slab is not kept), activations are
+// quantized per layer
 // from the calibrated ranges, and each segment then runs as one
 // row-fused kernel: tensor.PackedInt8.MatMulRows produces a row's exact
 // int32 accumulator and the segment's epilogue consumes it while it is

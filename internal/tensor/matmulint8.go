@@ -9,26 +9,39 @@ import (
 
 // MaxInt8Depth is the largest inner dimension k the int8 kernel
 // accepts. Activations enter centred (|q - c| <= 255) against weights
-// of magnitude at most 128, so a 32-bit lane holds any sum of up to
-// 65536 such products (65536 * 255 * 128 < 2^31) and nothing past it;
-// packing refuses deeper matrices instead of overflowing silently.
+// of magnitude at most 128, so a row's int32 accumulator holds any
+// centred sum of up to 65536 such products (65536 * 255 * 128 < 2^31)
+// and nothing past it; packing refuses deeper matrices instead of
+// overflowing silently. The 21-bit lanes never see a sum that long:
+// they are flushed into the accumulator every flushEvery products.
 const MaxInt8Depth = 1 << 16
 
+// laneBits is the width of one accumulator lane of a packed word, and
+// flushEvery the number of listed activations the lanes accumulate
+// before they are separated into the int32 accumulator. A lane sums at
+// most flushEvery products of magnitude 255 * 128, and
+// flushEvery * 255 * 128 = 1044480 < 2^20, so the low and middle lanes
+// stay exact as signed 21-bit fields and the top lane stays far below
+// 2^63. flushEvery is a multiple of the four-row unroll.
+const (
+	laneBits   = 21
+	flushEvery = 32
+)
+
 // PackedInt8 is a [k, n] int8 weight matrix packed for the int8 row
-// kernel: columns 2j and 2j+1 of row kk share one int64 word,
-// w[kk][2j] + w[kk][2j+1]<<32, so one 64-bit multiply-add by a widened
-// activation performs two MACs with no per-element sign extension (an
-// odd n leaves the last word's high lane empty). The two 32-bit lanes
-// accumulate independently as long as each stays exact — the
-// MaxInt8Depth bound — and are separated again after the k loop. The
-// packed form is 4 bytes per weight, the same resident cost as the f32
-// path. A PackedInt8 is immutable once packed and safe for concurrent
-// use.
+// kernel: columns 3j, 3j+1 and 3j+2 of row kk share one int64 word,
+// w[kk][3j] + w[kk][3j+1]<<21 + w[kk][3j+2]<<42, so one 64-bit
+// multiply-add by a widened activation performs three MACs with no
+// per-element sign extension (when 3 does not divide n, the last word's
+// upper lanes are empty). The three lanes accumulate independently for
+// up to flushEvery activations and are then separated into the row's
+// int32 accumulator. The packed form is 8/3 bytes per weight. A
+// PackedInt8 is immutable once packed and safe for concurrent use.
 type PackedInt8 struct {
 	k, n   int
-	words  int     // (n+1)/2 int64 words per row
+	words  int     // ceil(n/3) int64 words per row
 	w      []int64 // [k, words]
-	colSum []int32 // per-column weight sums, for the centring identity
+	colSum []int32 // per-column weight sums, for the centring identity; 3*words long, zero past n
 }
 
 // PackInt8 packs the row-major [k, n] int8 matrix b.
@@ -46,26 +59,31 @@ func (p *PackedInt8) pack(b []int8, k, n int) error {
 		return fmt.Errorf("tensor: packing %d int8 elems as [%d %d]", len(b), k, n)
 	}
 	if k > MaxInt8Depth {
-		return fmt.Errorf("tensor: int8 depth %d exceeds %d, past which a 32-bit accumulator lane is no longer exact", k, MaxInt8Depth)
+		return fmt.Errorf("tensor: int8 depth %d exceeds %d, past which the int32 accumulator is no longer exact", k, MaxInt8Depth)
 	}
-	words := (n + 1) / 2
+	words := (n + 2) / 3
 	p.k, p.n, p.words = k, n, words
 	p.w = growSlice(p.w, k*words)
-	p.colSum = growSlice(p.colSum, n)
+	p.colSum = growSlice(p.colSum, 3*words)
 	clear(p.colSum)
 	colSum := p.colSum
 	for kk := 0; kk < k; kk++ {
 		brow := b[kk*n : (kk+1)*n]
 		wrow := p.w[kk*words : (kk+1)*words]
-		for j := 0; j+1 < n; j += 2 {
-			l, h := brow[j], brow[j+1]
+		j := 0
+		for ; j+3 <= n; j += 3 {
+			l, m, h := brow[j], brow[j+1], brow[j+2]
 			colSum[j] += int32(l)
-			colSum[j+1] += int32(h)
-			wrow[j/2] = int64(l) + int64(h)<<32
+			colSum[j+1] += int32(m)
+			colSum[j+2] += int32(h)
+			wrow[j/3] = int64(l) + int64(m)<<laneBits + int64(h)<<(2*laneBits)
 		}
-		if n%2 == 1 {
-			colSum[n-1] += int32(brow[n-1])
-			wrow[words-1] = int64(brow[n-1])
+		if j < n {
+			wrow[words-1] = 0
+		}
+		for ; j < n; j++ {
+			colSum[j] += int32(brow[j])
+			wrow[words-1] += int64(brow[j]) << (laneBits * (j % 3))
 		}
 	}
 	return nil
@@ -116,8 +134,8 @@ func (p *PackedInt8) matMul(dst []int32, a []int8, m int, centre int8, sink Int8
 }
 
 // int8RowScratch is one worker's per-row state: the compacted
-// activation list, the two-lane accumulator, and the unpacked row handed
-// to the sink.
+// activation list, the three-lane words, and the int32 accumulator the
+// lanes are flushed into (3*words long, so the flush needs no tail).
 type int8RowScratch struct {
 	idx   []int32
 	val   []int64
@@ -135,51 +153,42 @@ func (p *PackedInt8) rows(dst []int32, a []int8, lo, hi int, centre int8, sink I
 	s.idx = growSlice(s.idx, k)
 	s.val = growSlice(s.val, k)
 	s.lanes = growSlice(s.lanes, words)
-	idx, val, lanes := s.idx, s.val, s.lanes
-	var acc []int32 // row i of dst, or scratch when the row goes to sink
-	if dst == nil {
-		s.acc = growSlice(s.acc, n)
-		acc = s.acc
-	}
+	s.acc = growSlice(s.acc, 3*words)
+	idx, val, lanes, acc := s.idx, s.val, s.lanes, s.acc
+	clear(lanes) // every flush leaves them zero again
 	c := int32(centre)
 	for i := lo; i < hi; i++ {
 		// (a) List the activations that differ from the centre.
 		cnt := listRow(idx, val, a[i*k:(i+1)*k], c)
-		// (b) Accumulate four listed weight rows per pass over the lanes:
-		// one load and one store of each lane word per eight MACs.
-		clear(lanes)
-		t := 0
-		for ; t+4 <= cnt; t += 4 {
-			lanes4(lanes, p.w[int(idx[t])*words:], p.w[int(idx[t+1])*words:],
-				p.w[int(idx[t+2])*words:], p.w[int(idx[t+3])*words:],
-				val[t], val[t+1], val[t+2], val[t+3])
+		// (b) Start from the centring correction, then accumulate the
+		// list in chunks of flushEvery: four listed weight rows per pass
+		// over the lanes (one load and one store of each word per twelve
+		// MACs), and the lanes flushed into acc after each chunk.
+		for j, cs := range p.colSum {
+			acc[j] = c * cs
 		}
-		for ; t < cnt; t++ {
-			v0 := val[t]
-			r0 := p.w[int(idx[t])*words:][:len(lanes)]
-			for j := range lanes {
-				lanes[j] += v0 * r0[j]
+		for t0 := 0; t0 < cnt; t0 += flushEvery {
+			t1 := min(t0+flushEvery, cnt)
+			t := t0
+			for ; t+4 <= t1; t += 4 {
+				lanes4(lanes, p.w[int(idx[t])*words:], p.w[int(idx[t+1])*words:],
+					p.w[int(idx[t+2])*words:], p.w[int(idx[t+3])*words:],
+					val[t], val[t+1], val[t+2], val[t+3])
 			}
+			for ; t < t1; t++ {
+				v0 := val[t]
+				r0 := p.w[int(idx[t])*words:][:len(lanes)]
+				for j := range lanes {
+					lanes[j] += v0 * r0[j]
+				}
+			}
+			flushLanes(acc, lanes)
 		}
-		// (c) Separate the lanes. The low lane is the word's low 32 bits;
-		// subtracting it back out removes the borrow a negative low lane
-		// took from the high one. Then undo the centring.
 		if dst != nil {
-			acc = dst[i*n : (i+1)*n]
-		}
-		colSum := p.colSum[:len(acc)]
-		for j := 0; j+1 < len(acc); j += 2 {
-			v := lanes[j/2]
-			l := int32(v)
-			h := int32((v - int64(l)) >> 32)
-			acc[j] = l + c*colSum[j]
-			acc[j+1] = h + c*colSum[j+1]
-		}
-		if n%2 == 1 {
-			acc[n-1] = int32(lanes[words-1]) + c*colSum[n-1]
+			copy(dst[i*n:(i+1)*n], acc)
 		}
 		if sink != nil {
-			sink.Int8Row(i, acc)
+			sink.Int8Row(i, acc[:n])
 		}
 	}
 }
@@ -189,8 +198,8 @@ func (p *PackedInt8) rows(dst []int32, a []int8, lo, hi int, centre int8, sink I
 // It stores every code unconditionally and advances the count only past
 // one off the centre: ReLU leaves a large share of the hidden codes at
 // the centre in no order, and a branch on each would mispredict. Like
-// lanes4 it stays out of line, where its loop keeps everything in
-// registers.
+// lanes4 and flushLanes it stays out of line, where its loop keeps
+// everything in registers.
 //
 //go:noinline
 func listRow(idx []int32, val []int64, a []int8, c int32) int {
@@ -217,6 +226,30 @@ func lanes4(lanes, r0, r1, r2, r3 []int64, v0, v1, v2, v3 int64) {
 	}
 }
 
+// flushLanes separates each word of lanes into its three lane sums,
+// adds them into acc[3j], acc[3j+1] and acc[3j+2], and zeroes the word.
+// The low lane is the word's low 21 bits sign-extended; subtracting it
+// back out removes the borrow a negative low lane took from the lanes
+// above, so the shift that follows is exact. The middle lane comes off
+// the same way and what is left is the top lane. Out of line for the
+// same reason as lanes4.
+//
+//go:noinline
+func flushLanes(acc []int32, lanes []int64) {
+	acc = acc[:3*len(lanes)]
+	for j, v := range lanes {
+		l := v << (64 - laneBits) >> (64 - laneBits)
+		v = (v - l) >> laneBits
+		m := v << (64 - laneBits) >> (64 - laneBits)
+		h := (v - m) >> laneBits
+		a := acc[3*j : 3*j+3 : 3*j+3]
+		a[0] += int32(l)
+		a[1] += int32(m)
+		a[2] += int32(h)
+		lanes[j] = 0
+	}
+}
+
 // growSlice returns s resized to n elements, reallocating only when its
 // capacity is too small; contents are unspecified.
 func growSlice[T any](s []T, n int) []T {
@@ -234,8 +267,10 @@ var packedInt8Pool = sync.Pool{New: func() any { return new(PackedInt8) }}
 // PackedInt8.MatMulRows with centre 0 (zero codes are skipped), so a
 // caller that multiplies by the same b repeatedly should pack it once
 // with PackInt8 instead. Accumulation is exact — integer addition is
-// associative, and k is refused past MaxInt8Depth, the depth up to which
-// a 32-bit lane cannot overflow — so the result is bitwise
+// associative, the three 21-bit lanes of each packed word are flushed
+// into an int32 accumulator before any can overflow, and k is refused
+// past MaxInt8Depth, the depth up to which that accumulator cannot — so
+// the result is bitwise
 // deterministic regardless of blocking or parallel split, which is what
 // the property tests pin down. Requantization (scales, zero-point
 // correction) is the caller's business: nn.ForwardI8 folds it into a

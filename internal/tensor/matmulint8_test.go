@@ -9,7 +9,7 @@ import (
 
 // matMulRefI8 is the naive integer reference: widen each int8 operand
 // to int32 and accumulate in k-ascending order. Integer addition is
-// associative, so the packed two-lane kernel must reproduce this bit for
+// associative, so the packed three-lane kernel must reproduce this bit for
 // bit on every shape, split and centre.
 func matMulRefI8(a, b []int8, m, k, n int) []int32 {
 	out := make([]int32, m*n)
@@ -193,9 +193,10 @@ func TestPropPackedRowsMatchReference(t *testing.T) {
 
 // TestMatMulInt8DepthBound pins the exactness bound the kernel
 // enforces: with every activation code at -128 against centre 127 the
-// centred multiplier is -255, the widest there is, and each lane must
-// still be exact at k = MaxInt8Depth for weights at either extreme. One
-// deeper and packing refuses instead of overflowing a lane.
+// centred multiplier is -255, the widest there is, and the row's int32
+// accumulator — which the lanes are flushed into — must still be exact
+// at k = MaxInt8Depth for weights at either extreme. One deeper and
+// packing refuses instead of overflowing the accumulator.
 func TestMatMulInt8DepthBound(t *testing.T) {
 	const m, n = 2, 5
 	for _, tc := range []struct {
@@ -238,6 +239,115 @@ func TestMatMulInt8DepthBound(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPackedInt8LaneFlush drives every lane of the packed words to the
+// largest sums a chunk can hold: activations at the far end from the
+// centre (centred multiplier -255 or +255) against weights at -128 and
+// 127, over listed counts on both sides of one and two flush intervals
+// and over every n % 3. The first word's low lane goes to its negative
+// maximum while its middle lane goes to its positive one, so a wrong
+// borrow between them shows. The rows must match the widening
+// reference bit for bit, through MatMulRows and MatMulInt8Into.
+func TestPackedInt8LaneFlush(t *testing.T) {
+	if flushEvery*255*128 >= 1<<(laneBits-1) {
+		t.Fatalf("flushEvery = %d products of 255*128 overflow a signed %d-bit lane", flushEvery, laneBits)
+	}
+	if 2*laneBits+(laneBits-1) >= 63 {
+		t.Fatalf("top lane at bit %d has no room for a %d-bit sum", 2*laneBits, laneBits)
+	}
+	if flushEvery%4 != 0 {
+		t.Fatalf("flushEvery = %d is not a multiple of the four-row unroll", flushEvery)
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 512, 514} {
+		for _, k := range []int{flushEvery - 1, flushEvery, flushEvery + 1, 2 * flushEvery, 2*flushEvery + 1} {
+			// Per-column weights, constant down the column so every product
+			// in a lane has the same sign: word 0 is (127, -128, 127) and
+			// word 1 (-128, 127, -128); the rest are random extremes.
+			col := make([]int8, n)
+			for j := range col {
+				switch {
+				case j < 6 && (j%2 == 0):
+					col[j] = 127
+				case j < 6:
+					col[j] = -128
+				case rng.Intn(2) == 0:
+					col[j] = 127
+				default:
+					col[j] = -128
+				}
+			}
+			b := make([]int8, k*n)
+			for kk := 0; kk < k; kk++ {
+				copy(b[kk*n:], col)
+			}
+			b[n-1] = -b[n-1] - 1 // one product of the other sign in the last column
+			for _, tc := range []struct{ code, centre int8 }{{-128, 127}, {127, -128}} {
+				const m = 2
+				a := make([]int8, m*k)
+				for i := range a {
+					a[i] = tc.code
+				}
+				want := matMulRefI8(a, b, m, k, n)
+				got := runPackedRows(t, a, b, m, k, n, tc.centre)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("n = %d listed %d centre %d element %d: got %d, want %d",
+							n, k, tc.centre, i, got[i], want[i])
+					}
+				}
+				dst := make([]int32, m*n)
+				if err := MatMulInt8Into(dst, a, b, m, k, n); err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					if dst[i] != want[i] {
+						t.Fatalf("n = %d k = %d wrapper element %d: got %d, want %d", n, k, i, dst[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzPackedRows checks the row kernel bit for bit against the widening
+// reference on any shape up to [8, 300] x [300, 40], any centre and any
+// codes: data supplies the activations and then the weights, cycled
+// when it is shorter than both.
+func FuzzPackedRows(f *testing.F) {
+	f.Add(uint8(8), uint16(300), uint8(40), int8(127), []byte{0x80, 0x7f, 0x80})
+	f.Add(uint8(3), uint16(65), uint8(7), int8(-128), []byte{0x7f, 0x80, 0x7f, 0x80})
+	f.Add(uint8(2), uint16(33), uint8(5), int8(0), []byte{0, 1, 0xff, 0x80, 0x7f})
+	f.Add(uint8(1), uint16(0), uint8(1), int8(3), []byte{})
+	f.Fuzz(func(t *testing.T, mb uint8, kb uint16, nb uint8, centre int8, data []byte) {
+		m, k, n := int(mb)%9, int(kb)%301, int(nb)%41
+		code := func(i int) int8 {
+			if len(data) == 0 {
+				return 0
+			}
+			return int8(data[i%len(data)])
+		}
+		a, b := make([]int8, m*k), make([]int8, k*n)
+		for i := range a {
+			a[i] = code(i)
+		}
+		for i := range b {
+			b[i] = code(len(a) + i)
+		}
+		want := matMulRefI8(a, b, m, k, n)
+		got := runPackedRows(t, a, b, m, k, n, centre)
+		dst := make([]int32, m*n)
+		if err := MatMulInt8Into(dst, a, b, m, k, n); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] || dst[i] != want[i] {
+				t.Fatalf("[%d %d %d] centre %d element %d: rows %d, wrapper %d, want %d",
+					m, k, n, centre, i, got[i], dst[i], want[i])
+			}
+		}
+	})
 }
 
 func TestMatMulInt8Errors(t *testing.T) {
