@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
 
@@ -38,8 +37,8 @@ const (
 	// on write and on read, so a forged shape can neither overflow the
 	// count nor promise more than a record may hold.
 	maxRecordElems = 1 << 28
-	// recordChunk caps the elements a record's data buffer starts with;
-	// it grows only as values are actually read, so a forged count costs
+	// recordChunk caps the elements read per chunk; a record's data
+	// grows only by chunks that actually arrived, so a forged count costs
 	// what the file really holds.
 	recordChunk = 1 << 15
 )
@@ -62,14 +61,9 @@ func Create(path string) (*Writer, error) {
 		return nil, fmt.Errorf("h5: create: %w", err)
 	}
 	w := &Writer{f: f, buf: bufio.NewWriterSize(f, 1<<16)}
-	if err := writeU32(w.buf, fileMagic); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := writeU32(w.buf, fileVersion); err != nil {
-		f.Close()
-		return nil, err
-	}
+	// A buffered write's error is sticky: the Flush reports it.
+	le := binary.LittleEndian
+	w.buf.Write(le.AppendUint32(le.AppendUint32(w.buf.AvailableBuffer(), fileMagic), fileVersion))
 	if err := w.buf.Flush(); err != nil {
 		f.Close()
 		return nil, err
@@ -158,54 +152,61 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Write appends one dataset record under group/name.
+// Write appends one dataset record under group/name. The record is
+// encoded straight into the write buffer's free space, which is flushed
+// only when full: no allocation and no call per element for a
+// contiguous t.
 func (w *Writer) Write(group, name string, t *tensor.Tensor) error {
+	ct := t.Contiguous()
+	rank := ct.Rank()
+	if rank > maxRank {
+		return fmt.Errorf("h5: rank %d exceeds maximum %d", rank, maxRank)
+	}
+	var dims [maxRank]int
+	for i := range rank {
+		dims[i] = ct.Dim(i)
+	}
+	return w.writeRecord(group, name, dims[:rank], ct.Data())
+}
+
+// WriteScalar appends a single value as a [1]-shaped dataset record.
+func (w *Writer) WriteScalar(group, name string, v float64) error {
+	dims, data := [1]int{1}, [1]float64{v}
+	return w.writeRecord(group, name, dims[:], data[:])
+}
+
+// writeRecord writes one record: marker, names, shape, then the values.
+func (w *Writer) writeRecord(group, name string, shape []int, data []float64) error {
 	if group == "" || name == "" {
 		return fmt.Errorf("h5: empty group or dataset name")
 	}
 	if len(group) > maxNameLen || len(name) > maxNameLen {
 		return fmt.Errorf("h5: group/dataset name too long")
 	}
-	ct := t.Contiguous()
-	shape := ct.Shape()
-	if len(shape) > maxRank {
-		return fmt.Errorf("h5: rank %d exceeds maximum %d", len(shape), maxRank)
+	if len(data) > maxRecordElems {
+		return fmt.Errorf("h5: %d elements exceed the record maximum %d", len(data), maxRecordElems)
 	}
-	if ct.Len() > maxRecordElems {
-		return fmt.Errorf("h5: %d elements exceed the record maximum %d", ct.Len(), maxRecordElems)
+	// The header is at most ~8 KiB (two names of maxNameLen and maxRank
+	// dims), so it always fits an emptied 64 KiB buffer.
+	if w.buf.Available() < 16+len(group)+len(name)+8*len(shape) {
+		if err := w.buf.Flush(); err != nil {
+			return err
+		}
 	}
-	if err := writeU32(w.buf, recordMagic); err != nil {
-		return err
-	}
-	if err := writeString(w.buf, group); err != nil {
-		return err
-	}
-	if err := writeString(w.buf, name); err != nil {
-		return err
-	}
-	if err := writeU32(w.buf, uint32(len(shape))); err != nil {
-		return err
-	}
+	le := binary.LittleEndian
+	b := le.AppendUint32(w.buf.AvailableBuffer(), recordMagic)
+	b = le.AppendUint32(b, uint32(len(group)))
+	b = append(b, group...)
+	b = le.AppendUint32(b, uint32(len(name)))
+	b = append(b, name...)
+	b = le.AppendUint32(b, uint32(len(shape)))
 	for _, d := range shape {
-		if err := writeI64(w.buf, int64(d)); err != nil {
-			return err
-		}
+		b = le.AppendUint64(b, uint64(d))
 	}
-	for _, v := range ct.Data() {
-		if err := writeF64(w.buf, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteScalar appends a single value as a [1]-shaped dataset record.
-func (w *Writer) WriteScalar(group, name string, v float64) error {
-	t, err := tensor.FromSlice([]float64{v}, 1)
-	if err != nil {
+	if _, err := w.buf.Write(b); err != nil {
 		return err
 	}
-	return w.Write(group, name, t)
+	return tensor.WriteSlab(w.buf, data)
 }
 
 // Flush forces buffered records to the OS.
@@ -286,8 +287,9 @@ func (f *File) scan(path string) error {
 	if version != fileVersion {
 		return fmt.Errorf("h5: %s is not a version-%d .gh5 file", path, fileVersion)
 	}
+	var buf []byte // the scan's one value buffer, grown by decodeRecord
 	for {
-		rec, err := readRecord(r)
+		rec, err := decodeRecord(r, &buf)
 		if err == io.EOF || errors.Is(err, errTruncated) {
 			break
 		}
@@ -304,16 +306,16 @@ func (f *File) scan(path string) error {
 	return nil
 }
 
-func readRecord(r io.Reader) (*record, error) { return decodeRecord(r, false) }
-
 // skimRecord walks one record without materializing its payload — the
 // cheap scan Append uses to find the end of the last complete record.
 func skimRecord(r io.Reader) error {
-	_, err := decodeRecord(r, true)
+	_, err := decodeRecord(r, nil)
 	return err
 }
 
-func decodeRecord(r io.Reader, skim bool) (*record, error) {
+// decodeRecord reads one record, its values through *buf; a nil buf
+// skims them.
+func decodeRecord(r io.Reader, buf *[]byte) (*record, error) {
 	magic, err := readU32(r)
 	if err != nil {
 		// Distinguish the three boundary cases: a clean end of file, a
@@ -362,19 +364,18 @@ func decodeRecord(r io.Reader, skim bool) (*record, error) {
 		shape[i] = int(v)
 		count *= shape[i]
 	}
-	if skim {
+	if buf == nil {
 		if _, err := io.CopyN(io.Discard, r, int64(count)*8); err != nil {
 			return nil, recordErr(err)
 		}
 		return nil, nil
 	}
-	data := make([]float64, 0, min(count, recordChunk))
-	for len(data) < count {
-		v, err := readF64(r)
-		if err != nil {
-			return nil, recordErr(err)
-		}
-		data = append(data, v)
+	if need := 8 * min(count, recordChunk); len(*buf) < need {
+		*buf = make([]byte, need)
+	}
+	data, err := tensor.ReadSlab(nil, r, count, *buf)
+	if err != nil {
+		return nil, recordErr(err)
 	}
 	return &record{group: group, name: name, shape: shape, data: data}, nil
 }
@@ -470,35 +471,6 @@ func (f *File) ReadRecords(group, name string) ([]*tensor.Tensor, error) {
 	return out, nil
 }
 
-func writeU32(w io.Writer, v uint32) error {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	_, err := w.Write(buf[:])
-	return err
-}
-
-func writeI64(w io.Writer, v int64) error {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(v))
-	_, err := w.Write(buf[:])
-	return err
-}
-
-func writeF64(w io.Writer, v float64) error {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-	_, err := w.Write(buf[:])
-	return err
-}
-
-func writeString(w io.Writer, s string) error {
-	if err := writeU32(w, uint32(len(s))); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, s)
-	return err
-}
-
 func readU32(r io.Reader) (uint32, error) {
 	var buf [4]byte
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
@@ -513,14 +485,6 @@ func readI64(r io.Reader) (int64, error) {
 		return 0, err
 	}
 	return int64(binary.LittleEndian.Uint64(buf[:])), nil
-}
-
-func readF64(r io.Reader) (float64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:])), nil
 }
 
 func readString(r io.Reader) (string, error) {

@@ -5,8 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
+
+	"repro/internal/tensor"
 )
 
 // The .gmod format stands in for TorchScript archives: a self-describing
@@ -45,12 +46,7 @@ func (n *Network) Save(path string) error {
 	if err != nil {
 		return fmt.Errorf("nn: save: %w", err)
 	}
-	w := bufio.NewWriter(f)
-	if err := n.Encode(w); err != nil {
-		f.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
+	if err := n.Encode(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -63,8 +59,11 @@ type containerLayer interface {
 	subNetwork() *Network
 }
 
-// Encode writes the network's .gmod representation to w.
-func (n *Network) Encode(w io.Writer) error {
+// Encode writes the network's .gmod representation to dst, through a
+// 64 KiB buffer (dst itself when it already is one) that it flushes
+// before returning.
+func (n *Network) Encode(dst io.Writer) error {
+	w := bufio.NewWriterSize(dst, 1<<16)
 	if err := writeU32(w, gmodMagic); err != nil {
 		return err
 	}
@@ -79,10 +78,10 @@ func (n *Network) Encode(w io.Writer) error {
 			return err
 		}
 	}
-	return nil
+	return w.Flush()
 }
 
-func encodeLayer(w io.Writer, l Layer) error {
+func encodeLayer(w *bufio.Writer, l Layer) error {
 	sp := l.spec()
 	if err := writeString(w, sp.Kind); err != nil {
 		return err
@@ -98,10 +97,8 @@ func encodeLayer(w io.Writer, l Layer) error {
 	if err := writeU32(w, uint32(len(sp.Floats))); err != nil {
 		return err
 	}
-	for _, v := range sp.Floats {
-		if err := writeF64(w, v); err != nil {
-			return err
-		}
+	if err := tensor.WriteSlab(w, sp.Floats); err != nil {
+		return err
 	}
 	// Containers store their parameters inside their sub-layers.
 	if c, ok := l.(containerLayer); ok {
@@ -136,10 +133,8 @@ func encodeLayer(w io.Writer, l Layer) error {
 				return err
 			}
 		}
-		for _, v := range p.W.Data() {
-			if err := writeF64(w, v); err != nil {
-				return err
-			}
+		if err := tensor.WriteSlab(w, p.W.Data()); err != nil {
+			return err
 		}
 	}
 	return writeU32(w, 0) // no sub-layers
@@ -183,8 +178,9 @@ func Decode(r io.Reader) (*Network, error) {
 		return nil, fmt.Errorf("implausible layer count %d", nLayers)
 	}
 	net := NewNetwork(0)
+	buf := make([]byte, 1<<16) // one slab read buffer for every layer
 	for li := uint32(0); li < nLayers; li++ {
-		layer, err := decodeLayer(r, net, 0)
+		layer, err := decodeLayer(r, buf, net, 0)
 		if err != nil {
 			return nil, fmt.Errorf("layer %d: %w", li, err)
 		}
@@ -193,8 +189,9 @@ func Decode(r io.Reader) (*Network, error) {
 	return net, nil
 }
 
-// decodeLayer reads one serialized layer (recursing into containers).
-func decodeLayer(r io.Reader, net *Network, depth int) (Layer, error) {
+// decodeLayer reads one serialized layer (recursing into containers),
+// reading its float slabs through buf.
+func decodeLayer(r io.Reader, buf []byte, net *Network, depth int) (Layer, error) {
 	if depth > 8 {
 		return nil, fmt.Errorf("container nesting too deep")
 	}
@@ -224,11 +221,9 @@ func decodeLayer(r io.Reader, net *Network, depth int) (Layer, error) {
 	if nFloats > 4096 {
 		return nil, fmt.Errorf("implausible float config count %d", nFloats)
 	}
-	floats := make([]float64, nFloats)
-	for i := range floats {
-		if floats[i], err = readF64(r); err != nil {
-			return nil, err
-		}
+	floats, err := tensor.ReadSlab(nil, r, int(nFloats), buf)
+	if err != nil {
+		return nil, err
 	}
 	layer, err := buildLayer(net, layerSpec{Kind: kind, Ints: ints, Floats: floats})
 	if err != nil {
@@ -280,11 +275,10 @@ func decodeLayer(r io.Reader, net *Network, depth int) (Layer, error) {
 					return nil, fmt.Errorf("param %q: shape %v, want %v", name, shape, want)
 				}
 			}
-			data := p.W.Data()
-			for i := 0; i < count; i++ {
-				if data[i], err = readF64(r); err != nil {
-					return nil, err
-				}
+			// The shape matches, so the count values land in place,
+			// in the parameter's own storage.
+			if _, err := tensor.ReadSlab(p.W.Data()[:0], r, count, buf); err != nil {
+				return nil, err
 			}
 		}
 	} else if nParams != 0 {
@@ -300,7 +294,7 @@ func decodeLayer(r io.Reader, net *Network, depth int) (Layer, error) {
 	if c, ok := layer.(containerLayer); ok {
 		sub := c.subNetwork()
 		for si := uint32(0); si < nSub; si++ {
-			sl, err := decodeLayer(r, sub, depth+1)
+			sl, err := decodeLayer(r, buf, sub, depth+1)
 			if err != nil {
 				return nil, fmt.Errorf("sub-layer %d: %w", si, err)
 			}
@@ -406,13 +400,6 @@ func writeI64(w io.Writer, v int64) error {
 	return err
 }
 
-func writeF64(w io.Writer, v float64) error {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-	_, err := w.Write(buf[:])
-	return err
-}
-
 func writeString(w io.Writer, s string) error {
 	if err := writeU32(w, uint32(len(s))); err != nil {
 		return err
@@ -435,14 +422,6 @@ func readI64(r io.Reader) (int64, error) {
 		return 0, err
 	}
 	return int64(binary.LittleEndian.Uint64(buf[:])), nil
-}
-
-func readF64(r io.Reader) (float64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:])), nil
 }
 
 func readString(r io.Reader) (string, error) {

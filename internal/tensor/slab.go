@@ -1,0 +1,60 @@
+package tensor
+
+import (
+	"bufio"
+	"encoding/binary"
+	"io"
+	"math"
+)
+
+// The on-disk formats built on tensors (.gh5 databases, .gmod models)
+// store float64 values as runs of little-endian IEEE-754 words. WriteSlab
+// and ReadSlab move such a run in bulk: one encode or decode loop and
+// one I/O call per buffer-full, never a call per element.
+
+// WriteSlab writes v to w as little-endian float64s. It encodes straight
+// into w's free buffer space and flushes only when the buffer is full,
+// so a slab costs no allocation whatever its length.
+func WriteSlab(w *bufio.Writer, v []float64) error {
+	for len(v) > 0 {
+		if w.Available() < 8 {
+			if err := w.Flush(); err != nil {
+				return err
+			}
+		}
+		b := w.AvailableBuffer()
+		n := min(len(v), cap(b)/8)
+		for _, x := range v[:n] {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		if _, err := w.Write(b); err != nil {
+			return err
+		}
+		v = v[n:]
+	}
+	return nil
+}
+
+// ReadSlab reads n little-endian float64s from r and appends them to
+// dst, one io.ReadFull of at most len(buf) bytes per chunk (len(buf)
+// must be at least 8). dst grows only by values that arrived, so a
+// count promised by a forged header costs what the input really holds.
+// A short input returns io.EOF or io.ErrUnexpectedEOF as io.ReadFull
+// does, with the values read before it already appended.
+func ReadSlab(dst []float64, r io.Reader, n int, buf []byte) ([]float64, error) {
+	for n > 0 {
+		k := min(n, len(buf)/8)
+		b := buf[:8*k]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return dst, err
+		}
+		at := len(dst)
+		dst = append(dst, make([]float64, k)...)
+		out := dst[at:]
+		for i := range out {
+			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+		n -= k
+	}
+	return dst, nil
+}

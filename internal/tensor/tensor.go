@@ -351,6 +351,12 @@ func (t *Tensor) CopyFrom(src *Tensor) error {
 // is the workhorse of the data bridge's tensor-composition step: it walks
 // both tensors with incremental odometers, so strided views are traversed
 // without materializing either side.
+//
+// Two contiguous tensors are one copy. Otherwise the walk moves in runs:
+// a run is the gcd of both innermost non-singleton extents, so it never
+// crosses a row of either side. A run is a copy when both of those dims
+// have unit stride and a strided loop otherwise, and the odometers
+// advance once per run, not once per element.
 func CopyFlat(dst, src *Tensor) error {
 	n := src.Len()
 	if dst.Len() != n {
@@ -359,72 +365,70 @@ func CopyFlat(dst, src *Tensor) error {
 	if n == 0 {
 		return nil
 	}
-	// Fast path: both contiguous.
 	if dst.IsContiguous() && src.IsContiguous() {
 		copy(dst.data[dst.offset:dst.offset+n], src.data[src.offset:src.offset+n])
 		return nil
 	}
-	// Chunked path: both sides advance by `chunk` elements at a time,
-	// where chunk divides both innermost unit-stride extents, so each
-	// block is served by copy().
-	chunk := gcd(innerRun(dst), innerRun(src))
-	sIdx := make([]int, len(src.shape))
-	dIdx := make([]int, len(dst.shape))
+	// n > 1 here (a one-element tensor is contiguous), so both sides
+	// have a non-singleton dim.
+	sd, dd := innerDim(src), innerDim(dst)
+	run := gcd(src.shape[sd], dst.shape[dd])
+	ss, ds := src.strides[sd], dst.strides[dd]
+	// Odometers live on the stack up to rank 8.
+	var sBuf, dBuf [8]int
+	sIdx, dIdx := odometer(sBuf[:], len(src.shape)), odometer(dBuf[:], len(dst.shape))
+	// Local slice headers: through dst.data, every store would make the
+	// strided loop reload both.
+	sData, dData := src.data, dst.data
 	sPos, dPos := src.offset, dst.offset
-	if chunk > 1 {
-		for i := 0; i < n; i += chunk {
-			copy(dst.data[dPos:dPos+chunk], src.data[sPos:sPos+chunk])
-			sPos = advanceBy(src, sIdx, sPos, chunk)
-			dPos = advanceBy(dst, dIdx, dPos, chunk)
+	for i := 0; i < n; i += run {
+		if ss == 1 && ds == 1 {
+			copy(dData[dPos:dPos+run], sData[sPos:sPos+run])
+		} else {
+			s, d := sPos, dPos
+			for range run {
+				dData[d] = sData[s]
+				s += ss
+				d += ds
+			}
 		}
-		return nil
-	}
-	for i := 0; i < n; i++ {
-		dst.data[dPos] = src.data[sPos]
-		sPos = advanceBy(src, sIdx, sPos, 1)
-		dPos = advanceBy(dst, dIdx, dPos, 1)
+		sPos = advanceBy(src, sIdx, sPos, sd, run)
+		dPos = advanceBy(dst, dIdx, dPos, dd, run)
 	}
 	return nil
 }
 
-// innerRun returns the extent of the innermost non-singleton dim when it
-// has unit stride, else 1.
-func innerRun(t *Tensor) int {
-	for d := len(t.shape) - 1; d >= 0; d-- {
-		if t.shape[d] == 1 {
-			continue
-		}
-		if t.strides[d] == 1 {
-			return t.shape[d]
-		}
-		return 1
+// innerDim returns the innermost non-singleton dim of t, or -1 when
+// every dim is a singleton.
+func innerDim(t *Tensor) int {
+	d := len(t.shape) - 1
+	for d >= 0 && t.shape[d] == 1 {
+		d--
 	}
-	return 1
+	return d
+}
+
+// odometer returns a zeroed index of the given rank, in buf when it fits.
+func odometer(buf []int, rank int) []int {
+	if rank > len(buf) {
+		return make([]int, rank)
+	}
+	return buf[:rank]
 }
 
 func gcd(a, b int) int {
 	for b != 0 {
 		a, b = b, a%b
 	}
-	if a < 1 {
-		return 1
-	}
 	return a
 }
 
-// advanceBy moves a row-major odometer forward by `chunk` elements along
-// the innermost non-singleton dim, whose extent chunk must divide, and
-// carries upward exactly.
-func advanceBy(t *Tensor, idx []int, pos, chunk int) int {
-	d := len(t.shape) - 1
-	for d >= 0 && t.shape[d] == 1 {
-		d--
-	}
-	if d < 0 {
-		return pos
-	}
-	idx[d] += chunk
-	pos += chunk * t.strides[d]
+// advanceBy moves a row-major odometer forward by `run` elements along
+// dim d, the innermost non-singleton dim, whose extent run must divide,
+// and carries upward exactly.
+func advanceBy(t *Tensor, idx []int, pos, d, run int) int {
+	idx[d] += run
+	pos += run * t.strides[d]
 	if idx[d] < t.shape[d] {
 		return pos
 	}
