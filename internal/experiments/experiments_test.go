@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -110,6 +111,80 @@ func TestArchSweepSpansSpace(t *testing.T) {
 	}
 }
 
+// pipeline is the part of a harness the campaign tests drive.
+type pipeline interface {
+	Info() common.Info
+	Collect(dbPath string, opt Options) (CollectReport, error)
+	Train(dbPath, modelPath string, arch, hyper map[string]bo.Value, opt Options) (float64, error)
+	Evaluate(modelPath string, opt Options) (EvalResult, error)
+}
+
+// runCampaign is Campaign with every output kept: it collects once,
+// then trains and evaluates each architecture under defaultHyper,
+// failing the test on any error instead of skipping the architecture.
+func runCampaign(t *testing.T, h pipeline, opt Options, archs []map[string]bo.Value) (CollectReport, []float64, []EvalResult) {
+	t.Helper()
+	name := h.Info().Name
+	dir := t.TempDir()
+	dbPath := filepath.Join(dir, name+".gh5")
+	rep, err := h.Collect(dbPath, opt)
+	if err != nil {
+		t.Fatalf("%s: collect: %v", name, err)
+	}
+	var vals []float64
+	var results []EvalResult
+	for i, arch := range archs {
+		modelPath := filepath.Join(dir, fmt.Sprintf("%s-%d.gmod", name, i))
+		val, err := h.Train(dbPath, modelPath, arch, defaultHyper(), opt)
+		if err != nil {
+			t.Fatalf("%s arch %d: train: %v", name, i, err)
+		}
+		res, err := h.Evaluate(modelPath, opt)
+		if err != nil {
+			t.Fatalf("%s arch %d: evaluate: %v", name, i, err)
+		}
+		vals = append(vals, val)
+		results = append(results, res)
+	}
+	return rep, vals, results
+}
+
+// modelPin is the exact, timing-free outcome of training and deploying
+// one architecture: Train's validation error and the EvalResult fields
+// that do not depend on the clock.
+type modelPin struct {
+	val, err float64
+	params   int
+	baseline float64
+}
+
+// checkReport compares a collection report with its pin bit for bit.
+// Flushes is left out: the periodic flush timer makes it depend on how
+// long the collection took.
+func checkReport(t *testing.T, name string, got, want CollectReport) {
+	t.Helper()
+	got.Flushes = 0
+	if got != want {
+		t.Errorf("%s: collect report = %+v, want %+v", name, got, want)
+	}
+}
+
+// checkModels compares each architecture's outcome with its pin bit for
+// bit: every benchmark is deterministic at a fixed seed, whatever the
+// core count.
+func checkModels(t *testing.T, name string, vals []float64, results []EvalResult, want []modelPin) {
+	t.Helper()
+	if len(results) != len(want) {
+		t.Fatalf("%s: %d results, want %d", name, len(results), len(want))
+	}
+	for i, r := range results {
+		got := modelPin{val: vals[i], err: r.Error, params: r.Params, baseline: r.BaselineError}
+		if got != want[i] {
+			t.Errorf("%s arch %d: got %#v, want %#v", name, i, got, want[i])
+		}
+	}
+}
+
 // TestCampaignTabularBenchmarks exercises collect -> train -> deploy for
 // the three MLP benchmarks end to end.
 func TestCampaignTabularBenchmarks(t *testing.T) {
@@ -117,14 +192,24 @@ func TestCampaignTabularBenchmarks(t *testing.T) {
 		t.Skip("campaign test in -short mode")
 	}
 	opt := QuickOptions()
-	for _, mk := range []func(Scale) Harness{NewMiniBUDE, NewBinomial, NewBonds} {
-		h := mk(ScaleTest)
+	wantReport := CollectReport{Invocations: 6, Records: 6, Shards: 1}
+	wantModels := map[string][]modelPin{
+		"minibude": {
+			{val: 3.1675379648272354e+07, err: 11.490346046589337, params: 185},
+			{val: 2.6096614536970267e+06, err: 3.277851056396209, params: 26555},
+		},
+		"binomial": {
+			{val: 18.01112893228833, err: 4.310323651679362, params: 42},
+			{val: 0.053031358970715, err: 0.30504627329694595, params: 1293},
+		},
+		"bonds": {
+			{val: 0.14571496427601358, err: 0.38245418459167074, params: 47},
+			{val: 0.008117465532383199, err: 0.09620878263396934, params: 1341},
+		},
+	}
+	for _, h := range Registry(ScaleTest)[:3] {
 		name := h.Info().Name
-		dir := t.TempDir()
-		results, err := Campaign(h, dir, opt, ArchSweep(h, 2, opt.Seed))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		rep, vals, results := runCampaign(t, h, opt, ArchSweep(h, 2, opt.Seed))
 		for _, r := range results {
 			if r.Speedup <= 0 {
 				t.Errorf("%s: non-positive speedup %g", name, r.Speedup)
@@ -139,6 +224,8 @@ func TestCampaignTabularBenchmarks(t *testing.T) {
 				t.Errorf("%s: phase timers empty: %+v", name, r)
 			}
 		}
+		checkReport(t, name, rep, wantReport)
+		checkModels(t, name, vals, results, wantModels[name])
 	}
 }
 
@@ -151,17 +238,13 @@ func TestCampaignParticleFilter(t *testing.T) {
 	opt := QuickOptions()
 	opt.TrainEpochs = 60
 	h := NewParticleFilter(ScaleTest)
-	dir := t.TempDir()
 	arch := map[string]bo.Value{
 		"conv_kernel": {Name: "conv_kernel", Int: 4, IsInt: true},
 		"conv_stride": {Name: "conv_stride", Int: 2, IsInt: true},
 		"pool_kernel": {Name: "pool_kernel", Int: 2, IsInt: true},
 		"fc2":         {Name: "fc2", Int: 24, IsInt: true},
 	}
-	results, err := Campaign(h, dir, opt, []map[string]bo.Value{arch})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, vals, results := runCampaign(t, h, opt, []map[string]bo.Value{arch})
 	r := results[0]
 	if r.BaselineError <= 0 {
 		t.Fatal("particle filter baseline RMSE missing")
@@ -174,6 +257,11 @@ func TestCampaignParticleFilter(t *testing.T) {
 	if r.Error > 8 {
 		t.Errorf("surrogate lost the object: RMSE %g", r.Error)
 	}
+	// One video of 24 frames per collection run.
+	checkReport(t, "particlefilter", rep, CollectReport{Invocations: 144, Records: 144, Shards: 1})
+	checkModels(t, "particlefilter", vals, results, []modelPin{
+		{val: 14.797778621708392, err: 3.6824308836961324, params: 4846, baseline: 0.2337430396524402},
+	})
 }
 
 // TestCampaignMiniWeather checks the auto-regressive CNN pipeline.
@@ -183,20 +271,21 @@ func TestCampaignMiniWeather(t *testing.T) {
 	}
 	opt := QuickOptions()
 	h := NewMiniWeather(ScaleTest)
-	dir := t.TempDir()
 	arch := map[string]bo.Value{
 		"conv1_kernel":   {Name: "conv1_kernel", Int: 3, IsInt: true},
 		"conv1_channels": {Name: "conv1_channels", Int: 4, IsInt: true},
 		"conv2_kernel":   {Name: "conv2_kernel", Int: 0, IsInt: true},
 	}
-	results, err := Campaign(h, dir, opt, []map[string]bo.Value{arch})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, vals, results := runCampaign(t, h, opt, []map[string]bo.Value{arch})
 	r := results[0]
 	if r.Speedup <= 0 || r.Error < 0 {
 		t.Fatalf("implausible result %+v", r)
 	}
+	// Ten timesteps per collection run.
+	checkReport(t, "miniweather", rep, CollectReport{Invocations: 60, Records: 60, Shards: 1})
+	checkModels(t, "miniweather", vals, results, []modelPin{
+		{val: 2.5166829548174045e-07, err: 0.3439607082514194, params: 181188},
+	})
 }
 
 func TestTable3Overheads(t *testing.T) {
@@ -212,6 +301,13 @@ func TestTable3Overheads(t *testing.T) {
 	if len(rows) != 5 {
 		t.Fatalf("Table III rows = %d", len(rows))
 	}
+	wantMB := map[string]float64{
+		"minibude":       0.3289508819580078,
+		"binomial":       0.1883258819580078,
+		"bonds":          0.23514938354492188,
+		"miniweather":    0.18846893310546875,
+		"particlefilter": 1.1515121459960938,
+	}
 	for _, r := range rows {
 		// Collection can only slow the application down; the loose bound
 		// absorbs scheduler noise on sub-millisecond runs under parallel
@@ -221,6 +317,10 @@ func TestTable3Overheads(t *testing.T) {
 		}
 		if r.DataSizeMB <= 0 {
 			t.Errorf("%s: empty collection database", r.Benchmark)
+		}
+		// EvalRuns+1 records (timeIt's warmup run included).
+		if want := wantMB[r.Benchmark]; r.DataSizeMB != want {
+			t.Errorf("%s: database size %v MB, want %v", r.Benchmark, r.DataSizeMB, want)
 		}
 	}
 	var b bytes.Buffer
@@ -340,9 +440,11 @@ func TestCollectProducesUsableDatabase(t *testing.T) {
 	h := NewBinomial(ScaleTest)
 	dir := t.TempDir()
 	dbPath := filepath.Join(dir, "b.gh5")
-	if _, err := h.Collect(dbPath, opt); err != nil {
+	rep, err := h.Collect(dbPath, opt)
+	if err != nil {
 		t.Fatal(err)
 	}
+	checkReport(t, "binomial", rep, CollectReport{Invocations: 6, Records: 6, Shards: 1})
 	ds, err := loadDataset(dbPath, "binomial")
 	if err != nil {
 		t.Fatal(err)
