@@ -31,21 +31,19 @@ func benchOptions() experiments.Options {
 	return opt
 }
 
-func harnessFor(b *testing.B, name string) experiments.Harness {
+func harnessFor(b *testing.B, name string) *experiments.Harness {
 	b.Helper()
-	for _, h := range experiments.Registry(experiments.ScaleTest) {
-		if h.Info().Name == name {
-			return h
-		}
+	h, err := experiments.Lookup(name, experiments.ScaleTest)
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.Fatalf("unknown benchmark %q", name)
-	return nil
+	return h
 }
 
 // trainedModel collects data and trains one mid-space surrogate for the
 // named benchmark, returning the harness and model path. Setup cost is
 // excluded from the measured loop by the callers' b.ResetTimer.
-func trainedModel(b *testing.B, name string) (experiments.Harness, string) {
+func trainedModel(b *testing.B, name string) (*experiments.Harness, string) {
 	b.Helper()
 	h := harnessFor(b, name)
 	dir := b.TempDir()

@@ -61,7 +61,11 @@ func main() {
 	if err := directive.ValidateDBRef(*db); err != nil {
 		fatal(err)
 	}
-	h, err := findHarness(*benchmark, *full)
+	scale := experiments.ScaleTest
+	if *full {
+		scale = experiments.ScaleFull
+	}
+	h, err := experiments.Lookup(*benchmark, scale)
 	if err != nil {
 		fatal(err)
 	}
@@ -131,19 +135,6 @@ func main() {
 			rep.Dropped, rep.FlushErrors, rep.WriteErrors)
 		os.Exit(1)
 	}
-}
-
-func findHarness(name string, full bool) (experiments.Harness, error) {
-	scale := experiments.ScaleTest
-	if full {
-		scale = experiments.ScaleFull
-	}
-	for _, h := range experiments.Registry(scale) {
-		if h.Info().Name == name {
-			return h, nil
-		}
-	}
-	return nil, fmt.Errorf("unknown benchmark %q", name)
 }
 
 func fatal(err error) {

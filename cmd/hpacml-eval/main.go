@@ -47,14 +47,9 @@ func main() {
 	if *full {
 		scale = experiments.ScaleFull
 	}
-	var h experiments.Harness
-	for _, cand := range experiments.Registry(scale) {
-		if cand.Info().Name == *benchmark {
-			h = cand
-		}
-	}
-	if h == nil {
-		fatal(fmt.Errorf("unknown benchmark %q", *benchmark))
+	h, err := experiments.Lookup(*benchmark, scale)
+	if err != nil {
+		fatal(err)
 	}
 	opt := experiments.QuickOptions()
 	opt.EvalRuns = *runs

@@ -62,14 +62,15 @@ func main() {
 		InnerWorkers:  *innerWorkers,
 	}
 
-	var targets []experiments.Harness
-	for _, h := range experiments.Registry(scale) {
-		if *benchmark == "all" || h.Info().Name == *benchmark {
-			targets = append(targets, h)
+	var targets []*experiments.Harness
+	if *benchmark == "all" {
+		targets = experiments.Registry(scale)
+	} else {
+		h, err := experiments.Lookup(*benchmark, scale)
+		if err != nil {
+			fatal(err)
 		}
-	}
-	if len(targets) == 0 {
-		fatal(fmt.Errorf("unknown benchmark %q", *benchmark))
+		targets = []*experiments.Harness{h}
 	}
 
 	// The campaign is orchestrated like the paper's Parsl workflow:

@@ -51,14 +51,9 @@ func main() {
 	if *full {
 		scale = experiments.ScaleFull
 	}
-	var h experiments.Harness
-	for _, cand := range experiments.Registry(scale) {
-		if cand.Info().Name == *benchmark {
-			h = cand
-		}
-	}
-	if h == nil {
-		fatal(fmt.Errorf("unknown benchmark %q", *benchmark))
+	h, err := experiments.Lookup(*benchmark, scale)
+	if err != nil {
+		fatal(err)
 	}
 
 	arch, err := parseArch(h, *archFlag, *seed)
@@ -87,7 +82,7 @@ func main() {
 
 // parseArch turns "k=v,k=v" into an assignment, defaulting unset keys to
 // the middle of the harness's search space.
-func parseArch(h experiments.Harness, s string, seed int64) (map[string]bo.Value, error) {
+func parseArch(h *experiments.Harness, s string, seed int64) (map[string]bo.Value, error) {
 	space := h.ArchSpace()
 	mid := make([]float64, space.Dim())
 	for i := range mid {

@@ -219,13 +219,14 @@ func DecodeGuardrail(r io.Reader) (*Guardrail, error) {
 	if err := binary.Read(r, binary.LittleEndian, &g.Margin); err != nil {
 		return nil, fmt.Errorf("hpacml: guardrail margin: %w", err)
 	}
-	var err error
-	if g.Lo, err = readBounds(r, n); err != nil {
-		return nil, err
+	// Lo then Hi, read as one slab that grows only as its bytes arrive:
+	// a forged header's feature count then costs what the input really
+	// holds, not 16n bytes up front.
+	bounds, err := tensor.ReadSlab(nil, r, 2*n, make([]byte, 8*min(n, guardChunk)))
+	if err != nil {
+		return nil, fmt.Errorf("hpacml: guardrail bounds: %w", err)
 	}
-	if g.Hi, err = readBounds(r, n); err != nil {
-		return nil, err
-	}
+	g.Lo, g.Hi = bounds[:n:n], bounds[n:]
 	for f := 0; f < n; f++ {
 		if g.Lo[f] > g.Hi[f] {
 			return nil, fmt.Errorf("hpacml: guardrail feature %d has inverted bounds [%g, %g]", f, g.Lo[f], g.Hi[f])
@@ -234,24 +235,8 @@ func DecodeGuardrail(r io.Reader) (*Guardrail, error) {
 	return g, nil
 }
 
-// guardChunk is how many bounds readBounds reads per step.
+// guardChunk is how many bounds DecodeGuardrail reads per step.
 const guardChunk = 4096
-
-// readBounds reads n float64 bounds in chunks of guardChunk, growing the
-// slice only as the bytes arrive: a forged header's feature count then
-// costs what the input really holds, not 8n bytes up front.
-func readBounds(r io.Reader, n int) ([]float64, error) {
-	var out []float64
-	chunk := make([]float64, min(n, guardChunk))
-	for len(out) < n {
-		c := chunk[:min(n-len(out), len(chunk))]
-		if err := binary.Read(r, binary.LittleEndian, c); err != nil {
-			return nil, fmt.Errorf("hpacml: guardrail bounds: %w", err)
-		}
-		out = append(out, c...)
-	}
-	return out, nil
-}
 
 // LoadGuardrail reads the sidecar file at path.
 func LoadGuardrail(path string) (*Guardrail, error) {

@@ -7,43 +7,11 @@ import (
 
 	"repro/internal/benchmarks/binomial"
 	"repro/internal/benchmarks/common"
-	"repro/internal/bo"
-	"repro/internal/nn"
 )
-
-// binomialApp adapts the Binomial Options instance.
-type binomialApp struct {
-	in *binomial.Instance
-}
-
-func (a *binomialApp) Reset(seed int64)   { a.in.RandomizeOptions(seed) }
-func (a *binomialApp) RunAccurate()       { a.in.ComputePrices() }
-func (a *binomialApp) Outputs() []float64 { return a.in.Prices }
-func (a *binomialApp) InFeatures() int    { return 3 }
-func (a *binomialApp) OutFeatures() int   { return 1 }
-
-func (a *binomialApp) Region(modelPath, dbPath string, extra ...hpacml.Option) (*hpacml.Region, *bool, error) {
-	useModel := false
-	opts := []hpacml.Option{
-		hpacml.Directives(binomial.Directives(modelPath, dbPath)),
-		hpacml.BindInt("NOPT", a.in.Cfg.NumOptions),
-		hpacml.BindArray("S", a.in.S, a.in.Cfg.NumOptions),
-		hpacml.BindArray("X", a.in.X, a.in.Cfg.NumOptions),
-		hpacml.BindArray("T", a.in.T, a.in.Cfg.NumOptions),
-		hpacml.BindArray("prices", a.in.Prices, a.in.Cfg.NumOptions),
-		hpacml.BindPredicate("useModel", func() bool { return useModel }),
-	}
-	opts = append(opts, extra...)
-	r, err := hpacml.NewRegion("binomial", opts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return r, &useModel, nil
-}
 
 // NewBinomial builds the Binomial Options harness with the Table IV
 // two-hidden-layer family.
-func NewBinomial(scale Scale) Harness {
+func NewBinomial(scale Scale) *Harness {
 	cfg := binomial.DefaultConfig()
 	if scale == ScaleTest {
 		cfg.NumOptions = 1024
@@ -53,47 +21,31 @@ func NewBinomial(scale Scale) Harness {
 	if err != nil {
 		panic(fmt.Sprintf("experiments: binomial config invalid: %v", err))
 	}
-	dirText := binomial.Directives("model.gmod", "data.gh5")
-	loc, nDir := common.DirectiveStats(dirText)
-
-	h1Max, h2Max := 512, 512
-	if scale == ScaleTest {
-		h1Max, h2Max = 48, 24
-	}
-	return &tabularHarness{
+	n := in.Cfg.NumOptions
+	arch, paper := twoLayerSpace(scale)
+	return newHarness(&Harness{
 		info: common.Info{
 			Name:        "binomial",
 			Description: "American option pricing for a portfolio on a binomial lattice",
 			QoI:         "The computed prices",
 			Metric:      common.MetricRMSE,
 			TotalLoC:    binomial.SourceLoC(),
-			HPACMLLoC:   loc, DirectiveCount: nDir,
 		},
-		app:    &binomialApp{in: in},
-		metric: common.MetricRMSE,
-		arch: &bo.Space{Params: []bo.Param{
-			bo.IntParam{Key: "hidden1", Min: 5, Max: h1Max},
-			bo.IntParam{Key: "hidden2", Min: 0, Max: h2Max},
-		}},
-		paperArch: []string{
-			"Hidden 1 Features: [5, 512]",
-			"Hidden 2 Features: [0, 512]",
+		arch:       arch,
+		paperArch:  paper,
+		directives: binomial.Directives,
+		bind: []hpacml.Option{
+			hpacml.BindInt("NOPT", n),
+			hpacml.BindArray("S", in.S, n),
+			hpacml.BindArray("X", in.X, n),
+			hpacml.BindArray("T", in.T, n),
+			hpacml.BindArray("prices", in.Prices, n),
 		},
-		buildNet: buildTwoLayerNet,
-	}
-}
-
-// buildTwoLayerNet realizes the Table IV Binomial/Bonds family: one or
-// two hidden layers (hidden2 = 0 drops the second).
-func buildTwoLayerNet(arch map[string]bo.Value, dropout float64, inF, outF int, seed int64) (*nn.Network, error) {
-	h1 := arch["hidden1"].Int
-	h2 := arch["hidden2"].Int
-	if h1 < 1 || h2 < 0 {
-		return nil, fmt.Errorf("experiments: bad arch %v", arch)
-	}
-	hidden := []int{h1}
-	if h2 > 0 {
-		hidden = append(hidden, h2)
-	}
-	return buildMLP(hidden, dropout, inF, outF, seed), nil
+		app: &tabular{
+			reset:  in.RandomizeOptions,
+			run:    func() error { in.ComputePrices(); return nil },
+			out:    in.Prices,
+			hidden: twoLayerHidden,
+		},
+	})
 }

@@ -7,44 +7,11 @@ import (
 
 	"repro/internal/benchmarks/bonds"
 	"repro/internal/benchmarks/common"
-	"repro/internal/bo"
 )
-
-// bondsApp adapts the Bonds instance.
-type bondsApp struct {
-	in *bonds.Instance
-}
-
-func (a *bondsApp) Reset(seed int64)   { a.in.RandomizeBonds(seed) }
-func (a *bondsApp) RunAccurate()       { a.in.ComputeValuations() }
-func (a *bondsApp) Outputs() []float64 { return a.in.Accrued }
-func (a *bondsApp) InFeatures() int    { return 4 }
-func (a *bondsApp) OutFeatures() int   { return 1 }
-
-func (a *bondsApp) Region(modelPath, dbPath string, extra ...hpacml.Option) (*hpacml.Region, *bool, error) {
-	useModel := false
-	n := a.in.Cfg.NumBonds
-	opts := []hpacml.Option{
-		hpacml.Directives(bonds.Directives(modelPath, dbPath)),
-		hpacml.BindInt("NB", n),
-		hpacml.BindArray("coupon", a.in.Coupon, n),
-		hpacml.BindArray("rate", a.in.Rate, n),
-		hpacml.BindArray("maturity", a.in.Maturity, n),
-		hpacml.BindArray("settle", a.in.Settle, n),
-		hpacml.BindArray("accrued", a.in.Accrued, n),
-		hpacml.BindPredicate("useModel", func() bool { return useModel }),
-	}
-	opts = append(opts, extra...)
-	r, err := hpacml.NewRegion("bonds", opts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return r, &useModel, nil
-}
 
 // NewBonds builds the Bonds harness, sharing the two-hidden-layer
 // architecture family with Binomial Options (Table IV).
-func NewBonds(scale Scale) Harness {
+func NewBonds(scale Scale) *Harness {
 	cfg := bonds.DefaultConfig()
 	if scale == ScaleTest {
 		cfg.NumBonds = 1024
@@ -53,32 +20,32 @@ func NewBonds(scale Scale) Harness {
 	if err != nil {
 		panic(fmt.Sprintf("experiments: bonds config invalid: %v", err))
 	}
-	dirText := bonds.Directives("model.gmod", "data.gh5")
-	loc, nDir := common.DirectiveStats(dirText)
-
-	h1Max, h2Max := 512, 512
-	if scale == ScaleTest {
-		h1Max, h2Max = 48, 24
-	}
-	return &tabularHarness{
+	n := in.Cfg.NumBonds
+	arch, paper := twoLayerSpace(scale)
+	return newHarness(&Harness{
 		info: common.Info{
 			Name:        "bonds",
 			Description: "Fixed-rate bond valuation and interest payments under a flat forward curve",
 			QoI:         "The accrued interest for each bond",
 			Metric:      common.MetricRMSE,
 			TotalLoC:    bonds.SourceLoC(),
-			HPACMLLoC:   loc, DirectiveCount: nDir,
 		},
-		app:    &bondsApp{in: in},
-		metric: common.MetricRMSE,
-		arch: &bo.Space{Params: []bo.Param{
-			bo.IntParam{Key: "hidden1", Min: 5, Max: h1Max},
-			bo.IntParam{Key: "hidden2", Min: 0, Max: h2Max},
-		}},
-		paperArch: []string{
-			"Hidden 1 Features: [5, 512]",
-			"Hidden 2 Features: [0, 512]",
+		arch:       arch,
+		paperArch:  paper,
+		directives: bonds.Directives,
+		bind: []hpacml.Option{
+			hpacml.BindInt("NB", n),
+			hpacml.BindArray("coupon", in.Coupon, n),
+			hpacml.BindArray("rate", in.Rate, n),
+			hpacml.BindArray("maturity", in.Maturity, n),
+			hpacml.BindArray("settle", in.Settle, n),
+			hpacml.BindArray("accrued", in.Accrued, n),
 		},
-		buildNet: buildTwoLayerNet,
-	}
+		app: &tabular{
+			reset:  in.RandomizeBonds,
+			run:    func() error { in.ComputeValuations(); return nil },
+			out:    in.Accrued,
+			hidden: twoLayerHidden,
+		},
+	})
 }

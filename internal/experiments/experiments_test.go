@@ -427,8 +427,51 @@ func TestFigure6Proportions(t *testing.T) {
 }
 
 func TestFigure8UnknownPanel(t *testing.T) {
-	if _, err := Figure8(t.TempDir(), ScaleTest, QuickOptions(), "nosuch", 2); err == nil {
-		t.Fatal("want error for unknown figure 8 panel")
+	for _, name := range []string{"nosuch", "miniweather"} {
+		_, err := Figure8(t.TempDir(), ScaleTest, QuickOptions(), name, 2)
+		if err == nil || !strings.Contains(err.Error(), "no panel") {
+			t.Errorf("%s: want the no-panel error, got %v", name, err)
+		}
+	}
+}
+
+// TestLookup: every registered name builds the harness of that name,
+// and an unknown name fails with an error listing the valid ones.
+func TestLookup(t *testing.T) {
+	var names []string
+	for _, h := range Registry(ScaleTest) {
+		name := h.Info().Name
+		names = append(names, name)
+		got, err := Lookup(name, ScaleTest)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.Info().Name != name {
+			t.Errorf("Lookup(%q) built %q", name, got.Info().Name)
+		}
+	}
+	_, err := Lookup("nope", ScaleTest)
+	if err == nil {
+		t.Fatal("unknown benchmark resolved")
+	}
+	for _, name := range names {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-name error %q does not list %q", err, name)
+		}
+	}
+}
+
+// TestCampaignSkipsFailedArchitectures: an architecture that fails to
+// build is skipped, and a campaign where every one fails is an error.
+func TestCampaignSkipsFailedArchitectures(t *testing.T) {
+	h := NewBonds(ScaleTest)
+	bad := map[string]bo.Value{
+		"hidden1": {Name: "hidden1", Int: 0, IsInt: true},
+		"hidden2": {Name: "hidden2", Int: 0, IsInt: true},
+	}
+	_, err := Campaign(h, t.TempDir(), QuickOptions(), []map[string]bo.Value{bad})
+	if err == nil || !strings.Contains(err.Error(), "every architecture failed") {
+		t.Fatalf("want the every-architecture-failed error, got %v", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -18,7 +19,7 @@ import (
 // ArchSweep produces n architecture assignments spanning a harness's
 // search space: a diagonal walk from small to large with seeded jitter,
 // giving the model-size spread the Figure 7/8 scatters need.
-func ArchSweep(h Harness, n int, seed int64) []map[string]bo.Value {
+func ArchSweep(h *Harness, n int, seed int64) []map[string]bo.Value {
 	space := h.ArchSpace()
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]map[string]bo.Value, 0, n)
@@ -60,7 +61,7 @@ func defaultHyper() map[string]bo.Value {
 // Campaign collects once, then trains and evaluates every architecture in
 // archs, returning the successful results (failed architectures are
 // skipped, as in the BO campaign).
-func Campaign(h Harness, dir string, opt Options, archs []map[string]bo.Value) ([]EvalResult, error) {
+func Campaign(h *Harness, dir string, opt Options, archs []map[string]bo.Value) ([]EvalResult, error) {
 	name := h.Info().Name
 	dbPath := filepath.Join(dir, name+".gh5")
 	if _, err := h.Collect(dbPath, opt); err != nil {
@@ -227,16 +228,12 @@ func WriteFigure7(w io.Writer, pts []ScatterPoint, baseline float64) {
 // Figure8 sweeps one tabular benchmark ("minibude", "binomial", or
 // "bonds") for the speedup-vs-accuracy scatters of Figure 8.
 func Figure8(dir string, scale Scale, opt Options, benchmark string, sweep int) ([]ScatterPoint, error) {
-	var h Harness
-	switch benchmark {
-	case "minibude":
-		h = NewMiniBUDE(scale)
-	case "binomial":
-		h = NewBinomial(scale)
-	case "bonds":
-		h = NewBonds(scale)
-	default:
+	if !slices.Contains([]string{"minibude", "binomial", "bonds"}, benchmark) {
 		return nil, fmt.Errorf("figure 8 has no panel for %q", benchmark)
+	}
+	h, err := Lookup(benchmark, scale)
+	if err != nil {
+		return nil, err
 	}
 	results, err := Campaign(h, dir, opt, ArchSweep(h, sweep, opt.Seed))
 	if err != nil {
@@ -287,7 +284,7 @@ type Figure9Result struct {
 // Figure9 trains one MiniWeather surrogate and measures the interleaving
 // configurations of the paper: 0:1 (all surrogate), 1:1, 2:1, 3:3.
 func Figure9(dir string, scale Scale, opt Options, spinup, window int) (*Figure9Result, error) {
-	h := NewMiniWeather(scale).(*mwHarness)
+	h, w := newMiniWeather(scale)
 	dbPath := filepath.Join(dir, "miniweather-fig9.gh5")
 	if _, err := h.Collect(dbPath, opt); err != nil {
 		return nil, err
@@ -302,7 +299,7 @@ func Figure9(dir string, scale Scale, opt Options, spinup, window int) (*Figure9
 		return nil, err
 	}
 
-	sim := h.Instance()
+	sim := w.in
 	// Spin up with the accurate solver (the paper runs the original
 	// solution until timestep 1000 and applies surrogates afterwards).
 	sim.InitThermalBubble()
@@ -326,12 +323,11 @@ func Figure9(dir string, scale Scale, opt Options, spinup, window int) (*Figure9
 		return nil, err
 	}
 
-	region, gate, useModel, err := h.Region(modelPath)
+	region, err := h.region(modelPath, "")
 	if err != nil {
 		return nil, err
 	}
 	defer region.Close()
-	*useModel = true
 	hpacml.ClearModelCache()
 
 	res := &Figure9Result{
@@ -339,7 +335,6 @@ func Figure9(dir string, scale Scale, opt Options, spinup, window int) (*Figure9
 	}
 	for _, cfg := range res.Configs {
 		series := make([]float64, 0, window)
-		var surrogateSteps int
 		elapsed, err := timeIt(1, func() error {
 			sim.SetInterior(start)
 			phase := 0
@@ -352,12 +347,9 @@ func Figure9(dir string, scale Scale, opt Options, spinup, window int) (*Figure9
 					useSurrogate = phase%cycle >= cfg.Original
 				}
 				phase++
-				*gate = useSurrogate
-				if err := region.Execute(func() error { sim.Step(); return nil }); err != nil {
+				w.gate = useSurrogate
+				if err := region.Execute(w.step); err != nil {
 					return err
-				}
-				if useSurrogate {
-					surrogateSteps++
 				}
 				rmse, err := common.RMSE(sim.Interior(nil), refStates[s])
 				if err != nil {
@@ -373,7 +365,6 @@ func Figure9(dir string, scale Scale, opt Options, spinup, window int) (*Figure9
 		res.SeriesRMSE = append(res.SeriesRMSE, series)
 		res.FinalRMSE = append(res.FinalRMSE, series[len(series)-1])
 		res.Speedup = append(res.Speedup, accurateTime.Seconds()/elapsed.Seconds())
-		_ = surrogateSteps
 	}
 
 	// Panel (f): relative-error CDFs after 1 and 10 consecutive
@@ -382,8 +373,8 @@ func Figure9(dir string, scale Scale, opt Options, spinup, window int) (*Figure9
 	// quiescent near-zero cells do not dominate the distribution.
 	floor := 0.05 * rms(refStates[1])
 	sim.SetInterior(start)
-	*gate = true
-	if err := region.Execute(func() error { sim.Step(); return nil }); err != nil {
+	w.gate = true
+	if err := region.Execute(w.step); err != nil {
 		return nil, err
 	}
 	rel1, err := common.RelativeErrors(sim.Interior(nil), refStates[1], floor)
@@ -404,7 +395,7 @@ func Figure9(dir string, scale Scale, opt Options, spinup, window int) (*Figure9
 	}
 	sim.SetInterior(start)
 	for s := 0; s < steps10; s++ {
-		if err := region.Execute(func() error { sim.Step(); return nil }); err != nil {
+		if err := region.Execute(w.step); err != nil {
 			return nil, err
 		}
 	}
@@ -477,7 +468,7 @@ func WriteFigure9(w io.Writer, r *Figure9Result) {
 // benchmark: outer architecture search, inner hyperparameter tuning,
 // objectives (inference latency, validation error). Expensive: used by
 // cmd/hpacml-search.
-func NestedCampaign(h Harness, dir string, opt Options, cfg bo.NestedConfig) (*bo.NestedResult, error) {
+func NestedCampaign(h *Harness, dir string, opt Options, cfg bo.NestedConfig) (*bo.NestedResult, error) {
 	name := h.Info().Name
 	dbPath := filepath.Join(dir, name+"-search.gh5")
 	if _, err := h.Collect(dbPath, opt); err != nil {

@@ -10,6 +10,9 @@ package experiments
 import (
 	"fmt"
 	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"time"
 
 	hpacml "repro"
@@ -100,12 +103,11 @@ type EvalResult struct {
 
 // CollectStats is one Table III row.
 type CollectStats struct {
-	Benchmark   string
-	PlainSec    float64
-	CollectSec  float64
-	DataSizeMB  float64
-	OverheadX   float64
-	Invocations int
+	Benchmark  string
+	PlainSec   float64
+	CollectSec float64
+	DataSizeMB float64
+	OverheadX  float64
 }
 
 // CollectReport summarizes one collection run's capture pipeline: what
@@ -163,30 +165,219 @@ func collectReport(region *hpacml.Region, runErr error) (CollectReport, error) {
 	return rep, err
 }
 
-// Harness is one benchmark wired to HPAC-ML.
-type Harness interface {
-	// Info returns the Table I registry entry (QoI, metric, LoC counts).
-	Info() common.Info
-	// Collect records CollectRuns region invocations into dbPath (a
-	// local .gh5 path or a remote http(s):// capture-db URI), driving
-	// them through the capture pipeline Options.Capture configures, and
-	// reports what the pipeline did with them.
-	Collect(dbPath string, opt Options) (CollectReport, error)
-	// CollectOverhead measures Table III: plain runtime vs collection
-	// runtime plus database size.
-	CollectOverhead(dir string, opt Options) (CollectStats, error)
-	// ArchSpace is the (run-scaled) architecture search space; the
-	// paper-scale space is reported by PaperArchSpace for Table IV.
-	ArchSpace() *bo.Space
-	// PaperArchSpace renders the Table IV rows verbatim.
-	PaperArchSpace() []string
-	// Train fits a surrogate with the given architecture and
-	// hyperparameters from dbPath and saves it to modelPath, returning
-	// the validation error.
-	Train(dbPath, modelPath string, arch, hyper map[string]bo.Value, opt Options) (float64, error)
-	// Evaluate deploys modelPath and measures end-to-end speedup and QoI
-	// error against the accurate path.
-	Evaluate(modelPath string, opt Options) (EvalResult, error)
+// Harness is one benchmark wired to HPAC-ML: its Table I entry, its
+// Table IV search space, its annotated region, and the hooks (app) that
+// say what its runs are. Collect, CollectOverhead, Train and Evaluate
+// are written once, here, for all five benchmarks.
+type Harness struct {
+	info       common.Info
+	arch       *bo.Space // run-scaled architecture search space
+	paperArch  []string  // Table IV rows, verbatim
+	directives func(model, db string) string
+	bind       []hpacml.Option // the region's bindings over the app's buffers
+	app        app
+}
+
+// app is what one benchmark supplies to its Harness.
+type app interface {
+	// collect drives opt.CollectRuns collection runs through r.
+	collect(r *hpacml.Region, opt Options) error
+	// overhead readies Table III's input and returns its plain run and
+	// the same run through the annotated region.
+	overhead(opt Options) (plain func() error, annotated func(*hpacml.Region) error)
+	// evaluation readies held-out input and returns what Evaluate times
+	// and scores.
+	evaluation(opt Options) evaluation
+	// build realizes an architecture as an untrained network for the
+	// training set ds, with the loss it trains under (nil for MSE).
+	build(arch map[string]bo.Value, dropout float64, ds *nn.Dataset, opt Options) (*nn.Network, nn.Loss, error)
+}
+
+// evaluation is one benchmark's Evaluate measurement.
+type evaluation struct {
+	runs      int          // timed repetitions of each path
+	accurate  func() error // the original computation
+	surrogate func(*hpacml.Region) error
+	// reference is called once the accurate runs are timed: it keeps
+	// their answer and returns the scorer of the surrogate's under the
+	// benchmark's Table I metric.
+	reference func(common.Metric) scorer
+}
+
+// scorer reports the surrogate run's QoI error and the error of the
+// application's own approximation where one exists (0 otherwise).
+type scorer func() (qoi, baseline float64, err error)
+
+// compare keeps the answer the accurate runs left and scores the
+// surrogate's later answer against it under metric m.
+func compare(m common.Metric, answer func() []float64) scorer {
+	metric := common.RMSE
+	if m == common.MetricMAPE {
+		metric = common.MAPE
+	}
+	ref := slices.Clone(answer())
+	return func() (float64, float64, error) {
+		e, err := metric(answer(), ref)
+		return e, 0, err
+	}
+}
+
+// newHarness completes h's Table I entry with the Table II counts of
+// its directives.
+func newHarness(h *Harness) *Harness {
+	h.info.HPACMLLoC, h.info.DirectiveCount = common.DirectiveStats(h.directives("model.gmod", "data.gh5"))
+	return h
+}
+
+// Info returns the Table I registry entry (QoI, metric, LoC counts).
+func (h *Harness) Info() common.Info { return h.info }
+
+// ArchSpace is the (run-scaled) architecture search space; the
+// paper-scale space is reported by PaperArchSpace for Table IV.
+func (h *Harness) ArchSpace() *bo.Space { return h.arch }
+
+// PaperArchSpace renders the Table IV rows verbatim.
+func (h *Harness) PaperArchSpace() []string { return h.paperArch }
+
+// region builds the benchmark's annotated region: inference mode when
+// modelPath is set, collection mode otherwise.
+func (h *Harness) region(modelPath, dbPath string, extra ...hpacml.Option) (*hpacml.Region, error) {
+	infer := modelPath != ""
+	opts := []hpacml.Option{
+		hpacml.Directives(h.directives(modelPath, dbPath)),
+		hpacml.BindPredicate("useModel", func() bool { return infer }),
+	}
+	opts = append(append(opts, h.bind...), extra...)
+	return hpacml.NewRegion(h.info.Name, opts...)
+}
+
+// Collect records CollectRuns collection runs into dbPath (a local .gh5
+// path or a remote http(s):// capture-db URI), driving them through the
+// capture pipeline Options.Capture configures, and reports what the
+// pipeline did with them. Even when a run errors, the region is closed
+// through the report path so already-captured records are flushed,
+// never silently truncated.
+func (h *Harness) Collect(dbPath string, opt Options) (CollectReport, error) {
+	region, err := h.region("", dbPath, hpacml.WithCapture(opt.Capture))
+	if err != nil {
+		return CollectReport{}, err
+	}
+	defer region.Close()
+	runErr := h.app.collect(region, opt)
+	if runErr != nil {
+		runErr = fmt.Errorf("%s collect %w", h.info.Name, runErr)
+	}
+	return collectReport(region, runErr)
+}
+
+// CollectOverhead measures Table III: plain runtime vs collection
+// runtime plus database size.
+func (h *Harness) CollectOverhead(dir string, opt Options) (CollectStats, error) {
+	plainRun, annotated := h.app.overhead(opt)
+	plain, err := timeIt(opt.EvalRuns, plainRun)
+	if err != nil {
+		return CollectStats{}, err
+	}
+	dbPath := filepath.Join(dir, h.info.Name+"-overhead.gh5")
+	region, err := h.region("", dbPath)
+	if err != nil {
+		return CollectStats{}, err
+	}
+	defer region.Close()
+	collect, err := timeIt(opt.EvalRuns, func() error { return annotated(region) })
+	if err != nil {
+		return CollectStats{}, err
+	}
+	if err := region.Close(); err != nil {
+		return CollectStats{}, err
+	}
+	mb, err := fileSizeMB(dbPath)
+	if err != nil {
+		return CollectStats{}, err
+	}
+	return CollectStats{
+		Benchmark:  h.info.Name,
+		PlainSec:   plain.Seconds(),
+		CollectSec: collect.Seconds(),
+		DataSizeMB: mb,
+		OverheadX:  collect.Seconds() / plain.Seconds(),
+	}, nil
+}
+
+// Train fits a surrogate with the given architecture and
+// hyperparameters from dbPath and saves it to modelPath, returning the
+// validation error.
+func (h *Harness) Train(dbPath, modelPath string, arch, hyper map[string]bo.Value, opt Options) (float64, error) {
+	ds, err := loadDataset(dbPath, h.info.Name)
+	if err != nil {
+		return 0, err
+	}
+	net, loss, err := h.app.build(arch, dropoutOf(hyper), ds, opt)
+	if err != nil {
+		return 0, err
+	}
+	cfg := trainCfg(hyper, opt)
+	cfg.Loss = loss
+	hist, err := net.Fit(ds, nil, cfg)
+	if err != nil {
+		return 0, err
+	}
+	if err := net.Save(modelPath); err != nil {
+		return 0, err
+	}
+	return hist.BestVal, nil
+}
+
+// Evaluate deploys modelPath and measures end-to-end speedup and QoI
+// error against the accurate path.
+func (h *Harness) Evaluate(modelPath string, opt Options) (EvalResult, error) {
+	ev := h.app.evaluation(opt)
+	accurate, err := timeIt(ev.runs, ev.accurate)
+	if err != nil {
+		return EvalResult{}, err
+	}
+	score := ev.reference(h.info.Metric)
+
+	region, err := h.region(modelPath, "")
+	if err != nil {
+		return EvalResult{}, err
+	}
+	defer region.Close()
+	hpacml.ClearModelCache()
+	surrogate, err := timeIt(ev.runs, func() error { return ev.surrogate(region) })
+	if err != nil {
+		return EvalResult{}, err
+	}
+	qoiErr, baseline, err := score()
+	if err != nil {
+		return EvalResult{}, err
+	}
+	params, err := modelParams(modelPath)
+	if err != nil {
+		return EvalResult{}, err
+	}
+	st := region.Stats()
+	inv := float64(max(st.Inferences, 1))
+	res := EvalResult{
+		Benchmark:       h.info.Name,
+		Speedup:         accurate.Seconds() / surrogate.Seconds(),
+		Error:           qoiErr,
+		Params:          params,
+		LatencySec:      st.Inference.Seconds() / inv,
+		ToTensorSec:     st.ToTensor.Seconds() / inv,
+		InferenceSec:    st.Inference.Seconds() / inv,
+		FromTensorSec:   st.FromTensor.Seconds() / inv,
+		BaselineError:   baseline,
+		Fallbacks:       st.Fallbacks,
+		RemoteInference: st.RemoteInference,
+		TrustedRows:     st.TrustedRows,
+		UncertainRows:   st.UncertainRows,
+		OutOfDomainRows: st.OutOfDomainRows,
+		CaptureDrops:    st.CaptureDrops,
+		CaptureFlushes:  st.CaptureFlushes,
+		RemoteCaptures:  st.RemoteCaptures,
+	}
+	return res, checkFinite(h.info.Name, res.Speedup, res.Error)
 }
 
 // HyperSpace is the Table V hyperparameter space, shared by every
@@ -210,15 +401,37 @@ func PaperHyperSpace() []string {
 	}
 }
 
+// benchmarks names each benchmark's constructor, in the paper's order.
+var benchmarks = []struct {
+	name  string
+	build func(Scale) *Harness
+}{
+	{"minibude", NewMiniBUDE},
+	{"binomial", NewBinomial},
+	{"bonds", NewBonds},
+	{"miniweather", NewMiniWeather},
+	{"particlefilter", NewParticleFilter},
+}
+
 // Registry returns every harness, in the paper's benchmark order.
-func Registry(scale Scale) []Harness {
-	return []Harness{
-		NewMiniBUDE(scale),
-		NewBinomial(scale),
-		NewBonds(scale),
-		NewMiniWeather(scale),
-		NewParticleFilter(scale),
+func Registry(scale Scale) []*Harness {
+	out := make([]*Harness, len(benchmarks))
+	for i, b := range benchmarks {
+		out[i] = b.build(scale)
 	}
+	return out
+}
+
+// Lookup builds the named benchmark's harness, and only that one.
+func Lookup(name string, scale Scale) (*Harness, error) {
+	names := make([]string, len(benchmarks))
+	for i, b := range benchmarks {
+		if b.name == name {
+			return b.build(scale), nil
+		}
+		names[i] = b.name
+	}
+	return nil, fmt.Errorf("unknown benchmark %q (valid: %s)", name, strings.Join(names, ", "))
 }
 
 // Scale selects problem sizes.

@@ -8,43 +8,12 @@ import (
 	"repro/internal/benchmarks/common"
 	"repro/internal/benchmarks/minibude"
 	"repro/internal/bo"
-	"repro/internal/nn"
 )
-
-// budeApp adapts the MiniBUDE instance to the tabular harness.
-type budeApp struct {
-	in *minibude.Instance
-}
-
-func (a *budeApp) Reset(seed int64) { a.in.RandomizePoses(seed) }
-func (a *budeApp) RunAccurate()     { a.in.ComputeEnergies() }
-func (a *budeApp) Outputs() []float64 {
-	return a.in.Energies
-}
-func (a *budeApp) InFeatures() int  { return 6 }
-func (a *budeApp) OutFeatures() int { return 1 }
-
-func (a *budeApp) Region(modelPath, dbPath string, extra ...hpacml.Option) (*hpacml.Region, *bool, error) {
-	useModel := false
-	opts := []hpacml.Option{
-		hpacml.Directives(minibude.Directives(modelPath, dbPath)),
-		hpacml.BindInt("NPOSES", a.in.Cfg.NumPoses),
-		hpacml.BindArray("poses", a.in.Poses, a.in.Cfg.NumPoses, 6),
-		hpacml.BindArray("energies", a.in.Energies, a.in.Cfg.NumPoses),
-		hpacml.BindPredicate("useModel", func() bool { return useModel }),
-	}
-	opts = append(opts, extra...)
-	r, err := hpacml.NewRegion("minibude", opts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return r, &useModel, nil
-}
 
 // NewMiniBUDE builds the MiniBUDE harness. The architecture space is the
 // Table IV family (hidden-layer count, first hidden size, feature
 // multiplier), scaled down at ScaleTest.
-func NewMiniBUDE(scale Scale) Harness {
+func NewMiniBUDE(scale Scale) *Harness {
 	cfg := minibude.DefaultConfig()
 	if scale == ScaleTest {
 		// Fewer poses than the campaign deck but the full interaction
@@ -58,8 +27,6 @@ func NewMiniBUDE(scale Scale) Harness {
 	if err != nil {
 		panic(fmt.Sprintf("experiments: minibude config invalid: %v", err))
 	}
-	dirText := minibude.Directives("model.gmod", "data.gh5")
-	loc, nDir := common.DirectiveStats(dirText)
 
 	var hidden1 bo.Param
 	var layers bo.Param
@@ -70,17 +37,15 @@ func NewMiniBUDE(scale Scale) Harness {
 		layers = bo.IntParam{Key: "layers", Min: 2, Max: 4}
 		hidden1 = bo.ChoiceParam{Key: "hidden1", Choices: []int{16, 32, 64, 128}}
 	}
-	return &tabularHarness{
+	n := in.Cfg.NumPoses
+	return newHarness(&Harness{
 		info: common.Info{
 			Name:        "minibude",
 			Description: "Virtual screening in molecular docking: empirical-forcefield pose scoring",
 			QoI:         "Ligand-protein binding energy for each pose",
 			Metric:      common.MetricMAPE,
 			TotalLoC:    minibude.SourceLoC(),
-			HPACMLLoC:   loc, DirectiveCount: nDir,
 		},
-		app:    &budeApp{in: in},
-		metric: common.MetricMAPE,
 		arch: &bo.Space{Params: []bo.Param{
 			layers,
 			hidden1,
@@ -91,14 +56,25 @@ func NewMiniBUDE(scale Scale) Harness {
 			"Hidden 1 Size: 64, 128, ..., 4096",
 			"Feature Multiplier: [0.1, 0.8]",
 		},
-		buildNet: buildBudeNet,
-	}
+		directives: minibude.Directives,
+		bind: []hpacml.Option{
+			hpacml.BindInt("NPOSES", n),
+			hpacml.BindArray("poses", in.Poses, n, 6),
+			hpacml.BindArray("energies", in.Energies, n),
+		},
+		app: &tabular{
+			reset:  in.RandomizePoses,
+			run:    func() error { in.ComputeEnergies(); return nil },
+			out:    in.Energies,
+			hidden: budeHidden,
+		},
+	})
 }
 
-// buildBudeNet realizes the Table IV MiniBUDE family: layers hidden
+// budeHidden realizes the Table IV MiniBUDE family: layers hidden
 // layers, the first sized hidden1, each following layer shrunk by the
 // feature multiplier.
-func buildBudeNet(arch map[string]bo.Value, dropout float64, inF, outF int, seed int64) (*nn.Network, error) {
+func budeHidden(arch map[string]bo.Value) ([]int, error) {
 	layers := arch["layers"].Int
 	h1 := arch["hidden1"].Int
 	mult := arch["feature_mult"].Float
@@ -114,5 +90,5 @@ func buildBudeNet(arch map[string]bo.Value, dropout float64, inF, outF int, seed
 		hidden[i] = int(size)
 		size *= mult
 	}
-	return buildMLP(hidden, dropout, inF, outF, seed), nil
+	return hidden, nil
 }

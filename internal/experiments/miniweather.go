@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"path/filepath"
 
 	hpacml "repro"
 
@@ -13,20 +12,24 @@ import (
 	"repro/internal/nn"
 )
 
-// mwHarness wires MiniWeather: an iterative, auto-regressive region whose
-// state array is both input and output (the 3-directive inout annotation
-// of Table II). The if clause gates surrogate use per timestep, enabling
-// the Figure 9 interleaving study.
-type mwHarness struct {
-	info  common.Info
-	in    *miniweather.Instance
-	arch  *bo.Space
-	paper []string
+// weather is MiniWeather's hook set: an iterative, auto-regressive
+// region whose state array is both input and output (the 3-directive
+// inout annotation of Table II). The if clause gates surrogate use per
+// timestep, enabling the Figure 9 interleaving study.
+type weather struct {
+	in   *miniweather.Instance
+	gate bool // the if clause: true runs the HPAC-ML path
 }
 
 // NewMiniWeather builds the MiniWeather harness with the Table IV
 // convolutional family.
-func NewMiniWeather(scale Scale) Harness {
+func NewMiniWeather(scale Scale) *Harness {
+	h, _ := newMiniWeather(scale)
+	return h
+}
+
+// newMiniWeather also returns the hook set, which Figure 9 drives.
+func newMiniWeather(scale Scale) (*Harness, *weather) {
 	cfg := miniweather.DefaultConfig()
 	if scale == ScaleTest {
 		cfg.NX, cfg.NZ = 32, 16
@@ -35,8 +38,6 @@ func NewMiniWeather(scale Scale) Harness {
 	if err != nil {
 		panic(fmt.Sprintf("experiments: miniweather config invalid: %v", err))
 	}
-	dirText := miniweather.Directives("model.gmod", "data.gh5")
-	loc, nDir := common.DirectiveStats(dirText)
 
 	var arch *bo.Space
 	if scale == ScaleFull {
@@ -52,112 +53,91 @@ func NewMiniWeather(scale Scale) Harness {
 			bo.IntParam{Key: "conv2_kernel", Min: 0, Max: 3},
 		}}
 	}
-	return &mwHarness{
+	w := &weather{in: in, gate: true}
+	nv, nzh, nxh := in.StateDims()
+	return newHarness(&Harness{
 		info: common.Info{
 			Name:        "miniweather",
 			Description: "Atmospheric dynamics via essential weather/climate modeling equations",
 			QoI:         "Simulation state variables (density, x momentum, z momentum, potential temperature) at each gridpoint",
 			Metric:      common.MetricRMSE,
 			TotalLoC:    miniweather.SourceLoC(),
-			HPACMLLoC:   loc, DirectiveCount: nDir,
 		},
-		in:   in,
 		arch: arch,
-		paper: []string{
+		paperArch: []string{
 			"Conv. Layer 1 Kernel Size: [2, 8]",
 			"Conv. Layer 1 Output Channels: [4, 8]",
 			"Conv. Layer 2 Kernel Size: [0, 6]",
 		},
-	}
+		directives: miniweather.Directives,
+		bind: []hpacml.Option{
+			hpacml.BindInt("NV", nv),
+			hpacml.BindInt("NZH", nzh),
+			hpacml.BindInt("NXH", nxh),
+			hpacml.BindArray("state", in.State, nv, nzh, nxh),
+			hpacml.BindPredicate("gate", func() bool { return w.gate }),
+			hpacml.InputLayout(hpacml.LayoutChannels),
+			hpacml.OutputLayout(hpacml.LayoutChannels),
+		},
+		app: w,
+	}), w
 }
 
-func (h *mwHarness) Info() common.Info        { return h.info }
-func (h *mwHarness) ArchSpace() *bo.Space     { return h.arch }
-func (h *mwHarness) PaperArchSpace() []string { return h.paper }
+func (w *weather) step() error { w.in.Step(); return nil }
 
-// region builds the 3-directive inout region over the haloed state array.
-// The returned gate controls the if clause (true = HPAC-ML active) and
-// useModel the predicated mode (true = inference, false = collection).
-func (h *mwHarness) region(modelPath, dbPath string, extra ...hpacml.Option) (r *hpacml.Region, gate, useModel *bool, err error) {
-	g, u := true, false
-	nv, nzh, nxh := h.in.StateDims()
-	opts := []hpacml.Option{
-		hpacml.Directives(miniweather.Directives(modelPath, dbPath)),
-		hpacml.BindInt("NV", nv),
-		hpacml.BindInt("NZH", nzh),
-		hpacml.BindInt("NXH", nxh),
-		hpacml.BindArray("state", h.in.State, nv, nzh, nxh),
-		hpacml.BindPredicate("useModel", func() bool { return u }),
-		hpacml.BindPredicate("gate", func() bool { return g }),
-		hpacml.InputLayout(hpacml.LayoutChannels),
-		hpacml.OutputLayout(hpacml.LayoutChannels),
-	}
-	opts = append(opts, extra...)
-	r, err = hpacml.NewRegion("miniweather", opts...)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return r, &g, &u, nil
-}
-
-// Collect runs the simulation forward, recording (state_t, state_t+1)
-// pairs — the auto-regressive training set.
-func (h *mwHarness) Collect(dbPath string, opt Options) (CollectReport, error) {
-	h.in.InitThermalBubble()
-	region, gate, useModel, err := h.region("", dbPath, hpacml.WithCapture(opt.Capture))
-	if err != nil {
-		return CollectReport{}, err
-	}
-	defer region.Close()
-	*gate = true
-	*useModel = false
-	steps := opt.CollectRuns * 10
-	var runErr error
-	for s := 0; s < steps; s++ {
-		if err := region.Execute(func() error { h.in.Step(); return nil }); err != nil {
-			runErr = fmt.Errorf("miniweather collect step %d: %w", s, err)
-			break
+// collect runs the simulation forward from one thermal bubble,
+// recording (state_t, state_t+1) pairs — the auto-regressive training
+// set — ten timesteps per collection run.
+func (w *weather) collect(r *hpacml.Region, opt Options) error {
+	w.in.InitThermalBubble()
+	w.gate = true
+	for s := 0; s < opt.CollectRuns*10; s++ {
+		if err := r.Execute(w.step); err != nil {
+			return fmt.Errorf("step %d: %w", s, err)
 		}
 	}
-	return collectReport(region, runErr)
+	return nil
 }
 
-// CollectOverhead measures Table III for MiniWeather.
-func (h *mwHarness) CollectOverhead(dir string, opt Options) (CollectStats, error) {
-	h.in.InitThermalBubble()
-	plain, err := timeIt(opt.EvalRuns, func() error { h.in.Step(); return nil })
-	if err != nil {
-		return CollectStats{}, err
+func (w *weather) overhead(Options) (func() error, func(*hpacml.Region) error) {
+	w.in.InitThermalBubble()
+	w.gate = true
+	return w.step, func(r *hpacml.Region) error { return r.Execute(w.step) }
+}
+
+// evaluation spins the simulation up with accurate steps, then compares
+// an all-surrogate rollout against the accurate continuation: RMSE of
+// the final state and end-to-end speedup over the rollout window.
+func (w *weather) evaluation(Options) evaluation {
+	const spinup, window = 30, 10
+	w.in.InitThermalBubble()
+	for s := 0; s < spinup; s++ {
+		w.in.Step()
 	}
-	dbPath := filepath.Join(dir, "miniweather-overhead.gh5")
-	region, gate, useModel, err := h.region("", dbPath)
-	if err != nil {
-		return CollectStats{}, err
+	snapshot := w.in.Interior(nil)
+	w.gate = true
+	return evaluation{
+		runs: 1,
+		accurate: func() error {
+			w.in.SetInterior(snapshot)
+			for s := 0; s < window; s++ {
+				w.in.Step()
+			}
+			return nil
+		},
+		surrogate: func(r *hpacml.Region) error {
+			w.in.SetInterior(snapshot)
+			for s := 0; s < window; s++ {
+				if err := r.Execute(w.step); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		reference: func(m common.Metric) scorer {
+			return compare(m, func() []float64 { return w.in.Interior(nil) })
+		},
 	}
-	defer region.Close()
-	*gate = true
-	*useModel = false
-	collect, err := timeIt(opt.EvalRuns, func() error {
-		return region.Execute(func() error { h.in.Step(); return nil })
-	})
-	if err != nil {
-		return CollectStats{}, err
-	}
-	if err := region.Close(); err != nil {
-		return CollectStats{}, err
-	}
-	mb, err := fileSizeMB(dbPath)
-	if err != nil {
-		return CollectStats{}, err
-	}
-	return CollectStats{
-		Benchmark:   "miniweather",
-		PlainSec:    plain.Seconds(),
-		CollectSec:  collect.Seconds(),
-		DataSizeMB:  mb,
-		OverheadX:   collect.Seconds() / plain.Seconds(),
-		Invocations: opt.EvalRuns + 1,
-	}, nil
 }
 
 // mwStats holds the per-channel normalization statistics computed from a
@@ -206,41 +186,28 @@ func computeMWStats(ds *nn.Dataset) mwStats {
 	return st
 }
 
-// Train fits the convolutional surrogate with normalized-delta training:
-// the model internally standardizes its input channels, predicts the
-// per-step delta on a normalized scale, rescales it to physical units,
-// and adds it to the input (residual). The loss weights each channel by
-// the inverse variance of its delta so the small-scale density channel —
-// which drives the gravity source term when the surrogate runs
-// auto-regressively — carries equal gradient weight.
-func (h *mwHarness) Train(dbPath, modelPath string, arch, hyper map[string]bo.Value, opt Options) (float64, error) {
-	ds, err := loadDataset(dbPath, "miniweather")
-	if err != nil {
-		return 0, err
-	}
+// build fits the convolutional surrogate for normalized-delta
+// training: the model internally standardizes its input channels,
+// predicts the per-step delta on a normalized scale, rescales it to
+// physical units, and adds it to the input (residual). The loss weights
+// each channel by the inverse variance of its delta so the small-scale
+// density channel — which drives the gravity source term when the
+// surrogate runs auto-regressively — carries equal gradient weight.
+func (w *weather) build(arch map[string]bo.Value, dropout float64, ds *nn.Dataset, opt Options) (*nn.Network, nn.Loss, error) {
 	stats := computeMWStats(ds)
-	net, err := h.buildCNN(arch, dropoutOf(hyper), opt.Seed, stats)
+	net, err := w.buildCNN(arch, dropout, opt.Seed, stats)
 	if err != nil {
-		return 0, err
+		return nil, nil, err
 	}
-	cfg := trainCfg(hyper, opt)
-	cfg.Loss = nn.WeightedMSE{Weights: nn.InverseVarianceWeights(stats.deltaStd, stats.blockLen, 1e-9)}
-	hist, err := net.Fit(ds, nil, cfg)
-	if err != nil {
-		return 0, err
-	}
-	if err := net.Save(modelPath); err != nil {
-		return 0, err
-	}
-	return hist.BestVal, nil
+	return net, nn.WeightedMSE{Weights: nn.InverseVarianceWeights(stats.deltaStd, stats.blockLen, 1e-9)}, nil
 }
 
 // buildCNN realizes the Table IV MiniWeather family: one or two conv
 // layers (conv2_kernel = 0 drops the second) and a dense decoder, wrapped
 // as body of a residual block with channel normalization on the way in
 // and delta-scale restoration on the way out.
-func (h *mwHarness) buildCNN(arch map[string]bo.Value, dropout float64, seed int64, stats mwStats) (*nn.Network, error) {
-	cfg := h.in.Cfg
+func (w *weather) buildCNN(arch map[string]bo.Value, dropout float64, seed int64, stats mwStats) (*nn.Network, error) {
+	cfg := w.in.Cfg
 	k1 := arch["conv1_kernel"].Int
 	ch := arch["conv1_channels"].Int
 	k2 := arch["conv2_kernel"].Int
@@ -279,94 +246,4 @@ func (h *mwHarness) buildCNN(arch map[string]bo.Value, dropout float64, seed int
 	net := nn.NewNetwork(seed + 1)
 	net.Add(nn.NewResidual(body))
 	return net, nil
-}
-
-// Evaluate spins the simulation up with accurate steps, then compares an
-// all-surrogate rollout against the accurate continuation: RMSE of the
-// final state and end-to-end speedup over the rollout window.
-func (h *mwHarness) Evaluate(modelPath string, opt Options) (EvalResult, error) {
-	const spinup, window = 30, 10
-	h.in.InitThermalBubble()
-	for s := 0; s < spinup; s++ {
-		h.in.Step()
-	}
-	snapshot := h.in.Interior(nil)
-
-	// Accurate continuation (timed).
-	accurate, err := timeIt(1, func() error {
-		h.in.SetInterior(snapshot)
-		for s := 0; s < window; s++ {
-			h.in.Step()
-		}
-		return nil
-	})
-	if err != nil {
-		return EvalResult{}, err
-	}
-	ref := h.in.Interior(nil)
-
-	// Surrogate rollout (timed) from the same snapshot.
-	region, gate, useModel, err := h.region(modelPath, "")
-	if err != nil {
-		return EvalResult{}, err
-	}
-	defer region.Close()
-	*gate = true
-	*useModel = true
-	hpacml.ClearModelCache()
-	surrogate, err := timeIt(1, func() error {
-		h.in.SetInterior(snapshot)
-		for s := 0; s < window; s++ {
-			if err := region.Execute(func() error { h.in.Step(); return nil }); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return EvalResult{}, err
-	}
-	pred := h.in.Interior(nil)
-
-	rmse, err := common.RMSE(pred, ref)
-	if err != nil {
-		return EvalResult{}, err
-	}
-	params, err := modelParams(modelPath)
-	if err != nil {
-		return EvalResult{}, err
-	}
-	st := region.Stats()
-	inv := st.Inferences
-	if inv == 0 {
-		inv = 1
-	}
-	res := EvalResult{
-		Benchmark:       "miniweather",
-		Speedup:         accurate.Seconds() / surrogate.Seconds(),
-		Error:           rmse,
-		Params:          params,
-		LatencySec:      st.Inference.Seconds() / float64(inv),
-		ToTensorSec:     st.ToTensor.Seconds() / float64(inv),
-		InferenceSec:    st.Inference.Seconds() / float64(inv),
-		FromTensorSec:   st.FromTensor.Seconds() / float64(inv),
-		Fallbacks:       st.Fallbacks,
-		RemoteInference: st.RemoteInference,
-		TrustedRows:     st.TrustedRows,
-		UncertainRows:   st.UncertainRows,
-		OutOfDomainRows: st.OutOfDomainRows,
-		CaptureDrops:    st.CaptureDrops,
-		CaptureFlushes:  st.CaptureFlushes,
-		RemoteCaptures:  st.RemoteCaptures,
-	}
-	return res, checkFinite("miniweather", res.Speedup, res.Error)
-}
-
-// Instance exposes the simulation for the Figure 9 interleaving driver.
-func (h *mwHarness) Instance() *miniweather.Instance { return h.in }
-
-// Region exposes region construction for the Figure 9 driver.
-func (h *mwHarness) Region(modelPath string) (*hpacml.Region, *bool, *bool, error) {
-	r, gate, useModel, err := h.region(modelPath, "")
-	return r, gate, useModel, err
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"path/filepath"
 
 	hpacml "repro"
 
@@ -12,21 +11,17 @@ import (
 	"repro/internal/nn"
 )
 
-// pfHarness wires the ParticleFilter benchmark: a CNN over raw frames
-// replaces the whole filter (Observation 1).
-type pfHarness struct {
-	info  common.Info
+// tracker is ParticleFilter's hook set: a CNN over raw frames replaces
+// the whole filter (Observation 1).
+type tracker struct {
 	in    *particlefilter.Instance
-	arch  *bo.Space
-	paper []string
-
-	frameBuf []float64 // the region's bound input frame
-	est      []float64 // the region's bound output location [1][2]
+	frame []float64 // the region's bound input frame
+	est   []float64 // the region's bound output location [1][2]
 }
 
 // NewParticleFilter builds the ParticleFilter harness with the Table IV
 // CNN family (conv kernel/stride, maxpool kernel, FC2 size).
-func NewParticleFilter(scale Scale) Harness {
+func NewParticleFilter(scale Scale) *Harness {
 	cfg := particlefilter.DefaultConfig()
 	if scale == ScaleTest {
 		cfg.NumFrames = 24
@@ -36,8 +31,6 @@ func NewParticleFilter(scale Scale) Harness {
 	if err != nil {
 		panic(fmt.Sprintf("experiments: particlefilter config invalid: %v", err))
 	}
-	dirText := particlefilter.Directives("model.gmod", "data.gh5")
-	loc, nDir := common.DirectiveStats(dirText)
 
 	var arch *bo.Space
 	if scale == ScaleFull {
@@ -55,171 +48,109 @@ func NewParticleFilter(scale Scale) Harness {
 			bo.IntParam{Key: "fc2", Min: 0, Max: 48},
 		}}
 	}
-	fs := cfg.FrameSize
-	return &pfHarness{
+	fs := in.Cfg.FrameSize
+	p := &tracker{in: in, frame: make([]float64, fs*fs), est: make([]float64, 2)}
+	return newHarness(&Harness{
 		info: common.Info{
 			Name:        "particlefilter",
 			Description: "Statistical estimation of a target object's location in noisy video frames",
 			QoI:         "The location of the object",
 			Metric:      common.MetricRMSE,
 			TotalLoC:    particlefilter.SourceLoC(),
-			HPACMLLoC:   loc, DirectiveCount: nDir,
 		},
-		in:       in,
-		arch:     arch,
-		frameBuf: make([]float64, fs*fs),
-		est:      make([]float64, 2),
-		paper: []string{
+		arch: arch,
+		paperArch: []string{
 			"Conv. Kernel Size; Conv. Stride: [2, 14]",
 			"Maxpool Kernel Size: [1, 10]",
 			"FC 2 Size: [0, 128]",
 		},
-	}
-}
-
-func (h *pfHarness) Info() common.Info        { return h.info }
-func (h *pfHarness) ArchSpace() *bo.Space     { return h.arch }
-func (h *pfHarness) PaperArchSpace() []string { return h.paper }
-
-func (h *pfHarness) region(modelPath, dbPath string, extra ...hpacml.Option) (*hpacml.Region, *bool, error) {
-	useModel := false
-	fs := h.in.Cfg.FrameSize
-	opts := []hpacml.Option{
-		hpacml.Directives(particlefilter.Directives(modelPath, dbPath)),
-		hpacml.BindInt("FS", fs),
-		hpacml.BindArray("frame", h.frameBuf, fs, fs),
-		hpacml.BindArray("est", h.est, 1, 2),
-		hpacml.BindPredicate("useModel", func() bool { return useModel }),
-		hpacml.InputLayout(hpacml.LayoutImage2D),
-		hpacml.OutputLayout(hpacml.LayoutFlat),
-	}
-	opts = append(opts, extra...)
-	r, err := hpacml.NewRegion("particlefilter", opts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return r, &useModel, nil
-}
-
-// Collect runs every frame through the region in collection mode. The
-// accurate path runs the filter for the frame but captures the ground
-// truth as the training target, as the paper's PF port does.
-func (h *pfHarness) Collect(dbPath string, opt Options) (CollectReport, error) {
-	region, useModel, err := h.region("", dbPath, hpacml.WithCapture(opt.Capture))
-	if err != nil {
-		return CollectReport{}, err
-	}
-	defer region.Close()
-	*useModel = false
-	// Several videos widen the training distribution.
-	videos := opt.CollectRuns
-	if videos < 1 {
-		videos = 1
-	}
-	var runErr error
-videoLoop:
-	for v := 0; v < videos; v++ {
-		h.in.SynthesizeVideo(opt.Seed + int64(v))
-		h.in.ResetFilter()
-		for f := 0; f < h.in.Cfg.NumFrames; f++ {
-			frame := f
-			copy(h.frameBuf, h.in.Frame(frame))
-			if err := region.Execute(func() error {
-				h.in.EstX[frame], h.in.EstY[frame] = h.in.RunFilterFrame(frame)
-				h.est[0] = h.in.TruthX[frame]
-				h.est[1] = h.in.TruthY[frame]
-				return nil
-			}); err != nil {
-				runErr = err
-				break videoLoop
-			}
-		}
-	}
-	return collectReport(region, runErr)
-}
-
-// CollectOverhead measures Table III for ParticleFilter.
-func (h *pfHarness) CollectOverhead(dir string, opt Options) (CollectStats, error) {
-	h.in.SynthesizeVideo(opt.Seed)
-	plain, err := timeIt(opt.EvalRuns, func() error { h.in.RunFilter(); return nil })
-	if err != nil {
-		return CollectStats{}, err
-	}
-	dbPath := filepath.Join(dir, "particlefilter-overhead.gh5")
-	region, useModel, err := h.region("", dbPath)
-	if err != nil {
-		return CollectStats{}, err
-	}
-	defer region.Close()
-	*useModel = false
-	collect, err := timeIt(opt.EvalRuns, func() error {
-		h.in.ResetFilter()
-		for f := 0; f < h.in.Cfg.NumFrames; f++ {
-			frame := f
-			copy(h.frameBuf, h.in.Frame(frame))
-			if err := region.Execute(func() error {
-				h.in.EstX[frame], h.in.EstY[frame] = h.in.RunFilterFrame(frame)
-				h.est[0] = h.in.TruthX[frame]
-				h.est[1] = h.in.TruthY[frame]
-				return nil
-			}); err != nil {
-				return err
-			}
-		}
-		return nil
+		directives: particlefilter.Directives,
+		bind: []hpacml.Option{
+			hpacml.BindInt("FS", fs),
+			hpacml.BindArray("frame", p.frame, fs, fs),
+			hpacml.BindArray("est", p.est, 1, 2),
+			hpacml.InputLayout(hpacml.LayoutImage2D),
+			hpacml.OutputLayout(hpacml.LayoutFlat),
+		},
+		app: p,
 	})
-	if err != nil {
-		return CollectStats{}, err
-	}
-	if err := region.Close(); err != nil {
-		return CollectStats{}, err
-	}
-	mb, err := fileSizeMB(dbPath)
-	if err != nil {
-		return CollectStats{}, err
-	}
-	return CollectStats{
-		Benchmark:   "particlefilter",
-		PlainSec:    plain.Seconds(),
-		CollectSec:  collect.Seconds(),
-		DataSizeMB:  mb,
-		OverheadX:   collect.Seconds() / plain.Seconds(),
-		Invocations: opt.EvalRuns + 1,
-	}, nil
 }
 
-// Train fits the Table IV CNN family from collected frames.
-func (h *pfHarness) Train(dbPath, modelPath string, arch, hyper map[string]bo.Value, opt Options) (float64, error) {
-	ds, err := loadDataset(dbPath, "particlefilter")
-	if err != nil {
-		return 0, err
+// video runs the filter over every frame of the current video through
+// r. The accurate path runs the filter for the frame but captures the
+// ground truth as the training target, as the paper's PF port does.
+func (p *tracker) video(r *hpacml.Region) error {
+	p.in.ResetFilter()
+	for f := 0; f < p.in.Cfg.NumFrames; f++ {
+		copy(p.frame, p.in.Frame(f))
+		if err := r.Execute(func() error {
+			p.in.EstX[f], p.in.EstY[f] = p.in.RunFilterFrame(f)
+			p.est[0] = p.in.TruthX[f]
+			p.est[1] = p.in.TruthY[f]
+			return nil
+		}); err != nil {
+			return err
+		}
 	}
-	net, err := h.buildCNN(arch, dropoutOf(hyper), opt.Seed)
-	if err != nil {
-		return 0, err
-	}
-	hist, err := net.Fit(ds, nil, trainCfg(hyper, opt))
-	if err != nil {
-		return 0, err
-	}
-	if err := net.Save(modelPath); err != nil {
-		return 0, err
-	}
-	return hist.BestVal, nil
+	return nil
 }
 
-// buildCNN realizes the PF CNN: conv -> ReLU -> maxpool -> flatten ->
+// collect runs one video per collection run: several videos widen the
+// training distribution.
+func (p *tracker) collect(r *hpacml.Region, opt Options) error {
+	for v := 0; v < max(opt.CollectRuns, 1); v++ {
+		p.in.SynthesizeVideo(opt.Seed + int64(v))
+		if err := p.video(r); err != nil {
+			return fmt.Errorf("video %d: %w", v, err)
+		}
+	}
+	return nil
+}
+
+func (p *tracker) overhead(opt Options) (func() error, func(*hpacml.Region) error) {
+	p.in.SynthesizeVideo(opt.Seed)
+	return p.filter, p.video
+}
+
+func (p *tracker) filter() error { p.in.RunFilter(); return nil }
+
+// evaluation runs the original filter and the surrogate over a held-out
+// video and scores both against ground truth; the filter's error is
+// the baseline (the vertical line of Figure 7).
+func (p *tracker) evaluation(opt Options) evaluation {
+	p.in.SynthesizeVideo(opt.Seed + 777)
+	return evaluation{
+		runs:     opt.EvalRuns,
+		accurate: p.filter,
+		surrogate: func(r *hpacml.Region) error {
+			for f := 0; f < p.in.Cfg.NumFrames; f++ {
+				copy(p.frame, p.in.Frame(f))
+				if err := r.Execute(nil); err != nil {
+					return err
+				}
+				p.in.EstX[f], p.in.EstY[f] = p.est[0], p.est[1]
+			}
+			return nil
+		},
+		reference: func(common.Metric) scorer {
+			baseline := p.in.TrackRMSE()
+			return func() (float64, float64, error) { return p.in.TrackRMSE(), baseline, nil }
+		},
+	}
+}
+
+// build realizes the PF CNN: conv -> ReLU -> maxpool -> flatten ->
 // [dense fc2 -> ReLU ->] dense(2). Invalid geometry combinations return
 // an error, which the search treats as a failed trial.
-func (h *pfHarness) buildCNN(arch map[string]bo.Value, dropout float64, seed int64) (*nn.Network, error) {
-	fs := h.in.Cfg.FrameSize
+func (p *tracker) build(arch map[string]bo.Value, dropout float64, _ *nn.Dataset, opt Options) (*nn.Network, nn.Loss, error) {
+	fs := p.in.Cfg.FrameSize
 	k := arch["conv_kernel"].Int
 	s := arch["conv_stride"].Int
 	pool := arch["pool_kernel"].Int
 	fc2 := arch["fc2"].Int
 	const channels = 4
 
-	net := nn.NewNetwork(seed)
+	net := nn.NewNetwork(opt.Seed)
 	// Normalize raw 0-255 pixels around zero before the convolutions.
 	net.Add(nn.NewAffine(1.0/255, -0.5))
 	net.Add(net.NewConv2D(1, channels, k, k, s), nn.NewActivation(nn.ActReLU))
@@ -229,7 +160,7 @@ func (h *pfHarness) buildCNN(arch map[string]bo.Value, dropout float64, seed int
 	net.Add(nn.NewFlatten())
 	sample, err := net.OutShape([]int{1, fs, fs})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: invalid PF architecture %v: %w", arch, err)
+		return nil, nil, fmt.Errorf("experiments: invalid PF architecture %v: %w", arch, err)
 	}
 	flat := sample[0]
 	if fc2 > 0 {
@@ -240,68 +171,5 @@ func (h *pfHarness) buildCNN(arch map[string]bo.Value, dropout float64, seed int
 		net.Add(net.NewDropout(dropout))
 	}
 	net.Add(net.NewDense(flat, 2))
-	return net, nil
-}
-
-// Evaluate runs the original filter and the surrogate over a held-out
-// video and compares both runtime and accuracy against ground truth.
-func (h *pfHarness) Evaluate(modelPath string, opt Options) (EvalResult, error) {
-	h.in.SynthesizeVideo(opt.Seed + 777) // held-out video
-	accurate, err := timeIt(opt.EvalRuns, func() error { h.in.RunFilter(); return nil })
-	if err != nil {
-		return EvalResult{}, err
-	}
-	baselineRMSE := h.in.TrackRMSE()
-
-	region, useModel, err := h.region(modelPath, "")
-	if err != nil {
-		return EvalResult{}, err
-	}
-	defer region.Close()
-	*useModel = true
-	hpacml.ClearModelCache()
-	surrogate, err := timeIt(opt.EvalRuns, func() error {
-		for f := 0; f < h.in.Cfg.NumFrames; f++ {
-			copy(h.frameBuf, h.in.Frame(f))
-			if err := region.Execute(nil); err != nil {
-				return err
-			}
-			h.in.EstX[f], h.in.EstY[f] = h.est[0], h.est[1]
-		}
-		return nil
-	})
-	if err != nil {
-		return EvalResult{}, err
-	}
-	nnRMSE := h.in.TrackRMSE()
-
-	params, err := modelParams(modelPath)
-	if err != nil {
-		return EvalResult{}, err
-	}
-	st := region.Stats()
-	inv := st.Inferences
-	if inv == 0 {
-		inv = 1
-	}
-	res := EvalResult{
-		Benchmark:       "particlefilter",
-		Speedup:         accurate.Seconds() / surrogate.Seconds(),
-		Error:           nnRMSE,
-		Params:          params,
-		LatencySec:      st.Inference.Seconds() / float64(inv),
-		ToTensorSec:     st.ToTensor.Seconds() / float64(inv),
-		InferenceSec:    st.Inference.Seconds() / float64(inv),
-		FromTensorSec:   st.FromTensor.Seconds() / float64(inv),
-		BaselineError:   baselineRMSE,
-		Fallbacks:       st.Fallbacks,
-		RemoteInference: st.RemoteInference,
-		TrustedRows:     st.TrustedRows,
-		UncertainRows:   st.UncertainRows,
-		OutOfDomainRows: st.OutOfDomainRows,
-		CaptureDrops:    st.CaptureDrops,
-		CaptureFlushes:  st.CaptureFlushes,
-		RemoteCaptures:  st.RemoteCaptures,
-	}
-	return res, checkFinite("particlefilter", res.Speedup, res.Error)
+	return net, nil, nil
 }

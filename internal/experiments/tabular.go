@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"path/filepath"
 
 	hpacml "repro"
 
@@ -13,182 +12,91 @@ import (
 	"repro/internal/tensor"
 )
 
-// tabularApp abstracts the three MLP benchmarks (MiniBUDE, Binomial
-// Options, Bonds): per-sample feature rows in, one QoI row out.
-type tabularApp interface {
-	// Reset re-randomizes the inputs with the given seed.
-	Reset(seed int64)
-	// RunAccurate executes the accurate path over the whole batch.
-	RunAccurate()
-	// Region builds the annotated HPAC-ML region around the app's
-	// buffers, threading any extra options (capture tuning, injected
-	// sinks/engines) through. The returned predicate pointer toggles
-	// inference.
-	Region(modelPath, dbPath string, extra ...hpacml.Option) (*hpacml.Region, *bool, error)
-	// Outputs returns the QoI buffer (aliased).
-	Outputs() []float64
-	// InFeatures and OutFeatures size the surrogate's I/O.
-	InFeatures() int
-	OutFeatures() int
+// tabular is the hook set of the three MLP benchmarks (MiniBUDE,
+// Binomial Options, Bonds): per-sample feature rows in, one QoI row
+// out, fresh random inputs for every collection run.
+type tabular struct {
+	// reset re-randomizes the inputs with the given seed.
+	reset func(seed int64)
+	// run executes the accurate path over the whole batch.
+	run func() error
+	// out is the QoI buffer the region scatters into.
+	out []float64
+	// hidden maps an architecture to its hidden-layer sizes.
+	hidden func(arch map[string]bo.Value) ([]int, error)
 }
 
-// tabularHarness implements Harness for any tabularApp.
-type tabularHarness struct {
-	info      common.Info
-	app       tabularApp
-	arch      *bo.Space
-	paperArch []string
-	metric    common.Metric
-	buildNet  func(arch map[string]bo.Value, dropout float64, inF, outF int, seed int64) (*nn.Network, error)
-}
-
-func (h *tabularHarness) Info() common.Info        { return h.info }
-func (h *tabularHarness) ArchSpace() *bo.Space     { return h.arch }
-func (h *tabularHarness) PaperArchSpace() []string { return h.paperArch }
-
-// Collect runs the region in collection mode over fresh input batches.
-// Even when a run errors, the region is closed through the report path
-// so already-captured records are flushed, never silently truncated.
-func (h *tabularHarness) Collect(dbPath string, opt Options) (CollectReport, error) {
-	region, useModel, err := h.app.Region("", dbPath, hpacml.WithCapture(opt.Capture))
-	if err != nil {
-		return CollectReport{}, err
-	}
-	defer region.Close()
-	*useModel = false
-	var runErr error
+func (t *tabular) collect(r *hpacml.Region, opt Options) error {
 	for run := 0; run < opt.CollectRuns; run++ {
-		h.app.Reset(opt.Seed + int64(run))
-		if err := region.Execute(func() error { h.app.RunAccurate(); return nil }); err != nil {
-			runErr = fmt.Errorf("%s collect run %d: %w", h.info.Name, run, err)
-			break
+		t.reset(opt.Seed + int64(run))
+		if err := r.Execute(t.run); err != nil {
+			return fmt.Errorf("run %d: %w", run, err)
 		}
 	}
-	return collectReport(region, runErr)
+	return nil
 }
 
-// CollectOverhead measures Table III for this benchmark.
-func (h *tabularHarness) CollectOverhead(dir string, opt Options) (CollectStats, error) {
-	h.app.Reset(opt.Seed)
-	plain, err := timeIt(opt.EvalRuns, func() error { h.app.RunAccurate(); return nil })
-	if err != nil {
-		return CollectStats{}, err
-	}
-	dbPath := filepath.Join(dir, h.info.Name+"-overhead.gh5")
-	region, useModel, err := h.app.Region("", dbPath)
-	if err != nil {
-		return CollectStats{}, err
-	}
-	defer region.Close()
-	*useModel = false
-	collect, err := timeIt(opt.EvalRuns, func() error {
-		return region.Execute(func() error { h.app.RunAccurate(); return nil })
-	})
-	if err != nil {
-		return CollectStats{}, err
-	}
-	if err := region.Close(); err != nil {
-		return CollectStats{}, err
-	}
-	mb, err := fileSizeMB(dbPath)
-	if err != nil {
-		return CollectStats{}, err
-	}
-	return CollectStats{
-		Benchmark:   h.info.Name,
-		PlainSec:    plain.Seconds(),
-		CollectSec:  collect.Seconds(),
-		DataSizeMB:  mb,
-		OverheadX:   collect.Seconds() / plain.Seconds(),
-		Invocations: opt.EvalRuns + 1,
-	}, nil
+func (t *tabular) overhead(opt Options) (func() error, func(*hpacml.Region) error) {
+	t.reset(opt.Seed)
+	return t.run, func(r *hpacml.Region) error { return r.Execute(t.run) }
 }
 
-// Train fits an MLP per the architecture assignment.
-func (h *tabularHarness) Train(dbPath, modelPath string, arch, hyper map[string]bo.Value, opt Options) (float64, error) {
-	ds, err := loadDataset(dbPath, h.info.Name)
-	if err != nil {
-		return 0, err
+// evaluation times the batch on inputs unseen during training.
+func (t *tabular) evaluation(opt Options) evaluation {
+	t.reset(opt.Seed + 101)
+	return evaluation{
+		runs:      opt.EvalRuns,
+		accurate:  t.run,
+		surrogate: func(r *hpacml.Region) error { return r.Execute(nil) },
+		reference: func(m common.Metric) scorer {
+			return compare(m, func() []float64 { return t.out })
+		},
 	}
-	net, err := h.buildNet(arch, dropoutOf(hyper), h.app.InFeatures(), h.app.OutFeatures(), opt.Seed)
+}
+
+// build assembles an MLP, wrapped in fixed standardization when
+// Options.Normalize is set.
+func (t *tabular) build(arch map[string]bo.Value, dropout float64, ds *nn.Dataset, opt Options) (*nn.Network, nn.Loss, error) {
+	hidden, err := t.hidden(arch)
 	if err != nil {
-		return 0, err
+		return nil, nil, err
 	}
+	net := buildMLP(hidden, dropout, ds.X.Dim(1), ds.Y.Dim(1), opt.Seed)
 	if opt.Normalize {
-		if net, err = standardizeNet(net, ds, opt.Seed); err != nil {
-			return 0, err
-		}
+		net, err = standardizeNet(net, ds, opt.Seed)
 	}
-	hist, err := net.Fit(ds, nil, trainCfg(hyper, opt))
-	if err != nil {
-		return 0, err
-	}
-	if err := net.Save(modelPath); err != nil {
-		return 0, err
-	}
-	return hist.BestVal, nil
+	return net, nil, err
 }
 
-// Evaluate measures end-to-end accurate vs surrogate runtime and QoI
-// error on a held-out input batch.
-func (h *tabularHarness) Evaluate(modelPath string, opt Options) (EvalResult, error) {
-	h.app.Reset(opt.Seed + 101) // test inputs unseen during training
-	accurate, err := timeIt(opt.EvalRuns, func() error { h.app.RunAccurate(); return nil })
-	if err != nil {
-		return EvalResult{}, err
+// twoLayerSpace is the Table IV Binomial/Bonds family: one or two hidden
+// layers (hidden2 = 0 drops the second), scaled down at ScaleTest.
+func twoLayerSpace(scale Scale) (*bo.Space, []string) {
+	h1Max, h2Max := 512, 512
+	if scale == ScaleTest {
+		h1Max, h2Max = 48, 24
 	}
-	ref := append([]float64(nil), h.app.Outputs()...)
+	space := &bo.Space{Params: []bo.Param{
+		bo.IntParam{Key: "hidden1", Min: 5, Max: h1Max},
+		bo.IntParam{Key: "hidden2", Min: 0, Max: h2Max},
+	}}
+	return space, []string{
+		"Hidden 1 Features: [5, 512]",
+		"Hidden 2 Features: [0, 512]",
+	}
+}
 
-	region, useModel, err := h.app.Region(modelPath, "")
-	if err != nil {
-		return EvalResult{}, err
+// twoLayerHidden realizes a twoLayerSpace assignment.
+func twoLayerHidden(arch map[string]bo.Value) ([]int, error) {
+	h1 := arch["hidden1"].Int
+	h2 := arch["hidden2"].Int
+	if h1 < 1 || h2 < 0 {
+		return nil, fmt.Errorf("experiments: bad arch %v", arch)
 	}
-	defer region.Close()
-	*useModel = true
-	hpacml.ClearModelCache()
-	surrogate, err := timeIt(opt.EvalRuns, func() error { return region.Execute(nil) })
-	if err != nil {
-		return EvalResult{}, err
+	hidden := []int{h1}
+	if h2 > 0 {
+		hidden = append(hidden, h2)
 	}
-	pred := append([]float64(nil), h.app.Outputs()...)
-
-	var qoiErr float64
-	if h.metric == common.MetricMAPE {
-		qoiErr, err = common.MAPE(pred, ref)
-	} else {
-		qoiErr, err = common.RMSE(pred, ref)
-	}
-	if err != nil {
-		return EvalResult{}, err
-	}
-	params, err := modelParams(modelPath)
-	if err != nil {
-		return EvalResult{}, err
-	}
-	st := region.Stats()
-	inv := st.Inferences
-	if inv == 0 {
-		inv = 1
-	}
-	res := EvalResult{
-		Benchmark:       h.info.Name,
-		Speedup:         accurate.Seconds() / surrogate.Seconds(),
-		Error:           qoiErr,
-		Params:          params,
-		LatencySec:      st.Inference.Seconds() / float64(inv),
-		ToTensorSec:     st.ToTensor.Seconds() / float64(inv),
-		InferenceSec:    st.Inference.Seconds() / float64(inv),
-		FromTensorSec:   st.FromTensor.Seconds() / float64(inv),
-		Fallbacks:       st.Fallbacks,
-		RemoteInference: st.RemoteInference,
-		TrustedRows:     st.TrustedRows,
-		UncertainRows:   st.UncertainRows,
-		OutOfDomainRows: st.OutOfDomainRows,
-		CaptureDrops:    st.CaptureDrops,
-		CaptureFlushes:  st.CaptureFlushes,
-		RemoteCaptures:  st.RemoteCaptures,
-	}
-	return res, checkFinite(h.info.Name, res.Speedup, res.Error)
+	return hidden, nil
 }
 
 // standardizeNet sandwiches net between fixed per-feature affine layers
