@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/bridge"
@@ -246,6 +247,11 @@ type Region struct {
 	// buffers and their stagers are model-dependent and dropped by
 	// InvalidateModel.
 	batches map[int]*batchState
+
+	// records is the region's pool of capture slots (*captureSlot).
+	// Sinks release records from their own goroutines, so it is a
+	// sync.Pool rather than a plain free list.
+	records sync.Pool
 }
 
 // maxBatchStates caps how many distinct batch sizes keep cached staging
@@ -724,12 +730,31 @@ func (r *Region) runAccurate(accurate func() error) error {
 // and an enqueue here — serialization and I/O happen on the sink's
 // writer goroutine (Stats.DBWrite measures the enqueue cost).
 //
-// The gathered tensors are freshly allocated (never views of the bound
-// application arrays), so the sink may write them after the solver has
-// already overwritten the application state.
+// The record comes from the region's pool of capture slots (captureSlot):
+// tensors of its own, never views of the bound application arrays, so
+// the sink may write them after the solver has already overwritten the
+// application state. A sink that releases the record returns the slot,
+// so the warm capture path allocates nothing. The slot is released here
+// when the capture fails before the sink took it.
 func (r *Region) collect(accurate func() error) error {
 	start := time.Now()
-	inputs, err := gatherRecord(r.inPlans, r.inLayout)
+	s, err := r.captureSlot()
+	r.stats.ToTensor += time.Since(start)
+	if err != nil {
+		return err
+	}
+	if err := r.capture(s, accurate); err != nil {
+		s.release()
+		return err
+	}
+	return nil
+}
+
+// capture fills slot s — inputs, the accurate run, outputs — and hands
+// its record to the sink.
+func (r *Region) capture(s *captureSlot, accurate func() error) error {
+	start := time.Now()
+	err := runStagers(s.inSt, (*bridge.Stager).Gather)
 	r.stats.ToTensor += time.Since(start)
 	if err != nil {
 		return err
@@ -744,10 +769,7 @@ func (r *Region) collect(accurate func() error) error {
 	r.stats.AccurateRuns++
 
 	start = time.Now()
-	outputs, err := gatherRecord(r.outPlans, r.outLayout)
-	if err == nil && r.outLayout != LayoutFlat {
-		outputs, err = outputs.Reshape(1, outputs.Len())
-	}
+	err = runStagers(s.outSt, (*bridge.Stager).Gather)
 	r.stats.FromTensor += time.Since(start)
 	if err != nil {
 		return err
@@ -759,12 +781,48 @@ func (r *Region) collect(accurate func() error) error {
 		return err
 	}
 	r.stats.Collections++
-	return r.sink.Capture(&CaptureRecord{
-		Region:    r.name,
-		Inputs:    inputs,
-		Outputs:   outputs,
-		RuntimeNS: float64(runtime.Nanoseconds()),
-	})
+	s.rec.RuntimeNS = float64(runtime.Nanoseconds())
+	return r.sink.Capture(&s.rec)
+}
+
+// captureSlot takes a capture slot from the region's pool, or makes one
+// when the pool is empty, and resets its record's exported fields.
+func (r *Region) captureSlot() (*captureSlot, error) {
+	s, _ := r.records.Get().(*captureSlot)
+	if s == nil {
+		var err error
+		if s, err = r.newCaptureSlot(); err != nil {
+			return nil, err
+		}
+	}
+	s.releases.Store(0)
+	s.rec = CaptureRecord{Region: r.name, Inputs: s.in, Outputs: s.out, slot: s}
+	return s, nil
+}
+
+// newCaptureSlot allocates one capture record's tensors in the model
+// layout, image and channel targets as the flat [1, N] sample collect
+// describes, and binds the gather stagers to them.
+func (r *Region) newCaptureSlot() (*captureSlot, error) {
+	inShape, err := layoutShape(r.inPlans, r.inLayout)
+	if err != nil {
+		return nil, err
+	}
+	outShape, err := layoutShape(r.outPlans, r.outLayout)
+	if err != nil {
+		return nil, err
+	}
+	if r.outLayout != LayoutFlat {
+		outShape = []int{1, tensor.NumElements(outShape)}
+	}
+	s := &captureSlot{in: tensor.New(inShape...), out: tensor.New(outShape...), pool: &r.records}
+	if s.inSt, err = bindStagers(r.inPlans, r.inLayout, s.in); err != nil {
+		return nil, err
+	}
+	if s.outSt, err = bindStagers(r.outPlans, r.outLayout, s.out); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // ensureSink resolves the region's capture sink from its db()
@@ -894,8 +952,8 @@ func layoutShape(plans []*bridge.Plan, layout Layout) ([]int, error) {
 
 // bindStagers binds one invocation's model-layout tensor t to plans. It
 // is the whole data bridge of a Region: the cached batch input blocks
-// and output views, and the freshly allocated capture records, are all
-// bound here, so gathers and scatters share one layout by construction.
+// and output views, and the pooled capture slots, are all bound here
+// once, so gathers and scatters share one layout by construction.
 // t must be contiguous and hold layoutShape's element count in any shape
 // (a model may emit an image as [1, N]). The layout view puts every
 // plan's features on its last axis — [entries, ΣF] for flat and
@@ -937,21 +995,6 @@ func bindStagers(plans []*bridge.Plan, layout Layout, t *tensor.Tensor) ([]*brid
 		fOff += p.Features()
 	}
 	return sts, nil
-}
-
-// gatherRecord gathers plans into a freshly allocated model-layout
-// tensor — a capture record, which must never alias application memory.
-func gatherRecord(plans []*bridge.Plan, layout Layout) (*tensor.Tensor, error) {
-	shape, err := layoutShape(plans, layout)
-	if err != nil {
-		return nil, err
-	}
-	t := tensor.New(shape...)
-	sts, err := bindStagers(plans, layout, t)
-	if err != nil {
-		return nil, err
-	}
-	return t, runStagers(sts, (*bridge.Stager).Gather)
 }
 
 // runStagers runs one transfer (Stager.Gather or Stager.Scatter) over

@@ -452,7 +452,7 @@ type ioPair struct{ comp, view *tensor.Tensor }
 // repeated transfers through the same staging memory do no per-call
 // planning or allocation. It is the plan's only transfer: the batched
 // region-execution path binds stagers once per staging block, and a
-// capture record binds one to its freshly allocated tensor.
+// pooled capture slot binds them once to its record tensors.
 type Stager struct {
 	pairs []ioPair
 }

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 
@@ -170,27 +171,50 @@ func (w *Writer) Write(group, name string, t *tensor.Tensor) error {
 }
 
 // WriteScalar appends a single value as a [1]-shaped dataset record.
+// The value is encoded into the buffer with the header, so nothing
+// escapes and the call allocates nothing.
 func (w *Writer) WriteScalar(group, name string, v float64) error {
-	dims, data := [1]int{1}, [1]float64{v}
-	return w.writeRecord(group, name, dims[:], data[:])
+	dims := [1]int{1}
+	b, err := w.header(group, name, dims[:], 1, 8)
+	if err != nil {
+		return err
+	}
+	_, err = w.buf.Write(binary.LittleEndian.AppendUint64(b, math.Float64bits(v)))
+	return err
 }
 
-// writeRecord writes one record: marker, names, shape, then the values.
+// writeRecord writes one record: its header, then the values as one
+// slab.
 func (w *Writer) writeRecord(group, name string, shape []int, data []float64) error {
+	b, err := w.header(group, name, shape, len(data), 0)
+	if err != nil {
+		return err
+	}
+	if _, err := w.buf.Write(b); err != nil {
+		return err
+	}
+	return tensor.WriteSlab(w.buf, data)
+}
+
+// header validates a record of elems values and encodes its marker,
+// names and shape into the write buffer's free space, flushing first
+// if that space cannot hold them and the extra bytes the caller appends
+// before writing the returned slice.
+func (w *Writer) header(group, name string, shape []int, elems, extra int) ([]byte, error) {
 	if group == "" || name == "" {
-		return fmt.Errorf("h5: empty group or dataset name")
+		return nil, fmt.Errorf("h5: empty group or dataset name")
 	}
 	if len(group) > maxNameLen || len(name) > maxNameLen {
-		return fmt.Errorf("h5: group/dataset name too long")
+		return nil, fmt.Errorf("h5: group/dataset name too long")
 	}
-	if len(data) > maxRecordElems {
-		return fmt.Errorf("h5: %d elements exceed the record maximum %d", len(data), maxRecordElems)
+	if elems > maxRecordElems {
+		return nil, fmt.Errorf("h5: %d elements exceed the record maximum %d", elems, maxRecordElems)
 	}
 	// The header is at most ~8 KiB (two names of maxNameLen and maxRank
 	// dims), so it always fits an emptied 64 KiB buffer.
-	if w.buf.Available() < 16+len(group)+len(name)+8*len(shape) {
+	if w.buf.Available() < 16+len(group)+len(name)+8*len(shape)+extra {
 		if err := w.buf.Flush(); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	le := binary.LittleEndian
@@ -203,10 +227,7 @@ func (w *Writer) writeRecord(group, name string, shape []int, data []float64) er
 	for _, d := range shape {
 		b = le.AppendUint64(b, uint64(d))
 	}
-	if _, err := w.buf.Write(b); err != nil {
-		return err
-	}
-	return tensor.WriteSlab(w.buf, data)
+	return b, nil
 }
 
 // Flush forces buffered records to the OS.

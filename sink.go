@@ -3,8 +3,11 @@ package hpacml
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
+	"repro/internal/bridge"
 	"repro/internal/directive"
 	"repro/internal/tensor"
 )
@@ -24,12 +27,19 @@ import (
 // regions (or solver ranks in one process) may share one sink, which
 // is how many producers feed one training database.
 type Sink interface {
-	// Capture submits one invocation's training sample. The record's
-	// tensors are owned by the sink from this point on (the runtime
-	// gathers into freshly allocated tensors, never views of
-	// application memory, precisely so asynchronous sinks need no
-	// copy). Capture returns quickly — backpressure is handled by the
-	// sink's block-or-drop policy, not by failing the solver.
+	// Capture submits one invocation's training sample. From this call
+	// on the sink owns the record: the runtime gathers into tensors of
+	// its own, never views of application memory, so an asynchronous
+	// sink may write them after the solver has moved on, with no copy.
+	// Those tensors come from the region's record pool. A sink that is
+	// done with a record — written, shipped, dropped or filtered out —
+	// calls rec.Release to hand its storage back for the next capture,
+	// and must not touch the record after that. A sink that never
+	// releases keeps the record for as long as it likes and leaves it
+	// to the garbage collector. If Capture returns an error the sink
+	// has not taken the record, and the runtime releases it. Capture
+	// returns quickly — backpressure is handled by the sink's
+	// block-or-drop policy, not by failing the solver.
 	Capture(rec *CaptureRecord) error
 
 	// Flush is a barrier: it returns once every record captured before
@@ -54,6 +64,44 @@ type CaptureRecord struct {
 	Inputs    *tensor.Tensor
 	Outputs   *tensor.Tensor
 	RuntimeNS float64
+
+	// slot is the pooled storage behind a record the runtime gathered;
+	// nil for a record built by hand.
+	slot *captureSlot
+}
+
+// Release hands a record the runtime gathered back to its region's
+// record pool, so a later capture reuses its tensors instead of
+// allocating new ones. The caller must not touch the record, or the
+// tensors it held, afterwards. Release is idempotent, safe from any
+// goroutine, and a no-op on a record built by hand.
+func (rec *CaptureRecord) Release() {
+	if rec.slot != nil {
+		rec.slot.release()
+	}
+}
+
+// captureSlot is one reusable capture record of a region: the input
+// and output tensors with the gather stagers bindStagers bound to them
+// once, when the slot was made. It keeps its own pointers to the
+// tensors, so a sink that reassigns the exported fields of rec cannot
+// change what the next capture gathers into.
+type captureSlot struct {
+	rec         CaptureRecord
+	in, out     *tensor.Tensor
+	inSt, outSt []*bridge.Stager
+	pool        *sync.Pool
+	// releases counts Release calls since the slot was handed out; the
+	// first one returns it to pool.
+	releases atomic.Int32
+}
+
+// release returns the slot to its pool on the first call since the
+// slot was handed out.
+func (s *captureSlot) release() {
+	if s.releases.Add(1) == 1 {
+		s.pool.Put(s)
+	}
 }
 
 // SinkStats is a sink's own accounting, surfaced through

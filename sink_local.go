@@ -97,12 +97,14 @@ func (s *LocalSink) periodicFlush() {
 	s.flushes.Add(1)
 }
 
-// write appends one record set to the current shard.
+// write appends one record set to the current shard and releases the
+// record, whether or not the append succeeded.
 func (s *LocalSink) write(rec *CaptureRecord) {
 	w, err := s.w.BeginSet()
 	if err == nil {
 		err = h5.AppendSample(w, rec.Region, rec.Inputs, rec.Outputs, rec.RuntimeNS)
 	}
+	rec.Release()
 	s.shards.Store(int64(s.w.Shards()))
 	if err != nil {
 		s.writeErrors.Add(1)

@@ -53,7 +53,8 @@ func (q *captureQueue) initQueue(capacity int, drop bool) {
 
 // Capture enqueues one record under the configured backpressure
 // policy: block (never lose data) or drop-and-count (never stall the
-// solver).
+// solver). A dropped record is released; an enqueued one is the
+// consumer's to release.
 func (q *captureQueue) Capture(rec *CaptureRecord) error {
 	q.mu.RLock()
 	defer q.mu.RUnlock()
@@ -66,6 +67,7 @@ func (q *captureQueue) Capture(rec *CaptureRecord) error {
 			q.captured.Add(1)
 		default:
 			q.dropped.Add(1)
+			rec.Release()
 		}
 		return nil
 	}

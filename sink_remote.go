@@ -80,44 +80,56 @@ func (s *RemoteSink) run(flushEvery time.Duration) {
 		tickC = tick.C
 		defer tick.Stop()
 	}
-	pending := make([]serveapi.CaptureRecord, 0, s.batch)
+	b := remoteBatch{
+		wire: make([]serveapi.CaptureRecord, 0, s.batch),
+		recs: make([]*CaptureRecord, 0, s.batch),
+	}
 	for {
 		select {
 		case m, ok := <-s.queue:
 			if !ok {
-				s.ship(pending)
+				s.ship(&b)
 				return
 			}
 			if m.rec != nil {
-				pending = append(pending, wireCapture(m.rec))
-				if len(pending) >= s.batch {
-					pending = s.ship(pending)
+				b.wire = append(b.wire, wireCapture(m.rec))
+				b.recs = append(b.recs, m.rec)
+				if len(b.wire) >= s.batch {
+					s.ship(&b)
 				}
 			}
 			if m.ack != nil {
-				pending = s.ship(pending)
+				s.ship(&b)
 				m.ack <- s.takeErr(nil)
 			}
 		case <-tickC:
-			pending = s.ship(pending)
+			s.ship(&b)
 		}
 	}
 }
 
-// ship POSTs the pending batch, returning the (reset) pending slice.
+// remoteBatch is the shipper's pending batch: the wire records and the
+// capture records whose tensors they alias.
+type remoteBatch struct {
+	wire []serveapi.CaptureRecord
+	recs []*CaptureRecord
+}
+
+// ship POSTs the pending batch, then releases its records and empties
+// it: once the POST returns, the batch has been encoded or dropped.
 // Failures never propagate to the solver: unacknowledged records are
 // counted as dropped (the server's accepted prefix, reported even on
 // error, is not) and collection moves on — the graceful-degradation
 // contract.
-func (s *RemoteSink) ship(pending []serveapi.CaptureRecord) []serveapi.CaptureRecord {
-	if len(pending) == 0 {
+func (s *RemoteSink) ship(b *remoteBatch) {
+	if len(b.wire) == 0 {
 		s.flushes.Add(1)
-		return pending
+		return
 	}
-	n, err := s.client.Capture(context.Background(), s.db, pending)
+	n, err := s.client.Capture(context.Background(), s.db, b.wire)
 	if err != nil {
 		s.flushErrors.Add(1)
-		s.dropped.Add(int64(len(pending) - n))
+		s.dropped.Add(int64(len(b.wire) - n))
 		s.remoteRecords.Add(int64(n))
 		s.setErr(fmt.Errorf("hpacml: remote capture to %s db %q: %w", s.client.Base(), s.db, err))
 	} else {
@@ -125,11 +137,15 @@ func (s *RemoteSink) ship(pending []serveapi.CaptureRecord) []serveapi.CaptureRe
 		s.remoteBatches.Add(1)
 		s.remoteRecords.Add(int64(n))
 	}
-	return pending[:0]
+	for _, rec := range b.recs {
+		rec.Release()
+	}
+	b.wire, b.recs = b.wire[:0], b.recs[:0]
 }
 
 // wireCapture converts a runtime capture record to its wire form. The
-// tensors are sink-owned, so the wire record aliases their storage.
+// wire record aliases the record's tensors, so the record is released
+// only after its batch has shipped.
 func wireCapture(rec *CaptureRecord) serveapi.CaptureRecord {
 	in := rec.Inputs.Contiguous()
 	out := rec.Outputs.Contiguous()

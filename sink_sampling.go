@@ -66,11 +66,13 @@ func (s *SamplingSink) keep(i int64) bool {
 	return true
 }
 
-// Capture forwards the record when the policy selects it.
+// Capture forwards the record when the policy selects it and releases
+// it otherwise.
 func (s *SamplingSink) Capture(rec *CaptureRecord) error {
 	i := s.n.Add(1) - 1
 	if !s.keep(i) {
 		s.sampled.Add(1)
+		rec.Release()
 		return nil
 	}
 	return s.next.Capture(rec)
