@@ -44,6 +44,9 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *parallelism < 1 {
+		fatal(fmt.Errorf("-parallel must be positive, got %d", *parallelism))
+	}
 	scale := experiments.ScaleTest
 	if *full {
 		scale = experiments.ScaleFull
@@ -75,16 +78,11 @@ func main() {
 
 	// The campaign is orchestrated like the paper's Parsl workflow:
 	// per-benchmark searches as parallel tasks.
-	exec, err := workflow.New(*parallelism)
-	if err != nil {
-		fatal(err)
-	}
-	defer exec.Close()
 	type outcome struct {
 		name string
 		res  *bo.NestedResult
 	}
-	results, err := workflow.Map(exec, len(targets), func(i int) (outcome, error) {
+	results, err := workflow.Map(*parallelism, len(targets), func(i int) (outcome, error) {
 		h := targets[i]
 		res, err := experiments.NestedCampaign(h, *out, opt, cfg)
 		if err != nil {

@@ -10,10 +10,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/gp"
+	"repro/internal/workflow"
 )
 
 // Value is one concrete parameter assignment.
@@ -161,26 +162,26 @@ type Config struct {
 	// InitRandom is the number of quasi-random warmup trials before the
 	// GP surrogate engages (default: max(4, dim+1)).
 	InitRandom int
-	// Candidates is the size of the random candidate pool scored by the
-	// acquisition function per iteration (default 512).
-	Candidates int
 	// Patience stops the search after this many consecutive
 	// non-improving trials; 0 disables (the paper stops the outer level
 	// after five).
 	Patience int
 	Seed     int64
 	// Workers bounds the number of concurrent objective evaluations
-	// during the random-initialization phase (those trials are
-	// independent: no surrogate has engaged yet); 0 or 1 evaluates
-	// serially. Points and trial order are identical for any Workers
-	// value — the warmup points are drawn from the same RNG stream
-	// before evaluation fans out — so results are too whenever the
-	// objective is deterministic; wall-clock measurements inside the
-	// objective pick up contention noise. The objective must be safe
-	// for concurrent calls when Workers > 1. The GP-guided phase is
-	// inherently sequential and always runs serially.
+	// during the random warmup. Every warmup point is drawn from the RNG
+	// before any is evaluated, so points, trial order and (for a
+	// deterministic objective) results are the same for any Workers
+	// value; wall-clock measurements inside the objective pick up
+	// contention noise. 0 or 1 evaluates in trial order on the caller's
+	// goroutine. The objective must be safe for concurrent calls when
+	// Workers > 1. The GP-guided phase is sequential and always calls
+	// the objective on the caller's goroutine.
 	Workers int
 }
+
+// candidates is the number of random points the acquisition function
+// scores per GP-guided iteration.
+const candidates = 512
 
 func (c *Config) fill(dim int) {
 	if c.InitRandom <= 0 {
@@ -189,69 +190,82 @@ func (c *Config) fill(dim int) {
 			c.InitRandom = 4
 		}
 	}
-	if c.Candidates <= 0 {
-		c.Candidates = 512
-	}
 }
 
-// Minimize runs single-objective BO with Expected Improvement. With
-// cfg.Workers > 1 the random-initialization trials evaluate
-// concurrently; see Config.Workers.
-func Minimize(space *Space, obj Objective, cfg Config) (*Result, error) {
+// validate rejects what no search can run.
+func validate(space *Space, iterations int) error {
 	if space.Dim() == 0 {
-		return nil, fmt.Errorf("bo: empty search space")
+		return fmt.Errorf("bo: empty search space")
 	}
-	if cfg.Iterations <= 0 {
-		return nil, fmt.Errorf("bo: iterations must be positive")
+	if iterations <= 0 {
+		return fmt.Errorf("bo: iterations must be positive")
+	}
+	return nil
+}
+
+// problem is what the search loop needs to know about one run's
+// objective.
+type problem struct {
+	// eval evaluates a trial, filling Value or Objs, or marking it
+	// Failed.
+	eval func(tr *Trial)
+	// scalarize draws one iteration's scalarization from rng and returns
+	// the value of every trial under it; failed trials map to +Inf.
+	scalarize func(rng *rand.Rand, trials []*Trial) []float64
+	// record folds the newest trial of res.Trials into res.Best (and
+	// res.Pareto) and reports whether it improved the result.
+	record func(res *Result, tr *Trial) bool
+}
+
+// search is the one optimize loop behind Minimize and MinimizeMulti: a
+// random warmup evaluated through one fan-out, then one sequential
+// Expected-Improvement step per iteration on a GP fitted to the
+// scalarized history, until the budget or the patience runs out.
+func search(space *Space, cfg Config, p problem) (*Result, error) {
+	if err := validate(space, cfg.Iterations); err != nil {
+		return nil, err
 	}
 	cfg.fill(space.Dim())
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	newTrial := func(u []float64) *Trial {
+		assign, _ := space.Decode(u) // cannot fail: u has the space's dimension
+		return &Trial{U: u, Assign: assign}
+	}
+
+	// Each warmup iteration scalarizes and then draws its point, as a
+	// guided one does, so the RNG stream does not depend on how the
+	// warmup is evaluated.
+	warm := make([]*Trial, min(cfg.InitRandom, cfg.Iterations))
+	for i := range warm {
+		p.scalarize(rng, nil)
+		warm[i] = newTrial(randPoint(rng, space.Dim()))
+	}
+	if _, err := workflow.Map(cfg.Workers, len(warm), func(i int) (struct{}, error) {
+		p.eval(warm[i])
+		return struct{}{}, nil
+	}); err != nil {
+		return nil, fmt.Errorf("bo: %w", err)
+	}
+
 	res := &Result{}
-	best := math.Inf(1)
 	stale := 0
-
-	record := func(tr *Trial, it int) bool {
+	record := func(tr *Trial) {
 		res.Trials = append(res.Trials, tr)
-		if tr.Value < best {
-			best = tr.Value
-			res.Best = tr
+		if p.record(res, tr) {
 			stale = 0
-			return false
+		} else {
+			stale++
 		}
-		stale++
-		return cfg.Patience > 0 && stale >= cfg.Patience && it >= cfg.InitRandom
 	}
-
-	start := 0
-	if cfg.Workers > 1 {
-		// Draw every warmup point from the RNG first — the exact stream
-		// the serial loop would consume — then fan the independent
-		// evaluations out and fold the results back in order.
-		warm := min(cfg.InitRandom, cfg.Iterations)
-		trials := make([]*Trial, warm)
-		for i := range trials {
-			u := proposePoint(space, nil, cfg, rng, i)
-			assign, err := space.Decode(u)
-			if err != nil {
-				return nil, err
-			}
-			trials[i] = &Trial{U: u, Assign: assign}
-		}
-		evalTrials(trials, cfg.Workers, func(tr *Trial) { evalTrial(tr, obj) })
-		for it, tr := range trials {
-			record(tr, it) // warmup cannot trip patience (it < InitRandom)
-		}
-		start = warm
+	for _, tr := range warm {
+		record(tr) // the warmup never stops on patience
 	}
-	for it := start; it < cfg.Iterations; it++ {
-		u := proposePoint(space, res.Trials, cfg, rng, it)
-		assign, err := space.Decode(u)
-		if err != nil {
-			return nil, err
-		}
-		tr := &Trial{U: u, Assign: assign}
-		evalTrial(tr, obj)
-		if record(tr, it) {
+	for len(res.Trials) < cfg.Iterations {
+		ys := p.scalarize(rng, res.Trials)
+		tr := newTrial(proposePoint(space.Dim(), res.Trials, ys, rng))
+		p.eval(tr)
+		record(tr)
+		if cfg.Patience > 0 && stale >= cfg.Patience {
 			break
 		}
 	}
@@ -261,92 +275,120 @@ func Minimize(space *Space, obj Objective, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// evalTrial runs the objective for one trial, mapping errors to a failed
-// trial at +Inf.
-func evalTrial(tr *Trial, obj Objective) {
-	v, err := obj(tr.Assign)
-	if err != nil {
-		tr.Failed = true
-		tr.Value = math.Inf(1)
-		return
-	}
-	tr.Value = v
-}
-
-// evalTrials evaluates independent trials with up to workers concurrent
-// eval calls, writing each result into its own Trial.
-func evalTrials(trials []*Trial, workers int, eval func(*Trial)) {
-	if workers > len(trials) {
-		workers = len(trials)
-	}
-	if workers < 1 {
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan *Trial)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for tr := range next {
-				eval(tr)
-			}
-		}()
-	}
-	for _, tr := range trials {
-		next <- tr
-	}
-	close(next)
-	wg.Wait()
-}
-
-// proposePoint returns the next point: random during warmup, otherwise the
-// best-EI candidate under a GP fitted to past successful trials.
-func proposePoint(space *Space, trials []*Trial, cfg Config, rng *rand.Rand, it int) []float64 {
-	dim := space.Dim()
-	randPoint := func() []float64 {
-		u := make([]float64, dim)
-		for i := range u {
-			u[i] = rng.Float64()
-		}
-		return u
-	}
-	if it < cfg.InitRandom {
-		return randPoint()
-	}
-	var xs [][]float64
-	var ys []float64
+// Minimize runs single-objective BO with Expected Improvement. With
+// cfg.Workers > 1 the warmup trials evaluate concurrently; see
+// Config.Workers.
+func Minimize(space *Space, obj Objective, cfg Config) (*Result, error) {
 	best := math.Inf(1)
-	for _, tr := range trials {
-		if tr.Failed {
+	return search(space, cfg, problem{
+		eval: func(tr *Trial) {
+			v, err := obj(tr.Assign)
+			if err != nil {
+				tr.Failed, v = true, math.Inf(1)
+			}
+			tr.Value = v
+		},
+		// The identity: a single objective needs no weights.
+		scalarize: func(_ *rand.Rand, trials []*Trial) []float64 {
+			ys := make([]float64, len(trials))
+			for i, tr := range trials {
+				ys[i] = tr.Value
+			}
+			return ys
+		},
+		record: func(res *Result, tr *Trial) bool {
+			if tr.Value < best {
+				best, res.Best = tr.Value, tr
+				return true
+			}
+			return false
+		},
+	})
+}
+
+// MinimizeMulti runs multi-objective BO via ParEGO: each iteration draws a
+// random weight vector, scalarizes the (normalized) objectives with the
+// augmented Chebyshev function, and performs one EI step on the
+// scalarization. The Pareto front of all successful trials is returned,
+// sorted by the first objective, with its knee point as Best. With
+// cfg.Workers > 1 the warmup trials evaluate concurrently; see
+// Config.Workers.
+func MinimizeMulti(space *Space, obj MultiObjective, nObjs int, cfg Config) (*Result, error) {
+	if nObjs < 2 {
+		return nil, fmt.Errorf("bo: multi-objective needs >= 2 objectives, got %d", nObjs)
+	}
+	return search(space, cfg, problem{
+		eval: func(tr *Trial) {
+			objs, err := obj(tr.Assign)
+			if err != nil || len(objs) != nObjs {
+				tr.Failed = true
+				objs = make([]float64, nObjs)
+				for i := range objs {
+					objs[i] = math.Inf(1)
+				}
+			}
+			tr.Objs = objs
+		},
+		scalarize: func(rng *rand.Rand, trials []*Trial) []float64 {
+			return scalarizeTrials(trials, drawChebyshevWeights(rng, nObjs))
+		},
+		record: func(res *Result, tr *Trial) bool {
+			before := len(res.Pareto)
+			res.Pareto = paretoFront(res.Trials)
+			if len(res.Pareto) == 0 {
+				return false
+			}
+			res.Best = kneePoint(res.Pareto)
+			return len(res.Pareto) != before || slices.Contains(res.Pareto, tr)
+		},
+	})
+}
+
+// randPoint draws a uniform point of the unit hypercube.
+func randPoint(rng *rand.Rand, dim int) []float64 {
+	u := make([]float64, dim)
+	for i := range u {
+		u[i] = rng.Float64()
+	}
+	return u
+}
+
+// proposePoint returns the best-EI candidate under a GP fitted to the
+// scalarized values ys of past trials, or a random point while fewer
+// than two trials have a finite value.
+func proposePoint(dim int, trials []*Trial, ys []float64, rng *rand.Rand) []float64 {
+	var xs [][]float64
+	var fit []float64
+	best := math.Inf(1)
+	for i, tr := range trials {
+		if math.IsInf(ys[i], 1) {
 			continue
 		}
 		xs = append(xs, tr.U)
-		ys = append(ys, tr.Value)
-		if tr.Value < best {
-			best = tr.Value
+		fit = append(fit, ys[i])
+		if ys[i] < best {
+			best = ys[i]
 		}
 	}
 	if len(xs) < 2 {
-		return randPoint()
+		return randPoint(rng, dim)
 	}
-	model, err := gp.FitAuto(xs, ys)
+	model, err := gp.FitAuto(xs, fit)
 	if err != nil {
-		return randPoint()
+		return randPoint(rng, dim)
 	}
 	var bestU []float64
 	bestEI := math.Inf(-1)
-	for c := 0; c < cfg.Candidates; c++ {
-		u := randPoint()
+	for c := 0; c < candidates; c++ {
+		u := randPoint(rng, dim)
 		mu, v := model.Predict(u)
-		ei := expectedImprovement(mu, v, best)
-		if ei > bestEI {
+		if ei := expectedImprovement(mu, v, best); ei > bestEI {
 			bestEI = ei
 			bestU = u
 		}
 	}
 	if bestU == nil {
-		return randPoint()
+		return randPoint(rng, dim)
 	}
 	return bestU
 }
@@ -372,98 +414,8 @@ func stdNormCDF(z float64) float64 {
 	return 0.5 * math.Erfc(-z/math.Sqrt2)
 }
 
-// MinimizeMulti runs multi-objective BO via ParEGO: each iteration draws a
-// random weight vector, scalarizes the (normalized) objectives with the
-// augmented Chebyshev function, and performs one EI step on the
-// scalarization. The Pareto front of all successful trials is returned.
-// With cfg.Workers > 1 the random-initialization trials evaluate
-// concurrently; see Config.Workers.
-func MinimizeMulti(space *Space, obj MultiObjective, nObjs int, cfg Config) (*Result, error) {
-	if nObjs < 2 {
-		return nil, fmt.Errorf("bo: multi-objective needs >= 2 objectives, got %d", nObjs)
-	}
-	if cfg.Iterations <= 0 {
-		return nil, fmt.Errorf("bo: iterations must be positive")
-	}
-	cfg.fill(space.Dim())
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	res := &Result{}
-	stale := 0
-
-	evalMulti := func(tr *Trial) {
-		objs, err := obj(tr.Assign)
-		if err != nil || len(objs) != nObjs {
-			tr.Failed = true
-			tr.Objs = make([]float64, nObjs)
-			for i := range tr.Objs {
-				tr.Objs[i] = math.Inf(1)
-			}
-			return
-		}
-		tr.Objs = objs
-	}
-	record := func(tr *Trial, it int) bool {
-		res.Trials = append(res.Trials, tr)
-		before := len(res.Pareto)
-		res.Pareto = paretoFront(res.Trials)
-		if len(res.Pareto) != before || contains(res.Pareto, tr) {
-			stale = 0
-			return false
-		}
-		stale++
-		return cfg.Patience > 0 && stale >= cfg.Patience && it >= cfg.InitRandom
-	}
-
-	start := 0
-	if cfg.Workers > 1 {
-		// Consume the RNG exactly as the serial warmup would — the
-		// scalarization weights are drawn (and discarded: warmup
-		// proposals ignore them) before each point — then fan the
-		// independent evaluations out and fold results back in order.
-		warm := min(cfg.InitRandom, cfg.Iterations)
-		trials := make([]*Trial, warm)
-		for i := range trials {
-			drawChebyshevWeights(rng, nObjs)
-			u := proposeScalarized(space, nil, nil, cfg, rng, i)
-			assign, err := space.Decode(u)
-			if err != nil {
-				return nil, err
-			}
-			trials[i] = &Trial{U: u, Assign: assign}
-		}
-		evalTrials(trials, cfg.Workers, evalMulti)
-		for it, tr := range trials {
-			record(tr, it) // warmup cannot trip patience (it < InitRandom)
-		}
-		start = warm
-	}
-	for it := start; it < cfg.Iterations; it++ {
-		w := drawChebyshevWeights(rng, nObjs)
-		scalar := scalarizeTrials(res.Trials, w, nObjs)
-		u := proposeScalarized(space, res.Trials, scalar, cfg, rng, it)
-		assign, err := space.Decode(u)
-		if err != nil {
-			return nil, err
-		}
-		tr := &Trial{U: u, Assign: assign}
-		evalMulti(tr)
-		if record(tr, it) {
-			break
-		}
-	}
-	if len(res.Pareto) == 0 {
-		return nil, fmt.Errorf("bo: all %d trials failed", len(res.Trials))
-	}
-	// Best = knee point: minimal normalized sum of objectives.
-	res.Best = kneePoint(res.Pareto)
-	return res, nil
-}
-
 // drawChebyshevWeights draws one ParEGO iteration's random
-// scalarization weight vector (normalized exponential draws). It is the
-// single source of the per-iteration RNG consumption: the parallel
-// warmup calls it purely to keep the stream aligned with the serial
-// loop, so any change to the draw stays consistent across both paths.
+// scalarization weight vector (normalized exponential draws).
 func drawChebyshevWeights(rng *rand.Rand, nObjs int) []float64 {
 	w := make([]float64, nObjs)
 	var sum float64
@@ -477,20 +429,11 @@ func drawChebyshevWeights(rng *rand.Rand, nObjs int) []float64 {
 	return w
 }
 
-func contains(ts []*Trial, t *Trial) bool {
-	for _, x := range ts {
-		if x == t {
-			return true
-		}
-	}
-	return false
-}
-
 // scalarizeTrials computes augmented-Chebyshev values of past trials under
 // weights w, normalizing each objective to [0,1] over the history.
-func scalarizeTrials(trials []*Trial, w []float64, nObjs int) []float64 {
-	lo := make([]float64, nObjs)
-	hi := make([]float64, nObjs)
+func scalarizeTrials(trials []*Trial, w []float64) []float64 {
+	lo := make([]float64, len(w))
+	hi := make([]float64, len(w))
 	for i := range lo {
 		lo[i], hi[i] = math.Inf(1), math.Inf(-1)
 	}
@@ -530,54 +473,6 @@ func scalarizeTrials(trials []*Trial, w []float64, nObjs int) []float64 {
 		out[ti] = maxTerm + 0.05*sumTerm
 	}
 	return out
-}
-
-func proposeScalarized(space *Space, trials []*Trial, scalar []float64, cfg Config, rng *rand.Rand, it int) []float64 {
-	dim := space.Dim()
-	randPoint := func() []float64 {
-		u := make([]float64, dim)
-		for i := range u {
-			u[i] = rng.Float64()
-		}
-		return u
-	}
-	if it < cfg.InitRandom {
-		return randPoint()
-	}
-	var xs [][]float64
-	var ys []float64
-	best := math.Inf(1)
-	for i, tr := range trials {
-		if tr.Failed || math.IsInf(scalar[i], 1) {
-			continue
-		}
-		xs = append(xs, tr.U)
-		ys = append(ys, scalar[i])
-		if scalar[i] < best {
-			best = scalar[i]
-		}
-	}
-	if len(xs) < 2 {
-		return randPoint()
-	}
-	model, err := gp.FitAuto(xs, ys)
-	if err != nil {
-		return randPoint()
-	}
-	var bestU []float64
-	bestEI := math.Inf(-1)
-	for c := 0; c < cfg.Candidates; c++ {
-		u := randPoint()
-		mu, v := model.Predict(u)
-		if ei := expectedImprovement(mu, v, best); ei > bestEI {
-			bestEI = ei
-			bestU = u
-		}
-	}
-	if bestU == nil {
-		return randPoint()
-	}
-	return bestU
 }
 
 // paretoFront returns the non-dominated successful trials (minimization).

@@ -3,6 +3,7 @@ package bo
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -220,6 +221,17 @@ func TestMinimizeMultiValidation(t *testing.T) {
 	}, 2, Config{Iterations: 3, Seed: 1}); err == nil {
 		t.Fatal("want error when all trials fail")
 	}
+	if _, err := MinimizeMulti(space, nil, 2, Config{Iterations: 0}); err == nil {
+		t.Fatal("want error for zero iterations")
+	}
+	calls := 0
+	_, err := MinimizeMulti(&Space{}, func(map[string]Value) ([]float64, error) {
+		calls++
+		return []float64{0, 0}, nil
+	}, 2, Config{Iterations: 5})
+	if err == nil || calls != 0 {
+		t.Fatalf("empty space: err = %v after %d objective calls, want an error and none", err, calls)
+	}
 }
 
 func TestDominates(t *testing.T) {
@@ -281,5 +293,15 @@ func TestNestedSearchValidation(t *testing.T) {
 	s := &Space{Params: []Param{IntParam{Key: "a", Min: 0, Max: 1}}}
 	if _, err := NestedSearch(s, s, nil, NestedConfig{}); err == nil {
 		t.Fatal("want error for zero iterations")
+	}
+	eval := func(arch, hyper map[string]Value) (float64, float64, error) { return 1, 1, nil }
+	cfg := NestedConfig{OuterIters: 2, InnerIters: 2}
+	for _, c := range []struct {
+		name        string
+		arch, hyper *Space
+	}{{"empty architecture space", &Space{}, s}, {"empty hyperparameter space", s, &Space{}}} {
+		if _, err := NestedSearch(c.arch, c.hyper, eval, cfg); err == nil || !strings.Contains(err.Error(), "empty search space") {
+			t.Fatalf("%s: err = %v, want an empty-space error", c.name, err)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package bo
 
 import (
-	"fmt"
 	"math"
 	"sync"
 )
@@ -58,15 +57,21 @@ type NestedResult struct {
 }
 
 // NestedSearch runs the outer multi-objective architecture search with an
-// inner hyperparameter search per architecture.
+// inner hyperparameter search per architecture. Its Pareto front and
+// knee point are the outer search's, so Pareto is sorted by latency.
 func NestedSearch(archSpace, hyperSpace *Space, eval NestedEval, cfg NestedConfig) (*NestedResult, error) {
-	if cfg.OuterIters <= 0 || cfg.InnerIters <= 0 {
-		return nil, fmt.Errorf("bo: nested search wants positive iteration counts")
+	// Checked up front: inside the outer search a bad inner search only
+	// shows as failed architectures.
+	if err := validate(hyperSpace, cfg.InnerIters); err != nil {
+		return nil, err
 	}
 	res := &NestedResult{}
 	// Guards ModelsEvaluated and the latency capture: the inner search's
 	// warmup trials run concurrently when InnerWorkers > 1.
 	var mu sync.Mutex
+	// One entry per outer trial, nil where its inner search failed. The
+	// outer search calls its objective serially, in trial order.
+	var perTrial []*NestedTrial
 
 	outerObj := func(arch map[string]Value) ([]float64, error) {
 		lat := math.Inf(1)
@@ -91,16 +96,16 @@ func NestedSearch(archSpace, hyperSpace *Space, eval NestedEval, cfg NestedConfi
 			return v, nil
 		}, Config{Iterations: cfg.InnerIters, Seed: innerSeed, Workers: cfg.InnerWorkers})
 		if err != nil {
+			perTrial = append(perTrial, nil)
 			return nil, err
 		}
-		nt := &NestedTrial{
+		perTrial = append(perTrial, &NestedTrial{
 			Arch:       arch,
 			BestHyper:  inner.Best.Assign,
 			LatencySec: lat,
 			ValError:   inner.Best.Value,
 			InnerRuns:  len(inner.Trials),
-		}
-		res.Trials = append(res.Trials, nt)
+		})
 		return []float64{lat, inner.Best.Value}, nil
 	}
 
@@ -112,63 +117,16 @@ func NestedSearch(archSpace, hyperSpace *Space, eval NestedEval, cfg NestedConfi
 	if err != nil {
 		return nil, err
 	}
-
-	// Map the outer Pareto front back to nested trials by objective match.
-	res.Pareto = nestedPareto(res.Trials)
-	res.Best = nestedKnee(res.Pareto)
-	_ = outer
-	if res.Best == nil {
-		return nil, fmt.Errorf("bo: nested search produced no successful trials")
+	nested := make(map[*Trial]*NestedTrial, len(outer.Trials))
+	for i, tr := range outer.Trials {
+		if !tr.Failed {
+			nested[tr] = perTrial[i]
+			res.Trials = append(res.Trials, perTrial[i])
+		}
 	}
+	for _, tr := range outer.Pareto {
+		res.Pareto = append(res.Pareto, nested[tr])
+	}
+	res.Best = nested[outer.Best]
 	return res, nil
-}
-
-func nestedPareto(trials []*NestedTrial) []*NestedTrial {
-	var front []*NestedTrial
-	for _, a := range trials {
-		dominated := false
-		for _, b := range trials {
-			if a == b {
-				continue
-			}
-			if (b.LatencySec <= a.LatencySec && b.ValError <= a.ValError) &&
-				(b.LatencySec < a.LatencySec || b.ValError < a.ValError) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			front = append(front, a)
-		}
-	}
-	return front
-}
-
-func nestedKnee(front []*NestedTrial) *NestedTrial {
-	if len(front) == 0 {
-		return nil
-	}
-	loL, hiL := math.Inf(1), math.Inf(-1)
-	loE, hiE := math.Inf(1), math.Inf(-1)
-	for _, t := range front {
-		loL, hiL = math.Min(loL, t.LatencySec), math.Max(hiL, t.LatencySec)
-		loE, hiE = math.Min(loE, t.ValError), math.Max(hiE, t.ValError)
-	}
-	spanL, spanE := hiL-loL, hiE-loE
-	if spanL < 1e-12 {
-		spanL = 1
-	}
-	if spanE < 1e-12 {
-		spanE = 1
-	}
-	var best *NestedTrial
-	bestS := math.Inf(1)
-	for _, t := range front {
-		s := (t.LatencySec-loL)/spanL + (t.ValError-loE)/spanE
-		if s < bestS {
-			bestS = s
-			best = t
-		}
-	}
-	return best
 }

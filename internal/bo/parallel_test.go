@@ -1,8 +1,10 @@
 package bo
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -122,6 +124,56 @@ func TestMinimizeParallelWarmupConcurrency(t *testing.T) {
 	}
 	if timedOut.Load() {
 		t.Fatal("warmup evaluations never overlapped with Workers=4")
+	}
+}
+
+// goroutineID returns the current goroutine's number from its stack
+// header ("goroutine N [running]:").
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return string(bytes.Fields(buf)[1])
+}
+
+// TestSerialSearchCallsInTrialOrder: with Workers <= 1 both searches
+// call the objective in trial order on the caller's goroutine, warmup
+// and guided phase alike; NestedCampaign numbers its model files by
+// call order.
+func TestSerialSearchCallsInTrialOrder(t *testing.T) {
+	caller := goroutineID()
+	for _, workers := range []int{0, 1} {
+		var calls []float64
+		onCall := func(a map[string]Value) error {
+			if id := goroutineID(); id != caller {
+				return fmt.Errorf("objective ran on goroutine %s, caller is %s", id, caller)
+			}
+			calls = append(calls, a["x"].Float)
+			return nil
+		}
+		check := func(name string, res *Result, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			if len(calls) != len(res.Trials) {
+				t.Fatalf("%s workers=%d: %d calls for %d trials", name, workers, len(calls), len(res.Trials))
+			}
+			for i, tr := range res.Trials {
+				if tr.Failed || calls[i] != tr.Assign["x"].Float {
+					t.Fatalf("%s workers=%d: call %d was not trial %d", name, workers, i, i)
+				}
+			}
+		}
+		cfg := Config{Iterations: 10, InitRandom: 5, Seed: 4, Workers: workers}
+		res, err := Minimize(parTestSpace(), func(a map[string]Value) (float64, error) {
+			return a["x"].Float * a["y"].Float, onCall(a)
+		}, cfg)
+		check("Minimize", res, err)
+		calls = nil
+		res, err = MinimizeMulti(parTestSpace(), func(a map[string]Value) ([]float64, error) {
+			return []float64{a["x"].Float, a["y"].Float}, onCall(a)
+		}, 2, cfg)
+		check("MinimizeMulti", res, err)
 	}
 }
 

@@ -1,7 +1,9 @@
 // Package gp implements Gaussian-process regression: the surrogate model
 // inside Bayesian optimization (the paper uses the Adaptive Experimentation
-// platform; this is the same mathematics — an RBF-kernel GP with Cholesky
-// solves and marginal-likelihood-based hyperparameter selection).
+// platform; this is the same mathematics — a GP with Cholesky solves and
+// marginal-likelihood-based hyperparameter selection). FitAuto, the fit
+// the search uses, fits a Matérn-5/2 kernel; RBF is there for callers of
+// Fit.
 package gp
 
 import (
@@ -181,7 +183,7 @@ func (g *GP) LogMarginalLikelihood() float64 {
 	return -0.5*fit - logDet - 0.5*float64(n)*math.Log(2*math.Pi)
 }
 
-// FitAuto selects RBF hyperparameters (length scale and noise) from a
+// FitAuto selects Matérn-5/2 hyperparameters (length scale and noise) from a
 // small grid by maximizing the log marginal likelihood, then returns the
 // best fitted GP. Inputs are assumed roughly unit-scaled (BO operates on
 // the unit hypercube).

@@ -1,128 +1,53 @@
-// Package workflow is a futures-based task orchestrator standing in for
-// Parsl, which the paper uses to drive its model-search campaign. Tasks
-// are submitted as closures, run on a bounded worker pool, and may depend
-// on other tasks' futures; Get blocks until a result is available.
+// Package workflow is the one fan-out of the model-search campaign,
+// standing in for the Parsl workflow the paper drives it with: Map runs
+// independent tasks on a bounded set of goroutines and collects their
+// results in order.
 package workflow
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
-// Executor runs submitted tasks with bounded parallelism. Create with New;
-// Close waits for all tasks to finish.
-type Executor struct {
-	sem    chan struct{}
-	wg     sync.WaitGroup
-	mu     sync.Mutex
-	closed bool
-}
-
-// New creates an executor running at most parallelism tasks at once.
-func New(parallelism int) (*Executor, error) {
-	if parallelism <= 0 {
-		return nil, fmt.Errorf("workflow: parallelism must be positive, got %d", parallelism)
-	}
-	return &Executor{sem: make(chan struct{}, parallelism)}, nil
-}
-
-// Future is the eventual result of a submitted task.
-type Future[T any] struct {
-	done chan struct{}
-	val  T
-	err  error
-}
-
-// Get blocks until the task completes and returns its result.
-func (f *Future[T]) Get() (T, error) {
-	<-f.done
-	return f.val, f.err
-}
-
-// Done reports completion without blocking.
-func (f *Future[T]) Done() bool {
-	select {
-	case <-f.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// Submit schedules fn on the executor and returns its future. fn runs
-// after deps complete; if any dependency failed, fn is skipped and the
-// future carries the dependency error.
-func Submit[T any](e *Executor, fn func() (T, error), deps ...Awaitable) (*Future[T], error) {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("workflow: submit on closed executor")
-	}
-	e.wg.Add(1)
-	e.mu.Unlock()
-
-	f := &Future[T]{done: make(chan struct{})}
-	go func() {
-		defer e.wg.Done()
-		defer close(f.done)
-		for _, d := range deps {
-			if err := d.Wait(); err != nil {
-				f.err = fmt.Errorf("workflow: dependency failed: %w", err)
-				return
-			}
-		}
-		e.sem <- struct{}{}
-		defer func() { <-e.sem }()
+// Map calls fn(0), …, fn(n-1) with at most workers calls in flight and
+// returns their results in index order. Every task runs; the error
+// returned is that of the lowest-indexed task that failed, and a task
+// that panics fails with the panic value. With workers <= 1 the calls
+// run inline, in index order, on the caller's goroutine.
+func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	errs := make([]error, n)
+	call := func(i int) {
 		defer func() {
 			if r := recover(); r != nil {
-				f.err = fmt.Errorf("workflow: task panicked: %v", r)
+				errs[i] = fmt.Errorf("panic: %v", r)
 			}
 		}()
-		f.val, f.err = fn()
-	}()
-	return f, nil
-}
-
-// Awaitable is anything whose completion (and error state) can be waited
-// on — every Future implements it.
-type Awaitable interface {
-	Wait() error
-}
-
-// Wait blocks until the future resolves and returns only its error.
-func (f *Future[T]) Wait() error {
-	<-f.done
-	return f.err
-}
-
-// Map fans fn out over n indices with the executor's parallelism and
-// returns the collected results in index order.
-func Map[T any](e *Executor, n int, fn func(i int) (T, error)) ([]T, error) {
-	futures := make([]*Future[T], n)
-	for i := 0; i < n; i++ {
-		i := i
-		f, err := Submit(e, func() (T, error) { return fn(i) })
+		out[i], errs[i] = fn(i)
+	}
+	if workers <= 1 {
+		for i := range n {
+			call(i)
+		}
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for range min(workers, n) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+					call(i)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	for i, err := range errs {
 		if err != nil {
-			return nil, err
+			return out, fmt.Errorf("workflow: task %d: %w", i, err)
 		}
-		futures[i] = f
 	}
-	out := make([]T, n)
-	var firstErr error
-	for i, f := range futures {
-		v, err := f.Get()
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("workflow: task %d: %w", i, err)
-		}
-		out[i] = v
-	}
-	return out, firstErr
-}
-
-// Close waits for all submitted tasks and rejects further submissions.
-func (e *Executor) Close() {
-	e.mu.Lock()
-	e.closed = true
-	e.mu.Unlock()
-	e.wg.Wait()
+	return out, nil
 }
