@@ -4,12 +4,15 @@
 // without an accurate callback the trust gate is advisory and engine
 // errors propagate; with one, rejected blocks are recomputed and
 // recaptured and a failed fallback-wrapped engine degrades to the
-// accurate path. Each case pins the outputs and every Stats counter.
+// accurate path. Gated cases are annotated with trust(var:1, domain:on)
+// over a .guard sidecar beside the model() path. Each case pins the
+// outputs and every Stats counter.
 package hpacml_test
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -19,8 +22,8 @@ import (
 )
 
 // reportEngine maps each input row (a, b) to 10a + b and reports a
-// preset per-row trust verdict; a nil report means ungated.
-type reportEngine struct{ rep *hpacml.TrustReport }
+// preset per-row predictive variance.
+type reportEngine struct{ rowVar []float64 }
 
 func (e *reportEngine) Infer(ctx context.Context, in, out *tensor.Tensor) error {
 	x, y := in.Data(), out.Data()
@@ -31,7 +34,7 @@ func (e *reportEngine) Infer(ctx context.Context, in, out *tensor.Tensor) error 
 }
 func (e *reportEngine) OutputShape(in []int) ([]int, error)             { return []int{in[0], 1}, nil }
 func (e *reportEngine) Warmup(ctx context.Context, inShape []int) error { return nil }
-func (e *reportEngine) TrustReport() *hpacml.TrustReport                { return e.rep }
+func (e *reportEngine) RowVariance() []float64                          { return e.rowVar }
 
 // errEngineDown is the error every downEngine inference returns.
 var errEngineDown = errors.New("engine down")
@@ -68,20 +71,25 @@ func countersOf(s hpacml.Stats) batchCounters {
 	}
 }
 
-// verdicts builds a report of the given rows with the listed rows rejected.
-func verdicts(rows int, ood, uncertain []int) *hpacml.TrustReport {
-	rep := &hpacml.TrustReport{Rows: rows, OOD: make([]bool, rows), Uncertain: make([]bool, rows)}
-	for _, r := range ood {
-		rep.OOD[r] = true
-	}
+// rowVariance returns rows variances of 0, with the listed rows at 9:
+// above the parity regions' var:1 threshold.
+func rowVariance(rows int, uncertain ...int) []float64 {
+	v := make([]float64, rows)
 	for _, r := range uncertain {
-		rep.Uncertain[r] = true
+		v[r] = 9
 	}
-	return rep
+	return v
+}
+
+// box is the guardrail envelope a <= a' <= a2, b <= b' <= b2 over the
+// (a, b) input rows.
+func box(a, a2, b, b2 float64) *hpacml.Guardrail {
+	return &hpacml.Guardrail{Lo: []float64{a, b}, Hi: []float64{a2, b2}}
 }
 
 // TestBatchEntryPointParity runs three invocations of two rows each
-// (block i is rows 2i, 2i+1) through both entry points. Surrogate
+// (block i is rows 2i, 2i+1: (i, 1) and (i, 2)) through both entry
+// points; gated cases carry a guardrail and the engine's variances. Surrogate
 // outputs for invocation i are {10i+1, 10i+2}; the accurate path writes
 // their negatives, so every finished invocation says which path served it.
 func TestBatchEntryPointParity(t *testing.T) {
@@ -93,6 +101,7 @@ func TestBatchEntryPointParity(t *testing.T) {
 	cases := []struct {
 		name     string
 		engine   func() hpacml.Engine
+		guard    *hpacml.Guardrail // nil: ungated
 		advisory batchCounters
 		advErr   bool
 		routed   batchCounters
@@ -107,23 +116,28 @@ func TestBatchEntryPointParity(t *testing.T) {
 		},
 		{
 			name:     "gated-clean",
-			engine:   func() hpacml.Engine { return &reportEngine{rep: verdicts(6, nil, nil)} },
+			engine:   func() hpacml.Engine { return &reportEngine{rowVar: rowVariance(6)} },
+			guard:    box(0, 2, 0, 2),
 			advisory: batchCounters{Invocations: 3, Inferences: 3, Batches: 1, BatchedInvocations: 3, TrustedRows: 6},
 			routed:   batchCounters{Invocations: 3, Inferences: 3, Batches: 1, BatchedInvocations: 3, TrustedRows: 6},
 			routedY:  all,
 		},
 		{
-			// Row 4 trips both gates and counts once, as out-of-domain.
+			// Rows 0, 1, 4 and 5 (a = 0 and a = 2) fall outside the
+			// envelope; row 4 trips both gates and counts once, as
+			// out-of-domain.
 			name:     "ood",
-			engine:   func() hpacml.Engine { return &reportEngine{rep: verdicts(6, []int{1, 4}, []int{4})} },
-			advisory: batchCounters{Invocations: 3, Inferences: 3, Batches: 1, BatchedInvocations: 3, TrustedRows: 4, OutOfDomainRows: 2},
+			engine:   func() hpacml.Engine { return &reportEngine{rowVar: rowVariance(6, 4)} },
+			guard:    box(0.5, 1.5, 0, 2),
+			advisory: batchCounters{Invocations: 3, Inferences: 3, Batches: 1, BatchedInvocations: 3, TrustedRows: 2, OutOfDomainRows: 4},
 			routed: batchCounters{Invocations: 3, Inferences: 1, Batches: 1, BatchedInvocations: 1, TrustedRows: 2,
-				OutOfDomainRows: 2, AccurateRuns: 2, Collections: 2},
+				OutOfDomainRows: 4, AccurateRuns: 2, Collections: 2},
 			routedY: [][]float64{acc(0), sur(1), acc(2)},
 		},
 		{
 			name:     "uncertain",
-			engine:   func() hpacml.Engine { return &reportEngine{rep: verdicts(6, nil, []int{3})} },
+			engine:   func() hpacml.Engine { return &reportEngine{rowVar: rowVariance(6, 3)} },
+			guard:    box(0, 2, 0, 2),
 			advisory: batchCounters{Invocations: 3, Inferences: 3, Batches: 1, BatchedInvocations: 3, TrustedRows: 5, UncertainRows: 1},
 			routed: batchCounters{Invocations: 3, Inferences: 2, Batches: 1, BatchedInvocations: 2, TrustedRows: 4,
 				UncertainRows: 1, AccurateRuns: 1, Collections: 1},
@@ -148,7 +162,7 @@ func TestBatchEntryPointParity(t *testing.T) {
 				x := make([]float64, 4)
 				y := make([]float64, 2)
 				sink := &countSink{}
-				r := parityRegion(t, x, y, tc.engine(), sink)
+				r := parityRegion(t, x, y, tc.engine(), sink, tc.guard)
 
 				stage := func(i int) error {
 					copy(x, []float64{float64(i), 1, float64(i), 2})
@@ -192,16 +206,21 @@ func TestBatchEntryPointParity(t *testing.T) {
 
 // parityRegion builds the two-row region both parity tests drive: one
 // invocation gathers x's two (a, b) pairs and scatters y's two entries.
-func parityRegion(t *testing.T, x, y []float64, e hpacml.Engine, sink hpacml.Sink) *hpacml.Region {
+// A non-nil guard gates the region with trust(var:1, domain:on), guard
+// saved as the sidecar of its model() path.
+func parityRegion(t *testing.T, x, y []float64, e hpacml.Engine, sink hpacml.Sink, guard *hpacml.Guardrail) *hpacml.Region {
 	t.Helper()
+	ml := "ml(infer) in(x) out(y)"
+	if guard != nil {
+		ml += fmt.Sprintf(" model(%q) trust(var:1, domain:on)", guardedModel(t, guard))
+	}
 	r, err := hpacml.NewRegion("parity",
 		hpacml.Directives(`
 tensor functor(vin: [i, 0:2] = ([i*2:i*2+2]))
 tensor functor(vout: [i, 0:1] = ([i:i+1]))
 tensor map(to: vin(x[0:2]))
 tensor map(from: vout(y[0:2]))
-ml(infer) in(x) out(y)
-`),
+`+ml),
 		hpacml.BindArray("x", x, 4),
 		hpacml.BindArray("y", y, 2),
 		hpacml.WithEngine(e),
@@ -224,6 +243,7 @@ func testExecuteParity(t *testing.T) {
 	cases := []struct {
 		name   string
 		engine func() hpacml.Engine
+		guard  *hpacml.Guardrail // nil: ungated
 		// served says the engine answered, so engine time was recorded.
 		served   bool
 		advisory batchCounters
@@ -246,7 +266,8 @@ func testExecuteParity(t *testing.T) {
 			// Advisory keeps the surrogate's rows; routed recomputes the
 			// invocation and recaptures it.
 			name:     "reject",
-			engine:   func() hpacml.Engine { return &reportEngine{rep: verdicts(2, []int{1}, nil)} },
+			engine:   func() hpacml.Engine { return &reportEngine{rowVar: rowVariance(2)} },
+			guard:    box(0, 2, 0, 1.5), // row (0, 2) is out of domain
 			served:   true,
 			advisory: batchCounters{Invocations: 1, Inferences: 1, TrustedRows: 1, OutOfDomainRows: 1},
 			advY:     sur,
@@ -284,7 +305,7 @@ func testExecuteParity(t *testing.T) {
 				x := []float64{0, 1, 0, 2}
 				y := make([]float64, 2)
 				sink := &countSink{}
-				r := parityRegion(t, x, y, tc.engine(), sink)
+				r := parityRegion(t, x, y, tc.engine(), sink, tc.guard)
 
 				want, wantY, wantErr := tc.advisory, tc.advY, tc.advErr
 				var accurate func() error

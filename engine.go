@@ -2,7 +2,6 @@ package hpacml
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"repro/internal/tensor"
@@ -39,17 +38,17 @@ type Engine interface {
 	// Warmup prepares the engine for the region's single-invocation
 	// input shape: load the model, resolve the remote registry entry,
 	// validate dimensions. The Region calls it before first use and
-	// again after RefreshModel; it must be cheap when already warm.
+	// again after InvalidateModel; it must be cheap when already warm.
 	Warmup(ctx context.Context, inShape []int) error
 }
 
-// refresher is the optional hook RefreshModel forwards to: drop any
+// refresher is the optional hook InvalidateModel runs first: drop any
 // resolved model state so the next Warmup re-resolves it (the local
 // engine re-reads the shared cache; the remote engine re-queries the
 // registry).
 type refresher interface{ Refresh() }
 
-// invalidator is the optional hook InvalidateModel forwards to: like
+// invalidator is the optional hook InvalidateModel runs next: like
 // Refresh, but also evict any shared cache entry so the next load
 // reaches the source of truth (disk, for the local engine).
 type invalidator interface{ Invalidate() }
@@ -75,81 +74,17 @@ func wantsFallback(e Engine) bool {
 	return ok && fp.FallbackToAccurate()
 }
 
-// TrustReport is one Infer call's per-row trust verdict, produced by a
-// gated FallbackEngine and consumed by the Region's routing: rows the
-// report rejects are recomputed by the accurate path and recaptured
-// for retraining instead of keeping the surrogate's output. The slices
-// are indexed by input row (the leading tensor dimension) and are
-// reused across Infer calls — snapshot them if they must outlive the
-// next inference.
-type TrustReport struct {
-	// Rows is the row count of the gated batch.
-	Rows int
-	// OOD marks rows whose input fell outside the guardrail envelope.
-	OOD []bool
-	// Uncertain marks rows whose predictive variance exceeded the
-	// engine's MaxVariance threshold.
-	Uncertain []bool
-	// Variance is the per-row predictive variance the primary engine
-	// reported; nil when the primary measures none.
-	Variance []float64
-}
-
-// reset re-sizes the report for rows and clears all verdicts.
-func (t *TrustReport) reset(rows int) {
-	if cap(t.OOD) < rows {
-		t.OOD = make([]bool, rows)
-		t.Uncertain = make([]bool, rows)
-	}
-	t.OOD, t.Uncertain = t.OOD[:rows], t.Uncertain[:rows]
-	for i := 0; i < rows; i++ {
-		t.OOD[i], t.Uncertain[i] = false, false
-	}
-	t.Variance = nil
-	t.Rows = rows
-}
-
-// Untrusted reports whether row i was rejected by either gate.
-func (t *TrustReport) Untrusted(i int) bool { return t.OOD[i] || t.Uncertain[i] }
-
-// AnyUntrusted reports whether any row was rejected.
-func (t *TrustReport) AnyUntrusted() bool { return t.anyUntrusted(0, t.Rows) }
-
-// anyUntrusted reports whether any row of [lo, hi) was rejected.
-func (t *TrustReport) anyUntrusted(lo, hi int) bool {
-	for i := lo; i < hi && i < t.Rows; i++ {
-		if t.OOD[i] || t.Uncertain[i] {
-			return true
-		}
-	}
-	return false
-}
-
-// trustReporter is implemented by engines that gate their predictions
-// row by row; the Region reads the report after each successful Infer
-// and routes rejected rows to the accurate path.
-type trustReporter interface{ TrustReport() *TrustReport }
-
 // FallbackEngine wraps a primary engine with the paper's predicated
 // conditional execution extended to distributed deployments: when the
 // primary engine fails — the server is down, the model cannot load, or
 // the caller's context deadline expired — the Region runs the accurate
 // code path for that invocation instead of failing it, and counts the
 // event in Stats.Fallbacks. Regions whose model() clause carries an
-// http(s):// URI get this wrapper automatically; wrap any engine
-// yourself (including a LocalEngine) to opt a custom engine in.
+// http(s):// URI get this wrapper automatically, and trust-gated
+// regions fall back on their own; wrap any engine yourself (including a
+// LocalEngine) to opt a custom engine in.
 //
-// The wrapper is also where per-row trust gating lives. With Guardrail
-// set, every input row is checked against the fitted domain envelope
-// before its prediction may be kept; with MaxVariance > 0 (and a
-// primary that implements VarianceReporter, e.g. EnsembleEngine), rows
-// whose predictive variance exceeds the threshold are rejected. The
-// verdicts surface through TrustReport; the Region recomputes rejected
-// rows with the accurate path and hands them to the capture sink for
-// retraining. Regions configure both gates from their trust(...)
-// clause or the WithTrust option.
-//
-// The failure fallback needs the accurate closure, so it applies to
+// The fallback needs the accurate closure, so it applies to
 // Execute/ExecuteContext with a non-nil accurate function and to
 // ExecuteBatchRouted; plain ExecuteBatch has no accurate form
 // (independent invocations only the surrogate can batch), so batched
@@ -157,83 +92,26 @@ type trustReporter interface{ TrustReport() *TrustReport }
 type FallbackEngine struct {
 	// Primary executes inference when it can.
 	Primary Engine
-
-	// Guardrail, when non-nil, rejects rows whose input falls outside
-	// the fitted domain envelope (trust(domain:on)).
-	Guardrail *Guardrail
-
-	// MaxVariance, when positive, rejects rows whose predictive
-	// variance exceeds it (trust(var:V)). The primary must implement
-	// VarianceReporter; Warmup rejects the configuration otherwise.
-	MaxVariance float64
-
-	report      TrustReport
-	gatedReport *TrustReport // nil when the last Infer ran ungated
 }
 
-// NewFallbackEngine wraps primary with the accurate-fallback policy
-// (and no trust gates; set Guardrail/MaxVariance to engage them).
+// NewFallbackEngine wraps primary with the accurate-fallback policy.
 func NewFallbackEngine(primary Engine) *FallbackEngine {
 	return &FallbackEngine{Primary: primary}
 }
 
-// gated reports whether any trust gate is configured.
-func (f *FallbackEngine) gated() bool { return f.Guardrail != nil || f.MaxVariance > 0 }
-
-// Infer delegates to the primary engine, then applies the configured
-// trust gates row by row; the Region applies the fallback policy on
-// error and the routing policy on the trust report.
+// Infer delegates to the primary engine; the Region applies the
+// fallback policy on error.
 func (f *FallbackEngine) Infer(ctx context.Context, in, out *tensor.Tensor) error {
-	f.gatedReport = nil
-	if !f.gated() {
-		return f.Primary.Infer(ctx, in, out)
-	}
-	rows := 1
-	if in.Rank() >= 1 {
-		rows = in.Dim(0)
-	}
-	f.report.reset(rows)
-	if f.Guardrail != nil {
-		if _, err := f.Guardrail.Check(in, f.report.OOD); err != nil {
-			return err
-		}
-	}
-	if err := f.Primary.Infer(ctx, in, out); err != nil {
-		return err
-	}
-	if f.MaxVariance > 0 {
-		if vr, ok := f.Primary.(VarianceReporter); ok {
-			if v := vr.RowVariance(); len(v) == rows {
-				f.report.Variance = v
-				for i, x := range v {
-					f.report.Uncertain[i] = x > f.MaxVariance
-				}
-			}
-		}
-	}
-	f.gatedReport = &f.report
-	return nil
+	return f.Primary.Infer(ctx, in, out)
 }
-
-// TrustReport returns the per-row verdicts of the last Infer call, or
-// nil when no gate is configured (every row trusted).
-func (f *FallbackEngine) TrustReport() *TrustReport { return f.gatedReport }
 
 // OutputShape delegates to the primary engine.
 func (f *FallbackEngine) OutputShape(in []int) ([]int, error) {
 	return f.Primary.OutputShape(in)
 }
 
-// Warmup delegates to the primary engine and validates the trust
-// configuration: a variance gate over a primary that measures no
-// variance would silently never fire, so it is rejected here, before
-// traffic.
+// Warmup delegates to the primary engine.
 func (f *FallbackEngine) Warmup(ctx context.Context, inShape []int) error {
-	if f.MaxVariance > 0 {
-		if _, ok := f.Primary.(VarianceReporter); !ok {
-			return fmt.Errorf("hpacml: trust variance gate needs an engine that reports predictive variance (e.g. EnsembleEngine); %T does not", f.Primary)
-		}
-	}
 	return f.Primary.Warmup(ctx, inShape)
 }
 

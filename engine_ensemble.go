@@ -10,8 +10,8 @@ import (
 )
 
 // VarianceReporter is implemented by engines that measure per-row
-// predictive variance while inferring — the confidence score the
-// trust gate (FallbackEngine.MaxVariance) consumes. The returned slice
+// predictive variance while inferring — the confidence score a
+// region's trust(var:V) gate reads. The returned slice
 // is indexed by input row, valid until the engine's next Infer call.
 type VarianceReporter interface{ RowVariance() []float64 }
 
@@ -25,9 +25,8 @@ type VarianceReporter interface{ RowVariance() []float64 }
 // members, they agree; where the surrogate would be extrapolating,
 // they drift apart.
 //
-// The engine implements VarianceReporter, so wrapping it in a
-// FallbackEngine with MaxVariance set (or annotating the region with
-// trust(var:V)) turns the variance into a per-row routing decision.
+// The engine implements VarianceReporter, so annotating its region with
+// trust(var:V) turns the variance into a per-row routing decision.
 // Like every engine it is driven from one goroutine at a time; it owns
 // its members (Close closes them).
 type EnsembleEngine struct {
@@ -69,9 +68,6 @@ func NewLocalEnsemble(paths ...string) (*EnsembleEngine, error) {
 
 // Size returns the member count.
 func (e *EnsembleEngine) Size() int { return len(e.members) }
-
-// Members returns the member engines (shared, not copied).
-func (e *EnsembleEngine) Members() []Engine { return e.members }
 
 // Warmup warms every member and cross-validates their output shapes
 // against the region's input shape.

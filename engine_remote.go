@@ -80,9 +80,6 @@ func NewRemoteEngine(uri string, opts ...RemoteOption) (*RemoteEngine, error) {
 	return &RemoteEngine{client: serveclient.New(base, copts...), model: name}, nil
 }
 
-// ModelName returns the registered model name the engine targets.
-func (e *RemoteEngine) ModelName() string { return e.model }
-
 // RemoteExecution marks the engine for Stats.RemoteInference counting.
 func (e *RemoteEngine) RemoteExecution() bool { return true }
 

@@ -16,6 +16,7 @@ import (
 
 	hpacml "repro"
 
+	"repro/internal/directive"
 	"repro/internal/nn"
 	"repro/internal/serve"
 	"repro/internal/tensor"
@@ -285,29 +286,45 @@ ml(infer) inout(x)
 }
 
 // TestRemoteURIValidation checks construction-time rejection of bad
-// model URIs through the public API.
+// model and db URIs in a hand-built ml decl, which bypasses the
+// directive parser's own check.
 func TestRemoteURIValidation(t *testing.T) {
 	x := make([]float64, 2)
 	y := make([]float64, 1)
-	for _, ref := range []string{
-		"ftp://host/model",  // unsupported scheme
-		"http://host/a?x=1", // query
-		"http://host-only",  // no model-name path segment
-	} {
+	build := func(ml *directive.MLDecl) error {
 		_, err := hpacml.NewRegion("bad",
 			hpacml.Directives(`
 tensor functor(vin: [i, 0:2] = ([0:2]))
 tensor functor(vout: [i, 0:1] = ([0:1]))
 tensor map(to: vin(x[0:1]))
 tensor map(from: vout(y[0:1]))
-ml(infer) in(x) out(y)
 `),
+			hpacml.Directive(ml),
 			hpacml.BindArray("x", x, 2),
 			hpacml.BindArray("y", y, 1),
-			hpacml.WithModel(ref),
 		)
-		if err == nil {
-			t.Fatalf("model ref %q should be rejected at construction", ref)
+		return err
+	}
+	decls := func(ref string) []*directive.MLDecl {
+		return []*directive.MLDecl{
+			{Mode: directive.Infer, In: []string{"x"}, Out: []string{"y"}, Model: ref},
+			{Mode: directive.Infer, In: []string{"x"}, Out: []string{"y"}, DB: ref},
+		}
+	}
+	for _, ml := range decls("http://host/m") {
+		if err := build(ml); err != nil {
+			t.Fatalf("well-formed ref in %s rejected: %v", ml, err)
+		}
+	}
+	for _, ref := range []string{
+		"ftp://host/model",  // unsupported scheme
+		"http://host/a?x=1", // query
+		"http://host-only",  // no model-name path segment
+	} {
+		for _, ml := range decls(ref) {
+			if build(ml) == nil {
+				t.Fatalf("ref %q in %s should be rejected at construction", ref, ml)
+			}
 		}
 	}
 }

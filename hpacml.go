@@ -81,8 +81,9 @@ type Stats struct {
 
 	// Fallbacks counts surrogate attempts that ran the accurate region
 	// instead because the engine failed or the caller's context
-	// deadline expired (the FallbackEngine policy). Those invocations
-	// are also counted in AccurateRuns, never in Inferences.
+	// deadline expired (the FallbackEngine policy, which every region
+	// with a trust(...) clause also follows). Those invocations are
+	// also counted in AccurateRuns, never in Inferences.
 	Fallbacks int
 	// RemoteInference counts invocations whose inference executed on a
 	// remote engine (an http(s):// model URI) rather than in-process.
@@ -194,9 +195,6 @@ type Region struct {
 	inLayout  Layout
 	outLayout Layout
 
-	modelPath string
-	dbPath    string
-
 	// engine is the pluggable surrogate-execution backend. It is built
 	// lazily from the model() reference on first inference (LocalEngine
 	// for file paths, a fallback-wrapped RemoteEngine for http(s) URIs)
@@ -223,11 +221,13 @@ type Region struct {
 	sinkOwned  bool
 	captureCfg CaptureConfig
 
-	// trust is the resolved trust-routing configuration (from the
-	// trust(...) clause unless WithTrust overrode it); trustWired flips
-	// once the engine has been wrapped/configured for it.
-	trust      *TrustConfig
-	trustWired bool
+	// guard and variance are the trust(...) clause's gates, resolved by
+	// ensureTrust at the first inference (trustReady flips then);
+	// verdicts is the per-row report judge reuses across inferences.
+	guard      *Guardrail
+	variance   VarianceReporter
+	trustReady bool
+	verdicts   trustReport
 
 	stats Stats
 	// sinkBase is the sink-counter snapshot taken at the last
@@ -340,16 +340,6 @@ func BindPredicate(name string, fn func() bool) Option {
 	}
 }
 
-// WithModel overrides the model path from the ml clause.
-func WithModel(path string) Option {
-	return func(r *Region) error { r.modelPath = path; return nil }
-}
-
-// WithDB overrides the database path from the ml clause.
-func WithDB(path string) Option {
-	return func(r *Region) error { r.dbPath = path; return nil }
-}
-
 // InputLayout selects how gathered inputs are presented to the model.
 func InputLayout(l Layout) Option {
 	return func(r *Region) error { r.inLayout = l; return nil }
@@ -408,36 +398,25 @@ func (r *Region) finalize() error {
 	if r.ml == nil {
 		return fmt.Errorf("missing ml directive")
 	}
-	if r.modelPath == "" {
-		r.modelPath = r.ml.Model
-	}
-	if r.dbPath == "" {
-		r.dbPath = r.ml.DB
-	}
-	// Model references set through WithModel bypass the directive
+	// A hand-built decl passed to Directive bypasses the directive
 	// parser, so re-run its grammar check here: plain paths pass, URIs
 	// must be well-formed http(s)://host/model-name forms.
-	if r.modelPath != "" {
-		if err := directive.ValidateModelRef(r.modelPath); err != nil {
+	if r.ml.Model != "" {
+		if err := directive.ValidateModelRef(r.ml.Model); err != nil {
 			return err
 		}
 	}
-	if r.dbPath != "" {
-		if err := directive.ValidateDBRef(r.dbPath); err != nil {
+	if r.ml.DB != "" {
+		if err := directive.ValidateDBRef(r.ml.DB); err != nil {
 			return err
 		}
 	}
 	// The directive's capture(...) sampling policy applies unless the
 	// caller overrode sampling through WithCapture (runtime tuning wins
-	// over the annotation, same as WithModel/WithDB).
+	// over the annotation).
 	if r.ml.Capture != nil && r.captureCfg.Every == 0 && r.captureCfg.Frac == 0 {
 		r.captureCfg.Every = r.ml.Capture.Every
 		r.captureCfg.Frac = r.ml.Capture.Frac
-	}
-	// The directive's trust(...) policy applies unless the caller
-	// overrode it through WithTrust (same precedence as capture).
-	if r.ml.Trust != nil && r.trust == nil {
-		r.trust = &TrustConfig{MaxVariance: r.ml.Trust.MaxVariance, Domain: r.ml.Trust.Domain}
 	}
 
 	// Inline functor applications in the ml clause (fa-exprs) create
@@ -639,8 +618,8 @@ func (r *Region) Execute(accurate func() error) error {
 // flows through the region's engine down to the backend — a remote
 // engine threads it into its HTTP requests, so cancelling the context
 // cancels in-flight inference on the wire. When the engine carries the
-// fallback policy (every http(s):// model URI does by default), a
-// context that expires before or during inference runs the accurate
+// fallback policy (every http(s):// model URI does by default) or the
+// region has a trust(...) clause, a context that expires before or during inference runs the accurate
 // path instead of failing the invocation.
 func (r *Region) ExecuteContext(ctx context.Context, accurate func() error) error {
 	if r.closed {
@@ -835,10 +814,10 @@ func (r *Region) ensureSink() error {
 	if r.sink != nil {
 		return nil
 	}
-	if r.dbPath == "" {
+	if r.ml.DB == "" {
 		return fmt.Errorf("hpacml: collection without db() clause in region %q", r.name)
 	}
-	s, err := NewSink(r.dbPath, r.captureCfg)
+	s, err := NewSink(r.ml.DB, r.captureCfg)
 	if err != nil {
 		return fmt.Errorf("hpacml: region %q: %w", r.name, err)
 	}
@@ -866,16 +845,16 @@ func (r *Region) ensureEngine() error {
 	if r.engine != nil {
 		return nil
 	}
-	if r.modelPath == "" {
+	if r.ml.Model == "" {
 		return fmt.Errorf("hpacml: inference without model() clause in region %q", r.name)
 	}
-	if directive.IsRemoteModel(r.modelPath) {
+	if directive.IsRemoteModel(r.ml.Model) {
 		// The default timeout keeps the fallback promise honest: a
 		// server that accepts connections but never answers must still
 		// degrade to the accurate path, not hang Execute forever. An
 		// application wanting different limits injects its own engine
 		// with WithEngine.
-		remote, err := NewRemoteEngine(r.modelPath, WithRequestTimeout(DefaultRemoteTimeout))
+		remote, err := NewRemoteEngine(r.ml.Model, WithRequestTimeout(DefaultRemoteTimeout))
 		if err != nil {
 			return fmt.Errorf("hpacml: region %q: %w", r.name, err)
 		}
@@ -893,7 +872,7 @@ func (r *Region) ensureEngine() error {
 	if r.ml.Quant == "int8" {
 		opts = append(opts, WithInt8Inference())
 	}
-	r.setEngine(NewLocalEngine(r.modelPath, opts...), true)
+	r.setEngine(NewLocalEngine(r.ml.Model, opts...), true)
 	return nil
 }
 
@@ -1054,8 +1033,9 @@ func (r *Region) ExecuteBatchContext(ctx context.Context, n int, stage func(i in
 // invocation by invocation. accurate == nil is the advisory policy (keep
 // every invocation, count each block's verdicts, propagate engine
 // errors); with accurate, a block with a rejected row goes through
-// routeInvocationAccurate, and a failure of a fallback-policy engine
-// degrades the whole batch to the accurate path.
+// routeInvocationAccurate, and a failure of a fallback-policy engine, or
+// of any engine under a trust(...) clause, degrades the whole batch to
+// the accurate path.
 //
 // batched is false only for Execute, which has already resolved the
 // region's path and counted its invocation: its engine time then lands
@@ -1086,11 +1066,13 @@ func (r *Region) executeBatch(ctx context.Context, n int, stage, accurate, finis
 	if err := r.ensureEngine(); err != nil {
 		return err
 	}
-	if err := r.ensureTrustEngine(); err != nil {
+	if err := r.ensureTrust(); err != nil {
 		return err
 	}
+	// A trust-gated region falls back on engine failure like a
+	// FallbackEngine does: its accurate path is already in hand.
 	engineFailed := func(err error) error {
-		if accurate != nil && r.engineFallback {
+		if accurate != nil && (r.engineFallback || r.ml.Trust != nil) {
 			return r.degradeBatch(n, stage, accurate, finish, batched)
 		}
 		return fmt.Errorf("hpacml: inference in region %q: %w", r.name, err)
@@ -1134,16 +1116,16 @@ func (r *Region) executeBatch(ctx context.Context, n int, stage, accurate, finis
 		}
 	}
 	err = r.engine.Infer(ctx, bs.x, bs.y)
+	var rep *trustReport
+	if err == nil {
+		rep, err = r.judge(bs.x)
+	}
 	*engineTime += time.Since(start)
 	if err != nil {
 		bs.y, bs.outSt = nil, nil
 		return engineFailed(err)
 	}
 
-	var rep *TrustReport
-	if tr, ok := r.engine.(trustReporter); ok {
-		rep = tr.TrustReport()
-	}
 	per := inputRows(bs.x) / n
 	if batched {
 		r.stats.Invocations += n
@@ -1258,35 +1240,21 @@ func (r *Region) Engine() Engine { return r.engine }
 // the .gmod from disk (e.g. after a new training round wrote the file).
 // Cached output buffers are model-dependent and dropped with it.
 func (r *Region) InvalidateModel() {
-	r.dropModel()
-	if inv, ok := r.engine.(invalidator); ok {
-		inv.Invalidate()
-		return
-	}
-	// No engine resolved yet: evict the shared cache entry directly so
-	// the eventual local engine re-reads disk, as before.
-	if r.engine == nil && r.modelPath != "" && !directive.IsRemoteModel(r.modelPath) {
-		modelCache.Delete(r.modelPath)
-	}
-}
-
-// RefreshModel drops the region's resolved model state and
-// model-dependent caches so the next inference re-resolves it through
-// the engine's refresh hook. For the default local engine that means
-// the shared model cache — unlike InvalidateModel it does not evict the
-// cache entry: paired with StoreModel it lets a replica pool swap onto
-// already-loaded validated weights without touching disk — if every
-// replica re-read the file instead, a concurrent retrain could hand
-// different replicas different (or torn) bytes for the same swap.
-func (r *Region) RefreshModel() { r.dropModel() }
-
-func (r *Region) dropModel() {
 	r.warmed = false
 	if rf, ok := r.engine.(refresher); ok {
 		rf.Refresh()
 	}
 	for _, bs := range r.batches {
 		bs.y, bs.outSt = nil, nil
+	}
+	if inv, ok := r.engine.(invalidator); ok {
+		inv.Invalidate()
+		return
+	}
+	// No engine resolved yet: evict the shared cache entry directly so
+	// the eventual local engine re-reads disk, as before.
+	if r.engine == nil && r.ml.Model != "" && !directive.IsRemoteModel(r.ml.Model) {
+		modelCache.Delete(r.ml.Model)
 	}
 }
 

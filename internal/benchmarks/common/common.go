@@ -85,20 +85,6 @@ func MAPE(pred, ref []float64) (float64, error) {
 	return 100 * s / float64(n), nil
 }
 
-// MaxAbsErr returns the maximum absolute difference.
-func MaxAbsErr(pred, ref []float64) (float64, error) {
-	if len(pred) != len(ref) || len(pred) == 0 {
-		return 0, fmt.Errorf("common: MaxAbsErr wants equal non-empty series")
-	}
-	var m float64
-	for i := range pred {
-		if d := math.Abs(pred[i] - ref[i]); d > m {
-			m = d
-		}
-	}
-	return m, nil
-}
-
 // RelativeErrors returns |pred-ref| / max(|ref|, floor) per element — the
 // quantity whose CDF Figure 9f plots. floor guards near-zero references.
 func RelativeErrors(pred, ref []float64, floor float64) ([]float64, error) {

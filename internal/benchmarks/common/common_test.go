@@ -48,13 +48,6 @@ func TestMAPE(t *testing.T) {
 	}
 }
 
-func TestMaxAbsErr(t *testing.T) {
-	v, err := MaxAbsErr([]float64{1, 5, 2}, []float64{1, 1, 1})
-	if err != nil || v != 4 {
-		t.Fatalf("MaxAbsErr = %g, %v", v, err)
-	}
-}
-
 func TestRelativeErrors(t *testing.T) {
 	re, err := RelativeErrors([]float64{2, 0.5}, []float64{1, 1}, 0)
 	if err != nil {

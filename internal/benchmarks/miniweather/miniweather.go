@@ -190,9 +190,6 @@ func (in *Instance) tendIdx(v, k, i int) int {
 	return (v*in.Cfg.NZ+k)*in.Cfg.NX + i
 }
 
-// DT returns the stable timestep length in seconds.
-func (in *Instance) DT() float64 { return in.dt }
-
 // Step advances the state by one full timestep using Strang-like
 // dimensional splitting with the reference three-substep integrator.
 func (in *Instance) Step() {

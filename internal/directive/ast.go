@@ -364,9 +364,9 @@ func (c CapturePolicy) String() string {
 //	trust(var:V, domain:on)   — both gates; the domain gate wins when
 //	                            a row trips both
 //
-// The clause is the annotation form of the runtime's FallbackEngine
-// trust gate; WithTrust overrides it the same way WithModel overrides
-// model().
+// The clause is the only configuration of the region's trust gates:
+// the region reads the guardrail from the .guard sidecar beside its
+// model() file and the variance from its engine.
 type TrustPolicy struct {
 	// MaxVariance is the variance gate's threshold; 0 when the clause
 	// carries no var: selector.

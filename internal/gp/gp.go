@@ -2,8 +2,7 @@
 // inside Bayesian optimization (the paper uses the Adaptive Experimentation
 // platform; this is the same mathematics — a GP with Cholesky solves and
 // marginal-likelihood-based hyperparameter selection). FitAuto, the fit
-// the search uses, fits a Matérn-5/2 kernel; RBF is there for callers of
-// Fit.
+// the search uses, fits a Matérn-5/2 kernel.
 package gp
 
 import (
@@ -16,26 +15,6 @@ type Kernel interface {
 	Eval(a, b []float64) float64
 	Name() string
 }
-
-// RBF is the squared-exponential kernel with signal variance Sigma2 and
-// length scale Length.
-type RBF struct {
-	Sigma2 float64
-	Length float64
-}
-
-// Eval computes sigma^2 * exp(-||a-b||^2 / (2 l^2)).
-func (k RBF) Eval(a, b []float64) float64 {
-	var d2 float64
-	for i := range a {
-		d := a[i] - b[i]
-		d2 += d * d
-	}
-	return k.Sigma2 * math.Exp(-d2/(2*k.Length*k.Length))
-}
-
-// Name identifies the kernel.
-func (k RBF) Name() string { return "rbf" }
 
 // Matern52 is the Matérn-5/2 kernel, the default in most BO systems.
 type Matern52 struct {

@@ -8,16 +8,16 @@ import (
 )
 
 func TestFitValidation(t *testing.T) {
-	if _, err := Fit(RBF{1, 1}, 1e-6, nil, nil); err == nil {
+	if _, err := Fit(Matern52{1, 1}, 1e-6, nil, nil); err == nil {
 		t.Fatal("want error for empty data")
 	}
-	if _, err := Fit(RBF{1, 1}, 1e-6, [][]float64{{1}}, []float64{1, 2}); err == nil {
+	if _, err := Fit(Matern52{1, 1}, 1e-6, [][]float64{{1}}, []float64{1, 2}); err == nil {
 		t.Fatal("want error for mismatched lengths")
 	}
-	if _, err := Fit(RBF{1, 1}, 0, [][]float64{{1}}, []float64{1}); err == nil {
+	if _, err := Fit(Matern52{1, 1}, 0, [][]float64{{1}}, []float64{1}); err == nil {
 		t.Fatal("want error for zero noise")
 	}
-	if _, err := Fit(RBF{1, 1}, 1e-6, [][]float64{{1}, {1, 2}}, []float64{1, 2}); err == nil {
+	if _, err := Fit(Matern52{1, 1}, 1e-6, [][]float64{{1}, {1, 2}}, []float64{1, 2}); err == nil {
 		t.Fatal("want error for inconsistent dims")
 	}
 }
@@ -28,7 +28,7 @@ func TestInterpolatesTrainingPoints(t *testing.T) {
 	for i, xi := range x {
 		y[i] = math.Sin(3 * xi[0])
 	}
-	g, err := Fit(RBF{Sigma2: 1, Length: 0.3}, 1e-8, x, y)
+	g, err := Fit(Matern52{Sigma2: 1, Length: 0.3}, 1e-8, x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestFitAutoSelectsReasonableModel(t *testing.T) {
 }
 
 func TestKernelProperties(t *testing.T) {
-	kernels := []Kernel{RBF{Sigma2: 2, Length: 0.5}, Matern52{Sigma2: 2, Length: 0.5}}
+	kernels := []Kernel{Matern52{Sigma2: 2, Length: 0.5}}
 	for _, k := range kernels {
 		a, b := []float64{0.1, 0.2}, []float64{0.3, 0.9}
 		if k.Eval(a, a) < k.Eval(a, b) {
@@ -118,7 +118,7 @@ func TestKernelProperties(t *testing.T) {
 func TestDegenerateConstantTargets(t *testing.T) {
 	x := [][]float64{{0}, {0.5}, {1}}
 	y := []float64{3, 3, 3}
-	g, err := Fit(RBF{1, 0.3}, 1e-6, x, y)
+	g, err := Fit(Matern52{1, 0.3}, 1e-6, x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestDuplicatePointsNeedJitter(t *testing.T) {
 	// still succeed thanks to the noise term.
 	x := [][]float64{{0.5}, {0.5}, {0.5}}
 	y := []float64{1, 1.1, 0.9}
-	if _, err := Fit(RBF{1, 0.3}, 1e-6, x, y); err != nil {
+	if _, err := Fit(Matern52{1, 0.3}, 1e-6, x, y); err != nil {
 		t.Fatalf("duplicate points: %v", err)
 	}
 }
@@ -157,7 +157,7 @@ func TestPropPosteriorInterpolation(t *testing.T) {
 			x = append(x, []float64{float64(gi) / 50})
 			y = append(y, rng.NormFloat64())
 		}
-		g, err := Fit(RBF{Sigma2: 1, Length: 0.05}, 1e-9, x, y)
+		g, err := Fit(Matern52{Sigma2: 1, Length: 0.05}, 1e-9, x, y)
 		if err != nil {
 			return false
 		}
@@ -184,11 +184,11 @@ func TestLogMarginalLikelihoodPrefersTrueScale(t *testing.T) {
 		x = append(x, []float64{v})
 		y = append(y, math.Sin(2*math.Pi*v))
 	}
-	good, err := Fit(RBF{1, 0.2}, 1e-4, x, y)
+	good, err := Fit(Matern52{1, 0.2}, 1e-4, x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad, err := Fit(RBF{1, 1e-3}, 1e-4, x, y)
+	bad, err := Fit(Matern52{1, 1e-3}, 1e-4, x, y)
 	if err != nil {
 		t.Fatal(err)
 	}

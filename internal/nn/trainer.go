@@ -175,19 +175,6 @@ func (d *Dataset) Gather(idx []int) (*Dataset, error) {
 	return &Dataset{X: x, Y: y}, nil
 }
 
-// Batch returns samples [lo, hi) as views.
-func (d *Dataset) Batch(lo, hi int) (*tensor.Tensor, *tensor.Tensor, error) {
-	x, err := d.X.Narrow(0, lo, hi-lo)
-	if err != nil {
-		return nil, nil, err
-	}
-	y, err := d.Y.Narrow(0, lo, hi-lo)
-	if err != nil {
-		return nil, nil, err
-	}
-	return x, y, nil
-}
-
 // TrainConfig controls Fit. The fields mirror the paper's hyperparameter
 // search space (Table V): learning rate, weight decay, dropout (a model
 // property), and batch size.

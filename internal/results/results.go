@@ -45,17 +45,19 @@ type Eval struct {
 	BaselineError float64 `json:"baseline_error"`
 
 	// Fallbacks counts surrogate invocations that fell back to the
-	// accurate path (engine failure or expired deadline) during the
-	// surrogate timing runs; RemoteInference counts invocations whose
+	// accurate path (engine failure or expired deadline, under a
+	// FallbackEngine or a trust(...) clause) during the surrogate
+	// timing runs; RemoteInference counts invocations whose
 	// inference ran on a remote engine (an http(s):// model URI). Both
 	// are zero for purely local, healthy deployments.
 	Fallbacks       int `json:"fallbacks"`
 	RemoteInference int `json:"remote_inference"`
 
-	// Trust-routing counters of the deployed region (non-zero only for
-	// gated engines — a trust(...) clause or WithTrust): rows whose
-	// surrogate prediction was kept, rows rejected by the variance
-	// gate, rows rejected by the input-domain guardrail. They match the
+	// Trust-routing counters of the deployed region: rows whose
+	// surrogate prediction was kept (every served row when ungated),
+	// rows rejected by the variance gate, rows rejected by the
+	// input-domain guardrail (both non-zero only under a trust(...)
+	// clause). They match the
 	// TrustedRows/UncertainRows/OutOfDomainRows fields of /v1/stats.
 	TrustedRows     int `json:"trusted_rows"`
 	UncertainRows   int `json:"uncertain_rows"`

@@ -66,9 +66,6 @@ func NewRemoteSink(uri string, cfg CaptureConfig) (*RemoteSink, error) {
 	return s, nil
 }
 
-// DBName returns the registered capture-database name the sink targets.
-func (s *RemoteSink) DBName() string { return s.db }
-
 // run is the shipper goroutine: accumulate records, POST a batch when
 // it reaches the batch size, a barrier demands it, the timer fires, or
 // the queue closes.

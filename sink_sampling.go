@@ -84,9 +84,6 @@ func (s *SamplingSink) Flush() error { return s.next.Flush() }
 // Close closes the backing sink.
 func (s *SamplingSink) Close() error { return s.next.Close() }
 
-// Unwrap returns the backing sink.
-func (s *SamplingSink) Unwrap() Sink { return s.next }
-
 // SinkStats merges the backing sink's accounting with the sampling
 // counter.
 func (s *SamplingSink) SinkStats() SinkStats {

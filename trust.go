@@ -10,84 +10,115 @@ import (
 )
 
 // This file is the trust-routing layer: the runtime half of the
-// trust(...) directive clause. A gated FallbackEngine (input-domain
-// guardrail and/or ensemble-variance threshold) reports per-row
-// verdicts after each inference; the Region keeps the surrogate's
-// output only for trusted rows, recomputes the rest with the accurate
-// path, and hands the recomputed samples to the capture sink — so the
-// inputs the surrogate handles worst are exactly the ones the next
-// training round sees most.
+// trust(...) directive clause. After each inference the Region judges
+// every input row against the clause's gates — the input-domain
+// guardrail in the .guard sidecar beside the model, and the engine's
+// per-row predictive variance — keeps the surrogate's output only for
+// trusted rows, recomputes the rest with the accurate path, and hands
+// the recomputed samples to the capture sink — so the inputs the
+// surrogate handles worst are exactly the ones the next training round
+// sees most.
 
-// TrustConfig is the runtime form of the trust(...) clause, injectable
-// with WithTrust (which overrides the annotation, the same precedence
-// WithModel has over model()).
-type TrustConfig struct {
-	// MaxVariance engages the predictive-variance gate: rows whose
-	// ensemble variance exceeds it are rejected. It requires an engine
-	// that implements VarianceReporter (e.g. EnsembleEngine); 0
-	// disables the gate.
-	MaxVariance float64
-	// Domain engages the input-domain guardrail gate: rows outside the
-	// fitted envelope are rejected.
-	Domain bool
-	// GuardrailPath overrides where the domain gate loads its fitted
-	// envelope from; empty defaults to GuardrailPath(modelPath), the
-	// sidecar beside the .gmod. Remote model URIs have no local sidecar
-	// and must set it explicitly.
-	GuardrailPath string
+// trustReport is one inference's per-row trust verdict, indexed by
+// input row (the leading tensor dimension) and reused across
+// inferences: ood marks rows whose input fell outside the guardrail
+// envelope, uncertain rows whose predictive variance was not within the
+// clause's var: threshold.
+type trustReport struct{ ood, uncertain []bool }
+
+// reset re-sizes the report for rows and clears all verdicts.
+func (t *trustReport) reset(rows int) {
+	if cap(t.ood) < rows {
+		t.ood = make([]bool, rows)
+		t.uncertain = make([]bool, rows)
+	}
+	t.ood, t.uncertain = t.ood[:rows], t.uncertain[:rows]
+	clear(t.ood)
+	clear(t.uncertain)
 }
 
-// WithTrust configures per-row trust routing, overriding the region's
-// trust(...) clause. At least one gate must be selected.
-func WithTrust(cfg TrustConfig) Option {
-	return func(r *Region) error {
-		if cfg.MaxVariance < 0 {
-			return fmt.Errorf("hpacml: WithTrust: negative variance threshold %g", cfg.MaxVariance)
+// anyUntrusted reports whether any row of [lo, hi) was rejected.
+func (t *trustReport) anyUntrusted(lo, hi int) bool {
+	for i := lo; i < hi; i++ {
+		if t.ood[i] || t.uncertain[i] {
+			return true
 		}
-		if cfg.MaxVariance == 0 && !cfg.Domain {
-			return fmt.Errorf("hpacml: WithTrust selects no gate (want MaxVariance > 0 and/or Domain)")
-		}
-		r.trust = &cfg
-		return nil
 	}
+	return false
 }
 
-// ensureTrustEngine wires the resolved trust configuration into the
-// engine: the engine is wrapped in a FallbackEngine if it is not one
-// already, the variance threshold is set, and the guardrail sidecar is
-// loaded for the domain gate. Runs once, lazily, after ensureEngine —
-// the sidecar is a file read that must not happen at construction.
-func (r *Region) ensureTrustEngine() error {
-	if r.trust == nil || r.trustWired {
+// ensureTrust resolves the trust(...) clause's gates once, at the first
+// inference, after ensureEngine: the engine's VarianceReporter, and the
+// guardrail sidecar beside the model() file (a file read that must not
+// happen at construction). A gate that could never judge a row — no
+// variance to read, no local sidecar, a sidecar fitted on another input
+// width — is a configuration error on every entry point, never an
+// engine failure that falls back.
+func (r *Region) ensureTrust() error {
+	t := r.ml.Trust
+	if t == nil || r.trustReady {
 		return nil
 	}
-	fb, ok := r.engine.(*FallbackEngine)
-	if !ok {
-		fb = NewFallbackEngine(r.engine)
-		// The wrapper inherits the wrapped engine's ownership: Close on
-		// an owned chain releases the primary through the wrapper;
-		// injected engines stay the caller's.
-		r.setEngine(fb, r.engineOwned)
-	}
-	if fb.MaxVariance == 0 {
-		fb.MaxVariance = r.trust.MaxVariance
-	}
-	if r.trust.Domain && fb.Guardrail == nil {
-		path := r.trust.GuardrailPath
-		if path == "" {
-			if r.modelPath == "" || directive.IsRemoteModel(r.modelPath) {
-				return fmt.Errorf("hpacml: region %q: trust(domain:on) needs a guardrail sidecar; set TrustConfig.GuardrailPath for remote models", r.name)
-			}
-			path = GuardrailPath(r.modelPath)
+	if t.MaxVariance > 0 {
+		e := r.engine
+		if fb, ok := e.(*FallbackEngine); ok {
+			e = fb.Primary
 		}
+		vr, ok := e.(VarianceReporter)
+		if !ok {
+			return fmt.Errorf("hpacml: region %q: trust variance gate needs an engine that reports predictive variance (e.g. EnsembleEngine); %T does not", r.name, e)
+		}
+		r.variance = vr
+	}
+	if t.Domain {
+		if r.ml.Model == "" || directive.IsRemoteModel(r.ml.Model) {
+			return fmt.Errorf("hpacml: region %q: trust(domain:on) needs a guardrail sidecar beside a local model() file", r.name)
+		}
+		path := GuardrailPath(r.ml.Model)
 		g, err := LoadGuardrail(path)
 		if err != nil {
 			return fmt.Errorf("hpacml: region %q: %w", r.name, err)
 		}
-		fb.Guardrail = g
+		shape, err := r.InputShape()
+		if err != nil {
+			return err
+		}
+		if width := tensor.NumElements(shape) / shape[0]; g.Features() != width {
+			return fmt.Errorf("hpacml: region %q: guardrail %s fitted on %d features, region input rows have %d", r.name, path, g.Features(), width)
+		}
+		r.guard = g
 	}
-	r.trustWired = true
+	r.trustReady = true
 	return nil
+}
+
+// judge computes the trust verdicts of the inference that just ran on
+// x: domain from the guardrail, variance from the engine. A row is
+// uncertain unless its variance is <= the threshold, so a NaN never
+// reads as trusted, and a variance report of the wrong length is an
+// inference error. Ungated regions get a nil report.
+func (r *Region) judge(x *tensor.Tensor) (*trustReport, error) {
+	if r.ml.Trust == nil {
+		return nil, nil
+	}
+	rows := inputRows(x)
+	rep := &r.verdicts
+	rep.reset(rows)
+	if r.guard != nil {
+		if _, err := r.guard.Check(x, rep.ood); err != nil {
+			return nil, err
+		}
+	}
+	if r.variance != nil {
+		v := r.variance.RowVariance()
+		if len(v) != rows {
+			return nil, fmt.Errorf("engine reported %d row variances for %d rows", len(v), rows)
+		}
+		for i, vi := range v {
+			rep.uncertain[i] = !(vi <= r.ml.Trust.MaxVariance)
+		}
+	}
+	return rep, nil
 }
 
 // inputRows is the trust-accounting row count of a model input tensor:
@@ -104,12 +135,12 @@ func inputRows(x *tensor.Tensor) int {
 // keptTrusted says whether the trusted rows' surrogate outputs were
 // actually used (false when the invocation was routed to the accurate
 // path, which discards them).
-func (r *Region) countTrust(rep *TrustReport, lo, hi int, keptTrusted bool) {
-	for i := lo; i < hi && i < rep.Rows; i++ {
+func (r *Region) countTrust(rep *trustReport, lo, hi int, keptTrusted bool) {
+	for i := lo; i < hi; i++ {
 		switch {
-		case rep.OOD[i]:
+		case rep.ood[i]:
 			r.stats.OutOfDomainRows++
-		case rep.Uncertain[i]:
+		case rep.uncertain[i]:
 			r.stats.UncertainRows++
 		default:
 			if keptTrusted {
@@ -125,7 +156,7 @@ func (r *Region) countTrust(rep *TrustReport, lo, hi int, keptTrusted bool) {
 // back as usual, while invocations with any rejected row are re-staged
 // (stage(i) must be repeatable), recomputed by accurate(i), and
 // recaptured through the sink. When the engine carries the fallback
-// policy and fails outright — server down mid-run, model unloadable,
+// policy (or the region a trust clause) and fails outright — server down mid-run, model unloadable,
 // context expired — the entire batch degrades to the accurate path
 // invocation by invocation (counted in Stats.Fallbacks), so no
 // invocation is ever lost to an engine failure.
@@ -160,7 +191,7 @@ func (r *Region) routeInvocationAccurate(i int, stage, accurate, finish func(int
 		return nil
 	}
 	var err error
-	if r.sink == nil && r.dbPath == "" {
+	if r.sink == nil && r.ml.DB == "" {
 		err = r.runAccurate(run)
 	} else {
 		err = r.collect(run)

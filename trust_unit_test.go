@@ -1,10 +1,12 @@
 // Unit tests for the trust-routing building blocks: guardrail fitting
-// and checking, ensemble variance semantics, FallbackEngine gating, and
-// the Region-level routing/advisory behavior of a single Execute.
+// and checking, ensemble variance semantics, the gates' configuration
+// errors, and the Region-level routing/advisory behavior of a single
+// Execute.
 package hpacml_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"path/filepath"
 	"strings"
@@ -42,68 +44,32 @@ type varianceEngine struct {
 
 func (e *varianceEngine) RowVariance() []float64 { return e.rowVar }
 
-func TestWithTrustValidation(t *testing.T) {
-	x := make([]float64, 2)
-	y := make([]float64, 1)
-	build := func(cfg hpacml.TrustConfig) error {
-		_, err := hpacml.NewRegion("cfg",
-			hpacml.Directives(`
-tensor functor(vin: [i, 0:2] = ([0:2]))
-tensor functor(vout: [i, 0:1] = ([0:1]))
-tensor map(to: vin(x[0:1]))
-tensor map(from: vout(y[0:1]))
-ml(infer) in(x) out(y)
-`),
-			hpacml.BindArray("x", x, 2),
-			hpacml.BindArray("y", y, 1),
-			hpacml.WithEngine(&constEngine{outDim: 1}),
-			hpacml.WithTrust(cfg),
-		)
-		return err
-	}
-	if err := build(hpacml.TrustConfig{MaxVariance: -1}); err == nil {
-		t.Error("negative variance threshold must be rejected")
-	}
-	if err := build(hpacml.TrustConfig{}); err == nil {
-		t.Error("a trust config selecting no gate must be rejected")
-	}
-	if err := build(hpacml.TrustConfig{MaxVariance: 0.5}); err != nil {
-		t.Errorf("valid variance-only config rejected: %v", err)
-	}
-}
-
 // TestVarianceGateNeedsVarianceReporter: trust(var:V) over an engine
 // that measures no predictive variance would silently never fire, so
 // the configuration must fail before traffic.
 func TestVarianceGateNeedsVarianceReporter(t *testing.T) {
 	x := make([]float64, 2)
 	y := make([]float64, 1)
-	r, err := hpacml.NewRegion("novar",
-		hpacml.Directives(`
-tensor functor(vin: [i, 0:2] = ([0:2]))
-tensor functor(vout: [i, 0:1] = ([0:1]))
-tensor map(to: vin(x[0:1]))
-tensor map(from: vout(y[0:1]))
-ml(infer) in(x) out(y)
-`),
-		hpacml.BindArray("x", x, 2),
-		hpacml.BindArray("y", y, 1),
-		hpacml.WithEngine(&constEngine{outDim: 1}),
-		hpacml.WithTrust(hpacml.TrustConfig{MaxVariance: 0.5}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := trustStub(t, &constEngine{outDim: 1}, x, y, "trust(var:0.5)", nil)
 	defer r.Close()
-	err = r.Execute(nil)
+	err := r.Execute(nil)
 	if err == nil || !strings.Contains(err.Error(), "variance") {
 		t.Fatalf("want a variance-reporter config error, got %v", err)
+	}
+	// A configuration error, not an engine failure: the accurate path
+	// is not a fallback for it.
+	err = r.Execute(func() error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "variance") {
+		t.Fatalf("want the config error with an accurate path too, got %v", err)
+	}
+	if st := r.Stats(); st.Fallbacks != 0 || st.AccurateRuns != 0 {
+		t.Fatalf("a config error must not fall back: %+v", st)
 	}
 }
 
 // TestTrustDomainRemoteModelNeedsExplicitGuardrail: a remote model URI
-// has no local .guard sidecar, so trust(domain:on) without an explicit
-// GuardrailPath must fail loudly instead of silently skipping the gate.
+// has no local .guard sidecar, so trust(domain:on) on it must fail
+// loudly instead of silently skipping the gate.
 func TestTrustDomainRemoteModelNeedsExplicitGuardrail(t *testing.T) {
 	x := make([]float64, 2)
 	y := make([]float64, 1)
@@ -169,92 +135,42 @@ func TestEnsembleVarianceSemantics(t *testing.T) {
 	}
 }
 
-// TestFallbackEngineGates drives both gates directly: the variance
-// threshold rejects exactly the rows above it, the guardrail rejects
-// exactly the out-of-envelope rows, and an ungated wrapper reports no
-// verdicts at all.
-func TestFallbackEngineGates(t *testing.T) {
-	in, err := tensor.FromSlice([]float64{
-		0.5, 0.5, // in domain, low variance
-		0.5, 0.5, // in domain, high variance
-		9.0, 0.5, // out of domain, low variance
-	}, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := tensor.New(3, 1)
-	g := &hpacml.Guardrail{Lo: []float64{0, 0}, Hi: []float64{1, 1}}
-
-	fb := hpacml.NewFallbackEngine(&varianceEngine{
-		constEngine: constEngine{val: 2, outDim: 1},
-		rowVar:      []float64{0.1, 7.0, 0.1},
-	})
-	fb.MaxVariance = 1
-	fb.Guardrail = g
-	if err := fb.Warmup(t.Context(), in.Shape()); err != nil {
-		t.Fatal(err)
-	}
-	if err := fb.Infer(t.Context(), in, out); err != nil {
-		t.Fatal(err)
-	}
-	rep := fb.TrustReport()
-	if rep == nil || rep.Rows != 3 {
-		t.Fatalf("gated engine must report, got %+v", rep)
-	}
-	wantOOD := []bool{false, false, true}
-	wantUnc := []bool{false, true, false}
-	for i := 0; i < 3; i++ {
-		if rep.OOD[i] != wantOOD[i] || rep.Uncertain[i] != wantUnc[i] {
-			t.Errorf("row %d: ood=%v uncertain=%v, want %v/%v", i, rep.OOD[i], rep.Uncertain[i], wantOOD[i], wantUnc[i])
-		}
-		if rep.Untrusted(i) != (wantOOD[i] || wantUnc[i]) {
-			t.Errorf("row %d Untrusted = %v", i, rep.Untrusted(i))
-		}
-	}
-	if !rep.AnyUntrusted() {
-		t.Error("AnyUntrusted must see the rejections")
-	}
-	if len(rep.Variance) != 3 || rep.Variance[1] != 7.0 {
-		t.Errorf("report variance = %v", rep.Variance)
-	}
-
-	// Ungated, the same wrapper reports nothing.
-	bare := hpacml.NewFallbackEngine(&constEngine{val: 2, outDim: 1})
-	if err := bare.Infer(t.Context(), in, out); err != nil {
-		t.Fatal(err)
-	}
-	if bare.TrustReport() != nil {
-		t.Error("ungated engine must not report trust verdicts")
-	}
-
-	// Warmup rejects a variance gate over a variance-blind primary.
-	blind := hpacml.NewFallbackEngine(&constEngine{outDim: 1})
-	blind.MaxVariance = 1
-	if err := blind.Warmup(t.Context(), in.Shape()); err == nil {
-		t.Error("variance gate over a variance-blind engine must fail Warmup")
-	}
-}
-
-// trustStub builds a 2-in 1-out region around the given gated engine.
-func trustStub(t *testing.T, eng hpacml.Engine, x, y []float64, extra ...hpacml.Option) *hpacml.Region {
+// trustStub builds a 2-in 1-out region around eng, annotated with the
+// given trust(...) clause. A non-nil guard is saved as the sidecar of
+// the region's model() path.
+func trustStub(t *testing.T, eng hpacml.Engine, x, y []float64, trust string, guard *hpacml.Guardrail) *hpacml.Region {
 	t.Helper()
-	opts := append([]hpacml.Option{
+	ml := "ml(infer) in(x) out(y) " + trust
+	if guard != nil {
+		ml += fmt.Sprintf(" model(%q)", guardedModel(t, guard))
+	}
+	r, err := hpacml.NewRegion("stub",
 		hpacml.Directives(`
 tensor functor(vin: [i, 0:2] = ([0:2]))
 tensor functor(vout: [i, 0:1] = ([0:1]))
 tensor map(to: vin(x[0:1]))
 tensor map(from: vout(y[0:1]))
-ml(infer) in(x) out(y)
-`),
+`+ml),
 		hpacml.BindArray("x", x, 2),
 		hpacml.BindArray("y", y, 1),
 		hpacml.WithEngine(eng),
-	}, extra...)
-	r, err := hpacml.NewRegion("stub", opts...)
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// guardedModel saves g as the guardrail sidecar of a model path in a
+// fresh temporary directory and returns that path; no model file is
+// written, since the regions using it run an injected engine.
+func guardedModel(t *testing.T, g *hpacml.Guardrail) string {
+	t.Helper()
+	model := filepath.Join(t.TempDir(), "m.gmod")
+	if err := g.Save(hpacml.GuardrailPath(model)); err != nil {
+		t.Fatal(err)
+	}
+	return model
 }
 
 // TestExecuteRoutesUntrustedInvocation: a single Execute whose row is
@@ -264,7 +180,7 @@ func TestExecuteRoutesUntrustedInvocation(t *testing.T) {
 	x := []float64{0.5, 0.5}
 	y := []float64{0}
 	eng := &varianceEngine{constEngine: constEngine{val: 7, outDim: 1}, rowVar: []float64{0.1}}
-	r := trustStub(t, eng, x, y, hpacml.WithTrust(hpacml.TrustConfig{MaxVariance: 1}))
+	r := trustStub(t, eng, x, y, "trust(var:1)", nil)
 	defer r.Close()
 	accurate := func() error { y[0] = 42; return nil }
 
@@ -301,7 +217,7 @@ func TestExecuteAdvisoryGateWithoutAccurate(t *testing.T) {
 	x := []float64{0.5, 0.5}
 	y := []float64{0}
 	eng := &varianceEngine{constEngine: constEngine{val: 7, outDim: 1}, rowVar: []float64{9}}
-	r := trustStub(t, eng, x, y, hpacml.WithTrust(hpacml.TrustConfig{MaxVariance: 1}))
+	r := trustStub(t, eng, x, y, "trust(var:1)", nil)
 	defer r.Close()
 	if err := r.Execute(nil); err != nil {
 		t.Fatal(err)
@@ -320,13 +236,12 @@ func TestExecuteAdvisoryGateWithoutAccurate(t *testing.T) {
 func TestDomainVerdictWins(t *testing.T) {
 	x := []float64{9, 9} // outside the envelope below
 	y := []float64{0}
-	fb := hpacml.NewFallbackEngine(&varianceEngine{
+	eng := &varianceEngine{
 		constEngine: constEngine{val: 7, outDim: 1},
 		rowVar:      []float64{9}, // also above the threshold
-	})
-	fb.MaxVariance = 1
-	fb.Guardrail = &hpacml.Guardrail{Lo: []float64{0, 0}, Hi: []float64{1, 1}}
-	r := trustStub(t, fb, x, y)
+	}
+	guard := &hpacml.Guardrail{Lo: []float64{0, 0}, Hi: []float64{1, 1}}
+	r := trustStub(t, eng, x, y, "trust(var:1, domain:on)", guard)
 	defer r.Close()
 	if err := r.Execute(func() error { y[0] = 42; return nil }); err != nil {
 		t.Fatal(err)
@@ -337,6 +252,78 @@ func TestDomainVerdictWins(t *testing.T) {
 	}
 	if y[0] != 42 {
 		t.Fatalf("both-gates invocation y = %v, want accurate 42", y[0])
+	}
+}
+
+// TestVarianceGateRejectsNaN: a NaN row variance is not within any
+// threshold, so the row is uncertain, never trusted.
+func TestVarianceGateRejectsNaN(t *testing.T) {
+	x := []float64{0.5, 0.5}
+	y := []float64{0}
+	eng := &varianceEngine{constEngine: constEngine{val: 7, outDim: 1}, rowVar: []float64{math.NaN()}}
+	r := trustStub(t, eng, x, y, "trust(var:1)", nil)
+	defer r.Close()
+	if err := r.Execute(func() error { y[0] = 42; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if y[0] != 42 {
+		t.Fatalf("NaN-variance invocation y = %v, want accurate 42", y[0])
+	}
+	if st := r.Stats(); st.UncertainRows != 1 || st.TrustedRows != 0 || st.AccurateRuns != 1 {
+		t.Fatalf("NaN variance must read as uncertain: %+v", st)
+	}
+}
+
+// TestVarianceReportLengthMismatch: a variance report that does not
+// cover the batch's rows is an inference error naming both counts, so
+// it never disables the gate; with an accurate path the invocation
+// falls back like any other engine failure.
+func TestVarianceReportLengthMismatch(t *testing.T) {
+	x := []float64{0.5, 0.5}
+	y := []float64{0}
+	eng := &varianceEngine{constEngine: constEngine{val: 7, outDim: 1}, rowVar: []float64{}}
+	r := trustStub(t, eng, x, y, "trust(var:1)", nil)
+	defer r.Close()
+	err := r.Execute(nil)
+	if err == nil || !strings.Contains(err.Error(), "0 row variances for 1 rows") {
+		t.Fatalf("want an error naming both counts, got %v", err)
+	}
+	if st := r.Stats(); st.TrustedRows != 0 || st.Inferences != 0 {
+		t.Fatalf("a broken variance report must not serve the surrogate: %+v", st)
+	}
+	if err := r.Execute(func() error { y[0] = 42; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Stats(); y[0] != 42 || st.Fallbacks != 1 || st.TrustedRows != 0 {
+		t.Fatalf("y = %v, stats %+v: want the accurate fallback", y[0], st)
+	}
+}
+
+// TestGuardrailWidthMismatch: a sidecar fitted on another input width
+// is a configuration error on every entry point, never counted as a
+// fallback that silently loses the surrogate.
+func TestGuardrailWidthMismatch(t *testing.T) {
+	x := []float64{0.5, 0.5}
+	y := []float64{0}
+	guard := &hpacml.Guardrail{Lo: []float64{0, 0, 0}, Hi: []float64{1, 1, 1}}
+	r := trustStub(t, &constEngine{val: 7, outDim: 1}, x, y, "trust(domain:on)", guard)
+	defer r.Close()
+	accurate := func(int) error { y[0] = 42; return nil }
+	for name, run := range map[string]func() error{
+		"execute":     func() error { return r.Execute(func() error { return accurate(0) }) },
+		"execute-nil": func() error { return r.Execute(nil) },
+		"batch":       func() error { return r.ExecuteBatch(2, nil, nil) },
+		"routed": func() error {
+			return r.ExecuteBatchRouted(t.Context(), 2, nil, accurate, nil)
+		},
+	} {
+		err := run()
+		if err == nil || !strings.Contains(err.Error(), "fitted on 3 features, region input rows have 2") {
+			t.Errorf("%s: want the guardrail width error, got %v", name, err)
+		}
+	}
+	if st := r.Stats(); st.Fallbacks != 0 || st.AccurateRuns != 0 || y[0] != 0 {
+		t.Fatalf("a mis-sized guardrail must not fall back: y = %v, %+v", y[0], st)
 	}
 }
 
