@@ -46,6 +46,8 @@ func main() {
 	x := make([]float64, chunk)
 	t := make([]float64, chunk)
 	prices := make([]float64, chunk)
+	// One lattice scratch, reused by every option the accurate path prices.
+	scratch := make([]float64, binomial.ScratchLen(steps))
 
 	useModel := false
 	region, err := hpacml.NewRegion("options",
@@ -78,7 +80,7 @@ ml(predicated:useModel) in(S, X, T) out(price_out(prices[0:NOPT])) model(%q) db(
 	}
 	accurate := func() error {
 		for j := 0; j < chunk; j++ {
-			prices[j] = binomial.PriceAmericanCall(s[j], x[j], t[j], 0.02, 0.30, steps, nil)
+			prices[j] = binomial.PriceAmericanCall(s[j], x[j], t[j], 0.02, 0.30, steps, scratch)
 		}
 		return nil
 	}

@@ -81,7 +81,7 @@ func (in *Instance) ComputePrices() {
 	parallel.ForRange(in.Cfg.NumOptions, func(lo, hi int) {
 		// Per-block scratch reused across the options of this block,
 		// mirroring the CUDA kernel's shared-memory call value array.
-		scratch := make([]float64, steps+1)
+		scratch := make([]float64, ScratchLen(steps))
 		for i := lo; i < hi; i++ {
 			in.Prices[i] = PriceAmericanCall(in.S[i], in.X[i], in.T[i],
 				in.Cfg.RiskFree, in.Cfg.Volatility, steps, scratch)
@@ -89,12 +89,22 @@ func (in *Instance) ComputePrices() {
 	})
 }
 
+// ScratchLen is the scratch length PriceAmericanCall needs at a lattice
+// depth: steps+1 option values and 2*steps+1 node prices.
+func ScratchLen(steps int) int { return 3*steps + 2 }
+
 // PriceAmericanCall prices an American call by CRR backward induction.
-// scratch must have at least steps+1 entries (pass nil to allocate).
+// A scratch shorter than ScratchLen(steps), nil included, is replaced by
+// a fresh one. At zero expiry the price is the intrinsic value.
 func PriceAmericanCall(s, x, t, r, v float64, steps int, scratch []float64) float64 {
-	if scratch == nil {
-		scratch = make([]float64, steps+1)
+	if t == 0 {
+		return max(s-x, 0)
 	}
+	n := ScratchLen(steps)
+	if len(scratch) < n {
+		scratch = make([]float64, n)
+	}
+	vals, pw := scratch[:steps+1], scratch[steps+1:n]
 	dt := t / float64(steps)
 	vDt := v * math.Sqrt(dt)
 	u := math.Exp(vDt)
@@ -103,28 +113,35 @@ func PriceAmericanCall(s, x, t, r, v float64, steps int, scratch []float64) floa
 	pu := (math.Exp(r*dt) - d) / (u - d)
 	pd := 1 - pu
 
+	// The stock price at node j of a step is s*u^(2j-step), and 2j-step
+	// takes only the 2*steps+1 values in [-steps, steps]: pw[m] holds the
+	// price for m-steps, computed by the same expression a per-node
+	// math.Exp would use, so the table changes no bit of the result.
+	for m := range pw {
+		pw[m] = s * math.Exp(vDt*float64(m-steps))
+	}
 	// Terminal payoffs.
-	for j := 0; j <= steps; j++ {
-		price := s * math.Exp(vDt*float64(2*j-steps))
-		payoff := price - x
+	for j := range vals {
+		payoff := pw[2*j] - x
 		if payoff < 0 {
 			payoff = 0
 		}
-		scratch[j] = payoff
+		vals[j] = payoff
 	}
-	// Backward induction with the early-exercise test.
+	// Backward induction with the early-exercise test; node j of a step
+	// reads pw[2j-step+steps].
 	for step := steps - 1; step >= 0; step-- {
+		price := pw[steps-step:]
 		for j := 0; j <= step; j++ {
-			cont := rInv * (pu*scratch[j+1] + pd*scratch[j])
-			price := s * math.Exp(vDt*float64(2*j-step))
-			exercise := price - x
+			cont := rInv * (pu*vals[j+1] + pd*vals[j])
+			exercise := price[2*j] - x
 			if exercise > cont {
 				cont = exercise
 			}
-			scratch[j] = cont
+			vals[j] = cont
 		}
 	}
-	return scratch[0]
+	return vals[0]
 }
 
 // EuropeanBlackScholesCall is the closed-form European call price, used

@@ -114,6 +114,19 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 	}
 }
 
+func TestZeroExpiryIsIntrinsic(t *testing.T) {
+	// dt = 0 makes the risk-neutral probability 0/0; an option at expiry
+	// is worth its exercise value.
+	for _, c := range []struct{ s, x, want float64 }{{20, 18, 2}, {18, 20, 0}} {
+		if got := PriceAmericanCall(c.s, c.x, 0, 0.02, 0.3, 64, nil); got != c.want {
+			t.Fatalf("S=%g X=%g at T=0: %g, want %g", c.s, c.x, got, c.want)
+		}
+	}
+	if got := PriceAmericanCall(20, 18, 1e-12, 0.02, 0.3, 64, nil); math.Abs(got-2) > 1e-9 {
+		t.Fatalf("S=20 X=18 at T=1e-12: %g, want about 2", got)
+	}
+}
+
 func TestDirectiveCount(t *testing.T) {
 	src := Directives("m", "d")
 	count := 0
@@ -159,4 +172,20 @@ func TestPropHomogeneity(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// BenchmarkComputePrices times the accurate path at DefaultConfig and
+// reports the cost per lattice node of the backward induction.
+func BenchmarkComputePrices(b *testing.B) {
+	in, err := New(DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	steps := in.Cfg.Steps
+	nodes := float64(in.Cfg.NumOptions) * float64(steps*(steps+1)/2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		in.ComputePrices()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*nodes), "ns/node")
 }
