@@ -2,13 +2,20 @@
 // end-to-end speedup, QoI error, and the HPAC-ML phase breakdown — phase
 // three of the paper's workflow, emitting one CSV row per run like the
 // paper's benchmark_evaluation scripts, or (with -json) one record of the
-// machine-readable results schema shared with the hpacml-serve load
-// generator (internal/results).
+// machine-readable results schema shared with hpacml-collect
+// (internal/results).
+//
+// A model URI in place of the path (-model http://host:8080/binomial)
+// serves the region's inference from a running hpacml-serve through
+// the remote engine: the same application then drives the server and
+// checks its answers, with remote_inference and fallbacks in the -json
+// record saying where the inference ran.
 //
 // Usage:
 //
 //	hpacml-eval -benchmark binomial -model models/binomial.gmod -runs 20
 //	hpacml-eval -benchmark binomial -model models/binomial.gmod -json -out eval.json
+//	hpacml-eval -benchmark binomial -model http://127.0.0.1:8080/binomial -json
 package main
 
 import (
@@ -24,7 +31,7 @@ import (
 
 func main() {
 	benchmark := flag.String("benchmark", "", "benchmark name")
-	model := flag.String("model", "", "trained model path (.gmod)")
+	model := flag.String("model", "", "trained model path (.gmod), or a model URI http://host:port/name served by hpacml-serve")
 	runs := flag.Int("runs", 20, "timing repetitions")
 	full := flag.Bool("full", false, "use campaign-scale problem sizes")
 	seed := flag.Int64("seed", 29, "random seed")

@@ -10,18 +10,8 @@
 //	hpacml-serve -addr :8080 -model binomial=models/binomial.gmod \
 //	    -max-batch 32 -max-delay 2ms -workers 2 -reload 2s
 //
-// Or act as the load generator against a running server, writing the
-// shared results schema (the same one hpacml-eval -json emits):
-//
-//	hpacml-serve -loadgen -target http://127.0.0.1:8080 \
-//	    -loadgen-model binomial -rps 0 -duration 5s -concurrency 32 \
-//	    -wire both -out BENCH_serve.json
-//
-// -wire selects the client protocol: json (default), binary (the
-// length-prefixed frame wire), or both — a JSON baseline run followed
-// by a binary run, published as one record with before/after p50/p99
-// and records/sec. Servers started with -f32 run inference in single
-// precision (see the f32(on) directive clause).
+// Servers started with -f32 run inference in single precision (see
+// the f32(on) directive clause).
 //
 // Applications reach a hosted model from their own annotated regions by
 // swapping the model path for a model URI — model("http://host:8080/binomial")
@@ -36,16 +26,18 @@
 //
 // With -retrain-every N (or -retrain-max-age) the server closes the
 // loop: a continuous-learning controller (internal/learner) watches
-// each capture database, and once N new records have been ingested it
-// snapshots them, retrains a candidate from the published weights in
-// the background, shadow-gates it on held-out captures (reject unless
-// candidate error <= published error + -retrain-rtol), and publishes
-// only passing candidates through the checksum hot-reload — recording
-// every attempt in a .lineage.json sidecar served by /v1/models.
+// each capture database, and once N new rows (training samples) have
+// been ingested it snapshots them, retrains a candidate from the
+// published weights in the background, shadow-gates it on held-out
+// captures (reject unless candidate error <= published error +
+// -retrain-rtol), and publishes only passing candidates through the
+// checksum hot-reload — recording every attempt in a .lineage.json
+// sidecar served by /v1/models.
 // -learn model=db pairs a model with its capture feed (auto-paired
 // when exactly one of each is registered); POST
-// /v1/models/{name}/rollback restores the parent generation. The
-// loadgen's -capture-db flag feeds the same loop from served traffic.
+// /v1/models/{name}/rollback restores the parent generation. Any
+// collection region feeds the loop, e.g. hpacml-collect -db
+// http://host:8080/name.
 //
 // Observability: GET /metrics serves the Prometheus text exposition of
 // the serving pipeline (request/batch/queue/latency/reload/capture and
@@ -166,25 +158,14 @@ func main() {
 
 	var learns learnFlags
 	flag.Var(&learns, "learn", "pair a model with its capture feed as model=db for continuous learning; repeatable (default: auto-pair when exactly one -model and one -capture are given)")
-	retrainEvery := flag.Int("retrain-every", 0, "retrain a candidate once this many new capture records have been ingested since the last attempt (0 disables the count trigger)")
-	retrainMaxAge := flag.Duration("retrain-max-age", 0, "retrain once any pending capture record is this old, regardless of count (0 disables the age trigger)")
-	retrainMin := flag.Int("retrain-min", 0, "minimum total captured records before any retrain (0 = learner default, 8)")
+	retrainEvery := flag.Int("retrain-every", 0, "retrain a candidate once this many new captured rows (training samples) have been ingested since the last attempt (0 disables the count trigger)")
+	retrainMaxAge := flag.Duration("retrain-max-age", 0, "retrain once any pending captured row is this old, regardless of count (0 disables the age trigger)")
+	retrainMin := flag.Int("retrain-min", 0, "minimum total captured rows (training samples) before any retrain (0 = learner default, 8)")
 	retrainInterval := flag.Duration("retrain-interval", 5*time.Second, "continuous-learning trigger poll interval")
 	retrainRtol := flag.Float64("retrain-rtol", 0.05, "shadow gate slack: publish a candidate iff its held-out relative error <= the published model's + this")
 	retrainHoldout := flag.Float64("retrain-holdout", 0.25, "fraction of the capture snapshot held out for the shadow gate (never trained on)")
 	retrainEpochs := flag.Int("retrain-epochs", 20, "training epochs per retrain (warm-started from the published weights)")
 
-	loadgen := flag.Bool("loadgen", false, "run as load generator instead of server")
-	target := flag.String("target", "http://127.0.0.1:8080", "loadgen: server base URL")
-	lgModel := flag.String("loadgen-model", "", "loadgen: model to exercise (default: the server's first)")
-	rps := flag.Float64("rps", 0, "loadgen: target requests/sec across all clients (0 = closed loop)")
-	duration := flag.Duration("duration", 5*time.Second, "loadgen: run length")
-	concurrency := flag.Int("concurrency", 16, "loadgen: concurrent clients")
-	out := flag.String("out", "", "loadgen: result JSON path (default stdout)")
-	seed := flag.Int64("seed", 29, "loadgen: input-vector seed")
-	wire := flag.String("wire", "json", "loadgen: client protocol — json, binary (length-prefixed frames), or both (JSON baseline then binary, one record)")
-	lgDtype := flag.String("dtype", "f64", "loadgen: binary-wire frame element encoding — f64 or f32 (ignored under -wire json)")
-	lgCapture := flag.String("capture-db", "", "loadgen: ship every completed inference back to this server-side capture database (the closed-loop retraining feed; empty disables)")
 	flag.Parse()
 
 	if *version {
@@ -196,37 +177,6 @@ func main() {
 		fatal(fmt.Errorf("bad -log-level %q: %w", *logLevel, err))
 	}
 	log := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
-
-	if *loadgen {
-		rec, err := serve.RunLoadGen(serve.LoadGenConfig{
-			Target:      *target,
-			Model:       *lgModel,
-			RPS:         *rps,
-			Duration:    *duration,
-			Concurrency: *concurrency,
-			Seed:        *seed,
-			Wire:        *wire,
-			Dtype:       *lgDtype,
-			CaptureDB:   *lgCapture,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		if err := rec.WriteFile(*out); err != nil {
-			fatal(err)
-		}
-		if base := rec.Serving.Baseline; base != nil {
-			fmt.Fprintf(os.Stderr, "loadgen[%s]: %d completed (%.0f rec/s), p50 %.2fms, p99 %.2fms\n",
-				base.Wire, base.Completed, base.RecordsPerSec, base.LatencyP50Ms, base.LatencyP99Ms)
-		}
-		sv := rec.Serving
-		fmt.Fprintf(os.Stderr, "loadgen[%s]: %d completed (%.0f rec/s), %d rejected, %d errors, mean batch %.1f, p50 %.2fms, p99 %.2fms\n",
-			sv.Wire, sv.Completed, sv.RecordsPerSec, sv.Rejected, sv.Errors, sv.MeanBatch, sv.LatencyP50Ms, sv.LatencyP99Ms)
-		if sv.CapturedRecords > 0 {
-			fmt.Fprintf(os.Stderr, "loadgen: captured %d records into %q\n", sv.CapturedRecords, *lgCapture)
-		}
-		return
-	}
 
 	if len(models) == 0 && len(captures) == 0 {
 		fmt.Fprintln(os.Stderr, "hpacml-serve: at least one -model name=path (or -capture name=path) is required")

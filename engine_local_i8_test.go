@@ -65,7 +65,7 @@ func TestLocalEngineInt8(t *testing.T) {
 	if err := e64.Infer(ctx, in, out64); err != nil {
 		t.Fatal(err)
 	}
-	if e := meanRelL2(out8.Data(), out64.Data(), rows, 1); !(e < 0.15) {
+	if e := nn.MeanRelL2(out8.Data(), out64.Data(), rows, 1); !(e < 0.15) {
 		t.Fatalf("engine int8 drifted from float64: mean relative L2 %g", e)
 	}
 	// Quantization must actually be in the path: bitwise-equal outputs

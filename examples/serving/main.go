@@ -93,7 +93,7 @@ func main() {
 	defer ts.Close()
 
 	// Each client goes through the typed serve client (the same one the
-	// runtime's remote engine and the load generator use), so nobody
+	// runtime's remote engine and remote capture sink use), so nobody
 	// hand-rolls request marshalling.
 	api := serveclient.New(ts.URL)
 	const clients, perClient = 32, 25

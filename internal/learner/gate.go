@@ -2,7 +2,6 @@ package learner
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -18,8 +17,10 @@ import (
 // multiplicative margin would collapse to zero and no candidate could
 // ever pass.
 
-// relErr is the gate's error measure: the mean over holdout rows of
-// ||pred − y||₂ / max(||y||₂, eps). Ensembles evaluate as served — the
+// relErr is the gate's error measure: nn.MeanRelL2, the int8 fit
+// gate's metric, of the prediction against the holdout targets. Its
+// RMS floor keeps rows whose targets are ~0 (out-of-the-money option
+// prices) from dividing by noise. Ensembles evaluate as served — the
 // member-mean prediction — so a set is gated all-or-nothing on the
 // quantity clients actually receive. Any non-finite prediction
 // poisons the result to NaN, which the gate rejects.
@@ -29,7 +30,6 @@ func relErr(nets []*nn.Network, holdout *nn.Dataset) (float64, error) {
 	}
 	rows := holdout.Len()
 	y := holdout.Y.Contiguous().Data()
-	cols := len(y) / rows
 	mean := make([]float64, len(y))
 	for _, net := range nets {
 		pred, err := net.Forward(holdout.X)
@@ -45,24 +45,10 @@ func relErr(nets []*nn.Network, holdout *nn.Dataset) (float64, error) {
 		}
 	}
 	inv := 1 / float64(len(nets))
-	const eps = 1e-12
-	var sum float64
-	for r := 0; r < rows; r++ {
-		var num, den float64
-		for c := 0; c < cols; c++ {
-			p := mean[r*cols+c] * inv
-			t := y[r*cols+c]
-			d := p - t
-			num += d * d
-			den += t * t
-		}
-		sum += math.Sqrt(num) / math.Max(math.Sqrt(den), eps)
+	for i := range mean {
+		mean[i] *= inv
 	}
-	out := sum / float64(rows)
-	if math.IsInf(out, 0) {
-		out = math.NaN()
-	}
-	return out, nil
+	return nn.MeanRelL2(mean, y, rows, len(y)/rows), nil
 }
 
 // stackRecords concatenates per-append capture records into one

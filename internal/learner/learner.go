@@ -1,6 +1,6 @@
 // Package learner closes the HPAC-ML loop: it turns the serve stack's
 // capture ingest into a continuous-learning controller. A policy per
-// model watches the captured-record count (and optionally age), and
+// model watches the captured-row count (and optionally age), and
 // when the trigger fires the controller snapshots the sharded capture
 // database (set-atomically, through the server's ingest registry),
 // splits it into a train/held-out pair, warm-starts a candidate from
@@ -61,14 +61,15 @@ type Policy struct {
 	// Empty auto-detects a single-group database.
 	Group string
 
-	// RetrainEvery triggers a retrain once this many new records have
-	// been captured since the last one (0 disables the count trigger).
+	// RetrainEvery triggers a retrain once this many new captured rows
+	// (training samples) have arrived since the last one (0 disables
+	// the count trigger). A capture record of n rows counts n.
 	RetrainEvery int
-	// MaxAge triggers a retrain once any pending record has waited this
+	// MaxAge triggers a retrain once any pending row has waited this
 	// long, regardless of count (0 disables the age trigger).
 	MaxAge time.Duration
 	// MinRecords is the floor: no retrain until the snapshot holds at
-	// least this many total records. Default 8.
+	// least this many captured rows (training samples). Default 8.
 	MinRecords int
 
 	// HoldoutFrac is the trailing fraction of the shuffled snapshot
@@ -402,7 +403,7 @@ func (c *Controller) retrain(m *managed, ds *nn.Dataset, startGen uint64) {
 		return
 	}
 	c.log.Info("learner: retraining", "model", m.pol.Model,
-		"records", rows, "train", train.Len(), "holdout", holdout.Len())
+		"rows", rows, "train", train.Len(), "holdout", holdout.Len())
 
 	// Baseline: the published weights, loaded fresh from disk, on the
 	// held-out captures.

@@ -53,9 +53,16 @@ func nanNet() *nn.Network {
 
 // writeCaptures appends n capture records to the sharded database at
 // base, with inputs drawn from rng(seed) and outputs produced by
-// teacher — the same row-shaped ([1, k]) records the serve ingest and
-// the loadgen capture leg write.
+// teacher — the same row-shaped ([1, k]) records the serve ingest
+// writes for one-row captures.
 func writeCaptures(t *testing.T, base, group string, teacher *nn.Network, n int, seed int64) {
+	t.Helper()
+	writeRecords(t, base, group, teacher, n, 1, seed)
+}
+
+// writeRecords appends n capture records of rowsPer rows each ([rowsPer,
+// k], the shape a batched region invocation captures).
+func writeRecords(t *testing.T, base, group string, teacher *nn.Network, n, rowsPer int, seed int64) {
 	t.Helper()
 	w, err := h5.NewShardWriter(base, 0, h5.SampleRecords)
 	if err != nil {
@@ -63,11 +70,11 @@ func writeCaptures(t *testing.T, base, group string, teacher *nn.Network, n int,
 	}
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {
-		in := make([]float64, dim)
+		in := make([]float64, rowsPer*dim)
 		for j := range in {
 			in[j] = rng.Float64()
 		}
-		x, err := tensor.FromSlice(in, 1, dim)
+		x, err := tensor.FromSlice(in, rowsPer, dim)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,6 +163,9 @@ func TestGatePublishesBetterCandidate(t *testing.T) {
 	if got := h.entries(); len(got) != 1 {
 		t.Fatalf("retrain triggered on %d records below the floor: %+v", 4, got)
 	}
+	if got := h.ctl.Snapshot()[0].PendingRecords; got != 4 {
+		t.Fatalf("pending %d after 4 one-row records, want 4", got)
+	}
 
 	trained := false
 	h.m.trainFn = func(member int, path string, train *nn.Dataset, cfg nn.TrainConfig) (*nn.Network, error) {
@@ -165,11 +175,13 @@ func TestGatePublishesBetterCandidate(t *testing.T) {
 		}
 		return teacher, nil
 	}
-	writeCaptures(t, h.base, "m", teacher, records-4, 11)
+	// The policy counts rows, not records: one record of the remaining
+	// 20 rows makes 5 records but 24 rows, past both thresholds.
+	writeRecords(t, h.base, "m", teacher, 1, records-4, 11)
 	h.ctl.CheckNow()
 
 	if !trained {
-		t.Fatal("trigger did not fire with pending records above RetrainEvery")
+		t.Fatal("trigger did not fire with pending rows above RetrainEvery")
 	}
 	ents := h.entries()
 	if len(ents) != 2 {
@@ -284,6 +296,54 @@ func TestGateRejectsNaNCandidate(t *testing.T) {
 	}
 	if h.liveGen() != 0 || h.reloads != 0 {
 		t.Fatal("NaN candidate reached publication")
+	}
+}
+
+// TestGateFloorsZeroTargets: rows whose targets are exactly zero (an
+// out-of-the-money option price) measure a slightly-off prediction
+// against the holdout's RMS row norm, not against ~0. The error is the
+// int8 fit gate's metric of the member-mean prediction: small, finite,
+// and well inside Rtol.
+func TestGateFloorsZeroTargets(t *testing.T) {
+	const rows = 12
+	rng := rand.New(rand.NewSource(13))
+	in := make([]float64, rows*dim)
+	for i := range in {
+		if i/dim%3 != 0 { // every third row is all zeros
+			in[i] = rng.Float64()
+		}
+	}
+	x, err := tensor.FromSlice(in, rows, dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, err := tensor.FromSlice(append([]float64(nil), in...), rows, dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	holdout, err := nn.NewDataset(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	affine := func(shift float64) *nn.Network {
+		net := nn.NewNetwork(0)
+		net.Add(nn.NewAffine(1, shift))
+		return net
+	}
+	// Two members whose mean is the identity shifted by 1e-3.
+	got, err := relErr([]*nn.Network{affine(0), affine(2e-3)}, holdout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred := make([]float64, len(in))
+	for i, v := range in {
+		pred[i] = v + 1e-3
+	}
+	if want := nn.MeanRelL2(pred, in, rows, dim); math.Abs(got-want) > 1e-15 {
+		t.Fatalf("gate error %g, want the int8 gate metric %g", got, want)
+	}
+	if !(got > 0 && got < 0.01) {
+		t.Fatalf("gate error %g on a 1e-3 shift, want small and finite", got)
 	}
 }
 

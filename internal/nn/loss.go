@@ -241,3 +241,39 @@ func checkSameShape(a, b *tensor.Tensor) error {
 	}
 	return nil
 }
+
+// MeanRelL2 is the accuracy metric both gates use — the int8 fit's
+// (hpacml.FitQuant) and the learner's shadow gate: the mean over rows
+// of ‖pred−ref‖₂ / max(‖ref‖₂, floor), where floor is the RMS row norm
+// of the reference across the rows. The floor is the absolute-tolerance
+// half of an allclose-style check: a row whose reference is near zero
+// measures its error against the output's typical scale instead of
+// dividing by noise — without it, a surrogate whose outputs cross zero
+// (an option price at the strike) reads as failing however accurate it
+// is. Any non-finite prediction poisons the mean to NaN, as does an
+// empty slab; NaN never passes a gate.
+func MeanRelL2(pred, ref []float64, rows, cols int) float64 {
+	if rows == 0 {
+		return math.NaN()
+	}
+	sumSq := 0.0
+	for _, v := range ref[:rows*cols] {
+		sumSq += v * v
+	}
+	floor := math.Max(math.Sqrt(sumSq/float64(rows)), 1e-12)
+	total := 0.0
+	for r := 0; r < rows; r++ {
+		var dn, rn float64
+		for j := 0; j < cols; j++ {
+			d := pred[r*cols+j] - ref[r*cols+j]
+			dn += d * d
+			rn += ref[r*cols+j] * ref[r*cols+j]
+		}
+		rel := math.Sqrt(dn) / math.Max(math.Sqrt(rn), floor)
+		if math.IsInf(rel, 0) {
+			return math.NaN()
+		}
+		total += rel
+	}
+	return total / float64(rows)
+}

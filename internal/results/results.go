@@ -1,8 +1,8 @@
 // Package results defines the machine-readable result schema shared by
-// the repo's command-line tools: hpacml-eval's -json output and the
-// hpacml-serve load generator both emit one Record, so CI benchmark
-// artifacts (BENCH_*.json) have a single shape regardless of which tool
-// produced them.
+// the repo's command-line tools: hpacml-eval's -json output and
+// hpacml-collect's -out report both emit one Record, so CI artifacts
+// (BENCH_*.json) have a single shape regardless of which tool produced
+// them.
 package results
 
 import (
@@ -12,21 +12,18 @@ import (
 	"os"
 )
 
-// Record is one tool run. Exactly one of Eval, Serving, or Collect is
-// set, according to Tool.
+// Record is one tool run. Exactly one of Eval or Collect is set,
+// according to Tool.
 type Record struct {
-	// Tool names the producer: "hpacml-eval", "hpacml-serve-loadgen",
-	// or "hpacml-collect".
+	// Tool names the producer: "hpacml-eval" or "hpacml-collect".
 	Tool string `json:"tool"`
-	// Benchmark is the benchmark name for eval/collect runs, empty for
-	// serving.
+	// Benchmark is the benchmark name.
 	Benchmark string `json:"benchmark,omitempty"`
-	// Model is the surrogate the run exercised: a .gmod path for eval,
-	// a registry model name for serving; empty for collection.
+	// Model is the surrogate the run exercised: a .gmod path or model
+	// URI for eval; empty for collection.
 	Model string `json:"model,omitempty"`
 
 	Eval    *Eval    `json:"eval,omitempty"`
-	Serving *Serving `json:"serving,omitempty"`
 	Collect *Collect `json:"collect,omitempty"`
 }
 
@@ -93,49 +90,6 @@ type Collect struct {
 	// RemoteRecords counts records acknowledged by the remote ingest
 	// endpoint (0 for local collection).
 	RemoteRecords int `json:"remote_records"`
-}
-
-// Serving is a load-generator run against a surrogate server: client-side
-// traffic accounting plus the server-reported coalescing evidence (mean
-// batch size and the batch-size histogram).
-type Serving struct {
-	TargetRPS   float64 `json:"target_rps"` // 0 means unthrottled
-	Concurrency int     `json:"concurrency"`
-	DurationSec float64 `json:"duration_sec"`
-
-	Sent        uint64  `json:"sent"`
-	Completed   uint64  `json:"completed"`
-	Rejected    uint64  `json:"rejected"` // backpressure: queue-full refusals
-	Errors      uint64  `json:"errors"`
-	AchievedRPS float64 `json:"achieved_rps"`
-
-	// Client-observed request latency quantiles, milliseconds.
-	LatencyP50Ms float64 `json:"latency_p50_ms"`
-	LatencyP95Ms float64 `json:"latency_p95_ms"`
-	LatencyP99Ms float64 `json:"latency_p99_ms"`
-
-	// Server-reported coalescing evidence: batches > 1 must actually
-	// form for the micro-batching claim to hold.
-	MeanBatch float64           `json:"mean_batch"`
-	BatchHist map[string]uint64 `json:"batch_hist,omitempty"`
-
-	// Wire names the client protocol the run used ("json" or
-	// "binary"); empty in records that predate the binary wire.
-	Wire string `json:"wire,omitempty"`
-	// Dtype names the binary wire's frame element encoding ("f64" or
-	// "f32"); empty for JSON runs and pre-dtype records.
-	Dtype string `json:"dtype,omitempty"`
-	// RecordsPerSec is the completed-inference throughput (same value
-	// AchievedRPS holds for single-row requests; kept separate so the
-	// CI gate has a stable name).
-	RecordsPerSec float64 `json:"records_per_sec,omitempty"`
-	// CapturedRecords counts capture records the loadgen shipped to the
-	// server's ingest endpoint alongside the inference traffic (the
-	// closed-loop smoke's retraining feed); 0 when capture was off.
-	CapturedRecords uint64 `json:"captured_records,omitempty"`
-	// Baseline holds the JSON-wire run a wire=both loadgen performed
-	// before the binary run, so one artifact carries the comparison.
-	Baseline *Serving `json:"baseline,omitempty"`
 }
 
 // WriteJSON writes the record as indented JSON to w.

@@ -12,18 +12,6 @@ import (
 // records returns one fully populated Record per tool. Every field is
 // non-zero, so omitempty cannot hide a field that fails to round-trip.
 func records() []*Record {
-	serving := func() *Serving {
-		return &Serving{
-			TargetRPS: 250, Concurrency: 16, DurationSec: 2,
-			Sent: 500, Completed: 490, Rejected: 7, Errors: 3, AchievedRPS: 245,
-			LatencyP50Ms: 1.5, LatencyP95Ms: 4.25, LatencyP99Ms: 9.125,
-			MeanBatch: 3.5, BatchHist: map[string]uint64{"1": 40, "2-4": 60},
-			Wire: "binary", Dtype: "f32", RecordsPerSec: 245, CapturedRecords: 12,
-		}
-	}
-	withBase := serving()
-	withBase.Baseline = serving()
-	withBase.Baseline.Wire = "json"
 	return []*Record{
 		{Tool: "hpacml-eval", Benchmark: "binomial", Model: "models/binomial.gmod", Eval: &Eval{
 			Speedup: 12.5, Error: 0.0125, Metric: "rmse", Params: 4481,
@@ -31,7 +19,6 @@ func records() []*Record {
 			Fallbacks: 1, RemoteInference: 2, TrustedRows: 3, UncertainRows: 4, OutOfDomainRows: 5,
 			CaptureDrops: 6, CaptureFlushes: 7, RemoteCaptures: 8,
 		}},
-		{Tool: "hpacml-serve-loadgen", Benchmark: "serve", Model: "binomial", Serving: withBase},
 		{Tool: "hpacml-collect", Benchmark: "bonds", Model: "none", Collect: &Collect{
 			Runs: 6, DB: "data/bonds.gh5", Records: 6, Sampled: 5, Shards: 2,
 			Dropped: 1, Flushes: 3, FlushErrors: 4, WriteErrors: 5, RemoteRecords: 9,

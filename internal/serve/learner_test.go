@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"log/slog"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -17,12 +18,13 @@ import (
 	"repro/internal/h5"
 	"repro/internal/learner"
 	"repro/internal/nn"
+	"repro/internal/serveapi"
 	"repro/internal/serveclient"
 )
 
 // TestClosedLoopHTTP is the end-to-end continuous-learning drive, all
-// through the public surfaces: the load generator ships its served
-// traffic back as capture records (-capture-db), the learner snapshots
+// through the public surfaces: a client ships its served traffic back
+// as capture records through /v1/capture, the learner snapshots
 // the ingest database, retrains a warm-started candidate, shadow-gates
 // it, and publishes a new generation — visible in /v1/models lineage,
 // /v1/stats learners, and the hpacml_model_generation gauge — and the
@@ -63,27 +65,45 @@ func TestClosedLoopHTTP(t *testing.T) {
 	ctx := context.Background()
 
 	// Drive traffic with the capture leg on: every completed inference
-	// comes back as a training record.
-	rec, err := RunLoadGen(LoadGenConfig{
-		Target:      ts.URL,
-		Duration:    300 * time.Millisecond,
-		Concurrency: 4,
-		Seed:        7,
-		CaptureDB:   "caps",
-	})
-	if err != nil {
-		t.Fatal(err)
+	// comes back as a training record, one row per record.
+	client := serveclient.New(ts.URL)
+	defer client.CloseIdleConnections()
+	rng := rand.New(rand.NewSource(7))
+	var batch []serveapi.CaptureRecord
+	captured := 0
+	for i := 0; i < 64; i++ {
+		in := make([]float64, 3)
+		for j := range in {
+			in[j] = rng.Float64()
+		}
+		out, err := client.Infer(ctx, "m", in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch = append(batch, serveapi.CaptureRecord{
+			Region:      "m",
+			InputShape:  []int{1, len(in)},
+			Inputs:      in,
+			OutputShape: []int{1, len(out)},
+			Outputs:     out,
+		})
+		if len(batch) == 16 {
+			n, err := client.Capture(ctx, "caps", batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			captured += n
+			batch = batch[:0]
+		}
 	}
-	if rec.Serving.CapturedRecords < 8 {
-		t.Fatalf("loadgen captured only %d records", rec.Serving.CapturedRecords)
+	if captured < 8 {
+		t.Fatalf("captured only %d records", captured)
 	}
 
 	// One sweep: captures record the live model's own outputs, so the
 	// warm-started candidate stays at ~zero holdout error and publishes.
 	ctl.CheckNow()
 
-	client := serveclient.New(ts.URL)
-	defer client.CloseIdleConnections()
 	info, err := client.Model(ctx, "m")
 	if err != nil {
 		t.Fatal(err)

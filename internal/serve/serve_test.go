@@ -476,105 +476,6 @@ func TestHTTPAPI(t *testing.T) {
 	}
 }
 
-// TestLoadGen runs the load generator against an in-process server and
-// checks the shared results schema comes back populated.
-func TestLoadGen(t *testing.T) {
-	hpacml.ClearModelCache()
-	dir := t.TempDir()
-	path := saveMLP(t, dir, "m.gmod", 6, 3, 8, 2)
-	s, err := NewServer(Config{MaxBatch: 8, MaxDelay: 500 * time.Microsecond}, ModelSpec{Name: "m", Path: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	ts := httptest.NewServer(NewHandler(s))
-	defer ts.Close()
-
-	rec, err := RunLoadGen(LoadGenConfig{
-		Target:      ts.URL,
-		Duration:    300 * time.Millisecond,
-		Concurrency: 8,
-		Seed:        1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Tool != "hpacml-serve-loadgen" || rec.Model != "m" || rec.Serving == nil {
-		t.Fatalf("record: %+v", rec)
-	}
-	sv := rec.Serving
-	if sv.Completed == 0 || sv.AchievedRPS <= 0 || sv.Sent < sv.Completed {
-		t.Fatalf("serving summary: %+v", sv)
-	}
-	if sv.MeanBatch < 1 || len(sv.BatchHist) == 0 {
-		t.Fatalf("no coalescing evidence in summary: %+v", sv)
-	}
-	if sv.LatencyP95Ms < sv.LatencyP50Ms {
-		t.Fatalf("quantiles out of order: %+v", sv)
-	}
-
-	// Rate-paced mode: clients parked on the token channel must be
-	// released at the deadline, not one token at a time (at 20 RPS with
-	// 8 clients, token-by-token draining alone would take ~400ms extra).
-	start := time.Now()
-	rec, err = RunLoadGen(LoadGenConfig{
-		Target:      ts.URL,
-		RPS:         20,
-		Duration:    300 * time.Millisecond,
-		Concurrency: 8,
-		Seed:        2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if took := time.Since(start); took > 1500*time.Millisecond {
-		t.Fatalf("paced loadgen overshot its duration: ran %v for a 300ms run", took)
-	}
-	if rec.Serving.Completed == 0 || rec.Serving.TargetRPS != 20 {
-		t.Fatalf("paced summary: %+v", rec.Serving)
-	}
-}
-
-// TestLoadGenWireBoth: wire "both" publishes the binary run with the
-// JSON baseline attached, each with records/sec — the shape the CI
-// gate jq-asserts on the BENCH_serve artifact.
-func TestLoadGenWireBoth(t *testing.T) {
-	hpacml.ClearModelCache()
-	dir := t.TempDir()
-	path := saveMLP(t, dir, "m.gmod", 6, 3, 8, 2)
-	s, err := NewServer(Config{MaxBatch: 8, MaxDelay: 500 * time.Microsecond}, ModelSpec{Name: "m", Path: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	ts := httptest.NewServer(NewHandler(s))
-	defer ts.Close()
-
-	rec, err := RunLoadGen(LoadGenConfig{
-		Target:      ts.URL,
-		Duration:    200 * time.Millisecond,
-		Concurrency: 4,
-		Seed:        3,
-		Wire:        "both",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv := rec.Serving
-	if sv.Wire != "binary" || sv.Completed == 0 || sv.RecordsPerSec <= 0 {
-		t.Fatalf("binary run: %+v", sv)
-	}
-	if sv.Baseline == nil || sv.Baseline.Wire != "json" || sv.Baseline.RecordsPerSec <= 0 {
-		t.Fatalf("json baseline: %+v", sv.Baseline)
-	}
-	if sv.Baseline.Baseline != nil {
-		t.Fatal("baseline must not nest")
-	}
-	if _, err := RunLoadGen(LoadGenConfig{Target: ts.URL, Wire: "telepathy"}); err == nil {
-		t.Fatal("unknown wire must fail")
-	}
-}
-
 // waitFor polls cond for up to ~2s.
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()

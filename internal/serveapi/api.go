@@ -212,8 +212,9 @@ type LearnerSnapshot struct {
 	Errors    uint64 `json:"errors"`
 	Rollbacks uint64 `json:"rollbacks"`
 
-	// PendingRecords is how many captured records have arrived since
-	// the last retrain — the progress toward the next trigger.
+	// PendingRecords is how many captured rows (training samples) have
+	// arrived since the last retrain — the progress toward the next
+	// trigger. A capture record of n rows counts n.
 	PendingRecords int `json:"pending_records"`
 
 	LastVerdict      string  `json:"last_verdict,omitempty"`

@@ -53,7 +53,7 @@ func (e *APIError) Error() string {
 }
 
 // Rejected reports whether err is the server's queue-full backpressure
-// refusal (HTTP 429) — the one failure a load generator counts
+// refusal (HTTP 429) — the one failure a load driver counts
 // separately from real errors.
 func Rejected(err error) bool {
 	var api *APIError
@@ -197,7 +197,7 @@ func (c *Client) Models(ctx context.Context) ([]serveapi.ModelInfo, error) {
 }
 
 // Model resolves one registry entry by name; an empty name picks the
-// server's first model (the load generator's default).
+// server's first model.
 func (c *Client) Model(ctx context.Context, name string) (serveapi.ModelInfo, error) {
 	infos, err := c.Models(ctx)
 	if err != nil {

@@ -94,7 +94,7 @@ var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
 // [rows, outCols] output slab, decoded into out's storage when it is
 // large enough (pass a reused scratch slice to make steady-state calls
 // allocation-free; its length is ignored). This is the hot-path entry
-// the remote engine and the load generator use; under WireJSON, or
+// the remote engine and bench's serve workloads use; under WireJSON, or
 // when a binary-unaware server forces a fallback, the same call
 // travels as JSON.
 func (c *Client) InferMatrix(ctx context.Context, model string, rows, cols int, in, out []float64) ([]float64, int, error) {

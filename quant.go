@@ -127,46 +127,11 @@ func FitQuant(net *nn.Network, x *tensor.Tensor, cfg QuantFitConfig) (*nn.QuantC
 	if err := fwd.Forward(pred, hold, nHold); err != nil {
 		return nil, err
 	}
-	calib.GateErr = meanRelL2(pred, refData, nHold, outDim)
+	calib.GateErr = nn.MeanRelL2(pred, refData, nHold, outDim)
 	calib.GateRTol = rtol
 	if !calib.GatePassed() {
 		return nil, fmt.Errorf("hpacml: int8 accuracy gate failed: mean relative L2 %g vs float64 on %d held-out rows exceeds rtol %g",
 			calib.GateErr, nHold, rtol)
 	}
 	return calib, nil
-}
-
-// meanRelL2 is the gate metric: the mean over rows of
-// ‖pred−ref‖₂ / max(‖ref‖₂, floor), where floor is the RMS row norm of
-// the reference across the holdout. The floor is the absolute-tolerance
-// half of an allclose-style check: a row whose reference is near zero
-// measures its error against the output's typical scale instead of
-// dividing by noise — without it, a surrogate whose outputs cross zero
-// (an option price at the strike) reads as failing however accurate the
-// quantization is. Any non-finite prediction poisons the mean to NaN,
-// which never passes a gate.
-func meanRelL2(pred, ref []float64, rows, cols int) float64 {
-	if rows == 0 {
-		return math.NaN()
-	}
-	sumSq := 0.0
-	for _, v := range ref[:rows*cols] {
-		sumSq += v * v
-	}
-	floor := math.Max(math.Sqrt(sumSq/float64(rows)), 1e-12)
-	total := 0.0
-	for r := 0; r < rows; r++ {
-		var dn, rn float64
-		for j := 0; j < cols; j++ {
-			d := pred[r*cols+j] - ref[r*cols+j]
-			dn += d * d
-			rn += ref[r*cols+j] * ref[r*cols+j]
-		}
-		rel := math.Sqrt(dn) / math.Max(math.Sqrt(rn), floor)
-		if math.IsInf(rel, 0) {
-			return math.NaN()
-		}
-		total += rel
-	}
-	return total / float64(rows)
 }

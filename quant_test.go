@@ -167,7 +167,7 @@ func TestFitQuantFromDB(t *testing.T) {
 	if err := fwd.Forward(got, in, 32); err != nil {
 		t.Fatal(err)
 	}
-	if e := meanRelL2(got, ref.Contiguous().Data(), 32, 1); !(e < 0.1) {
+	if e := nn.MeanRelL2(got, ref.Contiguous().Data(), 32, 1); !(e < 0.1) {
 		t.Fatalf("sidecar-compiled int8 path drifted: mean relative L2 %g", e)
 	}
 
@@ -178,26 +178,26 @@ func TestFitQuantFromDB(t *testing.T) {
 
 // TestMeanRelL2 pins the gate metric itself.
 func TestMeanRelL2(t *testing.T) {
-	if e := meanRelL2([]float64{1, 2}, []float64{1, 2}, 2, 1); e != 0 {
+	if e := nn.MeanRelL2([]float64{1, 2}, []float64{1, 2}, 2, 1); e != 0 {
 		t.Fatalf("identical slabs: %g", e)
 	}
 	// Equal-norm rows leave the RMS floor inert: one row 10%% off, one
 	// exact, mean 5%%.
-	if e := meanRelL2([]float64{2.2, 2}, []float64{2, 2}, 2, 1); math.Abs(e-0.05) > 1e-12 {
+	if e := nn.MeanRelL2([]float64{2.2, 2}, []float64{2, 2}, 2, 1); math.Abs(e-0.05) > 1e-12 {
 		t.Fatalf("mean of {0.1, 0}: %g", e)
 	}
 	// A near-zero reference row measures against the holdout's RMS row
 	// norm (sqrt(2) here), not its own vanishing norm.
-	if e, want := meanRelL2([]float64{0.2, 2}, []float64{0, 2}, 2, 1), 0.2/math.Sqrt(2)/2; math.Abs(e-want) > 1e-12 {
+	if e, want := nn.MeanRelL2([]float64{0.2, 2}, []float64{0, 2}, 2, 1), 0.2/math.Sqrt(2)/2; math.Abs(e-want) > 1e-12 {
 		t.Fatalf("floored row: %g, want %g", e, want)
 	}
-	if e := meanRelL2([]float64{math.NaN(), 2}, []float64{1, 2}, 2, 1); !math.IsNaN(e) {
+	if e := nn.MeanRelL2([]float64{math.NaN(), 2}, []float64{1, 2}, 2, 1); !math.IsNaN(e) {
 		t.Fatalf("NaN prediction must poison the mean, got %g", e)
 	}
-	if e := meanRelL2([]float64{math.Inf(1), 2}, []float64{1, 2}, 2, 1); !math.IsNaN(e) {
+	if e := nn.MeanRelL2([]float64{math.Inf(1), 2}, []float64{1, 2}, 2, 1); !math.IsNaN(e) {
 		t.Fatalf("Inf prediction must poison the mean, got %g", e)
 	}
-	if e := meanRelL2(nil, nil, 0, 1); !math.IsNaN(e) {
+	if e := nn.MeanRelL2(nil, nil, 0, 1); !math.IsNaN(e) {
 		t.Fatalf("empty holdout must not pass, got %g", e)
 	}
 }
