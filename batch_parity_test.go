@@ -3,10 +3,10 @@
 // loop and differ only in what a rejected block or a failed engine does:
 // without an accurate callback the trust gate is advisory and engine
 // errors propagate; with one, rejected blocks are recomputed and
-// recaptured and a failed fallback-wrapped engine degrades to the
-// accurate path. Gated cases are annotated with trust(var:1, domain:on)
-// over a .guard sidecar beside the model() path. Each case pins the
-// outputs and every Stats counter.
+// recaptured and a failed engine in a region whose model() is a URI
+// degrades to the accurate path. Gated cases are annotated with
+// trust(var:1, domain:on) over a .guard sidecar beside the model()
+// path. Each case pins the outputs and every Stats counter.
 package hpacml_test
 
 import (
@@ -35,6 +35,11 @@ func (e *reportEngine) Infer(ctx context.Context, in, out *tensor.Tensor) error 
 func (e *reportEngine) OutputShape(in []int) ([]int, error)             { return []int{in[0], 1}, nil }
 func (e *reportEngine) Warmup(ctx context.Context, inShape []int) error { return nil }
 func (e *reportEngine) RowVariance() []float64                          { return e.rowVar }
+
+// deadURI is the model() clause of the fallback cases: a URI makes the
+// region fall back on engine failure. The injected engine serves it, so
+// nothing listens there.
+const deadURI = "http://127.0.0.1:1/parity"
 
 // errEngineDown is the error every downEngine inference returns.
 var errEngineDown = errors.New("engine down")
@@ -102,6 +107,7 @@ func TestBatchEntryPointParity(t *testing.T) {
 		name     string
 		engine   func() hpacml.Engine
 		guard    *hpacml.Guardrail // nil: ungated
+		model    string            // model() of an ungated region; "" for none
 		advisory batchCounters
 		advErr   bool
 		routed   batchCounters
@@ -145,7 +151,8 @@ func TestBatchEntryPointParity(t *testing.T) {
 		},
 		{
 			name:    "engine-fails",
-			engine:  func() hpacml.Engine { return hpacml.NewFallbackEngine(downEngine{}) },
+			engine:  func() hpacml.Engine { return downEngine{} },
+			model:   deadURI,
 			advErr:  true,
 			routed:  batchCounters{Invocations: 3, AccurateRuns: 3, Fallbacks: 3},
 			routedY: [][]float64{acc(0), acc(1), acc(2)},
@@ -162,7 +169,7 @@ func TestBatchEntryPointParity(t *testing.T) {
 				x := make([]float64, 4)
 				y := make([]float64, 2)
 				sink := &countSink{}
-				r := parityRegion(t, x, y, tc.engine(), sink, tc.guard)
+				r := parityRegion(t, x, y, tc.engine(), sink, tc.guard, tc.model)
 
 				stage := func(i int) error {
 					copy(x, []float64{float64(i), 1, float64(i), 2})
@@ -207,12 +214,16 @@ func TestBatchEntryPointParity(t *testing.T) {
 // parityRegion builds the two-row region both parity tests drive: one
 // invocation gathers x's two (a, b) pairs and scatters y's two entries.
 // A non-nil guard gates the region with trust(var:1, domain:on), guard
-// saved as the sidecar of its model() path.
-func parityRegion(t *testing.T, x, y []float64, e hpacml.Engine, sink hpacml.Sink, guard *hpacml.Guardrail) *hpacml.Region {
+// saved as the sidecar of its model() path; otherwise a non-empty model
+// is the region's model() clause.
+func parityRegion(t *testing.T, x, y []float64, e hpacml.Engine, sink hpacml.Sink, guard *hpacml.Guardrail, model string) *hpacml.Region {
 	t.Helper()
 	ml := "ml(infer) in(x) out(y)"
-	if guard != nil {
+	switch {
+	case guard != nil:
 		ml += fmt.Sprintf(" model(%q) trust(var:1, domain:on)", guardedModel(t, guard))
+	case model != "":
+		ml += fmt.Sprintf(" model(%q)", model)
 	}
 	r, err := hpacml.NewRegion("parity",
 		hpacml.Directives(`
@@ -235,7 +246,8 @@ tensor map(from: vout(y[0:2]))
 
 // testExecuteParity pins the single-invocation entry point on the same
 // region: Execute(nil) is advisory, Execute(accurate) routes a rejected
-// invocation and a failed fallback-policy engine to the accurate path.
+// invocation, and a failed engine under a URI model(), to the accurate
+// path.
 // Engine time lands in Stats.Inference, never BatchInference, and no
 // batch counter moves.
 func testExecuteParity(t *testing.T) {
@@ -244,6 +256,7 @@ func testExecuteParity(t *testing.T) {
 		name   string
 		engine func() hpacml.Engine
 		guard  *hpacml.Guardrail // nil: ungated
+		model  string            // model() of an ungated region; "" for none
 		// served says the engine answered, so engine time was recorded.
 		served   bool
 		advisory batchCounters
@@ -276,7 +289,8 @@ func testExecuteParity(t *testing.T) {
 		},
 		{
 			name:     "engine-down-fallback",
-			engine:   func() hpacml.Engine { return hpacml.NewFallbackEngine(downEngine{}) },
+			engine:   func() hpacml.Engine { return downEngine{} },
+			model:    deadURI,
 			advisory: batchCounters{Invocations: 1},
 			advY:     []float64{0, 0},
 			advErr:   true,
@@ -305,7 +319,7 @@ func testExecuteParity(t *testing.T) {
 				x := []float64{0, 1, 0, 2}
 				y := make([]float64, 2)
 				sink := &countSink{}
-				r := parityRegion(t, x, y, tc.engine(), sink, tc.guard)
+				r := parityRegion(t, x, y, tc.engine(), sink, tc.guard, tc.model)
 
 				want, wantY, wantErr := tc.advisory, tc.advY, tc.advErr
 				var accurate func() error

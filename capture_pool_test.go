@@ -1,7 +1,6 @@
 package hpacml
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -12,7 +11,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/serveapi"
 	"repro/internal/tensor"
 )
 
@@ -208,49 +206,22 @@ func TestDropWhenFullReleasesDroppedRecords(t *testing.T) {
 	wantReleases(t, recs, 1)
 }
 
-// TestSamplingSinkReleasesFilteredRecords: the records the policy
-// filters out are released by the sampling sink, the kept ones by the
-// sink behind it — each exactly once.
-func TestSamplingSinkReleasesFilteredRecords(t *testing.T) {
-	next, err := NewLocalSink(filepath.Join(t.TempDir(), "sampled.gh5"), CaptureConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewSamplingSink(next, CaptureConfig{Every: 3})
-	var pool sync.Pool
-	var recs []*CaptureRecord
-	for i := range 30 {
-		recs = append(recs, testRecord(&pool, "r", float64(i)))
-		if err := s.Capture(recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.SinkStats(); st.Sampled != 20 || st.Captured != 10 {
-		t.Fatalf("stats: %+v", st)
-	}
-	wantReleases(t, recs, 1)
-}
-
 // TestRemoteSinkReleasesShippedAndFailedBatches: the shipper releases a
 // batch's records once its POST returns, whether the server took the
 // batch or it failed, and ships and releases what is pending at Close.
 func TestRemoteSinkReleasesShippedAndFailedBatches(t *testing.T) {
 	var fail atomic.Bool
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req serveapi.CaptureRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			// Binary frames are refused, so the client speaks JSON.
-			http.Error(w, err.Error(), http.StatusUnsupportedMediaType)
+		db, n, err := decodeCaptureFrame(r)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		if fail.Load() {
 			http.Error(w, "ingest down", http.StatusInternalServerError)
 			return
 		}
-		fmt.Fprintf(w, `{"db":%q,"accepted":%d}`, req.DB, len(req.Records))
+		fmt.Fprintf(w, `{"db":%q,"accepted":%d}`, db, n)
 	}))
 	defer srv.Close()
 	s, err := NewRemoteSink(srv.URL+"/db", CaptureConfig{BatchRecords: 4, FlushEvery: -1})

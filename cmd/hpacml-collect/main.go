@@ -2,14 +2,14 @@
 // collection mode and writes the training database — phase one of the
 // paper's workflow, driven through the pluggable capture pipeline:
 // asynchronous sharded local files by default, a remote hpacml-serve
-// ingest endpoint when -db is an http(s):// capture URI, optionally
-// thinned by a sampling policy.
+// ingest endpoint when -db is an http(s):// capture URI. Sampling is
+// the benchmark annotation's capture(...) clause, not a flag.
 //
 // Usage:
 //
 //	hpacml-collect -benchmark binomial -db data/binomial.gh5 -runs 10 [-full]
 //	hpacml-collect -benchmark binomial -db data/binomial.gh5 -runs 1000 \
-//	    -shard-records 100 -sample-every 5 -out BENCH_collect.json
+//	    -shard-records 100 -out BENCH_collect.json
 //	hpacml-collect -benchmark binomial -db http://head:8080/binomial -runs 100
 //
 // On exit the capture report is printed (records written, shards,
@@ -43,8 +43,6 @@ func main() {
 	queueCap := flag.Int("queue", 0, "capture queue bound in records (0 = default 256)")
 	drop := flag.Bool("drop", false, "drop records when the capture queue is full instead of blocking the solver")
 	flushEvery := flag.Duration("flush-every", 0, "periodic capture flush interval (0 = default 1s)")
-	sampleEvery := flag.Int("sample-every", 0, "keep every N-th invocation (capture(every:N) policy)")
-	sampleFrac := flag.Float64("sample-frac", 0, "keep each invocation with this probability (capture(frac:F) policy)")
 	out := flag.String("out", "", "write the collection report as shared-schema JSON (internal/results) to this path")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
@@ -84,9 +82,6 @@ func main() {
 	opt.Capture.QueueCap = *queueCap
 	opt.Capture.DropWhenFull = *drop
 	opt.Capture.FlushEvery = *flushEvery
-	opt.Capture.Every = *sampleEvery
-	opt.Capture.Frac = *sampleFrac
-	opt.Capture.Seed = *seed
 
 	start := time.Now()
 	rep, err := h.Collect(*db, opt)

@@ -176,16 +176,6 @@ func (e *EnsembleEngine) Infer(ctx context.Context, in, out *tensor.Tensor) erro
 // variance, valid until the next Infer.
 func (e *EnsembleEngine) RowVariance() []float64 { return e.rowVar }
 
-// RemoteExecution reports whether any member executes remotely.
-func (e *EnsembleEngine) RemoteExecution() bool {
-	for _, m := range e.members {
-		if isRemote(m) {
-			return true
-		}
-	}
-	return false
-}
-
 // Refresh forwards to every member's refresh hook.
 func (e *EnsembleEngine) Refresh() {
 	for _, m := range e.members {

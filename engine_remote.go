@@ -12,11 +12,10 @@ import (
 
 // RemoteEngine executes a region's inference against a running
 // hpacml-serve instance over its HTTP API, through the typed pooled
-// client (internal/serveclient). Engines that build their own client
-// speak the binary frame wire — one length-prefixed request per batch,
-// raw float payloads — and downgrade to JSON automatically against
-// servers that predate it. A region selects the engine by writing an
-// http(s):// URI in its model() clause —
+// client (internal/serveclient), over the binary frame wire: one
+// length-prefixed request per batch, raw float payloads. A region
+// selects the engine by writing an http(s):// URI in its model()
+// clause —
 //
 //	ml(infer) in(x) out(y) model("http://127.0.0.1:8080/binomial")
 //
@@ -30,9 +29,9 @@ import (
 // [rows, features] regions (the paper's MLP benchmarks); image/channel
 // layouts are refused at warmup. A batch of rows travels as one
 // request, and the caller's context deadline rides the wire: cancel the
-// context and the HTTP request is torn down. Regions built from a model
-// URI wrap this engine in a FallbackEngine automatically, so a dead
-// server degrades to the accurate path instead of failing the solve.
+// context and the HTTP request is torn down. A region whose model() is
+// a URI falls back to its accurate path when the engine fails, so a
+// dead server degrades the solve instead of failing it.
 type RemoteEngine struct {
 	client *serveclient.Client
 	model  string
@@ -42,46 +41,25 @@ type RemoteEngine struct {
 	outDim   int
 }
 
-// DefaultRemoteTimeout bounds each request of a region-built remote
-// engine end-to-end, so a hung server (accepted connection, no answer)
+// DefaultRemoteTimeout bounds each request of a remote engine
+// end-to-end, independent of the caller's context (whichever expires
+// first wins), so a hung server (accepted connection, no answer)
 // surfaces as an engine error the fallback policy can act on instead of
-// blocking Execute indefinitely. Engines built directly with
-// NewRemoteEngine choose their own limit (zero = context-only).
+// blocking Execute indefinitely.
 const DefaultRemoteTimeout = 30 * time.Second
-
-// RemoteOption configures a RemoteEngine.
-type RemoteOption func(*remoteConfig)
-
-type remoteConfig struct {
-	timeout time.Duration
-}
-
-// WithRequestTimeout bounds each inference request end-to-end,
-// independent of the caller's context (whichever expires first wins).
-func WithRequestTimeout(d time.Duration) RemoteOption {
-	return func(c *remoteConfig) { c.timeout = d }
-}
 
 // NewRemoteEngine builds a remote engine from a model URI
 // (http(s)://host[:port][/prefix...]/model-name).
-func NewRemoteEngine(uri string, opts ...RemoteOption) (*RemoteEngine, error) {
+func NewRemoteEngine(uri string) (*RemoteEngine, error) {
 	base, name, err := directive.SplitRemoteModel(uri)
 	if err != nil {
 		return nil, err
 	}
-	var cfg remoteConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	copts := []serveclient.Option{serveclient.WithWire(serveclient.WireBinary)}
-	if cfg.timeout > 0 {
-		copts = append(copts, serveclient.WithTimeout(cfg.timeout))
-	}
-	return &RemoteEngine{client: serveclient.New(base, copts...), model: name}, nil
+	client := serveclient.New(base,
+		serveclient.WithWire(serveclient.WireBinary),
+		serveclient.WithTimeout(DefaultRemoteTimeout))
+	return &RemoteEngine{client: client, model: name}, nil
 }
-
-// RemoteExecution marks the engine for Stats.RemoteInference counting.
-func (e *RemoteEngine) RemoteExecution() bool { return true }
 
 // Warmup resolves the model in the server's registry (recording its
 // I/O widths) and validates the region's bridged input shape against
@@ -118,10 +96,8 @@ func (e *RemoteEngine) OutputShape(in []int) ([]int, error) {
 
 // Infer ships the staged rows to the server as one flat [rows, inDim]
 // matrix — a single request whether the region ran single or batched —
-// and decodes the answers straight into out's storage. On the binary
-// wire the round trip is two raw float slabs behind fixed headers; the
-// client's transparent fallback keeps old JSON-only servers working at
-// the old cost.
+// and decodes the answers straight into out's storage: the round trip
+// is two raw float slabs behind fixed headers.
 func (e *RemoteEngine) Infer(ctx context.Context, in, out *tensor.Tensor) error {
 	if in.Rank() != 2 || out.Rank() != 2 {
 		return fmt.Errorf("hpacml: remote engine wants 2-D staging, got %v -> %v", in.Shape(), out.Shape())

@@ -225,7 +225,7 @@ func TestRemoteFallbackDeadline(t *testing.T) {
 }
 
 // failingEngine is a custom backend that always errors, for exercising
-// WithEngine and the FallbackEngine wrapper around arbitrary engines.
+// the fallback policy around engines injected with WithEngine.
 type failingEngine struct{ outDim int }
 
 func (e *failingEngine) Infer(ctx context.Context, in, out *tensor.Tensor) error {
@@ -236,8 +236,9 @@ func (e *failingEngine) OutputShape(in []int) ([]int, error) {
 }
 func (e *failingEngine) Warmup(ctx context.Context, inShape []int) error { return nil }
 
-// TestWithEngineCustomFallback injects a custom engine wrapped in the
-// fallback policy and checks the Region honors both.
+// TestWithEngineCustomFallback injects a custom failing engine: under a
+// URI model() the Region falls back to the accurate path, under a local
+// path the engine error propagates.
 func TestWithEngineCustomFallback(t *testing.T) {
 	const N = 4
 	x := make([]float64, N)
@@ -246,11 +247,11 @@ func TestWithEngineCustomFallback(t *testing.T) {
 tensor functor(f: [i, 0:1] = ([i]))
 tensor map(to: f(x[0:N]))
 tensor map(from: f(x[0:N]))
-ml(infer) inout(x)
+ml(infer) inout(x) model("http://127.0.0.1:1/custom")
 `),
 		hpacml.BindInt("N", N),
 		hpacml.BindArray("x", x, N),
-		hpacml.WithEngine(hpacml.NewFallbackEngine(&failingEngine{outDim: 1})),
+		hpacml.WithEngine(&failingEngine{outDim: 1}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -264,13 +265,13 @@ ml(infer) inout(x)
 		t.Fatalf("custom fallback: accurate=%v stats=%+v", accurateRan, st)
 	}
 
-	// Unwrapped, the same engine error propagates.
+	// Under a local model path, the same engine error propagates.
 	bare, err := hpacml.NewRegion("bare",
 		hpacml.Directives(`
 tensor functor(f: [i, 0:1] = ([i]))
 tensor map(to: f(x[0:N]))
 tensor map(from: f(x[0:N]))
-ml(infer) inout(x)
+ml(infer) inout(x) model("custom.gmod")
 `),
 		hpacml.BindInt("N", N),
 		hpacml.BindArray("x", x, N),

@@ -2,9 +2,9 @@
 // where the surrogate executes. A Region whose model() clause carries
 // an http(s):// URI runs its inference against a hpacml-serve instance
 // through the runtime's remote engine — same directives, same bridge,
-// different backend — and the automatic fallback policy runs the
-// accurate code path whenever the engine cannot answer (server down,
-// context deadline expired), which is the paper's predicated
+// different backend. The URI is also the fallback policy: the region
+// runs the accurate code path whenever the engine cannot answer (server
+// down, context deadline expired), which is the paper's predicated
 // conditional execution extended to distributed deployments.
 //
 // Self-contained demo (trains a toy model and serves it in-process):

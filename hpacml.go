@@ -34,6 +34,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"strings"
 	"sync"
 	"time"
@@ -81,12 +82,13 @@ type Stats struct {
 
 	// Fallbacks counts surrogate attempts that ran the accurate region
 	// instead because the engine failed or the caller's context
-	// deadline expired (the FallbackEngine policy, which every region
-	// with a trust(...) clause also follows). Those invocations are
-	// also counted in AccurateRuns, never in Inferences.
+	// deadline expired. Only regions whose model() is an http(s):// URI
+	// or that carry a trust(...) clause fall back; any other region
+	// returns the engine error. Those invocations are also counted in
+	// AccurateRuns, never in Inferences.
 	Fallbacks int
-	// RemoteInference counts invocations whose inference executed on a
-	// remote engine (an http(s):// model URI) rather than in-process.
+	// RemoteInference counts the surrogate invocations of a region
+	// whose model() is an http(s):// URI, whichever engine served them.
 	// Remote invocations are also included in Inferences.
 	RemoteInference int
 
@@ -197,29 +199,33 @@ type Region struct {
 
 	// engine is the pluggable surrogate-execution backend. It is built
 	// lazily from the model() reference on first inference (LocalEngine
-	// for file paths, a fallback-wrapped RemoteEngine for http(s) URIs)
-	// unless the caller injected one with WithEngine. engineOwned says
-	// whether Close should release it; engineRemote and engineFallback
-	// cache the policy markers derived from the engine's type. warmed
-	// flips after a successful Engine.Warmup and is cleared whenever the
-	// model state is dropped.
-	engine         Engine
-	engineOwned    bool
-	engineRemote   bool
-	engineFallback bool
-	warmed         bool
+	// for file paths, RemoteEngine for http(s) URIs) unless the caller
+	// injected one with WithEngine. engineOwned says whether Close
+	// should release it. remote says the model() clause is a URI, which
+	// makes the region count remote inference and fall back on engine
+	// failure. warmed flips after a successful Engine.Warmup and is
+	// cleared whenever the model state is dropped.
+	engine      Engine
+	engineOwned bool
+	remote      bool
+	warmed      bool
 
 	// sink is the pluggable capture backend. It is built lazily from
 	// the db() reference on the first collection (LocalSink for file
-	// paths, RemoteSink for http(s) URIs, either wrapped in a
-	// SamplingSink when a capture(...) policy applies) unless the
-	// caller injected one with WithSink. sinkOwned says whether Close
-	// should close it (injected sinks are only flushed); captureCfg is
-	// the WithCapture tuning merged with the directive's capture
-	// clause.
+	// paths, RemoteSink for http(s) URIs) unless the caller injected
+	// one with WithSink. sinkOwned says whether Close should close it
+	// (injected sinks are only flushed); captureCfg is the WithCapture
+	// tuning.
 	sink       Sink
 	sinkOwned  bool
 	captureCfg CaptureConfig
+
+	// The capture(...) clause's sampler: collections counts the
+	// collections it has judged, sampled those it thinned out, and rng
+	// draws the frac policy's decisions (built on first use).
+	collections int64
+	sampled     int64
+	rng         *rand.Rand
 
 	// guard and variance are the trust(...) clause's gates, resolved by
 	// ensureTrust at the first inference (trustReady flips then);
@@ -411,13 +417,7 @@ func (r *Region) finalize() error {
 			return err
 		}
 	}
-	// The directive's capture(...) sampling policy applies unless the
-	// caller overrode sampling through WithCapture (runtime tuning wins
-	// over the annotation).
-	if r.ml.Capture != nil && r.captureCfg.Every == 0 && r.captureCfg.Frac == 0 {
-		r.captureCfg.Every = r.ml.Capture.Every
-		r.captureCfg.Frac = r.ml.Capture.Frac
-	}
+	r.remote = directive.IsRemoteModel(r.ml.Model)
 
 	// Inline functor applications in the ml clause (fa-exprs) create
 	// implicit tensor maps: in() gathers, out() scatters, inout() both.
@@ -584,16 +584,19 @@ func (r *Region) Stats() Stats {
 }
 
 // CaptureStats snapshots the capture sink's own accounting (queue
-// drops, flushes, shard count, remote ingest totals). ok is false when
-// no sink has been resolved yet or the sink does not expose stats.
-// The snapshot stays readable after Close — that is when the final
-// flush counts are in.
+// drops, flushes, shard count, remote ingest totals), with the
+// invocations the region's capture(...) clause thinned out in Sampled.
+// ok is false when the region has thinned nothing and has no sink that
+// exposes stats. The snapshot stays readable after Close — that is
+// when the final flush counts are in.
 func (r *Region) CaptureStats() (SinkStats, bool) {
 	ss, ok := r.sink.(sinkStatser)
 	if !ok {
-		return SinkStats{}, false
+		return SinkStats{Sampled: r.sampled}, r.sampled > 0
 	}
-	return ss.SinkStats(), true
+	st := ss.SinkStats()
+	st.Sampled += r.sampled
+	return st, true
 }
 
 // ResetStats zeroes the accounting, capture counters included: the
@@ -617,10 +620,10 @@ func (r *Region) Execute(accurate func() error) error {
 // ExecuteContext is Execute with a caller-supplied context. The context
 // flows through the region's engine down to the backend — a remote
 // engine threads it into its HTTP requests, so cancelling the context
-// cancels in-flight inference on the wire. When the engine carries the
-// fallback policy (every http(s):// model URI does by default) or the
-// region has a trust(...) clause, a context that expires before or during inference runs the accurate
-// path instead of failing the invocation.
+// cancels in-flight inference on the wire. When the region's model() is
+// an http(s):// URI or it has a trust(...) clause, a context that
+// expires before or during inference runs the accurate path instead of
+// failing the invocation.
 func (r *Region) ExecuteContext(ctx context.Context, accurate func() error) error {
 	if r.closed {
 		return fmt.Errorf("hpacml: region %q used after Close", r.name)
@@ -707,7 +710,10 @@ func (r *Region) runAccurate(accurate func() error) error {
 // dense decoders emit (channel-first, the order inference scatters).
 // With the default asynchronous sink the solver pays only the gathers
 // and an enqueue here — serialization and I/O happen on the sink's
-// writer goroutine (Stats.DBWrite measures the enqueue cost).
+// writer goroutine (Stats.DBWrite measures the enqueue cost). An
+// invocation the capture(...) clause thins out still counts in
+// Stats.Collections but runs the accurate path alone: no gather, and no
+// sink sees it.
 //
 // The record comes from the region's pool of capture slots (captureSlot):
 // tensors of its own, never views of the bound application arrays, so
@@ -716,6 +722,10 @@ func (r *Region) runAccurate(accurate func() error) error {
 // so the warm capture path allocates nothing. The slot is released here
 // when the capture fails before the sink took it.
 func (r *Region) collect(accurate func() error) error {
+	if r.sampledOut() {
+		r.stats.Collections++
+		return r.runAccurate(accurate)
+	}
 	start := time.Now()
 	s, err := r.captureSlot()
 	r.stats.ToTensor += time.Since(start)
@@ -764,6 +774,37 @@ func (r *Region) capture(s *captureSlot, accurate func() error) error {
 	return r.sink.Capture(&s.rec)
 }
 
+// captureSeed seeds the capture(frac:F) generator, so a collection
+// keeps the same invocations run to run.
+const captureSeed = 29
+
+// sampledOut applies the capture(...) clause to the next collection and
+// reports whether it thins the invocation out (counted in
+// SinkStats.Sampled). every:N keeps collections 0, N, 2N, ...; frac:F
+// keeps each with probability F, one draw per collection.
+func (r *Region) sampledOut() bool {
+	c := r.ml.Capture
+	if c == nil {
+		return false
+	}
+	i := r.collections
+	r.collections++
+	keep := true
+	switch {
+	case c.Every > 1:
+		keep = i%int64(c.Every) == 0
+	case c.Frac > 0 && c.Frac < 1:
+		if r.rng == nil {
+			r.rng = rand.New(rand.NewSource(captureSeed))
+		}
+		keep = r.rng.Float64() < c.Frac
+	}
+	if !keep {
+		r.sampled++
+	}
+	return !keep
+}
+
 // captureSlot takes a capture slot from the region's pool, or makes one
 // when the pool is empty, and resets its record's exported fields.
 func (r *Region) captureSlot() (*captureSlot, error) {
@@ -807,9 +848,7 @@ func (r *Region) newCaptureSlot() (*captureSlot, error) {
 // ensureSink resolves the region's capture sink from its db()
 // reference on first use: a plain path gets the asynchronous sharded
 // LocalSink, an http(s):// URI the RemoteSink against a hpacml-serve
-// ingest endpoint; a sampling policy (capture(...) clause or
-// WithCapture) wraps either in a SamplingSink. Injected sinks
-// (WithSink) short-circuit all of it.
+// ingest endpoint. Injected sinks (WithSink) short-circuit all of it.
 func (r *Region) ensureSink() error {
 	if r.sink != nil {
 		return nil
@@ -826,21 +865,17 @@ func (r *Region) ensureSink() error {
 	return nil
 }
 
-// setEngine installs an engine and derives its policy markers.
+// setEngine installs an engine.
 func (r *Region) setEngine(e Engine, owned bool) {
 	r.engine = e
 	r.engineOwned = owned
-	r.engineRemote = isRemote(e)
-	r.engineFallback = wantsFallback(e)
 	r.warmed = false
 }
 
 // ensureEngine resolves the region's engine from its model() reference
 // on first use: a plain path gets the in-process LocalEngine, an
-// http(s):// URI a RemoteEngine wrapped in the FallbackEngine policy
-// (a distributed deployment should degrade to the accurate path, not
-// fail the solve, when the server is unreachable). Injected engines
-// (WithEngine) short-circuit all of it.
+// http(s):// URI a RemoteEngine. Injected engines (WithEngine)
+// short-circuit all of it.
 func (r *Region) ensureEngine() error {
 	if r.engine != nil {
 		return nil
@@ -848,17 +883,12 @@ func (r *Region) ensureEngine() error {
 	if r.ml.Model == "" {
 		return fmt.Errorf("hpacml: inference without model() clause in region %q", r.name)
 	}
-	if directive.IsRemoteModel(r.ml.Model) {
-		// The default timeout keeps the fallback promise honest: a
-		// server that accepts connections but never answers must still
-		// degrade to the accurate path, not hang Execute forever. An
-		// application wanting different limits injects its own engine
-		// with WithEngine.
-		remote, err := NewRemoteEngine(r.ml.Model, WithRequestTimeout(DefaultRemoteTimeout))
+	if r.remote {
+		remote, err := NewRemoteEngine(r.ml.Model)
 		if err != nil {
 			return fmt.Errorf("hpacml: region %q: %w", r.name, err)
 		}
-		r.setEngine(NewFallbackEngine(remote), true)
+		r.setEngine(remote, true)
 		return nil
 	}
 	// The f32(on) and quant(int8) clauses are requests to the region's
@@ -1033,9 +1063,9 @@ func (r *Region) ExecuteBatchContext(ctx context.Context, n int, stage func(i in
 // invocation by invocation. accurate == nil is the advisory policy (keep
 // every invocation, count each block's verdicts, propagate engine
 // errors); with accurate, a block with a rejected row goes through
-// routeInvocationAccurate, and a failure of a fallback-policy engine, or
-// of any engine under a trust(...) clause, degrades the whole batch to
-// the accurate path.
+// routeInvocationAccurate, and an engine failure in a region whose
+// model() is a URI or that carries a trust(...) clause degrades the
+// whole batch to the accurate path.
 //
 // batched is false only for Execute, which has already resolved the
 // region's path and counted its invocation: its engine time then lands
@@ -1069,10 +1099,11 @@ func (r *Region) executeBatch(ctx context.Context, n int, stage, accurate, finis
 	if err := r.ensureTrust(); err != nil {
 		return err
 	}
-	// A trust-gated region falls back on engine failure like a
-	// FallbackEngine does: its accurate path is already in hand.
+	// A remote region falls back on engine failure, so a distributed
+	// deployment degrades instead of failing the solve; a trust-gated
+	// region does too, its accurate path already in hand.
 	engineFailed := func(err error) error {
-		if accurate != nil && (r.engineFallback || r.ml.Trust != nil) {
+		if accurate != nil && (r.remote || r.ml.Trust != nil) {
 			return r.degradeBatch(n, stage, accurate, finish, batched)
 		}
 		return fmt.Errorf("hpacml: inference in region %q: %w", r.name, err)
@@ -1150,7 +1181,7 @@ func (r *Region) executeBatch(ctx context.Context, n int, stage, accurate, finis
 		if batched {
 			r.stats.BatchedInvocations++
 		}
-		if r.engineRemote {
+		if r.remote {
 			r.stats.RemoteInference++
 		}
 		if rep != nil {

@@ -117,8 +117,9 @@ type CollectStats struct {
 // losses here.
 type CollectReport struct {
 	// Invocations is how many region invocations ran in collection
-	// mode; Records is how many reached the sink (fewer when a
-	// sampling policy thinned the stream, Sampled counts those).
+	// mode; Records is how many reached the sink (fewer when the
+	// region's capture(...) clause thinned the stream, Sampled counts
+	// those).
 	Invocations int
 	Records     int
 	Sampled     int

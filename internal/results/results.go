@@ -42,11 +42,11 @@ type Eval struct {
 	BaselineError float64 `json:"baseline_error"`
 
 	// Fallbacks counts surrogate invocations that fell back to the
-	// accurate path (engine failure or expired deadline, under a
-	// FallbackEngine or a trust(...) clause) during the surrogate
-	// timing runs; RemoteInference counts invocations whose
-	// inference ran on a remote engine (an http(s):// model URI). Both
-	// are zero for purely local, healthy deployments.
+	// accurate path (engine failure or expired deadline, in a region
+	// whose model() is an http(s):// URI or that carries a trust(...)
+	// clause) during the surrogate timing runs; RemoteInference counts
+	// the surrogate invocations of a region whose model() is a URI.
+	// Both are zero for purely local, healthy deployments.
 	Fallbacks       int `json:"fallbacks"`
 	RemoteInference int `json:"remote_inference"`
 

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -82,10 +83,43 @@ func TestFrameInferEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFrameNegotiation pins the raw protocol rules the client's
-// fallback depends on: f32 frames are answered in f32, an unsupported
-// frame version is 415, and garbage under the frame Content-Type is
-// 400 — all with JSON error bodies.
+// TestBinaryClientSendsOnePost: a fresh binary client whose first call
+// the real handler refuses (a wrong-width InferMatrix, 400) puts exactly
+// one request on the wire and reports the server's answer to the frame.
+func TestBinaryClientSendsOnePost(t *testing.T) {
+	hpacml.ClearModelCache()
+	path := saveMLP(t, t.TempDir(), "m.gmod", 11, 5, 8, 1)
+	s, err := NewServer(Config{MaxBatch: 4, MaxDelay: time.Millisecond, Workers: 1},
+		ModelSpec{Name: "m", Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var posts atomic.Int64
+	h := NewHandler(s)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			posts.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	c := serveclient.New(ts.URL, serveclient.WithWire(serveclient.WireBinary))
+	_, _, err = c.InferMatrix(context.Background(), "m", 1, 3, []float64{1, 2, 3}, nil)
+	var api *serveclient.APIError
+	if !errors.As(err, &api) || api.Code != http.StatusBadRequest {
+		t.Fatalf("wrong width: %v, want a 400 APIError", err)
+	}
+	if n := posts.Load(); n != 1 {
+		t.Fatalf("one refused call sent %d POSTs, want 1", n)
+	}
+}
+
+// TestFrameNegotiation pins the raw protocol rules of the frame wire:
+// f32 frames are answered in f32, an unsupported frame version is 415,
+// and garbage under the frame Content-Type is 400 — all with JSON
+// error bodies.
 func TestFrameNegotiation(t *testing.T) {
 	hpacml.ClearModelCache()
 	dir := t.TempDir()
@@ -134,7 +168,7 @@ func TestFrameNegotiation(t *testing.T) {
 		}
 	}
 
-	// Future frame version: 415, so clients downgrade to JSON.
+	// Future frame version: 415, an explicit refusal of the version.
 	vNext := append([]byte(nil), frame...)
 	vNext[4] = 99
 	if resp, body := post(vNext); resp.StatusCode != http.StatusUnsupportedMediaType {

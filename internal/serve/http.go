@@ -113,8 +113,8 @@ const (
 // (serveapi.AppendInferRequest / AppendCaptureRequest layouts), and
 // /v1/infer answers in kind — a response frame of the request's dtype.
 // The capture ack and every error body stay JSON. A frame of an
-// unsupported version is refused with 415 so newer clients downgrade
-// to JSON; a malformed frame is a plain 400.
+// unsupported version is refused with 415, a malformed frame with a
+// plain 400; the client reports either as the call's error.
 //
 // Every request is traced: an incoming X-Request-ID is honored (a
 // fresh ID is minted otherwise), echoed on the response header and in

@@ -2,15 +2,16 @@
 // API (internal/serveapi). It owns everything a caller would
 // otherwise hand-roll: request/response marshalling on either wire
 // (JSON by default, the binary frame protocol under
-// WithWire(WireBinary), with automatic JSON fallback against older
-// servers), connection pooling tuned for many small POSTs against one
-// host, context propagation so deadlines and cancellation reach the
-// wire, and the mapping of non-200 responses into a structured
-// *APIError callers can classify without string matching.
+// WithWire(WireBinary)), connection pooling tuned for many small POSTs
+// against one host, context propagation so deadlines and cancellation
+// reach the wire, and the mapping of non-200 responses into a
+// structured *APIError callers can classify without string matching.
+// Client and server ship together: a binary client sends one request
+// per call and never retries it on the other wire.
 //
 // The runtime's remote inference engine (hpacml.RemoteEngine), its
-// remote capture sink (hpacml.RemoteSink), and the serving load
-// generator are all built on this client.
+// remote capture sink (hpacml.RemoteSink), and the benchmark's serve
+// workloads are all built on this client.
 package serveclient
 
 import (
@@ -22,7 +23,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/serveapi"
@@ -78,12 +78,6 @@ type Client struct {
 	http  *http.Client
 	wire  Wire
 	dtype serveapi.Dtype // frame element encoding; zero value is DtypeF64
-
-	// Wire negotiation state (see frameRejected): binaryOK latches once
-	// a frame round-trip has succeeded, jsonOnly latches when the server
-	// turns out not to speak frames.
-	binaryOK atomic.Bool
-	jsonOnly atomic.Bool
 }
 
 // New builds a client for the server at base (e.g.
@@ -114,7 +108,7 @@ func (c *Client) CloseIdleConnections() { c.http.CloseIdleConnections() }
 
 // Infer runs one invocation of the named model.
 func (c *Client) Infer(ctx context.Context, model string, in []float64) ([]float64, error) {
-	if c.useBinary() {
+	if c.wire == WireBinary {
 		data, _, err := c.InferMatrix(ctx, model, 1, len(in), in, nil)
 		return data, err
 	}
@@ -155,22 +149,13 @@ func (c *Client) InferBatch(ctx context.Context, model string, ins [][]float64) 
 // appended prefix (APIError.Accepted), so callers can count exactly
 // what was lost. The runtime's remote capture sink (hpacml.RemoteSink)
 // is built on this call. Under WithWire(WireBinary) the batch travels
-// as a binary frame (the ack stays JSON), with the same fallback rules
-// as InferMatrix.
+// as a binary frame (the ack stays JSON).
 func (c *Client) Capture(ctx context.Context, db string, recs []serveapi.CaptureRecord) (int, error) {
 	if len(recs) == 0 {
 		return 0, nil
 	}
-	if c.useBinary() {
-		n, err := c.captureFrame(ctx, db, recs)
-		if err == nil || !c.frameRejected(err) {
-			return n, err
-		}
-		n, jerr := c.captureJSON(ctx, db, recs)
-		if jerr == nil {
-			c.jsonOnly.Store(true)
-		}
-		return n, jerr
+	if c.wire == WireBinary {
+		return c.captureFrame(ctx, db, recs)
 	}
 	return c.captureJSON(ctx, db, recs)
 }

@@ -19,14 +19,13 @@ import (
 type Wire int
 
 const (
-	// WireJSON is the default: human-readable, curl-able, and accepted
-	// by every server version.
+	// WireJSON is the default: human-readable and curl-able.
 	WireJSON Wire = iota
 	// WireBinary sends binary frames (serveapi.ContentTypeFrame):
 	// length-prefixed headers and raw float slabs, no per-value
-	// formatting and near-zero garbage. Against a server that does not
-	// speak frames the client falls back to JSON automatically and
-	// remembers the downgrade, so WireBinary is always safe to request.
+	// formatting and near-zero garbage. Client and server ship
+	// together, so the client never retries a refused frame as JSON:
+	// every non-200 answer is the call's error.
 	WireBinary
 )
 
@@ -51,33 +50,6 @@ func WithFrameDtype(d serveapi.Dtype) Option {
 	return func(c *Client) { c.dtype = d }
 }
 
-// useBinary reports whether the next hot-path request should be a
-// frame: binary was requested and the server has not refused it.
-func (c *Client) useBinary() bool {
-	return c.wire == WireBinary && !c.jsonOnly.Load()
-}
-
-// frameRejected classifies a failed frame request: true means the
-// status says "this server does not speak frames" and the call should
-// be retried as JSON. 415 is the explicit refusal from frame-aware
-// servers of another version, so the downgrade latches immediately. A
-// 400 is ambiguous — a pre-frame server answers it after failing to
-// parse the frame as JSON, but a frame-aware server also answers it
-// for genuinely bad requests — so 400 only triggers a retry until the
-// first successful frame round-trip proves the server speaks binary
-// (the caller latches jsonOnly only if the JSON retry succeeds).
-func (c *Client) frameRejected(err error) bool {
-	var api *APIError
-	if !errors.As(err, &api) {
-		return false
-	}
-	if api.Code == http.StatusUnsupportedMediaType {
-		c.jsonOnly.Store(true)
-		return true
-	}
-	return api.Code == http.StatusBadRequest && !c.binaryOK.Load()
-}
-
 // frameBuf is the per-request scratch a frame round-trip needs: the
 // encoded request and the raw response body. Pooled so steady-state
 // binary traffic reuses the same two byte slabs per concurrent caller.
@@ -94,9 +66,8 @@ var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
 // [rows, outCols] output slab, decoded into out's storage when it is
 // large enough (pass a reused scratch slice to make steady-state calls
 // allocation-free; its length is ignored). This is the hot-path entry
-// the remote engine and bench's serve workloads use; under WireJSON, or
-// when a binary-unaware server forces a fallback, the same call
-// travels as JSON.
+// the remote engine and bench's serve workloads use; under WireJSON the
+// same call travels as JSON.
 func (c *Client) InferMatrix(ctx context.Context, model string, rows, cols int, in, out []float64) ([]float64, int, error) {
 	if rows < 0 || cols < 0 || len(in) != rows*cols {
 		return nil, 0, fmt.Errorf("serveclient: input slab %d floats, want %d x %d", len(in), rows, cols)
@@ -104,16 +75,8 @@ func (c *Client) InferMatrix(ctx context.Context, model string, rows, cols int, 
 	if rows == 0 {
 		return out[:0], 0, nil
 	}
-	if c.useBinary() {
-		data, outCols, err := c.inferMatrixFrame(ctx, model, rows, cols, in, out)
-		if err == nil || !c.frameRejected(err) {
-			return data, outCols, err
-		}
-		data, outCols, jerr := c.inferMatrixJSON(ctx, model, rows, cols, in, out)
-		if jerr == nil {
-			c.jsonOnly.Store(true)
-		}
-		return data, outCols, jerr
+	if c.wire == WireBinary {
+		return c.inferMatrixFrame(ctx, model, rows, cols, in, out)
 	}
 	return c.inferMatrixJSON(ctx, model, rows, cols, in, out)
 }
@@ -149,7 +112,6 @@ func (c *Client) inferMatrixFrame(ctx context.Context, model string, rows, cols 
 	if f.Rows != rows {
 		return nil, 0, fmt.Errorf("serveclient: sent %d rows, server answered %d", rows, f.Rows)
 	}
-	c.binaryOK.Store(true)
 	return f.Data, f.Cols, nil
 }
 
@@ -209,7 +171,6 @@ func (c *Client) captureFrame(ctx context.Context, db string, recs []serveapi.Ca
 	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
 		return 0, fmt.Errorf("serveclient: POST /v1/capture: bad payload: %w", err)
 	}
-	c.binaryOK.Store(true)
 	return ack.Accepted, nil
 }
 

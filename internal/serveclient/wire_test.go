@@ -254,92 +254,6 @@ func TestClientBinaryI8Dtype(t *testing.T) {
 	}
 }
 
-// TestClientBinaryGenuine400StaysBinary: once a frame round-trip has
-// succeeded, a 400 is a real caller error — surfaced, not misread as
-// "server doesn't speak frames".
-func TestClientBinaryGenuine400StaysBinary(t *testing.T) {
-	ts, counts := dualStub(t)
-	c := serveclient.New(ts.URL, serveclient.WithWire(serveclient.WireBinary))
-	ctx := context.Background()
-
-	if _, err := c.Infer(ctx, "sum", []float64{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	_, err := c.Infer(ctx, "sum", []float64{1, 2, 3}) // wrong width: genuine 400
-	var api *serveclient.APIError
-	if !errors.As(err, &api) || api.Code != http.StatusBadRequest {
-		t.Fatalf("want 400 APIError, got %v", err)
-	}
-	if _, err := c.Infer(ctx, "sum", []float64{5, 6}); err != nil {
-		t.Fatal(err)
-	}
-	if counts.jsons.Load() != 0 || counts.frames.Load() != 3 {
-		t.Fatalf("wire mix frames=%d jsons=%d, want 3/0", counts.frames.Load(), counts.jsons.Load())
-	}
-	// 429 classification survives the binary wire.
-	if _, err := c.Infer(ctx, "sum", []float64{-1, 0}); !serveclient.Rejected(err) {
-		t.Fatalf("want rejection, got %v", err)
-	}
-}
-
-// oldServer mimics a pre-frame serve build: every hot-path body is fed
-// to the JSON decoder, so a binary frame earns "bad JSON" and 400.
-func oldServer(t *testing.T, frameStatus int) (*httptest.Server, *wireCounts) {
-	counts := &wireCounts{}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/infer", func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get("Content-Type") == serveapi.ContentTypeFrame {
-			counts.frames.Add(1)
-			w.WriteHeader(frameStatus)
-			json.NewEncoder(w).Encode(serveapi.ErrorBody{Error: "bad JSON"})
-			return
-		}
-		counts.jsons.Add(1)
-		var req serveapi.InferRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			w.WriteHeader(http.StatusBadRequest)
-			json.NewEncoder(w).Encode(serveapi.ErrorBody{Error: "bad JSON"})
-			return
-		}
-		resp := serveapi.InferResponse{Model: req.Model}
-		if req.Input != nil {
-			resp.Output = []float64{42}
-		} else {
-			for range req.Inputs {
-				resp.Outputs = append(resp.Outputs, []float64{42})
-			}
-		}
-		json.NewEncoder(w).Encode(resp)
-	})
-	ts := httptest.NewServer(mux)
-	t.Cleanup(ts.Close)
-	return ts, counts
-}
-
-func TestClientFallsBackToJSON(t *testing.T) {
-	// Both refusal shapes old servers produce: explicit 415 from a
-	// frame-aware build of another version, and 400 "bad JSON" from a
-	// pre-frame build. Either way the client must succeed via JSON and
-	// stop sending frames once the downgrade is proven.
-	for _, status := range []int{http.StatusUnsupportedMediaType, http.StatusBadRequest} {
-		ts, counts := oldServer(t, status)
-		c := serveclient.New(ts.URL, serveclient.WithWire(serveclient.WireBinary))
-		ctx := context.Background()
-		for i := 0; i < 3; i++ {
-			out, err := c.Infer(ctx, "m", []float64{1, 2})
-			if err != nil || out[0] != 42 {
-				t.Fatalf("status %d call %d: %v, %v", status, i, out, err)
-			}
-		}
-		if counts.frames.Load() != 1 {
-			t.Fatalf("status %d: %d frame attempts, want 1 (fallback must latch)", status, counts.frames.Load())
-		}
-		if counts.jsons.Load() != 3 {
-			t.Fatalf("status %d: %d JSON requests, want 3", status, counts.jsons.Load())
-		}
-	}
-}
-
 // TestClientReusesConnections is the satellite regression for body
 // drain/close: across successes and every error shape, the client must
 // keep using one pooled connection. A leaked (undrained or unclosed)

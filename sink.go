@@ -18,10 +18,11 @@ import (
 // and outputs in the model layout and hands them to the sink as one
 // CaptureRecord; the sink decides where and how they land — appended
 // asynchronously to sharded local .gh5 files (LocalSink, the default),
-// shipped in batches to a running hpacml-serve ingest endpoint
-// (RemoteSink, selected by an http(s):// db URI), or filtered through
-// a sampling policy first (SamplingSink, selected by the capture(...)
-// directive clause). Custom sinks plug in with the WithSink option.
+// or shipped in batches to a running hpacml-serve ingest endpoint
+// (RemoteSink, selected by an http(s):// db URI). Custom sinks plug in
+// with the WithSink option. Which invocations reach the sink is the
+// annotation's business: the region applies its capture(...) clause
+// before it gathers anything.
 //
 // Unlike a Region, a Sink IS safe for concurrent use: several replica
 // regions (or solver ranks in one process) may share one sink, which
@@ -115,8 +116,10 @@ type SinkStats struct {
 	// Dropped counts records rejected by backpressure (full queue under
 	// the drop policy) or lost to a failed remote batch.
 	Dropped int64
-	// Sampled counts records filtered out by a sampling policy — a
-	// deliberate thinning, counted separately from Dropped.
+	// Sampled counts invocations the region's capture(...) clause
+	// thinned out — a deliberate thinning, counted separately from
+	// Dropped. Region.CaptureStats fills it; no sink ever sees those
+	// invocations.
 	Sampled int64
 	// Flushes counts completed flushes (explicit barriers and the
 	// periodic timer); FlushErrors counts flushes that failed.
@@ -149,7 +152,8 @@ var ErrSinkClosed = errors.New("hpacml: capture sink closed")
 // CaptureConfig tunes the capture pipeline a region builds for its
 // db() reference. The zero value is the asynchronous default: a
 // single-shard local database behind a 256-record blocking queue with
-// a 1-second periodic flush, no sampling.
+// a 1-second periodic flush. Sampling is not tuning: the capture(...)
+// directive clause alone selects it.
 type CaptureConfig struct {
 	// ShardRecords rotates the local database to a fresh shard file
 	// after this many captured invocations; 0 keeps a single file.
@@ -170,15 +174,6 @@ type CaptureConfig struct {
 	// BatchRecords is the remote sink's records-per-POST flush unit
 	// (default 16).
 	BatchRecords int
-	// Every / Frac impose a sampling policy (see SamplingSink): keep
-	// every N-th record, or each record with probability Frac. Zero
-	// values mean "no override" — the capture(...) directive clause
-	// applies instead, if present.
-	Every int
-	Frac  float64
-	// Seed drives the frac policy's RNG (0 picks a fixed default, so
-	// runs are reproducible by default).
-	Seed int64
 }
 
 const (
@@ -202,32 +197,20 @@ func (c CaptureConfig) withDefaults() CaptureConfig {
 }
 
 // NewSink builds the capture pipeline for a db reference under cfg: a
-// LocalSink for a plain path, a RemoteSink for an http(s):// URI,
-// wrapped in a SamplingSink when cfg carries a sampling policy. This
+// LocalSink for a plain path, a RemoteSink for an http(s):// URI. This
 // is exactly what a Region does lazily on its first collection; it is
 // exported so drivers can build the same pipeline around a sink they
 // want to own (e.g. one shared by several regions).
 func NewSink(dbRef string, cfg CaptureConfig) (Sink, error) {
-	var (
-		s   Sink
-		err error
-	)
 	if directive.IsRemoteDB(dbRef) {
-		s, err = NewRemoteSink(dbRef, cfg)
-	} else {
-		s, err = NewLocalSink(dbRef, cfg)
+		return NewRemoteSink(dbRef, cfg)
 	}
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Every > 1 || (cfg.Frac > 0 && cfg.Frac < 1) {
-		s = NewSamplingSink(s, cfg)
-	}
-	return s, nil
+	return NewLocalSink(dbRef, cfg)
 }
 
 // WithSink injects a capture sink, overriding the pipeline the region
-// would derive from its db() clause. The region does not take
+// would derive from its db() clause. The region's capture(...) clause
+// still decides which invocations reach it. The region does not take
 // ownership: Close flushes but never closes an injected sink, so one
 // sink may serve several regions concurrently.
 func WithSink(s Sink) Option {
@@ -243,13 +226,9 @@ func WithSink(s Sink) Option {
 
 // WithCapture tunes the capture pipeline the region builds lazily from
 // its db() clause (shard rotation, queue bound, block-or-drop policy,
-// flush cadence, sampling). Non-zero sampling fields override the
-// directive's capture(...) clause; everything else composes with it.
+// flush cadence).
 func WithCapture(cfg CaptureConfig) Option {
 	return func(r *Region) error {
-		if cfg.Every < 0 || cfg.Frac < 0 || cfg.Frac > 1 {
-			return fmt.Errorf("hpacml: invalid capture sampling (every %d, frac %g)", cfg.Every, cfg.Frac)
-		}
 		r.captureCfg = cfg
 		return nil
 	}

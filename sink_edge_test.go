@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/h5"
-	"repro/internal/tensor"
 )
 
 // recordCounter is a minimal terminal sink that counts what reaches it.
@@ -42,44 +41,57 @@ tensor map(from: vout(y[0:1]))
 
 // TestDegenerateSamplingPoliciesPassThrough pins the keep-everything
 // edge of both policies: capture(frac:1) and capture(every:1) mean "no
-// thinning", so NewSink must not interpose a sampling wrapper at all,
-// and a SamplingSink built directly with either config must forward
-// every record with Sampled = 0.
+// thinning", so every invocation reaches the sink with Sampled = 0,
+// whether the region built the sink from its db() clause (the bare
+// NewSink pipeline) or it was injected.
 func TestDegenerateSamplingPoliciesPassThrough(t *testing.T) {
 	dir := t.TempDir()
-	for name, cfg := range map[string]CaptureConfig{
-		"frac:1":  {Frac: 1},
-		"every:1": {Every: 1},
-		"none":    {},
+	const steps = 25
+	for name, clause := range map[string]string{
+		"frac:1":  "capture(frac:1)",
+		"every:1": "capture(every:1)",
+		"none":    "",
 	} {
 		t.Run("NewSink/"+name, func(t *testing.T) {
-			s, err := NewSink(filepath.Join(dir, "db-"+name[:4]+".gh5"), cfg)
-			if err != nil {
-				t.Fatal(err)
+			db := filepath.Join(dir, "db-"+name[:4]+".gh5")
+			r := sampledStencil(t, db, clause, steps)
+			if _, bare := r.sink.(*LocalSink); !bare {
+				t.Fatalf("%q built a %T; want the bare LocalSink", clause, r.sink)
 			}
-			defer s.Close()
-			if _, wrapped := s.(*SamplingSink); wrapped {
-				t.Fatalf("config %+v interposed a SamplingSink; want the bare pipeline", cfg)
+			ss, ok := r.CaptureStats()
+			if !ok || ss.Captured != steps || ss.Sampled != 0 {
+				t.Fatalf("%q stats = %+v (ok %v), want %d captured, 0 sampled", clause, ss, ok, steps)
 			}
 		})
-		t.Run("SamplingSink/"+name, func(t *testing.T) {
+		t.Run("WithSink/"+name, func(t *testing.T) {
 			counter := &recordCounter{}
-			ss := NewSamplingSink(counter, cfg)
-			const n = 25
-			for i := 0; i < n; i++ {
-				in, _ := tensor.FromSlice([]float64{float64(i)}, 1, 1)
-				out, _ := tensor.FromSlice([]float64{float64(-i)}, 1, 1)
-				if err := ss.Capture(&CaptureRecord{Region: "g", Inputs: in, Outputs: out}); err != nil {
-					t.Fatal(err)
-				}
+			r := sampledStencil(t, "", clause, steps, WithSink(counter))
+			if counter.captured != steps {
+				t.Fatalf("pass-through %q kept %d of %d", clause, counter.captured, steps)
 			}
-			if counter.captured != n {
-				t.Fatalf("pass-through config %+v kept %d of %d", cfg, counter.captured, n)
-			}
-			if st := ss.SinkStats(); st.Sampled != 0 {
-				t.Fatalf("pass-through config %+v counted %d sampled", cfg, st.Sampled)
+			if ss, _ := r.CaptureStats(); ss.Sampled != 0 {
+				t.Fatalf("pass-through %q counted %d sampled", clause, ss.Sampled)
 			}
 		})
+	}
+}
+
+// TestCaptureClauseAppliesToInjectedSink: the capture(...) clause thins
+// the invocations an injected sink sees exactly as it thins a built
+// one, and the region counts what it thinned out.
+func TestCaptureClauseAppliesToInjectedSink(t *testing.T) {
+	counter := &recordCounter{}
+	const steps = 9
+	r := sampledStencil(t, "", "capture(every:3)", steps, WithSink(counter))
+	if counter.captured != 3 {
+		t.Fatalf("injected sink saw %d of %d invocations under capture(every:3), want 3", counter.captured, steps)
+	}
+	ss, ok := r.CaptureStats()
+	if !ok || ss.Sampled != 6 {
+		t.Fatalf("capture stats %+v (ok %v), want 6 sampled", ss, ok)
+	}
+	if st := r.Stats(); st.AccurateRuns != steps || st.Collections != steps {
+		t.Fatalf("stats %+v, want %d accurate runs and collections", st, steps)
 	}
 }
 
@@ -88,10 +100,7 @@ func TestDegenerateSamplingPoliciesPassThrough(t *testing.T) {
 func TestCaptureEveryOneKeepsEverything(t *testing.T) {
 	db := filepath.Join(t.TempDir(), "all.gh5")
 	const steps = 9
-	r := collectStencil(t, steps, db, WithCapture(CaptureConfig{Every: 1}))
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
+	r := sampledStencil(t, db, "capture(every:1)", steps)
 	ss, ok := r.CaptureStats()
 	if !ok || ss.Captured != steps || ss.Sampled != 0 {
 		t.Fatalf("every:1 stats = %+v (ok %v), want %d captured, 0 sampled", ss, ok, steps)

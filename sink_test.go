@@ -1,8 +1,8 @@
 package hpacml
 
 import (
-	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -163,40 +163,50 @@ func TestLocalSinkEquivalentToSyncWriter(t *testing.T) {
 	}
 }
 
-// TestSamplingSinkPolicies checks both capture(...) policies end to
-// end: the every-N stride through the directive clause, and the
-// frac policy through WithCapture override.
-func TestSamplingSinkPolicies(t *testing.T) {
-	dir := t.TempDir()
-
-	t.Run("every via directive", func(t *testing.T) {
-		db := filepath.Join(dir, "every.gh5")
-		const N, M, steps = 6, 6, 10
-		grid := make([]float64, N*M)
-		gridNew := make([]float64, N*M)
-		r, err := NewRegion("stencil",
-			Directives(fmt.Sprintf(`
+// sampledStencil runs steps collection invocations of a 6x6 stencil
+// region annotated with the capture clause (empty for none) into db,
+// or into a sink injected through extra, and closes it.
+func sampledStencil(t *testing.T, db, clause string, steps int, extra ...Option) *Region {
+	t.Helper()
+	const N, M = 6, 6
+	grid := make([]float64, N*M)
+	gridNew := make([]float64, N*M)
+	r, err := NewRegion("stencil", append([]Option{
+		Directives(fmt.Sprintf(`
 tensor functor(ifn: [i, j, 0:5] = (([i-1, j], [i+1, j], [i, j-1:j+2])))
 tensor functor(ofn: [i, j, 0:1] = ([i, j]))
 tensor map(to: ifn(t[1:N-1, 1:M-1]))
 tensor map(from: ofn(tnew[1:N-1, 1:M-1]))
-ml(collect) in(t) out(tnew) db(%q) capture(every:3)
-`, db)),
-			BindInt("N", N), BindInt("M", M),
-			BindArray("t", grid, N, M),
-			BindArray("tnew", gridNew, N, M),
-		)
-		if err != nil {
+ml(collect) in(t) out(tnew) db(%q) %s
+`, db, clause)),
+		BindInt("N", N), BindInt("M", M),
+		BindArray("t", grid, N, M),
+		BindArray("tnew", gridNew, N, M),
+	}, extra...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < steps; s++ {
+		if err := r.Execute(func() error { jacobiStep(grid, gridNew, N, M); return nil }); err != nil {
 			t.Fatal(err)
 		}
-		for s := 0; s < steps; s++ {
-			if err := r.Execute(func() error { jacobiStep(grid, gridNew, N, M); return nil }); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := r.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestCaptureSamplingPolicies checks both capture(...) policies end to
+// end through the directive clause: the every-N stride and the frac
+// policy.
+func TestCaptureSamplingPolicies(t *testing.T) {
+	dir := t.TempDir()
+
+	t.Run("every via directive", func(t *testing.T) {
+		db := filepath.Join(dir, "every.gh5")
+		const steps = 10
+		r := sampledStencil(t, db, "capture(every:3)", steps)
 		// 10 invocations, keep 1, 4, 7, 10 -> 4 records.
 		f, err := h5.OpenShards(db)
 		if err != nil {
@@ -211,13 +221,10 @@ ml(collect) in(t) out(tnew) db(%q) capture(every:3)
 		}
 	})
 
-	t.Run("frac via WithCapture", func(t *testing.T) {
+	t.Run("frac via directive", func(t *testing.T) {
 		db := filepath.Join(dir, "frac.gh5")
 		const steps = 40
-		r := collectStencil(t, steps, db, WithCapture(CaptureConfig{Frac: 0.5, Seed: 7}))
-		if err := r.Close(); err != nil {
-			t.Fatal(err)
-		}
+		r := sampledStencil(t, db, "capture(frac:0.5)", steps)
 		ss, _ := r.CaptureStats()
 		if ss.Captured+ss.Sampled != steps {
 			t.Fatalf("captured %d + sampled %d != %d", ss.Captured, ss.Sampled, steps)
@@ -276,6 +283,17 @@ func TestDropPolicyCountsInsteadOfBlocking(t *testing.T) {
 	}
 }
 
+// decodeCaptureFrame reads one capture request off the binary frame
+// wire RemoteSink speaks, returning its db name and record count.
+func decodeCaptureFrame(r *http.Request) (string, int, error) {
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		return "", 0, err
+	}
+	db, recs, err := serveapi.DecodeCaptureRequest(body)
+	return db, len(recs), err
+}
+
 // TestRemoteSinkDegradesGracefully drives a collection region against a
 // fake ingest endpoint, then kills the server mid-run: records sent
 // while it lived are acknowledged, records after its death are counted
@@ -287,13 +305,13 @@ func TestRemoteSinkDegradesGracefully(t *testing.T) {
 			http.NotFound(w, r)
 			return
 		}
-		var req serveapi.CaptureRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		db, n, err := decodeCaptureFrame(r)
+		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		accepted.Add(int64(len(req.Records)))
-		fmt.Fprintf(w, `{"db":%q,"accepted":%d}`, req.DB, len(req.Records))
+		accepted.Add(int64(n))
+		fmt.Fprintf(w, `{"db":%q,"accepted":%d}`, db, n)
 	}))
 
 	db := srv.URL + "/stencil"

@@ -60,13 +60,9 @@ func (r *Region) ensureTrust() error {
 		return nil
 	}
 	if t.MaxVariance > 0 {
-		e := r.engine
-		if fb, ok := e.(*FallbackEngine); ok {
-			e = fb.Primary
-		}
-		vr, ok := e.(VarianceReporter)
+		vr, ok := r.engine.(VarianceReporter)
 		if !ok {
-			return fmt.Errorf("hpacml: region %q: trust variance gate needs an engine that reports predictive variance (e.g. EnsembleEngine); %T does not", r.name, e)
+			return fmt.Errorf("hpacml: region %q: trust variance gate needs an engine that reports predictive variance (e.g. EnsembleEngine); %T does not", r.name, r.engine)
 		}
 		r.variance = vr
 	}
@@ -155,11 +151,12 @@ func (r *Region) countTrust(rep *trustReport, lo, hi int, keptTrusted bool) {
 // then each invocation whose rows the trust gates accept is scattered
 // back as usual, while invocations with any rejected row are re-staged
 // (stage(i) must be repeatable), recomputed by accurate(i), and
-// recaptured through the sink. When the engine carries the fallback
-// policy (or the region a trust clause) and fails outright — server down mid-run, model unloadable,
-// context expired — the entire batch degrades to the accurate path
-// invocation by invocation (counted in Stats.Fallbacks), so no
-// invocation is ever lost to an engine failure.
+// recaptured through the sink. When the engine fails outright — server
+// down mid-run, model unloadable, context expired — in a region whose
+// model() is an http(s):// URI or that carries a trust(...) clause, the
+// entire batch degrades to the accurate path invocation by invocation
+// (counted in Stats.Fallbacks), so no invocation is ever lost to an
+// engine failure.
 //
 // The callbacks see exactly one ordering guarantee: each invocation's
 // application state is staged/scattered immediately before its
