@@ -76,7 +76,6 @@ func main() {
 				Error:           res.Error,
 				Metric:          string(h.Info().Metric),
 				Params:          res.Params,
-				LatencySec:      res.LatencySec,
 				ToTensorSec:     res.ToTensorSec,
 				InferenceSec:    res.InferenceSec,
 				FromTensorSec:   res.FromTensorSec,
@@ -86,9 +85,6 @@ func main() {
 				TrustedRows:     res.TrustedRows,
 				UncertainRows:   res.UncertainRows,
 				OutOfDomainRows: res.OutOfDomainRows,
-				CaptureDrops:    res.CaptureDrops,
-				CaptureFlushes:  res.CaptureFlushes,
-				RemoteCaptures:  res.RemoteCaptures,
 			},
 		}
 		if err := rec.WriteFile(*outPath); err != nil {
@@ -109,16 +105,14 @@ func main() {
 	w := csv.NewWriter(out)
 	defer w.Flush()
 	w.Write([]string{"benchmark", "speedup", "error", "metric", "params",
-		"latency_sec", "to_tensor_sec", "inference_sec", "from_tensor_sec", "baseline_error",
-		"fallbacks", "remote_inference", "trusted_rows", "uncertain_rows", "out_of_domain_rows",
-		"capture_drops", "capture_flushes", "remote_captures"})
+		"to_tensor_sec", "inference_sec", "from_tensor_sec", "baseline_error",
+		"fallbacks", "remote_inference", "trusted_rows", "uncertain_rows", "out_of_domain_rows"})
 	w.Write([]string{
 		res.Benchmark,
 		fmt.Sprintf("%.4f", res.Speedup),
 		fmt.Sprintf("%.6g", res.Error),
 		string(h.Info().Metric),
 		fmt.Sprintf("%d", res.Params),
-		fmt.Sprintf("%.6g", res.LatencySec),
 		fmt.Sprintf("%.6g", res.ToTensorSec),
 		fmt.Sprintf("%.6g", res.InferenceSec),
 		fmt.Sprintf("%.6g", res.FromTensorSec),
@@ -128,9 +122,6 @@ func main() {
 		fmt.Sprintf("%d", res.TrustedRows),
 		fmt.Sprintf("%d", res.UncertainRows),
 		fmt.Sprintf("%d", res.OutOfDomainRows),
-		fmt.Sprintf("%d", res.CaptureDrops),
-		fmt.Sprintf("%d", res.CaptureFlushes),
-		fmt.Sprintf("%d", res.RemoteCaptures),
 	})
 }
 

@@ -108,16 +108,6 @@ type Stats struct {
 	UncertainRows   int
 	OutOfDomainRows int
 
-	// Capture-pipeline counters, folded in from the region's sink:
-	// CaptureDrops counts records lost to backpressure or failed remote
-	// batches, CaptureFlushes counts completed sink flushes, and
-	// RemoteCaptures counts records acknowledged by a remote ingest
-	// endpoint (an http(s):// db URI). All zero for regions that never
-	// collect.
-	CaptureDrops   int
-	CaptureFlushes int
-	RemoteCaptures int
-
 	ToTensor   time.Duration
 	Inference  time.Duration
 	FromTensor time.Duration
@@ -128,34 +118,6 @@ type Stats struct {
 	// Inference counts only single-invocation Execute model time. The
 	// two never overlap, so their sum is total surrogate engine time.
 	BatchInference time.Duration
-}
-
-// Accumulate adds o's counters and phase timings into s — the bridge
-// aggregators use to fold a replica pool's per-Region accounting into
-// one view (the serving /v1/stats snapshot and the /metrics region
-// series both sum replicas through it). Field-for-field, so a new
-// Stats counter only needs wiring here to reach every aggregate.
-func (s *Stats) Accumulate(o Stats) {
-	s.Invocations += o.Invocations
-	s.Inferences += o.Inferences
-	s.Collections += o.Collections
-	s.AccurateRuns += o.AccurateRuns
-	s.Batches += o.Batches
-	s.BatchedInvocations += o.BatchedInvocations
-	s.Fallbacks += o.Fallbacks
-	s.RemoteInference += o.RemoteInference
-	s.TrustedRows += o.TrustedRows
-	s.UncertainRows += o.UncertainRows
-	s.OutOfDomainRows += o.OutOfDomainRows
-	s.CaptureDrops += o.CaptureDrops
-	s.CaptureFlushes += o.CaptureFlushes
-	s.RemoteCaptures += o.RemoteCaptures
-	s.ToTensor += o.ToTensor
-	s.Inference += o.Inference
-	s.FromTensor += o.FromTensor
-	s.Accurate += o.Accurate
-	s.DBWrite += o.DBWrite
-	s.BatchInference += o.BatchInference
 }
 
 // BridgeOverhead returns (to-tensor + from-tensor) time as a fraction of
@@ -235,13 +197,9 @@ type Region struct {
 	trustReady bool
 	verdicts   trustReport
 
-	stats Stats
-	// sinkBase is the sink-counter snapshot taken at the last
-	// ResetStats, so Stats reports only capture activity since then
-	// while CaptureStats keeps the sink's lifetime totals.
-	sinkBase SinkStats
-	dirSrcs  []string // raw directive text, for Table II accounting
-	closed   bool
+	stats   Stats
+	dirSrcs []string // raw directive text, for Table II accounting
+	closed  bool
 
 	// Inference staging caches, reused across invocations so steady-state
 	// Execute and ExecuteBatch calls stop allocating and re-planning per
@@ -570,18 +528,9 @@ func (r *Region) DirectiveLines() []string {
 // any traffic arrives.
 func (r *Region) InputShape() ([]int, error) { return layoutShape(r.inPlans, r.inLayout) }
 
-// Stats returns a snapshot of the region's runtime accounting, with
-// the capture sink's counters folded in (relative to the last
-// ResetStats, like every other field).
-func (r *Region) Stats() Stats {
-	s := r.stats
-	if ss, ok := r.CaptureStats(); ok {
-		s.CaptureDrops = int(ss.Dropped - r.sinkBase.Dropped)
-		s.CaptureFlushes = int(ss.Flushes - r.sinkBase.Flushes)
-		s.RemoteCaptures = int(ss.RemoteRecords - r.sinkBase.RemoteRecords)
-	}
-	return s
-}
+// Stats returns a snapshot of the region's runtime accounting. The
+// capture sink's counters are not part of it: CaptureStats reports them.
+func (r *Region) Stats() Stats { return r.stats }
 
 // CaptureStats snapshots the capture sink's own accounting (queue
 // drops, flushes, shard count, remote ingest totals), with the
@@ -599,16 +548,9 @@ func (r *Region) CaptureStats() (SinkStats, bool) {
 	return st, true
 }
 
-// ResetStats zeroes the accounting, capture counters included: the
-// sink keeps its lifetime totals (readable via CaptureStats), but
-// later Stats snapshots count only activity after the reset.
-func (r *Region) ResetStats() {
-	r.stats = Stats{}
-	r.sinkBase = SinkStats{}
-	if ss, ok := r.CaptureStats(); ok {
-		r.sinkBase = ss
-	}
-}
+// ResetStats zeroes the accounting. The capture sink keeps its
+// lifetime totals, readable via CaptureStats.
+func (r *Region) ResetStats() { r.stats = Stats{} }
 
 // Execute runs the region once. Depending on the ml clause it either
 // invokes the accurate path (optionally collecting data) or replaces it

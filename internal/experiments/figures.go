@@ -499,6 +499,6 @@ func NestedCampaign(h *Harness, dir string, opt Options, cfg bo.NestedConfig) (*
 			if err != nil {
 				return 0, 0, err
 			}
-			return res.LatencySec, valErr, nil
+			return res.InferenceSec, valErr, nil
 		}, cfg)
 }

@@ -71,10 +71,8 @@ type EvalResult struct {
 	Error float64
 	// Params is the model's scalar parameter count.
 	Params int
-	// LatencySec is the measured model inference latency per region
-	// invocation.
-	LatencySec float64
-	// Phase timings for Figure 6.
+	// Phase timings per surrogate invocation, for Figure 6;
+	// InferenceSec is the model's inference latency.
 	ToTensorSec   float64
 	InferenceSec  float64
 	FromTensorSec float64
@@ -94,11 +92,6 @@ type EvalResult struct {
 	TrustedRows     int
 	UncertainRows   int
 	OutOfDomainRows int
-	// Capture-pipeline counters of the deployed region (non-zero only
-	// for runs that also collect, e.g. predicated regions).
-	CaptureDrops   int
-	CaptureFlushes int
-	RemoteCaptures int
 }
 
 // CollectStats is one Table III row.
@@ -364,7 +357,6 @@ func (h *Harness) Evaluate(modelPath string, opt Options) (EvalResult, error) {
 		Speedup:         accurate.Seconds() / surrogate.Seconds(),
 		Error:           qoiErr,
 		Params:          params,
-		LatencySec:      st.Inference.Seconds() / inv,
 		ToTensorSec:     st.ToTensor.Seconds() / inv,
 		InferenceSec:    st.Inference.Seconds() / inv,
 		FromTensorSec:   st.FromTensor.Seconds() / inv,
@@ -374,9 +366,6 @@ func (h *Harness) Evaluate(modelPath string, opt Options) (EvalResult, error) {
 		TrustedRows:     st.TrustedRows,
 		UncertainRows:   st.UncertainRows,
 		OutOfDomainRows: st.OutOfDomainRows,
-		CaptureDrops:    st.CaptureDrops,
-		CaptureFlushes:  st.CaptureFlushes,
-		RemoteCaptures:  st.RemoteCaptures,
 	}
 	return res, checkFinite(h.info.Name, res.Speedup, res.Error)
 }

@@ -35,7 +35,6 @@ type Eval struct {
 	Error         float64 `json:"error"`
 	Metric        string  `json:"metric"`
 	Params        int     `json:"params"`
-	LatencySec    float64 `json:"latency_sec"`
 	ToTensorSec   float64 `json:"to_tensor_sec"`
 	InferenceSec  float64 `json:"inference_sec"`
 	FromTensorSec float64 `json:"from_tensor_sec"`
@@ -59,14 +58,6 @@ type Eval struct {
 	TrustedRows     int `json:"trusted_rows"`
 	UncertainRows   int `json:"uncertain_rows"`
 	OutOfDomainRows int `json:"out_of_domain_rows"`
-
-	// Capture-pipeline counters of the deployed region (non-zero only
-	// when the run also collected): records dropped by backpressure,
-	// completed sink flushes, records acknowledged by a remote ingest
-	// endpoint.
-	CaptureDrops   int `json:"capture_drops"`
-	CaptureFlushes int `json:"capture_flushes"`
-	RemoteCaptures int `json:"remote_captures"`
 }
 
 // Collect is a data-collection run through the capture pipeline: how

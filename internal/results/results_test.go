@@ -15,9 +15,8 @@ func records() []*Record {
 	return []*Record{
 		{Tool: "hpacml-eval", Benchmark: "binomial", Model: "models/binomial.gmod", Eval: &Eval{
 			Speedup: 12.5, Error: 0.0125, Metric: "rmse", Params: 4481,
-			LatencySec: 0.75, ToTensorSec: 0.01, InferenceSec: 0.5, FromTensorSec: 0.02, BaselineError: 0.25,
+			ToTensorSec: 0.01, InferenceSec: 0.5, FromTensorSec: 0.02, BaselineError: 0.25,
 			Fallbacks: 1, RemoteInference: 2, TrustedRows: 3, UncertainRows: 4, OutOfDomainRows: 5,
-			CaptureDrops: 6, CaptureFlushes: 7, RemoteCaptures: 8,
 		}},
 		{Tool: "hpacml-collect", Benchmark: "bonds", Model: "none", Collect: &Collect{
 			Runs: 6, DB: "data/bonds.gh5", Records: 6, Sampled: 5, Shards: 2,

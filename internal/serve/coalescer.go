@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -44,7 +45,9 @@ const maxInflightRows = 64
 // back — so the caller may reuse or pool both slabs the moment this
 // returns, whatever the outcome. The first failure (a refused range, a
 // failed batch, shutdown) stops further submissions; ranges admitted
-// before it still complete. Each served range's queue-wait and forward
+// before it still complete. A refusal counts every row not yet
+// admitted as rejected, so the model's ok, error and rejected rows add
+// up to the rows offered. Each served range's queue-wait and forward
 // durations fold into sp when it is non-nil.
 func (s *Server) inferSlab(m *model, in, out []float64, rows int, sp *span) error {
 	// One slot per outstanding range: workers never block on it.
@@ -64,6 +67,8 @@ func (s *Server) inferSlab(m *model, in, out []float64, rows int, sp *span) erro
 			if first == nil {
 				next += n
 				outstanding++
+			} else if errors.Is(first, ErrQueueFull) {
+				m.stats.reject(rows - next)
 			}
 		}
 		if outstanding == 0 {
@@ -94,7 +99,6 @@ func (s *Server) enqueue(m *model, rg rowRange) error {
 	for {
 		w := m.waiting.Load()
 		if w+n > int64(s.cfg.QueueCap) {
-			m.stats.reject()
 			return fmt.Errorf("%w: model %q at capacity %d", ErrQueueFull, m.name, s.cfg.QueueCap)
 		}
 		if m.waiting.CompareAndSwap(w, w+n) {
@@ -177,23 +181,32 @@ func (s *Server) runBatch(m *model, rep *replica, batch []rowRange, rows int) {
 		s.cfg.batchHook(m.name, rows)
 	}
 	cut := time.Now()
+	var ph batchPhases
 	if err == nil {
-		err = rep.run(m, batch, rows)
+		ph, err = rep.run(m, batch, rows)
 	}
 	end := time.Now()
-	m.stats.observe(rep.idx, rep.stats, batch, rows, cut, end, err)
+	m.stats.observe(ph, batch, rows, cut, end, err)
 	forward := end.Sub(cut)
 	for _, rg := range batch {
 		rg.done <- rangeDone{err: err, queued: cut.Sub(rg.enq), forward: forward}
 	}
 }
 
+// batchPhases is one batch's time split: the staging copies into and
+// out of the replica's slabs (zero for a batch of one range) and the
+// engine call.
+type batchPhases struct {
+	toTensor, engine, fromTensor time.Duration
+}
+
 // run executes the engine over the batch's rows. A batch of one range
 // runs on [n, in] / [n, out] views of the caller's own slabs — no copy
 // in either direction. Several short ranges are stacked through the
 // replica's [MaxBatch, in] staging slab; those copies are the serve
-// path's whole bridge, charged to ToTensor / FromTensor.
-func (rep *replica) run(m *model, batch []rowRange, rows int) error {
+// path's whole bridge, returned as toTensor / fromTensor.
+func (rep *replica) run(m *model, batch []rowRange, rows int) (batchPhases, error) {
+	var ph batchPhases
 	in, out := batch[0].in, batch[0].out
 	staged := len(batch) > 1
 	if staged {
@@ -203,28 +216,23 @@ func (rep *replica) run(m *model, batch []rowRange, rows int) error {
 		for _, rg := range batch {
 			at += copy(in[at:], rg.in)
 		}
-		rep.stats.ToTensor += time.Since(start)
+		ph.toTensor = time.Since(start)
 	}
 
 	start := time.Now()
 	x, err := tensor.Wrap(in, rows, m.in)
 	if err != nil {
-		return err
+		return ph, err
 	}
 	y, err := tensor.Wrap(out, rows, m.out)
 	if err != nil {
-		return err
+		return ph, err
 	}
 	err = rep.engine.Infer(context.Background(), x, y)
-	rep.stats.BatchInference += time.Since(start)
+	ph.engine = time.Since(start)
 	if err != nil {
-		return fmt.Errorf("serve: model %q replica %d: %w", m.name, rep.idx, err)
+		return ph, fmt.Errorf("serve: model %q replica %d: %w", m.name, rep.idx, err)
 	}
-	rep.stats.Invocations += rows
-	rep.stats.Inferences += rows
-	rep.stats.Batches++
-	rep.stats.BatchedInvocations += rows
-	rep.stats.TrustedRows += rows // replicas run ungated: every served row is kept
 
 	if staged {
 		start = time.Now()
@@ -232,7 +240,7 @@ func (rep *replica) run(m *model, batch []rowRange, rows int) error {
 		for _, rg := range batch {
 			at += copy(rg.out, out[at:at+len(rg.out)])
 		}
-		rep.stats.FromTensor += time.Since(start)
+		ph.fromTensor = time.Since(start)
 	}
-	return nil
+	return ph, nil
 }

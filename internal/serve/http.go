@@ -488,10 +488,10 @@ func isFrameRequest(r *http.Request) bool {
 	return err == nil && mt == serveapi.ContentTypeFrame
 }
 
-// frameStatus maps a frame decode failure: unsupported versions are
-// 415 (the signal the client's JSON fallback keys on), everything else
-// — bad magic, truncation, forged dims, dtype mismatch — is a plain
-// malformed-request 400.
+// frameStatus maps a frame decode failure: an unsupported version is
+// 415, so a caller can tell a frame revision this server does not speak
+// from a broken frame; everything else — bad magic, truncation, forged
+// dims, dtype mismatch — is a plain malformed-request 400.
 func frameStatus(err error) int {
 	if errors.Is(err, serveapi.ErrFrameVersion) {
 		return http.StatusUnsupportedMediaType

@@ -1,10 +1,6 @@
 package serve
 
-import (
-	hpacml "repro"
-
-	"repro/internal/telemetry"
-)
+import "repro/internal/telemetry"
 
 // Metric names and label conventions (documented in
 // docs/ARCHITECTURE.md, asserted by the CI metrics smoke):
@@ -14,14 +10,14 @@ import (
 //   - model-level series carry a model label (the registry name), the
 //     capture side a db label;
 //   - outcome-style labels are closed enums: outcome=ok|error|rejected,
-//     result=ok|error, verdict=trusted|uncertain|out_of_domain,
-//     stage=decode|encode, wire=json|binary, dtype=f64|f32.
+//     result=ok|error, stage=decode|encode, wire=json|binary,
+//     dtype=f64|f32.
 //
 // The hot path records through child handles resolved once per model
 // at registration (see modelStats / captureDB), so serving traffic
-// never pays a label lookup; values that already accumulate elsewhere
-// (queue depths, the replica pool's hpacml.Stats) bridge in through
-// func-backed families that read only when a scrape happens.
+// never pays a label lookup; values that already live elsewhere (queue
+// depths, uptime) bridge in through func-backed gauges that read only
+// when a scrape happens.
 
 // metrics is the server's telemetry surface: one registry plus the
 // family handles the serving layers record into.
@@ -73,7 +69,7 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 			"Requests that exceeded the slow-request log threshold."),
 
 		inferRequests: reg.CounterVec("hpacml_infer_requests_total",
-			"Inference requests by model and outcome (ok, error, or rejected by queue backpressure).", "model", "outcome"),
+			"Inference rows by model and outcome (ok, error, or rejected by queue backpressure).", "model", "outcome"),
 		inferBatches: reg.CounterVec("hpacml_infer_batches_total",
 			"Coalesced batches executed per model.", "model"),
 		batchSize: reg.HistogramVec("hpacml_infer_batch_size",
@@ -128,10 +124,9 @@ func (m *metrics) forModel(model string) modelMetrics {
 	}
 }
 
-// registerServerFuncs installs the scrape-time families that read
-// state the server already maintains: queue depths, uptime, and the
-// replica pools' region counters (the hpacml.Stats bridge). They run
-// only when /metrics is scraped.
+// registerServerFuncs installs the scrape-time gauges that read state
+// the server already maintains: queue depths and uptime. They run only
+// when /metrics is scraped.
 func (s *Server) registerServerFuncs() {
 	reg := s.met.reg
 	reg.GaugeFunc("hpacml_uptime_seconds",
@@ -150,43 +145,5 @@ func (s *Server) registerServerFuncs() {
 			for name := range s.models {
 				emit(float64(s.cfg.QueueCap), name)
 			}
-		})
-
-	// The region bridge: the replica pools already accumulate
-	// hpacml.Stats (trust verdicts, fallbacks, capture pipeline
-	// counters); re-counting them on the hot path would be double
-	// bookkeeping, so the scrape sums the replicas' latest snapshots.
-	regionSum := func(each func(model string, sum hpacml.Stats)) {
-		for name, m := range s.models {
-			each(name, m.stats.regionSum())
-		}
-	}
-	reg.CounterFunc("hpacml_region_rows_total",
-		"Model-layout input rows by trust verdict, summed over the replica pool.", []string{"model", "verdict"},
-		func(emit telemetry.Emit) {
-			regionSum(func(model string, sum hpacml.Stats) {
-				emit(float64(sum.TrustedRows), model, "trusted")
-				emit(float64(sum.UncertainRows), model, "uncertain")
-				emit(float64(sum.OutOfDomainRows), model, "out_of_domain")
-			})
-		})
-	reg.CounterFunc("hpacml_region_inferences_total",
-		"Surrogate inferences executed by the replica pool.", []string{"model"},
-		func(emit telemetry.Emit) {
-			regionSum(func(model string, sum hpacml.Stats) { emit(float64(sum.Inferences), model) })
-		})
-	reg.CounterFunc("hpacml_region_fallbacks_total",
-		"Invocations that fell back to the accurate path.", []string{"model"},
-		func(emit telemetry.Emit) {
-			regionSum(func(model string, sum hpacml.Stats) { emit(float64(sum.Fallbacks), model) })
-		})
-	reg.CounterFunc("hpacml_region_capture_total",
-		"Capture-pipeline events of the replica pool (drops, flushes, remote acks).", []string{"model", "event"},
-		func(emit telemetry.Emit) {
-			regionSum(func(model string, sum hpacml.Stats) {
-				emit(float64(sum.CaptureDrops), model, "drop")
-				emit(float64(sum.CaptureFlushes), model, "flush")
-				emit(float64(sum.RemoteCaptures), model, "remote")
-			})
 		})
 }

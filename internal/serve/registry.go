@@ -97,13 +97,12 @@ type replicaEngine interface {
 
 // replica is one worker's single-threaded execution context: an engine
 // (a LocalEngine, or an EnsembleEngine for a member set — engine
-// scratch is single-threaded, so replicas never share one), the phase
-// accounting a Region would have kept for it, and the [MaxBatch, in] /
-// [MaxBatch, out] staging slabs that stack short ranges into one batch.
+// scratch is single-threaded, so replicas never share one) and the
+// [MaxBatch, in] / [MaxBatch, out] staging slabs that stack short
+// ranges into one batch.
 type replica struct {
 	idx    int
 	engine replicaEngine
-	stats  hpacml.Stats
 	in     []float64
 	out    []float64
 	gen    uint64
@@ -150,7 +149,7 @@ func newModel(spec ModelSpec, cfg Config, met *metrics) (*model, error) {
 		out:      out,
 		asked:    askedPrecision(spec),
 		queue:    make(chan rowRange, cfg.QueueCap),
-		stats:    newModelStats(cfg.MaxBatch, cfg.Workers, met.forModel(spec.Name)),
+		stats:    newModelStats(cfg.MaxBatch, met.forModel(spec.Name)),
 		sum:      sum,
 		loadedAt: time.Now(),
 	}
@@ -282,13 +281,12 @@ func newReplica(m *model, spec ModelSpec, idx, maxBatch int) (*replica, error) {
 	}
 	err := rep.engine.Warmup(context.Background(), []int{1, m.in})
 	if err == nil {
-		err = rep.run(m, []rowRange{{in: rep.in[:m.in], out: rep.out[:m.out], n: 1}}, 1)
+		_, err = rep.run(m, []rowRange{{in: rep.in[:m.in], out: rep.out[:m.out], n: 1}}, 1)
 	}
 	if err != nil {
 		rep.close()
 		return nil, fmt.Errorf("serve: model %q warmup: %w", m.name, err)
 	}
-	rep.stats = hpacml.Stats{} // don't count the warmup as served traffic
 	return rep, nil
 }
 

@@ -22,10 +22,9 @@
 //     — the micro-batching coalescer.
 //   - An engine is not safe for concurrent use, so each worker owns a
 //     replica: its own hpacml.Engine (LocalEngine, or EnsembleEngine for
-//     a member set), staging slabs and phase counters. Replicas share
-//     the loaded model through the runtime's path-keyed model cache, and
-//     the nn engine's pooled scratch buffers keep concurrent Forward
-//     calls safe. The bridge (Region) is not involved: it maps
+//     a member set) and staging slabs. Replicas share the loaded model
+//     through the runtime's path-keyed model cache, and the nn engine's
+//     pooled scratch buffers keep concurrent Forward calls safe. The bridge (Region) is not involved: it maps
 //     application memory to tensors, and the server already holds one.
 //
 // Models are named entries in a registry loaded from .gmod files; a
@@ -35,7 +34,7 @@
 // disk per replica. A serving stats layer tracks per-model throughput,
 // the batch-size histogram (the direct evidence coalescing happens),
 // p50/p95/p99 latency, the compute precision actually serving, and the
-// replicas' staging/engine phase counters in Region.Stats form.
+// to-tensor / inference / from-tensor time of the served batches.
 //
 // The server is also the capture-side aggregation point: a registry of
 // server-owned sharded .gh5 databases (Config.CaptureDBs) behind the

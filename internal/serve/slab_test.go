@@ -463,7 +463,7 @@ func TestFrameRefusedRangeWaitsForAdmitted(t *testing.T) {
 	go func() { _, err := s.Infer("m", inputVec(0, cols)); lone <- err }()
 	<-stall.entered
 	resp := postFrame(t, h, 3*maxBatch, cols, slabInputs(6, 3*maxBatch, cols))
-	waitFor(t, func() bool { return s.Snapshot()[0].Rejected == 1 })
+	waitFor(t, func() bool { return s.Snapshot()[0].Rejected == maxBatch })
 	if d := queueDepth(t, s); d != 2*maxBatch {
 		t.Fatalf("queue depth %d rows, want the %d of the two waiting ranges", d, 2*maxBatch)
 	}
@@ -497,6 +497,55 @@ func TestFrameRefusedRangeWaitsForAdmitted(t *testing.T) {
 				t.Fatalf("follow-up frame %d row %d: served %v, direct %v", k, i, f.Data[i], want[0])
 			}
 		}
+	}
+}
+
+// TestRejectedRowsAddUp: the outcome series count rows, so a refused
+// frame counts every row it never got admitted — the refused range and
+// the ranges behind it — and ok + error + rejected is the number of
+// rows offered, on /metrics and in the snapshot alike.
+func TestRejectedRowsAddUp(t *testing.T) {
+	hpacml.ClearModelCache()
+	const maxBatch, cols = 4, 3
+	const frameRows = 5 * maxBatch
+	path := saveMLP(t, t.TempDir(), "m.gmod", 4, cols, 8, 1)
+	stall := newStallHook()
+	s, err := NewServer(Config{MaxBatch: maxBatch, QueueCap: 2 * maxBatch, Workers: 1, batchHook: stall.hook},
+		ModelSpec{Name: "m", Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	// A lone row parks the worker; the frame's first two ranges fill the
+	// queue, its third is refused, and its last two are never offered to
+	// the queue.
+	lone := make(chan error, 1)
+	go func() { _, err := s.Infer("m", inputVec(0, cols)); lone <- err }()
+	<-stall.entered
+	resp := postFrame(t, NewHandler(s), frameRows, cols, slabInputs(7, frameRows, cols))
+	waitFor(t, func() bool { return s.Snapshot()[0].Rejected > 0 })
+	close(stall.gate)
+	if rec := <-resp; rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("refused frame: %d %s, want 429", rec.Code, rec.Body)
+	}
+	if err := <-lone; err != nil {
+		t.Fatal(err)
+	}
+
+	const offered = 1 + frameRows
+	exp := string(s.Metrics().AppendPrometheus(nil))
+	var sum float64
+	for _, outcome := range []string{"ok", "error", "rejected"} {
+		sum += metricValue(t, exp, `hpacml_infer_requests_total{model="m",outcome="`+outcome+`"}`)
+	}
+	if sum != offered {
+		t.Fatalf("hpacml_infer_requests_total sums to %v rows, %d offered", sum, offered)
+	}
+	snap := s.Snapshot()[0]
+	if snap.Completed != 1+2*maxBatch || snap.Errors != 0 || snap.Rejected != 3*maxBatch {
+		t.Fatalf("completed %d errors %d rejected %d, want %d, 0 and %d",
+			snap.Completed, snap.Errors, snap.Rejected, 1+2*maxBatch, 3*maxBatch)
 	}
 }
 

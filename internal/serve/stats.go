@@ -6,8 +6,6 @@ import (
 	"sync"
 	"time"
 
-	hpacml "repro"
-
 	"repro/internal/serveapi"
 )
 
@@ -21,7 +19,7 @@ const latWindow = 4096
 // the /metrics exposition, so the JSON snapshot and a Prometheus
 // scrape read the same source of truth. Under mu live only the things
 // a lock genuinely serializes: the exact batch-size array, the latency
-// ring, and the replicas' latest phase-counter copies.
+// ring, and the batches' summed phase durations.
 type modelStats struct {
 	tm modelMetrics
 
@@ -37,29 +35,26 @@ type modelStats struct {
 	lat   []float64
 	latAt int
 
-	// replicaRegion holds each replica's latest hpacml.Stats copy, so
-	// the aggregate staging/engine phase split stays readable while the
-	// replicas keep running.
-	replicaRegion []hpacml.Stats
+	// phases sums every batch's staging copies and engine call — the
+	// to-tensor / inference / from-tensor split of ModelSnapshot.Region.
+	phases batchPhases
 }
 
-func newModelStats(maxBatch, workers int, tm modelMetrics) *modelStats {
+func newModelStats(maxBatch int, tm modelMetrics) *modelStats {
 	return &modelStats{
-		tm:            tm,
-		start:         time.Now(),
-		hist:          make([]uint64, maxBatch+1),
-		lat:           make([]float64, 0, latWindow),
-		replicaRegion: make([]hpacml.Stats, workers),
+		tm:    tm,
+		start: time.Now(),
+		hist:  make([]uint64, maxBatch+1),
+		lat:   make([]float64, 0, latWindow),
 	}
 }
 
-// observe records one served batch: its row count, outcome, the forward
-// (engine phase) duration, each row's queue wait and
-// queue-to-completion latency — one weighted observation per range,
-// since a range's rows share both — and the owning replica's phase
-// counters. cut is when the batch was cut (forward started), end when
-// the engine call returned.
-func (st *modelStats) observe(replicaIdx int, region hpacml.Stats, batch []rowRange, rows int, cut, end time.Time, err error) {
+// observe records one served batch: its row count, outcome, phase
+// durations, the forward (engine phase) duration, and each row's queue
+// wait and queue-to-completion latency — one weighted observation per
+// range, since a range's rows share both. cut is when the batch was cut
+// (forward started), end when the engine call returned.
+func (st *modelStats) observe(ph batchPhases, batch []rowRange, rows int, cut, end time.Time, err error) {
 	st.tm.batches.Inc()
 	st.tm.batchSize.Observe(float64(rows))
 	st.tm.forward.Observe(end.Sub(cut).Seconds())
@@ -76,9 +71,9 @@ func (st *modelStats) observe(replicaIdx int, region hpacml.Stats, batch []rowRa
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.hist[min(rows, len(st.hist)-1)]++
-	if replicaIdx < len(st.replicaRegion) {
-		st.replicaRegion[replicaIdx] = region
-	}
+	st.phases.toTensor += ph.toTensor
+	st.phases.engine += ph.engine
+	st.phases.fromTensor += ph.fromTensor
 	if err != nil {
 		return
 	}
@@ -95,55 +90,16 @@ func (st *modelStats) observe(replicaIdx int, region hpacml.Stats, batch []rowRa
 	}
 }
 
-func (st *modelStats) reject()       { st.tm.rejected.Inc() }
+// reject counts n rows refused by queue backpressure.
+func (st *modelStats) reject(n int)  { st.tm.rejected.Add(uint64(n)) }
 func (st *modelStats) reloaded()     { st.tm.reloadOK.Inc() }
 func (st *modelStats) reloadFailed() { st.tm.reloadErr.Inc() }
 
-// regionSum returns the replica pool's summed phase accounting — the
-// source the JSON snapshot and the /metrics region bridge both read.
-func (st *modelStats) regionSum() hpacml.Stats {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	var sum hpacml.Stats
-	for _, rs := range st.replicaRegion {
-		sum.Accumulate(rs)
-	}
-	return sum
-}
-
 // ModelSnapshot is one model's serving stats (the /v1/stats payload):
-// traffic totals, throughput, the batch-size histogram, latency
-// quantiles, and the summed Region phase counters of the replica pool.
+// row totals, throughput, the batch-size histogram, latency quantiles,
+// and the replica pool's phase split in Region form.
 // The shape is defined in the shared wire schema.
 type ModelSnapshot = serveapi.ModelSnapshot
-
-// wireRegionStats converts the runtime's Region accounting to its wire
-// form. The wire struct mirrors hpacml.Stats field-for-field, so this
-// is a plain copy that the compiler checks stays exhaustive.
-func wireRegionStats(s hpacml.Stats) serveapi.RegionStats {
-	return serveapi.RegionStats{
-		Invocations:        s.Invocations,
-		Inferences:         s.Inferences,
-		Collections:        s.Collections,
-		AccurateRuns:       s.AccurateRuns,
-		Batches:            s.Batches,
-		BatchedInvocations: s.BatchedInvocations,
-		Fallbacks:          s.Fallbacks,
-		RemoteInference:    s.RemoteInference,
-		TrustedRows:        s.TrustedRows,
-		UncertainRows:      s.UncertainRows,
-		OutOfDomainRows:    s.OutOfDomainRows,
-		CaptureDrops:       s.CaptureDrops,
-		CaptureFlushes:     s.CaptureFlushes,
-		RemoteCaptures:     s.RemoteCaptures,
-		ToTensor:           s.ToTensor,
-		Inference:          s.Inference,
-		FromTensor:         s.FromTensor,
-		Accurate:           s.Accurate,
-		DBWrite:            s.DBWrite,
-		BatchInference:     s.BatchInference,
-	}
-}
 
 // snapshot renders the stats under the model's registry info. The
 // mutex guards only the copies: the latency ring is snapshotted under
@@ -172,10 +128,7 @@ func (st *modelStats) snapshot(info ModelInfo) ModelSnapshot {
 		}
 	}
 	latCopy := append(make([]float64, 0, len(st.lat)), st.lat...)
-	var sum hpacml.Stats
-	for _, rs := range st.replicaRegion {
-		sum.Accumulate(rs)
-	}
+	ph := st.phases
 	st.mu.Unlock()
 
 	if up := time.Since(start).Seconds(); up > 0 {
@@ -188,7 +141,19 @@ func (st *modelStats) snapshot(info ModelInfo) ModelSnapshot {
 	snap.LatencyP50Ms = quantileSortedMs(latCopy, 0.50)
 	snap.LatencyP95Ms = quantileSortedMs(latCopy, 0.95)
 	snap.LatencyP99Ms = quantileSortedMs(latCopy, 0.99)
-	snap.Region = wireRegionStats(sum)
+	// Replicas run ungated and never fall back: every served row is a
+	// trusted, batched inference.
+	served := int(completed)
+	snap.Region = serveapi.RegionStats{
+		Invocations:        served,
+		Inferences:         served,
+		Batches:            int(snap.Batches),
+		BatchedInvocations: served,
+		TrustedRows:        served,
+		ToTensor:           ph.toTensor,
+		FromTensor:         ph.fromTensor,
+		BatchInference:     ph.engine,
+	}
 	return snap
 }
 

@@ -129,11 +129,6 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if v := metricValue(t, exp, `hpacml_queue_capacity{model="m"}`); v != 64 {
 		t.Fatalf("queue capacity = %v, want 64 (8*MaxBatch)", v)
 	}
-	// The region bridge: every surrogate-served row of an ungated
-	// region counts as trusted.
-	if v := metricValue(t, exp, `hpacml_region_rows_total{model="m",verdict="trusted"}`); v != 3 {
-		t.Fatalf("trusted rows = %v, want 3", v)
-	}
 	if !strings.Contains(exp, "hpacml_build_info{") {
 		t.Fatal("exposition missing hpacml_build_info")
 	}

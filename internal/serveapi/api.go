@@ -256,10 +256,6 @@ type RegionStats struct {
 	UncertainRows   int
 	OutOfDomainRows int
 
-	CaptureDrops   int
-	CaptureFlushes int
-	RemoteCaptures int
-
 	ToTensor   time.Duration
 	Inference  time.Duration
 	FromTensor time.Duration
@@ -270,19 +266,22 @@ type RegionStats struct {
 }
 
 // ModelSnapshot is one model's serving stats (the /v1/stats payload):
-// traffic totals, throughput, the batch-size histogram, latency
-// quantiles, and the summed Region phase counters of the replica pool.
+// row totals, throughput, the batch-size histogram, latency quantiles,
+// and the replica pool's phase split in Region form.
 type ModelSnapshot struct {
 	ModelInfo
 
+	// Completed, Errors and Rejected count rows: served, failed in
+	// their batch, and refused by queue backpressure. Together they are
+	// the rows offered. Batches counts engine batches cut.
 	Completed uint64 `json:"completed"`
 	Errors    uint64 `json:"errors"`
 	Rejected  uint64 `json:"rejected"`
 	Batches   uint64 `json:"batches"`
 
-	// ThroughputRPS is completed requests per second of serving uptime.
+	// ThroughputRPS is completed rows per second of serving uptime.
 	ThroughputRPS float64 `json:"throughput_rps"`
-	// MeanBatch is completed+errored invocations per batch — above 1
+	// MeanBatch is completed+errored rows per batch — above 1
 	// exactly when the coalescer is doing its job.
 	MeanBatch float64 `json:"mean_batch"`
 	// BatchHist maps batch size (as a string, for JSON) to how many
@@ -296,9 +295,12 @@ type ModelSnapshot struct {
 	Reloads      uint64 `json:"reloads"`
 	ReloadErrors uint64 `json:"reload_errors"`
 
-	// Region is the replica pool's summed runtime accounting — the
+	// Region is the replica pool's accounting in Region form: the
 	// to-tensor / inference / from-tensor phase split of the traffic
-	// served so far.
+	// served so far. Replicas run ungated and never fall back, so every
+	// served row counts as an invocation, inference, batched invocation
+	// and trusted row, and ToTensor / FromTensor are the staging copies
+	// of batches that stacked several ranges.
 	Region RegionStats `json:"region"`
 }
 

@@ -336,8 +336,8 @@ func (r *frameReader) floats(dtype Dtype, count int, into []float64) ([]float64,
 var ErrNotAFrame = fmt.Errorf("serveapi: not a frame (bad magic)")
 
 // ErrFrameVersion reports a well-magic'd frame of an unsupported
-// version. Servers map it to 415 so newer clients can fall back to
-// JSON against older servers.
+// version. Servers map it to 415, which tells a frame revision they do
+// not speak apart from a malformed frame (400).
 var ErrFrameVersion = fmt.Errorf("serveapi: unsupported frame version")
 
 // decodeHeader validates the fixed header and returns (kind, dtype) and

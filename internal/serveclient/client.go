@@ -123,25 +123,6 @@ func (c *Client) Infer(ctx context.Context, model string, in []float64) ([]float
 	return resp.Output, nil
 }
 
-// InferBatch runs several independent invocations in one request; the
-// server flattens them into one slab and serves it in ranges of at most
-// MaxBatch rows, like a binary frame. Outputs are returned in input
-// order, one vector per input.
-func (c *Client) InferBatch(ctx context.Context, model string, ins [][]float64) ([][]float64, error) {
-	if len(ins) == 0 {
-		return nil, nil
-	}
-	var resp serveapi.InferResponse
-	err := c.post(ctx, "/v1/infer", serveapi.InferRequest{Model: model, Inputs: ins}, &resp)
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Outputs) != len(ins) {
-		return nil, fmt.Errorf("serveclient: sent %d inputs, server answered %d outputs", len(ins), len(resp.Outputs))
-	}
-	return resp.Outputs, nil
-}
-
 // Capture ships a batch of capture records to the named capture
 // database on the server's ingest endpoint (/v1/capture), returning
 // how many records the server accepted. On error the count is still

@@ -34,27 +34,13 @@ func stubServe(t *testing.T) *httptest.Server {
 			json.NewEncoder(w).Encode(serveapi.ErrorBody{Error: "unknown model"})
 			return
 		}
-		resp := serveapi.InferResponse{Model: req.Model}
-		if req.Input != nil {
-			out, code := infer(req.Input)
-			if code != http.StatusOK {
-				w.WriteHeader(code)
-				json.NewEncoder(w).Encode(serveapi.ErrorBody{Error: "refused"})
-				return
-			}
-			resp.Output = out
-		} else {
-			for _, in := range req.Inputs {
-				out, code := infer(in)
-				if code != http.StatusOK {
-					w.WriteHeader(code)
-					json.NewEncoder(w).Encode(serveapi.ErrorBody{Error: "refused"})
-					return
-				}
-				resp.Outputs = append(resp.Outputs, out)
-			}
+		out, code := infer(req.Input)
+		if code != http.StatusOK {
+			w.WriteHeader(code)
+			json.NewEncoder(w).Encode(serveapi.ErrorBody{Error: "refused"})
+			return
 		}
-		json.NewEncoder(w).Encode(resp)
+		json.NewEncoder(w).Encode(serveapi.InferResponse{Model: req.Model, Output: out})
 	})
 	mux.HandleFunc("/v1/capture", func(w http.ResponseWriter, r *http.Request) {
 		var req serveapi.CaptureRequest
@@ -90,14 +76,6 @@ func TestClientRoundTrips(t *testing.T) {
 	out, err := c.Infer(ctx, "sum", []float64{1, 2})
 	if err != nil || len(out) != 1 || out[0] != 6 {
 		t.Fatalf("Infer = %v, %v", out, err)
-	}
-
-	outs, err := c.InferBatch(ctx, "sum", [][]float64{{1, 1}, {2, 2}})
-	if err != nil || len(outs) != 2 || outs[0][0] != 4 || outs[1][0] != 8 {
-		t.Fatalf("InferBatch = %v, %v", outs, err)
-	}
-	if outs, err := c.InferBatch(ctx, "sum", nil); err != nil || outs != nil {
-		t.Fatalf("empty InferBatch = %v, %v", outs, err)
 	}
 
 	info, err := c.Model(ctx, "")

@@ -21,11 +21,10 @@
 //     so steady scrape traffic reuses one buffer instead of rebuilding
 //     the world each time.
 //
-// Values that already live elsewhere (queue lengths, accumulated
-// runtime counters) bridge in through func-backed families
-// (CounterFunc / GaugeFunc): the callback emits samples only when a
-// scrape happens, so mirroring an existing subsystem costs nothing
-// between scrapes.
+// Values that already live elsewhere (queue lengths, uptime) bridge in
+// through func-backed gauges (GaugeFunc): the callback emits samples
+// only when a scrape happens, so mirroring an existing subsystem costs
+// nothing between scrapes.
 package telemetry
 
 import (
@@ -346,17 +345,10 @@ func (v *HistogramVec) With(labelValues ...string) *Histogram {
 	return v.f.child(labelValues).(*Histogram)
 }
 
-// CounterFunc registers a func-backed counter family: collect runs at
-// every scrape and emits the family's current samples. Use it to
-// mirror counters that already accumulate elsewhere (region runtime
-// stats, ingest totals) without double bookkeeping. collect must not
-// register metrics or scrape the same registry.
-func (r *Registry) CounterFunc(name, help string, labelNames []string, collect func(Emit)) {
-	r.register(&family{name: name, help: help, kind: KindCounter, labels: labelNames, collect: collect})
-}
-
-// GaugeFunc registers a func-backed gauge family (see CounterFunc);
-// the natural fit for sampled values like queue depths.
+// GaugeFunc registers a func-backed gauge family: collect runs at
+// every scrape and emits the family's current samples — the natural
+// fit for sampled values like queue depths. collect must not register
+// metrics or scrape the same registry.
 func (r *Registry) GaugeFunc(name, help string, labelNames []string, collect func(Emit)) {
 	r.register(&family{name: name, help: help, kind: KindGauge, labels: labelNames, collect: collect})
 }

@@ -106,9 +106,7 @@ func (s *captureSlot) release() {
 }
 
 // SinkStats is a sink's own accounting, surfaced through
-// Region.CaptureStats and folded into Stats (CaptureDrops,
-// CaptureFlushes, RemoteCaptures) for the results schema and
-// /v1/stats.
+// Region.CaptureStats.
 type SinkStats struct {
 	// Captured counts records accepted into the sink (enqueued, not
 	// necessarily durable yet — Flush for that).

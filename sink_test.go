@@ -368,34 +368,23 @@ func TestRemoteSinkDegradesGracefully(t *testing.T) {
 	if ss.Dropped != 3 || ss.FlushErrors == 0 {
 		t.Fatalf("dead-server accounting: %+v", ss)
 	}
-	st := r.Stats()
-	if st.RemoteCaptures != 4 || st.CaptureDrops != 3 {
-		t.Fatalf("region stats did not fold sink counters: %+v", st)
-	}
 }
 
-// TestResetStatsBaselinesCaptureCounters pins that ResetStats applies
-// to the folded sink counters like every other Stats field: a reset
-// between phases must not re-attribute earlier capture activity.
+// TestResetStatsBaselinesCaptureCounters pins that ResetStats zeroes
+// the region's accounting but leaves the sink's capture counters alone:
+// CaptureStats keeps lifetime totals across a reset.
 func TestResetStatsBaselinesCaptureCounters(t *testing.T) {
 	db := filepath.Join(t.TempDir(), "reset.gh5")
 	r := collectStencil(t, 5, db)
 	if err := r.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if st := r.Stats(); st.CaptureFlushes == 0 {
-		t.Fatalf("no capture flushes before reset: %+v", st)
-	}
 	r.ResetStats()
-	if st := r.Stats(); st.CaptureFlushes != 0 || st.CaptureDrops != 0 || st.RemoteCaptures != 0 {
-		t.Fatalf("capture counters survived ResetStats: %+v", st)
+	if st := r.Stats(); st != (Stats{}) {
+		t.Fatalf("accounting survived ResetStats: %+v", st)
 	}
-	// New activity after the reset counts from zero.
 	if err := r.Flush(); err != nil {
 		t.Fatal(err)
-	}
-	if st := r.Stats(); st.CaptureFlushes != 1 {
-		t.Fatalf("post-reset flushes = %d, want 1", st.CaptureFlushes)
 	}
 	// The sink's lifetime totals stay intact for the collect report.
 	if ss, ok := r.CaptureStats(); !ok || ss.Captured != 5 || ss.Flushes < 2 {
