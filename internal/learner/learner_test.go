@@ -15,6 +15,7 @@ import (
 	"repro/internal/h5"
 	"repro/internal/nn"
 	"repro/internal/serveapi"
+	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
 
@@ -96,14 +97,17 @@ func writeRecords(t *testing.T, base, group string, teacher *nn.Network, n, rows
 }
 
 // harness is one managed model under test: a live weight file, a
-// capture database, a reload counter standing in for the registry, and
-// a loop-less controller driven by CheckNow.
+// capture database, a reload counter standing in for the registry
+// (which refuses with reloadErr when it is set), the learner's metric
+// registry, and a loop-less controller driven by CheckNow.
 type harness struct {
-	path    string // live weight file
-	base    string // capture database base path
-	reloads int
-	ctl     *Controller
-	m       *managed
+	path      string // live weight file
+	base      string // capture database base path
+	reloads   int
+	reloadErr error
+	reg       *telemetry.Registry
+	ctl       *Controller
+	m         *managed
 }
 
 func newHarness(t *testing.T, live *nn.Network) *harness {
@@ -112,6 +116,7 @@ func newHarness(t *testing.T, live *nn.Network) *harness {
 	h := &harness{
 		path: filepath.Join(dir, "m.gmod"),
 		base: filepath.Join(dir, "caps.gh5"),
+		reg:  telemetry.NewRegistry(),
 	}
 	if err := live.Save(h.path); err != nil {
 		t.Fatal(err)
@@ -123,9 +128,9 @@ func newHarness(t *testing.T, live *nn.Network) *harness {
 		MinRecords:   8,
 		Train:        nn.TrainConfig{Epochs: 2, BatchSize: 4},
 		Snapshot:     func() (*h5.File, error) { return h5.OpenShards(h.base) },
-		Reload:       func() error { h.reloads++; return nil },
+		Reload:       func() error { h.reloads++; return h.reloadErr },
 	}
-	ctl, err := New(Config{Interval: -1, Logger: discardLog()}, pol)
+	ctl, err := New(Config{Interval: -1, Logger: discardLog(), Metrics: h.reg}, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
