@@ -7,12 +7,15 @@
 // the published weights and retrains it with the internal/nn training
 // path, then shadow-gates the candidate against the currently
 // published model on the held-out captures. Only a passing candidate
-// is published: the parent weights are archived per generation, the
-// candidate atomically renamed over the live files, and the serve
-// registry's checksum hot-reload swaps the replica pools at their next
-// batch boundary. Every attempt — published or rejected — appends a
-// lineage entry persisted in a .lineage.json sidecar and served
-// through /v1/models; POST /v1/models/{name}/rollback restores the
+// is published. Publish and rollback change the served generation
+// through one install step: archive the live member files, stage the
+// incoming set beside them and rename it into place, and ask the serve
+// registry to hot-reload (its replica pools swap at their next batch
+// boundary); a refused reload puts the live set back the same way.
+// Every outcome — published, rejected, or rolled back — then settles
+// once: one lineage entry, persisted in a .lineage.json sidecar and
+// served through /v1/models, and one bump of the telemetry counter
+// that owns the outcome. POST /v1/models/{name}/rollback restores the
 // parent generation from its archive.
 //
 // The package sits below internal/serve in the import graph (it knows
@@ -112,29 +115,26 @@ type Config struct {
 type managed struct {
 	pol Policy
 
-	// mu guards the lineage state, the weight files during
-	// publish/rollback, and the counters below. Training runs outside
-	// the lock; publish re-checks the live generation under it, so a
-	// rollback racing a retrain wins and the stale candidate is
-	// rejected as superseded.
+	// mu guards the lineage state, the weight files during an install,
+	// and the pending accounting. Training runs outside the lock;
+	// publish re-checks the live generation under it, so a rollback
+	// racing a retrain wins and the stale candidate settles as
+	// superseded.
 	mu    sync.Mutex
 	state lineageState
-	// trained is how many snapshot rows the live weights have consumed;
-	// pending (the trigger input) is the snapshot row count minus this.
-	trained      int
+	// pending (the trigger input) is the snapshot row count minus the
+	// rows the retrain attempts have consumed (lineageState.trainedRows).
 	pending      int
 	pendingSince time.Time
-
-	retrains, published, rejected, errored, rollbacks uint64
-	lastVerdict                                       string
-	lastCandErr, lastPubErr                           float64
 
 	// trainFn builds one candidate member (warm-start + Fit by
 	// default). Test seam, mirroring serve's batchHook.
 	trainFn func(member int, path string, train *nn.Dataset, cfg nn.TrainConfig) (*nn.Network, error)
 
+	// The children of hpacml_retrains_total and hpacml_rollbacks_total
+	// are the learner's only counts: settle bumps the one that owns each
+	// outcome, and Snapshot reads them back.
 	mPublished, mRejected, mError, mRollback *telemetry.Counter
-	mGen, mCandErr, mPubErr                  *telemetry.Gauge
 }
 
 // Controller runs the closed loop for a set of policies.
@@ -170,10 +170,6 @@ func New(cfg Config, pols ...Policy) (*Controller, error) {
 		"Retrain attempts by model and result (published, rejected, or error).", "model", "result")
 	rollbacksVec := reg.CounterVec("hpacml_rollbacks_total",
 		"Operator rollbacks to a parent generation, by model.", "model")
-	genVec := reg.GaugeVec("hpacml_model_generation",
-		"Lineage generation whose weights currently serve, by model.", "model")
-	gateVec := reg.GaugeVec("hpacml_gate_rel_error",
-		"Shadow-gate relative error of the last gated candidate and the then-published model on held-out captures.", "model", "which")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Controller{
@@ -213,18 +209,33 @@ func New(cfg Config, pols ...Policy) (*Controller, error) {
 			mRejected:  retrainsVec.With(pol.Model, "rejected"),
 			mError:     retrainsVec.With(pol.Model, "error"),
 			mRollback:  rollbacksVec.With(pol.Model),
-			mGen:       genVec.With(pol.Model),
-			mCandErr:   gateVec.With(pol.Model, "candidate"),
-			mPubErr:    gateVec.With(pol.Model, "published"),
 		}
 		if err := m.loadOrSeed(); err != nil {
 			cancel()
 			return nil, err
 		}
-		m.mGen.Set(float64(m.state.LiveGen))
 		c.models[pol.Model] = m
 		c.order = append(c.order, pol.Model)
 	}
+	// The gauges read the lineage, the record every outcome settles in.
+	reg.GaugeFunc("hpacml_model_generation",
+		"Lineage generation whose weights currently serve, by model.", []string{"model"},
+		func(emit telemetry.Emit) {
+			c.eachLineage(func(name string, st *lineageState) { emit(float64(st.LiveGen), name) })
+		})
+	reg.GaugeFunc("hpacml_gate_rel_error",
+		"Shadow-gate relative error of the newest retrain attempt's candidate and the then-published model on held-out captures (0 when the attempt failed before the gate).",
+		[]string{"model", "which"},
+		func(emit telemetry.Emit) {
+			c.eachLineage(func(name string, st *lineageState) {
+				var last serveapi.LineageEntry
+				if e := st.lastRetrain(); e != nil {
+					last = *e
+				}
+				emit(last.CandidateErr, name, "candidate")
+				emit(last.PublishedErr, name, "published")
+			})
+		})
 	if cfg.Interval > 0 {
 		c.wg.Add(1)
 		go c.run()
@@ -242,7 +253,6 @@ func (m *managed) loadOrSeed() error {
 	}
 	if st != nil {
 		m.state = *st
-		m.trained = m.state.trainedRows()
 		return nil
 	}
 	sum, err := serveapi.ModelChecksum(m.pol.Paths)
@@ -315,7 +325,7 @@ func (c *Controller) maybeRetrain(m *managed) {
 	}
 	rows := ds.Len()
 	m.mu.Lock()
-	pending := rows - m.trained
+	pending := rows - m.state.trainedRows()
 	if pending < 0 {
 		pending = 0
 	}
@@ -388,35 +398,44 @@ func (c *Controller) snapshotDataset(m *managed) (*nn.Dataset, error) {
 
 // retrain runs one full candidate cycle: split, warm-start + train
 // every member, shadow-gate against the published weights, and publish
-// or reject — appending the lineage entry either way. Training
-// interrupted by Close returns silently: no entry, no publish.
+// or reject — settling the attempt either way. Training interrupted by
+// Close returns silently: no entry, no publish.
 func (c *Controller) retrain(m *managed, ds *nn.Dataset, startGen uint64) {
-	rows := ds.Len()
+	// Every attempt consumes its whole snapshot, so the entry's train
+	// and held-out counts always sum to the snapshot's rows.
+	entry := serveapi.LineageEntry{ParentGen: startGen, TrainRecords: ds.Len()}
+	fail := func(reason string) {
+		entry.Verdict, entry.Reason = serveapi.VerdictRejected, reason
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		c.settle(m, entry, m.mError)
+	}
 	shuffled, err := ds.Shuffle(m.pol.Train.Seed + int64(startGen)*7919)
 	if err != nil {
-		c.finish(m, rejection(m, 0, 0, "shuffle failed: "+err.Error()), rows, true)
+		fail("shuffle failed: " + err.Error())
 		return
 	}
 	train, holdout, err := shuffled.Split(1 - m.pol.HoldoutFrac)
 	if err != nil {
-		c.finish(m, rejection(m, 0, 0, "holdout split failed: "+err.Error()), rows, true)
+		fail("holdout split failed: " + err.Error())
 		return
 	}
+	entry.TrainRecords, entry.HoldoutRecords = train.Len(), holdout.Len()
 	c.log.Info("learner: retraining", "model", m.pol.Model,
-		"rows", rows, "train", train.Len(), "holdout", holdout.Len())
+		"rows", ds.Len(), "train", train.Len(), "holdout", holdout.Len())
 
 	// Baseline: the published weights, loaded fresh from disk, on the
 	// held-out captures.
 	base := make([]*nn.Network, len(m.pol.Paths))
 	for i, p := range m.pol.Paths {
 		if base[i], err = nn.Load(p); err != nil {
-			c.finish(m, rejection(m, train.Len(), holdout.Len(), "loading published weights: "+err.Error()), rows, true)
+			fail("loading published weights: " + err.Error())
 			return
 		}
 	}
 	pubErr, err := relErr(base, holdout)
 	if err != nil {
-		c.finish(m, rejection(m, train.Len(), holdout.Len(), "evaluating published weights: "+err.Error()), rows, true)
+		fail("evaluating published weights: " + err.Error())
 		return
 	}
 
@@ -433,42 +452,31 @@ func (c *Controller) retrain(m *managed, ds *nn.Dataset, startGen uint64) {
 			return
 		}
 		if err != nil {
-			c.finish(m, rejection(m, train.Len(), holdout.Len(), fmt.Sprintf("training member %d: %v", i, err)), rows, true)
+			fail(fmt.Sprintf("training member %d: %v", i, err))
 			return
 		}
 	}
 	candErr, err := relErr(cands, holdout)
 	if err != nil {
-		c.finish(m, rejection(m, train.Len(), holdout.Len(), "evaluating candidate: "+err.Error()), rows, true)
+		fail("evaluating candidate: " + err.Error())
 		return
 	}
 
-	entry := serveapi.LineageEntry{
-		Time:           time.Now().UTC(),
-		ParentGen:      startGen,
-		TrainRecords:   train.Len(),
-		HoldoutRecords: holdout.Len(),
-		CandidateErr:   sanitize(candErr),
-		PublishedErr:   sanitize(pubErr),
-	}
-	m.mCandErr.Set(sanitize(candErr))
-	m.mPubErr.Set(sanitize(pubErr))
+	entry.CandidateErr, entry.PublishedErr = sanitize(candErr), sanitize(pubErr)
+	entry.Verdict = serveapi.VerdictRejected
 	switch {
 	case math.IsNaN(candErr):
-		entry.Verdict = serveapi.VerdictRejected
 		entry.Reason = "candidate NaN-poisoned on held-out captures"
 	case candErr > pubErr+m.pol.Rtol:
-		entry.Verdict = serveapi.VerdictRejected
 		entry.Reason = fmt.Sprintf("gate failed: candidate rel err %.6g > published %.6g + rtol %.3g",
 			candErr, pubErr, m.pol.Rtol)
 	default:
-		entry.Verdict = serveapi.VerdictPublished
-	}
-	if entry.Verdict == serveapi.VerdictRejected {
-		c.finish(m, entry, rows, false)
+		c.publish(m, entry, cands)
 		return
 	}
-	c.publish(m, entry, cands, rows, startGen)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	c.settle(m, entry, m.mRejected)
 }
 
 // train builds one candidate member: the trainFn seam, or warm-start
@@ -487,163 +495,33 @@ func (m *managed) train(member int, path string, train *nn.Dataset, cfg nn.Train
 	return net, nil
 }
 
-// rejection builds a rejected lineage entry for an infrastructure
-// failure (as opposed to a gate verdict).
-func rejection(m *managed, trainRows, holdoutRows int, reason string) serveapi.LineageEntry {
-	m.mu.Lock()
-	parent := m.state.LiveGen
-	m.mu.Unlock()
-	return serveapi.LineageEntry{
-		Time:           time.Now().UTC(),
-		Verdict:        serveapi.VerdictRejected,
-		Reason:         reason,
-		ParentGen:      parent,
-		TrainRecords:   trainRows,
-		HoldoutRecords: holdoutRows,
-	}
-}
-
-// finish records a non-published retrain outcome: assign the next
-// generation number, append + persist the entry, bump counters. infra
-// distinguishes infrastructure errors from gate rejections in the
-// metrics.
-func (c *Controller) finish(m *managed, entry serveapi.LineageEntry, rows int, infra bool) {
+// publish installs a gated candidate set and settles the attempt; the
+// entry arrives rejected and turns published only once the install
+// completes. A rollback that raced the training run wins: the stale
+// candidate settles as superseded and is never installed.
+func (c *Controller) publish(m *managed, entry serveapi.LineageEntry, cands []*nn.Network) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	entry.Gen = m.state.nextGen()
-	if parent := m.state.entryByGen(entry.ParentGen); parent != nil {
-		entry.ParentChecksum = parent.Checksum
-	}
-	m.state.Entries = append(m.state.Entries, entry)
-	m.retrains++
-	if infra {
-		m.errored++
-		m.mError.Inc()
-	} else {
-		m.rejected++
-		m.mRejected.Inc()
-	}
-	m.lastVerdict = entry.Verdict
-	m.lastCandErr, m.lastPubErr = entry.CandidateErr, entry.PublishedErr
-	// A rejected candidate still consumed the snapshot: the records it
-	// trained on don't re-trigger forever. The next trigger needs fresh
-	// captures.
-	m.trained = rows
-	m.pending = 0
-	m.pendingSince = time.Time{}
-	if err := m.state.persist(lineagePath(m.pol.Paths[0])); err != nil {
-		c.log.Error("learner: persisting lineage", "model", m.pol.Model, "err", err)
-	}
-	c.log.Info("learner: candidate rejected", "model", m.pol.Model,
-		"gen", entry.Gen, "reason", entry.Reason)
-}
-
-// publish archives the parent weights, renames the candidate members
-// into place atomically, asks the registry to hot-reload, and records
-// the published lineage entry. A rollback that raced the training run
-// wins: the stale candidate is rejected as superseded.
-func (c *Controller) publish(m *managed, entry serveapi.LineageEntry, cands []*nn.Network, rows int, startGen uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.state.LiveGen != startGen {
-		entry.Verdict = serveapi.VerdictRejected
-		entry.Reason = fmt.Sprintf("superseded: generation moved %d -> %d during training", startGen, m.state.LiveGen)
-		entry.Gen = m.state.nextGen()
-		m.state.Entries = append(m.state.Entries, entry)
-		m.retrains++
-		m.rejected++
-		m.mRejected.Inc()
-		m.lastVerdict = entry.Verdict
-		if err := m.state.persist(lineagePath(m.pol.Paths[0])); err != nil {
-			c.log.Error("learner: persisting lineage", "model", m.pol.Model, "err", err)
-		}
+	if live := m.state.LiveGen; live != entry.ParentGen {
+		entry.Reason = fmt.Sprintf("superseded: generation moved %d -> %d during training", entry.ParentGen, live)
+		c.settle(m, entry, m.mRejected)
 		return
 	}
-	entry.Gen = m.state.nextGen()
-	if parent := m.state.entryByGen(startGen); parent != nil {
-		entry.ParentChecksum = parent.Checksum
-	}
-
-	fail := func(stage string, err error) {
-		entry.Verdict = serveapi.VerdictRejected
-		entry.Reason = stage + ": " + err.Error()
-		m.state.Entries = append(m.state.Entries, entry)
-		m.retrains++
-		m.errored++
-		m.mError.Inc()
-		m.lastVerdict = entry.Verdict
-		if perr := m.state.persist(lineagePath(m.pol.Paths[0])); perr != nil {
-			c.log.Error("learner: persisting lineage", "model", m.pol.Model, "err", perr)
-		}
-		c.log.Error("learner: publish failed", "model", m.pol.Model, "gen", entry.Gen, "stage", stage, "err", err)
-	}
-
-	// Archive the parent generation (restore source for rollback), then
-	// stage every member next to its target and rename the whole set —
-	// the registry's checksum poll sees either all old or all new bytes
-	// per file, and validates the set before swapping replicas.
-	for _, p := range m.pol.Paths {
-		arch := archivePath(p, startGen)
-		if _, err := os.Stat(arch); errors.Is(err, os.ErrNotExist) {
-			if err := copyFile(arch, p); err != nil {
-				fail("archiving parent", err)
-				return
-			}
-		}
-	}
-	staged := make([]string, len(m.pol.Paths))
-	for i, p := range m.pol.Paths {
-		staged[i] = p + ".candidate"
-		if err := cands[i].Save(staged[i]); err != nil {
-			fail("staging candidate", err)
-			return
-		}
-	}
-	for i, p := range m.pol.Paths {
-		if err := os.Rename(staged[i], p); err != nil {
-			fail("installing candidate", err)
-			return
-		}
-	}
-	sum, err := serveapi.ModelChecksum(m.pol.Paths)
-	if err == nil {
-		entry.Checksum = sum
-	}
-	if err := m.pol.Reload(); err != nil {
-		// The registry refused the new bytes: put the parent back so
-		// disk and replicas agree again.
-		for _, p := range m.pol.Paths {
-			if rerr := copyFile(p, archivePath(p, startGen)); rerr != nil {
-				c.log.Error("learner: restoring parent after refused reload", "model", m.pol.Model, "path", p, "err", rerr)
-			}
-		}
-		fail("registry reload refused candidate", err)
+	sum, err := m.install(func(i int, dst string) error { return cands[i].Save(dst) })
+	entry.Checksum = sum
+	if err != nil {
+		entry.Reason = err.Error()
+		c.settle(m, entry, m.mError)
 		return
 	}
-
 	entry.Verdict = serveapi.VerdictPublished
-	m.state.Entries = append(m.state.Entries, entry)
-	m.state.LiveGen = entry.Gen
-	m.retrains++
-	m.published++
-	m.mPublished.Inc()
-	m.mGen.Set(float64(entry.Gen))
-	m.lastVerdict = entry.Verdict
-	m.lastCandErr, m.lastPubErr = entry.CandidateErr, entry.PublishedErr
-	m.trained = rows
-	m.pending = 0
-	m.pendingSince = time.Time{}
-	if err := m.state.persist(lineagePath(m.pol.Paths[0])); err != nil {
-		c.log.Error("learner: persisting lineage", "model", m.pol.Model, "err", err)
-	}
-	c.log.Info("learner: published new generation", "model", m.pol.Model,
-		"gen", entry.Gen, "parent", startGen,
-		"candidate_err", entry.CandidateErr, "published_err", entry.PublishedErr)
+	c.settle(m, entry, m.mPublished)
 }
 
-// Rollback restores the live generation's parent from its archive and
-// hot-reloads it, appending a rollback lineage entry. The response
-// carries both the rollback entry's generation and the restored one.
+// Rollback installs the live generation's parent from its archive and
+// settles a rollback lineage entry. The response carries both the
+// rollback entry's generation and the restored one. A refused reload
+// leaves the live generation serving, on disk as in the registry.
 func (c *Controller) Rollback(model string) (serveapi.RollbackResponse, error) {
 	m := c.models[model]
 	if m == nil {
@@ -651,9 +529,10 @@ func (c *Controller) Rollback(model string) (serveapi.RollbackResponse, error) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	cur := m.state.entryByGen(m.state.LiveGen)
+	live := m.state.LiveGen
+	cur := m.state.entryByGen(live)
 	if cur == nil || cur.Verdict == serveapi.VerdictSeed {
-		return serveapi.RollbackResponse{}, fmt.Errorf("%w: model %q serves generation %d", ErrNoParent, model, m.state.LiveGen)
+		return serveapi.RollbackResponse{}, fmt.Errorf("%w: model %q serves generation %d", ErrNoParent, model, live)
 	}
 	target := cur.ParentGen
 	for _, p := range m.pol.Paths {
@@ -661,48 +540,113 @@ func (c *Controller) Rollback(model string) (serveapi.RollbackResponse, error) {
 			return serveapi.RollbackResponse{}, fmt.Errorf("%w: archive for generation %d missing (%s)", ErrNoParent, target, archivePath(p, target))
 		}
 	}
-	// Archive the weights being rolled away first, so a roll-forward
-	// stays possible, then restore the whole parent set.
-	for _, p := range m.pol.Paths {
-		arch := archivePath(p, m.state.LiveGen)
-		if _, err := os.Stat(arch); errors.Is(err, os.ErrNotExist) {
-			if err := copyFile(arch, p); err != nil {
-				return serveapi.RollbackResponse{}, fmt.Errorf("learner: archiving generation %d: %w", m.state.LiveGen, err)
-			}
-		}
+	sum, err := m.install(m.fromArchive(target))
+	if err != nil {
+		return serveapi.RollbackResponse{}, fmt.Errorf("learner: rolling back to generation %d: %w", target, err)
 	}
-	for _, p := range m.pol.Paths {
-		if err := copyFile(p, archivePath(p, target)); err != nil {
-			return serveapi.RollbackResponse{}, fmt.Errorf("learner: restoring generation %d: %w", target, err)
-		}
-	}
-	if err := m.pol.Reload(); err != nil {
-		return serveapi.RollbackResponse{}, fmt.Errorf("learner: reload after rollback: %w", err)
-	}
-	sum, _ := serveapi.ModelChecksum(m.pol.Paths)
-	entry := serveapi.LineageEntry{
-		Gen:       m.state.nextGen(),
-		Time:      time.Now().UTC(),
+	entry := c.settle(m, serveapi.LineageEntry{
 		Verdict:   serveapi.VerdictRollback,
-		Reason:    fmt.Sprintf("rolled back generation %d to parent %d", m.state.LiveGen, target),
+		Reason:    fmt.Sprintf("rolled back generation %d to parent %d", live, target),
 		ParentGen: target,
 		Checksum:  sum,
-	}
-	m.state.Entries = append(m.state.Entries, entry)
-	m.state.LiveGen = target
-	m.rollbacks++
-	m.mRollback.Inc()
-	m.mGen.Set(float64(target))
-	if err := m.state.persist(lineagePath(m.pol.Paths[0])); err != nil {
-		c.log.Error("learner: persisting lineage", "model", model, "err", err)
-	}
-	c.log.Info("learner: rolled back", "model", model, "restored_gen", target, "entry_gen", entry.Gen)
+	}, m.mRollback)
 	return serveapi.RollbackResponse{
 		Model:       model,
 		Generation:  entry.Gen,
 		RestoredGen: target,
 		Checksum:    sum,
 	}, nil
+}
+
+// install makes an incoming member set the served generation, with
+// m.mu held. It archives the live generation's member files once,
+// stages each incoming file beside its target (write fills it) and
+// renames the set into place, then asks the registry to reload. If any
+// step after archiving fails — the registry refusing the new bytes
+// included — it puts the live set back the same way, from the archive.
+// It returns the incoming set's checksum once the set was in place.
+func (m *managed) install(write func(member int, dst string) error) (string, error) {
+	live := m.state.LiveGen
+	for _, p := range m.pol.Paths {
+		arch := archivePath(p, live)
+		if _, err := os.Stat(arch); errors.Is(err, os.ErrNotExist) {
+			if err := copyFile(arch, p); err != nil {
+				return "", fmt.Errorf("archiving generation %d: %w", live, err)
+			}
+		}
+	}
+	var sum string
+	err := m.place(write)
+	if err == nil {
+		sum, _ = serveapi.ModelChecksum(m.pol.Paths)
+		if err = m.pol.Reload(); err != nil {
+			err = fmt.Errorf("registry refused the reload: %w", err)
+		}
+	}
+	if err != nil {
+		if rerr := m.place(m.fromArchive(live)); rerr != nil {
+			err = fmt.Errorf("%w; restoring generation %d: %v", err, live, rerr)
+		}
+	}
+	return sum, err
+}
+
+// place stages every member beside its target, then renames the staged
+// set over the targets: no served file is ever written in place, and
+// the registry's checksum poll sees each file's old or new bytes whole.
+func (m *managed) place(write func(member int, dst string) error) error {
+	for i, p := range m.pol.Paths {
+		if err := write(i, p+".staged"); err != nil {
+			return fmt.Errorf("staging %s: %w", p, err)
+		}
+	}
+	for _, p := range m.pol.Paths {
+		if err := os.Rename(p+".staged", p); err != nil {
+			return fmt.Errorf("installing %s: %w", p, err)
+		}
+	}
+	return nil
+}
+
+// fromArchive writes each member's generation-gen archive.
+func (m *managed) fromArchive(gen uint64) func(member int, dst string) error {
+	return func(i int, dst string) error { return copyFile(dst, archivePath(m.pol.Paths[i], gen)) }
+}
+
+// settle records one outcome, with m.mu held: it numbers the entry and
+// links its parent's checksum, moves the live generation (forward on
+// publish, back to the parent on rollback), appends and persists the
+// entry, bumps the counter that owns the outcome, and marks the
+// snapshot consumed — every retrain attempt consumes it, which is the
+// rule trainedRows reads back from the lineage after a restart.
+func (c *Controller) settle(m *managed, entry serveapi.LineageEntry, outcome *telemetry.Counter) serveapi.LineageEntry {
+	entry.Gen = m.state.nextGen()
+	entry.Time = time.Now().UTC()
+	if parent := m.state.entryByGen(entry.ParentGen); parent != nil {
+		entry.ParentChecksum = parent.Checksum
+	}
+	switch entry.Verdict {
+	case serveapi.VerdictRollback:
+		m.state.LiveGen = entry.ParentGen
+	case serveapi.VerdictPublished:
+		m.state.LiveGen = entry.Gen
+		fallthrough
+	default:
+		m.pending, m.pendingSince = 0, time.Time{}
+	}
+	m.state.Entries = append(m.state.Entries, entry)
+	outcome.Inc()
+	if err := m.state.persist(lineagePath(m.pol.Paths[0])); err != nil {
+		c.log.Error("learner: persisting lineage", "model", m.pol.Model, "err", err)
+	}
+	level := slog.LevelInfo
+	if outcome == m.mError {
+		level = slog.LevelError
+	}
+	c.log.Log(c.ctx, level, "learner: "+entry.Verdict, "model", m.pol.Model,
+		"gen", entry.Gen, "parent", entry.ParentGen, "reason", entry.Reason,
+		"candidate_err", entry.CandidateErr, "published_err", entry.PublishedErr)
+	return entry
 }
 
 // Annotate decorates registry ModelInfos with the learner view: the
@@ -721,28 +665,42 @@ func (c *Controller) Annotate(infos []serveapi.ModelInfo) {
 }
 
 // Snapshot renders the per-model learner stats (the /v1/stats
-// Learners section) in policy registration order.
+// Learners section) in policy registration order: counts from the
+// outcome counters, the last verdict and gate errors from the newest
+// retrain entry in the lineage.
 func (c *Controller) Snapshot() []serveapi.LearnerSnapshot {
 	out := make([]serveapi.LearnerSnapshot, 0, len(c.order))
 	for _, name := range c.order {
 		m := c.models[name]
 		m.mu.Lock()
-		out = append(out, serveapi.LearnerSnapshot{
-			Model:            name,
-			Generation:       m.state.LiveGen,
-			Retrains:         m.retrains,
-			Published:        m.published,
-			Rejected:         m.rejected,
-			Errors:           m.errored,
-			Rollbacks:        m.rollbacks,
-			PendingRecords:   m.pending,
-			LastVerdict:      m.lastVerdict,
-			LastCandidateErr: m.lastCandErr,
-			LastPublishedErr: m.lastPubErr,
-		})
+		s := serveapi.LearnerSnapshot{
+			Model:          name,
+			Generation:     m.state.LiveGen,
+			Published:      m.mPublished.Value(),
+			Rejected:       m.mRejected.Value(),
+			Errors:         m.mError.Value(),
+			Rollbacks:      m.mRollback.Value(),
+			PendingRecords: m.pending,
+		}
+		if e := m.state.lastRetrain(); e != nil {
+			s.LastVerdict, s.LastCandidateErr, s.LastPublishedErr = e.Verdict, e.CandidateErr, e.PublishedErr
+		}
 		m.mu.Unlock()
+		s.Retrains = s.Published + s.Rejected + s.Errors
+		out = append(out, s)
 	}
 	return out
+}
+
+// eachLineage visits every model's lineage under its lock, in policy
+// registration order.
+func (c *Controller) eachLineage(visit func(name string, st *lineageState)) {
+	for _, name := range c.order {
+		m := c.models[name]
+		m.mu.Lock()
+		visit(name, &m.state)
+		m.mu.Unlock()
+	}
 }
 
 // sanitize maps non-finite gate errors onto -1: JSON cannot carry NaN,

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -423,40 +424,220 @@ func TestRollbackRestoresParent(t *testing.T) {
 }
 
 // TestResumeFromSidecar restarts the controller over an existing
-// sidecar: the live generation and consumed-row accounting must
-// survive, so a restart does not re-trigger on already-trained records.
+// sidecar, once after a publish and once after a rejection: the live
+// generation and the consumed-row accounting must survive, so a
+// restart does not re-trigger on already-trained records. Every attempt
+// consumes its snapshot, so the rejected one counts as trained too.
 func TestResumeFromSidecar(t *testing.T) {
-	live := mlp(8, dim, 6, dim)
-	teacher := mlp(9, dim, 6, dim)
+	for _, tc := range []struct {
+		name    string
+		cand    func(teacher *nn.Network) *nn.Network
+		liveGen uint64
+	}{
+		{"published", func(teacher *nn.Network) *nn.Network { return teacher }, 1},
+		{"rejected", func(*nn.Network) *nn.Network { return nanNet() }, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			live := mlp(8, dim, 6, dim)
+			teacher := mlp(9, dim, 6, dim)
+			h := newHarness(t, live)
+			trains := 0
+			h.m.trainFn = func(int, string, *nn.Dataset, nn.TrainConfig) (*nn.Network, error) {
+				trains++
+				return tc.cand(teacher), nil
+			}
+			writeCaptures(t, h.base, "m", teacher, records, 60)
+			h.ctl.CheckNow()
+			if ents := h.entries(); len(ents) != 2 || h.liveGen() != tc.liveGen {
+				t.Fatalf("precondition failed: live gen %d, lineage %+v", h.liveGen(), ents)
+			}
+			// The running learner does not retrain on the same rows.
+			h.ctl.CheckNow()
+			if trains != 1 {
+				t.Fatalf("running learner trained %d times on one snapshot", trains)
+			}
+
+			pol := h.m.pol
+			pol.Snapshot = func() (*h5.File, error) { return h5.OpenShards(h.base) }
+			retrained := false
+			ctl2, err := New(Config{Interval: -1, Logger: discardLog()}, pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ctl2.Close()
+			ctl2.models["m"].trainFn = func(int, string, *nn.Dataset, nn.TrainConfig) (*nn.Network, error) {
+				retrained = true
+				return teacher, nil
+			}
+			if got := ctl2.models["m"].state.LiveGen; got != tc.liveGen {
+				t.Fatalf("restarted controller resumed at generation %d, want %d", got, tc.liveGen)
+			}
+			ctl2.CheckNow()
+			if retrained {
+				t.Fatal("restart re-triggered a retrain on already-consumed captures")
+			}
+		})
+	}
+}
+
+// TestRefusedPublishConsumesSnapshot: a candidate the registry refuses
+// settles as an error and the live bytes are back. Like every other
+// attempt it consumed its snapshot, so later sweeps with no new
+// captures neither train nor append an entry; and the last gate errors
+// in /v1/stats and the hpacml_gate_rel_error gauge read the same
+// lineage entry, so they agree with it.
+func TestRefusedPublishConsumesSnapshot(t *testing.T) {
+	live := mlp(13, dim, 6, dim)
+	teacher := mlp(14, dim, 6, dim)
+	h := newHarness(t, live)
+	seedSum := h.entries()[0].Checksum
+	h.reloadErr = errors.New("replica warmup failed")
+	trains := 0
+	h.m.trainFn = func(int, string, *nn.Dataset, nn.TrainConfig) (*nn.Network, error) {
+		trains++
+		return teacher, nil
+	}
+	writeCaptures(t, h.base, "m", teacher, records, 110)
+	h.ctl.CheckNow()
+
+	ents := h.entries()
+	if len(ents) != 2 || ents[1].Verdict != serveapi.VerdictRejected || !strings.Contains(ents[1].Reason, "replica warmup failed") {
+		t.Fatalf("want one rejected entry naming the refusal, got %+v", ents)
+	}
+	e := ents[1]
+	if sum, err := serveapi.ModelChecksum([]string{h.path}); err != nil || sum != seedSum {
+		t.Fatalf("live bytes %q (%v) after a refused publish, want the seed's %q", sum, err, seedSum)
+	}
+	s := h.ctl.Snapshot()[0]
+	if s.Errors != 1 || s.Retrains != 1 || s.Generation != 0 || s.PendingRecords != 0 || s.LastVerdict != serveapi.VerdictRejected {
+		t.Errorf("snapshot after a refused publish: %+v", s)
+	}
+	if e.PublishedErr <= 0 {
+		t.Errorf("refused entry %+v carries no published error", e)
+	}
+	exp := string(h.reg.AppendPrometheus(nil))
+	for _, c := range []struct {
+		which      string
+		stats, lin float64
+	}{
+		{"candidate", s.LastCandidateErr, e.CandidateErr},
+		{"published", s.LastPublishedErr, e.PublishedErr},
+	} {
+		gauge := seriesValue(t, exp, `hpacml_gate_rel_error{model="m",which="`+c.which+`"}`)
+		if c.stats != gauge || c.stats != c.lin {
+			t.Errorf("%s error: /v1/stats %g, gauge %g, lineage %g", c.which, c.stats, gauge, c.lin)
+		}
+	}
+
+	for sweep := 0; sweep < 3; sweep++ {
+		h.ctl.CheckNow()
+	}
+	if got := h.entries(); trains != 1 || len(got) != 2 {
+		t.Fatalf("sweeps without new captures trained %d times and left %d entries, want 1 and 2", trains, len(got))
+	}
+}
+
+// TestRefusedRollbackKeepsLiveSet: a rollback the registry refuses
+// returns the refusal, appends no entry, and leaves the live generation
+// serving — in the lineage and in every member's bytes.
+func TestRefusedRollbackKeepsLiveSet(t *testing.T) {
+	dir := t.TempDir()
+	second := filepath.Join(dir, "m.b.gmod")
+	if err := mlp(17, dim, 6, dim).Save(second); err != nil {
+		t.Fatal(err)
+	}
+	h := newHarness(t, mlp(18, dim, 6, dim))
+	// An ensemble of two members, so the whole set is checked; its own
+	// controller seeds the lineage from both.
+	if err := os.Remove(lineagePath(h.path)); err != nil {
+		t.Fatal(err)
+	}
+	pol := h.m.pol
+	pol.Paths = []string{h.path, second}
+	ctl, err := New(Config{Interval: -1, Logger: discardLog()}, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	m := ctl.models["m"]
+	teachers := []*nn.Network{mlp(19, dim, 6, dim), mlp(20, dim, 6, dim)}
+	m.trainFn = func(member int, _ string, _ *nn.Dataset, _ nn.TrainConfig) (*nn.Network, error) {
+		return teachers[member], nil
+	}
+	writeCaptures(t, h.base, "m", teachers[0], records, 112)
+	ctl.CheckNow()
+	if m.state.LiveGen != 1 {
+		t.Fatalf("publish precondition failed: %+v", m.state.Entries)
+	}
+	liveSum := m.state.Entries[1].Checksum
+
+	h.reloadErr = errors.New("refused")
+	if _, err := ctl.Rollback("m"); err == nil || !strings.Contains(err.Error(), "refused") {
+		t.Fatalf("refused rollback returned %v", err)
+	}
+	if m.state.LiveGen != 1 || len(m.state.Entries) != 2 {
+		t.Fatalf("refused rollback moved the lineage: live gen %d, %+v", m.state.LiveGen, m.state.Entries)
+	}
+	if sum, err := serveapi.ModelChecksum(pol.Paths); err != nil || sum != liveSum {
+		t.Fatalf("members hold %q (%v) after a refused rollback, want generation 1's %q", sum, err, liveSum)
+	}
+	if s := ctl.Snapshot()[0]; s.Rollbacks != 0 || s.Generation != 1 {
+		t.Fatalf("snapshot after a refused rollback: %+v", s)
+	}
+}
+
+// TestScrapeDuringOutcomes reads /metrics and /v1/stats from another
+// goroutine while outcomes settle: both read the lineage the settle
+// step writes (run it under -race).
+func TestScrapeDuringOutcomes(t *testing.T) {
+	live := mlp(30, dim, 6, dim)
+	teacher := mlp(31, dim, 6, dim)
 	h := newHarness(t, live)
 	h.m.trainFn = func(int, string, *nn.Dataset, nn.TrainConfig) (*nn.Network, error) {
 		return teacher, nil
 	}
-	writeCaptures(t, h.base, "m", teacher, records, 60)
-	h.ctl.CheckNow()
-	if h.liveGen() != 1 {
-		t.Fatalf("publish precondition failed: %+v", h.entries())
+	stop := make(chan struct{})
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				h.reg.AppendPrometheus(nil)
+				h.ctl.Snapshot()
+			}
+		}
+	}()
+	for round := int64(0); round < 3; round++ {
+		writeCaptures(t, h.base, "m", teacher, records, 120+round)
+		h.ctl.CheckNow()
+		if _, err := h.ctl.Rollback("m"); err != nil {
+			t.Error(err)
+		}
 	}
+	close(stop)
+	<-scraped
+	if s := h.ctl.Snapshot()[0]; s.Published != 3 || s.Rollbacks != 3 || s.Generation != 0 {
+		t.Fatalf("snapshot after three publish/rollback rounds: %+v", s)
+	}
+}
 
-	pol := h.m.pol
-	pol.Snapshot = func() (*h5.File, error) { return h5.OpenShards(h.base) }
-	retrained := false
-	ctl2, err := New(Config{Interval: -1, Logger: discardLog()}, pol)
-	if err != nil {
-		t.Fatal(err)
+// seriesValue reads one series' value from a Prometheus exposition.
+func seriesValue(t *testing.T, exp, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(exp, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
 	}
-	defer ctl2.Close()
-	ctl2.models["m"].trainFn = func(int, string, *nn.Dataset, nn.TrainConfig) (*nn.Network, error) {
-		retrained = true
-		return teacher, nil
-	}
-	if got := ctl2.models["m"].state.LiveGen; got != 1 {
-		t.Fatalf("restarted controller resumed at generation %d, want 1", got)
-	}
-	ctl2.CheckNow()
-	if retrained {
-		t.Fatal("restart re-triggered a retrain on already-consumed captures")
-	}
+	t.Fatalf("series %s missing from:\n%s", series, exp)
+	return 0
 }
 
 // TestCloseAbortsInFlightTraining is the drain guarantee: Close during

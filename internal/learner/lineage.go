@@ -121,21 +121,32 @@ func (st *lineageState) entryByGen(gen uint64) *serveapi.LineageEntry {
 	return nil
 }
 
-// trainedRows reconstructs how many captured rows the live weights
-// have already consumed — what restart resume needs so a restarted
-// learner doesn't immediately re-trigger on old records.
-func (st *lineageState) trainedRows() int {
-	rows := 0
-	for _, e := range st.Entries {
-		if e.Verdict == serveapi.VerdictPublished && e.TrainRecords+e.HoldoutRecords > rows {
-			rows = e.TrainRecords + e.HoldoutRecords
+// lastRetrain is the newest retrain attempt's entry (published or
+// rejected), or nil before the first: the source of the last verdict
+// and gate errors that /v1/stats and the gate gauge report.
+func (st *lineageState) lastRetrain() *serveapi.LineageEntry {
+	for i := len(st.Entries) - 1; i >= 0; i-- {
+		if v := st.Entries[i].Verdict; v == serveapi.VerdictPublished || v == serveapi.VerdictRejected {
+			return &st.Entries[i]
 		}
 	}
-	return rows
+	return nil
 }
 
-// copyFile copies src to dst (overwriting), used for generation
-// archives and rollback restores.
+// trainedRows is how many captured rows the retrain attempts have
+// consumed. Every attempt consumes its whole snapshot, whatever its
+// verdict, and records it as its train plus held-out rows, so this is
+// the newest attempt's total — the same count for a running learner
+// and a restarted one, which must not re-trigger on old records.
+func (st *lineageState) trainedRows() int {
+	if e := st.lastRetrain(); e != nil {
+		return e.TrainRecords + e.HoldoutRecords
+	}
+	return 0
+}
+
+// copyFile copies src to dst (overwriting): it writes generation
+// archives and stages archived members for an install.
 func copyFile(dst, src string) error {
 	in, err := os.Open(src)
 	if err != nil {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -45,10 +44,11 @@ const maxInflightRows = 64
 // back — so the caller may reuse or pool both slabs the moment this
 // returns, whatever the outcome. The first failure (a refused range, a
 // failed batch, shutdown) stops further submissions; ranges admitted
-// before it still complete. A refusal counts every row not yet
-// admitted as rejected, so the model's ok, error and rejected rows add
-// up to the rows offered. Each served range's queue-wait and forward
-// durations fold into sp when it is non-nil.
+// before it still complete. The rows it never submitted count as
+// rejected after a refusal and as errors after any other failure, and
+// observe counts the submitted ones, so the model's ok, error and
+// rejected rows add up to the rows offered. Each served range's
+// queue-wait and forward durations fold into sp when it is non-nil.
 func (s *Server) inferSlab(m *model, in, out []float64, rows int, sp *span) error {
 	// One slot per outstanding range: workers never block on it.
 	done := make(chan rangeDone, min(s.inflight, (rows+s.rangeRows-1)/s.rangeRows))
@@ -67,8 +67,8 @@ func (s *Server) inferSlab(m *model, in, out []float64, rows int, sp *span) erro
 			if first == nil {
 				next += n
 				outstanding++
-			} else if errors.Is(first, ErrQueueFull) {
-				m.stats.reject(rows - next)
+			} else {
+				m.stats.unsent(rows-next, first)
 			}
 		}
 		if outstanding == 0 {
@@ -79,8 +79,9 @@ func (s *Server) inferSlab(m *model, in, out []float64, rows int, sp *span) erro
 		if sp != nil {
 			sp.addRange(d.queued, d.forward)
 		}
-		if first == nil {
+		if first == nil && d.err != nil {
 			first = d.err
+			m.stats.unsent(rows-next, first)
 		}
 	}
 }

@@ -339,15 +339,24 @@ func TestJSONRequestLimits(t *testing.T) {
 
 // stallHook is a batchHook that parks every batch until the test lets
 // it through, keeping count of the rows parked inside it.
+//
+// Every test defers release after its deferred Server.Close, so the
+// release runs first on every exit path: a failed assertion must not
+// leave Close waiting on a parked worker until the go test timeout.
 type stallHook struct {
 	entered   chan int      // receives each batch's row count as it parks
-	gate      chan struct{} // one receive (or a close) releases one batch
+	gate      chan struct{} // one receive (or release) lets one batch through
 	inService atomic.Int64
+	once      sync.Once
 }
 
 func newStallHook() *stallHook {
 	return &stallHook{entered: make(chan int, 1024), gate: make(chan struct{})}
 }
+
+// release lets every parked and future batch through; it may be called
+// any number of times.
+func (h *stallHook) release() { h.once.Do(func() { close(h.gate) }) }
 
 func (h *stallHook) hook(_ string, rows int) {
 	h.inService.Add(int64(rows))
@@ -397,6 +406,7 @@ func TestFrameInflightRowBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	defer stall.release() // runs before Close
 
 	in := slabInputs(5, rows, cols)
 	resp := postFrame(t, NewHandler(s), rows, cols, in)
@@ -413,7 +423,7 @@ func TestFrameInflightRowBound(t *testing.T) {
 		}
 		stall.gate <- struct{}{}
 	}
-	close(stall.gate)
+	stall.release()
 	rec := <-resp
 	if rec.Code != http.StatusOK {
 		t.Fatalf("frame: %d %s", rec.Code, rec.Body)
@@ -455,6 +465,7 @@ func TestFrameRefusedRangeWaitsForAdmitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	defer stall.release() // runs before Close
 	h := NewHandler(s)
 
 	// A lone row parks the worker; then the frame's first two ranges
@@ -472,7 +483,7 @@ func TestFrameRefusedRangeWaitsForAdmitted(t *testing.T) {
 		t.Fatalf("answered %d while two admitted ranges still view the request's slabs", rec.Code)
 	case <-time.After(20 * time.Millisecond):
 	}
-	close(stall.gate)
+	stall.release()
 	if rec := <-resp; rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("refused frame: %d %s, want 429", rec.Code, rec.Body)
 	}
@@ -516,6 +527,7 @@ func TestRejectedRowsAddUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	defer stall.release() // runs before Close
 
 	// A lone row parks the worker; the frame's first two ranges fill the
 	// queue, its third is refused, and its last two are never offered to
@@ -525,7 +537,7 @@ func TestRejectedRowsAddUp(t *testing.T) {
 	<-stall.entered
 	resp := postFrame(t, NewHandler(s), frameRows, cols, slabInputs(7, frameRows, cols))
 	waitFor(t, func() bool { return s.Snapshot()[0].Rejected > 0 })
-	close(stall.gate)
+	stall.release()
 	if rec := <-resp; rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("refused frame: %d %s, want 429", rec.Code, rec.Body)
 	}
@@ -549,10 +561,56 @@ func TestRejectedRowsAddUp(t *testing.T) {
 	}
 }
 
+// TestFailedBatchRowsAddUp: a frame whose batch fails mid-frame stops
+// submitting, and the rows it never submitted count as errors, so ok +
+// error + rejected is still the number of rows offered, on /metrics and
+// in the snapshot alike. The failure is a replica reload that cannot
+// serve the model's width: the cache is handed a network of another
+// input width and the generation bumped while the first batch parks.
+func TestFailedBatchRowsAddUp(t *testing.T) {
+	hpacml.ClearModelCache()
+	const maxBatch, cols, rows = 4, 3, 200
+	path := saveMLP(t, t.TempDir(), "m.gmod", 4, cols, 8, 1)
+	stall := newStallHook()
+	s, err := NewServer(Config{MaxBatch: maxBatch, Workers: 1, QueueCap: 256, batchHook: stall.hook},
+		ModelSpec{Name: "m", Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	defer stall.release() // runs before Close
+
+	resp := postFrame(t, NewHandler(s), rows, cols, slabInputs(8, rows, cols))
+	<-stall.entered
+	hpacml.StoreModel(path, mlp(5, cols+1, 8, 1))
+	s.models["m"].gen.Add(1)
+	stall.release()
+	if rec := <-resp; rec.Code == http.StatusOK {
+		t.Fatalf("frame with a failed batch answered %d", rec.Code)
+	}
+
+	exp := string(s.Metrics().AppendPrometheus(nil))
+	var sum float64
+	for _, outcome := range []string{"ok", "error", "rejected"} {
+		sum += metricValue(t, exp, `hpacml_infer_requests_total{model="m",outcome="`+outcome+`"}`)
+	}
+	if sum != rows {
+		t.Fatalf("hpacml_infer_requests_total sums to %v rows, %d offered", sum, rows)
+	}
+	snap := s.Snapshot()[0]
+	if snap.Completed != maxBatch || snap.Errors != rows-maxBatch || snap.Rejected != 0 {
+		t.Fatalf("completed %d errors %d rejected %d, want %d, %d and 0",
+			snap.Completed, snap.Errors, snap.Rejected, maxBatch, rows-maxBatch)
+	}
+	if served := snap.MeanBatch * float64(snap.Batches); served >= rows {
+		t.Fatalf("batches served %v rows, but the unsent rows never reached one", served)
+	}
+}
+
 // TestCloseDuringMultiRangeFrame: Close during a frame that is only
 // partly enqueued drains the ranges already admitted and fails the rest
 // with ErrServerClosed — the request answers 503, after its admitted
-// ranges were served.
+// ranges were served, and its unsubmitted rows count as errors.
 func TestCloseDuringMultiRangeFrame(t *testing.T) {
 	hpacml.ClearModelCache()
 	const maxBatch, cols, rows = 4, 3, 200
@@ -563,6 +621,7 @@ func TestCloseDuringMultiRangeFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer stall.release()
 	resp := postFrame(t, NewHandler(s), rows, cols, slabInputs(7, rows, cols))
 	<-stall.entered
 	waitFor(t, func() bool { return queueDepth(t, s) == maxInflightRows-maxBatch })
@@ -574,7 +633,7 @@ func TestCloseDuringMultiRangeFrame(t *testing.T) {
 		defer s.mu.RUnlock()
 		return s.closed
 	})
-	close(stall.gate)
+	stall.release()
 	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
@@ -582,8 +641,9 @@ func TestCloseDuringMultiRangeFrame(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("frame cut short by Close: %d %s, want 503", rec.Code, rec.Body)
 	}
-	if snap := s.Snapshot()[0]; snap.Completed != maxInflightRows || snap.Errors != 0 {
-		t.Fatalf("completed %d errors %d, want exactly the %d rows admitted before Close", snap.Completed, snap.Errors, maxInflightRows)
+	if snap := s.Snapshot()[0]; snap.Completed != maxInflightRows || snap.Errors != rows-maxInflightRows {
+		t.Fatalf("completed %d errors %d, want the %d rows admitted before Close served and the other %d failed",
+			snap.Completed, snap.Errors, maxInflightRows, rows-maxInflightRows)
 	}
 }
 

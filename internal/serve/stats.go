@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"sort"
 	"strconv"
 	"sync"
@@ -90,8 +91,17 @@ func (st *modelStats) observe(ph batchPhases, batch []rowRange, rows int, cut, e
 	}
 }
 
-// reject counts n rows refused by queue backpressure.
-func (st *modelStats) reject(n int)  { st.tm.rejected.Add(uint64(n)) }
+// unsent counts the n rows a request never submitted because it
+// stopped at err: rejected after a queue refusal (backpressure), errors
+// after any other failure (a failed batch, Close).
+func (st *modelStats) unsent(n int, err error) {
+	if errors.Is(err, ErrQueueFull) {
+		st.tm.rejected.Add(uint64(n))
+	} else {
+		st.tm.errors.Add(uint64(n))
+	}
+}
+
 func (st *modelStats) reloaded()     { st.tm.reloadOK.Inc() }
 func (st *modelStats) reloadFailed() { st.tm.reloadErr.Inc() }
 
@@ -108,11 +118,10 @@ type ModelSnapshot = serveapi.ModelSnapshot
 // path — behind it.
 func (st *modelStats) snapshot(info ModelInfo) ModelSnapshot {
 	completed := st.tm.ok.Value()
-	errors := st.tm.errors.Value()
 	snap := ModelSnapshot{
 		ModelInfo:    info,
 		Completed:    completed,
-		Errors:       errors,
+		Errors:       st.tm.errors.Value(),
 		Rejected:     st.tm.rejected.Value(),
 		Batches:      st.tm.batches.Value(),
 		Reloads:      st.tm.reloadOK.Value(),
@@ -135,7 +144,8 @@ func (st *modelStats) snapshot(info ModelInfo) ModelSnapshot {
 		snap.ThroughputRPS = float64(completed) / up
 	}
 	if snap.Batches > 0 {
-		snap.MeanBatch = float64(completed+errors) / float64(snap.Batches)
+		// Rows that reached a batch: unsent error rows never did.
+		snap.MeanBatch = st.tm.batchSize.Sum() / float64(snap.Batches)
 	}
 	sort.Float64s(latCopy)
 	snap.LatencyP50Ms = quantileSortedMs(latCopy, 0.50)

@@ -28,6 +28,7 @@ func TestSnapshotRegionPhases(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	defer stall.release() // runs before Close
 	h := NewHandler(s)
 
 	check := func(stage string, staged bool) {
@@ -94,7 +95,7 @@ func TestSnapshotRegionPhases(t *testing.T) {
 	if n := <-stall.entered; n != singles {
 		t.Fatalf("queued singles cut a batch of %d rows, want %d", n, singles)
 	}
-	close(stall.gate)
+	stall.release()
 	for i := 0; i <= singles; i++ {
 		if err := <-results; err != nil {
 			t.Fatal(err)
