@@ -1,10 +1,12 @@
 package hpacml
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io/fs"
+	"os"
 	"sync"
 
 	"repro/internal/nn"
@@ -16,26 +18,153 @@ import (
 // loaded". It lives with the local backend: remote engines never touch
 // it, and the serving registry publishes validated networks into it
 // with StoreModel so a whole replica pool swaps onto one object.
-var modelCache sync.Map // string -> *nn.Network
+var modelCache sync.Map // string -> *cachedModel
 
 // ClearModelCache drops all cached models (used by tests and the
 // model-cache ablation benchmark).
 func ClearModelCache() { modelCache = sync.Map{} }
 
+// cachedModel is one published model: the frozen network and the
+// reduced-precision programs compiled from it. Each program is compiled
+// at most once per entry and shared by every engine that resolves the
+// entry (ForwardI8 and Forward32 are safe for concurrent use).
+type cachedModel struct {
+	path string
+	net  *nn.Network
+	// quant holds the ".quant" sidecar's bytes as read with the network
+	// (nil: there was none) once quantRead is set; an entry an engine
+	// loaded from disk reads them at its first int8 compile instead.
+	quant     []byte
+	quantRead bool
+
+	i8, f32 compiled
+}
+
+// compiled is one program of an entry, or why it cannot be built.
+type compiled struct {
+	once   sync.Once
+	prog   *program
+	reason string
+}
+
+func (c *compiled) get(build func() (*program, error)) (*program, string) {
+	c.once.Do(func() {
+		if p, err := build(); err != nil {
+			c.reason = err.Error()
+		} else {
+			c.prog = p
+		}
+	})
+	return c.prog, c.reason
+}
+
+// testHookCompileI8, when set, runs before each int8 compile (test
+// seam: programs are compiled once per entry, not once per engine).
+var testHookCompileI8 func(path string)
+
+// program picks what an engine asking for int8 and/or f32 runs: int8
+// if asked and its sidecar serves, else f32 if asked and the model
+// compiles, else nil (float64), with the reason the first precision
+// asked for is not served.
+func (c *cachedModel) program(i8, f32 bool) (*program, string) {
+	reason := ""
+	if i8 {
+		p, r := c.i8.get(c.compileI8)
+		if p != nil {
+			return p, ""
+		}
+		reason = "int8: " + r
+	}
+	if f32 {
+		p, r := c.f32.get(func() (*program, error) {
+			f, err := nn.NewForward32(c.net)
+			if err != nil {
+				return nil, err
+			}
+			return &program{"f32", f.InDim(), f.OutDim(), f.ForwardFloat64}, nil
+		})
+		if p != nil {
+			return p, reason
+		}
+		if reason == "" {
+			reason = "f32: " + r
+		}
+	}
+	return nil, reason
+}
+
+// compileI8 compiles the network into an int8 program from its
+// ".quant" sidecar. Every failure — no sidecar, a corrupt sidecar, a
+// stamped-but-failed accuracy gate, a calibration fitted for other
+// weights — is returned as the reason, not as an engine error: the
+// engine keeps the wider path. The gate re-check here is the load-time
+// half of the accuracy contract: the fit step refuses to write a
+// failing sidecar, and the engine refuses to serve one even if it
+// somehow appears.
+func (c *cachedModel) compileI8() (*program, error) {
+	qpath := nn.QuantPath(c.path)
+	raw := c.quant
+	if !c.quantRead {
+		var err error
+		if raw, err = os.ReadFile(qpath); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return nil, err
+		}
+	}
+	if raw == nil {
+		return nil, fmt.Errorf("no sidecar at %s", qpath)
+	}
+	calib, err := nn.DecodeQuant(bytes.NewReader(raw))
+	if err != nil {
+		return nil, fmt.Errorf("%w (in %s)", err, qpath)
+	}
+	if !calib.GatePassed() {
+		return nil, fmt.Errorf("sidecar %s failed its accuracy gate (error %g, tolerance %g)",
+			qpath, calib.GateErr, calib.GateRTol)
+	}
+	if testHookCompileI8 != nil {
+		testHookCompileI8(c.path)
+	}
+	f, err := nn.NewForwardI8(c.net, calib)
+	if err != nil {
+		return nil, err
+	}
+	return &program{"int8", f.InDim(), f.OutDim(), f.Forward}, nil
+}
+
 // StoreModel publishes an already-loaded model under path in the shared
 // local-engine model cache, so every region whose model() clause names
-// that path resolves to this exact object on its next (re)load. The
-// serving registry's hot reload validates one loaded network and then
-// publishes it here, making the swap atomic across its replica pool.
+// that path resolves to this exact object on its next (re)load. quant
+// holds the bytes of the ".quant" sidecar read in the same pass as the
+// weights (nil when there was none): engines compile the int8 program
+// from them, once per published model, and never read the disk. The
+// serving registry publishes each generation this way, so its replicas
+// swap onto one network and one program without a file read of their
+// own.
 //
 // StoreModel freezes m first (nn.Network.Freeze), so every engine that
 // resolves it shares one copy of its packed weights. A published network
 // must not be written afterwards: training it fails, and a write to its
 // weights would go unseen. To change a model, load a fresh copy and
 // publish that.
-func StoreModel(path string, m *nn.Network) {
+func StoreModel(path string, m *nn.Network, quant []byte) {
 	m.Freeze()
-	modelCache.Store(path, m)
+	modelCache.Store(path, &cachedModel{path: path, net: m, quant: quant, quantRead: true})
+}
+
+// resolveModel returns the cache entry for path, loading and freezing
+// the file on a miss (of two concurrent loads, the first published
+// serves both).
+func resolveModel(path string) (*cachedModel, error) {
+	if c, ok := modelCache.Load(path); ok {
+		return c.(*cachedModel), nil
+	}
+	m, err := nn.Load(path)
+	if err != nil {
+		return nil, err
+	}
+	m.Freeze()
+	c, _ := modelCache.LoadOrStore(path, &cachedModel{path: path, net: m})
+	return c.(*cachedModel), nil
 }
 
 // LocalEngine is the default backend: in-process inference on a
@@ -49,12 +178,14 @@ func StoreModel(path string, m *nn.Network) {
 // the network must not be written while it is published (see
 // StoreModel).
 //
-// An engine opted into reduced precision compiles one program when it
-// resolves the network — int8 if asked and its sidecar serves, else f32
-// if asked and the model compiles, else none — and runs every
-// contiguous rank-2 batch of the program's widths through it; anything
-// else runs the float64 network. Precision and PrecisionReason are
-// therefore final from Warmup until the next Refresh.
+// An engine opted into reduced precision takes one program with the
+// network — int8 if asked and its sidecar serves, else f32 if asked and
+// the model compiles, else none — and runs every contiguous rank-2
+// batch of the program's widths through it; anything else runs the
+// float64 network. The cache entry compiles each program once, for
+// every engine that shares it, so a replica pool swapping onto a
+// published generation compiles nothing and reads no file. Precision
+// and PrecisionReason are final from Warmup until the next Refresh.
 type LocalEngine struct {
 	path string
 	net  *nn.Network
@@ -91,8 +222,9 @@ func WithFloat32Inference() LocalOption {
 // (written by hpacml-quant after a gated calibration fit). The sidecar
 // is resolved beside the model file at load, exactly like the
 // guardrail's ".guard" convention. The path only activates when the
-// sidecar exists, decodes, carries a passing accuracy-gate verdict, and
-// compiles against the loaded network; any failure keeps the wider path
+// sidecar exists, decodes, carries a passing accuracy-gate verdict, was
+// fitted on exactly the loaded weights, and compiles; any failure keeps
+// the wider path
 // (f32 if also enabled, else float64) and is reported by
 // PrecisionReason, so enabling int8 never changes which calls succeed —
 // only their precision and speed.
@@ -137,10 +269,9 @@ func (e *LocalEngine) Path() string { return e.path }
 // Refresh). Stats layers use it to report parameter counts.
 func (e *LocalEngine) Network() *nn.Network { return e.net }
 
-// ensure resolves the network: the engine's own pointer, then the
-// shared cache, then disk (freezing the load and publishing it for other
-// engines; of two concurrent loads, the first published serves both).
-// It then compiles the reduced-precision program the engine asked for.
+// ensure resolves the network and the program the engine asked for
+// from the shared cache entry (loading it on a miss); the entry
+// compiles each program once for every engine that shares it.
 func (e *LocalEngine) ensure() error {
 	if e.net != nil {
 		return nil
@@ -148,61 +279,12 @@ func (e *LocalEngine) ensure() error {
 	if e.path == "" {
 		return fmt.Errorf("hpacml: local engine has no model path")
 	}
-	if cached, ok := modelCache.Load(e.path); ok {
-		e.net = cached.(*nn.Network)
-	} else {
-		m, err := nn.Load(e.path)
-		if err != nil {
-			return err
-		}
-		m.Freeze()
-		cached, _ := modelCache.LoadOrStore(e.path, m)
-		e.net = cached.(*nn.Network)
-	}
-	e.prog, e.reason = nil, ""
-	if e.i8 {
-		if err := e.compileI8(); err != nil {
-			e.reason = "int8: " + err.Error()
-		}
-	}
-	if e.f32 && e.prog == nil {
-		if f, err := nn.NewForward32(e.net); err != nil {
-			if e.reason == "" {
-				e.reason = "f32: " + err.Error()
-			}
-		} else {
-			e.prog = &program{"f32", f.InDim(), f.OutDim(), f.ForwardFloat64}
-		}
-	}
-	return nil
-}
-
-// compileI8 compiles the freshly resolved network into an int8 program
-// from its ".quant" sidecar. Every failure — no sidecar on disk, a
-// corrupt sidecar, a stamped-but-failed accuracy gate, a calibration
-// that does not match the network's geometry or depth — is returned as
-// the reason, not as an engine error: the engine keeps the wider path.
-// The gate re-check here is the load-time half of the accuracy
-// contract: the fit step refuses to write a failing sidecar, and the
-// engine refuses to serve one even if it somehow appears.
-func (e *LocalEngine) compileI8() error {
-	qpath := nn.QuantPath(e.path)
-	calib, err := nn.LoadQuant(qpath)
-	if errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("no sidecar at %s", qpath)
-	}
+	c, err := resolveModel(e.path)
 	if err != nil {
 		return err
 	}
-	if !calib.GatePassed() {
-		return fmt.Errorf("sidecar %s failed its accuracy gate (error %g, tolerance %g)",
-			qpath, calib.GateErr, calib.GateRTol)
-	}
-	f, err := nn.NewForwardI8(e.net, calib)
-	if err != nil {
-		return err
-	}
-	e.prog = &program{"int8", f.InDim(), f.OutDim(), f.Forward}
+	e.net = c.net
+	e.prog, e.reason = c.program(e.i8, e.f32)
 	return nil
 }
 

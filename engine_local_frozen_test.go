@@ -88,7 +88,7 @@ func TestLocalEngineServesFrozenNetworks(t *testing.T) {
 	stored := frozenTestNet(3)
 	wantStored := forwardOf(t, stored, x)
 	storedPath := filepath.Join(dir, "stored.gmod")
-	hpacml.StoreModel(storedPath, stored)
+	hpacml.StoreModel(storedPath, stored, nil)
 	assertFrozen(t, stored, x, "StoreModel")
 	viaStore := hpacml.NewLocalEngine(storedPath)
 	inferBits(t, viaStore, x, wantStored, "StoreModel")
@@ -107,7 +107,7 @@ func TestFrozenNetworkSharedAcrossSwap(t *testing.T) {
 	x := goldenBatch(t, 33, 6)
 	netA, netB := frozenTestNet(4), frozenTestNet(5)
 	wantA, wantB := forwardOf(t, netA, x), forwardOf(t, netB, x)
-	hpacml.StoreModel(path, netA)
+	hpacml.StoreModel(path, netA, nil)
 
 	var swapped atomic.Bool
 	var batches atomic.Int64
@@ -149,7 +149,7 @@ func TestFrozenNetworkSharedAcrossSwap(t *testing.T) {
 	for batches.Load() < 20 && len(errs) == 0 {
 		runtime.Gosched()
 	}
-	hpacml.StoreModel(path, netB)
+	hpacml.StoreModel(path, netB, nil)
 	swapped.Store(true)
 	wg.Wait()
 	close(errs)

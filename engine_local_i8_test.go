@@ -5,10 +5,14 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/nn"
+	"repro/internal/serveapi"
 	"repro/internal/tensor"
 )
 
@@ -162,6 +166,25 @@ func TestLocalEngineInt8Fallback(t *testing.T) {
 		}
 		run(t, path, "accuracy gate")
 	})
+
+	t.Run("other-weights", func(t *testing.T) {
+		// A retrain that keeps the shape but not the weights: a sidecar
+		// fitted at rtol 0.1 on a 5-16-1 ReLU MLP, beside the same net
+		// with its first Dense scaled 8x. Served through the parent's
+		// ranges, it read a relative L2 of 0.38 against f64.
+		ClearModelCache()
+		path := filepath.Join(t.TempDir(), "m.gmod")
+		net := nn.NewNetwork(5)
+		net.Add(net.NewDense(5, 16), nn.NewActivation(nn.ActReLU), net.NewDense(16, 1))
+		fitI8Sidecar(t, net, path, QuantFitConfig{RTol: 0.1})
+		for i, w := range net.Layers[0].Layer.(*nn.Dense).Weight.W.Data() {
+			net.Layers[0].Layer.(*nn.Dense).Weight.W.Data()[i] = 8 * w
+		}
+		if err := net.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		run(t, path, "sidecar fitted for weights")
+	})
 }
 
 // TestRegionInt8Precedence: the quant(int8|off) clause configures the
@@ -184,5 +207,72 @@ func TestRegionInt8Precedence(t *testing.T) {
 		if got := regionPrecision(t, path, 5, 1, tc.clause); got != tc.want {
 			t.Fatalf("clause %q: Precision() = %s, want %s", tc.clause, got, tc.want)
 		}
+	}
+}
+
+// TestCacheEntryCompilesOnce: engines that share a published entry
+// share its int8 program, compiled once per entry however many engines
+// resolve it (four here, concurrently, as a replica pool does), and
+// built from the sidecar bytes published with the weights: the file on
+// disk is never read. Publishing the next generation compiles once
+// more.
+func TestCacheEntryCompilesOnce(t *testing.T) {
+	ClearModelCache()
+	path := filepath.Join(t.TempDir(), "m.gmod")
+	var compiles atomic.Int64
+	testHookCompileI8 = func(string) { compiles.Add(1) }
+	defer func() { testHookCompileI8 = nil }()
+
+	engines := make([]*LocalEngine, 4)
+	for i := range engines {
+		engines[i] = NewLocalEngine(path, WithInt8Inference())
+	}
+	for gen := int64(1); gen <= 2; gen++ {
+		net := quantTestNet(gen)
+		fitI8Sidecar(t, net, path, QuantFitConfig{RTol: 0.1})
+		quant, err := os.ReadFile(nn.QuantPath(path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(nn.QuantPath(path)); err != nil {
+			t.Fatal(err)
+		}
+		StoreModel(path, net, quant)
+		var wg sync.WaitGroup
+		for _, e := range engines {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				e.Refresh()
+				if err := e.Warmup(context.Background(), nil); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		if got := compiles.Load(); got != gen {
+			t.Fatalf("generation %d: %d int8 compiles in total, want %d", gen, got, gen)
+		}
+		for _, e := range engines {
+			if e.Precision() != "int8" || e.prog != engines[0].prog || e.Network() != net {
+				t.Fatalf("generation %d: engine serves %s (%s), not the entry's one program", gen, e.Precision(), e.PrecisionReason())
+			}
+		}
+	}
+}
+
+// TestModelFilesNamesTheSidecars: the file set the registry checksums
+// and the learner adopts names the sidecars by the same paths the
+// engine and the trust gate load them from.
+func TestModelFilesNamesTheSidecars(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.gmod")
+	want := []string{path, nn.QuantPath(path), GuardrailPath(path)}
+	for _, p := range want {
+		if err := os.WriteFile(p, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := serveapi.ModelFiles([]string{path}); !slices.Equal(got, want) {
+		t.Fatalf("ModelFiles = %v, want %v", got, want)
 	}
 }

@@ -7,16 +7,18 @@
 // the published weights and retrains it with the internal/nn training
 // path, then shadow-gates the candidate against the currently
 // published model on the held-out captures. Only a passing candidate
-// is published. Publish and rollback change the served generation
-// through one install step: archive the live member files, stage the
-// incoming set beside them and rename it into place, and ask the serve
-// registry to hot-reload (its replica pools swap at their next batch
-// boundary); a refused reload puts the live set back the same way.
-// Every outcome — published, rejected, or rolled back — then settles
-// once: one lineage entry, persisted in a .lineage.json sidecar and
-// served through /v1/models, and one bump of the telemetry counter
-// that owns the outcome. POST /v1/models/{name}/rollback restores the
-// parent generation from its archive.
+// is published. Each generation is one immutable directory,
+// <primary>.gens/<gen>, and every served path is a symlink through
+// <primary>.gens/live (see gens.go). Publish writes the candidate set
+// into a new directory; publish and rollback then change the served
+// generation through one install step: one rename swaps live, and the
+// serve registry hot-reloads (its replica pools swap at their next
+// batch boundary); a refused reload swaps live back. Every outcome —
+// published, rejected, or rolled back — then settles once: one lineage
+// entry, persisted in a .lineage.json sidecar and served through
+// /v1/models, and one bump of the telemetry counter that owns the
+// outcome. POST /v1/models/{name}/rollback swaps live back to the
+// parent generation's directory.
 //
 // The package sits below internal/serve in the import graph (it knows
 // h5, nn, serveapi, and telemetry only); the server hands it snapshot
@@ -33,6 +35,8 @@ import (
 	"log/slog"
 	"math"
 	"os"
+	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -46,8 +50,9 @@ import (
 var (
 	// ErrUnknownModel means no policy manages the named model.
 	ErrUnknownModel = errors.New("learner: model not managed")
-	// ErrNoParent means the live generation has no archived parent to
-	// roll back to (it is the seed, or its archive is gone).
+	// ErrNoParent means the live generation has no parent directory to
+	// roll back to (it is the seed, or its parent predates the
+	// generation directories).
 	ErrNoParent = errors.New("learner: no parent generation to roll back to")
 )
 
@@ -56,9 +61,11 @@ type Policy struct {
 	// Model is the serve-registry name the policy manages.
 	Model string
 	// Paths are the member weight files, primary first — the same list
-	// the registry serves, because publish works by rewriting these
-	// files and letting the checksum reload pick them up. Ensembles are
-	// gated and published all-or-nothing.
+	// the registry serves. New turns each path, and each .quant or
+	// .guard beside it, into a symlink through <Paths[0]>.gens/live, so
+	// one rename switches the whole set and the checksum reload picks it
+	// up. Members need distinct base names, on the primary's file
+	// system. Ensembles are gated and published all-or-nothing.
 	Paths []string
 	// Group names the capture group (region name) inside the snapshot.
 	// Empty auto-detects a single-group database.
@@ -113,9 +120,10 @@ type Config struct {
 
 // managed is one policy's runtime state.
 type managed struct {
-	pol Policy
+	pol  Policy
+	gens string // <primary>.gens, the generation directories
 
-	// mu guards the lineage state, the weight files during an install,
+	// mu guards the lineage state, the generation directories,
 	// and the pending accounting. Training runs outside the lock;
 	// publish re-checks the live generation under it, so a rollback
 	// racing a retrain wins and the stale candidate settles as
@@ -130,6 +138,10 @@ type managed struct {
 	// trainFn builds one candidate member (warm-start + Fit by
 	// default). Test seam, mirroring serve's batchHook.
 	trainFn func(member int, path string, train *nn.Dataset, cfg nn.TrainConfig) (*nn.Network, error)
+	// step runs after each step of publish and rollback, by name (a
+	// no-op by default). Test seam: a crash there must leave one
+	// generation serving.
+	step func(name string)
 
 	// The children of hpacml_retrains_total and hpacml_rollbacks_total
 	// are the learner's only counts: settle bumps the one that owns each
@@ -188,6 +200,12 @@ func New(cfg Config, pols ...Policy) (*Controller, error) {
 			cancel()
 			return nil, fmt.Errorf("learner: model %q managed twice", pol.Model)
 		}
+		for i, p := range pol.Paths {
+			if slices.ContainsFunc(pol.Paths[:i], func(q string) bool { return filepath.Base(q) == filepath.Base(p) }) {
+				cancel()
+				return nil, fmt.Errorf("learner: model %q has two members named %s", pol.Model, filepath.Base(p))
+			}
+		}
 		if pol.MinRecords <= 0 {
 			pol.MinRecords = 8
 		}
@@ -205,6 +223,8 @@ func New(cfg Config, pols ...Policy) (*Controller, error) {
 		}
 		m := &managed{
 			pol:        pol,
+			gens:       pol.Paths[0] + ".gens",
+			step:       func(string) {},
 			mPublished: retrainsVec.With(pol.Model, "published"),
 			mRejected:  retrainsVec.With(pol.Model, "rejected"),
 			mError:     retrainsVec.With(pol.Model, "error"),
@@ -213,6 +233,10 @@ func New(cfg Config, pols ...Policy) (*Controller, error) {
 		if err := m.loadOrSeed(); err != nil {
 			cancel()
 			return nil, err
+		}
+		if err := m.openGens(); err != nil {
+			cancel()
+			return nil, fmt.Errorf("learner: model %q: %w", pol.Model, err)
 		}
 		c.models[pol.Model] = m
 		c.order = append(c.order, pol.Model)
@@ -497,8 +521,9 @@ func (m *managed) train(member int, path string, train *nn.Dataset, cfg nn.Train
 
 // publish installs a gated candidate set and settles the attempt; the
 // entry arrives rejected and turns published only once the install
-// completes. A rollback that raced the training run wins: the stale
-// candidate settles as superseded and is never installed.
+// completes. The set is written into a new generation directory named
+// by the entry's generation. A rollback that raced the training run
+// wins: the stale candidate settles as superseded and is never written.
 func (c *Controller) publish(m *managed, entry serveapi.LineageEntry, cands []*nn.Network) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -507,8 +532,11 @@ func (c *Controller) publish(m *managed, entry serveapi.LineageEntry, cands []*n
 		c.settle(m, entry, m.mRejected)
 		return
 	}
-	sum, err := m.install(func(i int, dst string) error { return cands[i].Save(dst) })
-	entry.Checksum = sum
+	gen := m.state.nextGen()
+	err := m.writeGen(gen, cands)
+	if err == nil {
+		entry.Checksum, err = m.install(gen)
+	}
 	if err != nil {
 		entry.Reason = err.Error()
 		c.settle(m, entry, m.mError)
@@ -518,10 +546,11 @@ func (c *Controller) publish(m *managed, entry serveapi.LineageEntry, cands []*n
 	c.settle(m, entry, m.mPublished)
 }
 
-// Rollback installs the live generation's parent from its archive and
-// settles a rollback lineage entry. The response carries both the
-// rollback entry's generation and the restored one. A refused reload
-// leaves the live generation serving, on disk as in the registry.
+// Rollback swaps the live generation's parent directory back in and
+// settles a rollback lineage entry; it writes no weight file. The
+// response carries both the rollback entry's generation and the
+// restored one. A refused reload leaves the live generation serving,
+// on disk as in the registry.
 func (c *Controller) Rollback(model string) (serveapi.RollbackResponse, error) {
 	m := c.models[model]
 	if m == nil {
@@ -535,12 +564,10 @@ func (c *Controller) Rollback(model string) (serveapi.RollbackResponse, error) {
 		return serveapi.RollbackResponse{}, fmt.Errorf("%w: model %q serves generation %d", ErrNoParent, model, live)
 	}
 	target := cur.ParentGen
-	for _, p := range m.pol.Paths {
-		if _, err := os.Stat(archivePath(p, target)); err != nil {
-			return serveapi.RollbackResponse{}, fmt.Errorf("%w: archive for generation %d missing (%s)", ErrNoParent, target, archivePath(p, target))
-		}
+	if _, err := os.Stat(m.genDir(target)); err != nil {
+		return serveapi.RollbackResponse{}, fmt.Errorf("%w: generation %d has no directory (%v)", ErrNoParent, target, err)
 	}
-	sum, err := m.install(m.fromArchive(target))
+	sum, err := m.install(target)
 	if err != nil {
 		return serveapi.RollbackResponse{}, fmt.Errorf("learner: rolling back to generation %d: %w", target, err)
 	}
@@ -558,59 +585,29 @@ func (c *Controller) Rollback(model string) (serveapi.RollbackResponse, error) {
 	}, nil
 }
 
-// install makes an incoming member set the served generation, with
-// m.mu held. It archives the live generation's member files once,
-// stages each incoming file beside its target (write fills it) and
-// renames the set into place, then asks the registry to reload. If any
-// step after archiving fails — the registry refusing the new bytes
-// included — it puts the live set back the same way, from the archive.
-// It returns the incoming set's checksum once the set was in place.
-func (m *managed) install(write func(member int, dst string) error) (string, error) {
-	live := m.state.LiveGen
-	for _, p := range m.pol.Paths {
-		arch := archivePath(p, live)
-		if _, err := os.Stat(arch); errors.Is(err, os.ErrNotExist) {
-			if err := copyFile(arch, p); err != nil {
-				return "", fmt.Errorf("archiving generation %d: %w", live, err)
-			}
-		}
+// install makes generation gen's directory the served one, with m.mu
+// held: one rename swaps live to it, and the registry reloads. If the
+// registry refuses, live swaps back to the live generation. It returns
+// the checksum of the set gen serves.
+func (m *managed) install(gen uint64) (string, error) {
+	if err := m.pointLive(gen); err != nil {
+		return "", err
 	}
-	var sum string
-	err := m.place(write)
+	m.step("swap")
+	sum, err := serveapi.ModelChecksum(m.pol.Paths)
 	if err == nil {
-		sum, _ = serveapi.ModelChecksum(m.pol.Paths)
 		if err = m.pol.Reload(); err != nil {
 			err = fmt.Errorf("registry refused the reload: %w", err)
 		}
 	}
 	if err != nil {
-		if rerr := m.place(m.fromArchive(live)); rerr != nil {
-			err = fmt.Errorf("%w; restoring generation %d: %v", err, live, rerr)
+		if rerr := m.pointLive(m.state.LiveGen); rerr != nil {
+			err = fmt.Errorf("%w; restoring generation %d: %v", err, m.state.LiveGen, rerr)
 		}
+		return sum, err
 	}
-	return sum, err
-}
-
-// place stages every member beside its target, then renames the staged
-// set over the targets: no served file is ever written in place, and
-// the registry's checksum poll sees each file's old or new bytes whole.
-func (m *managed) place(write func(member int, dst string) error) error {
-	for i, p := range m.pol.Paths {
-		if err := write(i, p+".staged"); err != nil {
-			return fmt.Errorf("staging %s: %w", p, err)
-		}
-	}
-	for _, p := range m.pol.Paths {
-		if err := os.Rename(p+".staged", p); err != nil {
-			return fmt.Errorf("installing %s: %w", p, err)
-		}
-	}
-	return nil
-}
-
-// fromArchive writes each member's generation-gen archive.
-func (m *managed) fromArchive(gen uint64) func(member int, dst string) error {
-	return func(i int, dst string) error { return copyFile(dst, archivePath(m.pol.Paths[i], gen)) }
+	m.step("reload")
+	return sum, nil
 }
 
 // settle records one outcome, with m.mu held: it numbers the entry and
@@ -636,6 +633,7 @@ func (c *Controller) settle(m *managed, entry serveapi.LineageEntry, outcome *te
 	}
 	m.state.Entries = append(m.state.Entries, entry)
 	outcome.Inc()
+	m.step("settle")
 	if err := m.state.persist(lineagePath(m.pol.Paths[0])); err != nil {
 		c.log.Error("learner: persisting lineage", "model", m.pol.Model, "err", err)
 	}

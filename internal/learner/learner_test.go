@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -156,7 +157,7 @@ func (h *harness) liveGen() uint64 {
 // TestGatePublishesBetterCandidate drives the full happy path: a bad
 // live model, captures recorded from a better teacher, and a candidate
 // (the teacher itself, via the seam) that beats the published error —
-// so the gate publishes, the parent is archived, and the lineage
+// so the gate publishes, the parent generation stays on disk, and the lineage
 // records the new generation.
 func TestGatePublishesBetterCandidate(t *testing.T) {
 	live := mlp(1, dim, 6, dim)
@@ -223,9 +224,9 @@ func TestGatePublishesBetterCandidate(t *testing.T) {
 	if sum != pub.Checksum {
 		t.Fatalf("on-disk checksum %q != published entry checksum %q", sum, pub.Checksum)
 	}
-	// The parent generation is archived for rollback.
-	if _, err := os.Stat(archivePath(h.path, 0)); err != nil {
-		t.Fatalf("parent archive missing: %v", err)
+	// The parent generation's directory stays for rollback.
+	if _, err := os.Stat(filepath.Join(h.path+".gens", "0000", "m.gmod")); err != nil {
+		t.Fatalf("parent generation missing: %v", err)
 	}
 	// The sidecar survived and agrees.
 	st, err := loadLineage(lineagePath(h.path))
@@ -706,5 +707,158 @@ func TestAnnotateAndSnapshot(t *testing.T) {
 	if s.Model != "m" || s.Generation != 1 || s.Retrains != 1 || s.Published != 1 ||
 		s.Rejected != 0 || s.LastVerdict != serveapi.VerdictPublished {
 		t.Fatalf("learner snapshot %+v", s)
+	}
+}
+
+// TestAdoptionRedoesAnInterruptedStart: the first controller for a
+// model moves its files into generation 0's directory and links every
+// served path (members and sidecars) through live. A start that
+// crashed after linking one file, and an unrecorded staging directory,
+// are finished and cleaned up without changing a served byte or
+// reloading; a second start changes nothing. A publish then carries no
+// parent sidecar, and the rollback brings the sidecars back.
+func TestAdoptionRedoesAnInterruptedStart(t *testing.T) {
+	dir := t.TempDir()
+	primary, member := filepath.Join(dir, "m.gmod"), filepath.Join(dir, "e.gmod")
+	for i, p := range []string{primary, member} {
+		if err := mlp(int64(60+i), dim, 6, dim).Save(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, side := range []string{primary + ".quant", primary + ".guard"} {
+		if err := os.WriteFile(side, []byte(side), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	paths := []string{primary, member}
+	served := serveapi.ModelFiles(paths)
+	before, err := serveapi.ModelChecksum(paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gens := primary + ".gens"
+	for _, d := range []string{"0000", "0003.tmp"} {
+		if err := os.MkdirAll(filepath.Join(gens, d), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Link(primary, filepath.Join(gens, "0000", "m.gmod")); err != nil {
+		t.Fatal(err)
+	}
+
+	reloads := 0
+	pol := Policy{
+		Model:        "m",
+		Paths:        paths,
+		RetrainEvery: 8,
+		Snapshot:     func() (*h5.File, error) { return h5.OpenShards(filepath.Join(dir, "caps.gh5")) },
+		Reload:       func() error { reloads++; return nil },
+	}
+	for start := 0; start < 2; start++ {
+		ctl, err := New(Config{Interval: -1, Logger: discardLog()}, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctl.Close()
+		for _, f := range served {
+			target, err := os.Readlink(f)
+			if want := filepath.Join("m.gmod.gens", "live", filepath.Base(f)); err != nil || target != want {
+				t.Fatalf("start %d: %s links to %q (%v), want %q", start, f, target, err, want)
+			}
+		}
+		if live, err := os.Readlink(filepath.Join(gens, "live")); err != nil || live != "0000" {
+			t.Fatalf("start %d: live names %q (%v), want 0000", start, live, err)
+		}
+		if sum, err := serveapi.ModelChecksum(paths); err != nil || sum != before {
+			t.Fatalf("start %d: adoption changed the served set: %q (%v), want %q", start, sum, err, before)
+		}
+		if _, err := os.Stat(filepath.Join(gens, "0003.tmp")); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("start %d: unrecorded staging directory survived: %v", start, err)
+		}
+		if reloads != 0 {
+			t.Fatalf("start %d: adoption reloaded the registry %d times", start, reloads)
+		}
+	}
+
+	ctl, err := New(Config{Interval: -1, Logger: discardLog()}, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	m := ctl.models["m"]
+	teachers := []*nn.Network{mlp(62, dim, 6, dim), mlp(63, dim, 6, dim)}
+	m.trainFn = func(member int, _ string, _ *nn.Dataset, _ nn.TrainConfig) (*nn.Network, error) {
+		return teachers[member], nil
+	}
+	writeCaptures(t, filepath.Join(dir, "caps.gh5"), "m", teachers[0], records, 64)
+	ctl.CheckNow()
+	if m.state.LiveGen != 1 {
+		t.Fatalf("publish precondition failed: %+v", m.state.Entries)
+	}
+	if got := serveapi.ModelFiles(paths); !slices.Equal(got, paths) {
+		t.Fatalf("published generation serves %v, want the members alone", got)
+	}
+	if _, err := ctl.Rollback("m"); err != nil {
+		t.Fatal(err)
+	}
+	if got := serveapi.ModelFiles(paths); !slices.Equal(got, served) {
+		t.Fatalf("rolled-back generation serves %v, want %v", got, served)
+	}
+	if sum, err := serveapi.ModelChecksum(paths); err != nil || sum != before {
+		t.Fatalf("rollback restored %q (%v), want the adopted set %q", sum, err, before)
+	}
+}
+
+// TestRollbackNeedsParentDirectory: a lineage written before the
+// generation directories names a parent whose only copy is a per-member
+// archive. The live files are adopted, and the rollback refuses with
+// ErrNoParent rather than migrating the archive.
+func TestRollbackNeedsParentDirectory(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "m.gmod")
+	if err := mlp(70, dim, 6, dim).Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := mlp(71, dim, 6, dim).Save(path + ".gen0000"); err != nil {
+		t.Fatal(err)
+	}
+	st := lineageState{Model: "m", LiveGen: 1, Entries: []serveapi.LineageEntry{
+		{Gen: 0, Verdict: serveapi.VerdictSeed},
+		{Gen: 1, Verdict: serveapi.VerdictPublished, ParentGen: 0},
+	}}
+	if err := st.persist(lineagePath(path)); err != nil {
+		t.Fatal(err)
+	}
+	ctl, err := New(Config{Interval: -1, Logger: discardLog()}, Policy{
+		Model:    "m",
+		Paths:    []string{path},
+		Snapshot: func() (*h5.File, error) { return nil, errors.New("unused") },
+		Reload:   func() error { return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	if _, err := os.Stat(filepath.Join(path+".gens", "0001", "m.gmod")); err != nil {
+		t.Fatalf("live generation not adopted: %v", err)
+	}
+	if _, err := ctl.Rollback("m"); !errors.Is(err, ErrNoParent) {
+		t.Fatalf("rollback to an archived parent: %v, want ErrNoParent", err)
+	}
+}
+
+// TestNewRefusesDuplicateBaseNames: members share one generation
+// directory, so two members of one base name cannot both live there.
+func TestNewRefusesDuplicateBaseNames(t *testing.T) {
+	dir := t.TempDir()
+	paths := []string{filepath.Join(dir, "m.gmod"), filepath.Join(dir, "sub", "m.gmod")}
+	_, err := New(Config{Interval: -1, Logger: discardLog()}, Policy{
+		Model:    "m",
+		Paths:    paths,
+		Snapshot: func() (*h5.File, error) { return nil, errors.New("unused") },
+		Reload:   func() error { return nil },
+	})
+	if err == nil || !strings.Contains(err.Error(), "two members named m.gmod") {
+		t.Fatalf("duplicate base names: %v, want a refusal", err)
 	}
 }

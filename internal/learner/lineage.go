@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 
@@ -36,12 +35,6 @@ type lineageState struct {
 // lineagePath is where a model's sidecar lives: next to the primary
 // weight file.
 func lineagePath(primary string) string { return primary + ".lineage.json" }
-
-// archivePath is where generation gen's weights of one member file are
-// kept once superseded — the restore source for rollback.
-func archivePath(member string, gen uint64) string {
-	return fmt.Sprintf("%s.gen%04d", member, gen)
-}
 
 // loadLineage reads an existing sidecar; a missing file returns nil
 // (fresh model, the caller seeds generation 0). A sidecar the learner
@@ -121,6 +114,13 @@ func (st *lineageState) entryByGen(gen uint64) *serveapi.LineageEntry {
 	return nil
 }
 
+// published reports whether generation gen's files were ever served:
+// it is the seed or a published candidate, so it has a directory.
+func (st *lineageState) published(gen uint64) bool {
+	e := st.entryByGen(gen)
+	return e != nil && (e.Verdict == serveapi.VerdictSeed || e.Verdict == serveapi.VerdictPublished)
+}
+
 // lastRetrain is the newest retrain attempt's entry (published or
 // rejected), or nil before the first: the source of the last verdict
 // and gate errors that /v1/stats and the gate gauge report.
@@ -143,23 +143,4 @@ func (st *lineageState) trainedRows() int {
 		return e.TrainRecords + e.HoldoutRecords
 	}
 	return 0
-}
-
-// copyFile copies src to dst (overwriting): it writes generation
-// archives and stages archived members for an install.
-func copyFile(dst, src string) error {
-	in, err := os.Open(src)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	out, err := os.Create(dst)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(out, in); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
 }

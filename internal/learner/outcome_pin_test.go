@@ -3,6 +3,7 @@ package learner
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,9 +19,10 @@ import (
 // gate rejection, NaN rejection, a training error, a publish superseded
 // by a rollback that landed during training, and a rollback — on a
 // fresh model, and pins what each leaves behind: every lineage field,
-// the member and archive files on disk, the registry reloads, every
+// the files on disk, the registry reloads, every
 // /v1/stats learner field, and every learner /metrics series. The
-// sidecar must equal the lineage held in memory.
+// sidecar must equal the lineage held in memory. Files list every
+// generation directory, and live by the directory it names.
 //
 // Checksums render as S0, S1, ... in order of first appearance, so the
 // pins say which generation's bytes each file and entry names. Values
@@ -52,7 +54,7 @@ func TestOutcomesPinned(t *testing.T) {
 			want: `lineage model=m live_gen=1
   gen=0 seed parent=0/- sum=S0 rows=0/0 err=0/0 reason=""
   gen=1 published parent=0/S0 sum=S1 rows=18/6 err=0/2.59877 reason=""
-files m.gmod=S1 m.gmod.gen0000=S0 m.gmod.lineage.json
+files m.gmod=S1 m.gmod.gens/0000/m.gmod=S0 m.gmod.gens/0001/m.gmod=S1 m.gmod.gens/live->0001 m.gmod.lineage.json
 reloads 1
 snapshot model=m gen=1 retrains=1 published=1 rejected=0 errors=0 rollbacks=0 pending=0 verdict=published cand=0 pub=2.59877
 metric hpacml_gate_rel_error{model="m",which="candidate"} 0
@@ -77,7 +79,7 @@ metric hpacml_rollbacks_total{model="m"} 0
 			want: `lineage model=m live_gen=0
   gen=0 seed parent=0/- sum=S0 rows=0/0 err=0/0 reason=""
   gen=1 rejected parent=0/S0 sum=- rows=18/6 err=2.14141/0 reason="gate failed: candidate rel err 2.14141 > published 0 + rtol 0.05"
-files m.gmod=S0 m.gmod.lineage.json
+files m.gmod=S0 m.gmod.gens/0000/m.gmod=S0 m.gmod.gens/live->0000 m.gmod.lineage.json
 reloads 0
 snapshot model=m gen=0 retrains=1 published=0 rejected=1 errors=0 rollbacks=0 pending=0 verdict=rejected cand=2.14141 pub=0
 metric hpacml_gate_rel_error{model="m",which="candidate"} 2.14141
@@ -102,7 +104,7 @@ metric hpacml_rollbacks_total{model="m"} 0
 			want: `lineage model=m live_gen=0
   gen=0 seed parent=0/- sum=S0 rows=0/0 err=0/0 reason=""
   gen=1 rejected parent=0/S0 sum=- rows=18/6 err=-1/0 reason="candidate NaN-poisoned on held-out captures"
-files m.gmod=S0 m.gmod.lineage.json
+files m.gmod=S0 m.gmod.gens/0000/m.gmod=S0 m.gmod.gens/live->0000 m.gmod.lineage.json
 reloads 0
 snapshot model=m gen=0 retrains=1 published=0 rejected=1 errors=0 rollbacks=0 pending=0 verdict=rejected cand=-1 pub=0
 metric hpacml_gate_rel_error{model="m",which="candidate"} -1
@@ -127,7 +129,7 @@ metric hpacml_rollbacks_total{model="m"} 0
 			want: `lineage model=m live_gen=0
   gen=0 seed parent=0/- sum=S0 rows=0/0 err=0/0 reason=""
   gen=1 rejected parent=0/S0 sum=- rows=18/6 err=0/0 reason="training member 0: out of memory"
-files m.gmod=S0 m.gmod.lineage.json
+files m.gmod=S0 m.gmod.gens/0000/m.gmod=S0 m.gmod.gens/live->0000 m.gmod.lineage.json
 reloads 0
 snapshot model=m gen=0 retrains=1 published=0 rejected=0 errors=1 rollbacks=0 pending=0 verdict=rejected cand=0 pub=0
 metric hpacml_gate_rel_error{model="m",which="candidate"} 0
@@ -159,7 +161,7 @@ metric hpacml_rollbacks_total{model="m"} 0
   gen=1 published parent=0/S0 sum=S1 rows=18/6 err=0/1.14726 reason=""
   gen=2 rollback parent=0/* sum=S0 rows=0/0 err=0/0 reason="rolled back generation 1 to parent 0"
   gen=3 rejected parent=1/* sum=- rows=36/12 err=0/0 reason="superseded: generation moved 1 -> 0 during training"
-files m.gmod=S0 m.gmod.gen0000=S0 m.gmod.gen0001=S1 m.gmod.lineage.json
+files m.gmod=S0 m.gmod.gens/0000/m.gmod=S0 m.gmod.gens/0001/m.gmod=S1 m.gmod.gens/live->0000 m.gmod.lineage.json
 reloads 2
 snapshot model=m gen=0 retrains=2 published=1 rejected=1 errors=0 rollbacks=1 pending=* verdict=rejected cand=* pub=*
 metric hpacml_gate_rel_error{model="m",which="candidate"} 0
@@ -184,7 +186,7 @@ metric hpacml_rollbacks_total{model="m"} 1
   gen=0 seed parent=0/- sum=S0 rows=0/0 err=0/0 reason=""
   gen=1 published parent=0/S0 sum=S1 rows=18/6 err=0/1.29536 reason=""
   gen=2 rollback parent=0/* sum=S0 rows=0/0 err=0/0 reason="rolled back generation 1 to parent 0"
-files m.gmod=S0 m.gmod.gen0000=S0 m.gmod.gen0001=S1 m.gmod.lineage.json
+files m.gmod=S0 m.gmod.gens/0000/m.gmod=S0 m.gmod.gens/0001/m.gmod=S1 m.gmod.gens/live->0000 m.gmod.lineage.json
 reloads 2
 snapshot model=m gen=0 retrains=1 published=1 rejected=0 errors=0 rollbacks=1 pending=0 verdict=published cand=0 pub=1.29536
 metric hpacml_gate_rel_error{model="m",which="candidate"} 0
@@ -253,25 +255,29 @@ func renderOutcome(t *testing.T, h *harness) string {
 	}
 
 	dir := filepath.Dir(h.path)
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	b.WriteString("files")
-	for _, de := range ents {
-		name := de.Name()
+	err = filepath.WalkDir(dir, func(path string, de fs.DirEntry, err error) error {
+		if err != nil || de.IsDir() {
+			return err
+		}
+		name, _ := filepath.Rel(dir, path)
 		switch {
 		case !strings.HasPrefix(name, filepath.Base(h.path)):
-			continue
 		case strings.HasSuffix(name, ".lineage.json"):
 			fmt.Fprintf(&b, " %s", name)
+		case filepath.Base(name) == "live":
+			target, err := os.Readlink(path)
+			fmt.Fprintf(&b, " %s->%s", name, target)
+			return err
 		default:
-			sum, err := serveapi.ModelChecksum([]string{filepath.Join(dir, name)})
-			if err != nil {
-				t.Fatal(err)
-			}
+			sum, err := serveapi.ModelChecksum([]string{path})
 			fmt.Fprintf(&b, " %s=%s", name, sym(sum))
+			return err
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	fmt.Fprintf(&b, "\nreloads %d\n", h.reloads)
 

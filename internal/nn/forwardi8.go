@@ -258,11 +258,19 @@ func rangeQParams16(r QuantRange) (qparams, error) {
 
 // NewForwardI8 compiles net into an int8 inference program under the
 // fitted calibration, quantizing its weights once. The calibration must
-// match the network's geometry and segment count. Failure means "stay
-// on the wider path".
+// have been fitted on exactly these weights (QuantCalib.Weights), which
+// also pins the geometry and segment count. Failure means "stay on the
+// wider path".
 func NewForwardI8(net *Network, calib *QuantCalib) (*ForwardI8, error) {
 	if calib == nil {
 		return nil, fmt.Errorf("nn: i8 path: nil calibration")
+	}
+	sum, err := net.Sum()
+	if err != nil {
+		return nil, err
+	}
+	if sum != calib.Weights {
+		return nil, fmt.Errorf("nn: i8 path: sidecar fitted for weights %x, model is %x", calib.Weights[:6], sum[:6])
 	}
 	prelude, segs, in, out, err := compileSegments(net)
 	if err != nil {

@@ -2,11 +2,13 @@ package nn
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -292,6 +294,7 @@ func TestForwardI8Rejections(t *testing.T) {
 func TestQuantSidecarRoundTrip(t *testing.T) {
 	c := &QuantCalib{
 		InDim: 5, OutDim: 1,
+		Weights: [32]byte{0: 0xab, 31: 0xcd},
 		Bounds:  []QuantRange{{-3.25, 3.5}, {-0.875, 0.9921875}},
 		Preacts: []QuantRange{{-11.5, 7.75}, {-2.125, 2.25}},
 		GateErr: 0.0123, GateRTol: 0.05,
@@ -304,7 +307,7 @@ func TestQuantSidecarRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.InDim != c.InDim || got.OutDim != c.OutDim ||
+	if got.InDim != c.InDim || got.OutDim != c.OutDim || got.Weights != c.Weights ||
 		got.GateErr != c.GateErr || got.GateRTol != c.GateRTol {
 		t.Fatalf("round trip changed header: %+v vs %+v", got, c)
 	}
@@ -322,8 +325,14 @@ func TestQuantSidecarRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []byte{0x51, 0x4e, 0x54, 0x38, 0x01, 0x00, 0x00, 0x00}; !bytes.Equal(raw[:8], want) {
+	if want := []byte{0x51, 0x4e, 0x54, 0x38, 0x02, 0x00, 0x00, 0x00}; !bytes.Equal(raw[:8], want) {
 		t.Fatalf("sidecar header %x, want %x (format drift)", raw[:8], want)
+	}
+	// A version-1 sidecar names no weights: refused with its own reason.
+	v1 := append([]byte(nil), raw...)
+	v1[4] = 1
+	if _, err := DecodeQuant(bytes.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "version 1 names no weights") {
+		t.Fatalf("version-1 sidecar: %v, want its own refusal", err)
 	}
 
 	if _, err := DecodeQuant(bytes.NewReader(raw[:20])); err == nil {
@@ -635,7 +644,7 @@ func TestForwardI8DepthBound(t *testing.T) {
 	}{{tensor.MaxInt8Depth, true}, {tensor.MaxInt8Depth + 1, false}} {
 		net := NewNetwork(1)
 		net.Add(net.NewDense(tc.in, 2))
-		calib := &QuantCalib{InDim: tc.in, OutDim: 2,
+		calib := &QuantCalib{InDim: tc.in, OutDim: 2, Weights: netSum(t, net),
 			Bounds: []QuantRange{{-1, 1}}, Preacts: []QuantRange{{-4, 4}}}
 		if _, err := NewForwardI8(net, calib); (err == nil) != tc.ok {
 			t.Fatalf("%d inputs: NewForwardI8 error %v, want ok = %v", tc.in, err, tc.ok)
@@ -693,6 +702,13 @@ func FuzzDecodeQuant(f *testing.F) {
 			cols = 7
 		}
 		net.Add(net.NewDense(cols, c.OutDim))
+		sum := netSum(t, net)
+		if c.Weights != sum {
+			if _, err := NewForwardI8(net, c); err == nil {
+				t.Fatal("a sidecar fitted for other weights compiled")
+			}
+			c.Weights = sum // compile the decoded ranges on this network
+		}
 		prog, err := NewForwardI8(net, c)
 		if err != nil {
 			return
@@ -702,6 +718,52 @@ func FuzzDecodeQuant(f *testing.F) {
 			t.Fatalf("compiled program refuses a well-formed batch: %v", err)
 		}
 	})
+}
+
+// netSum is net's weights checksum, the binding a hand-built
+// calibration must carry to compile.
+func netSum(t testing.TB, net *Network) [32]byte {
+	t.Helper()
+	sum, err := net.Sum()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sum
+}
+
+// TestForwardI8RefusesOtherWeights: a calibration fitted on one
+// network does not compile onto another of the same shape, and the
+// checksum it records is the sha256 of the saved .gmod file.
+func TestForwardI8RefusesOtherWeights(t *testing.T) {
+	net := quickstartNet()
+	x, _ := tensor.FromSlice(calibSlab(3, 256, 5, 2), 256, 5)
+	calib, err := CalibrateI8(net, x, CalibConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "m.gmod")
+	if err := net.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calib.Weights != sha256.Sum256(raw) {
+		t.Fatal("calibration's weights checksum is not the sha256 of the saved file")
+	}
+	loaded, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewForwardI8(loaded, calib); err != nil {
+		t.Fatalf("the saved and reloaded weights: %v", err)
+	}
+	other := quickstartNet()
+	other.Layers[0].Layer.(*Dense).Weight.W.Data()[0] += 1
+	if _, err := NewForwardI8(other, calib); err == nil || !strings.Contains(err.Error(), "sidecar fitted for weights") {
+		t.Fatalf("other weights: %v, want the mismatch refusal", err)
+	}
 }
 
 // BenchmarkForwardI8vsF32 is the acceptance benchmark: on the h16

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -58,12 +59,16 @@ type CalibConfig struct {
 // range (Bounds[s]; Bounds[0] is the model input) and the post-dense
 // pre-activation range (Preacts[s]), plus the accuracy-gate verdict the
 // fit step stamped. InDim/OutDim pin the model geometry the calibration
-// was fitted for, so a sidecar cannot silently requantize a retrained
-// model of a different shape.
+// was fitted for, and Weights the exact weights, so a sidecar cannot
+// silently requantize a retrained model.
 type QuantCalib struct {
 	InDim, OutDim int
-	Bounds        []QuantRange
-	Preacts       []QuantRange
+	// Weights is the Network.Sum of the network the ranges were
+	// observed on (the sha256 of its .gmod file). NewForwardI8 refuses
+	// any other network.
+	Weights [sha256.Size]byte
+	Bounds  []QuantRange
+	Preacts []QuantRange
 
 	// GateErr is the mean relative L2 of the int8 path against the
 	// float64 reference on held-out captures; GateRTol is the tolerance
@@ -89,13 +94,17 @@ func QuantPath(modelPath string) string { return modelPath + ".quant" }
 
 // CalibrateI8 observes the activation ranges of net on x, a
 // [rows, features...] slab of captured model-layout inputs, and returns
-// the calibration (with an unstamped gate: GateErr NaN). The network
-// must be compilable by the int8 path — dense segments with elementwise
-// tails — and every calibration value must be finite; a NaN or Inf
-// anywhere in the observed activations fails the fit rather than
-// poisoning a range.
+// the calibration, bound to net's weights (with an unstamped gate:
+// GateErr NaN). The network must be compilable by the int8 path — dense
+// segments with elementwise tails — and every calibration value must
+// be finite; a NaN or Inf anywhere in the observed activations fails
+// the fit rather than poisoning a range.
 func CalibrateI8(net *Network, x *tensor.Tensor, cfg CalibConfig) (*QuantCalib, error) {
 	prelude, segs, inDim, outDim, err := compileSegments(net)
+	if err != nil {
+		return nil, err
+	}
+	weights, err := net.Sum()
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +143,7 @@ func CalibrateI8(net *Network, x *tensor.Tensor, cfg CalibConfig) (*QuantCalib, 
 		}
 		cur = normed
 	}
-	c := &QuantCalib{InDim: inDim, OutDim: outDim, GateErr: math.NaN()}
+	c := &QuantCalib{InDim: inDim, OutDim: outDim, Weights: weights, GateErr: math.NaN()}
 	cols := inDim
 	for s := range segs {
 		r, err := observeRange(cur, mode, cfg.Q)
@@ -206,9 +215,11 @@ func quantileAt(sorted []float64, q float64) float64 {
 
 // The sidecar format follows the .gmod idiom: little-endian, magic +
 // version header, implausibility-guarded lengths, self-contained.
+// Version 2 added the weights checksum after the header; version 1
+// sidecars, which name no weights, are refused.
 const (
 	quantMagic    = 0x38544e51 // "QNT8"
-	quantVersion  = 1
+	quantVersion  = 2
 	quantMaxSegs  = 1 << 16
 	quantMaxWidth = 1 << 24
 )
@@ -225,6 +236,7 @@ func (c *QuantCalib) Encode(w io.Writer) error {
 	for _, v := range []uint32{quantMagic, quantVersion, uint32(c.InDim), uint32(c.OutDim), uint32(len(c.Bounds))} {
 		binary.Write(&buf, binary.LittleEndian, v)
 	}
+	buf.Write(c.Weights[:])
 	binary.Write(&buf, binary.LittleEndian, c.GateErr)
 	binary.Write(&buf, binary.LittleEndian, c.GateRTol)
 	for _, r := range c.Bounds {
@@ -262,6 +274,9 @@ func DecodeQuant(r io.Reader) (*QuantCalib, error) {
 	if hdr[0] != quantMagic {
 		return nil, fmt.Errorf("nn: not a quant sidecar (magic %#x)", hdr[0])
 	}
+	if hdr[1] == 1 {
+		return nil, fmt.Errorf("nn: quant sidecar version 1 names no weights; refit it")
+	}
 	if hdr[1] != quantVersion {
 		return nil, fmt.Errorf("nn: unsupported quant sidecar version %d", hdr[1])
 	}
@@ -272,6 +287,9 @@ func DecodeQuant(r io.Reader) (*QuantCalib, error) {
 	}
 	if n == 0 || n > quantMaxSegs {
 		return nil, fmt.Errorf("nn: implausible quant sidecar segment count %d", n)
+	}
+	if _, err := io.ReadFull(r, c.Weights[:]); err != nil {
+		return nil, fmt.Errorf("nn: quant sidecar weights: %w", err)
 	}
 	if err := binary.Read(r, binary.LittleEndian, &c.GateErr); err != nil {
 		return nil, fmt.Errorf("nn: quant sidecar gate: %w", err)

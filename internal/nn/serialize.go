@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bufio"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -79,6 +80,18 @@ func (n *Network) Encode(dst io.Writer) error {
 		}
 	}
 	return w.Flush()
+}
+
+// Sum is the sha256 of the network's .gmod encoding, which is the
+// sha256 of the file Save writes and of the file Load read it from: the
+// identity a .quant sidecar records to bind itself to the weights it
+// was fitted on.
+func (n *Network) Sum() ([sha256.Size]byte, error) {
+	h := sha256.New()
+	if err := n.Encode(h); err != nil {
+		return [sha256.Size]byte{}, err
+	}
+	return [sha256.Size]byte(h.Sum(nil)), nil
 }
 
 func encodeLayer(w *bufio.Writer, l Layer) error {

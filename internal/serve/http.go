@@ -222,9 +222,8 @@ func routeLabel(path string) string {
 	return "other"
 }
 
-// serveRollback handles POST /v1/models/{model}/rollback: restore the
-// model's parent generation from its lineage archive and hot-reload
-// it. 404 without a learner (or for an unmanaged model), 409 when the
+// serveRollback handles POST /v1/models/{model}/rollback: switch the
+// model back to its parent generation's directory and hot-reload it. 404 without a learner (or for an unmanaged model), 409 when the
 // live generation has no parent to return to.
 func (h *handler) serveRollback(w http.ResponseWriter, r *http.Request) {
 	if h.learner == nil {

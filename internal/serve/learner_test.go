@@ -28,16 +28,20 @@ import (
 // the ingest database, retrains a warm-started candidate, shadow-gates
 // it, and publishes a new generation — visible in /v1/models lineage,
 // /v1/stats learners, and the hpacml_model_generation gauge — and the
-// rollback endpoint restores the parent.
+// rollback endpoint restores the parent. The model serves int8 from a
+// fitted sidecar: the published generation carries no sidecar fitted
+// for its weights, so it serves f64 and says why, and the rollback
+// brings the seed's sidecar, and int8, back.
 func TestClosedLoopHTTP(t *testing.T) {
 	hpacml.ClearModelCache()
 	dir := t.TempDir()
 	path := saveMLP(t, dir, "m.gmod", 6, 3, 8, 2)
+	fitSidecar(t, path)
 	s, err := NewServer(Config{
 		MaxBatch:   8,
 		MaxDelay:   500 * time.Microsecond,
 		CaptureDBs: []CaptureSpec{{Name: "caps", Path: filepath.Join(dir, "caps.gh5")}},
-	}, ModelSpec{Name: "m", Path: path})
+	}, ModelSpec{Name: "m", Path: path, I8: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,6 +72,13 @@ func TestClosedLoopHTTP(t *testing.T) {
 	// comes back as a training record, one row per record.
 	client := serveclient.New(ts.URL)
 	defer client.CloseIdleConnections()
+	seed, err := client.Model(ctx, "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seed.Precision != "int8" || seed.Checksum != seed.Lineage[0].Checksum {
+		t.Fatalf("before the publish: %+v, want int8 with the seed entry's checksum", seed)
+	}
 	rng := rand.New(rand.NewSource(7))
 	var batch []serveapi.CaptureRecord
 	captured := 0
@@ -119,6 +130,9 @@ func TestClosedLoopHTTP(t *testing.T) {
 	if info.Checksum != info.Lineage[1].Checksum {
 		t.Fatalf("registry checksum %q != published lineage checksum %q", info.Checksum, info.Lineage[1].Checksum)
 	}
+	if info.Precision != "f64" || !strings.Contains(info.PrecisionReason, "no sidecar") {
+		t.Fatalf("after the publish: precision %q, reason %q; want f64 for want of a sidecar", info.Precision, info.PrecisionReason)
+	}
 
 	sr, err := client.Stats(ctx)
 	if err != nil {
@@ -158,6 +172,9 @@ func TestClosedLoopHTTP(t *testing.T) {
 	}
 	if info.LearnerGeneration != 0 {
 		t.Fatalf("learner generation %d after rollback, want 0", info.LearnerGeneration)
+	}
+	if info.Precision != "int8" || info.Checksum != seed.Checksum {
+		t.Fatalf("after the rollback: precision %q, checksum %q; want int8 with the seed's %q", info.Precision, info.Checksum, seed.Checksum)
 	}
 	// The restored weights serve again: inference still answers.
 	if _, err := client.Infer(ctx, "m", inputVec(1, 3)); err != nil {

@@ -1,10 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,12 +44,14 @@ type ModelSpec struct {
 	// a downgrade is logged once per load.
 	F32 bool
 	// I8 serves the model through the quantized int8 path: each
-	// replica's LocalEngine is built WithInt8Inference, auto-loads the
-	// ".quant" calibration sidecar beside the model file (written by
-	// hpacml-quant) and compiles the int8 program. A missing, corrupt,
-	// or gate-failed sidecar keeps the wider path (reported and logged
-	// like F32's), and ensembles ignore it. When both F32 and I8 are set
-	// the engine prefers int8 where the sidecar allows it.
+	// replica's LocalEngine is built WithInt8Inference and runs the int8
+	// program compiled once per generation from the ".quant"
+	// calibration sidecar beside the model file (written by
+	// hpacml-quant), read with the weights as part of the model's file
+	// set. A missing, corrupt or gate-failed sidecar, or one fitted for
+	// other weights, keeps the wider path (reported and logged like
+	// F32's), and ensembles ignore it. When both F32 and I8 are set the
+	// engine prefers int8 where the sidecar allows it.
 	I8 bool
 }
 
@@ -60,7 +66,8 @@ type model struct {
 	path    string
 	members []string // every served model file: path first, then the ensemble
 	in, out int
-	asked   string // the precision the spec requested: "int8", "f32" or "f64"
+	asked   string               // the precision the spec requested: "int8", "f32" or "f64"
+	opts    []hpacml.LocalOption // the LocalEngine options that request it
 
 	// queue carries row ranges of caller-owned slabs; waiting counts the
 	// rows in it, which is what QueueCap bounds.
@@ -72,20 +79,22 @@ type model struct {
 
 	// gen counts accepted reloads; replicas compare it against their own
 	// generation at each batch boundary and re-resolve their engine on
-	// mismatch, picking up the network checkReload published to the
-	// shared cache.
-	gen   atomic.Uint64
-	sumMu sync.Mutex
-	sum   string // ModelInfo.Checksum
+	// mismatch, picking up the network and program load published to
+	// the shared cache.
+	gen atomic.Uint64
+	// loadMu serializes load steps (the poll and the learner's reload),
+	// so generations publish in the order their files were read.
+	loadMu sync.Mutex
+	sumMu  sync.Mutex
+	sum    string // ModelInfo.Checksum
 	// loadedAt is when the served weights were (re)loaded — provenance
 	// for /v1/models, guarded by sumMu like the checksum it travels with.
 	loadedAt time.Time
-	// precision is the compute path the replicas actually run, as the
-	// first replica to load generation precGen found it, and reason why
-	// it is not the asked one. Guarded by sumMu.
+	// precision is the compute path the replicas run on the served
+	// generation, and reason why it is not the asked one; load decides
+	// both once per generation. Guarded by sumMu.
 	precision string
 	reason    string
-	precGen   uint64
 }
 
 // replicaEngine is what a replica needs of its engine: the Engine calls
@@ -108,60 +117,40 @@ type replica struct {
 	gen    uint64
 }
 
-// newModel resolves the spec (loading the .gmod to infer or validate
-// dimensions), checksums the file, publishes the loaded network to the
-// shared model cache, and builds the replica pool. On failure every
-// already-built replica is closed.
+// newModel registers the spec: the load step reads, checks and
+// publishes its file set (inferring the dimensions from the primary
+// when the spec leaves them zero), then the replica pool is built on
+// the published generation. On failure every already-built replica is
+// closed.
 func newModel(spec ModelSpec, cfg Config, met *metrics) (*model, error) {
 	if spec.Name == "" || spec.Path == "" {
 		return nil, fmt.Errorf("serve: model spec needs a name and a path, got %+v", spec)
 	}
-	members := append([]string{spec.Path}, spec.Ensemble...)
-	// Checksum the same bytes being loaded: hash first, then load, so a
-	// concurrent retrain is caught by the next poll rather than pinning a
-	// wrong checksum to the loaded weights.
-	sum, err := serveapi.ModelChecksum(members)
-	if err != nil {
-		return nil, fmt.Errorf("serve: model %q: %w", spec.Name, err)
-	}
-	net, in, out, err := resolveDims(spec)
-	if err != nil {
-		return nil, err
-	}
-	hpacml.StoreModel(spec.Path, net)
-	// Every ensemble member must load and agree on the primary's I/O
-	// widths — a disagreeing member would corrupt the ensemble mean.
-	for _, p := range spec.Ensemble {
-		mnet, err := nn.Load(p)
-		if err != nil {
-			return nil, fmt.Errorf("serve: model %q ensemble member %s: %w", spec.Name, p, err)
-		}
-		if err := validateDims(mnet, in, out); err != nil {
-			return nil, fmt.Errorf("serve: model %q ensemble member %s: %w", spec.Name, p, err)
-		}
-		hpacml.StoreModel(p, mnet)
+	if (spec.In <= 0) != (spec.Out <= 0) {
+		return nil, fmt.Errorf("serve: model %q: give both In and Out or neither", spec.Name)
 	}
 	m := &model{
-		name:     spec.Name,
-		path:     spec.Path,
-		members:  members,
-		in:       in,
-		out:      out,
-		asked:    askedPrecision(spec),
-		queue:    make(chan rowRange, cfg.QueueCap),
-		stats:    newModelStats(cfg.MaxBatch, met.forModel(spec.Name)),
-		sum:      sum,
-		loadedAt: time.Now(),
+		name:    spec.Name,
+		path:    spec.Path,
+		members: append([]string{spec.Path}, spec.Ensemble...),
+		in:      max(spec.In, 0),
+		out:     max(spec.Out, 0),
+		asked:   askedPrecision(spec),
+		opts:    localOptions(spec),
+		queue:   make(chan rowRange, cfg.QueueCap),
+		stats:   newModelStats(cfg.MaxBatch, met.forModel(spec.Name)),
+	}
+	if _, err := m.load(); err != nil {
+		return nil, fmt.Errorf("serve: model %q: %w", spec.Name, err)
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		rep, err := newReplica(m, spec, i, cfg.MaxBatch)
+		rep, err := newReplica(m, i, cfg.MaxBatch)
 		if err != nil {
 			m.closeReplicas()
 			return nil, err
 		}
 		m.replicas = append(m.replicas, rep)
 	}
-	m.notePrecision(0, m.replicas[0])
 	return m, nil
 }
 
@@ -189,27 +178,169 @@ func localOptions(spec ModelSpec) []hpacml.LocalOption {
 	return opts
 }
 
-// notePrecision records the compute path rep found itself on after
-// loading generation gen. The first replica to report a generation sets
-// what /v1/models shows and, when that is not what the spec asked for
-// (no sidecar, a corrupt or gate-failed one, a model the compiler
-// refused, an ensemble), logs the downgrade with its reason — once per
-// load, not once per replica.
-func (m *model) notePrecision(gen uint64, rep *replica) {
-	serving, reason := rep.precision()
-	if serving == m.asked {
-		reason = ""
+// testHookOpened, when set, runs after readSet opens each file of a
+// set, before reading it. Test seam: a live swap racing the read, and
+// the reads per load.
+var testHookOpened func(path string)
+
+// fileSet is one consistent read of a model's file set: the
+// serveapi.ModelFiles of its members, each read once, and the checksum
+// of those bytes.
+type fileSet struct {
+	files []string
+	data  [][]byte
+	sum   string
+}
+
+// file returns what was read for path, or nil when it is not in the
+// set (a sidecar that does not exist).
+func (fs *fileSet) file(path string) []byte {
+	for i, f := range fs.files {
+		if f == path {
+			return fs.data[i]
+		}
+	}
+	return nil
+}
+
+// readSet reads a member set's files once. It opens each file of the
+// set through its symlinks and reads what it opened, then checks that
+// every path still names the file it read: if a swap moved any path (or
+// changed which sidecars exist) in between, it reads the set again, up
+// to four reads in all, so a set never mixes the files of two
+// generations.
+func readSet(members []string) (*fileSet, error) {
+	var err error
+	for attempt := 0; attempt < 4; attempt++ {
+		files := serveapi.ModelFiles(members)
+		data := make([][]byte, len(files))
+		read := make([]os.FileInfo, len(files))
+		for i, f := range files {
+			if data[i], read[i], err = readFile(f); err != nil {
+				break
+			}
+		}
+		if err == nil && moved(members, files, read) {
+			err = errors.New("file set moved during the read")
+			continue
+		}
+		if err == nil {
+			return &fileSet{files: files, data: data, sum: serveapi.SetChecksum(data)}, nil
+		}
+	}
+	return nil, err
+}
+
+// readFile reads the file path names, and which file that was.
+func readFile(path string) ([]byte, os.FileInfo, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	if testHookOpened != nil {
+		testHookOpened(path)
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, nil, err
+	}
+	b := make([]byte, fi.Size())
+	_, err = io.ReadFull(f, b)
+	return b, fi, err
+}
+
+// moved reports whether a member set now names other files than the
+// ones read.
+func moved(members, files []string, read []os.FileInfo) bool {
+	if !slices.Equal(files, serveapi.ModelFiles(members)) {
+		return true
+	}
+	for i, f := range files {
+		if fi, err := os.Stat(f); err != nil || !os.SameFile(fi, read[i]) {
+			return true
+		}
+	}
+	return false
+}
+
+// load is the one load step of registration and hot reload. It reads
+// the file set once (readSet); when the checksum of those bytes differs
+// from the served one, it decodes every member from the same bytes and
+// checks it against the registered widths (a width change would no
+// longer fit the slabs callers and replicas size by them, and is
+// refused; the first load infers them from the primary when the spec
+// left them zero). Only a set whose members all pass is published: each
+// network with its .quant bytes into the shared cache, where its
+// programs are compiled once for the whole replica pool. load then
+// decides the generation's precision and reason once, and logs a
+// downgrade from the asked precision once. A reload bumps the model
+// generation last, so replicas swap onto a complete publication. It
+// reports whether it published a new set.
+func (m *model) load() (bool, error) {
+	m.loadMu.Lock()
+	defer m.loadMu.Unlock()
+	set, err := readSet(m.members)
+	if err != nil {
+		return false, err
 	}
 	m.sumMu.Lock()
-	first := m.precision == "" || gen > m.precGen
-	if first {
-		m.precision, m.reason, m.precGen = serving, reason, gen
-	}
+	first, same := m.sum == "", set.sum == m.sum
 	m.sumMu.Unlock()
-	if first && serving != m.asked {
-		slog.Warn("serve: model is not served at the precision it was registered with",
-			"model", m.name, "asked", m.asked, "serving", serving, "reason", reason, "generation", gen)
+	if same {
+		return false, nil
 	}
+	nets := make([]*nn.Network, len(m.members))
+	for i, p := range m.members {
+		net, err := nn.Decode(bytes.NewReader(set.file(p)))
+		if err != nil {
+			return false, fmt.Errorf("%s: %w", p, err)
+		}
+		if m.in == 0 {
+			if m.in, m.out, err = net.VectorIO(); err != nil {
+				return false, fmt.Errorf("%w (pass explicit dimensions)", err)
+			}
+		}
+		if err := validateDims(net, m.in, m.out); err != nil {
+			return false, fmt.Errorf("refused %s: %w", p, err)
+		}
+		nets[i] = net
+	}
+	for i, p := range m.members {
+		hpacml.StoreModel(p, nets[i], set.file(nn.QuantPath(p)))
+	}
+	precision, reason := m.servedPrecision()
+	m.sumMu.Lock()
+	m.sum, m.loadedAt, m.precision, m.reason = set.sum, time.Now(), precision, reason
+	m.sumMu.Unlock()
+	gen := m.gen.Load()
+	if !first {
+		gen = m.gen.Add(1)
+	}
+	if precision != m.asked {
+		slog.Warn("serve: model is not served at the precision it was registered with",
+			"model", m.name, "asked", m.asked, "serving", precision, "reason", reason, "generation", gen)
+	}
+	return true, nil
+}
+
+// servedPrecision is the compute path the replicas will find on the
+// generation just published, and why it is not the asked one. A local
+// model is resolved once through an engine built like the replicas'
+// (which compiles the entry's program, so the replicas only take it);
+// ensembles run their members in float64.
+func (m *model) servedPrecision() (string, string) {
+	if len(m.members) > 1 {
+		if m.asked == "f64" {
+			return "f64", ""
+		}
+		return "f64", "ensemble runs f64"
+	}
+	e := hpacml.NewLocalEngine(m.path, m.opts...)
+	if err := e.Warmup(context.Background(), nil); err != nil {
+		return "f64", err.Error()
+	}
+	return e.Precision(), e.PrecisionReason()
 }
 
 // closeReplicas releases every replica engine built so far.
@@ -217,29 +348,6 @@ func (m *model) closeReplicas() {
 	for _, rep := range m.replicas {
 		rep.close()
 	}
-}
-
-// resolveDims loads the model file to infer (or cross-check) the flat
-// I/O widths the replicas will be bound to, returning the loaded
-// network so callers can publish the exact validated object.
-func resolveDims(spec ModelSpec) (net *nn.Network, in, out int, err error) {
-	net, err = nn.Load(spec.Path)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("serve: model %q: %w", spec.Name, err)
-	}
-	if spec.In <= 0 && spec.Out <= 0 {
-		if in, out, err = net.VectorIO(); err != nil {
-			return nil, 0, 0, fmt.Errorf("serve: model %q: %w (pass explicit dimensions)", spec.Name, err)
-		}
-		return net, in, out, nil
-	}
-	if spec.In <= 0 || spec.Out <= 0 {
-		return nil, 0, 0, fmt.Errorf("serve: model %q: give both In and Out or neither", spec.Name)
-	}
-	if err := validateDims(net, spec.In, spec.Out); err != nil {
-		return nil, 0, 0, fmt.Errorf("serve: model %q: %w", spec.Name, err)
-	}
-	return net, spec.In, spec.Out, nil
 }
 
 // validateDims checks that net maps [in]-feature samples to out total
@@ -264,7 +372,7 @@ func validateDims(net *nn.Network, in, out int) error {
 // path an EnsembleEngine of its own. The engine is warmed and serves one
 // zero-input row immediately, so a bad model file fails replica
 // construction, not the first request.
-func newReplica(m *model, spec ModelSpec, idx, maxBatch int) (*replica, error) {
+func newReplica(m *model, idx, maxBatch int) (*replica, error) {
 	rep := &replica{
 		idx: idx,
 		in:  make([]float64, maxBatch*m.in),
@@ -277,7 +385,7 @@ func newReplica(m *model, spec ModelSpec, idx, maxBatch int) (*replica, error) {
 		}
 		rep.engine = ens
 	} else {
-		rep.engine = hpacml.NewLocalEngine(m.path, localOptions(spec)...)
+		rep.engine = hpacml.NewLocalEngine(m.path, m.opts...)
 	}
 	err := rep.engine.Warmup(context.Background(), []int{1, m.in})
 	if err == nil {
@@ -291,29 +399,18 @@ func newReplica(m *model, spec ModelSpec, idx, maxBatch int) (*replica, error) {
 }
 
 // reload swaps the replica onto generation gen: Refresh drops the
-// resolved model and Warmup re-resolves it from the shared cache, where
-// checkReload published the validated network — never from disk, where
-// a concurrent retrain could hand replicas different or torn bytes. A
-// failed swap leaves the replica's generation behind, so the next batch
-// boundary tries again.
+// resolved model and Warmup takes the shared cache entry the load step
+// published — its network and the program it compiled once for the
+// pool. It reads no file and compiles nothing, so every replica serves
+// the same bytes. A failed swap leaves the replica's generation behind,
+// so the next batch boundary tries again.
 func (rep *replica) reload(m *model, gen uint64) error {
 	rep.engine.Refresh()
 	if err := rep.engine.Warmup(context.Background(), []int{1, m.in}); err != nil {
 		return fmt.Errorf("serve: model %q replica %d reload: %w", m.name, rep.idx, err)
 	}
 	rep.gen = gen
-	m.notePrecision(gen, rep)
 	return nil
-}
-
-// precision is the compute path the replica's batches run, and why it
-// may not be the one the spec asked for. Ensembles run their members in
-// float64.
-func (rep *replica) precision() (string, string) {
-	if local, ok := rep.engine.(*hpacml.LocalEngine); ok {
-		return local.Precision(), local.PrecisionReason()
-	}
-	return "f64", "ensemble runs f64"
 }
 
 // close releases the engine when it holds resources (an ensemble owns
@@ -346,51 +443,20 @@ func (m *model) info() ModelInfo {
 	}
 }
 
-// checkReload re-checksums every member file. When any byte changed,
-// each changed file is loaded and validated (loadable, same I/O widths
-// — a width change would no longer fit the slabs callers and replicas
-// size by them and is refused), the validated networks are published
-// to the shared model cache, and the model generation is bumped; each
-// replica swaps onto the published weights at its next batch boundary
-// (replica.reload; an ensemble engine forwards the refresh to every
-// member), so in-flight ranges finish on the old ones and every replica
-// sees the same objects — never a torn or re-retrained file read of its
-// own.
+// checkReload runs the load step. When it published a new set (and
+// bumped the model generation), each replica swaps onto the published
+// networks at its next batch boundary (replica.reload; an ensemble
+// engine forwards the refresh to every member), so in-flight ranges
+// finish on the old ones and every replica sees the same objects. A
+// failed load keeps the served set and counts a failed reload.
 func (m *model) checkReload() error {
-	sum, err := serveapi.ModelChecksum(m.members)
+	changed, err := m.load()
 	if err != nil {
 		m.stats.reloadFailed()
 		return fmt.Errorf("serve: model %q reload: %w", m.name, err)
 	}
-	m.sumMu.Lock()
-	same := sum == m.sum
-	m.sumMu.Unlock()
-	if same {
-		return nil
+	if changed {
+		m.stats.reloaded()
 	}
-	nets := make([]*nn.Network, len(m.members))
-	for i, p := range m.members {
-		net, err := nn.Load(p)
-		if err != nil {
-			m.stats.reloadFailed()
-			return fmt.Errorf("serve: model %q reload: %w", m.name, err)
-		}
-		if err := validateDims(net, m.in, m.out); err != nil {
-			m.stats.reloadFailed()
-			return fmt.Errorf("serve: model %q reload refused (%s): %w", m.name, p, err)
-		}
-		nets[i] = net
-	}
-	// All members validated — publish atomically from the registry's
-	// point of view (replicas only look after the generation bump).
-	for i, p := range m.members {
-		hpacml.StoreModel(p, nets[i])
-	}
-	m.sumMu.Lock()
-	m.sum = sum
-	m.loadedAt = time.Now()
-	m.sumMu.Unlock()
-	m.gen.Add(1)
-	m.stats.reloaded()
 	return nil
 }

@@ -28,10 +28,11 @@
 //     application memory to tensors, and the server already holds one.
 //
 // Models are named entries in a registry loaded from .gmod files; a
-// checksum poll detects retrained files, validates and publishes the new
-// network once (hpacml.StoreModel), and swaps replicas onto it at their
-// next batch boundary without dropping in-flight requests or re-reading
-// disk per replica. A serving stats layer tracks per-model throughput,
+// checksum poll over each model's file set (members and sidecars)
+// detects retrained files, reads, validates and publishes the new
+// networks and their int8 program once (hpacml.StoreModel),
+// and swaps replicas onto them at their next batch boundary without
+// dropping in-flight requests or re-reading disk per replica. A serving stats layer tracks per-model throughput,
 // the batch-size histogram (the direct evidence coalescing happens),
 // p50/p95/p99 latency, the compute precision actually serving, and the
 // to-tensor / inference / from-tensor time of the served batches.

@@ -582,7 +582,7 @@ func TestFailedBatchRowsAddUp(t *testing.T) {
 
 	resp := postFrame(t, NewHandler(s), rows, cols, slabInputs(8, rows, cols))
 	<-stall.entered
-	hpacml.StoreModel(path, mlp(5, cols+1, 8, 1))
+	hpacml.StoreModel(path, mlp(5, cols+1, 8, 1), nil)
 	s.models["m"].gen.Add(1)
 	stall.release()
 	if rec := <-resp; rec.Code == http.StatusOK {

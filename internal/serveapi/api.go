@@ -332,20 +332,54 @@ type StatsResponse struct {
 	Wire []WireStats `json:"wire,omitempty"`
 }
 
-// ModelChecksum is ModelInfo.Checksum of a member set: the hex sha256
-// of the concatenation of each file's own sha256, so member order
-// matters and any member change changes it. The registry computes it
-// over the files it serves and the learner over the files it
-// publishes, so a lineage entry and /v1/models agree on the same bytes.
-func ModelChecksum(paths []string) (string, error) {
-	h := sha256.New()
+// sidecarSuffixes name the files beside a member that belong to its
+// generation: the int8 calibration (nn.QuantPath) and the guardrail
+// (hpacml.GuardrailPath).
+var sidecarSuffixes = [...]string{".quant", ".guard"}
+
+// ModelFiles names a generation's file set: each member path in order,
+// each followed by the ".quant" and ".guard" sidecars beside it that
+// exist. The registry reads and checksums this set, and the learner
+// adopts it into a generation directory, so both name the same files.
+func ModelFiles(paths []string) []string {
+	files := make([]string, 0, len(paths)*(1+len(sidecarSuffixes)))
 	for _, p := range paths {
+		files = append(files, p)
+		for _, suf := range sidecarSuffixes {
+			if _, err := os.Stat(p + suf); err == nil {
+				files = append(files, p+suf)
+			}
+		}
+	}
+	return files
+}
+
+// ModelChecksum is ModelInfo.Checksum of a member set: SetChecksum of
+// the bytes of its ModelFiles. Member order matters, and a change to
+// any member or sidecar changes it; a set without sidecars hashes as
+// its members alone. The registry computes it over the files it serves
+// and the learner over the files it publishes, so a lineage entry and
+// /v1/models agree on the same bytes.
+func ModelChecksum(paths []string) (string, error) {
+	files := ModelFiles(paths)
+	data := make([][]byte, len(files))
+	for i, p := range files {
 		b, err := os.ReadFile(p)
 		if err != nil {
 			return "", err
 		}
+		data[i] = b
+	}
+	return SetChecksum(data), nil
+}
+
+// SetChecksum is the hex sha256 of the concatenation of each file's own
+// sha256, in ModelFiles order: ModelChecksum of bytes already read.
+func SetChecksum(data [][]byte) string {
+	h := sha256.New()
+	for _, b := range data {
 		s := sha256.Sum256(b)
 		h.Write(s[:])
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return hex.EncodeToString(h.Sum(nil))
 }

@@ -55,10 +55,7 @@ func matMulRows32(ad, bd, od []float32, k, n, lo, hi int) {
 				if av == 0 {
 					continue
 				}
-				brow := bd[kk*n : (kk+1)*n]
-				for j := range orow {
-					orow[j] += av * brow[j]
-				}
+				axpy32(orow, bd[kk*n:(kk+1)*n], av)
 			}
 		}
 		return
@@ -75,12 +72,28 @@ func matMulRows32(ad, bd, od []float32, k, n, lo, hi int) {
 					if av == 0 {
 						continue
 					}
-					brow := bd[kk*n+j0 : kk*n+j1]
-					for j := range orow {
-						orow[j] += av * brow[j]
-					}
+					axpy32(orow, bd[kk*n+j0:kk*n+j1], av)
 				}
 			}
 		}
+	}
+}
+
+// axpy32 adds a*x to y element by element, four elements per
+// iteration. A one-element loop is short enough that whether it
+// straddles a 64-byte fetch line depends on where the linker happens to
+// place the kernel, and that alone moved serve_wide_f32 by a quarter
+// between builds that did not touch this file.
+func axpy32(y, x []float32, a float32) {
+	x = x[:len(y)]
+	j := 0
+	for ; j+4 <= len(y); j += 4 {
+		y[j] += a * x[j]
+		y[j+1] += a * x[j+1]
+		y[j+2] += a * x[j+2]
+		y[j+3] += a * x[j+3]
+	}
+	for ; j < len(y); j++ {
+		y[j] += a * x[j]
 	}
 }
