@@ -151,6 +151,16 @@ func StoreModel(path string, m *nn.Network, quant []byte) {
 	modelCache.Store(path, &cachedModel{path: path, net: m, quant: quant, quantRead: true})
 }
 
+// ReleaseModel undoes a StoreModel: it drops path's cache entry if that
+// entry still holds m. An entry published under path since, by another
+// StoreModel or a LocalEngine's own load, stays. Engines that already
+// hold m keep it; the next engine to resolve path loads the file.
+func ReleaseModel(path string, m *nn.Network) {
+	if c, ok := modelCache.Load(path); ok && c.(*cachedModel).net == m {
+		modelCache.CompareAndDelete(path, c)
+	}
+}
+
 // resolveModel returns the cache entry for path, loading and freezing
 // the file on a miss (of two concurrent loads, the first published
 // serves both).

@@ -76,6 +76,52 @@ func startServe(t *testing.T, modelPath string) string {
 	return ts.URL
 }
 
+// TestServerCloseReleasesModelCache checks that a closed server leaves
+// no model-cache entry behind: nine servers over distinct model files
+// end with the cache where it started. An entry another publisher
+// stored under a closed server's path survives it.
+func TestServerCloseReleasesModelCache(t *testing.T) {
+	dir := t.TempDir()
+	before := hpacml.ModelCacheLen()
+	for i := range 9 {
+		srv, err := serve.NewServer(serve.Config{MaxBatch: 8, Workers: 2},
+			serve.ModelSpec{Name: "vec", Path: saveVectorNet(t, dir, int64(60+i), 3, 2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.Infer("vec", []float64{0.1, 0.2, 0.3}); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := hpacml.ModelCacheLen(); after != before {
+		t.Fatalf("model cache holds %d entries after nine servers closed, %d before", after, before)
+	}
+
+	path := saveVectorNet(t, dir, 70, 3, 2)
+	srv, err := serve.NewServer(serve.Config{MaxBatch: 8, Workers: 1}, serve.ModelSpec{Name: "vec", Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	later, err := nn.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hpacml.StoreModel(path, later, nil)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after := hpacml.ModelCacheLen(); after != before+1 {
+		t.Fatalf("model cache holds %d entries, want %d: Close dropped a later publisher's entry", after, before+1)
+	}
+	hpacml.ReleaseModel(path, later)
+	if after := hpacml.ModelCacheLen(); after != before {
+		t.Fatalf("model cache holds %d entries after ReleaseModel, want %d", after, before)
+	}
+}
+
 // TestRemoteEngineMatchesLocal round-trips single and batched region
 // execution through a live hpacml-serve handler and checks the answers
 // against in-process inference of the same model file.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	_ "unsafe" // for go:linkname
 
 	"repro/internal/tensor"
 )
@@ -143,6 +144,26 @@ func denseKernelInputs(rng *rand.Rand, rows, in int, special bool) []float64 {
 	return x
 }
 
+// f64Vector is internal/tensor's choice between its vector and its
+// portable f64 sweep, linked here so that the oracle tests below hold
+// both.
+//
+//go:linkname f64Vector repro/internal/tensor.f64Vector
+var f64Vector bool
+
+// forF64Paths runs f under the vector sweep, when this CPU has one, and
+// under the portable sweep.
+func forF64Paths(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	saved := f64Vector
+	defer func() { f64Vector = saved }()
+	if saved {
+		t.Run("vector", f)
+	}
+	f64Vector = false
+	t.Run("portable", f)
+}
+
 // TestDenseKernelMatchesRowLoop is the bitwise differential test of the
 // packed f64 kernel, fused activations included: Forward, ForwardInto
 // and MatMulInto on every Dense layer's input equal the plain row-loop
@@ -151,73 +172,75 @@ func denseKernelInputs(rng *rand.Rand, rows, in int, special bool) []float64 {
 // biases are -0 (a zero row must keep it), and some inputs are ±Inf or
 // NaN (a skipped zero must never meet an infinite weight).
 func TestDenseKernelMatchesRowLoop(t *testing.T) {
-	rng := rand.New(rand.NewSource(27))
-	type model struct {
-		name    string
-		net     *Network
-		in, out int
-	}
-	var models []model
-	for i := 0; i < 40; i++ {
-		net, in, out := randomMLP(rng)
-		models = append(models, model{fmt.Sprintf("random%d", i), net, in, out})
-	}
-	// mixed has the activations randomMLP never draws, and two that no
-	// Dense precedes, so they run unfused (the tanh one over enough
-	// elements to take the chunked parallel map).
-	mixed := NewNetwork(5)
-	mixed.Add(NewAffine(0.5, 0.1), NewActivation(ActSigmoid),
-		mixed.NewDense(5, 16), NewAffine(1.5, -0.2), NewActivation(ActTanh),
-		mixed.NewDense(16, 9), NewActivation(ActLeakyReLU),
-		mixed.NewDense(9, 8), NewActivation(ActIdentity), mixed.NewDense(8, 3))
-	models = append(models,
-		model{"small", reluMLP(11, 3, 64, 32, 1), 3, 1},
-		model{"wide", reluMLP(11, 64, 512, 512, 16), 64, 16},
-		model{"mixed", mixed, 5, 3})
-	for mi, m := range models {
-		for _, p := range m.net.Params() {
-			if p.Name == "bias" && mi%2 == 0 {
-				p.W.Data()[0] = math.Copysign(0, -1)
-			}
+	forF64Paths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(27))
+		type model struct {
+			name    string
+			net     *Network
+			in, out int
 		}
-		for _, rows := range []int{0, 1, 7, 9, 600} {
-			x := denseKernelInputs(rng, rows, m.in, rows%2 == 1)
-			want, denseIn := rowLoopForward(t, m.net, x, rows, m.in)
-			xt, err := tensor.FromSlice(x, rows, m.in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			name := fmt.Sprintf("%s/rows=%d", m.name, rows)
-			got, err := m.net.Forward(xt)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			assertSameBits(t, name+" Forward", got.Data(), want)
-			dst := tensor.Full(math.NaN(), rows, m.out)
-			if err := m.net.ForwardInto(dst, xt); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			assertSameBits(t, name+" ForwardInto", dst.Data(), want)
-			di := 0
-			for _, e := range m.net.Layers {
-				d, ok := e.Layer.(*Dense)
-				if !ok {
-					continue
+		var models []model
+		for i := 0; i < 40; i++ {
+			net, in, out := randomMLP(rng)
+			models = append(models, model{fmt.Sprintf("random%d", i), net, in, out})
+		}
+		// mixed has the activations randomMLP never draws, and two that no
+		// Dense precedes, so they run unfused (the tanh one over enough
+		// elements to take the chunked parallel map).
+		mixed := NewNetwork(5)
+		mixed.Add(NewAffine(0.5, 0.1), NewActivation(ActSigmoid),
+			mixed.NewDense(5, 16), NewAffine(1.5, -0.2), NewActivation(ActTanh),
+			mixed.NewDense(16, 9), NewActivation(ActLeakyReLU),
+			mixed.NewDense(9, 8), NewActivation(ActIdentity), mixed.NewDense(8, 3))
+		models = append(models,
+			model{"small", reluMLP(11, 3, 64, 32, 1), 3, 1},
+			model{"wide", reluMLP(11, 64, 512, 512, 16), 64, 16},
+			model{"mixed", mixed, 5, 3})
+		for mi, m := range models {
+			for _, p := range m.net.Params() {
+				if p.Name == "bias" && mi%2 == 0 {
+					p.W.Data()[0] = math.Copysign(0, -1)
 				}
-				a, err := tensor.FromSlice(denseIn[di], rows, d.In)
+			}
+			for _, rows := range []int{0, 1, 7, 9, 600} {
+				x := denseKernelInputs(rng, rows, m.in, rows%2 == 1)
+				want, denseIn := rowLoopForward(t, m.net, x, rows, m.in)
+				xt, err := tensor.FromSlice(x, rows, m.in)
 				if err != nil {
 					t.Fatal(err)
 				}
-				c := tensor.Full(math.NaN(), rows, d.Out)
-				if err := tensor.MatMulInto(c, a, d.Weight.W); err != nil {
+				name := fmt.Sprintf("%s/rows=%d", m.name, rows)
+				got, err := m.net.Forward(xt)
+				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				assertSameBits(t, fmt.Sprintf("%s MatMulInto dense %d", name, di), c.Data(),
-					rowLoopDense(denseIn[di], d.Weight.W.Data(), make([]float64, d.Out), rows, d.In, d.Out))
-				di++
+				assertSameBits(t, name+" Forward", got.Data(), want)
+				dst := tensor.Full(math.NaN(), rows, m.out)
+				if err := m.net.ForwardInto(dst, xt); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				assertSameBits(t, name+" ForwardInto", dst.Data(), want)
+				di := 0
+				for _, e := range m.net.Layers {
+					d, ok := e.Layer.(*Dense)
+					if !ok {
+						continue
+					}
+					a, err := tensor.FromSlice(denseIn[di], rows, d.In)
+					if err != nil {
+						t.Fatal(err)
+					}
+					c := tensor.Full(math.NaN(), rows, d.Out)
+					if err := tensor.MatMulInto(c, a, d.Weight.W); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					assertSameBits(t, fmt.Sprintf("%s MatMulInto dense %d", name, di), c.Data(),
+						rowLoopDense(denseIn[di], d.Weight.W.Data(), make([]float64, d.Out), rows, d.In, d.Out))
+					di++
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestForwardSeesInPlaceWeightWrites pins that no forward pass keeps a

@@ -85,8 +85,14 @@ type model struct {
 	// loadMu serializes load steps (the poll and the learner's reload),
 	// so generations publish in the order their files were read.
 	loadMu sync.Mutex
-	sumMu  sync.Mutex
-	sum    string // ModelInfo.Checksum
+	// published holds the networks the last load stored, one per
+	// member, for close to take back out of the shared cache; released
+	// stops later loads. Both are guarded by loadMu.
+	published []*nn.Network
+	released  bool
+
+	sumMu sync.Mutex
+	sum   string // ModelInfo.Checksum
 	// loadedAt is when the served weights were (re)loaded — provenance
 	// for /v1/models, guarded by sumMu like the checksum it travels with.
 	loadedAt time.Time
@@ -121,7 +127,7 @@ type replica struct {
 // publishes its file set (inferring the dimensions from the primary
 // when the spec leaves them zero), then the replica pool is built on
 // the published generation. On failure every already-built replica is
-// closed.
+// closed and the published networks are released.
 func newModel(spec ModelSpec, cfg Config, met *metrics) (*model, error) {
 	if spec.Name == "" || spec.Path == "" {
 		return nil, fmt.Errorf("serve: model spec needs a name and a path, got %+v", spec)
@@ -146,7 +152,7 @@ func newModel(spec ModelSpec, cfg Config, met *metrics) (*model, error) {
 	for i := 0; i < cfg.Workers; i++ {
 		rep, err := newReplica(m, i, cfg.MaxBatch)
 		if err != nil {
-			m.closeReplicas()
+			m.close()
 			return nil, err
 		}
 		m.replicas = append(m.replicas, rep)
@@ -280,6 +286,9 @@ func moved(members, files []string, read []os.FileInfo) bool {
 func (m *model) load() (bool, error) {
 	m.loadMu.Lock()
 	defer m.loadMu.Unlock()
+	if m.released {
+		return false, ErrServerClosed
+	}
 	set, err := readSet(m.members)
 	if err != nil {
 		return false, err
@@ -309,6 +318,7 @@ func (m *model) load() (bool, error) {
 	for i, p := range m.members {
 		hpacml.StoreModel(p, nets[i], set.file(nn.QuantPath(p)))
 	}
+	m.published = nets
 	precision, reason := m.servedPrecision()
 	m.sumMu.Lock()
 	m.sum, m.loadedAt, m.precision, m.reason = set.sum, time.Now(), precision, reason
@@ -343,11 +353,20 @@ func (m *model) servedPrecision() (string, string) {
 	return e.Precision(), e.PrecisionReason()
 }
 
-// closeReplicas releases every replica engine built so far.
-func (m *model) closeReplicas() {
+// close releases every replica engine built so far, then drops the
+// networks load published from the shared model cache
+// (hpacml.ReleaseModel), so a closed server leaves no entry behind but
+// one another publisher stored since. No load publishes afterwards.
+func (m *model) close() {
 	for _, rep := range m.replicas {
 		rep.close()
 	}
+	m.loadMu.Lock()
+	defer m.loadMu.Unlock()
+	for i, net := range m.published {
+		hpacml.ReleaseModel(m.members[i], net)
+	}
+	m.published, m.released = nil, true
 }
 
 // validateDims checks that net maps [in]-feature samples to out total

@@ -171,7 +171,7 @@ func NewServer(cfg Config, specs ...ModelSpec) (*Server, error) {
 	}
 	closeAll := func() {
 		for _, m := range s.models {
-			m.closeReplicas()
+			m.close()
 		}
 		if s.ingest != nil {
 			s.ingest.close()
@@ -370,7 +370,8 @@ func (s *Server) pollReload() {
 // already queued, and waits for them to exit. In-flight and queued
 // ranges complete normally; only later submissions — a new request, or
 // the not-yet-enqueued remainder of a multi-range one — see
-// ErrServerClosed.
+// ErrServerClosed. Close then drops the networks it published from the
+// shared model cache, and later reloads fail with ErrServerClosed.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -386,7 +387,7 @@ func (s *Server) Close() error {
 	s.wg.Wait()
 	<-s.pollDone
 	for _, m := range s.models {
-		m.closeReplicas()
+		m.close()
 	}
 	if s.ingest != nil {
 		return s.ingest.close()

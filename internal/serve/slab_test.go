@@ -347,6 +347,7 @@ type stallHook struct {
 	entered   chan int      // receives each batch's row count as it parks
 	gate      chan struct{} // one receive (or release) lets one batch through
 	inService atomic.Int64
+	left      atomic.Int64 // batches let through, counted once out of inService
 	once      sync.Once
 }
 
@@ -363,6 +364,7 @@ func (h *stallHook) hook(_ string, rows int) {
 	h.entered <- rows
 	<-h.gate
 	h.inService.Add(-int64(rows))
+	h.left.Add(1)
 }
 
 func queueDepth(t *testing.T, s *Server) int64 {
@@ -422,6 +424,9 @@ func TestFrameInflightRowBound(t *testing.T) {
 			time.Sleep(50 * time.Microsecond)
 		}
 		stall.gate <- struct{}{}
+		// The send returns before the released batch leaves inService;
+		// until it has, the steady state above could be read stale.
+		waitFor(t, func() bool { return stall.left.Load() == int64(step+1) })
 	}
 	stall.release()
 	rec := <-resp

@@ -127,8 +127,8 @@ func PackF64(b, bias []float64, k, n int) *PackedF64 {
 // listed as (index, value) pairs, then the panels are swept in the outer
 // loop and the block's rows in the inner one, so a panel stays in L1
 // across the block while each row keeps its eight outputs in registers
-// across its list. act is applied to those registers before they are
-// stored.
+// across its list (two 256-bit registers on amd64 with AVX). act is
+// applied to those outputs before they are stored.
 func (p *PackedF64) Into(dst, a []float64, m int, act Act) {
 	if m == 0 || p.n == 0 {
 		return
@@ -202,10 +202,12 @@ type f64Entry struct {
 	v float64
 }
 
-// f64RowScratch is one worker's row-block lists.
+// f64RowScratch is one worker's row-block lists and the accumulators
+// one panel sweep leaves for the epilogue.
 type f64RowScratch struct {
 	list []f64Entry // [f64RowBlock][k]
 	cnt  [f64RowBlock]int
+	acc  [f64RowBlock][panelWidth]float64
 }
 
 var f64RowPool = sync.Pool{New: func() any { return new(f64RowScratch) }}
@@ -234,43 +236,58 @@ func (p *PackedF64) rows(dst, a []float64, lo, hi, q0, q1 int, act Act) {
 			}
 			s.cnt[r-r0] = cnt
 		}
-		// (b) Sweep the panels over the block.
+		// (b) Sweep the panels over the block, then (c) activate and
+		// store each row's eight outputs.
 		for q := q0; q < q1; q++ {
-			pw := p.w[q*k : (q+1)*k]
-			bias := &p.bias[q]
+			sweepF64(&s.acc, p.w[q*k:(q+1)*k], &p.bias[q], s.list, k, &s.cnt, r1-r0)
 			j0 := q * panelWidth
 			for r := r0; r < r1; r++ {
-				c0, c1, c2, c3 := bias[0], bias[1], bias[2], bias[3]
-				c4, c5, c6, c7 := bias[4], bias[5], bias[6], bias[7]
-				for _, e := range s.list[(r-r0)*k:][:s.cnt[r-r0]] {
-					w := &pw[e.k]
-					c0 += e.v * w[0]
-					c1 += e.v * w[1]
-					c2 += e.v * w[2]
-					c3 += e.v * w[3]
-					c4 += e.v * w[4]
-					c5 += e.v * w[5]
-					c6 += e.v * w[6]
-					c7 += e.v * w[7]
-				}
+				c := &s.acc[r-r0]
 				switch act {
 				case ActIdentity:
 				case ActReLU:
-					c0, c1, c2, c3 = relu(c0), relu(c1), relu(c2), relu(c3)
-					c4, c5, c6, c7 = relu(c4), relu(c5), relu(c6), relu(c7)
+					for i, v := range c {
+						c[i] = relu(v)
+					}
 				default:
-					c0, c1, c2, c3 = act.Of(c0), act.Of(c1), act.Of(c2), act.Of(c3)
-					c4, c5, c6, c7 = act.Of(c4), act.Of(c5), act.Of(c6), act.Of(c7)
+					for i, v := range c {
+						c[i] = act.Of(v)
+					}
 				}
 				orow := dst[r*n+j0 : (r+1)*n]
 				if len(orow) >= panelWidth {
-					*(*[panelWidth]float64)(orow) = [panelWidth]float64{c0, c1, c2, c3, c4, c5, c6, c7}
+					*(*[panelWidth]float64)(orow) = *c
 				} else {
-					tail := [panelWidth]float64{c0, c1, c2, c3, c4, c5, c6, c7}
-					copy(orow, tail[:])
+					copy(orow, c[:])
 				}
 			}
 		}
+	}
+}
+
+// sweepF64Go is the portable panel sweep, the only one off amd64 and
+// the reference the vector sweep is tested against. For each of the
+// block's rows r < rows it sets acc[r] to the panel's bias plus
+// v * pw[kk] for each of the row's cnt[r] listed entries (kk, v) in
+// list[r*k:], in list order. A row keeps its eight outputs in registers
+// across its list.
+func sweepF64Go(acc *[f64RowBlock][panelWidth]float64, pw [][panelWidth]float64, bias *[panelWidth]float64,
+	list []f64Entry, k int, cnt *[f64RowBlock]int, rows int) {
+	for r := 0; r < rows; r++ {
+		c0, c1, c2, c3 := bias[0], bias[1], bias[2], bias[3]
+		c4, c5, c6, c7 := bias[4], bias[5], bias[6], bias[7]
+		for _, e := range list[r*k:][:cnt[r]] {
+			w := &pw[e.k]
+			c0 += e.v * w[0]
+			c1 += e.v * w[1]
+			c2 += e.v * w[2]
+			c3 += e.v * w[3]
+			c4 += e.v * w[4]
+			c5 += e.v * w[5]
+			c6 += e.v * w[6]
+			c7 += e.v * w[7]
+		}
+		acc[r] = [panelWidth]float64{c0, c1, c2, c3, c4, c5, c6, c7}
 	}
 }
 

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -81,28 +82,30 @@ func TestPropMatMulMatchesReference(t *testing.T) {
 // whole gives bit-identical rows to computing any row subset: the batched
 // inference path relies on this to match sequential execution exactly.
 func TestMatMulBitIdenticalAcrossRowSplits(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const m, k, n = 96, 130, 50
-	a := randTensor(rng, m, k)
-	b := randTensor(rng, k, n)
-	whole := matMul(t, a, b)
-	for _, rows := range []int{1, 7, 32} {
-		for lo := 0; lo < m; lo += rows {
-			hi := min(lo+rows, m)
-			sub, err := a.Narrow(0, lo, hi-lo)
-			if err != nil {
-				t.Fatal(err)
-			}
-			part := matMul(t, sub, b)
-			for i := lo; i < hi; i++ {
-				for j := 0; j < n; j++ {
-					if part.At(i-lo, j) != whole.At(i, j) {
-						t.Fatalf("rows=%d: row %d differs from whole product", rows, i)
+	forF64Paths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		const m, k, n = 96, 130, 50
+		a := randTensor(rng, m, k)
+		b := randTensor(rng, k, n)
+		whole := matMul(t, a, b)
+		for _, rows := range []int{1, 7, 32} {
+			for lo := 0; lo < m; lo += rows {
+				hi := min(lo+rows, m)
+				sub, err := a.Narrow(0, lo, hi-lo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				part := matMul(t, sub, b)
+				for i := lo; i < hi; i++ {
+					for j := 0; j < n; j++ {
+						if part.At(i-lo, j) != whole.At(i, j) {
+							t.Fatalf("rows=%d: row %d differs from whole product", rows, i)
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestPackedF64MatchesDenseInto checks that a matrix packed once by
@@ -110,36 +113,38 @@ func TestMatMulBitIdenticalAcrossRowSplits(t *testing.T) {
 // across the serial case and both parallel splits, and that the packed
 // copy does not see later writes to the matrix it was packed from.
 func TestPackedF64MatchesDenseInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for _, s := range [][3]int{{0, 4, 5}, {1, 1, 1}, {1, 7, 3}, {7, 13, 8}, {9, 30, 17}, {70, 300, 64}, {9, 520, 530}} {
-		m, k, n := s[0], s[1], s[2]
-		a := randTensor(rng, m, k).Data()
-		b := randTensor(rng, k, n).Data()
-		for _, bias := range [][]float64{nil, randTensor(rng, n).Data()} {
-			want := make([]float64, m*n)
-			DenseInto(want, a, b, bias, m, k, n, ActReLU)
-			p := PackF64(b, bias, k, n)
-			got := make([]float64, m*n)
-			for i := range got {
-				got[i] = math.NaN()
-			}
-			p.Into(got, a, m, ActReLU)
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("[%d %d %d] bias=%t: element %d = %g, want %g", m, k, n, bias != nil, i, got[i], want[i])
+	forF64Paths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(31))
+		for _, s := range [][3]int{{0, 4, 5}, {1, 1, 1}, {1, 7, 3}, {7, 13, 8}, {9, 30, 17}, {70, 300, 64}, {9, 520, 530}} {
+			m, k, n := s[0], s[1], s[2]
+			a := randTensor(rng, m, k).Data()
+			b := randTensor(rng, k, n).Data()
+			for _, bias := range [][]float64{nil, randTensor(rng, n).Data()} {
+				want := make([]float64, m*n)
+				DenseInto(want, a, b, bias, m, k, n, ActReLU)
+				p := PackF64(b, bias, k, n)
+				got := make([]float64, m*n)
+				for i := range got {
+					got[i] = math.NaN()
 				}
-			}
-			for i := range b {
-				b[i] += 1
-			}
-			p.Into(got, a, m, ActReLU)
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("[%d %d %d]: the packed copy saw a write to b", m, k, n)
+				p.Into(got, a, m, ActReLU)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("[%d %d %d] bias=%t: element %d = %g, want %g", m, k, n, bias != nil, i, got[i], want[i])
+					}
+				}
+				for i := range b {
+					b[i] += 1
+				}
+				p.Into(got, a, m, ActReLU)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("[%d %d %d]: the packed copy saw a write to b", m, k, n)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestMatMulStridedOperands(t *testing.T) {
@@ -231,13 +236,20 @@ func TestTransposeInto(t *testing.T) {
 	}
 }
 
+// BenchmarkMatMul times MatMulInto on square products and on shapes
+// either side of matMulParFLOPs (2^18 multiply-adds): square ones, which
+// split by rows, and few-row ones through a 512-wide layer, which split
+// by panels. Compare -cpu 1 with -cpu 2 to place the threshold.
 func BenchmarkMatMul(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	for _, size := range []int{64, 256} {
-		x := randTensor(rng, size, size)
-		y := randTensor(rng, size, size)
-		b.Run(fmt.Sprintf("n%d", size), func(b *testing.B) {
-			dst := New(size, size)
+	for _, s := range [][3]int{{64, 64, 64}, {256, 256, 256},
+		{32, 64, 64}, {64, 64, 128}, {64, 128, 128},
+		{1, 256, 512}, {1, 512, 512}, {2, 512, 512}, {4, 512, 512}} {
+		m, k, n := s[0], s[1], s[2]
+		x := randTensor(rng, m, k)
+		y := randTensor(rng, k, n)
+		b.Run(fmt.Sprintf("%dx%dx%d", m, k, n), func(b *testing.B) {
+			dst := New(m, n)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if err := MatMulInto(dst, x, y); err != nil {
@@ -245,5 +257,182 @@ func BenchmarkMatMul(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// forF64Paths runs f under the vector sweep, when this CPU has one, and
+// under the portable sweep.
+func forF64Paths(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	saved := f64Vector
+	defer func() { f64Vector = saved }()
+	if saved {
+		t.Run("vector", f)
+	}
+	f64Vector = false
+	t.Run("portable", f)
+}
+
+// BenchmarkPackedF64 times PackedF64.Into on the benchmark models' layer
+// shapes, at a 32-row batch of nonzero activations, under each sweep
+// this CPU has. ns/entry is per listed activation per 8-column panel:
+// one broadcast, eight multiplies and eight adds.
+func BenchmarkPackedF64(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	paths := []bool{false}
+	if f64Vector {
+		paths = []bool{true, false}
+	}
+	defer func(saved bool) { f64Vector = saved }(f64Vector)
+	for _, s := range [][3]int{{32, 512, 512}, {32, 64, 32}, {32, 3, 64}} {
+		m, k, n := s[0], s[1], s[2]
+		a := make([]float64, m*k)
+		for i := range a {
+			a[i] = 0.5 + rng.Float64()
+		}
+		p := PackF64(randTensor(rng, k, n).Data(), randTensor(rng, n).Data(), k, n)
+		dst := make([]float64, m*n)
+		for _, vec := range paths {
+			name := fmt.Sprintf("%dx%dx%d/portable", m, k, n)
+			if vec {
+				name = fmt.Sprintf("%dx%dx%d/vector", m, k, n)
+			}
+			b.Run(name, func(b *testing.B) {
+				f64Vector = vec
+				for b.Loop() {
+					p.Into(dst, a, m, ActReLU)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*m*k*p.panels), "ns/entry")
+			})
+		}
+	}
+}
+
+// FuzzPackedF64 checks the f64 row kernel on raw float64 bits, so ±0,
+// ±Inf, NaN payloads and subnormals all reach it, at any shape up to
+// [70, 40] x [40, 40] (one row, odd rows, rows across the 32-row block,
+// n = 1 and partial panels), under every activation, with and without a
+// bias. data supplies a, then b, then the bias, eight bytes a value,
+// cycled byte by byte. Into and DenseInto under the vector sweep, the
+// same under the portable sweep, and a plain row loop must agree bit for
+// bit, except that any two NaNs match: which payload survives NaN + NaN
+// is whichever operand the compiler makes the destination, and Go treats
+// both operations as commutative (the fuzzer's instrumented build of the
+// portable sweep adds product + acc where the plain build adds
+// acc + product). TestSweepF64AVXOperandOrder pins the vector sweep's.
+func FuzzPackedF64(f *testing.F) {
+	var specials []byte
+	for _, v := range []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.Float64frombits(0x7ff8_0000_0000_0001), math.Float64frombits(0xfff4_0000_0000_0002),
+		math.SmallestNonzeroFloat64, -0x1p-1040, 1.5, -2, 1e308, 3} {
+		specials = binary.LittleEndian.AppendUint64(specials, math.Float64bits(v))
+	}
+	f.Add(uint8(0), uint8(1), uint8(0), uint8(0), specials)
+	f.Add(uint8(32), uint8(13), uint8(16), uint8(1), specials)
+	f.Add(uint8(68), uint8(40), uint8(8), uint8(2), specials[8:])
+	f.Add(uint8(6), uint8(7), uint8(12), uint8(3), specials[16:])
+	f.Add(uint8(34), uint8(9), uint8(23), uint8(4|8), specials[24:])
+	f.Add(uint8(2), uint8(0), uint8(3), uint8(1), []byte{})
+	f.Fuzz(func(t *testing.T, mb, kb, nb, ab uint8, data []byte) {
+		m, k, n, act := 1+int(mb)%70, int(kb)%41, 1+int(nb)%40, Act(ab%5)
+		word := func(i int) float64 {
+			var w [8]byte
+			for j := range w {
+				if len(data) > 0 {
+					w[j] = data[(8*i+j)%len(data)]
+				}
+			}
+			return math.Float64frombits(binary.LittleEndian.Uint64(w[:]))
+		}
+		a, b, bias := make([]float64, m*k), make([]float64, k*n), make([]float64, n)
+		for i := range a {
+			a[i] = word(i)
+		}
+		for i := range b {
+			b[i] = word(len(a) + i)
+		}
+		for i := range bias {
+			bias[i] = word(len(a) + len(b) + i)
+		}
+		if ab&8 != 0 {
+			bias = nil
+		}
+		want := make([]float64, m*n)
+		for r := 0; r < m; r++ {
+			orow := want[r*n : (r+1)*n]
+			copy(orow, bias)
+			for kk, v := range a[r*k : (r+1)*k] {
+				if v == 0 {
+					continue
+				}
+				for j := range orow {
+					orow[j] += v * b[kk*n+j]
+				}
+			}
+			act.Map(orow, orow)
+		}
+		defer func(saved bool) { f64Vector = saved }(f64Vector)
+		paths := []bool{false}
+		if f64Vector {
+			paths = []bool{true, false}
+		}
+		p := PackF64(b, bias, k, n)
+		for _, vec := range paths {
+			f64Vector = vec
+			got, dense := make([]float64, m*n), make([]float64, m*n)
+			p.Into(got, a, m, act)
+			DenseInto(dense, a, b, bias, m, k, n, act)
+			for i := range want {
+				if !sameBits(got[i], want[i]) || !sameBits(dense[i], want[i]) {
+					t.Fatalf("[%d %d %d] act %d bias %t vector %t element %d: Into %#x, DenseInto %#x, want %#x",
+						m, k, n, act, bias != nil, vec, i, math.Float64bits(got[i]), math.Float64bits(dense[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
+	})
+}
+
+// sameBits is bitwise equality, except that any two NaNs match.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+}
+
+// TestSweepF64AVXOperandOrder pins the vector sweep's operand order with
+// NaN payloads, which x86 takes from the first operand when both are
+// NaN: each product is weight * value and each sum acc + product.
+func TestSweepF64AVXOperandOrder(t *testing.T) {
+	if !f64Vector {
+		t.Skip("no vector sweep on this CPU")
+	}
+	nan := func(payload uint64) float64 { return math.Float64frombits(0x7ff8_0000_0000_0000 | payload) }
+	for _, c := range []struct {
+		name       string
+		bias, w, v float64
+		want       float64
+	}{
+		{"weight*value", 1, nan(2), nan(3), nan(2)},
+		{"acc+product", nan(1), nan(2), nan(3), nan(1)},
+	} {
+		var bias, w [panelWidth]float64
+		for j := range bias {
+			bias[j], w[j] = c.bias, c.w
+		}
+		for _, rows := range []int{1, 2, 3} {
+			var acc [f64RowBlock][panelWidth]float64
+			var cnt [f64RowBlock]int
+			list := make([]f64Entry, rows)
+			for r := range list {
+				list[r], cnt[r] = f64Entry{0, c.v}, 1
+			}
+			sweepF64(&acc, [][panelWidth]float64{w}, &bias, list, 1, &cnt, rows)
+			for r := 0; r < rows; r++ {
+				for j, got := range acc[r] {
+					if math.Float64bits(got) != math.Float64bits(c.want) {
+						t.Fatalf("%s, %d rows: row %d lane %d = %#x, want %#x", c.name, rows, r, j,
+							math.Float64bits(got), math.Float64bits(c.want))
+					}
+				}
+			}
+		}
 	}
 }
