@@ -144,23 +144,26 @@ func denseKernelInputs(rng *rand.Rand, rows, in int, special bool) []float64 {
 	return x
 }
 
-// f64Vector is internal/tensor's choice between its vector and its
-// portable f64 sweep, linked here so that the oracle tests below hold
-// both.
+// f64Vector and i8Vector are internal/tensor's choices between its
+// vector and its portable f64 and int8 sweeps, linked here so that the
+// oracle tests hold both.
 //
 //go:linkname f64Vector repro/internal/tensor.f64Vector
 var f64Vector bool
 
-// forF64Paths runs f under the vector sweep, when this CPU has one, and
-// under the portable sweep.
-func forF64Paths(t *testing.T, f func(t *testing.T)) {
+//go:linkname i8Vector repro/internal/tensor.i8Vector
+var i8Vector bool
+
+// forSweeps runs f under the vector sweep *vector selects, when this
+// CPU has one, and under the portable sweep.
+func forSweeps(t *testing.T, vector *bool, f func(t *testing.T)) {
 	t.Helper()
-	saved := f64Vector
-	defer func() { f64Vector = saved }()
+	saved := *vector
+	defer func() { *vector = saved }()
 	if saved {
 		t.Run("vector", f)
 	}
-	f64Vector = false
+	*vector = false
 	t.Run("portable", f)
 }
 
@@ -172,7 +175,7 @@ func forF64Paths(t *testing.T, f func(t *testing.T)) {
 // biases are -0 (a zero row must keep it), and some inputs are ±Inf or
 // NaN (a skipped zero must never meet an infinite weight).
 func TestDenseKernelMatchesRowLoop(t *testing.T) {
-	forF64Paths(t, func(t *testing.T) {
+	forSweeps(t, &f64Vector, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(27))
 		type model struct {
 			name    string

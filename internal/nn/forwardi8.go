@@ -10,21 +10,22 @@ import (
 
 // ForwardI8 is an int8 inference program compiled from a Network and a
 // QuantCalib once: dense weights are quantized per output channel
-// (symmetric, scale = maxabs/127) and packed three 21-bit lanes per
-// 64-bit word (tensor.PackedInt8 — 8/3 bytes per weight resident, two
-// thirds of the f32 path; the int8 slab is not kept), activations are
-// quantized per layer
-// from the calibrated ranges, and each segment then runs as one
-// row-fused kernel: tensor.PackedInt8.MatMulRows produces a row's exact
-// int32 accumulator and the segment's epilogue consumes it while it is
-// still in L1, inside the GEMM's own parallel row split — no
-// [rows, n] accumulator slab, no serial pass.
+// (symmetric, scale = maxabs/127) and packed as int16 depth pairs in
+// 16-column panels (tensor.PackedInt8 — 2 bytes per weight resident,
+// half the f32 path's; the int8 slab is not kept), activations are
+// quantized per layer from the calibrated ranges, and each segment then
+// runs as one row-fused kernel: tensor.PackedInt8.MatMulRows produces a
+// row's exact int32 accumulator and the segment's epilogue consumes it
+// while it is still in L1, inside the GEMM's own parallel row split —
+// no [rows, n] accumulator slab, no serial pass. On amd64 with AVX2 the
+// kernel's panel sweep is VPMADDWD assembly, two MACs per int32 lane.
 //
-// Two things make the path faster than f32 rather than merely smaller.
-// The kernel skips activations equal to the segment's centre, the input
-// zero point clamped to int8: an asymmetric encoding stores a real 0.0
-// as the zero-point code, not as 0, so this is what restores the skip
-// of the exact zeros ReLU produces that the float kernels get for free
+// Two more things make the path faster than f32 rather than merely
+// smaller. The kernel skips pairs of activations equal to the segment's
+// centre, the input zero point clamped to int8: an asymmetric encoding
+// stores a real 0.0 as the zero-point code, not as 0, so this is what
+// restores the skip of the exact zeros ReLU produces that the float
+// kernels get for free
 // (sum((q-c)*w) = sum(q*w) - c*colSum is exact in integers, so the
 // centre is purely a work-saving choice and any zero point, including
 // one a one-sided calibration range pushes outside int8, is handled by

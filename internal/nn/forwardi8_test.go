@@ -554,56 +554,58 @@ func randomMLP(rng *rand.Rand) (*Network, int, int) {
 // Forward equals refForwardI8 in every output bit — including batches
 // wide enough to take the parallel row split, single rows and no rows.
 func TestForwardI8MatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 60; trial++ {
-		net, inDim, outDim := randomMLP(rng)
-		spread := 0.5 + 2*rng.Float64()
-		shift := 0.0
-		if rng.Intn(3) == 0 {
-			shift = 4 * rng.NormFloat64() // one-sided input ranges
-		}
-		slab := func(rows int) []float64 {
-			s := calibSlab(rng.Int63(), rows, inDim, spread)
-			for i := range s {
-				s[i] += shift
+	forSweeps(t, &i8Vector, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(99))
+		for trial := 0; trial < 60; trial++ {
+			net, inDim, outDim := randomMLP(rng)
+			spread := 0.5 + 2*rng.Float64()
+			shift := 0.0
+			if rng.Intn(3) == 0 {
+				shift = 4 * rng.NormFloat64() // one-sided input ranges
 			}
-			return s
-		}
-		calibX, err := tensor.FromSlice(slab(300), 300, inDim)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := CalibConfig{}
-		if trial%2 == 1 {
-			cfg = CalibConfig{Mode: QuantPercentile, Q: 0.01}
-		}
-		calib, err := CalibrateI8(net, calibX, cfg)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		f, err := NewForwardI8(net, calib)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		for _, rows := range []int{0, 1, 1 + rng.Intn(40), 600} {
-			in := slab(rows)
-			want := refForwardI8(t, net, f, in, rows)
-			got := make([]float64, rows*outDim)
-			if err := f.Forward(got, in, rows); err != nil {
+			slab := func(rows int) []float64 {
+				s := calibSlab(rng.Int63(), rows, inDim, spread)
+				for i := range s {
+					s[i] += shift
+				}
+				return s
+			}
+			calibX, err := tensor.FromSlice(slab(300), 300, inDim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := CalibConfig{}
+			if trial%2 == 1 {
+				cfg = CalibConfig{Mode: QuantPercentile, Q: 0.01}
+			}
+			calib, err := CalibrateI8(net, calibX, cfg)
+			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("trial %d (%s, %d -> %d, %d segments) rows %d element %d: got %v, want %v",
-						trial, cfg.Mode, inDim, outDim, len(f.segs), rows, i, got[i], want[i])
+			f, err := NewForwardI8(net, calib)
+			if err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			for _, rows := range []int{0, 1, 1 + rng.Intn(40), 600} {
+				in := slab(rows)
+				want := refForwardI8(t, net, f, in, rows)
+				got := make([]float64, rows*outDim)
+				if err := f.Forward(got, in, rows); err != nil {
+					t.Fatalf("trial %d: %v", trial, err)
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("trial %d (%s, %d -> %d, %d segments) rows %d element %d: got %v, want %v",
+							trial, cfg.Mode, inDim, outDim, len(f.segs), rows, i, got[i], want[i])
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestForwardI8SteadyStateAllocs: once the pooled scratch — the
-// activation slabs here, the index/value lists and lane accumulator in
+// activation slabs here, the pair lists and row-block accumulators in
 // tensor — has grown to the batch, Forward allocates nothing. (Batches
 // past the GEMM's parallel threshold pay for their goroutines, like the
 // float paths.)

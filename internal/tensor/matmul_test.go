@@ -82,7 +82,7 @@ func TestPropMatMulMatchesReference(t *testing.T) {
 // whole gives bit-identical rows to computing any row subset: the batched
 // inference path relies on this to match sequential execution exactly.
 func TestMatMulBitIdenticalAcrossRowSplits(t *testing.T) {
-	forF64Paths(t, func(t *testing.T) {
+	forSweeps(t, &f64Vector, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		const m, k, n = 96, 130, 50
 		a := randTensor(rng, m, k)
@@ -113,7 +113,7 @@ func TestMatMulBitIdenticalAcrossRowSplits(t *testing.T) {
 // across the serial case and both parallel splits, and that the packed
 // copy does not see later writes to the matrix it was packed from.
 func TestPackedF64MatchesDenseInto(t *testing.T) {
-	forF64Paths(t, func(t *testing.T) {
+	forSweeps(t, &f64Vector, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(31))
 		for _, s := range [][3]int{{0, 4, 5}, {1, 1, 1}, {1, 7, 3}, {7, 13, 8}, {9, 30, 17}, {70, 300, 64}, {9, 520, 530}} {
 			m, k, n := s[0], s[1], s[2]
@@ -260,17 +260,26 @@ func BenchmarkMatMul(b *testing.B) {
 	}
 }
 
-// forF64Paths runs f under the vector sweep, when this CPU has one, and
-// under the portable sweep.
-func forF64Paths(t *testing.T, f func(t *testing.T)) {
+// forSweeps runs f under the vector sweep *vector selects, when this
+// CPU has one, and under the portable sweep.
+func forSweeps(t *testing.T, vector *bool, f func(t *testing.T)) {
 	t.Helper()
-	saved := f64Vector
-	defer func() { f64Vector = saved }()
+	saved := *vector
+	defer func() { *vector = saved }()
 	if saved {
 		t.Run("vector", f)
 	}
-	f64Vector = false
+	*vector = false
 	t.Run("portable", f)
+}
+
+// sweeps lists the values a sweep switch can take on this CPU, vector
+// first, for a fuzz target or benchmark that sets it to each in turn.
+func sweeps(vector bool) []bool {
+	if vector {
+		return []bool{true, false}
+	}
+	return []bool{false}
 }
 
 // BenchmarkPackedF64 times PackedF64.Into on the benchmark models' layer
@@ -279,10 +288,7 @@ func forF64Paths(t *testing.T, f func(t *testing.T)) {
 // one broadcast, eight multiplies and eight adds.
 func BenchmarkPackedF64(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	paths := []bool{false}
-	if f64Vector {
-		paths = []bool{true, false}
-	}
+	paths := sweeps(f64Vector)
 	defer func(saved bool) { f64Vector = saved }(f64Vector)
 	for _, s := range [][3]int{{32, 512, 512}, {32, 64, 32}, {32, 3, 64}} {
 		m, k, n := s[0], s[1], s[2]
@@ -372,10 +378,7 @@ func FuzzPackedF64(f *testing.F) {
 			act.Map(orow, orow)
 		}
 		defer func(saved bool) { f64Vector = saved }(f64Vector)
-		paths := []bool{false}
-		if f64Vector {
-			paths = []bool{true, false}
-		}
+		paths := sweeps(f64Vector)
 		p := PackF64(b, bias, k, n)
 		for _, vec := range paths {
 			f64Vector = vec

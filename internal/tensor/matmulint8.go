@@ -12,36 +12,36 @@ import (
 // of magnitude at most 128, so a row's int32 accumulator holds any
 // centred sum of up to 65536 such products (65536 * 255 * 128 < 2^31)
 // and nothing past it; packing refuses deeper matrices instead of
-// overflowing silently. The 21-bit lanes never see a sum that long:
-// they are flushed into the accumulator every flushEvery products.
+// overflowing silently. One pair of products, the unit the sweep adds,
+// is at most 2 * 255 * 128 = 65280 in magnitude, far inside an int32
+// lane.
 const MaxInt8Depth = 1 << 16
 
-// laneBits is the width of one accumulator lane of a packed word, and
-// flushEvery the number of listed activations the lanes accumulate
-// before they are separated into the int32 accumulator. A lane sums at
-// most flushEvery products of magnitude 255 * 128, and
-// flushEvery * 255 * 128 = 1044480 < 2^20, so the low and middle lanes
-// stay exact as signed 21-bit fields and the top lane stays far below
-// 2^63. flushEvery is a multiple of the four-row unroll.
-const (
-	laneBits   = 21
-	flushEvery = 32
-)
+// i8PanelWidth is the column count of a packed int8 panel: the int32
+// accumulators one row keeps in registers (two 256-bit registers on
+// amd64 with AVX2).
+const i8PanelWidth = 16
+
+// i8RowBlock is how many rows list their activations before the panels
+// sweep them, as f64RowBlock is for the f64 kernel.
+const i8RowBlock = 32
+
+// i8PanelRow is one pair row of a panel: for each of the panel's
+// columns j, the weights at depths 2p and 2p+1 as an int16 pair, so one
+// pair row is 64 bytes and one multiply-add of a pair of centred codes
+// against it performs two MACs per column. Its two halves, columns 0-7
+// and 8-15, are one 256-bit register each.
+type i8PanelRow [i8PanelWidth][2]int16
 
 // PackedInt8 is a [k, n] int8 weight matrix packed for the int8 row
-// kernel: columns 3j, 3j+1 and 3j+2 of row kk share one int64 word,
-// w[kk][3j] + w[kk][3j+1]<<21 + w[kk][3j+2]<<42, so one 64-bit
-// multiply-add by a widened activation performs three MACs with no
-// per-element sign extension (when 3 does not divide n, the last word's
-// upper lanes are empty). The three lanes accumulate independently for
-// up to flushEvery activations and are then separated into the row's
-// int32 accumulator. The packed form is 8/3 bytes per weight. A
+// kernel: panel q holds columns 16q to 16q+15 as [ceil(k/2)] pair rows,
+// the last panel's columns past n zero, and an odd k's last pair padded
+// with a zero weight row. The packed form is 2 bytes per weight. A
 // PackedInt8 is immutable once packed and safe for concurrent use.
 type PackedInt8 struct {
-	k, n   int
-	words  int     // ceil(n/3) int64 words per row
-	w      []int64 // [k, words]
-	colSum []int32 // per-column weight sums, for the centring identity; 3*words long, zero past n
+	k, n, pairs, panels int
+	w                   []i8PanelRow          // [panels*pairs]: panel q is w[q*pairs:(q+1)*pairs]
+	colSum              [][i8PanelWidth]int32 // [panels] per-column weight sums, for the centring identity; 0 past n
 }
 
 // PackInt8 packs the row-major [k, n] int8 matrix b.
@@ -53,7 +53,8 @@ func PackInt8(b []int8, k, n int) (*PackedInt8, error) {
 	return p, nil
 }
 
-// pack fills p from b, reusing p's buffers when they are large enough.
+// pack fills p from b, reusing p's buffers when they are large enough,
+// panel by panel so the writes stream.
 func (p *PackedInt8) pack(b []int8, k, n int) error {
 	if k < 0 || n < 0 || len(b) != k*n {
 		return fmt.Errorf("tensor: packing %d int8 elems as [%d %d]", len(b), k, n)
@@ -61,29 +62,22 @@ func (p *PackedInt8) pack(b []int8, k, n int) error {
 	if k > MaxInt8Depth {
 		return fmt.Errorf("tensor: int8 depth %d exceeds %d, past which the int32 accumulator is no longer exact", k, MaxInt8Depth)
 	}
-	words := (n + 2) / 3
-	p.k, p.n, p.words = k, n, words
-	p.w = growSlice(p.w, k*words)
-	p.colSum = growSlice(p.colSum, 3*words)
+	p.k, p.n = k, n
+	p.pairs, p.panels = (k+1)/2, (n+i8PanelWidth-1)/i8PanelWidth
+	p.w = growSlice(p.w, p.panels*p.pairs)
+	p.colSum = growSlice(p.colSum, p.panels)
+	clear(p.w) // the pads: columns past n and an odd k's last weight row
 	clear(p.colSum)
-	colSum := p.colSum
-	for kk := 0; kk < k; kk++ {
-		brow := b[kk*n : (kk+1)*n]
-		wrow := p.w[kk*words : (kk+1)*words]
-		j := 0
-		for ; j+3 <= n; j += 3 {
-			l, m, h := brow[j], brow[j+1], brow[j+2]
-			colSum[j] += int32(l)
-			colSum[j+1] += int32(m)
-			colSum[j+2] += int32(h)
-			wrow[j/3] = int64(l) + int64(m)<<laneBits + int64(h)<<(2*laneBits)
-		}
-		if j < n {
-			wrow[words-1] = 0
-		}
-		for ; j < n; j++ {
-			colSum[j] += int32(brow[j])
-			wrow[words-1] += int64(brow[j]) << (laneBits * (j % 3))
+	for q := range p.colSum {
+		pw := p.w[q*p.pairs : (q+1)*p.pairs]
+		j0 := q * i8PanelWidth
+		cs := p.colSum[q][:min(i8PanelWidth, n-j0)]
+		for kk := 0; kk < k; kk++ {
+			row, pr, h := b[kk*n+j0:][:len(cs)], pw[kk/2][:len(cs)], kk%2
+			for j, v := range row {
+				pr[j][h] = int16(v)
+				cs[j] += int32(v)
+			}
 		}
 	}
 	return nil
@@ -97,21 +91,23 @@ type Int8RowSink interface {
 	Int8Row(i int, acc []int32)
 }
 
-// MatMulRows computes a @ p one output row at a time, a being [m, k]
-// row-major int8 activation codes, and hands each row's int32
-// accumulator to sink as soon as it is complete — the caller's epilogue
-// runs on an L1-resident row inside the same parallel row split, and no
-// [m, n] accumulator slab exists.
+// MatMulRows computes a @ p, a being [m, k] row-major int8 activation
+// codes, and hands each row's int32 accumulator to sink as soon as its
+// row block is complete — the caller's epilogue runs on an L1-resident
+// row inside the same parallel row split, and no [m, n] accumulator
+// slab exists.
 //
-// centre is the code the kernel skips: per row it lists the activations
-// that differ from centre as (index, q - centre) pairs, accumulates only
-// those, and adds centre * colSum[j] back, which is exact in integers
-// because sum((q-c) * w) = sum(q * w) - c * colSum. Passing the
-// (clamped) zero point of an asymmetric encoding therefore skips every
-// activation that encodes a real 0.0 — what ReLU produces in bulk —
-// whatever code that zero happens to land on; a row with nothing to skip
-// takes the same loop with a full list. The accumulator handed to sink
-// is sum(q * w) bit for bit, independent of centre, blocking and split.
+// centre is the code the kernel skips: per row it lists the depth pairs
+// whose two codes are not both at centre as (pair, (q0-c, q1-c))
+// entries, accumulates only those, and starts each output from
+// centre * colSum[j], which is exact in integers because
+// sum((q-c) * w) = sum(q * w) - c * colSum. Passing the (clamped) zero
+// point of an asymmetric encoding therefore skips every pair of
+// activations that encode a real 0.0 — what ReLU produces in bulk —
+// whatever code that zero happens to land on; a row with nothing to
+// skip takes the same loop with a full list. The accumulator handed to
+// sink is sum(q * w) bit for bit, independent of centre, blocking,
+// sweep and split.
 func (p *PackedInt8) MatMulRows(a []int8, m int, centre int8, sink Int8RowSink) error {
 	if m < 0 || len(a) != m*p.k {
 		return fmt.Errorf("tensor: matmul-i8 activations %d elems, want [%d %d]", len(a), m, p.k)
@@ -122,9 +118,17 @@ func (p *PackedInt8) MatMulRows(a []int8, m int, centre int8, sink Int8RowSink) 
 
 // matMul splits the rows like the float kernels do and runs the row
 // kernel on each range, into dst when it is non-nil and through sink
-// otherwise.
+// otherwise. A multiply-add under the vector sweep costs about a quarter
+// of what matMulParFLOPs was sized for, so there it counts a quarter: on
+// two cores a row split of the vector sweep lost to the serial kernel up
+// to 2^19 multiply-adds and broke even at 2^20, while the portable
+// sweep's split already won at 2^18.
 func (p *PackedInt8) matMul(dst []int32, a []int8, m int, centre int8, sink Int8RowSink) {
-	if m*p.k*p.n < matMulParFLOPs {
+	macs := m * p.k * p.n
+	if i8Vector {
+		macs /= 4
+	}
+	if macs < matMulParFLOPs {
 		p.rows(dst, a, 0, m, centre, sink)
 		return
 	}
@@ -133,120 +137,127 @@ func (p *PackedInt8) matMul(dst []int32, a []int8, m int, centre int8, sink Int8
 	})
 }
 
-// int8RowScratch is one worker's per-row state: the compacted
-// activation list, the three-lane words, and the int32 accumulator the
-// lanes are flushed into (3*words long, so the flush needs no tail).
-type int8RowScratch struct {
-	idx   []int32
-	val   []int64
-	lanes []int64
-	acc   []int32
+// i8Entry is one listed pair: its index p and its two centred codes,
+// q[2p]-c in the low 16 bits of v and q[2p+1]-c in the high 16, as
+// two's-complement int16s.
+type i8Entry struct {
+	p int32
+	v uint32
 }
 
-var int8RowPool = sync.Pool{New: func() any { return new(int8RowScratch) }}
+// i8RowScratch is one worker's row-block lists, the sweep's starting
+// values, and the block's finished rows.
+type i8RowScratch struct {
+	list []i8Entry             // [i8RowBlock][pairs]
+	cnt  [i8RowBlock]int       // listed entries per row
+	base [][i8PanelWidth]int32 // [panels]: centre * colSum
+	out  []int32               // [i8RowBlock][panels*i8PanelWidth]
+}
 
-// rows is the one int8 inner loop: output rows [lo, hi).
+var i8RowPool = sync.Pool{New: func() any { return new(i8RowScratch) }}
+
+// rows is the one int8 inner loop: output rows [lo, hi). Rows are
+// taken a block at a time: (a) each row lists its pairs, (b) the panels
+// are swept in the outer loop and the block's rows in the inner one, so
+// a panel stays in L1 across the block while each row keeps its sixteen
+// outputs in registers across its list, and (c) each finished row goes
+// to dst or sink.
 func (p *PackedInt8) rows(dst []int32, a []int8, lo, hi int, centre int8, sink Int8RowSink) {
-	k, n, words := p.k, p.n, p.words
-	s := int8RowPool.Get().(*int8RowScratch)
-	defer int8RowPool.Put(s)
-	s.idx = growSlice(s.idx, k)
-	s.val = growSlice(s.val, k)
-	s.lanes = growSlice(s.lanes, words)
-	s.acc = growSlice(s.acc, 3*words)
-	idx, val, lanes, acc := s.idx, s.val, s.lanes, s.acc
-	clear(lanes) // every flush leaves them zero again
+	k, n, pairs := p.k, p.n, p.pairs
+	width := p.panels * i8PanelWidth
+	s := i8RowPool.Get().(*i8RowScratch)
+	defer i8RowPool.Put(s)
+	block := min(i8RowBlock, hi-lo)
+	s.list = growSlice(s.list, block*pairs)
+	s.out = growSlice(s.out, block*width)
+	s.base = growSlice(s.base, p.panels)
 	c := int32(centre)
-	for i := lo; i < hi; i++ {
-		// (a) List the activations that differ from the centre.
-		cnt := listRow(idx, val, a[i*k:(i+1)*k], c)
-		// (b) Start from the centring correction, then accumulate the
-		// list in chunks of flushEvery: four listed weight rows per pass
-		// over the lanes (one load and one store of each word per twelve
-		// MACs), and the lanes flushed into acc after each chunk.
-		for j, cs := range p.colSum {
-			acc[j] = c * cs
+	for q, cs := range p.colSum {
+		for j, v := range cs {
+			s.base[q][j] = c * v
 		}
-		for t0 := 0; t0 < cnt; t0 += flushEvery {
-			t1 := min(t0+flushEvery, cnt)
-			t := t0
-			for ; t+4 <= t1; t += 4 {
-				lanes4(lanes, p.w[int(idx[t])*words:], p.w[int(idx[t+1])*words:],
-					p.w[int(idx[t+2])*words:], p.w[int(idx[t+3])*words:],
-					val[t], val[t+1], val[t+2], val[t+3])
+	}
+	for r0 := lo; r0 < hi; r0 += i8RowBlock {
+		r1 := min(r0+i8RowBlock, hi)
+		for r := r0; r < r1; r++ {
+			s.cnt[r-r0] = listPairs(s.list[(r-r0)*pairs:][:pairs], a[r*k:(r+1)*k], c)
+		}
+		for q := range p.panels {
+			sweepI8(s.out[q*i8PanelWidth:], width, p.w[q*pairs:(q+1)*pairs], &s.base[q],
+				s.list, pairs, &s.cnt, r1-r0)
+		}
+		for r := r0; r < r1; r++ {
+			acc := s.out[(r-r0)*width:][:n]
+			if dst != nil {
+				copy(dst[r*n:(r+1)*n], acc)
 			}
-			for ; t < t1; t++ {
-				v0 := val[t]
-				r0 := p.w[int(idx[t])*words:][:len(lanes)]
-				for j := range lanes {
-					lanes[j] += v0 * r0[j]
-				}
+			if sink != nil {
+				sink.Int8Row(r, acc)
 			}
-			flushLanes(acc, lanes)
-		}
-		if dst != nil {
-			copy(dst[i*n:(i+1)*n], acc)
-		}
-		if sink != nil {
-			sink.Int8Row(i, acc[:n])
 		}
 	}
 }
 
-// listRow lists the codes of row a that differ from centre c as
-// (index, q - c) pairs in idx and val and returns how many there are.
-// It stores every code unconditionally and advances the count only past
+// listPairs lists the depth pairs of row a whose codes are not both at
+// centre c into list (ceil(len(a)/2) long) and returns how many there
+// are; an odd row's last pair takes c as its missing second code. It
+// stores every pair unconditionally and advances the count only past
 // one off the centre: ReLU leaves a large share of the hidden codes at
-// the centre in no order, and a branch on each would mispredict. Like
-// lanes4 and flushLanes it stays out of line, where its loop keeps
-// everything in registers.
+// the centre in no order, and a branch on each would mispredict. It
+// stays out of line, where its loop keeps everything in registers.
 //
 //go:noinline
-func listRow(idx []int32, val []int64, a []int8, c int32) int {
+func listPairs(list []i8Entry, a []int8, c int32) int {
 	cnt := 0
-	for kk, q := range a {
-		d := int32(q) - c
-		idx[cnt], val[cnt] = int32(kk), int64(d)
-		if d != 0 {
+	even := a[:len(a)&^1]
+	for pp := range len(even) / 2 {
+		d0, d1 := int32(even[2*pp])-c, int32(even[2*pp+1])-c
+		v := uint32(uint16(d0)) | uint32(d1)<<16
+		list[cnt] = i8Entry{int32(pp), v}
+		if v != 0 {
+			cnt++
+		}
+	}
+	if len(a) != len(even) {
+		pp := len(even) / 2
+		d0 := int32(a[2*pp]) - c
+		list[cnt] = i8Entry{int32(pp), uint32(uint16(d0))}
+		if d0 != 0 {
 			cnt++
 		}
 	}
 	return cnt
 }
 
-// lanes4 adds v0*r0 + v1*r1 + v2*r2 + v3*r3 into lanes. Kept out of
-// line so the pass runs with its pointers in registers: inlined into
-// rows, the loop reloaded two of them from the stack on every word.
-//
-//go:noinline
-func lanes4(lanes, r0, r1, r2, r3 []int64, v0, v1, v2, v3 int64) {
-	r0, r1, r2, r3 = r0[:len(lanes)], r1[:len(lanes)], r2[:len(lanes)], r3[:len(lanes)]
-	for j := range lanes {
-		lanes[j] += v0*r0[j] + v1*r1[j] + v2*r2[j] + v3*r3[j]
-	}
-}
-
-// flushLanes separates each word of lanes into its three lane sums,
-// adds them into acc[3j], acc[3j+1] and acc[3j+2], and zeroes the word.
-// The low lane is the word's low 21 bits sign-extended; subtracting it
-// back out removes the borrow a negative low lane took from the lanes
-// above, so the shift that follows is exact. The middle lane comes off
-// the same way and what is left is the top lane. Out of line for the
-// same reason as lanes4.
-//
-//go:noinline
-func flushLanes(acc []int32, lanes []int64) {
-	acc = acc[:3*len(lanes)]
-	for j, v := range lanes {
-		l := v << (64 - laneBits) >> (64 - laneBits)
-		v = (v - l) >> laneBits
-		m := v << (64 - laneBits) >> (64 - laneBits)
-		h := (v - m) >> laneBits
-		a := acc[3*j : 3*j+3 : 3*j+3]
-		a[0] += int32(l)
-		a[1] += int32(m)
-		a[2] += int32(h)
-		lanes[j] = 0
+// sweepI8Go is the portable panel sweep, the only one off amd64 and the
+// reference the vector sweep is tested against. For each of the block's
+// rows r < rows it sets out[r*stride:][:16] to base plus, for each of
+// the row's cnt[r] listed entries (p, v) in list[r*pairs:], the two
+// centred codes of v times pw[p]'s weight pair in every column. It runs
+// each row's list twice, once per eight-column half, so the half's
+// accumulators stay in registers.
+func sweepI8Go(out []int32, stride int, pw []i8PanelRow, base *[i8PanelWidth]int32,
+	list []i8Entry, pairs int, cnt *[i8RowBlock]int, rows int) {
+	for r := 0; r < rows; r++ {
+		rl := list[r*pairs:][:cnt[r]]
+		o := (*[i8PanelWidth]int32)(out[r*stride:])
+		for half := range 2 {
+			b := (*[8]int32)(base[8*half:])
+			c0, c1, c2, c3, c4, c5, c6, c7 := b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]
+			for _, e := range rl {
+				lo, hi := int32(int16(e.v)), int32(int16(e.v>>16))
+				w := (*[8][2]int16)(pw[e.p][8*half:])
+				c0 += lo*int32(w[0][0]) + hi*int32(w[0][1])
+				c1 += lo*int32(w[1][0]) + hi*int32(w[1][1])
+				c2 += lo*int32(w[2][0]) + hi*int32(w[2][1])
+				c3 += lo*int32(w[3][0]) + hi*int32(w[3][1])
+				c4 += lo*int32(w[4][0]) + hi*int32(w[4][1])
+				c5 += lo*int32(w[5][0]) + hi*int32(w[5][1])
+				c6 += lo*int32(w[6][0]) + hi*int32(w[6][1])
+				c7 += lo*int32(w[7][0]) + hi*int32(w[7][1])
+			}
+			*(*[8]int32)(o[8*half:]) = [8]int32{c0, c1, c2, c3, c4, c5, c6, c7}
+		}
 	}
 }
 
@@ -264,18 +275,17 @@ var packedInt8Pool = sync.Pool{New: func() any { return new(PackedInt8) }}
 // MatMulInt8Into computes a @ b into dst over flat row-major slabs of
 // quantized integers: a is [m,k] int8, b is [k,n] int8, dst is [m,n]
 // int32. It packs b into pooled scratch and runs the same row kernel as
-// PackedInt8.MatMulRows with centre 0 (zero codes are skipped), so a
+// PackedInt8.MatMulRows with centre 0 (zero pairs are skipped), so a
 // caller that multiplies by the same b repeatedly should pack it once
 // with PackInt8 instead. Accumulation is exact — integer addition is
-// associative, the three 21-bit lanes of each packed word are flushed
-// into an int32 accumulator before any can overflow, and k is refused
-// past MaxInt8Depth, the depth up to which that accumulator cannot — so
-// the result is bitwise
-// deterministic regardless of blocking or parallel split, which is what
-// the property tests pin down. Requantization (scales, zero-point
-// correction) is the caller's business: nn.ForwardI8 folds it into a
-// per-column multiplier applied to these raw accumulators. dst must not
-// overlap a or b; its previous contents are overwritten.
+// associative, and k is refused past MaxInt8Depth, the depth up to
+// which the int32 accumulator cannot overflow — so the result is
+// bitwise deterministic regardless of blocking, sweep or parallel
+// split, which is what the property tests pin down. Requantization
+// (scales, zero-point correction) is the caller's business:
+// nn.ForwardI8 folds it into a per-column multiplier applied to these
+// raw accumulators. dst must not overlap a or b; its previous contents
+// are overwritten.
 func MatMulInt8Into(dst []int32, a, b []int8, m, k, n int) error {
 	if m < 0 || k < 0 || n < 0 {
 		return fmt.Errorf("tensor: matmul-i8 dims [%d %d %d] negative", m, k, n)
