@@ -127,8 +127,9 @@ func PackF64(b, bias []float64, k, n int) *PackedF64 {
 // listed as (index, value) pairs, then the panels are swept in the outer
 // loop and the block's rows in the inner one, so a panel stays in L1
 // across the block while each row keeps its eight outputs in registers
-// across its list (two 256-bit registers on amd64 with AVX). act is
-// applied to those outputs before they are stored.
+// across its list (two 256-bit registers on amd64 with AVX). The sweep
+// applies identity and ReLU in registers and stores the outputs
+// straight into dst; any other act maps them in place afterwards.
 func (p *PackedF64) Into(dst, a []float64, m int, act Act) {
 	if m == 0 || p.n == 0 {
 		return
@@ -202,24 +203,32 @@ type f64Entry struct {
 	v float64
 }
 
-// f64RowScratch is one worker's row-block lists and the accumulators
-// one panel sweep leaves for the epilogue.
+// f64RowScratch is one worker's row-block lists, and the outputs of a
+// partial last panel, which has no eight columns of dst to sweep into.
 type f64RowScratch struct {
 	list []f64Entry // [f64RowBlock][k]
 	cnt  [f64RowBlock]int
-	acc  [f64RowBlock][panelWidth]float64
+	acc  [f64RowBlock * panelWidth]float64
 }
 
 var f64RowPool = sync.Pool{New: func() any { return new(f64RowScratch) }}
 
 // rows is the one f64 inner loop: output rows [lo, hi) of panels
 // [q0, q1). Each panel stores only its own columns, so two workers
-// splitting the panels never write the same element.
+// splitting the panels never write the same element. A full panel
+// sweeps straight into dst at stride n; a partial last panel sweeps
+// into s.acc at stride 8 and its first n%8 columns are copied out.
+// Identity and ReLU run inside the sweep; any other act is mapped over
+// each row's stored outputs.
 func (p *PackedF64) rows(dst, a []float64, lo, hi, q0, q1 int, act Act) {
 	k, n := p.k, p.n
 	s := f64RowPool.Get().(*f64RowScratch)
 	defer f64RowPool.Put(s)
 	s.list = growSlice(s.list, min(f64RowBlock, hi-lo)*k)
+	relu, post := act == ActReLU, act
+	if act == ActIdentity || relu {
+		post = ActIdentity
+	}
 	for r0 := lo; r0 < hi; r0 += f64RowBlock {
 		r1 := min(r0+f64RowBlock, hi)
 		// (a) List each row's nonzero activations.
@@ -236,29 +245,22 @@ func (p *PackedF64) rows(dst, a []float64, lo, hi, q0, q1 int, act Act) {
 			}
 			s.cnt[r-r0] = cnt
 		}
-		// (b) Sweep the panels over the block, then (c) activate and
-		// store each row's eight outputs.
+		// (b) Sweep each panel over the block into dst, then (c) map
+		// the activations the sweep does not fuse.
 		for q := q0; q < q1; q++ {
-			sweepF64(&s.acc, p.w[q*k:(q+1)*k], &p.bias[q], s.list, k, &s.cnt, r1-r0)
-			j0 := q * panelWidth
-			for r := r0; r < r1; r++ {
-				c := &s.acc[r-r0]
-				switch act {
-				case ActIdentity:
-				case ActReLU:
-					for i, v := range c {
-						c[i] = relu(v)
-					}
-				default:
-					for i, v := range c {
-						c[i] = act.Of(v)
-					}
+			pw, j0 := p.w[q*k:(q+1)*k], q*panelWidth
+			if j0+panelWidth > n {
+				sweepF64(s.acc[:], panelWidth, pw, &p.bias[q], s.list, k, &s.cnt, r1-r0, relu)
+				for r := r0; r < r1; r++ {
+					post.Map(dst[r*n+j0:(r+1)*n], s.acc[(r-r0)*panelWidth:])
 				}
-				orow := dst[r*n+j0 : (r+1)*n]
-				if len(orow) >= panelWidth {
-					*(*[panelWidth]float64)(orow) = *c
-				} else {
-					copy(orow, c[:])
+				continue
+			}
+			sweepF64(dst[r0*n+j0:], n, pw, &p.bias[q], s.list, k, &s.cnt, r1-r0, relu)
+			if post != ActIdentity {
+				for r := r0; r < r1; r++ {
+					o := dst[r*n+j0:][:panelWidth]
+					post.Map(o, o)
 				}
 			}
 		}
@@ -267,12 +269,13 @@ func (p *PackedF64) rows(dst, a []float64, lo, hi, q0, q1 int, act Act) {
 
 // sweepF64Go is the portable panel sweep, the only one off amd64 and
 // the reference the vector sweep is tested against. For each of the
-// block's rows r < rows it sets acc[r] to the panel's bias plus
-// v * pw[kk] for each of the row's cnt[r] listed entries (kk, v) in
-// list[r*k:], in list order. A row keeps its eight outputs in registers
-// across its list.
-func sweepF64Go(acc *[f64RowBlock][panelWidth]float64, pw [][panelWidth]float64, bias *[panelWidth]float64,
-	list []f64Entry, k int, cnt *[f64RowBlock]int, rows int) {
+// block's rows r < rows it computes the panel's bias plus v * pw[kk]
+// for each of the row's cnt[r] listed entries (kk, v) in list[r*k:], in
+// list order, maps it through ReLU when relu is set, and stores the
+// eight outputs at out[r*stride:]. A row keeps its eight outputs in
+// registers across its list.
+func sweepF64Go(out []float64, stride int, pw [][panelWidth]float64, bias *[panelWidth]float64,
+	list []f64Entry, k int, cnt *[f64RowBlock]int, rows int, relu bool) {
 	for r := 0; r < rows; r++ {
 		c0, c1, c2, c3 := bias[0], bias[1], bias[2], bias[3]
 		c4, c5, c6, c7 := bias[4], bias[5], bias[6], bias[7]
@@ -287,7 +290,15 @@ func sweepF64Go(acc *[f64RowBlock][panelWidth]float64, pw [][panelWidth]float64,
 			c6 += e.v * w[6]
 			c7 += e.v * w[7]
 		}
-		acc[r] = [panelWidth]float64{c0, c1, c2, c3, c4, c5, c6, c7}
+		o := (*[panelWidth]float64)(out[r*stride:])
+		o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = c0, c1, c2, c3, c4, c5, c6, c7
+		if relu {
+			for i, v := range o {
+				if !(v > 0) { // relu: every zero, NaN and negative to +0
+					o[i] = 0
+				}
+			}
+		}
 	}
 }
 

@@ -8,16 +8,17 @@ var f64Vector = cpuAVX()
 
 // sweepF64 is sweepF64Go's contract, run by sweepF64AVX when the CPU
 // and the OS support 256-bit AVX.
-func sweepF64(acc *[f64RowBlock][panelWidth]float64, pw [][panelWidth]float64, bias *[panelWidth]float64,
-	list []f64Entry, k int, cnt *[f64RowBlock]int, rows int) {
+func sweepF64(out []float64, stride int, pw [][panelWidth]float64, bias *[panelWidth]float64,
+	list []f64Entry, k int, cnt *[f64RowBlock]int, rows int, relu bool) {
 	if f64Vector {
-		// The assembly reads list[r*k:][:cnt[r]] for r < rows and the
-		// panel rows those entries index, all below k.
-		list, pw = list[:rows*k], pw[:k]
-		sweepF64AVX(acc, unsafe.SliceData(pw), bias, unsafe.SliceData(list), k, cnt, rows)
+		// The assembly writes out[r*stride:][:8] and reads
+		// list[r*k:][:cnt[r]] for r < rows, and the panel rows those
+		// entries index, all below k.
+		out, list, pw = out[:(rows-1)*stride+panelWidth], list[:rows*k], pw[:k]
+		sweepF64AVX(unsafe.SliceData(out), stride, unsafe.SliceData(pw), bias, unsafe.SliceData(list), k, cnt, rows, relu)
 		return
 	}
-	sweepF64Go(acc, pw, bias, list, k, cnt, rows)
+	sweepF64Go(out, stride, pw, bias, list, k, cnt, rows, relu)
 }
 
 // i8Vector selects sweepI8AVX2 for the int8 row kernel. It is set
@@ -54,10 +55,14 @@ func cpuidLeaf7EBX() uint32
 // scalar loop's operands in the scalar loop's order (weight * value,
 // then acc + product) and no FMA, so every lane rounds exactly as the
 // portable sweep does. Rows run two at a time to hide the add latency.
+// With relu set, each accumulator goes through VMAXPD against +0 as
+// the second source, which x86 returns for NaN and for two zeros, so
+// ±0, NaN and negatives all become +0, as relu does. A row's two
+// halves are then stored straight at out + r*stride.
 //
 //go:noescape
-func sweepF64AVX(acc *[f64RowBlock][panelWidth]float64, pw *[panelWidth]float64, bias *[panelWidth]float64,
-	list *f64Entry, k int, cnt *[f64RowBlock]int, rows int)
+func sweepF64AVX(out *float64, stride int, pw *[panelWidth]float64, bias *[panelWidth]float64,
+	list *f64Entry, k int, cnt *[f64RowBlock]int, rows int, relu bool)
 
 // sweepI8AVX2 is sweepI8Go in 256-bit registers. Each listed entry's
 // dword, its two centred codes, is broadcast once; VPMADDWD multiplies

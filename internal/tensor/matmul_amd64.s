@@ -20,25 +20,30 @@ noavx:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func sweepF64AVX(acc *[32][8]float64, pw *[8]float64, bias *[8]float64, list *f64Entry, k int, cnt *[32]int, rows int)
+// func sweepF64AVX(out *float64, stride int, pw *[8]float64, bias *[8]float64, list *f64Entry, k int, cnt *[32]int, rows int, relu bool)
 //
 // Rows go in pairs, A and B: A's list starts at AX and B's one list
 // (R8 bytes) later. Both lists run together for as many entries as the
 // shorter has, B's entry R8 bytes past A's, then each finishes alone.
-// A's outputs are Y0 (lanes 0-3) and Y1 (lanes 4-7), B's Y2 and Y3. An
-// odd last row runs as a pair whose B list is empty and whose B outputs
-// are not stored.
-TEXT ·sweepF64AVX(SB), NOSPLIT, $0-56
-	MOVQ    acc+0(FP), DI
-	MOVQ    pw+8(FP), BX
-	MOVQ    bias+16(FP), AX
+// A's outputs are Y0 (lanes 0-3) and Y1 (lanes 4-7), B's Y2 and Y3.
+// With relu set they go through VMAXPD with Y12 = +0 as the second
+// source before the store. A's row is stored at DI and B's one output
+// row (R14 bytes) later. An odd last row runs as a pair whose B list is
+// empty and whose B outputs are not stored.
+TEXT ·sweepF64AVX(SB), NOSPLIT, $0-65
+	MOVQ    out+0(FP), DI
+	MOVQ    stride+8(FP), R14
+	SHLQ    $3, R14             // bytes per output row: 8 per column
+	MOVQ    pw+16(FP), BX
+	MOVQ    bias+24(FP), AX
 	VMOVUPD 0(AX), Y10
 	VMOVUPD 32(AX), Y11
-	MOVQ    list+24(FP), AX
-	MOVQ    k+32(FP), R8
+	VXORPD  Y12, Y12, Y12       // +0 in every lane
+	MOVQ    list+32(FP), AX
+	MOVQ    k+40(FP), R8
 	SHLQ    $4, R8              // bytes per row list: 16 per entry
-	MOVQ    cnt+40(FP), R9
-	MOVQ    rows+48(FP), R10
+	MOVQ    cnt+48(FP), R9
+	MOVQ    rows+56(FP), R10
 
 pair:
 	TESTQ   R10, R10
@@ -124,13 +129,21 @@ loopB:
 	JNE          loopB
 
 store:
+	CMPB    relu+64(FP), $0
+	JEQ     write
+	VMAXPD  Y12, Y0, Y0         // max(acc, +0), +0 the second source
+	VMAXPD  Y12, Y1, Y1
+	VMAXPD  Y12, Y2, Y2
+	VMAXPD  Y12, Y3, Y3
+
+write:
 	VMOVUPD Y0, 0(DI)
 	VMOVUPD Y1, 32(DI)
 	CMPQ    R10, $1
 	JEQ     done
-	VMOVUPD Y2, 64(DI)
-	VMOVUPD Y3, 96(DI)
-	ADDQ    $128, DI
+	VMOVUPD Y2, 0(DI)(R14*1)
+	VMOVUPD Y3, 32(DI)(R14*1)
+	LEAQ    (DI)(R14*2), DI
 	ADDQ    $16, R9
 	LEAQ    (AX)(R8*2), AX
 	SUBQ    $2, R10

@@ -6,9 +6,9 @@ package tensor
 // are the only sweeps.
 var f64Vector, i8Vector = false, false
 
-func sweepF64(acc *[f64RowBlock][panelWidth]float64, pw [][panelWidth]float64, bias *[panelWidth]float64,
-	list []f64Entry, k int, cnt *[f64RowBlock]int, rows int) {
-	sweepF64Go(acc, pw, bias, list, k, cnt, rows)
+func sweepF64(out []float64, stride int, pw [][panelWidth]float64, bias *[panelWidth]float64,
+	list []f64Entry, k int, cnt *[f64RowBlock]int, rows int, relu bool) {
+	sweepF64Go(out, stride, pw, bias, list, k, cnt, rows, relu)
 }
 
 func sweepI8(out []int32, stride int, pw []i8PanelRow, base *[i8PanelWidth]int32,

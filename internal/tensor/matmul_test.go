@@ -285,12 +285,14 @@ func sweeps(vector bool) []bool {
 // BenchmarkPackedF64 times PackedF64.Into on the benchmark models' layer
 // shapes, at a 32-row batch of nonzero activations, under each sweep
 // this CPU has. ns/entry is per listed activation per 8-column panel:
-// one broadcast, eight multiplies and eight adds.
+// one broadcast, eight multiplies and eight adds. 32x32x1, the small
+// model's last layer, is the one served shape whose only panel is
+// partial, so its outputs go through the row scratch.
 func BenchmarkPackedF64(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	paths := sweeps(f64Vector)
 	defer func(saved bool) { f64Vector = saved }(f64Vector)
-	for _, s := range [][3]int{{32, 512, 512}, {32, 64, 32}, {32, 3, 64}} {
+	for _, s := range [][3]int{{32, 512, 512}, {32, 64, 32}, {32, 3, 64}, {32, 32, 1}} {
 		m, k, n := s[0], s[1], s[2]
 		a := make([]float64, m*k)
 		for i := range a {
@@ -363,20 +365,7 @@ func FuzzPackedF64(f *testing.F) {
 		if ab&8 != 0 {
 			bias = nil
 		}
-		want := make([]float64, m*n)
-		for r := 0; r < m; r++ {
-			orow := want[r*n : (r+1)*n]
-			copy(orow, bias)
-			for kk, v := range a[r*k : (r+1)*k] {
-				if v == 0 {
-					continue
-				}
-				for j := range orow {
-					orow[j] += v * b[kk*n+j]
-				}
-			}
-			act.Map(orow, orow)
-		}
+		want := rowLoopF64(a, b, bias, m, k, n, act)
 		defer func(saved bool) { f64Vector = saved }(f64Vector)
 		paths := sweeps(f64Vector)
 		p := PackF64(b, bias, k, n)
@@ -393,6 +382,27 @@ func FuzzPackedF64(f *testing.F) {
 			}
 		}
 	})
+}
+
+// rowLoopF64 is the plain row loop the f64 kernel must match bit for
+// bit: act(bias + a @ b), each row's nonzero activations added in
+// ascending k.
+func rowLoopF64(a, b, bias []float64, m, k, n int, act Act) []float64 {
+	out := make([]float64, m*n)
+	for r := 0; r < m; r++ {
+		orow := out[r*n : (r+1)*n]
+		copy(orow, bias)
+		for kk, v := range a[r*k : (r+1)*k] {
+			if v == 0 {
+				continue
+			}
+			for j := range orow {
+				orow[j] += v * b[kk*n+j]
+			}
+		}
+		act.Map(orow, orow)
+	}
+	return out
 }
 
 // sameBits is bitwise equality, except that any two NaNs match.
@@ -421,21 +431,120 @@ func TestSweepF64AVXOperandOrder(t *testing.T) {
 			bias[j], w[j] = c.bias, c.w
 		}
 		for _, rows := range []int{1, 2, 3} {
-			var acc [f64RowBlock][panelWidth]float64
 			var cnt [f64RowBlock]int
 			list := make([]f64Entry, rows)
 			for r := range list {
 				list[r], cnt[r] = f64Entry{0, c.v}, 1
 			}
-			sweepF64(&acc, [][panelWidth]float64{w}, &bias, list, 1, &cnt, rows)
-			for r := 0; r < rows; r++ {
-				for j, got := range acc[r] {
-					if math.Float64bits(got) != math.Float64bits(c.want) {
-						t.Fatalf("%s, %d rows: row %d lane %d = %#x, want %#x", c.name, rows, r, j,
-							math.Float64bits(got), math.Float64bits(c.want))
-					}
+			out := make([]float64, rows*panelWidth)
+			sweepF64(out, panelWidth, [][panelWidth]float64{w}, &bias, list, 1, &cnt, rows, false)
+			for i, got := range out {
+				if math.Float64bits(got) != math.Float64bits(c.want) {
+					t.Fatalf("%s, %d rows: row %d lane %d = %#x, want %#x", c.name, rows, i/panelWidth, i%panelWidth,
+						math.Float64bits(got), math.Float64bits(c.want))
 				}
 			}
 		}
 	}
+}
+
+// TestSweepF64ReLU pins the ReLU each sweep applies before its store:
+// NaN of any payload and sign, both zeros, -Inf and negatives store
+// +0's bits, and +Inf and positives store unchanged. The vector sweep's
+// VMAXPD gets this only with +0 as its second source, the one x86
+// returns for a NaN and for two zeros. Each row's outputs are its bias
+// (an empty list) or its bias plus 1 * 0 (one entry, so the value has
+// been through the add chain).
+func TestSweepF64ReLU(t *testing.T) {
+	f := math.Float64frombits
+	relus := []float64{f(0x7ff8_0000_0000_0001), f(0xfff8_0000_0000_0000), f(0x7ff0_0000_0000_0001),
+		f(0xfff4_0000_0000_0002), math.Copysign(0, -1), 0, math.Inf(-1), -0x1p-1070, -2.5}
+	keeps := []float64{math.Inf(1), 1.5, 0x1p-1070, math.MaxFloat64}
+	vals := append(append([]float64{}, relus...), keeps...)
+	forSweeps(t, &f64Vector, func(t *testing.T) {
+		for base := 0; base < len(vals); base += panelWidth {
+			var bias [panelWidth]float64
+			want := make([]uint64, panelWidth)
+			for j := range bias {
+				i := (base + j) % len(vals)
+				bias[j] = vals[i]
+				if i >= len(relus) {
+					want[j] = math.Float64bits(vals[i])
+				}
+			}
+			for _, entries := range []int{0, 1} {
+				for _, rows := range []int{1, 2, 3} {
+					var cnt [f64RowBlock]int
+					list := make([]f64Entry, rows)
+					for r := range list {
+						list[r], cnt[r] = f64Entry{0, 1}, entries
+					}
+					const stride = panelWidth + 3
+					out := make([]float64, (rows-1)*stride+panelWidth)
+					sweepF64(out, stride, [][panelWidth]float64{{}}, &bias, list, 1, &cnt, rows, true)
+					for r := 0; r < rows; r++ {
+						for j, got := range out[r*stride:][:panelWidth] {
+							if math.Float64bits(got) != want[j] {
+								t.Fatalf("relu(%#x), %d rows, %d entries: row %d stored %#x, want %#x",
+									math.Float64bits(bias[j]), rows, entries, r, math.Float64bits(got), want[j])
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestPackedF64RowsStoreOnlyTheirRange runs rows over sub-ranges
+// [lo, hi) x [q0, q1) of a dst filled with a NaN sentinel and checks
+// that exactly those rows' panel columns hold the row loop's answer and
+// that no other element, and nothing either side of dst, was touched.
+// It covers odd row counts (whose paired B row must not be stored), row
+// ranges across the 32-row block, a panel split (q0 > 0), a partial
+// last panel (n % 8 != 0, which goes through the row scratch) and every
+// activation. FuzzPackedF64 compares whole outputs, which a stray write
+// into a region a later panel or row overwrites would pass.
+func TestPackedF64RowsStoreOnlyTheirRange(t *testing.T) {
+	const guard = 16
+	sentinel := math.Float64frombits(0x7ff8_dead_beef_0001)
+	forSweeps(t, &f64Vector, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(41))
+		for _, s := range [][3]int{{5, 3, 8}, {9, 13, 20}, {40, 7, 17}, {70, 33, 1}, {37, 10, 24}} {
+			m, k, n := s[0], s[1], s[2]
+			a := randTensor(rng, m, k).Data()
+			b := randTensor(rng, k, n).Data()
+			bias := randTensor(rng, n).Data()
+			p := PackF64(b, bias, k, n)
+			for act := ActIdentity; act <= ActSigmoid; act++ {
+				want := rowLoopF64(a, b, bias, m, k, n, act)
+				for _, rr := range [][2]int{{0, m}, {0, 1}, {m - 1, m}, {1, m}, {2, min(m, 35)}, {m / 2, m/2 + 3}} {
+					for _, qq := range [][2]int{{0, p.panels}, {p.panels - 1, p.panels}, {p.panels / 2, p.panels}, {0, (p.panels + 1) / 2}} {
+						lo, hi, q0, q1 := rr[0], rr[1], qq[0], qq[1]
+						if lo >= hi || q0 >= q1 {
+							continue
+						}
+						buf := make([]float64, guard+m*n+guard)
+						for i := range buf {
+							buf[i] = sentinel
+						}
+						p.rows(buf[guard:guard+m*n], a, lo, hi, q0, q1, act)
+						for i, got := range buf {
+							e := i - guard
+							r, j := e/n, e%n
+							in := e >= 0 && e < m*n && r >= lo && r < hi && j >= q0*panelWidth && j < q1*panelWidth
+							wantBits := math.Float64bits(sentinel)
+							if in {
+								wantBits = math.Float64bits(want[e])
+							}
+							if math.Float64bits(got) != wantBits {
+								t.Fatalf("[%d %d %d] act %d rows [%d,%d) panels [%d,%d): buf[%d] (element %d, in range %t) = %#x, want %#x",
+									m, k, n, act, lo, hi, q0, q1, i, e, in, math.Float64bits(got), wantBits)
+							}
+						}
+					}
+				}
+			}
+		}
+	})
 }
