@@ -10,23 +10,23 @@ import (
 )
 
 // Forward32 is a single-precision inference program compiled from a
-// Network once: dense weights and biases are converted to flat float32
-// slabs at construction, and batches then run in float32 — half the
-// memory traffic and twice the SIMD lanes of the float64 path, with no
-// per-batch conversion of the model. It exists for the serving hot path
-// (hpacml.LocalEngine's f32 option); training and the default inference
-// path stay float64.
+// Network once: each dense segment's weights and bias are converted to
+// float32 and packed into a tensor.PackedF32 at construction, and
+// batches then run in float32 — half the memory traffic and twice the
+// SIMD lanes of the float64 path, with no per-batch conversion of the
+// model. It exists for the serving hot path (hpacml.LocalEngine's f32
+// option); training and the default inference path stay float64.
 //
 // It compiles through compileSegments, the walk ForwardI8 and
 // CalibrateI8 share, so it accepts exactly the int8 program's vector
 // layer set: an elementwise prelude (input normalization), then Dense
 // segments with elementwise tails (activations, Affine, ChannelAffine,
 // inference-identity Dropout and Flatten). Each segment is one
-// tensor.MatMulInto32 followed by a plain-loop epilogue that adds the
-// bias and applies the tail in float32; the prelude runs in float64,
-// fused into the input's float64 -> float32 conversion. Anything else
-// (conv, pools, residual blocks) fails and the caller keeps the float64
-// path.
+// PackedF32.Into, which adds the bias after the row's sum and applies a
+// leading ReLU in registers before its store; the rest of the tail is
+// then mapped in place in float32. The prelude runs in float64, fused
+// into the input's float64 -> float32 conversion. Anything else (conv,
+// pools, residual blocks) fails and the caller keeps the float64 path.
 //
 // The compiled program snapshots the network's weights: after a
 // parameter update or hot reload, build a new Forward32. A Forward32 is
@@ -38,11 +38,13 @@ type Forward32 struct {
 	scratch       sync.Pool // *f32Scratch
 }
 
-// seg32 is one compiled dense segment: [in, out] float32 weights, the
-// bias, and the elementwise tail its epilogue applies.
+// seg32 is one compiled dense segment: its packed [in, out] float32
+// weights and bias, whether its tail starts with a ReLU the kernel
+// fuses, and the rest of the tail, which the epilogue maps.
 type seg32 struct {
 	inCols, outCols int
-	w, b            []float32
+	w               *tensor.PackedF32
+	relu            bool
 	tail            []tailOp
 }
 
@@ -53,8 +55,8 @@ type f32Scratch struct {
 }
 
 // NewForward32 compiles net into a float32 inference program over flat
-// [rows, InDim] inputs, converting its weights once. Failure means
-// "stay on float64", not a hard error.
+// [rows, InDim] inputs, converting and packing its weights once.
+// Failure means "stay on float64", not a hard error.
 func NewForward32(net *Network) (*Forward32, error) {
 	prelude, segs, in, out, err := compileSegments(net)
 	if err != nil {
@@ -63,8 +65,12 @@ func NewForward32(net *Network) (*Forward32, error) {
 	f := &Forward32{inDim: in, outDim: out, prelude: prelude}
 	f.scratch.New = func() any { return new(f32Scratch) }
 	for _, s := range segs {
-		f.segs = append(f.segs, seg32{inCols: s.inCols, outCols: s.outCols,
-			w: toF32(s.w), b: toF32(s.b), tail: s.tail})
+		seg := seg32{inCols: s.inCols, outCols: s.outCols,
+			w: tensor.PackF32(toF32(s.w), toF32(s.b), s.inCols, s.outCols), tail: s.tail}
+		if len(seg.tail) > 0 && seg.tail[0].kind == tailAct && seg.tail[0].act == tensor.ActReLU {
+			seg.relu, seg.tail = true, seg.tail[1:]
+		}
+		f.segs = append(f.segs, seg)
 	}
 	return f, nil
 }
@@ -101,9 +107,7 @@ func (f *Forward32) ForwardFloat64(dst, x []float64, rows int) error {
 	for i := range f.segs {
 		seg := &f.segs[i]
 		out := grow(&s.bufs[1+i%2], rows*seg.outCols)
-		if err := tensor.MatMulInto32(out, cur, seg.w, rows, seg.inCols, seg.outCols); err != nil {
-			return err
-		}
+		seg.w.Into(out, cur, rows, seg.relu)
 		seg.epilogue(out, rows)
 		cur = out
 	}
@@ -113,16 +117,16 @@ func (f *Forward32) ForwardFloat64(dst, x []float64, rows int) error {
 	return nil
 }
 
-// epilogue adds the bias to each row of the [rows, outCols] slab y and
-// applies the tail in place, splitting rows across workers once the
-// slab reaches elemwiseParMin elements.
+// epilogue applies the tail the kernel does not fuse to each row of the
+// [rows, outCols] slab y in place, splitting rows across workers once
+// the slab reaches elemwiseParMin elements.
 func (seg *seg32) epilogue(y []float32, rows int) {
+	if len(seg.tail) == 0 {
+		return
+	}
 	body := func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			row := y[r*seg.outCols : (r+1)*seg.outCols]
-			for j := range row {
-				row[j] += seg.b[j]
-			}
 			for i := range seg.tail {
 				tailRow32(&seg.tail[i], row)
 			}

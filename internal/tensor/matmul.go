@@ -8,20 +8,10 @@ import (
 	"repro/internal/parallel"
 )
 
-const (
-	// matMulPanelBytes approximates the last-level cache share available
-	// to B; beyond it the f32 kernel blocks B into panels.
-	matMulPanelBytes = 8 << 20
-	// matMulBlockK bounds the depth of a B panel.
-	matMulBlockK = 256
-	// matMulBlockJ bounds a panel's column window so one panel
-	// (matMulBlockK x matMulBlockJ float32s, 512 KB) fits in L2.
-	matMulBlockJ = 512
-	// matMulParFLOPs is the multiply-accumulate count below which the
-	// goroutine fan-out costs more than it saves and the kernel runs
-	// serially on the calling goroutine.
-	matMulParFLOPs = 1 << 18
-)
+// matMulParFLOPs is the multiply-accumulate count below which the
+// goroutine fan-out costs more than it saves and the kernel runs
+// serially on the calling goroutine.
+const matMulParFLOPs = 1 << 18
 
 // MatMulInto computes a @ b for rank-2 tensors [m,k] x [k,n] into dst,
 // which must be a contiguous [m,n] tensor whose storage does not overlap

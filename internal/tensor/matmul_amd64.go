@@ -21,6 +21,25 @@ func sweepF64(out []float64, stride int, pw [][panelWidth]float64, bias *[panelW
 	sweepF64Go(out, stride, pw, bias, list, k, cnt, rows, relu)
 }
 
+// f32Vector selects sweepF32AVX for the f32 row kernel. It is set once,
+// from the CPU, and tests clear it to run the portable sweep.
+var f32Vector = cpuAVX()
+
+// sweepF32 is sweepF32Go's contract, run by sweepF32AVX when the CPU
+// and the OS support 256-bit AVX.
+func sweepF32(out []float32, stride int, pw [][f32PanelWidth]float32, bias *[f32PanelWidth]float32,
+	list []f32Entry, k int, cnt *[f32RowBlock]int, rows int, relu bool) {
+	if f32Vector {
+		// The assembly writes out[r*stride:][:16] and reads
+		// list[r*k:][:cnt[r]] for r < rows, and the panel rows those
+		// entries index, all below k.
+		out, list, pw = out[:(rows-1)*stride+f32PanelWidth], list[:rows*k], pw[:k]
+		sweepF32AVX(unsafe.SliceData(out), stride, unsafe.SliceData(pw), bias, unsafe.SliceData(list), k, cnt, rows, relu)
+		return
+	}
+	sweepF32Go(out, stride, pw, bias, list, k, cnt, rows, relu)
+}
+
 // i8Vector selects sweepI8AVX2 for the int8 row kernel. It is set
 // once, from the CPU, and tests clear it to run the portable sweep.
 var i8Vector = cpuAVX() && cpuidLeaf7EBX()&(1<<5) != 0
@@ -63,6 +82,21 @@ func cpuidLeaf7EBX() uint32
 //go:noescape
 func sweepF64AVX(out *float64, stride int, pw *[panelWidth]float64, bias *[panelWidth]float64,
 	list *f64Entry, k int, cnt *[f64RowBlock]int, rows int, relu bool)
+
+// sweepF32AVX is sweepF32Go in 256-bit registers, sweepI8AVX2's loop
+// over float32 panel rows. Each listed activation is broadcast once;
+// the two 8-lane halves of its panel row are multiplied by it and added
+// into two accumulators that start at +0, with the scalar loop's
+// operands in the scalar loop's order (weight * value, then
+// acc + product) and no FMA, so every lane rounds exactly as the
+// portable sweep does. The bias is added last (acc + bias). With relu
+// set, each sum then goes through VMAXPS against +0 as the second
+// source, as sweepF64AVX does, and a row's two halves are stored
+// straight at out + r*stride. Rows run two at a time.
+//
+//go:noescape
+func sweepF32AVX(out *float32, stride int, pw *[f32PanelWidth]float32, bias *[f32PanelWidth]float32,
+	list *f32Entry, k int, cnt *[f32RowBlock]int, rows int, relu bool)
 
 // sweepI8AVX2 is sweepI8Go in 256-bit registers. Each listed entry's
 // dword, its two centred codes, is broadcast once; VPMADDWD multiplies

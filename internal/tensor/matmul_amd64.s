@@ -153,6 +153,145 @@ done:
 	VZEROUPPER
 	RET
 
+// func sweepF32AVX(out *float32, stride int, pw *[16]float32, bias *[16]float32, list *f32Entry, k int, cnt *[32]int, rows int, relu bool)
+//
+// sweepI8AVX2's pairing over float32 panel rows: rows go in pairs, A
+// and B, A's list at AX and B's one list (R8 bytes) later, both lists
+// run together for as many entries as the shorter has, then each
+// finishes alone. An entry is 8 bytes, its index at 0 and its value at
+// 4; a panel row is 64 bytes. A's outputs are Y0 (columns 0-7) and Y1
+// (8-15), B's Y2 and Y3, all starting at +0. The bias (Y10, Y11) is
+// added after the list; with relu set each sum then goes through
+// VMAXPS with Y12 = +0 as the second source. A's row is stored at DI
+// and B's one output row (R14 bytes) later. An odd last row runs as a
+// pair whose B list is empty and whose B outputs are not stored.
+TEXT ·sweepF32AVX(SB), NOSPLIT, $0-65
+	MOVQ    out+0(FP), DI
+	MOVQ    stride+8(FP), R14
+	SHLQ    $2, R14             // bytes per output row: 4 per column
+	MOVQ    pw+16(FP), BX
+	MOVQ    bias+24(FP), AX
+	VMOVUPS 0(AX), Y10
+	VMOVUPS 32(AX), Y11
+	VXORPS  Y12, Y12, Y12       // +0 in every lane
+	MOVQ    list+32(FP), AX
+	MOVQ    k+40(FP), R8
+	SHLQ    $3, R8              // bytes per row list: 8 per entry
+	MOVQ    cnt+48(FP), R9
+	MOVQ    rows+56(FP), R10
+
+pair:
+	TESTQ   R10, R10
+	JLE     done
+	MOVQ    0(R9), CX           // A's count
+	XORQ    R11, R11            // B's count
+	CMPQ    R10, $1
+	JEQ     counted
+	MOVQ    8(R9), R11
+
+counted:
+	VXORPS  Y0, Y0, Y0
+	VXORPS  Y1, Y1, Y1
+	VXORPS  Y2, Y2, Y2
+	VXORPS  Y3, Y3, Y3
+	MOVQ    AX, SI
+	MOVQ    CX, R12
+	CMPQ    R11, R12
+	CMOVQLT R11, R12            // R12 = min(A's count, B's count)
+	SUBQ    R12, CX
+	SUBQ    R12, R11
+	TESTQ   R12, R12
+	JEQ     restA
+
+both:
+	MOVL         0(SI), R13
+	SHLQ         $6, R13        // 64 bytes per panel row
+	VBROADCASTSS 4(SI), Y4
+	MOVL         0(SI)(R8*1), DX
+	SHLQ         $6, DX
+	VBROADCASTSS 4(SI)(R8*1), Y5
+	VMOVUPS      0(BX)(R13*1), Y6
+	VMOVUPS      32(BX)(R13*1), Y7
+	VMOVUPS      0(BX)(DX*1), Y8
+	VMOVUPS      32(BX)(DX*1), Y9
+	VMULPS       Y4, Y6, Y6     // weight * value
+	VMULPS       Y4, Y7, Y7
+	VMULPS       Y5, Y8, Y8
+	VMULPS       Y5, Y9, Y9
+	VADDPS       Y6, Y0, Y0     // acc + product
+	VADDPS       Y7, Y1, Y1
+	VADDPS       Y8, Y2, Y2
+	VADDPS       Y9, Y3, Y3
+	ADDQ         $8, SI
+	DECQ         R12
+	JNE          both
+
+restA:
+	LEAQ  (SI)(R8*1), DX        // B's next entry
+	TESTQ CX, CX
+	JEQ   restB
+
+loopA:
+	MOVL         0(SI), R13
+	SHLQ         $6, R13
+	VBROADCASTSS 4(SI), Y4
+	VMOVUPS      0(BX)(R13*1), Y6
+	VMOVUPS      32(BX)(R13*1), Y7
+	VMULPS       Y4, Y6, Y6
+	VMULPS       Y4, Y7, Y7
+	VADDPS       Y6, Y0, Y0
+	VADDPS       Y7, Y1, Y1
+	ADDQ         $8, SI
+	DECQ         CX
+	JNE          loopA
+
+restB:
+	TESTQ R11, R11
+	JEQ   store
+
+loopB:
+	MOVL         0(DX), R13
+	SHLQ         $6, R13
+	VBROADCASTSS 4(DX), Y5
+	VMOVUPS      0(BX)(R13*1), Y8
+	VMOVUPS      32(BX)(R13*1), Y9
+	VMULPS       Y5, Y8, Y8
+	VMULPS       Y5, Y9, Y9
+	VADDPS       Y8, Y2, Y2
+	VADDPS       Y9, Y3, Y3
+	ADDQ         $8, DX
+	DECQ         R11
+	JNE          loopB
+
+store:
+	VADDPS  Y10, Y0, Y0         // acc + bias
+	VADDPS  Y11, Y1, Y1
+	VADDPS  Y10, Y2, Y2
+	VADDPS  Y11, Y3, Y3
+	CMPB    relu+64(FP), $0
+	JEQ     write
+	VMAXPS  Y12, Y0, Y0         // max(sum, +0), +0 the second source
+	VMAXPS  Y12, Y1, Y1
+	VMAXPS  Y12, Y2, Y2
+	VMAXPS  Y12, Y3, Y3
+
+write:
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y1, 32(DI)
+	CMPQ    R10, $1
+	JEQ     done
+	VMOVUPS Y2, 0(DI)(R14*1)
+	VMOVUPS Y3, 32(DI)(R14*1)
+	LEAQ    (DI)(R14*2), DI
+	ADDQ    $16, R9
+	LEAQ    (AX)(R8*2), AX
+	SUBQ    $2, R10
+	JMP     pair
+
+done:
+	VZEROUPPER
+	RET
+
 // func cpuidLeaf7EBX() uint32
 TEXT ·cpuidLeaf7EBX(SB), NOSPLIT, $0-4
 	XORL AX, AX

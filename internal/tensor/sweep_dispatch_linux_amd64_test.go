@@ -35,6 +35,9 @@ func TestSweepDispatchMatchesCPU(t *testing.T) {
 	if avx && !f64Vector {
 		t.Error("the CPU has AVX, but the f64 row kernel runs the portable sweep")
 	}
+	if avx && !f32Vector {
+		t.Error("the CPU has AVX, but the f32 row kernel runs the portable sweep")
+	}
 	if avx && avx2 && !i8Vector {
 		t.Error("the CPU has AVX2, but the int8 row kernel runs the portable sweep")
 	}
