@@ -46,8 +46,10 @@ func TestPropMatMul32MatchesReference(t *testing.T) {
 		for trial := 0; trial < 20; trial++ {
 			shapes = append(shapes, [3]int{1 + rng.Intn(40), 1 + rng.Intn(40), 1 + rng.Intn(40)})
 		}
-		// Past matMulParFLOPs: split by rows ([70 300 64]) and by panels
-		// where n > m, with a partial last panel ([9 520 530]).
+		// Past the f32 split threshold (2^20 multiply-adds under the
+		// vector sweep, 2^18 under the portable one): split by rows
+		// ([70 300 64]) and by panels where n > m, with a partial last
+		// panel ([9 520 530]).
 		shapes = append(shapes, [3]int{70, 300, 64}, [3]int{9, 520, 530}, [3]int{3, 2100, 1100})
 		for _, s := range shapes {
 			m, k, n := s[0], s[1], s[2]
@@ -407,7 +409,7 @@ func TestPackedF32RowsStoreOnlyTheirRange(t *testing.T) {
 						for i := range buf {
 							buf[i] = sentinel
 						}
-						p.rows(buf[guard:guard+m*n], a, lo, hi, q0, q1, relu)
+						p.rows(buf[guard:guard+m*n], a, lo, hi, q0, q1, reluAct(relu))
 						for i, got := range buf {
 							e := i - guard
 							r, j := e/n, e%n

@@ -2,14 +2,24 @@ package tensor
 
 import "unsafe"
 
-// f64Vector selects sweepF64AVX for the f64 row kernel. It is set once,
-// from the CPU, and tests clear it to run the portable sweep.
+// f64Vector selects listF64Asm and sweepF64AVX for the f64 row kernel.
+// It is set once, from the CPU, and tests clear it to run the portable
+// lister and sweep.
 var f64Vector = cpuAVX()
 
-// sweepF64 is sweepF64Go's contract, run by sweepF64AVX when the CPU
-// and the OS support 256-bit AVX.
+// listF64 is listNonzero, run by listF64Asm under the vector sweep.
+func listF64(list []f64Entry, a []float64) int {
+	if f64Vector {
+		// The assembly writes list[:len(a)] and reads a.
+		return listF64Asm(unsafe.SliceData(list[:len(a)]), unsafe.SliceData(a), len(a))
+	}
+	return listNonzero(list, a)
+}
+
+// sweepF64 is sweepGo's contract with the bias first, run by
+// sweepF64AVX when the CPU and the OS support 256-bit AVX.
 func sweepF64(out []float64, stride int, pw [][panelWidth]float64, bias *[panelWidth]float64,
-	list []f64Entry, k int, cnt *[f64RowBlock]int, rows int, relu bool) {
+	list []f64Entry, k int, cnt *[rowBlock]int, rows int, relu bool) {
 	if f64Vector {
 		// The assembly writes out[r*stride:][:8] and reads
 		// list[r*k:][:cnt[r]] for r < rows, and the panel rows those
@@ -18,17 +28,27 @@ func sweepF64(out []float64, stride int, pw [][panelWidth]float64, bias *[panelW
 		sweepF64AVX(unsafe.SliceData(out), stride, unsafe.SliceData(pw), bias, unsafe.SliceData(list), k, cnt, rows, relu)
 		return
 	}
-	sweepF64Go(out, stride, pw, bias, list, k, cnt, rows, relu)
+	sweepGo(out, stride, pw, bias, list, k, cnt, rows, relu, true)
 }
 
-// f32Vector selects sweepF32AVX for the f32 row kernel. It is set once,
-// from the CPU, and tests clear it to run the portable sweep.
+// f32Vector selects listF32Asm and sweepF32AVX for the f32 row kernel.
+// It is set once, from the CPU, and tests clear it to run the portable
+// lister and sweep.
 var f32Vector = cpuAVX()
 
-// sweepF32 is sweepF32Go's contract, run by sweepF32AVX when the CPU
-// and the OS support 256-bit AVX.
+// listF32 is listNonzero, run by listF32Asm under the vector sweep.
+func listF32(list []f32Entry, a []float32) int {
+	if f32Vector {
+		// The assembly writes list[:len(a)] and reads a.
+		return listF32Asm(unsafe.SliceData(list[:len(a)]), unsafe.SliceData(a), len(a))
+	}
+	return listNonzero(list, a)
+}
+
+// sweepF32 is sweepGo's contract with the bias last, run by
+// sweepF32AVX when the CPU and the OS support 256-bit AVX.
 func sweepF32(out []float32, stride int, pw [][f32PanelWidth]float32, bias *[f32PanelWidth]float32,
-	list []f32Entry, k int, cnt *[f32RowBlock]int, rows int, relu bool) {
+	list []f32Entry, k int, cnt *[rowBlock]int, rows int, relu bool) {
 	if f32Vector {
 		// The assembly writes out[r*stride:][:16] and reads
 		// list[r*k:][:cnt[r]] for r < rows, and the panel rows those
@@ -37,12 +57,24 @@ func sweepF32(out []float32, stride int, pw [][f32PanelWidth]float32, bias *[f32
 		sweepF32AVX(unsafe.SliceData(out), stride, unsafe.SliceData(pw), bias, unsafe.SliceData(list), k, cnt, rows, relu)
 		return
 	}
-	sweepF32Go(out, stride, pw, bias, list, k, cnt, rows, relu)
+	sweepGo(out, stride, pw, bias, list, k, cnt, rows, relu, false)
 }
 
-// i8Vector selects sweepI8AVX2 for the int8 row kernel. It is set
-// once, from the CPU, and tests clear it to run the portable sweep.
+// i8Vector selects listPairsAsm and sweepI8AVX2 for the int8 row
+// kernel. It is set once, from the CPU, and tests clear it to run the
+// portable lister and sweep.
 var i8Vector = cpuAVX() && cpuidLeaf7EBX()&(1<<5) != 0
+
+// listEvenPairs is listPairsGo, run by listPairsAsm under the vector
+// sweep.
+func listEvenPairs(list []i8Entry, even []int8, c int32) int {
+	if i8Vector {
+		// The assembly writes list[:len(even)/2] and reads even.
+		pairs := len(even) / 2
+		return listPairsAsm(unsafe.SliceData(list[:pairs]), unsafe.SliceData(even), pairs, c)
+	}
+	return listPairsGo(list, even, c)
+}
 
 // sweepI8 is sweepI8Go's contract, run by sweepI8AVX2 when the CPU has
 // AVX2 and the OS saves the YMM registers.
@@ -68,12 +100,25 @@ func cpuAVX() bool
 // leaf 7.
 func cpuidLeaf7EBX() uint32
 
-// sweepF64AVX is sweepF64Go in 256-bit registers. Each listed
-// activation is broadcast once; the two 4-lane halves of its panel row
-// are multiplied by it and added into two accumulators, with the
-// scalar loop's operands in the scalar loop's order (weight * value,
-// then acc + product) and no FMA, so every lane rounds exactly as the
-// portable sweep does. Rows run two at a time to hide the add latency.
+// listF64Asm, listF32Asm and listPairsAsm are listNonzero's and
+// listPairsGo's loops in assembly, where PCALIGN keeps each loop head
+// on a 64-byte boundary wherever the linker places the function.
+//
+//go:noescape
+func listF64Asm(list *f64Entry, a *float64, n int) int
+
+//go:noescape
+func listF32Asm(list *f32Entry, a *float32, n int) int
+
+//go:noescape
+func listPairsAsm(list *i8Entry, a *int8, pairs int, c int32) int
+
+// sweepF64AVX is sweepGo with the bias first, in 256-bit registers.
+// Each listed activation is broadcast once; the two 4-lane halves of
+// its panel row are multiplied by it and added into two accumulators,
+// with the scalar loop's operands in the scalar loop's order
+// (weight * value, then acc + product) and no FMA, so every lane
+// rounds exactly as the portable sweep does. Rows run two at a time to hide the add latency.
 // With relu set, each accumulator goes through VMAXPD against +0 as
 // the second source, which x86 returns for NaN and for two zeros, so
 // ±0, NaN and negatives all become +0, as relu does. A row's two
@@ -81,14 +126,14 @@ func cpuidLeaf7EBX() uint32
 //
 //go:noescape
 func sweepF64AVX(out *float64, stride int, pw *[panelWidth]float64, bias *[panelWidth]float64,
-	list *f64Entry, k int, cnt *[f64RowBlock]int, rows int, relu bool)
+	list *f64Entry, k int, cnt *[rowBlock]int, rows int, relu bool)
 
-// sweepF32AVX is sweepF32Go in 256-bit registers, sweepI8AVX2's loop
-// over float32 panel rows. Each listed activation is broadcast once;
-// the two 8-lane halves of its panel row are multiplied by it and added
-// into two accumulators that start at +0, with the scalar loop's
-// operands in the scalar loop's order (weight * value, then
-// acc + product) and no FMA, so every lane rounds exactly as the
+// sweepF32AVX is sweepGo with the bias last, in 256-bit registers:
+// sweepI8AVX2's loop over float32 panel rows. Each listed activation is
+// broadcast once; the two 8-lane halves of its panel row are multiplied
+// by it and added into two accumulators that start at +0, with the
+// scalar loop's operands in the scalar loop's order (weight * value,
+// then acc + product) and no FMA, so every lane rounds exactly as the
 // portable sweep does. The bias is added last (acc + bias). With relu
 // set, each sum then goes through VMAXPS against +0 as the second
 // source, as sweepF64AVX does, and a row's two halves are stored
@@ -96,7 +141,7 @@ func sweepF64AVX(out *float64, stride int, pw *[panelWidth]float64, bias *[panel
 //
 //go:noescape
 func sweepF32AVX(out *float32, stride int, pw *[f32PanelWidth]float32, bias *[f32PanelWidth]float32,
-	list *f32Entry, k int, cnt *[f32RowBlock]int, rows int, relu bool)
+	list *f32Entry, k int, cnt *[rowBlock]int, rows int, relu bool)
 
 // sweepI8AVX2 is sweepI8Go in 256-bit registers. Each listed entry's
 // dword, its two centred codes, is broadcast once; VPMADDWD multiplies

@@ -20,6 +20,42 @@ noavx:
 	MOVB $0, ret+0(FP)
 	RET
 
+// func listF64Asm(list *f64Entry, a *float64, n int) int
+//
+// listNonzero over float64: entry kk, its index at 0 and a[kk] at 8, is
+// stored at DI unconditionally, and DI moves past it only when a[kk] is
+// not zero. UCOMISD against +0 clears ZF for any other ordered value
+// and sets PF for NaN, so ±0 alone are skipped. The count is the
+// distance DI moved, in entries.
+TEXT ·listF64Asm(SB), NOSPLIT, $0-32
+	MOVQ  list+0(FP), DI
+	MOVQ  a+8(FP), SI
+	MOVQ  n+16(FP), CX
+	MOVQ  DI, R8                // the list's start
+	XORQ  DX, DX                // kk
+	XORPS X1, X1                // +0
+	TESTQ CX, CX
+	JLE   listed
+
+	PCALIGN $64
+list:
+	MOVSD   (SI)(DX*8), X0
+	MOVL    DX, 0(DI)
+	MOVSD   X0, 8(DI)
+	LEAQ    16(DI), R9
+	UCOMISD X1, X0
+	CMOVQNE R9, DI              // nonzero
+	CMOVQPS R9, DI              // NaN
+	INCQ    DX
+	CMPQ    DX, CX
+	JLT     list
+
+listed:
+	SUBQ R8, DI
+	SHRQ $4, DI                 // 16 bytes per entry
+	MOVQ DI, ret+24(FP)
+	RET
+
 // func sweepF64AVX(out *float64, stride int, pw *[8]float64, bias *[8]float64, list *f64Entry, k int, cnt *[32]int, rows int, relu bool)
 //
 // Rows go in pairs, A and B: A's list starts at AX and B's one list
@@ -45,6 +81,7 @@ TEXT ·sweepF64AVX(SB), NOSPLIT, $0-65
 	MOVQ    cnt+48(FP), R9
 	MOVQ    rows+56(FP), R10
 
+	PCALIGN $64
 pair:
 	TESTQ   R10, R10
 	JLE     done
@@ -68,11 +105,12 @@ counted:
 	TESTQ   R12, R12
 	JEQ     restA
 
+	PCALIGN $64
 both:
-	MOVQ         0(SI), R13
+	MOVL         0(SI), R13
 	SHLQ         $6, R13        // 64 bytes per panel row
 	VBROADCASTSD 8(SI), Y4
-	MOVQ         0(SI)(R8*1), DX
+	MOVL         0(SI)(R8*1), DX
 	SHLQ         $6, DX
 	VBROADCASTSD 8(SI)(R8*1), Y5
 	VMOVUPD      0(BX)(R13*1), Y6
@@ -96,8 +134,9 @@ restA:
 	TESTQ CX, CX
 	JEQ   restB
 
+	PCALIGN $64
 loopA:
-	MOVQ         0(SI), R13
+	MOVL         0(SI), R13
 	SHLQ         $6, R13
 	VBROADCASTSD 8(SI), Y4
 	VMOVUPD      0(BX)(R13*1), Y6
@@ -114,8 +153,9 @@ restB:
 	TESTQ R11, R11
 	JEQ   store
 
+	PCALIGN $64
 loopB:
-	MOVQ         0(DX), R13
+	MOVL         0(DX), R13
 	SHLQ         $6, R13
 	VBROADCASTSD 8(DX), Y5
 	VMOVUPD      0(BX)(R13*1), Y8
@@ -153,6 +193,39 @@ done:
 	VZEROUPPER
 	RET
 
+// func listF32Asm(list *f32Entry, a *float32, n int) int
+//
+// listF64Asm over float32: an entry is 8 bytes, its index at 0 and
+// a[kk] at 4, and UCOMISS tests the value.
+TEXT ·listF32Asm(SB), NOSPLIT, $0-32
+	MOVQ  list+0(FP), DI
+	MOVQ  a+8(FP), SI
+	MOVQ  n+16(FP), CX
+	MOVQ  DI, R8                // the list's start
+	XORQ  DX, DX                // kk
+	XORPS X1, X1                // +0
+	TESTQ CX, CX
+	JLE   listed
+
+	PCALIGN $64
+list:
+	MOVSS   (SI)(DX*4), X0
+	MOVL    DX, 0(DI)
+	MOVSS   X0, 4(DI)
+	LEAQ    8(DI), R9
+	UCOMISS X1, X0
+	CMOVQNE R9, DI              // nonzero
+	CMOVQPS R9, DI              // NaN
+	INCQ    DX
+	CMPQ    DX, CX
+	JLT     list
+
+listed:
+	SUBQ R8, DI
+	SHRQ $3, DI                 // 8 bytes per entry
+	MOVQ DI, ret+24(FP)
+	RET
+
 // func sweepF32AVX(out *float32, stride int, pw *[16]float32, bias *[16]float32, list *f32Entry, k int, cnt *[32]int, rows int, relu bool)
 //
 // sweepI8AVX2's pairing over float32 panel rows: rows go in pairs, A
@@ -180,6 +253,7 @@ TEXT ·sweepF32AVX(SB), NOSPLIT, $0-65
 	MOVQ    cnt+48(FP), R9
 	MOVQ    rows+56(FP), R10
 
+	PCALIGN $64
 pair:
 	TESTQ   R10, R10
 	JLE     done
@@ -203,6 +277,7 @@ counted:
 	TESTQ   R12, R12
 	JEQ     restA
 
+	PCALIGN $64
 both:
 	MOVL         0(SI), R13
 	SHLQ         $6, R13        // 64 bytes per panel row
@@ -231,6 +306,7 @@ restA:
 	TESTQ CX, CX
 	JEQ   restB
 
+	PCALIGN $64
 loopA:
 	MOVL         0(SI), R13
 	SHLQ         $6, R13
@@ -249,6 +325,7 @@ restB:
 	TESTQ R11, R11
 	JEQ   store
 
+	PCALIGN $64
 loopB:
 	MOVL         0(DX), R13
 	SHLQ         $6, R13
@@ -308,6 +385,46 @@ noleaf7:
 	MOVL $0, ret+0(FP)
 	RET
 
+// func listPairsAsm(list *i8Entry, a *int8, pairs int, c int32) int
+//
+// listPairsGo: pair pp's two codes, less c, are packed into one dword
+// (the first in the low 16 bits) and stored with pp at DI
+// unconditionally; DI moves past the entry only when the dword is not
+// zero. The count is the distance DI moved, in entries.
+TEXT ·listPairsAsm(SB), NOSPLIT, $0-40
+	MOVQ  list+0(FP), DI
+	MOVQ  a+8(FP), SI
+	MOVQ  pairs+16(FP), CX
+	MOVL  c+24(FP), R10
+	MOVQ  DI, R8                // the list's start
+	XORQ  DX, DX                // pp
+	TESTQ CX, CX
+	JLE   listed
+
+	PCALIGN $64
+list:
+	MOVBLSX 0(SI)(DX*2), AX
+	MOVBLSX 1(SI)(DX*2), BX
+	SUBL    R10, AX
+	SUBL    R10, BX
+	MOVWLZX AX, AX              // the first centred code, as a uint16
+	SHLL    $16, BX
+	ORL     BX, AX
+	MOVL    DX, 0(DI)
+	MOVL    AX, 4(DI)
+	LEAQ    8(DI), R9
+	TESTL   AX, AX
+	CMOVQNE R9, DI
+	INCQ    DX
+	CMPQ    DX, CX
+	JLT     list
+
+listed:
+	SUBQ R8, DI
+	SHRQ $3, DI                 // 8 bytes per entry
+	MOVQ DI, ret+32(FP)
+	RET
+
 // func sweepI8AVX2(out *int32, stride int, pw *i8PanelRow, base *[16]int32, list *i8Entry, pairs int, cnt *[32]int, rows int)
 //
 // The f64 sweep's pairing over int16 pair rows: rows go in pairs, A and
@@ -333,6 +450,7 @@ TEXT ·sweepI8AVX2(SB), NOSPLIT, $0-64
 	MOVQ    cnt+48(FP), R9
 	MOVQ    rows+56(FP), R10
 
+	PCALIGN $64
 pair:
 	TESTQ   R10, R10
 	JLE     done
@@ -356,6 +474,7 @@ counted:
 	TESTQ   R12, R12
 	JEQ     restA
 
+	PCALIGN $64
 both:
 	MOVL         0(SI), R13
 	SHLQ         $6, R13        // 64 bytes per panel row
@@ -380,6 +499,7 @@ restA:
 	TESTQ CX, CX
 	JEQ   restB
 
+	PCALIGN $64
 loopA:
 	MOVL         0(SI), R13
 	SHLQ         $6, R13
@@ -396,6 +516,7 @@ restB:
 	TESTQ R11, R11
 	JEQ   store
 
+	PCALIGN $64
 loopB:
 	MOVL         0(DX), R13
 	SHLQ         $6, R13

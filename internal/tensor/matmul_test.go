@@ -58,7 +58,7 @@ func TestPropMatMulMatchesReference(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		shapes = append(shapes, [3]int{1 + rng.Intn(40), 1 + rng.Intn(40), 1 + rng.Intn(40)})
 	}
-	// Cross matMulParFLOPs and both parallel splits: by rows, and by
+	// Cross parMACs and both parallel splits: by rows, and by
 	// panels where n > m. Odd n leaves a partial, zero-padded last panel.
 	shapes = append(shapes, [3]int{70, 300, 64}, [3]int{9, 520, 530}, [3]int{3, 1100, 1000}, [3]int{5, 700, 1001})
 	for _, s := range shapes {
@@ -237,7 +237,7 @@ func TestTransposeInto(t *testing.T) {
 }
 
 // BenchmarkMatMul times MatMulInto on square products and on shapes
-// either side of matMulParFLOPs (2^18 multiply-adds): square ones, which
+// either side of parMACs (2^18 multiply-adds): square ones, which
 // split by rows, and few-row ones through a 512-wide layer, which split
 // by panels. Compare -cpu 1 with -cpu 2 to place the threshold.
 func BenchmarkMatMul(b *testing.B) {

@@ -23,7 +23,7 @@ const MaxInt8Depth = 1 << 16
 const i8PanelWidth = 16
 
 // i8RowBlock is how many rows list their activations before the panels
-// sweep them, as f64RowBlock is for the f64 kernel.
+// sweep them, as rowBlock is for the float kernels.
 const i8RowBlock = 32
 
 // i8PanelRow is one pair row of a panel: for each of the panel's
@@ -116,19 +116,10 @@ func (p *PackedInt8) MatMulRows(a []int8, m int, centre int8, sink Int8RowSink) 
 	return nil
 }
 
-// matMul splits the rows like the float kernels do and runs the row
-// kernel on each range, into dst when it is non-nil and through sink
-// otherwise. A multiply-add under the vector sweep costs about a quarter
-// of what matMulParFLOPs was sized for, so there it counts a quarter: on
-// two cores a row split of the vector sweep lost to the serial kernel up
-// to 2^19 multiply-adds and broke even at 2^20, while the portable
-// sweep's split already won at 2^18.
+// matMul runs the row kernel over split's ranges, always of whole rows,
+// into dst when it is non-nil and through sink otherwise.
 func (p *PackedInt8) matMul(dst []int32, a []int8, m int, centre int8, sink Int8RowSink) {
-	macs := m * p.k * p.n
-	if i8Vector {
-		macs /= 4
-	}
-	if macs < matMulParFLOPs {
+	if split(m, p.k, p.n, macCost(i8Vector, costI8Vector), true) == serial {
 		p.rows(dst, a, 0, m, centre, sink)
 		return
 	}
@@ -200,29 +191,33 @@ func (p *PackedInt8) rows(dst []int32, a []int8, lo, hi int, centre int8, sink I
 
 // listPairs lists the depth pairs of row a whose codes are not both at
 // centre c into list (ceil(len(a)/2) long) and returns how many there
-// are; an odd row's last pair takes c as its missing second code. It
-// stores every pair unconditionally and advances the count only past
-// one off the centre: ReLU leaves a large share of the hidden codes at
-// the centre in no order, and a branch on each would mispredict. It
-// stays out of line, where its loop keeps everything in registers.
-//
-//go:noinline
+// are; an odd row's last pair takes c as its missing second code.
 func listPairs(list []i8Entry, a []int8, c int32) int {
+	cnt := listEvenPairs(list, a[:len(a)&^1], c)
+	if len(a)%2 != 0 {
+		pp := len(a) / 2
+		d0 := int32(a[2*pp]) - c
+		list[cnt] = i8Entry{int32(pp), uint32(uint16(d0))}
+		if d0 != 0 {
+			cnt++
+		}
+	}
+	return cnt
+}
+
+// listPairsGo is the portable pair lister, the only one off amd64 and
+// the reference listPairsAsm is tested against: listPairs over an
+// even-length row. It stores every pair unconditionally and advances
+// the count only past one off the centre: ReLU leaves a large share of
+// the hidden codes at the centre in no order, and a branch on each
+// would mispredict.
+func listPairsGo(list []i8Entry, even []int8, c int32) int {
 	cnt := 0
-	even := a[:len(a)&^1]
 	for pp := range len(even) / 2 {
 		d0, d1 := int32(even[2*pp])-c, int32(even[2*pp+1])-c
 		v := uint32(uint16(d0)) | uint32(d1)<<16
 		list[cnt] = i8Entry{int32(pp), v}
 		if v != 0 {
-			cnt++
-		}
-	}
-	if len(a) != len(even) {
-		pp := len(even) / 2
-		d0 := int32(a[2*pp]) - c
-		list[cnt] = i8Entry{int32(pp), uint32(uint16(d0))}
-		if d0 != 0 {
 			cnt++
 		}
 	}
@@ -259,15 +254,6 @@ func sweepI8Go(out []int32, stride int, pw []i8PanelRow, base *[i8PanelWidth]int
 			*(*[8]int32)(o[8*half:]) = [8]int32{c0, c1, c2, c3, c4, c5, c6, c7}
 		}
 	}
-}
-
-// growSlice returns s resized to n elements, reallocating only when its
-// capacity is too small; contents are unspecified.
-func growSlice[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }
 
 var packedInt8Pool = sync.Pool{New: func() any { return new(PackedInt8) }}
