@@ -29,10 +29,10 @@
 // each capture database, and once N new rows (training samples) have
 // been ingested it snapshots them, retrains a candidate from the
 // published weights in the background, shadow-gates it on held-out
-// captures (reject unless candidate error <= published error +
-// -retrain-rtol), and publishes only passing candidates through the
-// checksum hot-reload — recording every attempt in a .lineage.json
-// sidecar served by /v1/models.
+// captures (a candidate publishes iff its error there is finite and
+// no worse than the published model's), and publishes only passing
+// candidates through the checksum hot-reload — recording every attempt
+// in a .lineage.json sidecar served by /v1/models.
 // -learn model=db pairs a model with its capture feed (auto-paired
 // when exactly one of each is registered); POST
 // /v1/models/{name}/rollback restores the parent generation. Any
@@ -162,8 +162,6 @@ func main() {
 	retrainMaxAge := flag.Duration("retrain-max-age", 0, "retrain once any pending captured row is this old, regardless of count (0 disables the age trigger)")
 	retrainMin := flag.Int("retrain-min", 0, "minimum total captured rows (training samples) before any retrain (0 = learner default, 8)")
 	retrainInterval := flag.Duration("retrain-interval", 5*time.Second, "continuous-learning trigger poll interval")
-	retrainRtol := flag.Float64("retrain-rtol", 0.05, "shadow gate slack: publish a candidate iff its held-out relative error <= the published model's + this")
-	retrainHoldout := flag.Float64("retrain-holdout", 0.25, "fraction of the capture snapshot held out for the shadow gate (never trained on)")
 	retrainEpochs := flag.Int("retrain-epochs", 20, "training epochs per retrain (warm-started from the published weights)")
 
 	flag.Parse()
@@ -253,14 +251,12 @@ func main() {
 				RetrainEvery: *retrainEvery,
 				MaxAge:       *retrainMaxAge,
 				MinRecords:   *retrainMin,
-				HoldoutFrac:  *retrainHoldout,
-				Rtol:         *retrainRtol,
 				Train:        nn.TrainConfig{Epochs: *retrainEpochs},
 				Snapshot:     func() (*h5.File, error) { return s.SnapshotCaptureDB(db) },
 				Reload:       func() error { return s.ReloadModel(model) },
 			})
 			log.Info("continuous learning enabled", "model", model, "capture_db", db,
-				"retrain_every", *retrainEvery, "max_age", *retrainMaxAge, "rtol", *retrainRtol)
+				"retrain_every", *retrainEvery, "max_age", *retrainMaxAge)
 		}
 		var lerr error
 		ctl, lerr = learner.New(learner.Config{

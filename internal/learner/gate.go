@@ -9,13 +9,17 @@ import (
 
 // The shadow gate: a candidate is evaluated against the currently
 // published model on the held-out slice of the capture snapshot —
-// records neither saw during training — and only publishes when it is
-// at least as good, up to an additive relative-error slack (Rtol).
-// The slack is additive, not multiplicative, because the published
-// model's error on its own captured outputs can legitimately be ~0
-// (captures record what the live model answered), where any
-// multiplicative margin would collapse to zero and no candidate could
-// ever pass.
+// records neither saw during training — and publishes iff its error
+// there is finite and no worse than the published model's: candErr <=
+// pubErr, with no tolerance on top. Captures record what the accurate
+// path answered, so both errors measure distance from the truth, and
+// a slack would let every generation drift further from it. A
+// published model whose own error is NaN is beaten by any finite
+// candidate.
+
+// holdoutFrac is the trailing fraction of the shuffled snapshot held
+// out for the gate (never trained on).
+const holdoutFrac = 0.25
 
 // relErr is the gate's error measure: nn.MeanRelL2, the int8 fit
 // gate's metric, of the prediction against the holdout targets. Its
@@ -23,7 +27,8 @@ import (
 // prices) from dividing by noise. Ensembles evaluate as served — the
 // member-mean prediction — so a set is gated all-or-nothing on the
 // quantity clients actually receive. Any non-finite prediction
-// poisons the result to NaN, which the gate rejects.
+// poisons the result to NaN, which the gate rejects; any other result
+// is finite.
 func relErr(nets []*nn.Network, holdout *nn.Dataset) (float64, error) {
 	if len(nets) == 0 {
 		return 0, fmt.Errorf("learner: no networks to evaluate")

@@ -56,7 +56,9 @@ var (
 	ErrNoParent = errors.New("learner: no parent generation to roll back to")
 )
 
-// Policy is one model's continuous-learning contract.
+// Policy is one model's continuous-learning contract: when to retrain
+// and how to train. The shadow gate that judges each candidate
+// (gate.go) takes no settings.
 type Policy struct {
 	// Model is the serve-registry name the policy manages.
 	Model string
@@ -82,13 +84,6 @@ type Policy struct {
 	// least this many captured rows (training samples). Default 8.
 	MinRecords int
 
-	// HoldoutFrac is the trailing fraction of the shuffled snapshot
-	// held out for the shadow gate (never trained on). Default 0.25.
-	HoldoutFrac float64
-	// Rtol is the gate's additive relative-error slack: a candidate
-	// publishes iff its holdout error is finite and at most the
-	// published model's error + Rtol. Default 0.05.
-	Rtol float64
 	// Train configures the candidate's nn.Fit run (warm-started from
 	// the published weights). Stop is owned by the controller — it is
 	// overwritten to cancel training promptly on Close. Zero Epochs
@@ -208,12 +203,6 @@ func New(cfg Config, pols ...Policy) (*Controller, error) {
 		}
 		if pol.MinRecords <= 0 {
 			pol.MinRecords = 8
-		}
-		if pol.HoldoutFrac <= 0 || pol.HoldoutFrac >= 1 {
-			pol.HoldoutFrac = 0.25
-		}
-		if pol.Rtol <= 0 {
-			pol.Rtol = 0.05
 		}
 		if pol.Train.Epochs <= 0 {
 			pol.Train.Epochs = 20
@@ -439,7 +428,7 @@ func (c *Controller) retrain(m *managed, ds *nn.Dataset, startGen uint64) {
 		fail("shuffle failed: " + err.Error())
 		return
 	}
-	train, holdout, err := shuffled.Split(1 - m.pol.HoldoutFrac)
+	train, holdout, err := shuffled.Split(1 - holdoutFrac)
 	if err != nil {
 		fail("holdout split failed: " + err.Error())
 		return
@@ -491,9 +480,8 @@ func (c *Controller) retrain(m *managed, ds *nn.Dataset, startGen uint64) {
 	switch {
 	case math.IsNaN(candErr):
 		entry.Reason = "candidate NaN-poisoned on held-out captures"
-	case candErr > pubErr+m.pol.Rtol:
-		entry.Reason = fmt.Sprintf("gate failed: candidate rel err %.6g > published %.6g + rtol %.3g",
-			candErr, pubErr, m.pol.Rtol)
+	case candErr > pubErr:
+		entry.Reason = fmt.Sprintf("gate failed: candidate rel err %.6g > published %.6g", candErr, pubErr)
 	default:
 		c.publish(m, entry, cands)
 		return

@@ -28,7 +28,7 @@ import (
 
 const (
 	dim     = 4  // in == out so a shape-preserving NaN net passes the gate's shape check
-	records = 24 // 24 * 0.75 = 18 train / 6 holdout with the default split
+	records = 24 // 24 * 0.75 = 18 train / 6 holdout
 )
 
 func discardLog() *slog.Logger {
@@ -306,11 +306,84 @@ func TestGateRejectsNaNCandidate(t *testing.T) {
 	}
 }
 
+// TestGateNoWorseThanLive: the live model sits a small, nonzero error
+// from the truth (its captures come from a nearby teacher), and each
+// candidate is the teacher shifted by a multiple of the live model's
+// output shift, so its held-out error is that multiple of the live
+// model's. A candidate publishes iff its error is no worse than live:
+// half the error and an exact tie publish; twice the error is rejected,
+// though it is well inside any additive slack of 0.05.
+func TestGateNoWorseThanLive(t *testing.T) {
+	const shift = 0.02
+	shifted := func(s float64) *nn.Network {
+		net := mlp(40, dim, 6, dim)
+		net.Add(nn.NewAffine(1, s))
+		return net
+	}
+	for _, tc := range []struct {
+		name    string
+		times   float64 // the candidate's shift, in live shifts
+		verdict string
+		liveGen uint64
+	}{
+		{"better", 0.5, serveapi.VerdictPublished, 1},
+		{"equal", 1, serveapi.VerdictPublished, 1},
+		{"twice", 2, serveapi.VerdictRejected, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, shifted(shift))
+			h.m.trainFn = func(int, string, *nn.Dataset, nn.TrainConfig) (*nn.Network, error) {
+				return shifted(tc.times * shift), nil
+			}
+			writeCaptures(t, h.base, "m", mlp(40, dim, 6, dim), records, 90)
+			h.ctl.CheckNow()
+
+			ents := h.entries()
+			if len(ents) != 2 {
+				t.Fatalf("want seed + one attempt, got %+v", ents)
+			}
+			e := ents[1]
+			if !(e.PublishedErr > 0 && e.CandidateErr < e.PublishedErr+0.05) {
+				t.Fatalf("premise: live error %g must be nonzero and the candidate's %g within 0.05 of it", e.PublishedErr, e.CandidateErr)
+			}
+			if ratio := e.CandidateErr / e.PublishedErr; math.Abs(ratio-tc.times) > 1e-6 {
+				t.Fatalf("candidate/live error ratio %g, want %g", ratio, tc.times)
+			}
+			if e.Verdict != tc.verdict {
+				t.Fatalf("verdict %q (%s), want %q", e.Verdict, e.Reason, tc.verdict)
+			}
+			if tc.verdict == serveapi.VerdictRejected && !strings.Contains(e.Reason, "gate failed") {
+				t.Fatalf("rejection reason %q does not name the gate", e.Reason)
+			}
+			if h.liveGen() != tc.liveGen || h.reloads != int(tc.liveGen) {
+				t.Fatalf("live generation %d after %d reloads, want %d", h.liveGen(), h.reloads, tc.liveGen)
+			}
+		})
+	}
+}
+
+// TestGateReplacesNaNLive: a live model whose held-out error is NaN is
+// worse than any finite candidate, so the gate publishes one.
+func TestGateReplacesNaNLive(t *testing.T) {
+	teacher := mlp(41, dim, 6, dim)
+	h := newHarness(t, nanNet())
+	h.m.trainFn = func(int, string, *nn.Dataset, nn.TrainConfig) (*nn.Network, error) {
+		return teacher, nil
+	}
+	writeCaptures(t, h.base, "m", teacher, records, 91)
+	h.ctl.CheckNow()
+
+	ents := h.entries()
+	if len(ents) != 2 || ents[1].Verdict != serveapi.VerdictPublished || ents[1].PublishedErr != -1 {
+		t.Fatalf("want a published entry over a NaN live error (-1), got %+v", ents)
+	}
+}
+
 // TestGateFloorsZeroTargets: rows whose targets are exactly zero (an
 // out-of-the-money option price) measure a slightly-off prediction
 // against the holdout's RMS row norm, not against ~0. The error is the
-// int8 fit gate's metric of the member-mean prediction: small, finite,
-// and well inside Rtol.
+// int8 fit gate's metric of the member-mean prediction: small and
+// finite.
 func TestGateFloorsZeroTargets(t *testing.T) {
 	const rows = 12
 	rng := rand.New(rand.NewSource(13))
@@ -355,18 +428,25 @@ func TestGateFloorsZeroTargets(t *testing.T) {
 }
 
 // TestRealFitWarmStartPublishes exercises the default training path (no
-// seam): warm-starting from the live weights and fitting toward the
-// model's own captured outputs keeps the holdout error ~0, so the
-// candidate publishes.
+// seam): captures come from a teacher whose outputs sit a constant
+// shift from the live model's, so warm-starting from the live weights
+// and fitting toward them lowers the held-out error, and the candidate
+// publishes. (Captures of the live model's own outputs would leave
+// nothing to learn: their gradient is zero.)
 func TestRealFitWarmStartPublishes(t *testing.T) {
 	live := mlp(5, dim, 6, dim)
+	teacher := mlp(5, dim, 6, dim)
+	teacher.Add(nn.NewAffine(1, 0.05))
 	h := newHarness(t, live)
-	writeCaptures(t, h.base, "m", live, records, 40)
+	writeCaptures(t, h.base, "m", teacher, records, 40)
 	h.ctl.CheckNow()
 
 	ents := h.entries()
 	if len(ents) != 2 || ents[1].Verdict != serveapi.VerdictPublished {
-		t.Fatalf("warm-started self-distillation should publish, got %+v", ents)
+		t.Fatalf("warm-started fit toward the teacher should publish, got %+v", ents)
+	}
+	if e := ents[1]; !(e.CandidateErr < e.PublishedErr) {
+		t.Fatalf("candidate rel err %g does not improve on the live model's %g", e.CandidateErr, e.PublishedErr)
 	}
 	if h.liveGen() != 1 || h.reloads != 1 {
 		t.Fatalf("live gen %d, reloads %d — want 1 and 1", h.liveGen(), h.reloads)

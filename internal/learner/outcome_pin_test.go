@@ -78,7 +78,7 @@ metric hpacml_rollbacks_total{model="m"} 0
 			},
 			want: `lineage model=m live_gen=0
   gen=0 seed parent=0/- sum=S0 rows=0/0 err=0/0 reason=""
-  gen=1 rejected parent=0/S0 sum=- rows=18/6 err=2.14141/0 reason="gate failed: candidate rel err 2.14141 > published 0 + rtol 0.05"
+  gen=1 rejected parent=0/S0 sum=- rows=18/6 err=2.14141/0 reason="gate failed: candidate rel err 2.14141 > published 0"
 files m.gmod=S0 m.gmod.gens/0000/m.gmod=S0 m.gmod.gens/live->0000 m.gmod.lineage.json
 reloads 0
 snapshot model=m gen=0 retrains=1 published=0 rejected=1 errors=0 rollbacks=0 pending=0 verdict=rejected cand=2.14141 pub=0

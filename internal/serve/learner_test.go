@@ -23,15 +23,18 @@ import (
 )
 
 // TestClosedLoopHTTP is the end-to-end continuous-learning drive, all
-// through the public surfaces: a client ships its served traffic back
-// as capture records through /v1/capture, the learner snapshots
-// the ingest database, retrains a warm-started candidate, shadow-gates
-// it, and publishes a new generation — visible in /v1/models lineage,
-// /v1/stats learners, and the hpacml_model_generation gauge — and the
-// rollback endpoint restores the parent. The model serves int8 from a
-// fitted sidecar: the published generation carries no sidecar fitted
-// for its weights, so it serves f64 and says why, and the rollback
-// brings the seed's sidecar, and int8, back.
+// through the public surfaces: a client sends traffic and ships the
+// accurate answers for the same inputs (a teacher network's, a
+// constant shift from the served model's) back as capture records
+// through /v1/capture, the learner snapshots the ingest database,
+// retrains a warm-started candidate, shadow-gates it, and publishes a
+// new generation that beats the live one on held-out captures —
+// visible in /v1/models lineage, /v1/stats learners, and the
+// hpacml_model_generation gauge — and the rollback endpoint restores
+// the parent. The model serves int8 from a fitted sidecar: the
+// published generation carries no sidecar fitted for its weights, so
+// it serves f64 and says why, and the rollback brings the seed's
+// sidecar, and int8, back.
 func TestClosedLoopHTTP(t *testing.T) {
 	hpacml.ClearModelCache()
 	dir := t.TempDir()
@@ -69,7 +72,15 @@ func TestClosedLoopHTTP(t *testing.T) {
 	ctx := context.Background()
 
 	// Drive traffic with the capture leg on: every completed inference
-	// comes back as a training record, one row per record.
+	// comes back as a training record, one row per record, carrying
+	// the teacher's answer. Served answers would leave the retrain
+	// nothing to learn.
+	teacher := mlp(6, 3, 8, 2)
+	teacher.Add(nn.NewAffine(1, 0.05))
+	teacherPath := filepath.Join(dir, "teacher.gmod")
+	if err := teacher.Save(teacherPath); err != nil {
+		t.Fatal(err)
+	}
 	client := serveclient.New(ts.URL)
 	defer client.CloseIdleConnections()
 	seed, err := client.Model(ctx, "m")
@@ -87,10 +98,10 @@ func TestClosedLoopHTTP(t *testing.T) {
 		for j := range in {
 			in[j] = rng.Float64()
 		}
-		out, err := client.Infer(ctx, "m", in)
-		if err != nil {
+		if _, err := client.Infer(ctx, "m", in); err != nil {
 			t.Fatal(err)
 		}
+		out := directForward(t, teacherPath, in)
 		batch = append(batch, serveapi.CaptureRecord{
 			Region:      "m",
 			InputShape:  []int{1, len(in)},
@@ -111,8 +122,9 @@ func TestClosedLoopHTTP(t *testing.T) {
 		t.Fatalf("captured only %d records", captured)
 	}
 
-	// One sweep: captures record the live model's own outputs, so the
-	// warm-started candidate stays at ~zero holdout error and publishes.
+	// One sweep: the warm-started candidate moves toward the teacher,
+	// so its held-out error drops below the live model's and it
+	// publishes.
 	ctl.CheckNow()
 
 	info, err := client.Model(ctx, "m")
@@ -124,6 +136,9 @@ func TestClosedLoopHTTP(t *testing.T) {
 	}
 	if len(info.Lineage) != 2 || info.Lineage[1].Verdict != "published" {
 		t.Fatalf("lineage %+v, want seed + published", info.Lineage)
+	}
+	if e := info.Lineage[1]; !(e.CandidateErr < e.PublishedErr) {
+		t.Fatalf("published candidate rel err %g does not beat the live model's %g", e.CandidateErr, e.PublishedErr)
 	}
 	// The registry's checksum and the lineage entry's agree: the learner
 	// hashes the same bytes the registry reloaded.
