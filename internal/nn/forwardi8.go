@@ -64,52 +64,6 @@ type ForwardI8 struct {
 	scratch       sync.Pool // *i8Scratch
 }
 
-// denseSeg is one dense segment as compileSegments produces it: the
-// float64 weights plus the elementwise tail up to the next dense layer.
-// CalibrateI8 forwards calibration rows through them in float64,
-// NewForwardI8 quantizes them and NewForward32 converts them to f32.
-type denseSeg struct {
-	inCols, outCols int
-	w, b            []float64
-	tail            []tailOp
-}
-
-// tail op kinds.
-const (
-	tailAct = iota
-	tailAffine
-	tailChanAffine
-)
-
-// tailOp is one elementwise op of a segment tail (or of the prelude).
-// The int8 program evaluates it per column in float64 — at LUT build
-// time for the quantized segments, per element for the final
-// dequantizing segment; the f32 program applies it per row in float32.
-type tailOp struct {
-	kind           int
-	act            tensor.Act // tailAct
-	scale, shift   float64    // tailAffine
-	blockLen       int        // tailChanAffine
-	scales, shifts []float64
-}
-
-// tailEval applies a segment tail to value v in output column j.
-func tailEval(tail []tailOp, j int, v float64) float64 {
-	for i := range tail {
-		op := &tail[i]
-		switch op.kind {
-		case tailAct:
-			v = op.act.Of(v)
-		case tailAffine:
-			v = op.scale*v + op.shift
-		case tailChanAffine:
-			b := j / op.blockLen
-			v = op.scales[b]*v + op.shifts[b]
-		}
-	}
-	return v
-}
-
 // segI8 is one compiled segment: packed quantized weights, the code the
 // kernel skips, and the fused epilogue. Non-final segments requantize
 // the i32 accumulator to an int16 pre-activation code (one multiply-add
@@ -150,73 +104,6 @@ type i8Scratch struct {
 	seg  *segI8
 	next []int8    // non-final segments: the next segment's input codes
 	dst  []float64 // final segment: the caller's output
-}
-
-// compileSegments partitions net into an elementwise prelude (layers
-// before the first dense — input normalization), dense segments with
-// elementwise tails — the structure calibration and both
-// reduced-precision programs walk, and so the one place that decides
-// which layers they accept. The input width is pinned by the first
-// dense layer (or an earlier ChannelAffine, which knows its own width);
-// prelude ops are width-preserving, so that pin is the network's input
-// width. It fails on networks outside that layer set; callers treat
-// that as "stay on the wider path", not as a hard error.
-func compileSegments(net *Network) ([]tailOp, []denseSeg, int, int, error) {
-	if net == nil || len(net.Layers) == 0 {
-		return nil, nil, 0, 0, fmt.Errorf("nn: reduced-precision path: empty network")
-	}
-	var prelude []tailOp
-	var segs []denseSeg
-	in, cols := -1, -1
-	addTail := func(op tailOp) {
-		if len(segs) == 0 {
-			prelude = append(prelude, op)
-		} else {
-			segs[len(segs)-1].tail = append(segs[len(segs)-1].tail, op)
-		}
-	}
-	for i, e := range net.Layers {
-		switch l := e.Layer.(type) {
-		case *Dense:
-			if cols != -1 && l.In != cols {
-				return nil, nil, 0, 0, fmt.Errorf("nn: reduced-precision path: layer %d (%s) wants width %d, have %d", i, l.Kind(), l.In, cols)
-			}
-			if in == -1 {
-				in = l.In
-			}
-			segs = append(segs, denseSeg{inCols: l.In, outCols: l.Out,
-				w: l.Weight.W.Contiguous().Data(), b: l.Bias.W.Contiguous().Data()})
-			cols = l.Out
-		case *Activation:
-			act, err := l.kind()
-			if err != nil {
-				return nil, nil, 0, 0, fmt.Errorf("nn: reduced-precision path: layer %d: %w", i, err)
-			}
-			addTail(tailOp{kind: tailAct, act: act})
-		case *Affine:
-			addTail(tailOp{kind: tailAffine, scale: l.Scale, shift: l.Shift})
-		case *ChannelAffine:
-			if l.BlockLen <= 0 || len(l.Scales) != len(l.Shifts) {
-				return nil, nil, 0, 0, fmt.Errorf("nn: reduced-precision path: layer %d (%s) misconfigured", i, l.Kind())
-			}
-			width := l.BlockLen * len(l.Scales)
-			if cols == -1 {
-				in, cols = width, width
-			} else if cols != width {
-				return nil, nil, 0, 0, fmt.Errorf("nn: reduced-precision path: layer %d (%s) does not fit width %d", i, l.Kind(), cols)
-			}
-			addTail(tailOp{kind: tailChanAffine,
-				blockLen: l.BlockLen, scales: l.Scales, shifts: l.Shifts})
-		case *Dropout, *Flatten:
-			// Identity at inference on [rows, cols] vectors.
-		default:
-			return nil, nil, 0, 0, fmt.Errorf("nn: reduced-precision path does not support layer %d (%s)", i, e.Layer.Kind())
-		}
-	}
-	if len(segs) == 0 {
-		return nil, nil, 0, 0, fmt.Errorf("nn: reduced-precision path: network has no dense layers")
-	}
-	return prelude, segs, in, cols, nil
 }
 
 // qparams is one activation encoding: real = scale * (q - zero).
