@@ -32,30 +32,9 @@ func (a *Affine) OutShape(in []int) ([]int, error) {
 // Forward applies the transform elementwise.
 func (a *Affine) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	out := tensor.New(x.Shape()...)
-	if err := a.forwardInto(out, x); err != nil {
-		return nil, err
-	}
+	op := tailOp{kind: tailAffine, scale: a.Scale, shift: a.Shift}
+	op.apply(out.Data(), x.Contiguous().Data())
 	return out, nil
-}
-
-// inferDims reports that the transform preserves rank-2 extents.
-func (a *Affine) inferDims(x *tensor.Tensor) (int, int, bool) {
-	if x.Rank() != 2 {
-		return 0, 0, false
-	}
-	return x.Dim(0), x.Dim(1), true
-}
-
-// forwardInto applies the transform from x into dst without allocating.
-func (a *Affine) forwardInto(dst, x *tensor.Tensor) error {
-	if !tensor.SameShape(dst, x) || !dst.IsContiguous() {
-		return fmt.Errorf("affine dst wants contiguous %v, got %v", x.Shape(), dst.Shape())
-	}
-	d := dst.Data()
-	for i, v := range x.Contiguous().Data() {
-		d[i] = a.Scale*v + a.Shift
-	}
-	return nil
 }
 
 // Backward scales the gradient.
@@ -112,49 +91,20 @@ func (c *ChannelAffine) OutShape(in []int) ([]int, error) {
 	return append([]int(nil), in...), nil
 }
 
-// Forward applies the per-block transform.
+// Forward applies the per-block transform to a batch of samples of any
+// rank.
 func (c *ChannelAffine) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
-	out := tensor.New(x.Shape()...)
-	if err := c.forwardInto(out, x); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// inferDims accepts rank-2 inputs whose rows are one sample of the
-// block structure.
-func (c *ChannelAffine) inferDims(x *tensor.Tensor) (int, int, bool) {
-	if x.Rank() != 2 || c.BlockLen <= 0 || len(c.Scales) != len(c.Shifts) || x.Dim(1) != c.BlockLen*len(c.Scales) {
-		return 0, 0, false
-	}
-	return x.Dim(0), x.Dim(1), true
-}
-
-// forwardInto applies the per-block transform from x into dst without
-// allocating. x is a batch of samples of any rank.
-func (c *ChannelAffine) forwardInto(dst, x *tensor.Tensor) error {
 	if x.Rank() < 2 {
-		return fmt.Errorf("channel affine wants rank >= 2 input, got %v", x.Shape())
+		return nil, fmt.Errorf("channel affine wants rank >= 2 input, got %v", x.Shape())
 	}
-	per := 1
-	for i := 1; i < x.Rank(); i++ {
-		per *= x.Dim(i)
-	}
+	per := sampleLen(x)
 	if c.BlockLen <= 0 || len(c.Scales) != len(c.Shifts) || per != c.BlockLen*len(c.Scales) {
-		return fmt.Errorf("channel affine wants %d-element samples, got %d", c.BlockLen*len(c.Scales), per)
+		return nil, fmt.Errorf("channel affine wants %d-element samples, got %d", c.BlockLen*len(c.Scales), per)
 	}
-	if !tensor.SameShape(dst, x) || !dst.IsContiguous() {
-		return fmt.Errorf("channel affine dst wants contiguous %v, got %v", x.Shape(), dst.Shape())
-	}
-	d, xd := dst.Data(), x.Contiguous().Data()
-	for lo := 0; lo < len(d); lo += c.BlockLen {
-		b := (lo / c.BlockLen) % len(c.Scales)
-		s, sh := c.Scales[b], c.Shifts[b]
-		for i := lo; i < lo+c.BlockLen; i++ {
-			d[i] = s*xd[i] + sh
-		}
-	}
-	return nil
+	out := tensor.New(x.Shape()...)
+	op := tailOp{kind: tailChanAffine, blockLen: c.BlockLen, scales: c.Scales, shifts: c.Shifts}
+	op.apply(out.Data(), x.Contiguous().Data())
+	return out, nil
 }
 
 // Backward scales the gradient per block.

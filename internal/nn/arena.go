@@ -6,7 +6,7 @@ import "repro/internal/tensor"
 // slice is reallocated only when it must grow and the tensor header is
 // rebuilt only when the requested shape changes, so steady-state reuse
 // (same shapes every training step) performs no heap allocation. It is
-// the backward-pass counterpart of the pooled inference arena: layers own
+// the training counterpart of the f64 plan's pooled buffers: layers own
 // one scratch per training intermediate (forward output, im2col matrix,
 // input gradient, weight-gradient staging), and the trainer owns the
 // minibatch and loss-gradient scratches. Scratches are not safe for

@@ -70,43 +70,21 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	} else {
 		out = tensor.New(x.Dim(0), d.Out)
 	}
-	if err := d.forwardInto(out, x); err != nil {
-		return nil, err
-	}
+	d.into(out.Data(), x.Data(), x.Dim(0), tensor.ActIdentity)
 	return out, nil
 }
 
-// inferDims reports the [batch, Out] output extents for a rank-2 input.
-func (d *Dense) inferDims(x *tensor.Tensor) (int, int, bool) {
-	if x.Rank() != 2 || x.Dim(1) != d.In {
-		return 0, 0, false
-	}
-	return x.Dim(0), d.Out, true
-}
-
-// forwardInto computes xW + b into dst without allocating.
-func (d *Dense) forwardInto(dst, x *tensor.Tensor) error {
-	return d.forwardActInto(dst, x, tensor.ActIdentity)
-}
-
-// forwardActInto computes act(xW + b) into dst without allocating: the
-// f64 row kernel applies act to each output before storing it, which is
-// how inference fuses a Dense with the Activation after it. A frozen
-// layer reads its packed weights; any other packs them for this call.
-func (d *Dense) forwardActInto(dst, x *tensor.Tensor, act tensor.Act) error {
-	if x.Rank() != 2 || x.Dim(1) != d.In {
-		return fmt.Errorf("dense wants [batch, %d], got %v", d.In, x.Shape())
-	}
-	b := x.Dim(0)
-	if dst.Rank() != 2 || dst.Dim(0) != b || dst.Dim(1) != d.Out || !dst.IsContiguous() {
-		return fmt.Errorf("dense dst wants contiguous [%d, %d], got %v", b, d.Out, dst.Shape())
-	}
+// into computes act(xW + b) for rows rows of the flat slab x into the
+// [rows, Out] slab dst; the f64 row kernel applies act to each output
+// before storing it, which is how the plan fuses a Dense with the
+// activation after it. A frozen layer reads its packed weights; any
+// other packs them for this call.
+func (d *Dense) into(dst, x []float64, rows int, act tensor.Act) {
 	if d.packed != nil {
-		d.packed.Into(dst.Data(), x.Contiguous().Data(), b, act)
-		return nil
+		d.packed.Into(dst, x, rows, act)
+		return
 	}
-	tensor.DenseInto(dst.Data(), x.Contiguous().Data(), d.Weight.W.Data(), d.Bias.W.Data(), b, d.In, d.Out, act)
-	return nil
+	tensor.DenseInto(dst, x, d.Weight.W.Data(), d.Bias.W.Data(), rows, d.In, d.Out, act)
 }
 
 // Backward computes input gradients and accumulates dW, db. Both matrix
@@ -252,8 +230,8 @@ func applyElemwise(dst, src []float64, act tensor.Act) {
 const elemwiseParMin = 4096
 
 // Forward applies the nonlinearity elementwise. The training pass maps
-// the input into a layer-owned arena; inference clones (the rank-2 hot
-// path goes through forwardInto and the pooled arena instead).
+// the input into a layer-owned arena; inference clones (an activation
+// in a network's plan is mapped in the plan's buffers instead).
 func (a *Activation) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	act, err := a.kind()
 	if err != nil {
@@ -276,28 +254,6 @@ func (a *Activation) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, erro
 		a.lastOut = out
 	}
 	return out, nil
-}
-
-// inferDims reports that the activation preserves rank-2 extents.
-func (a *Activation) inferDims(x *tensor.Tensor) (int, int, bool) {
-	if x.Rank() != 2 || !validActivation(a.Fn) {
-		return 0, 0, false
-	}
-	return x.Dim(0), x.Dim(1), true
-}
-
-// forwardInto applies the nonlinearity from x into dst without
-// allocating. dst may not alias a non-contiguous x.
-func (a *Activation) forwardInto(dst, x *tensor.Tensor) error {
-	act, err := a.kind()
-	if err != nil {
-		return err
-	}
-	if dst.Rank() != 2 || x.Rank() != 2 || dst.Dim(0) != x.Dim(0) || dst.Dim(1) != x.Dim(1) || !dst.IsContiguous() {
-		return fmt.Errorf("activation dst wants contiguous %v, got %v", x.Shape(), dst.Shape())
-	}
-	applyElemwise(dst.Data(), x.Contiguous().Data(), act)
-	return nil
 }
 
 // Backward multiplies the incoming gradient by the activation
@@ -446,7 +402,9 @@ func (f *Flatten) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) 
 	if train {
 		f.lastShape = x.Shape()
 	}
-	return x.Contiguous().Reshape(x.Dim(0), -1)
+	// The sample size is spelled out, not inferred: a batch of zero
+	// rows has no elements to infer it from.
+	return x.Contiguous().Reshape(x.Dim(0), sampleLen(x))
 }
 
 // Backward restores the cached input shape.

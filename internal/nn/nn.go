@@ -57,9 +57,12 @@ type Network struct {
 	Layers []*layerEntry
 	rng    *rand.Rand
 
-	// scratch pools the ping-pong intermediate buffers of inference
-	// passes. Pooling (rather than a single arena) keeps concurrent
-	// Forward calls safe when regions share a cached model.
+	// plan is the f64 program of the layers' vector suffix, compiled by
+	// Add; nil when no suffix compiles.
+	plan *f64Plan
+	// scratch pools the plan's ping-pong intermediate buffers
+	// (*[2][]float64). Pooling, rather than one pair per network, keeps
+	// concurrent Forward calls safe when regions share a cached model.
 	scratch sync.Pool
 	frozen  bool // set by Freeze
 }
@@ -74,17 +77,22 @@ func NewNetwork(seed int64) *Network {
 	return &Network{rng: rand.New(rand.NewSource(seed))}
 }
 
-// Add appends layers to the network.
+// Add appends layers to the network and recompiles its f64 plan: the
+// longest suffix of its layers that compileSegments accepts (Dense
+// layers with elementwise tails, an elementwise prelude), which
+// inference runs over flat slabs.
 func (n *Network) Add(layers ...Layer) *Network {
 	for _, l := range layers {
 		n.Layers = append(n.Layers, &layerEntry{Layer: l})
 	}
+	n.plan = compilePlan(n.Layers)
 	return n
 }
 
-// Forward runs inference (no caching, dropout disabled). Intermediate
-// activations come from a pooled scratch arena, so only the returned
-// output tensor is allocated per call; ForwardInto removes that
+// Forward runs inference (no caching, dropout disabled). The layers
+// before the plan run through their own Forward and allocate; the plan
+// keeps its intermediates in pooled buffers, so an MLP allocates only
+// the returned output tensor per call, and ForwardInto removes that
 // allocation too.
 func (n *Network) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	return n.forwardInference(x, nil)
@@ -92,9 +100,9 @@ func (n *Network) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 
 // ForwardInto runs inference writing the final output into dst, which
 // must be a contiguous tensor of the network's output shape for x's
-// batch size. Together with the scratch arena this makes steady-state
-// MLP inference allocation-free: dense and activation layers write into
-// reused ping-pong buffers and the last layer writes into dst.
+// batch size. Steady-state inference of a network the plan covers
+// whole, an MLP, allocates nothing: each segment writes into a pooled
+// ping-pong buffer and the last one writes into dst.
 func (n *Network) ForwardInto(dst, x *tensor.Tensor) error {
 	if dst == nil {
 		return fmt.Errorf("nn: ForwardInto with nil dst")
@@ -135,165 +143,66 @@ func (n *Network) Freeze() {
 	n.frozen = true
 }
 
-// inferScratch holds one inference pass's ping-pong intermediate buffers
-// plus a cached tensor header per layer, reused while that layer's output
-// shape repeats and its slot's buffer has not been reallocated. A header
-// per layer, not per slot, keeps a slot shared by layers of different
-// widths from rebuilding its header on every pass.
-type inferScratch struct {
-	bufs [2][]float64
-	gen  [2]int // bumped each time a slot's buffer is reallocated
-	hdrs []scratchHeader
-}
-
-type scratchHeader struct {
-	t                     *tensor.Tensor
-	slot, gen, rows, cols int
-}
-
-// tensorFor returns layer i's [rows, cols] output tensor backed by the
-// slot's buffer, growing the buffer and rebuilding the header only when
-// needed.
-func (s *inferScratch) tensorFor(i, slot, rows, cols int) *tensor.Tensor {
-	n := rows * cols
-	if cap(s.bufs[slot]) < n {
-		s.bufs[slot] = make([]float64, n)
-		s.gen[slot]++
-	}
-	if i >= len(s.hdrs) {
-		s.hdrs = append(s.hdrs, make([]scratchHeader, i+1-len(s.hdrs))...)
-	}
-	h := &s.hdrs[i]
-	if h.t != nil && h.slot == slot && h.gen == s.gen[slot] && h.rows == rows && h.cols == cols {
-		return h.t
-	}
-	t, err := tensor.Wrap(s.bufs[slot][:n], rows, cols)
-	if err != nil {
-		panic("nn: scratch wrap: " + err.Error()) // cannot happen: buffer sized above
-	}
-	*h = scratchHeader{t: t, slot: slot, gen: s.gen[slot], rows: rows, cols: cols}
-	return t
-}
-
-// intoLayer is implemented by layers whose inference pass can write a
-// rank-2 output into a caller-provided tensor without allocating.
-type intoLayer interface {
-	// inferDims maps x to the layer's [rows, cols] output extents;
-	// ok is false when x is not an acceptable rank-2 input (the caller
-	// then falls back to the allocating Forward path).
-	inferDims(x *tensor.Tensor) (rows, cols int, ok bool)
-	// forwardInto computes the inference output of x into dst. dst must
-	// not alias x.
-	forwardInto(dst, x *tensor.Tensor) error
-}
-
-// forwardInference walks the layers in inference mode, routing rank-2
-// intermediates through the pooled scratch arena. When dst is non-nil
-// the final output is written there; otherwise it is freshly allocated.
+// forwardInference runs the layers before the network's plan through
+// their own Forward (conv, pools, residual blocks), then the plan over
+// flat slabs, intermediates in pooled ping-pong buffers and the last
+// segment writing into dst (or a new tensor when dst is nil). Without a
+// plan, or on an input the plan does not take, it walks every layer and
+// copies the result into dst.
 func (n *Network) forwardInference(x *tensor.Tensor, dst *tensor.Tensor) (*tensor.Tensor, error) {
-	s, _ := n.scratch.Get().(*inferScratch)
-	if s == nil {
-		s = &inferScratch{}
+	p, stop := n.plan, len(n.Layers)
+	if p != nil {
+		stop = p.start
 	}
-	defer n.scratch.Put(s)
-
-	cur := x
-	slot := 0
-	// inScratch tracks whether cur may alias a pooled buffer. Fallback
-	// layers can return views of their input (Flatten, Dropout), so the
-	// flag stays set across them conservatively.
-	inScratch := false
-	for i := 0; i < len(n.Layers); i++ {
-		e := n.Layers[i]
-		il, ok := e.Layer.(intoLayer)
-		if ok {
-			rows, cols, dimsOK := il.inferDims(cur)
-			if dimsOK {
-				// A Dense followed by an Activation is one kernel call that
-				// applies the activation to each output before storing it.
-				at := i
-				fused, act := fuseActivation(n.Layers, i)
-				if fused != nil {
-					i++
-				}
-				last := i == len(n.Layers)-1
-				var out *tensor.Tensor
-				switch {
-				case last && dst != nil:
-					if dst.Rank() != 2 || dst.Dim(0) != rows || dst.Dim(1) != cols {
-						return nil, fmt.Errorf("nn: ForwardInto dst shape %v, want [%d %d]", dst.Shape(), rows, cols)
-					}
-					out = dst
-				case last:
-					out = tensor.New(rows, cols)
-				default:
-					out = s.tensorFor(i, slot, rows, cols)
-					slot ^= 1
-				}
-				var err error
-				if fused != nil {
-					err = fused.forwardActInto(out, cur, act)
-				} else {
-					err = il.forwardInto(out, cur)
-				}
-				if err != nil {
-					return nil, fmt.Errorf("nn: layer %d (%s): %w", at, e.Layer.Kind(), err)
-				}
-				cur = out
-				inScratch = out != dst && !last
-				continue
-			}
-		}
-		var err error
-		if cur, err = e.Layer.Forward(cur, false); err != nil {
-			return nil, fmt.Errorf("nn: layer %d (%s): %w", i, e.Layer.Kind(), err)
-		}
+	cur, err := n.walk(x, 0, stop, false)
+	if err != nil {
+		return nil, err
 	}
-	if dst != nil && cur != dst {
-		// The last layer could not write in place (not an intoLayer, or a
-		// non-rank-2 output); copy the result over.
+	if p != nil && p.fits(cur) {
+		rows := cur.Dim(0)
+		switch {
+		case dst == nil:
+			dst = tensor.New(rows, p.out)
+		case dst.Rank() != 2 || dst.Dim(0) != rows || dst.Dim(1) != p.out || !dst.IsContiguous():
+			return nil, fmt.Errorf("nn: ForwardInto dst shape %v, want contiguous [%d %d]", dst.Shape(), rows, p.out)
+		}
+		bufs, _ := n.scratch.Get().(*[2][]float64)
+		if bufs == nil {
+			bufs = new([2][]float64)
+		}
+		p.run(dst.Data(), cur.Contiguous().Data(), rows, bufs)
+		n.scratch.Put(bufs)
+		return dst, nil
+	}
+	if cur, err = n.walk(cur, stop, len(n.Layers), false); err != nil {
+		return nil, err
+	}
+	if dst != nil {
 		if err := dst.CopyFrom(cur); err != nil {
 			return nil, fmt.Errorf("nn: ForwardInto output: %w", err)
 		}
 		return dst, nil
 	}
-	if inScratch {
-		// A trailing view-returning layer left cur aliasing pooled
-		// memory; detach before the scratch returns to the pool.
-		cur = cur.Clone()
-	}
 	return cur, nil
 }
 
-// fuseActivation returns layer i when it is a Dense followed by an
-// Activation of a known kind, with that kind; otherwise nil.
-func fuseActivation(layers []*layerEntry, i int) (*Dense, tensor.Act) {
-	d, ok := layers[i].Layer.(*Dense)
-	if !ok || i+1 == len(layers) {
-		return nil, 0
+// walk runs layers [lo, hi) through their own Forward.
+func (n *Network) walk(x *tensor.Tensor, lo, hi int, train bool) (*tensor.Tensor, error) {
+	var err error
+	for i := lo; i < hi; i++ {
+		e := n.Layers[i]
+		if x, err = e.Layer.Forward(x, train); err != nil {
+			return nil, fmt.Errorf("nn: layer %d (%s): %w", i, e.Layer.Kind(), err)
+		}
 	}
-	a, ok := layers[i+1].Layer.(*Activation)
-	if !ok {
-		return nil, 0
-	}
-	act, ok := actKind(a.Fn)
-	if !ok {
-		return nil, 0
-	}
-	return d, act
+	return x, nil
 }
 
 func (n *Network) forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	if train && n.frozen {
 		return nil, fmt.Errorf("nn: training a frozen network would leave its packed weights stale; train a copy loaded with nn.Load")
 	}
-	var err error
-	for i, e := range n.Layers {
-		if x, err = e.Layer.Forward(x, train); err != nil {
-			return nil, fmt.Errorf("nn: layer %d (%s): %w", i, e.Layer.Kind(), err)
-		}
-	}
-	return x, nil
+	return n.walk(x, 0, len(n.Layers), train)
 }
 
 // Backward propagates the loss gradient through the network, accumulating
