@@ -388,12 +388,82 @@ func (c *Conv2D) spec() layerSpec {
 	return layerSpec{Kind: "conv2d", Ints: []int{c.InC, c.OutC, c.KH, c.KW, c.Stride}}
 }
 
+// maxPool is the one max-pool body MaxPool1D and MaxPool2D run: a
+// kh x kw window at strides kh and kw over [batch, C, H, W] inputs,
+// trailing rows and columns no window covers dropped. The first maximum
+// in the window's row-major order wins a tie. MaxPool1D is its h = kh =
+// 1 case, as Conv1D is conv's.
+type maxPool struct {
+	lastArg []int // the training forward's argmax input index per output
+	inShape []int
+}
+
+// forward pools the contiguous x, b*ch images of h x w, into a new
+// tensor of the given shape, recording the argmax indices for backward
+// when training.
+func (m *maxPool) forward(x *tensor.Tensor, h, w, kh, kw int, shape []int, train bool) *tensor.Tensor {
+	hOut, wOut := h/kh, w/kw
+	out := tensor.New(shape...)
+	xd, od := x.Data(), out.Data()
+	var args []int
+	if train {
+		args = make([]int, len(od))
+	}
+	parallel.ForRange(x.Dim(0)*x.Dim(1), func(lo, hi int) {
+		for rc := lo; rc < hi; rc++ {
+			xImg := xd[rc*h*w : (rc+1)*h*w]
+			oImg := od[rc*hOut*wOut : (rc+1)*hOut*wOut]
+			for oy := 0; oy < hOut; oy++ {
+				for ox := 0; ox < wOut; ox++ {
+					best, bestIdx := math.Inf(-1), 0
+					for ky := 0; ky < kh; ky++ {
+						for kx := 0; kx < kw; kx++ {
+							idx := (oy*kh+ky)*w + ox*kw + kx
+							if v := xImg[idx]; v > best {
+								best, bestIdx = v, idx
+							}
+						}
+					}
+					oImg[oy*wOut+ox] = best
+					if args != nil {
+						args[rc*hOut*wOut+oy*wOut+ox] = rc*h*w + bestIdx
+					}
+				}
+			}
+		}
+	})
+	if train {
+		m.lastArg = args
+		m.inShape = x.Shape()
+	}
+	return out
+}
+
+// backward routes gradients to the argmax positions; kind names the
+// layer in errors.
+func (m *maxPool) backward(kind string, grad *tensor.Tensor) (*tensor.Tensor, error) {
+	if m.lastArg == nil {
+		return nil, fmt.Errorf("%s backward without cached forward", kind)
+	}
+	g := grad.Contiguous()
+	gd := g.Data()
+	if len(gd) != len(m.lastArg) {
+		return nil, fmt.Errorf("%s backward size mismatch", kind)
+	}
+	dx := tensor.New(m.inShape...)
+	dxd := dx.Data()
+	for i, src := range m.lastArg {
+		dxd[src] += gd[i]
+	}
+	m.lastArg, m.inShape = nil, nil
+	return dx, nil
+}
+
 // MaxPool1D pools [batch, C, L] with window K and stride K.
 type MaxPool1D struct {
 	K int
 
-	lastArg []int
-	inShape []int
+	pool maxPool
 }
 
 // NewMaxPool1D constructs a 1-D max-pool layer with window k.
@@ -419,66 +489,22 @@ func (m *MaxPool1D) OutShape(in []int) ([]int, error) {
 	return []int{in[0], in[1] / m.K}, nil
 }
 
-// Forward takes windowed maxima, recording argmax indices for backward.
+// Forward takes windowed maxima (see maxPool).
 func (m *MaxPool1D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	if x.Rank() != 3 {
 		return nil, fmt.Errorf("maxpool1d wants [batch, C, L], got %v", x.Shape())
 	}
 	x = x.Contiguous()
-	b, ch, l := x.Dim(0), x.Dim(1), x.Dim(2)
-	lOut := l / m.K
-	if lOut == 0 {
+	l := x.Dim(2)
+	if l/m.K == 0 {
 		return nil, fmt.Errorf("maxpool1d input length %d < window %d", l, m.K)
 	}
-	out := tensor.New(b, ch, lOut)
-	xd, od := x.Data(), out.Data()
-	var args []int
-	if train {
-		args = make([]int, b*ch*lOut)
-	}
-	k := m.K
-	parallel.ForRange(b*ch, func(lo, hi int) {
-		for rc := lo; rc < hi; rc++ {
-			xrow := xd[rc*l : (rc+1)*l]
-			orow := od[rc*lOut : (rc+1)*lOut]
-			for p := 0; p < lOut; p++ {
-				best, bestIdx := math.Inf(-1), 0
-				for t := 0; t < k; t++ {
-					if v := xrow[p*k+t]; v > best {
-						best, bestIdx = v, p*k+t
-					}
-				}
-				orow[p] = best
-				if args != nil {
-					args[rc*lOut+p] = rc*l + bestIdx
-				}
-			}
-		}
-	})
-	if train {
-		m.lastArg = args
-		m.inShape = x.Shape()
-	}
-	return out, nil
+	return m.pool.forward(x, 1, l, 1, m.K, []int{x.Dim(0), x.Dim(1), l / m.K}, train), nil
 }
 
 // Backward routes gradients to the argmax positions.
 func (m *MaxPool1D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
-	if m.lastArg == nil {
-		return nil, fmt.Errorf("maxpool1d backward without cached forward")
-	}
-	g := grad.Contiguous()
-	gd := g.Data()
-	if len(gd) != len(m.lastArg) {
-		return nil, fmt.Errorf("maxpool1d backward size mismatch")
-	}
-	dx := tensor.New(m.inShape...)
-	dxd := dx.Data()
-	for i, src := range m.lastArg {
-		dxd[src] += gd[i]
-	}
-	m.lastArg, m.inShape = nil, nil
-	return dx, nil
+	return m.pool.backward("maxpool1d", grad)
 }
 
 func (m *MaxPool1D) spec() layerSpec { return layerSpec{Kind: "maxpool1d", Ints: []int{m.K}} }
@@ -487,8 +513,7 @@ func (m *MaxPool1D) spec() layerSpec { return layerSpec{Kind: "maxpool1d", Ints:
 type MaxPool2D struct {
 	K int
 
-	lastArg []int
-	inShape []int
+	pool maxPool
 }
 
 // NewMaxPool2D constructs a 2-D max-pool layer with window k.
@@ -514,71 +539,22 @@ func (m *MaxPool2D) OutShape(in []int) ([]int, error) {
 	return []int{in[0], in[1] / m.K, in[2] / m.K}, nil
 }
 
-// Forward takes windowed maxima, recording argmax indices for backward.
+// Forward takes windowed maxima (see maxPool).
 func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	if x.Rank() != 4 {
 		return nil, fmt.Errorf("maxpool2d wants [batch, C, H, W], got %v", x.Shape())
 	}
 	x = x.Contiguous()
-	b, ch, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	hOut, wOut := h/m.K, w/m.K
-	if hOut == 0 || wOut == 0 {
+	h, w := x.Dim(2), x.Dim(3)
+	if h/m.K == 0 || w/m.K == 0 {
 		return nil, fmt.Errorf("maxpool2d input %dx%d < window %d", h, w, m.K)
 	}
-	out := tensor.New(b, ch, hOut, wOut)
-	xd, od := x.Data(), out.Data()
-	var args []int
-	if train {
-		args = make([]int, b*ch*hOut*wOut)
-	}
-	k := m.K
-	parallel.ForRange(b*ch, func(lo, hi int) {
-		for rc := lo; rc < hi; rc++ {
-			xImg := xd[rc*h*w : (rc+1)*h*w]
-			oImg := od[rc*hOut*wOut : (rc+1)*hOut*wOut]
-			for oy := 0; oy < hOut; oy++ {
-				for ox := 0; ox < wOut; ox++ {
-					best, bestIdx := math.Inf(-1), 0
-					for ky := 0; ky < k; ky++ {
-						for kx := 0; kx < k; kx++ {
-							idx := (oy*k+ky)*w + ox*k + kx
-							if v := xImg[idx]; v > best {
-								best, bestIdx = v, idx
-							}
-						}
-					}
-					oImg[oy*wOut+ox] = best
-					if args != nil {
-						args[rc*hOut*wOut+oy*wOut+ox] = rc*h*w + bestIdx
-					}
-				}
-			}
-		}
-	})
-	if train {
-		m.lastArg = args
-		m.inShape = x.Shape()
-	}
-	return out, nil
+	return m.pool.forward(x, h, w, m.K, m.K, []int{x.Dim(0), x.Dim(1), h / m.K, w / m.K}, train), nil
 }
 
 // Backward routes gradients to the argmax positions.
 func (m *MaxPool2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
-	if m.lastArg == nil {
-		return nil, fmt.Errorf("maxpool2d backward without cached forward")
-	}
-	g := grad.Contiguous()
-	gd := g.Data()
-	if len(gd) != len(m.lastArg) {
-		return nil, fmt.Errorf("maxpool2d backward size mismatch")
-	}
-	dx := tensor.New(m.inShape...)
-	dxd := dx.Data()
-	for i, src := range m.lastArg {
-		dxd[src] += gd[i]
-	}
-	m.lastArg, m.inShape = nil, nil
-	return dx, nil
+	return m.pool.backward("maxpool2d", grad)
 }
 
 func (m *MaxPool2D) spec() layerSpec { return layerSpec{Kind: "maxpool2d", Ints: []int{m.K}} }

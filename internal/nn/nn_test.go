@@ -198,6 +198,43 @@ func TestMaxPool2DKnownValues(t *testing.T) {
 	}
 }
 
+// TestMaxPool1DKnownValues pins the 1-D pool on a window that does not
+// divide L (the trailing element is dropped) and on ties, where the
+// first maximum wins: its position is the one Backward routes to.
+func TestMaxPool1DKnownValues(t *testing.T) {
+	pool := NewMaxPool1D(2)
+	x, _ := tensor.FromSlice([]float64{
+		1, 3, 3, 2, 5, 5, 9,
+		-4, -4, 7, 1, -2, -3, 100,
+	}, 1, 2, 7)
+	y, err := pool.Forward(x, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := y.Shape(); !tensor.ShapeEqual(got, []int{1, 2, 3}) {
+		t.Fatalf("pool shape %v, want [1 2 3]", got)
+	}
+	for i, w := range []float64{3, 3, 5, -4, 7, -2} {
+		if got := y.Data()[i]; got != w {
+			t.Fatalf("pool[%d] = %g, want %g", i, got, w)
+		}
+	}
+	g, _ := tensor.FromSlice([]float64{10, 20, 30, 40, 50, 60}, 1, 2, 3)
+	dx, err := pool.Backward(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []float64{
+		0, 10, 20, 0, 30, 0, 0,
+		40, 0, 50, 0, 60, 0, 0,
+	}
+	for i, w := range want {
+		if got := dx.Data()[i]; got != w {
+			t.Fatalf("dx[%d] = %g, want %g", i, got, w)
+		}
+	}
+}
+
 func TestDropoutTrainVsEval(t *testing.T) {
 	net := NewNetwork(21)
 	net.Add(net.NewDropout(0.5))
