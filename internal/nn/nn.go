@@ -52,7 +52,9 @@ type Layer interface {
 }
 
 // Network is a sequential composition of layers — the only container the
-// HPAC-ML search spaces need (MLPs and small CNNs).
+// HPAC-ML search spaces need (MLPs and small CNNs). Layers grow through
+// Add, which compiles the inference plan: a slice changed any other way
+// leaves the plan describing the old layers.
 type Network struct {
 	Layers []*layerEntry
 	rng    *rand.Rand

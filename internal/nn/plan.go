@@ -190,7 +190,7 @@ func compilePlan(layers []*layerEntry) *f64Plan {
 // before it: the layer walk would accept it, and the plan computes the
 // same values from its flat data. Any other input walks the layers.
 func (p *f64Plan) fits(x *tensor.Tensor) bool {
-	if x.Rank() != 2 && (!p.anyRank || x.Rank() < 2) {
+	if r := x.Rank(); r < 2 || r > 2 && !p.anyRank {
 		return false
 	}
 	return sampleLen(x) == p.in
