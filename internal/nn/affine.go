@@ -33,7 +33,7 @@ func (a *Affine) OutShape(in []int) ([]int, error) {
 func (a *Affine) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	out := tensor.New(x.Shape()...)
 	op := tailOp{kind: tailAffine, scale: a.Scale, shift: a.Shift}
-	op.apply(out.Data(), x.Contiguous().Data())
+	applyTail(&op, out.Data(), x.Contiguous().Data())
 	return out, nil
 }
 
@@ -103,7 +103,7 @@ func (c *ChannelAffine) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, e
 	}
 	out := tensor.New(x.Shape()...)
 	op := tailOp{kind: tailChanAffine, blockLen: c.BlockLen, scales: c.Scales, shifts: c.Shifts}
-	op.apply(out.Data(), x.Contiguous().Data())
+	applyTail(&op, out.Data(), x.Contiguous().Data())
 	return out, nil
 }
 

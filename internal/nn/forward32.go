@@ -2,10 +2,8 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
-	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -21,12 +19,15 @@ import (
 // CalibrateI8 share, so it accepts exactly the int8 program's vector
 // layer set: an elementwise prelude (input normalization), then Dense
 // segments with elementwise tails (activations, Affine, ChannelAffine,
-// inference-identity Dropout and Flatten). Each segment is one
-// PackedF32.Into, which adds the bias after the row's sum and applies a
-// leading ReLU in registers before its store; the rest of the tail is
-// then mapped in place in float32. The prelude runs in float64, fused
-// into the input's float64 -> float32 conversion. Anything else (conv,
-// pools, residual blocks) fails and the caller keeps the float64 path.
+// inference-identity Dropout and Flatten). It runs the f64 plan's
+// program over float32 (plan[float32]): each segment is one
+// PackedF32.Into, which adds the bias after the row's sum and applies
+// the tail's leading activation before or just after its store (ReLU in
+// registers, the others through tensor.MapAct in float32), and the rest
+// of the tail is then mapped in place in float32. The prelude runs in
+// float64, fused into the input's float64 -> float32 conversion.
+// Anything else (conv, pools, residual blocks) fails and the caller
+// keeps the float64 path.
 //
 // The compiled program snapshots the network's weights: after a
 // parameter update or hot reload, build a new Forward32. A Forward32 is
@@ -34,24 +35,15 @@ import (
 type Forward32 struct {
 	inDim, outDim int
 	prelude       []tailOp // pre-dense elementwise ops, fused into the input conversion
-	segs          []seg32
+	plan          plan[float32]
 	scratch       sync.Pool // *f32Scratch
 }
 
-// seg32 is one compiled dense segment: its packed [in, out] float32
-// weights and bias, whether its tail starts with a ReLU the kernel
-// fuses, and the rest of the tail, which the epilogue maps.
-type seg32 struct {
-	inCols, outCols int
-	w               *tensor.PackedF32
-	relu            bool
-	tail            []tailOp
-}
-
-// f32Scratch is one call's state: the converted input and the
-// ping-pong segment outputs.
+// f32Scratch is one call's state: the converted input, the float32
+// output and the plan's ping-pong buffers.
 type f32Scratch struct {
-	bufs [3][]float32
+	x, y []float32
+	bufs [2][]float32
 }
 
 // NewForward32 compiles net into a float32 inference program over flat
@@ -62,16 +54,11 @@ func NewForward32(net *Network) (*Forward32, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Forward32{inDim: in, outDim: out, prelude: prelude}
+	f := &Forward32{inDim: in, outDim: out, prelude: prelude,
+		plan: newPlan(nil, segs, func(s *denseSeg) func(dst, x []float32, rows int, act tensor.Act) {
+			return tensor.PackF32(toF32(s.w), toF32(s.b), s.inCols, s.outCols).Into
+		})}
 	f.scratch.New = func() any { return new(f32Scratch) }
-	for _, s := range segs {
-		seg := seg32{inCols: s.inCols, outCols: s.outCols,
-			w: tensor.PackF32(toF32(s.w), toF32(s.b), s.inCols, s.outCols), tail: s.tail}
-		if len(seg.tail) > 0 && seg.tail[0].kind == tailAct && seg.tail[0].act == tensor.ActReLU {
-			seg.relu, seg.tail = true, seg.tail[1:]
-		}
-		f.segs = append(f.segs, seg)
-	}
 	return f, nil
 }
 
@@ -94,90 +81,21 @@ func (f *Forward32) ForwardFloat64(dst, x []float64, rows int) error {
 	}
 	s := f.scratch.Get().(*f32Scratch)
 	defer f.scratch.Put(s)
-	cur := grow(&s.bufs[0], len(x))
+	in, out := grow(&s.x, len(x)), grow(&s.y, len(dst))
 	if len(f.prelude) == 0 {
 		for i, v := range x {
-			cur[i] = float32(v)
+			in[i] = float32(v)
 		}
 	} else {
 		for i, v := range x {
-			cur[i] = float32(tailEval(f.prelude, i%f.inDim, v))
+			in[i] = float32(tailEval(f.prelude, i%f.inDim, v))
 		}
 	}
-	for i := range f.segs {
-		seg := &f.segs[i]
-		out := grow(&s.bufs[1+i%2], rows*seg.outCols)
-		seg.w.Into(out, cur, rows, seg.relu)
-		seg.epilogue(out, rows)
-		cur = out
-	}
-	for i, v := range cur {
+	f.plan.run(out, in, rows, &s.bufs)
+	for i, v := range out {
 		dst[i] = float64(v)
 	}
 	return nil
-}
-
-// epilogue applies the tail the kernel does not fuse to each row of the
-// [rows, outCols] slab y in place, splitting rows across workers once
-// the slab reaches elemwiseParMin elements.
-func (seg *seg32) epilogue(y []float32, rows int) {
-	if len(seg.tail) == 0 {
-		return
-	}
-	body := func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			row := y[r*seg.outCols : (r+1)*seg.outCols]
-			for i := range seg.tail {
-				tailRow32(&seg.tail[i], row)
-			}
-		}
-	}
-	if len(y) < elemwiseParMin {
-		body(0, rows)
-		return
-	}
-	parallel.ForRange(rows, body)
-}
-
-// tailRow32 applies one tail op to an output row in float32, one plain
-// loop per kind. relu and leakyrelu stay in f32; tanh and sigmoid route
-// through the float64 stdlib transcendentals per element.
-func tailRow32(op *tailOp, row []float32) {
-	switch op.kind {
-	case tailAct:
-		switch op.act {
-		case tensor.ActReLU:
-			for j, v := range row {
-				if !(v > 0) {
-					row[j] = 0
-				}
-			}
-		case tensor.ActLeakyReLU:
-			for j, v := range row {
-				if !(v > 0) {
-					row[j] = 0.01 * v
-				}
-			}
-		case tensor.ActTanh:
-			for j, v := range row {
-				row[j] = float32(math.Tanh(float64(v)))
-			}
-		case tensor.ActSigmoid:
-			for j, v := range row {
-				row[j] = float32(1 / (1 + math.Exp(float64(-v))))
-			}
-		}
-	case tailAffine:
-		scale, shift := float32(op.scale), float32(op.shift)
-		for j, v := range row {
-			row[j] = scale*v + shift
-		}
-	case tailChanAffine:
-		for j, v := range row {
-			b := j / op.blockLen
-			row[j] = float32(op.scales[b])*v + float32(op.shifts[b])
-		}
-	}
 }
 
 func toF32(src []float64) []float32 {

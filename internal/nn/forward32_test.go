@@ -106,19 +106,38 @@ func TestForward32AllLayers(t *testing.T) {
 	}
 }
 
-// forward32Reference runs a prelude-free Dense+activation MLP layer by
-// layer in float32: each Dense is MatMulInto32 on f32 weights, then the
-// f32 bias add, then each activation over the whole slab in f32. That
-// op order is what Forward32's fused per-row epilogue must reproduce
-// bit for bit.
+// forward32Reference runs an MLP layer by layer: Affine and
+// ChannelAffine layers before the first Dense (the prelude) in float64,
+// then everything in float32: each Dense is MatMulInto32 on f32 weights,
+// then the f32 bias add, then each activation, Affine and ChannelAffine
+// over the whole slab in f32 (leaky ReLU's slope and the affine factors
+// rounded to f32). That op order is what Forward32's fused kernel store
+// and tail must reproduce bit for bit.
 func forward32Reference(t *testing.T, net *Network, x []float64, rows int) []float64 {
 	t.Helper()
-	cur := make([]float32, len(x))
-	for i, v := range x {
-		cur[i] = float32(v)
-	}
+	x = append([]float64(nil), x...)
 	cols := len(x) / rows
+	var cur []float32 // nil until the prelude ends
 	for _, e := range net.Layers {
+		if cur == nil {
+			switch l := e.Layer.(type) {
+			case *Affine:
+				for i, v := range x {
+					x[i] = l.Scale*v + l.Shift
+				}
+				continue
+			case *ChannelAffine:
+				for i, v := range x {
+					b := i % cols / l.BlockLen
+					x[i] = l.Scales[b]*v + l.Shifts[b]
+				}
+				continue
+			}
+			cur = make([]float32, len(x))
+			for i, v := range x {
+				cur[i] = float32(v)
+			}
+		}
 		switch l := e.Layer.(type) {
 		case *Dense:
 			out := make([]float32, rows*l.Out)
@@ -139,6 +158,10 @@ func forward32Reference(t *testing.T, net *Network, x []float64, rows int) []flo
 					} else {
 						cur[i] = 0
 					}
+				case ActLeakyReLU:
+					if !(v > 0) {
+						cur[i] = 0.01 * v
+					}
 				case ActTanh:
 					cur[i] = float32(math.Tanh(float64(v)))
 				case ActSigmoid:
@@ -147,6 +170,16 @@ func forward32Reference(t *testing.T, net *Network, x []float64, rows int) []flo
 				default:
 					t.Fatalf("reference has no %q", l.Fn)
 				}
+			}
+		case *Affine:
+			scale, shift := float32(l.Scale), float32(l.Shift)
+			for i, v := range cur {
+				cur[i] = scale*v + shift
+			}
+		case *ChannelAffine:
+			for i, v := range cur {
+				b := i % cols / l.BlockLen
+				cur[i] = float32(l.Scales[b])*v + float32(l.Shifts[b])
 			}
 		default:
 			t.Fatalf("reference has no %s layer", l.Kind())
@@ -161,11 +194,34 @@ func forward32Reference(t *testing.T, net *Network, x []float64, rows int) []flo
 
 // TestForward32MatchesReference pins the segment-compiled program bit
 // for bit to forward32Reference on random prelude-free MLPs, one per
+// activation, and on leaky ReLU MLPs behind an Affine/ChannelAffine
+// prelude with Affine/ChannelAffine tails before and after the
 // activation, at row counts on both sides of the GEMM's and the
-// epilogue's parallel thresholds.
+// elementwise maps' parallel thresholds.
 func TestForward32MatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	for _, act := range []string{ActReLU, ActTanh, ActSigmoid, ActIdentity} {
+	check := func(net *Network, name string, widths []int, rows int) {
+		t.Helper()
+		f32, err := NewForward32(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := make([]float64, rows*widths[0])
+		for i := range x {
+			x[i] = rng.NormFloat64() * 2
+		}
+		got := make([]float64, rows*f32.OutDim())
+		if err := f32.ForwardFloat64(got, x, rows); err != nil {
+			t.Fatal(err)
+		}
+		want := forward32Reference(t, net, x, rows)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s %v rows %d element %d: %g, reference %g", name, widths, rows, i, got[i], want[i])
+			}
+		}
+	}
+	for _, act := range []string{ActReLU, ActTanh, ActSigmoid, ActIdentity, ActLeakyReLU} {
 		for _, rows := range []int{1, 7, 64} {
 			widths := []int{1 + rng.Intn(40), 8 + rng.Intn(300), 8 + rng.Intn(300), 1 + rng.Intn(20)}
 			net := NewNetwork(int64(rows) + 3)
@@ -175,25 +231,22 @@ func TestForward32MatchesReference(t *testing.T) {
 					net.Add(NewActivation(act))
 				}
 			}
-			f32, err := NewForward32(net)
-			if err != nil {
-				t.Fatal(err)
-			}
-			x := make([]float64, rows*widths[0])
-			for i := range x {
-				x[i] = rng.NormFloat64() * 2
-			}
-			got := make([]float64, rows*f32.OutDim())
-			if err := f32.ForwardFloat64(got, x, rows); err != nil {
-				t.Fatal(err)
-			}
-			want := forward32Reference(t, net, x, rows)
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%s %v rows %d element %d: %g, reference %g", act, widths, rows, i, got[i], want[i])
-				}
+			check(net, act, widths, rows)
+		}
+	}
+	for _, rows := range []int{1, 7, 64} {
+		widths := []int{2 + 2*rng.Intn(20), 8 + 2*rng.Intn(150), 8 + 2*rng.Intn(150), 1 + rng.Intn(20)}
+		net := NewNetwork(int64(rows) + 5)
+		net.Add(NewAffine(0.5, -1), NewChannelAffine(widths[0]/2, []float64{2, 0.25}, []float64{0.1, -0.3}))
+		for i := 0; i < len(widths)-1; i++ {
+			net.Add(net.NewDense(widths[i], widths[i+1]))
+			if i < len(widths)-2 {
+				net.Add(NewAffine(1.3, 0.2), NewActivation(ActLeakyReLU),
+					NewChannelAffine(widths[i+1]/2, []float64{0.7, 1.9}, []float64{-0.2, 0.4}))
 			}
 		}
+		net.Add(NewActivation(ActLeakyReLU), NewAffine(3, -0.5))
+		check(net, "prelude+tails "+ActLeakyReLU, widths, rows)
 	}
 }
 

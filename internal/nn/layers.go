@@ -207,12 +207,13 @@ func (a *Activation) kind() (tensor.Act, error) {
 
 // applyElemwise maps dst[i] = act(src[i]) (src may alias dst), running
 // the small case inline with no closure and splitting the rest into
-// chunks of at least elemwiseParMin elements, each one act.Map call.
+// chunks of at least elemwiseParMin elements, each one tensor.MapAct
+// call.
 // One home for the elementwise threshold keeps the activation paths'
 // parallelization policy consistent.
-func applyElemwise(dst, src []float64, act tensor.Act) {
+func applyElemwise[E float](dst, src []E, act tensor.Act) {
 	if len(dst) < elemwiseParMin {
-		act.Map(dst, src)
+		tensor.MapAct(act, dst, src)
 		return
 	}
 	chunks := len(dst) / elemwiseParMin
@@ -221,7 +222,7 @@ func applyElemwise(dst, src []float64, act tensor.Act) {
 		if c == chunks-1 {
 			hi = len(dst)
 		}
-		act.Map(dst[lo:hi], src[lo:hi])
+		tensor.MapAct(act, dst[lo:hi], src[lo:hi])
 	})
 }
 

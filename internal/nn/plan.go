@@ -28,8 +28,8 @@ const (
 // tailOp is one elementwise op of a segment tail (or of the prelude).
 // The int8 program evaluates it per column in float64 — at LUT build
 // time for the quantized segments, per element for the final
-// dequantizing segment; the f32 program applies it per row in float32,
-// and the f64 plan over a whole slab (apply).
+// dequantizing segment; a plan maps it over a whole slab in its own
+// element type (applyTail).
 type tailOp struct {
 	kind           int
 	act            tensor.Act // tailAct
@@ -122,42 +122,108 @@ func compileSegments(net *Network) ([]tailOp, []denseSeg, int, int, error) {
 	return prelude, segs, in, cols, nil
 }
 
-// apply maps op over the flat slab src into dst (src may alias dst), the
-// formula the layer it was compiled from computes: Activation through
-// applyElemwise, Affine and ChannelAffine one multiply-add per element.
-// A ChannelAffine slab is whole samples of blockLen*len(scales)
-// elements.
-func (op *tailOp) apply(dst, src []float64) {
+// applyTail maps op over the flat slab src into dst (src may alias
+// dst) in E, the formula the layer it was compiled from computes:
+// Activation through applyElemwise, Affine and ChannelAffine one
+// multiply-add per element with their factors rounded to E. A
+// ChannelAffine slab is whole samples of blockLen*len(scales) elements.
+func applyTail[E float](op *tailOp, dst, src []E) {
 	switch op.kind {
 	case tailAct:
 		applyElemwise(dst, src, op.act)
 	case tailAffine:
+		scale, shift := E(op.scale), E(op.shift)
 		for i, v := range src[:len(dst)] {
-			dst[i] = op.scale*v + op.shift
+			dst[i] = scale*v + shift
 		}
 	case tailChanAffine:
 		for lo := 0; lo < len(dst); lo += op.blockLen {
 			b := (lo / op.blockLen) % len(op.scales)
-			s, sh := op.scales[b], op.shifts[b]
+			scale, shift := E(op.scales[b]), E(op.shifts[b])
 			for i := lo; i < lo+op.blockLen; i++ {
-				dst[i] = s*src[i] + sh
+				dst[i] = scale*src[i] + shift
 			}
 		}
 	}
 }
 
+// float is the element type of a plan.
+type float interface{ float32 | float64 }
+
+// segment is one dense segment of a plan: its output width, its kernel
+// call (dst = act(x @ W + b) over rows samples), the leading activation
+// of its tail, which the call fuses into its store, and the rest of the
+// tail, mapped in place after it.
+type segment[E float] struct {
+	outCols int
+	into    func(dst, x []E, rows int, act tensor.Act)
+	act     tensor.Act
+	tail    []tailOp
+}
+
+// plan is an inference program over flat slabs of E: an elementwise
+// prelude, then dense segments. The f64 plan and Forward32 each run one.
+type plan[E float] struct {
+	prelude []tailOp
+	segs    []segment[E]
+}
+
+// newPlan builds a plan from compileSegments' prelude and segments;
+// into returns each segment's kernel call.
+func newPlan[E float](prelude []tailOp, segs []denseSeg, into func(*denseSeg) func(dst, x []E, rows int, act tensor.Act)) plan[E] {
+	p := plan[E]{prelude: prelude}
+	for i := range segs {
+		seg := segment[E]{outCols: segs[i].outCols, into: into(&segs[i]), tail: segs[i].tail}
+		if len(seg.tail) > 0 && seg.tail[0].kind == tailAct {
+			seg.act, seg.tail = seg.tail[0].act, seg.tail[1:]
+		}
+		p.segs = append(p.segs, seg)
+	}
+	return p
+}
+
+// run computes the plan for rows samples of the flat slab x into the
+// [rows, out] slab dst, keeping intermediates in the ping-pong buffers
+// bufs. The prelude maps x into a buffer; each segment is one kernel
+// call with its leading activation fused, and the rest of its tail is
+// mapped in place.
+func (p *plan[E]) run(dst, x []E, rows int, bufs *[2][]E) {
+	cur, slot := x, 0
+	if len(p.prelude) > 0 {
+		buf := grow(&bufs[0], len(x))
+		for i := range p.prelude {
+			applyTail(&p.prelude[i], buf, cur)
+			cur = buf
+		}
+		slot = 1
+	}
+	for i := range p.segs {
+		seg := &p.segs[i]
+		out := dst
+		if i < len(p.segs)-1 {
+			out = grow(&bufs[slot], rows*seg.outCols)
+			slot ^= 1
+		}
+		seg.into(out, cur, rows, seg.act)
+		for j := range seg.tail {
+			applyTail(&seg.tail[j], out, out)
+		}
+		cur = out
+	}
+}
+
 // f64Plan is the float64 inference program of a network's vector
 // suffix: the longest run of its last layers that compileSegments
-// accepts, compiled by Network.Add. It holds the Dense layers, not their
-// weights, so it serves the network both before Freeze (each segment
-// packs its weights per call) and after it (each reads its layer's
-// PackedF64), and it sees in-place weight writes on an unfrozen network.
+// accepts, compiled by Network.Add. Its kernel calls are the Dense
+// layers' own (Dense.into), not copies of their weights, so it serves
+// the network both before Freeze (each call packs its weights) and after
+// it (each reads its layer's PackedF64), and it sees in-place weight
+// writes on an unfrozen network.
 type f64Plan struct {
+	plan[float64]
 	start   int  // index in Network.Layers of the suffix's first layer
 	in, out int  // per-sample widths
 	anyRank bool // a Flatten precedes the first Dense, so rank > 2 inputs fit
-	prelude []tailOp
-	segs    []denseSeg
 }
 
 // compilePlan compiles the longest suffix of layers that compileSegments
@@ -169,7 +235,10 @@ func compilePlan(layers []*layerEntry) *f64Plan {
 		if err != nil {
 			continue
 		}
-		p := &f64Plan{start: start, in: in, out: out, prelude: prelude, segs: segs}
+		p := &f64Plan{start: start, in: in, out: out,
+			plan: newPlan(prelude, segs, func(s *denseSeg) func(dst, x []float64, rows int, act tensor.Act) {
+				return s.d.into
+			})}
 		for _, e := range layers[start:] {
 			if _, ok := e.Layer.(*Dense); ok {
 				break
@@ -177,9 +246,6 @@ func compilePlan(layers []*layerEntry) *f64Plan {
 			if _, ok := e.Layer.(*Flatten); ok {
 				p.anyRank = true
 			}
-		}
-		for i := range p.segs {
-			p.segs[i].w, p.segs[i].b = nil, nil // the layer's, read per call
 		}
 		return p
 	}
@@ -204,38 +270,4 @@ func sampleLen(x *tensor.Tensor) int {
 		n *= x.Dim(i)
 	}
 	return n
-}
-
-// run computes the plan for rows samples of the flat slab x into the
-// [rows, out] slab dst, keeping intermediates in the ping-pong buffers
-// bufs. The prelude maps x into a buffer; each segment is one Dense
-// kernel call with its tail's leading activation fused into the store,
-// and the rest of its tail is mapped in place.
-func (p *f64Plan) run(dst, x []float64, rows int, bufs *[2][]float64) {
-	cur, slot := x, 0
-	if len(p.prelude) > 0 {
-		buf := grow(&bufs[0], len(x))
-		for i := range p.prelude {
-			p.prelude[i].apply(buf, cur)
-			cur = buf
-		}
-		slot = 1
-	}
-	for i := range p.segs {
-		seg := &p.segs[i]
-		out := dst
-		if i < len(p.segs)-1 {
-			out = grow(&bufs[slot], rows*seg.outCols)
-			slot ^= 1
-		}
-		act, tail := tensor.ActIdentity, seg.tail
-		if len(tail) > 0 && tail[0].kind == tailAct {
-			act, tail = tail[0].act, tail[1:]
-		}
-		seg.d.into(out, cur, rows, act)
-		for j := range tail {
-			tail[j].apply(out, out)
-		}
-		cur = out
-	}
 }

@@ -177,32 +177,56 @@ func TestPlanWalksInputsItDoesNotTake(t *testing.T) {
 // TestCNNForwardAllocsIndependentOfHead: the plan keeps a dense head's
 // intermediates in pooled buffers, so a frozen CNN's steady-state
 // Forward allocates the same number of objects whatever the number of
-// Dense layers in its head.
+// Dense layers in its head. A residual block runs its body through the
+// body's plan at inference, so the same holds for the number of Dense
+// layers in a residual body.
 func TestCNNForwardAllocsIndependentOfHead(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc assertions run in the non-race job")
 	}
-	x := randTensor(rand.New(rand.NewSource(4)), 4, 1, 8, 8)
-	var base float64
-	for _, depth := range []int{1, 2, 5} {
-		net := NewNetwork(10)
-		net.Add(net.NewConv2D(1, 2, 3, 3, 1), NewActivation(ActReLU), NewMaxPool2D(2), NewFlatten(), net.NewDense(18, 8))
-		for i := 1; i < depth; i++ {
-			net.Add(NewActivation(ActReLU), net.NewDense(8, 8))
-		}
-		net.Freeze()
-		if _, err := net.Forward(x); err != nil { // warm the pools
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := net.Forward(x); err != nil {
+	rng := rand.New(rand.NewSource(4))
+	cases := []struct {
+		name  string
+		x     *tensor.Tensor
+		build func(depth int) *Network
+	}{
+		{"cnn head", randTensor(rng, 4, 1, 8, 8), func(depth int) *Network {
+			net := NewNetwork(10)
+			net.Add(net.NewConv2D(1, 2, 3, 3, 1), NewActivation(ActReLU), NewMaxPool2D(2), NewFlatten(), net.NewDense(18, 8))
+			for i := 1; i < depth; i++ {
+				net.Add(NewActivation(ActReLU), net.NewDense(8, 8))
+			}
+			return net
+		}},
+		{"residual body", randTensor(rng, 32, 12), func(depth int) *Network {
+			body := NewNetwork(11)
+			body.Add(body.NewDense(12, 40))
+			for i := 1; i < depth; i++ {
+				body.Add(NewActivation(ActReLU), body.NewDense(40, 40))
+			}
+			body.Add(NewActivation(ActReLU), body.NewDense(40, 12))
+			net := NewNetwork(12)
+			return net.Add(NewResidual(body), net.NewDense(12, 3))
+		}},
+	}
+	for _, tc := range cases {
+		var base float64
+		for _, depth := range []int{1, 2, 5} {
+			net := tc.build(depth)
+			net.Freeze()
+			if _, err := net.Forward(tc.x); err != nil { // warm the pools
 				t.Fatal(err)
 			}
-		})
-		if depth == 1 {
-			base = allocs
-		} else if allocs != base {
-			t.Fatalf("a %d-Dense head allocates %.1f objects per Forward, a 1-Dense head %.1f", depth, allocs, base)
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, err := net.Forward(tc.x); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if depth == 1 {
+				base = allocs
+			} else if allocs != base {
+				t.Fatalf("%s: depth %d allocates %.1f objects per Forward, depth 1 %.1f", tc.name, depth, allocs, base)
+			}
 		}
 	}
 }

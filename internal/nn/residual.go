@@ -41,12 +41,20 @@ func (r *Residual) OutShape(in []int) ([]int, error) {
 	return out, nil
 }
 
-// Forward computes body(x) + flatten(x).
+// Forward computes body(x) + flatten(x). At inference the body runs
+// through its own plan, as a network's Forward does; the sum is a new
+// tensor, so an identity body never aliases x.
 func (r *Residual) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	if x.Rank() < 2 {
 		return nil, fmt.Errorf("residual wants rank >= 2 input, got %v", x.Shape())
 	}
-	y, err := r.Body.forward(x, train)
+	var y *tensor.Tensor
+	var err error
+	if train {
+		y, err = r.Body.forward(x, true)
+	} else {
+		y, err = r.Body.forwardInference(x, nil)
+	}
 	if err != nil {
 		return nil, err
 	}

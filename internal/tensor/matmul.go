@@ -118,7 +118,7 @@ func (p *PackedF64) Into(dst, a []float64, m int, act Act) {
 }
 
 // Act is an elementwise activation: DenseInto applies it to each output
-// as it is stored, and Map applies it to a slice.
+// as it is stored, and MapAct applies it to a slice.
 type Act uint8
 
 // The activations. ActIdentity is the zero value.
@@ -145,11 +145,13 @@ func (a Act) Of(v float64) float64 {
 	return v
 }
 
-// Map sets dst[i] = a.Of(src[i]); src may alias dst. It chooses the loop
-// once per call, not per element.
-func (a Act) Map(dst, src []float64) {
+// MapAct sets dst[i] = act.Of(src[i]) over either element type; src may
+// alias dst. It chooses the loop once per call, not per element. ReLU
+// and leaky ReLU compute in E; tanh and sigmoid go through their float64
+// formulas, rounded back to E.
+func MapAct[E float](act Act, dst, src []E) {
 	src = src[:len(dst)]
-	switch a {
+	switch act {
 	case ActReLU:
 		for i, v := range src {
 			dst[i] = relu(v)
@@ -160,11 +162,11 @@ func (a Act) Map(dst, src []float64) {
 		}
 	case ActTanh:
 		for i, v := range src {
-			dst[i] = math.Tanh(v)
+			dst[i] = E(math.Tanh(float64(v)))
 		}
 	case ActSigmoid:
 		for i, v := range src {
-			dst[i] = sigmoid(v)
+			dst[i] = E(sigmoid(float64(v)))
 		}
 	default:
 		copy(dst, src)
@@ -172,14 +174,16 @@ func (a Act) Map(dst, src []float64) {
 }
 
 // relu is max(v, 0) with every zero, and NaN, mapped to +0.
-func relu(v float64) float64 {
+func relu[E float](v E) E {
 	if v > 0 {
 		return v
 	}
 	return 0
 }
 
-func leakyReLU(v float64) float64 {
+// leakyReLU is v above 0 and 0.01*v otherwise, in E: a float32 slope is
+// 0.01 rounded to float32.
+func leakyReLU[E float](v E) E {
 	if v > 0 {
 		return v
 	}

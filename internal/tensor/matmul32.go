@@ -65,31 +65,23 @@ func PackF32(b, bias []float32, k, n int) *PackedF32 {
 	return p
 }
 
-// Into computes dst = a @ p + bias for the [m, k] slab a into the
-// [m, n] slab dst, then maps every output through ReLU when relu is
-// set. Output element j starts at +0; x_k*b[k][j] is added for each
-// nonzero x_k in ascending k, one rounded multiply and one rounded add
-// each, and bias[j] is added last: the op order of a plain f32 row loop
-// followed by a bias pass, so the result is bitwise independent of
-// packing, blocking and the parallel split. Zero activations (either
-// sign) are skipped, so a 0 * Inf weight never turns an output into
-// NaN. A sum that starts at +0 is never -0, so without a bias the zero
-// bias it adds leaves every output's bits alone. ReLU maps every zero,
-// NaN and negative to +0.
+// Into computes dst = act(a @ p + bias) for the [m, k] slab a into the
+// [m, n] slab dst. Output element j starts at +0; x_k*b[k][j] is added
+// for each nonzero x_k in ascending k, one rounded multiply and one
+// rounded add each, and bias[j] is added last: the op order of a plain
+// f32 row loop followed by a bias pass, so the result is bitwise
+// independent of packing, blocking and the parallel split. Zero
+// activations (either sign) are skipped, so a 0 * Inf weight never
+// turns an output into NaN. A sum that starts at +0 is never -0, so
+// without a bias the zero bias it adds leaves every output's bits alone.
 //
 // Rows run through the packed-panel driver as PackedF64.Into's do, each
-// keeping its sixteen outputs in registers across its list.
-func (p *PackedF32) Into(dst, a []float32, m int, relu bool) {
+// keeping its sixteen outputs in registers across its list. The sweep
+// applies identity and ReLU (every zero, NaN and negative to +0) in
+// registers; any other act is mapped in place by MapAct in float32.
+func (p *PackedF32) Into(dst, a []float32, m int, act Act) {
 	if m == 0 || p.n == 0 {
 		return
 	}
-	p.into(dst, a, m, reluAct(relu), nil)
-}
-
-// reluAct is the act PackedF32.Into's relu flag selects.
-func reluAct(relu bool) Act {
-	if relu {
-		return ActReLU
-	}
-	return ActIdentity
+	p.into(dst, a, m, act, nil)
 }

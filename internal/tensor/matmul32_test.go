@@ -158,8 +158,8 @@ func BenchmarkMatMul32vs64(b *testing.B) {
 
 // rowLoopF32 is the plain f32 row loop the f32 kernel must match bit
 // for bit: each row's nonzero activations added in ascending k from +0,
-// then the bias, then ReLU when relu is set.
-func rowLoopF32(a, b, bias []float32, m, k, n int, relu bool) []float32 {
+// then the bias, then act.
+func rowLoopF32(a, b, bias []float32, m, k, n int, act Act) []float32 {
 	out := make([]float32, m*n)
 	for r := 0; r < m; r++ {
 		orow := out[r*n : (r+1)*n]
@@ -171,14 +171,12 @@ func rowLoopF32(a, b, bias []float32, m, k, n int, relu bool) []float32 {
 				orow[j] += b[kk*n+j] * v
 			}
 		}
-		for j := range orow {
-			if bias != nil {
+		if bias != nil {
+			for j := range orow {
 				orow[j] += bias[j]
 			}
-			if relu && !(orow[j] > 0) {
-				orow[j] = 0
-			}
 		}
+		MapAct(act, orow, orow)
 	}
 	return out
 }
@@ -192,11 +190,13 @@ func sameBits32(a, b float32) bool {
 // FuzzPackedF32 checks the f32 row kernel on raw float32 bits, so ±0,
 // ±Inf, NaN payloads and subnormals all reach it, at any shape up to
 // [70, 40] x [40, 40] (one row, odd rows, rows across the 32-row block,
-// n = 1 and partial panels), with and without a bias and ReLU. data
-// supplies a, then b, then the bias, four bytes a value, cycled byte by
-// byte. Into under the vector sweep, the same under the portable sweep,
-// and a plain row loop must agree bit for bit, except that any two NaNs
-// match; without bias and ReLU, MatMulInto32 must too.
+// n = 1 and partial panels), with and without a bias, under each of the
+// five activations: ReLU fused by the sweep, the other three mapped
+// after it. data supplies a, then b, then the bias, four bytes a value,
+// cycled byte by byte. Into under the vector sweep, the same under the
+// portable sweep, and a plain row loop must agree bit for bit, except
+// that any two NaNs match; without bias and activation, MatMulInto32
+// must too.
 func FuzzPackedF32(f *testing.F) {
 	var specials []byte
 	for _, v := range []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
@@ -206,13 +206,16 @@ func FuzzPackedF32(f *testing.F) {
 	}
 	f.Add(uint8(0), uint8(1), uint8(0), uint8(0), specials)
 	f.Add(uint8(32), uint8(13), uint8(16), uint8(1), specials)
-	f.Add(uint8(68), uint8(40), uint8(8), uint8(2), specials[4:])
-	f.Add(uint8(6), uint8(7), uint8(12), uint8(3), specials[8:])
-	f.Add(uint8(34), uint8(9), uint8(39), uint8(1), specials[12:])
+	f.Add(uint8(68), uint8(40), uint8(8), uint8(5), specials[4:])
+	f.Add(uint8(6), uint8(7), uint8(12), uint8(6), specials[8:])
+	f.Add(uint8(34), uint8(9), uint8(39), uint8(2), specials[12:])
 	f.Add(uint8(2), uint8(0), uint8(3), uint8(1), []byte{})
+	f.Add(uint8(40), uint8(17), uint8(21), uint8(7), specials)
+	f.Add(uint8(9), uint8(33), uint8(16), uint8(3), specials[4:])
+	f.Add(uint8(3), uint8(5), uint8(7), uint8(9), specials[8:])
 	f.Fuzz(func(t *testing.T, mb, kb, nb, flags uint8, data []byte) {
 		m, k, n := 1+int(mb)%70, int(kb)%41, 1+int(nb)%40
-		relu, withBias := flags&1 != 0, flags&2 != 0
+		act, withBias := Act(flags%5), flags/5%2 != 0
 		word := func(i int) float32 {
 			var w [4]byte
 			for j := range w {
@@ -235,20 +238,20 @@ func FuzzPackedF32(f *testing.F) {
 		if !withBias {
 			bias = nil
 		}
-		want := rowLoopF32(a, b, bias, m, k, n, relu)
+		want := rowLoopF32(a, b, bias, m, k, n, act)
 		defer func(saved bool) { f32Vector = saved }(f32Vector)
 		p := PackF32(b, bias, k, n)
 		for _, vec := range sweeps(f32Vector) {
 			f32Vector = vec
 			got := make([]float32, m*n)
-			p.Into(got, a, m, relu)
+			p.Into(got, a, m, act)
 			for i := range want {
 				if !sameBits32(got[i], want[i]) {
-					t.Fatalf("[%d %d %d] relu %t bias %t vector %t element %d: Into %#x, want %#x",
-						m, k, n, relu, bias != nil, vec, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+					t.Fatalf("[%d %d %d] act %d bias %t vector %t element %d: Into %#x, want %#x",
+						m, k, n, act, bias != nil, vec, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
 				}
 			}
-			if relu || bias != nil {
+			if act != ActIdentity || bias != nil {
 				continue
 			}
 			if err := MatMulInto32(got, a, b, m, k, n); err != nil {
@@ -386,8 +389,8 @@ func TestSweepF32ReLU(t *testing.T) {
 // TestPackedF32RowsStoreOnlyTheirRange is TestPackedF64RowsStoreOnlyTheirRange
 // for the f32 kernel: rows over sub-ranges [lo, hi) x [q0, q1) of a dst
 // filled with a NaN sentinel must write exactly those rows' panel
-// columns, with and without ReLU, partial last panels (n % 16 != 0)
-// included.
+// columns, with and without a fused or mapped activation, partial last
+// panels (n % 16 != 0) included.
 func TestPackedF32RowsStoreOnlyTheirRange(t *testing.T) {
 	const guard = 16
 	sentinel := math.Float32frombits(0x7fc0_beef)
@@ -397,8 +400,8 @@ func TestPackedF32RowsStoreOnlyTheirRange(t *testing.T) {
 			m, k, n := s[0], s[1], s[2]
 			a, b, bias := randSlab32(rng, m*k), randSlab32(rng, k*n), randSlab32(rng, n)
 			p := PackF32(b, bias, k, n)
-			for _, relu := range []bool{false, true} {
-				want := rowLoopF32(a, b, bias, m, k, n, relu)
+			for _, act := range []Act{ActIdentity, ActReLU, ActLeakyReLU} {
+				want := rowLoopF32(a, b, bias, m, k, n, act)
 				for _, rr := range [][2]int{{0, m}, {0, 1}, {m - 1, m}, {1, m}, {2, min(m, 35)}, {m / 2, m/2 + 3}} {
 					for _, qq := range [][2]int{{0, p.panels}, {p.panels - 1, p.panels}, {p.panels / 2, p.panels}, {0, (p.panels + 1) / 2}} {
 						lo, hi, q0, q1 := rr[0], rr[1], qq[0], qq[1]
@@ -409,7 +412,7 @@ func TestPackedF32RowsStoreOnlyTheirRange(t *testing.T) {
 						for i := range buf {
 							buf[i] = sentinel
 						}
-						p.rows(buf[guard:guard+m*n], a, lo, hi, q0, q1, reluAct(relu))
+						p.rows(buf[guard:guard+m*n], a, lo, hi, q0, q1, act)
 						for i, got := range buf {
 							e := i - guard
 							r, j := e/n, e%n
@@ -419,8 +422,8 @@ func TestPackedF32RowsStoreOnlyTheirRange(t *testing.T) {
 								wantBits = math.Float32bits(want[e])
 							}
 							if math.Float32bits(got) != wantBits {
-								t.Fatalf("[%d %d %d] relu %t rows [%d,%d) panels [%d,%d): buf[%d] (element %d, in range %t) = %#x, want %#x",
-									m, k, n, relu, lo, hi, q0, q1, i, e, in, math.Float32bits(got), wantBits)
+								t.Fatalf("[%d %d %d] act %d rows [%d,%d) panels [%d,%d): buf[%d] (element %d, in range %t) = %#x, want %#x",
+									m, k, n, act, lo, hi, q0, q1, i, e, in, math.Float32bits(got), wantBits)
 							}
 						}
 					}
@@ -455,7 +458,7 @@ func BenchmarkPackedF32(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				f32Vector = vec
 				for b.Loop() {
-					p.Into(dst, a, m, true)
+					p.Into(dst, a, m, ActReLU)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*m*k*p.panels), "ns/entry")
 			})

@@ -400,7 +400,7 @@ func rowLoopF64(a, b, bias []float64, m, k, n int, act Act) []float64 {
 				orow[j] += v * b[kk*n+j]
 			}
 		}
-		act.Map(orow, orow)
+		MapAct(act, orow, orow)
 	}
 	return out
 }

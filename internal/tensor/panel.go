@@ -220,7 +220,7 @@ func (p *packed[E, P]) rows(dst, a []E, lo, hi, q0, q1 int, act Act) {
 			if j0+w > n {
 				p.kern.sweep(s.acc, w, pw, &p.bias[q], s.list, k, &s.cnt, r1-r0, relu)
 				for r := r0; r < r1; r++ {
-					mapAct(post, dst[r*n+j0:(r+1)*n], s.acc[(r-r0)*w:])
+					MapAct(post, dst[r*n+j0:(r+1)*n], s.acc[(r-r0)*w:])
 				}
 				continue
 			}
@@ -228,7 +228,7 @@ func (p *packed[E, P]) rows(dst, a []E, lo, hi, q0, q1 int, act Act) {
 			if post != ActIdentity {
 				for r := r0; r < r1; r++ {
 					o := dst[r*n+j0:][:w]
-					mapAct(post, o, o)
+					MapAct(post, o, o)
 				}
 			}
 		}
@@ -250,18 +250,6 @@ func listNonzero[E float](list []entry[E], a []E) int {
 		}
 	}
 	return cnt
-}
-
-// mapAct is Act.Map over either element type; a float32 output goes
-// through act.Of in float64.
-func mapAct[E float](act Act, dst, src []E) {
-	if d, ok := any(dst).([]float64); ok {
-		act.Map(d, any(src).([]float64))
-		return
-	}
-	for i, v := range src[:len(dst)] {
-		dst[i] = E(act.Of(float64(v)))
-	}
 }
 
 // sweepGo is the portable panel sweep, the only one off amd64 and the
