@@ -28,11 +28,12 @@
 // loop: a continuous-learning controller (internal/learner) watches
 // each capture database, and once N new rows (training samples) have
 // been ingested it snapshots them, retrains a candidate from the
-// published weights in the background, shadow-gates it on held-out
-// captures (a candidate publishes iff its error there is finite and
-// no worse than the published model's), and publishes only passing
-// candidates through the checksum hot-reload — recording every attempt
-// in a .lineage.json sidecar served by /v1/models.
+// published weights in the background (nn.Recipe for -retrain-epochs
+// epochs), shadow-gates it on held-out captures (a candidate publishes
+// iff its error there is finite and no worse than the published
+// model's), and publishes only passing candidates through the checksum
+// hot-reload — recording every attempt in a .lineage.json sidecar
+// served by /v1/models.
 // -learn model=db pairs a model with its capture feed (auto-paired
 // when exactly one of each is registered); POST
 // /v1/models/{name}/rollback restores the parent generation. Any
@@ -160,7 +161,7 @@ func main() {
 	flag.Var(&learns, "learn", "pair a model with its capture feed as model=db for continuous learning; repeatable (default: auto-pair when exactly one -model and one -capture are given)")
 	retrainEvery := flag.Int("retrain-every", 0, "retrain a candidate once this many new captured rows (training samples) have been ingested since the last attempt (0 disables the count trigger)")
 	retrainMaxAge := flag.Duration("retrain-max-age", 0, "retrain once any pending captured row is this old, regardless of count (0 disables the age trigger)")
-	retrainMin := flag.Int("retrain-min", 0, "minimum total captured rows (training samples) before any retrain (0 = learner default, 8)")
+	retrainMin := flag.Int("retrain-min", 0, "minimum total captured rows (training samples) before any retrain (0 = the learner's default)")
 	retrainInterval := flag.Duration("retrain-interval", 5*time.Second, "continuous-learning trigger poll interval")
 	retrainEpochs := flag.Int("retrain-epochs", 20, "training epochs per retrain (warm-started from the published weights)")
 
@@ -251,7 +252,7 @@ func main() {
 				RetrainEvery: *retrainEvery,
 				MaxAge:       *retrainMaxAge,
 				MinRecords:   *retrainMin,
-				Train:        nn.TrainConfig{Epochs: *retrainEpochs},
+				Train:        nn.Recipe(*retrainEpochs, 0),
 				Snapshot:     func() (*h5.File, error) { return s.SnapshotCaptureDB(db) },
 				Reload:       func() error { return s.ReloadModel(model) },
 			})

@@ -5,13 +5,14 @@
 // Usage:
 //
 //	hpacml-train -benchmark binomial -db data/binomial.gh5 \
-//	    -model models/binomial.gmod -arch hidden1=64,hidden2=32 \
-//	    -lr 3e-3 -epochs 150
+//	    -model models/binomial.gmod -arch hidden1=64,hidden2=32 -epochs 150
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -19,33 +20,59 @@ import (
 
 	"repro/internal/bo"
 	"repro/internal/experiments"
+	"repro/internal/nn"
 	"repro/internal/telemetry"
 )
 
+// errUsage is a command line run refuses before doing any work. run
+// has already written why, and the flag usage, to stderr; main exits 2.
+var errUsage = errors.New("hpacml-train: usage")
+
 func main() {
-	benchmark := flag.String("benchmark", "", "benchmark name")
-	db := flag.String("db", "", "input database path (.gh5)")
-	model := flag.String("model", "", "output model path (.gmod)")
-	archFlag := flag.String("arch", "", "architecture assignment, e.g. hidden1=64,hidden2=32")
-	lr := flag.Float64("lr", 3e-3, "learning rate (Table V)")
-	weightDecay := flag.Float64("weight-decay", 1e-4, "weight decay (Table V)")
-	dropout := flag.Float64("dropout", 0, "dropout probability (Table V)")
-	batch := flag.Int("batch", 64, "batch size (Table V)")
-	epochs := flag.Int("epochs", 100, "training epochs")
-	normalize := flag.Bool("normalize", false, "standardize features inside the model (recommended before int8 quantization)")
-	full := flag.Bool("full", false, "use campaign-scale problem sizes")
-	seed := flag.Int64("seed", 29, "random seed")
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
+	switch err := run(os.Args[1:], os.Stdout, os.Stderr); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "hpacml-train:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command: it parses args, trains, and reports on stdout.
+// Every training flag defaults to nn.Recipe's value.
+func run(args []string, stdout, stderr io.Writer) error {
+	recipe := nn.Recipe(100, 29)
+	fs := flag.NewFlagSet("hpacml-train", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	benchmark := fs.String("benchmark", "", "benchmark name")
+	db := fs.String("db", "", "input database path (.gh5)")
+	model := fs.String("model", "", "output model path (.gmod)")
+	archFlag := fs.String("arch", "", "architecture assignment, e.g. hidden1=64,hidden2=32")
+	lr := fs.Float64("lr", recipe.LR, "learning rate (Table V)")
+	weightDecay := fs.Float64("weight-decay", recipe.WeightDecay, "weight decay (Table V)")
+	dropout := fs.Float64("dropout", 0, "dropout probability (Table V)")
+	batch := fs.Int("batch", recipe.BatchSize, "batch size (Table V)")
+	epochs := fs.Int("epochs", recipe.Epochs, "training epochs")
+	normalize := fs.Bool("normalize", false, "standardize features inside the model (recommended before int8 quantization)")
+	full := fs.Bool("full", false, "use campaign-scale problem sizes")
+	seed := fs.Int64("seed", recipe.Seed, "random seed")
+	version := fs.Bool("version", false, "print version and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
 	if *version {
-		fmt.Println(telemetry.VersionString("hpacml-train"))
-		return
+		fmt.Fprintln(stdout, telemetry.VersionString("hpacml-train"))
+		return nil
 	}
 
 	if *benchmark == "" || *db == "" || *model == "" {
-		fmt.Fprintln(os.Stderr, "hpacml-train: -benchmark, -db, and -model are required")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "hpacml-train: -benchmark, -db, and -model are required")
+		fs.Usage()
+		return errUsage
 	}
 	scale := experiments.ScaleTest
 	if *full {
@@ -53,12 +80,12 @@ func main() {
 	}
 	h, err := experiments.Lookup(*benchmark, scale)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	arch, err := parseArch(h, *archFlag, *seed)
+	arch, err := parseArch(h, *archFlag)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	hyper := map[string]bo.Value{
 		"lr":           {Name: "lr", Float: *lr},
@@ -71,18 +98,19 @@ func main() {
 	opt.Seed = *seed
 	opt.Normalize = *normalize
 	if err := os.MkdirAll(filepath.Dir(*model), 0o755); err != nil {
-		fatal(err)
+		return err
 	}
 	valErr, err := h.Train(*db, *model, arch, hyper, opt)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("trained %s surrogate: validation loss %.6g, saved to %s\n", *benchmark, valErr, *model)
+	fmt.Fprintf(stdout, "trained %s surrogate: validation loss %.6g, saved to %s\n", *benchmark, valErr, *model)
+	return nil
 }
 
 // parseArch turns "k=v,k=v" into an assignment, defaulting unset keys to
 // the middle of the harness's search space.
-func parseArch(h *experiments.Harness, s string, seed int64) (map[string]bo.Value, error) {
+func parseArch(h *experiments.Harness, s string) (map[string]bo.Value, error) {
 	space := h.ArchSpace()
 	mid := make([]float64, space.Dim())
 	for i := range mid {
@@ -123,9 +151,4 @@ func keys(m map[string]bo.Value) []string {
 		out = append(out, k)
 	}
 	return out
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hpacml-train:", err)
-	os.Exit(1)
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/benchmarks/common"
 	"repro/internal/bo"
+	"repro/internal/nn"
 )
 
 func TestTable1Registry(t *testing.T) {
@@ -120,7 +121,7 @@ type pipeline interface {
 }
 
 // runCampaign is Campaign with every output kept: it collects once,
-// then trains and evaluates each architecture under defaultHyper,
+// then trains and evaluates each architecture under nn.Recipe,
 // failing the test on any error instead of skipping the architecture.
 func runCampaign(t *testing.T, h pipeline, opt Options, archs []map[string]bo.Value) (CollectReport, []float64, []EvalResult) {
 	t.Helper()
@@ -135,7 +136,7 @@ func runCampaign(t *testing.T, h pipeline, opt Options, archs []map[string]bo.Va
 	var results []EvalResult
 	for i, arch := range archs {
 		modelPath := filepath.Join(dir, fmt.Sprintf("%s-%d.gmod", name, i))
-		val, err := h.Train(dbPath, modelPath, arch, defaultHyper(), opt)
+		val, err := h.Train(dbPath, modelPath, arch, nil, opt)
 		if err != nil {
 			t.Fatalf("%s arch %d: train: %v", name, i, err)
 		}
@@ -196,15 +197,15 @@ func TestCampaignTabularBenchmarks(t *testing.T) {
 	wantModels := map[string][]modelPin{
 		"minibude": {
 			{val: 3.1675379648272354e+07, err: 11.490346046589337, params: 185},
-			{val: 2.6096614536970267e+06, err: 3.277851056396209, params: 26555},
+			{val: 2.6096614536970267e+06, err: 3.3154780143632814, params: 26555},
 		},
 		"binomial": {
 			{val: 18.01112893228833, err: 4.310323651679362, params: 42},
-			{val: 0.053031358970715, err: 0.30504627329694595, params: 1293},
+			{val: 0.053031358970715, err: 0.23768524234054997, params: 1293},
 		},
 		"bonds": {
-			{val: 0.14571496427601358, err: 0.38245418459167074, params: 47},
-			{val: 0.008117465532383199, err: 0.09620878263396934, params: 1341},
+			{val: 0.14571496427601358, err: 0.38020554721363226, params: 47},
+			{val: 0.008117465532383199, err: 0.09020574164174423, params: 1341},
 		},
 	}
 	for _, h := range Registry(ScaleTest)[:3] {
@@ -472,6 +473,51 @@ func TestCampaignSkipsFailedArchitectures(t *testing.T) {
 	_, err := Campaign(h, t.TempDir(), QuickOptions(), []map[string]bo.Value{bad})
 	if err == nil || !strings.Contains(err.Error(), "every architecture failed") {
 		t.Fatalf("want the every-architecture-failed error, got %v", err)
+	}
+}
+
+// TestTrainReturnsSavedModelError checks that Train's validation error
+// describes the model it saved: the saved file scores it bit for bit on
+// the validation half Fit held out, the tail of the database shuffled
+// at the seed.
+func TestTrainReturnsSavedModelError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("train test in -short mode")
+	}
+	opt := QuickOptions()
+	h := NewBonds(ScaleTest)
+	dir := t.TempDir()
+	dbPath := filepath.Join(dir, "bonds.gh5")
+	modelPath := filepath.Join(dir, "bonds.gmod")
+	if _, err := h.Collect(dbPath, opt); err != nil {
+		t.Fatal(err)
+	}
+	val, err := h.Train(dbPath, modelPath, ArchSweep(h, 2, opt.Seed)[1], nil, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := loadDataset(dbPath, "bonds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shuffled, err := ds.Shuffle(opt.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, held, err := shuffled.Split(0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := nn.Load(modelPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := net.Evaluate(held, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != val {
+		t.Fatalf("saved model scores %.17g on the held-out split, Train returned %.17g", got, val)
 	}
 }
 

@@ -47,20 +47,9 @@ func ArchSweep(h *Harness, n int, seed int64) []map[string]bo.Value {
 	return out
 }
 
-// defaultHyper is a sensible Table V point used when the campaign skips
-// hyperparameter search.
-func defaultHyper() map[string]bo.Value {
-	return map[string]bo.Value{
-		"lr":           {Name: "lr", Float: 3e-3},
-		"weight_decay": {Name: "weight_decay", Float: 1e-4},
-		"dropout":      {Name: "dropout", Float: 0},
-		"batch":        {Name: "batch", Int: 64, IsInt: true},
-	}
-}
-
-// Campaign collects once, then trains and evaluates every architecture in
-// archs, returning the successful results (failed architectures are
-// skipped, as in the BO campaign).
+// Campaign collects once, then trains (under nn.Recipe) and evaluates
+// every architecture in archs, returning the successful results (failed
+// architectures are skipped, as in the BO campaign).
 func Campaign(h *Harness, dir string, opt Options, archs []map[string]bo.Value) ([]EvalResult, error) {
 	name := h.Info().Name
 	dbPath := filepath.Join(dir, name+".gh5")
@@ -70,7 +59,7 @@ func Campaign(h *Harness, dir string, opt Options, archs []map[string]bo.Value) 
 	var out []EvalResult
 	for i, arch := range archs {
 		modelPath := filepath.Join(dir, fmt.Sprintf("%s-%d.gmod", name, i))
-		if _, err := h.Train(dbPath, modelPath, arch, defaultHyper(), opt); err != nil {
+		if _, err := h.Train(dbPath, modelPath, arch, nil, opt); err != nil {
 			continue // invalid geometry or failed training: skipped trial
 		}
 		res, err := h.Evaluate(modelPath, opt)
@@ -295,7 +284,7 @@ func Figure9(dir string, scale Scale, opt Options, spinup, window int) (*Figure9
 		"conv1_channels": {Name: "conv1_channels", Int: 6, IsInt: true},
 		"conv2_kernel":   {Name: "conv2_kernel", Int: 0, IsInt: true},
 	}
-	if _, err := h.Train(dbPath, modelPath, arch, defaultHyper(), opt); err != nil {
+	if _, err := h.Train(dbPath, modelPath, arch, nil, opt); err != nil {
 		return nil, err
 	}
 

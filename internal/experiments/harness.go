@@ -299,8 +299,9 @@ func (h *Harness) CollectOverhead(dir string, opt Options) (CollectStats, error)
 }
 
 // Train fits a surrogate with the given architecture and
-// hyperparameters from dbPath and saves it to modelPath, returning the
-// validation error.
+// hyperparameters (nil trains nn.Recipe) from dbPath and saves it to
+// modelPath, returning the validation error of the saved weights: the
+// best epoch's, on the 20 % of the shuffled database Fit holds out.
 func (h *Harness) Train(dbPath, modelPath string, arch, hyper map[string]bo.Value, opt Options) (float64, error) {
 	ds, err := loadDataset(dbPath, h.info.Name)
 	if err != nil {
@@ -469,15 +470,10 @@ func loadDataset(dbPath, group string) (*nn.Dataset, error) {
 }
 
 // trainCfg assembles a Table V hyperparameter assignment into a training
-// config.
+// config: nn.Recipe, with each hyperparameter the assignment names
+// overriding the recipe's.
 func trainCfg(hyper map[string]bo.Value, opt Options) nn.TrainConfig {
-	cfg := nn.TrainConfig{
-		Epochs:    opt.TrainEpochs,
-		BatchSize: 64,
-		LR:        1e-3,
-		Seed:      opt.Seed,
-		Patience:  8,
-	}
+	cfg := nn.Recipe(opt.TrainEpochs, opt.Seed)
 	if v, ok := hyper["lr"]; ok {
 		cfg.LR = v.Float
 	}

@@ -85,9 +85,9 @@ type Policy struct {
 	MinRecords int
 
 	// Train configures the candidate's nn.Fit run (warm-started from
-	// the published weights). Stop is owned by the controller — it is
-	// overwritten to cancel training promptly on Close. Zero Epochs
-	// defaults to 20, zero BatchSize to 16.
+	// the published weights); start from nn.Recipe. Epochs must be
+	// positive. Stop is owned by the controller — it is overwritten to
+	// cancel training promptly on Close.
 	Train nn.TrainConfig
 
 	// Snapshot returns a set-atomic read snapshot of the model's
@@ -201,14 +201,12 @@ func New(cfg Config, pols ...Policy) (*Controller, error) {
 				return nil, fmt.Errorf("learner: model %q has two members named %s", pol.Model, filepath.Base(p))
 			}
 		}
+		if pol.Train.Epochs <= 0 {
+			cancel()
+			return nil, fmt.Errorf("learner: model %q trains %d epochs per retrain, want at least 1", pol.Model, pol.Train.Epochs)
+		}
 		if pol.MinRecords <= 0 {
 			pol.MinRecords = 8
-		}
-		if pol.Train.Epochs <= 0 {
-			pol.Train.Epochs = 20
-		}
-		if pol.Train.BatchSize <= 0 {
-			pol.Train.BatchSize = 16
 		}
 		m := &managed{
 			pol:        pol,

@@ -831,6 +831,7 @@ func TestAdoptionRedoesAnInterruptedStart(t *testing.T) {
 		Model:        "m",
 		Paths:        paths,
 		RetrainEvery: 8,
+		Train:        nn.Recipe(1, 0),
 		Snapshot:     func() (*h5.File, error) { return h5.OpenShards(filepath.Join(dir, "caps.gh5")) },
 		Reload:       func() error { reloads++; return nil },
 	}
@@ -912,6 +913,7 @@ func TestRollbackNeedsParentDirectory(t *testing.T) {
 	ctl, err := New(Config{Interval: -1, Logger: discardLog()}, Policy{
 		Model:    "m",
 		Paths:    []string{path},
+		Train:    nn.Recipe(1, 0),
 		Snapshot: func() (*h5.File, error) { return nil, errors.New("unused") },
 		Reload:   func() error { return nil },
 	})
@@ -940,5 +942,29 @@ func TestNewRefusesDuplicateBaseNames(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "two members named m.gmod") {
 		t.Fatalf("duplicate base names: %v, want a refusal", err)
+	}
+}
+
+// TestNewRefusesNonPositiveEpochs: Fit refuses a run of no epochs, so
+// New refuses the policy up front, names the model, and adopts nothing.
+func TestNewRefusesNonPositiveEpochs(t *testing.T) {
+	for _, epochs := range []int{0, -1} {
+		path := filepath.Join(t.TempDir(), "m.gmod")
+		if err := mlp(1, dim, 6, dim).Save(path); err != nil {
+			t.Fatal(err)
+		}
+		_, err := New(Config{Interval: -1, Logger: discardLog()}, Policy{
+			Model:    "surrogate",
+			Paths:    []string{path},
+			Train:    nn.Recipe(epochs, 0),
+			Snapshot: func() (*h5.File, error) { return nil, errors.New("unused") },
+			Reload:   func() error { return nil },
+		})
+		if err == nil || !strings.Contains(err.Error(), `"surrogate"`) || !strings.Contains(err.Error(), "epochs") {
+			t.Fatalf("Epochs %d: %v, want a refusal naming the model", epochs, err)
+		}
+		if _, err := os.Stat(path + ".gens"); !os.IsNotExist(err) {
+			t.Fatalf("Epochs %d: refused policy left a generation directory (%v)", epochs, err)
+		}
 	}
 }

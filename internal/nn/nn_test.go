@@ -398,6 +398,47 @@ func TestEarlyStopping(t *testing.T) {
 	}
 }
 
+// TestFitReturnsBestEpochWeights trains y = 2x from a weight of -1
+// while validating against y = 0.5x, so the validation loss falls until
+// the weight passes 0.5 and rises after it. The network Fit returns
+// must score exactly History.BestVal, with and without early stopping.
+func TestFitReturnsBestEpochWeights(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	const n = 32
+	x := randTensor(rng, n, 1)
+	yTrain, yVal := tensor.New(n, 1), tensor.New(n, 1)
+	for i := 0; i < n; i++ {
+		yTrain.Set(2*x.At(i, 0), i, 0)
+		yVal.Set(0.5*x.At(i, 0), i, 0)
+	}
+	train, _ := NewDataset(x, yTrain)
+	val, _ := NewDataset(x, yVal)
+	for _, patience := range []int{0, 3} {
+		net := NewNetwork(1)
+		d := net.NewDense(1, 1)
+		net.Add(d)
+		d.Weight.W.Data()[0], d.Bias.W.Data()[0] = -1, 0
+		h, err := net.Fit(train, val, TrainConfig{
+			Epochs: 40, BatchSize: 8, LR: 0.02, Optimizer: "sgd", Seed: 5, Patience: patience,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := len(h.ValLoss) - 1
+		if h.BestEpoch >= last || h.ValLoss[last] <= h.BestVal {
+			t.Fatalf("patience %d: validation loss never rose after its best epoch %d: %v", patience, h.BestEpoch, h.ValLoss)
+		}
+		got, err := net.Evaluate(val, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(h.BestVal) {
+			t.Errorf("patience %d: returned network scores %.17g on val, History.BestVal %.17g (epoch %d of %d)",
+				patience, got, h.BestVal, h.BestEpoch, last+1)
+		}
+	}
+}
+
 func TestFitValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	ds, _ := NewDataset(randTensor(rng, 16, 2), randTensor(rng, 16, 1))

@@ -177,7 +177,8 @@ func (d *Dataset) Gather(idx []int) (*Dataset, error) {
 
 // TrainConfig controls Fit. The fields mirror the paper's hyperparameter
 // search space (Table V): learning rate, weight decay, dropout (a model
-// property), and batch size.
+// property), and batch size. Recipe gives the values every trainer
+// starts from.
 type TrainConfig struct {
 	Epochs      int
 	BatchSize   int
@@ -192,10 +193,7 @@ type TrainConfig struct {
 	Patience int
 	// ValFrac is the fraction of the training data held out for
 	// validation when a separate validation set is not given to Fit;
-	// 0 selects the default of 0.2. (An earlier revision passed this
-	// value to Split as the *training* fraction, contradicting the name
-	// and this comment; the zero default carves the same 80/20 split
-	// either way, so default-config callers are unaffected.)
+	// 0 selects the default of 0.2.
 	ValFrac float64
 	Verbose func(epoch int, trainLoss, valLoss float64)
 	// Stop, when set, is polled before every minibatch; returning true
@@ -206,7 +204,26 @@ type TrainConfig struct {
 	Stop func() bool
 }
 
-// History records per-epoch losses.
+// Recipe is the one training recipe, for the given epoch budget and
+// seed: Adam at batch 64, learning rate 3e-3 and weight decay 1e-4,
+// stopping after 8 epochs without a new best validation loss. It is
+// the Table V point the campaigns, hpacml-train and the learner's
+// retrain start from, and Fit falls back to its batch size and
+// learning rate when a config leaves them zero.
+func Recipe(epochs int, seed int64) TrainConfig {
+	return TrainConfig{
+		Epochs:      epochs,
+		BatchSize:   64,
+		LR:          3e-3,
+		WeightDecay: 1e-4,
+		Seed:        seed,
+		Patience:    8,
+	}
+}
+
+// History records per-epoch losses. BestVal is the lowest validation
+// loss and BestEpoch the epoch that reached it: the network Fit returns
+// holds that epoch's weights.
 type History struct {
 	TrainLoss []float64
 	ValLoss   []float64
@@ -217,7 +234,10 @@ type History struct {
 
 // Fit trains the network on train, validating on val (which may be nil:
 // then ValFrac of train is held out). It returns the training history;
-// the network holds the final-epoch weights.
+// the network holds the weights of History.BestEpoch, copied back from
+// a snapshot taken at each new best validation loss, so Evaluate on val
+// reproduces History.BestVal. Only a run whose validation loss never
+// drops below +Inf (a NaN-poisoned one) keeps its last weights.
 //
 // The hot loop is allocation-free in steady state for the engine's
 // standard layers: minibatches are gathered into a reusable arena
@@ -229,11 +249,12 @@ func (n *Network) Fit(train, val *Dataset, cfg TrainConfig) (*History, error) {
 	if cfg.Epochs <= 0 {
 		return nil, fmt.Errorf("nn: fit wants positive epochs, got %d", cfg.Epochs)
 	}
+	recipe := Recipe(cfg.Epochs, cfg.Seed)
 	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 32
+		cfg.BatchSize = recipe.BatchSize
 	}
 	if cfg.LR == 0 {
-		cfg.LR = 1e-3
+		cfg.LR = recipe.LR
 	}
 	if cfg.Loss == nil {
 		cfg.Loss = MSE{}
@@ -268,6 +289,13 @@ func (n *Network) Fit(train, val *Dataset, cfg TrainConfig) (*History, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	nSamples := train.Len()
 	params := n.Params()
+	// best holds the parameters of the best validation epoch so far;
+	// it is filled at each new best and copied back before Fit returns.
+	size := 0
+	for _, p := range params {
+		size += p.W.Len()
+	}
+	best := make([]float64, 0, size)
 	gradInto, _ := cfg.Loss.(lossGradInto)
 	// Minibatch and loss-gradient arenas, reused across steps. Datasets
 	// of rank > maxScratchRank or with non-contiguous storage fall back
@@ -349,12 +377,22 @@ func (n *Network) Fit(train, val *Dataset, cfg TrainConfig) (*History, error) {
 			h.BestVal = valLoss
 			h.BestEpoch = epoch
 			stale = 0
+			best = best[:0]
+			for _, p := range params {
+				best = append(best, p.W.Data()...)
+			}
 		} else {
 			stale++
 			if cfg.Patience > 0 && stale >= cfg.Patience {
 				h.Stopped = true
 				break
 			}
+		}
+	}
+	if len(best) > 0 {
+		off := 0
+		for _, p := range params {
+			off += copy(p.W.Data(), best[off:])
 		}
 	}
 	return h, nil

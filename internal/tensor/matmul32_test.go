@@ -176,7 +176,9 @@ func rowLoopF32(a, b, bias []float32, m, k, n int, act Act) []float32 {
 				orow[j] += bias[j]
 			}
 		}
-		MapAct(act, orow, orow)
+		for j, v := range orow {
+			orow[j] = refAct(act, v)
+		}
 	}
 	return out
 }

@@ -384,6 +384,29 @@ func FuzzPackedF64(f *testing.F) {
 	})
 }
 
+// refAct is each activation's formula written out, the oracle the
+// kernels' epilogues and MapAct answer to: ReLU and the leaky slope
+// computed in E, tanh and sigmoid in float64 rounded back to E.
+func refAct[E float32 | float64](act Act, v E) E {
+	switch act {
+	case ActReLU:
+		if v > 0 {
+			return v
+		}
+		return 0
+	case ActLeakyReLU:
+		if v > 0 {
+			return v
+		}
+		return E(0.01) * v
+	case ActTanh:
+		return E(math.Tanh(float64(v)))
+	case ActSigmoid:
+		return E(1 / (1 + math.Exp(-float64(v))))
+	}
+	return v
+}
+
 // rowLoopF64 is the plain row loop the f64 kernel must match bit for
 // bit: act(bias + a @ b), each row's nonzero activations added in
 // ascending k.
@@ -400,7 +423,9 @@ func rowLoopF64(a, b, bias []float64, m, k, n int, act Act) []float64 {
 				orow[j] += v * b[kk*n+j]
 			}
 		}
-		MapAct(act, orow, orow)
+		for j, v := range orow {
+			orow[j] = refAct(act, v)
+		}
 	}
 	return out
 }
