@@ -14,8 +14,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 
 	hpacml "repro"
@@ -23,57 +26,81 @@ import (
 	"repro/internal/telemetry"
 )
 
+// errUsage is a command line run refuses before doing any work. run
+// has already written why, and the flag usage, to stderr; main exits 2.
+var errUsage = errors.New("hpacml-guard: usage")
+
 func main() {
-	db := flag.String("db", "", "input database path (.gh5, all shards merged)")
-	region := flag.String("region", "", "region group to read inputs from (the benchmark/region name)")
-	model := flag.String("model", "", "model path the guardrail gates; the sidecar is written to <model>.guard")
-	out := flag.String("out", "", "explicit sidecar output path (overrides -model's naming convention)")
-	quantile := flag.Float64("quantile", 0.0, "tail fraction trimmed per side (0 = min/max envelope, 0.01 = 1%..99%)")
-	margin := flag.Float64("margin", 0.0, "check-time envelope widening, as a fraction of each feature's span")
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
+	switch err := run(os.Args[1:], os.Stdout, os.Stderr); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "hpacml-guard:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command: it parses args, fits the guardrail, saves the
+// sidecar, and reports the envelope on stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("hpacml-guard", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	db := fs.String("db", "", "input database path (.gh5, all shards merged)")
+	region := fs.String("region", "", "region group to read inputs from (the benchmark/region name)")
+	model := fs.String("model", "", "model path the guardrail gates; the sidecar is written to <model>.guard")
+	out := fs.String("out", "", "explicit sidecar output path (overrides -model's naming convention)")
+	quantile := fs.Float64("quantile", 0.0, "tail fraction trimmed per side (0 = min/max envelope, 0.01 = 1%..99%)")
+	margin := fs.Float64("margin", 0.0, "check-time envelope widening, as a fraction of each feature's span")
+	version := fs.Bool("version", false, "print version and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
 	if *version {
-		fmt.Println(telemetry.VersionString("hpacml-guard"))
-		return
+		fmt.Fprintln(stdout, telemetry.VersionString("hpacml-guard"))
+		return nil
 	}
 
 	if *db == "" || *region == "" {
-		fmt.Fprintln(os.Stderr, "hpacml-guard: -db and -region are required")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "hpacml-guard: -db and -region are required")
+		fs.Usage()
+		return errUsage
 	}
 	path := *out
 	if path == "" {
 		if *model == "" {
-			fmt.Fprintln(os.Stderr, "hpacml-guard: give -model (sidecar goes to <model>.guard) or -out")
-			flag.Usage()
-			os.Exit(2)
+			fmt.Fprintln(stderr, "hpacml-guard: give -model (sidecar goes to <model>.guard) or -out")
+			fs.Usage()
+			return errUsage
 		}
 		path = hpacml.GuardrailPath(*model)
 	}
-	if *margin < 0 {
-		fatal(fmt.Errorf("negative margin %g", *margin))
+	// Checked before the fit reads the database; Save refuses the same.
+	switch {
+	case math.IsNaN(*margin) || math.IsInf(*margin, 0):
+		return fmt.Errorf("margin %g is not finite", *margin)
+	case *margin < 0:
+		return fmt.Errorf("negative margin %g", *margin)
 	}
 
 	g, err := hpacml.FitGuardrailFromDB(*db, *region, *quantile)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	g.Margin = *margin
 	if err := g.Save(path); err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "hpacml-guard: fitted %d-feature envelope (quantile %g, margin %g) from %s -> %s\n",
+	fmt.Fprintf(stderr, "hpacml-guard: fitted %d-feature envelope (quantile %g, margin %g) from %s -> %s\n",
 		g.Features(), *quantile, *margin, *db, path)
 	for f := 0; f < g.Features() && f < 8; f++ {
-		fmt.Fprintf(os.Stderr, "hpacml-guard:   feature %d: [%g, %g]\n", f, g.Lo[f], g.Hi[f])
+		fmt.Fprintf(stderr, "hpacml-guard:   feature %d: [%g, %g]\n", f, g.Lo[f], g.Hi[f])
 	}
 	if g.Features() > 8 {
-		fmt.Fprintf(os.Stderr, "hpacml-guard:   ... %d more features\n", g.Features()-8)
+		fmt.Fprintf(stderr, "hpacml-guard:   ... %d more features\n", g.Features()-8)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hpacml-guard:", err)
-	os.Exit(1)
+	return nil
 }

@@ -35,6 +35,8 @@ type Guardrail struct {
 	// feature's span, so boundary-hugging inputs of a coarse training
 	// set are not rejected: a row is in-domain when
 	// Lo[f]-Margin*span <= v <= Hi[f]+Margin*span for every feature.
+	// It must be finite and not negative; Encode and DecodeGuardrail
+	// refuse any other margin, and a NaN bound.
 	Margin float64
 }
 
@@ -169,10 +171,45 @@ const (
 	guardMaxFeats = 1 << 24
 )
 
-// Encode writes the guardrail in sidecar format.
+// checkMargin refuses a margin CheckRow cannot widen by: a NaN or
+// infinite one makes every comparison false, so every finite row would
+// read as in-domain.
+func checkMargin(m float64) error {
+	switch {
+	case math.IsNaN(m) || math.IsInf(m, 0):
+		return fmt.Errorf("hpacml: guardrail margin %g is not finite", m)
+	case m < 0:
+		return fmt.Errorf("hpacml: guardrail margin %g is negative", m)
+	}
+	return nil
+}
+
+// checkBounds refuses a NaN bound, which CheckRow would compare false
+// against every value, and an inverted pair.
+func checkBounds(lo, hi []float64) error {
+	for f := range lo {
+		switch {
+		case math.IsNaN(lo[f]) || math.IsNaN(hi[f]):
+			return fmt.Errorf("hpacml: guardrail feature %d has a NaN bound [%g, %g]", f, lo[f], hi[f])
+		case lo[f] > hi[f]:
+			return fmt.Errorf("hpacml: guardrail feature %d has inverted bounds [%g, %g]", f, lo[f], hi[f])
+		}
+	}
+	return nil
+}
+
+// Encode writes the guardrail in sidecar format. It refuses what
+// DecodeGuardrail refuses: a negative or non-finite margin, a NaN
+// bound, inverted bounds.
 func (g *Guardrail) Encode(w io.Writer) error {
 	if len(g.Lo) == 0 || len(g.Lo) != len(g.Hi) {
 		return fmt.Errorf("hpacml: encoding malformed guardrail (%d lo, %d hi bounds)", len(g.Lo), len(g.Hi))
+	}
+	if err := checkMargin(g.Margin); err != nil {
+		return err
+	}
+	if err := checkBounds(g.Lo, g.Hi); err != nil {
+		return err
 	}
 	var buf bytes.Buffer
 	for _, v := range []uint32{guardMagic, guardVersion, uint32(len(g.Lo))} {
@@ -199,7 +236,8 @@ func (g *Guardrail) Save(path string) error {
 	return f.Close()
 }
 
-// DecodeGuardrail reads a sidecar-format guardrail.
+// DecodeGuardrail reads a sidecar-format guardrail. It refuses a
+// negative or non-finite margin, a NaN bound and inverted bounds.
 func DecodeGuardrail(r io.Reader) (*Guardrail, error) {
 	var hdr [3]uint32
 	if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
@@ -219,6 +257,9 @@ func DecodeGuardrail(r io.Reader) (*Guardrail, error) {
 	if err := binary.Read(r, binary.LittleEndian, &g.Margin); err != nil {
 		return nil, fmt.Errorf("hpacml: guardrail margin: %w", err)
 	}
+	if err := checkMargin(g.Margin); err != nil {
+		return nil, err
+	}
 	// Lo then Hi, read as one slab that grows only as its bytes arrive:
 	// a forged header's feature count then costs what the input really
 	// holds, not 16n bytes up front.
@@ -227,10 +268,8 @@ func DecodeGuardrail(r io.Reader) (*Guardrail, error) {
 		return nil, fmt.Errorf("hpacml: guardrail bounds: %w", err)
 	}
 	g.Lo, g.Hi = bounds[:n:n], bounds[n:]
-	for f := 0; f < n; f++ {
-		if g.Lo[f] > g.Hi[f] {
-			return nil, fmt.Errorf("hpacml: guardrail feature %d has inverted bounds [%g, %g]", f, g.Lo[f], g.Hi[f])
-		}
+	if err := checkBounds(g.Lo, g.Hi); err != nil {
+		return nil, err
 	}
 	return g, nil
 }

@@ -3,7 +3,9 @@ package hpacml_test
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	hpacml "repro"
@@ -46,10 +48,71 @@ func TestDecodeGuardrailForgedCountAllocs(t *testing.T) {
 	}
 }
 
+// guardForgeries overwrite one float64 of an encoded two-feature
+// guardrail (header 12 bytes, margin at 12, Lo at 20, Hi at 36) with a
+// value the sidecar format refuses, and name the reason the decoder
+// must give.
+var guardForgeries = []struct {
+	name   string
+	offset int
+	value  float64
+	reason string
+}{
+	{"NaN margin", 12, math.NaN(), "margin NaN is not finite"},
+	{"Inf margin", 12, math.Inf(1), "margin +Inf is not finite"},
+	{"negative margin", 12, -0.5, "margin -0.5 is negative"},
+	{"NaN lo", 20, math.NaN(), "feature 0 has a NaN bound"},
+	{"NaN hi", 44, math.NaN(), "feature 1 has a NaN bound"},
+}
+
+// forgeGuardrail returns a copy of raw with the float64 at offset set
+// to v.
+func forgeGuardrail(raw []byte, offset int, v float64) []byte {
+	b := append([]byte(nil), raw...)
+	binary.LittleEndian.PutUint64(b[offset:], math.Float64bits(v))
+	return b
+}
+
+// TestGuardrailRefusesNonFinite: a margin that is NaN, infinite or
+// negative, or a NaN bound, makes CheckRow compare false or widen the
+// envelope backwards, so every finite row, {1e9, -1e9} included, would
+// read as in-domain. Encode refuses to write such a guardrail and
+// DecodeGuardrail to read one, each naming its reason.
+func TestGuardrailRefusesNonFinite(t *testing.T) {
+	g := &hpacml.Guardrail{Lo: []float64{0, 1}, Hi: []float64{2, 3}, Margin: 0.05}
+	var buf bytes.Buffer
+	if err := g.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	if ok, err := hpacml.DecodeGuardrail(bytes.NewReader(raw)); err != nil || ok.CheckRow([]float64{1e9, -1e9}) {
+		t.Fatalf("the valid sidecar: %v, or it accepts {1e9, -1e9}", err)
+	}
+	for _, forge := range guardForgeries {
+		data := forgeGuardrail(raw, forge.offset, forge.value)
+		if _, err := hpacml.DecodeGuardrail(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), forge.reason) {
+			t.Errorf("%s: decode error %v, want %q", forge.name, err, forge.reason)
+		}
+		bad := &hpacml.Guardrail{Lo: []float64{0, 1}, Hi: []float64{2, 3}, Margin: 0.05}
+		switch forge.offset {
+		case 12:
+			bad.Margin = forge.value
+		case 20:
+			bad.Lo[0] = forge.value
+		case 44:
+			bad.Hi[1] = forge.value
+		}
+		if err := bad.Encode(&bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), forge.reason) {
+			t.Errorf("%s: encode error %v, want %q", forge.name, err, forge.reason)
+		}
+	}
+}
+
 // FuzzDecodeGuardrail: the .guard decoder never panics on truncated or
 // forged bytes, and a guardrail it accepts re-encodes to a decode fixed
-// point. Seeds are an encoded guardrail, truncations of it, and a
-// header forging the largest feature count.
+// point. Seeds are an encoded guardrail, truncations of it, a header
+// forging the largest feature count, and the guardrail with a margin or
+// a bound the format refuses.
 func FuzzDecodeGuardrail(f *testing.F) {
 	g := &hpacml.Guardrail{
 		Lo:     []float64{-1, 0, 2.5, -1e300, 3},
@@ -65,6 +128,9 @@ func FuzzDecodeGuardrail(f *testing.F) {
 		f.Add(append([]byte(nil), raw[:n]...))
 	}
 	f.Add(forgedGuardHeader(make([]byte, 24)...))
+	for _, forge := range guardForgeries {
+		f.Add(forgeGuardrail(raw, forge.offset, forge.value))
+	}
 
 	encode := func(t *testing.T, g *hpacml.Guardrail) []byte {
 		var buf bytes.Buffer

@@ -4,6 +4,13 @@
 // option costs O(steps^2) work, which the surrogate replaces with one MLP
 // evaluation over the option's three varying parameters.
 //
+// PriceAmericanCall prices one option and is the portable path and the
+// reference. PriceAmericanCalls, behind ComputePrices, prices a slice:
+// on amd64 CPUs with AVX, four options at a time, one per lane of a
+// 256-bit register (lattice_amd64.s). Each lane runs the scalar node
+// expression's operations on the same operands in the same order,
+// without FMA, so every price has PriceAmericanCall's bits.
+//
 // QoI: the computed option prices. Metric: RMSE (Table I).
 package binomial
 
@@ -75,23 +82,47 @@ func (in *Instance) RandomizeOptions(seed int64) {
 	}
 }
 
-// ComputePrices is the accurate execution path: one lattice per option.
+// ComputePrices is the accurate execution path: one lattice per option,
+// four options at a time on CPUs with AVX (PriceAmericanCalls).
 func (in *Instance) ComputePrices() {
 	steps := in.Cfg.Steps
 	parallel.ForRange(in.Cfg.NumOptions, func(lo, hi int) {
 		// Per-block scratch reused across the options of this block,
 		// mirroring the CUDA kernel's shared-memory call value array.
-		scratch := make([]float64, ScratchLen(steps))
-		for i := lo; i < hi; i++ {
-			in.Prices[i] = PriceAmericanCall(in.S[i], in.X[i], in.T[i],
-				in.Cfg.RiskFree, in.Cfg.Volatility, steps, scratch)
-		}
+		PriceAmericanCalls(in.Prices[lo:hi], in.S[lo:hi], in.X[lo:hi], in.T[lo:hi],
+			in.Cfg.RiskFree, in.Cfg.Volatility, steps, make([]float64, lanes*ScratchLen(steps)))
 	})
 }
 
 // ScratchLen is the scratch length PriceAmericanCall needs at a lattice
 // depth: steps+1 option values and 2*steps+1 node prices.
+// PriceAmericanCalls needs four times as much.
 func ScratchLen(steps int) int { return 3*steps + 2 }
+
+// lanes is the number of options the vector lattice prices at once: one
+// per float64 lane of a 256-bit register.
+const lanes = 4
+
+// PriceAmericanCalls sets dst[i] to PriceAmericanCall(s[i], x[i], t[i],
+// r, v, steps, scratch) for every i < len(dst), bit for bit. On a CPU
+// with AVX it prices four options per register (priceGroups); the last
+// len(dst)%4 options, and any group of four that holds a zero expiry,
+// go through PriceAmericanCall. A scratch shorter than
+// 4*ScratchLen(steps), nil included, is replaced by a fresh one.
+func PriceAmericanCalls(dst, s, x, t []float64, r, v float64, steps int, scratch []float64) {
+	n := len(dst)
+	s, x, t = s[:n], x[:n], t[:n]
+	if len(scratch) < lanes*ScratchLen(steps) {
+		scratch = make([]float64, lanes*ScratchLen(steps))
+	}
+	i := 0
+	if latticeVector {
+		i = priceGroups(dst, s, x, t, r, v, steps, scratch)
+	}
+	for ; i < n; i++ {
+		dst[i] = PriceAmericanCall(s[i], x[i], t[i], r, v, steps, scratch)
+	}
+}
 
 // PriceAmericanCall prices an American call by CRR backward induction.
 // A scratch shorter than ScratchLen(steps), nil included, is replaced by
@@ -105,29 +136,7 @@ func PriceAmericanCall(s, x, t, r, v float64, steps int, scratch []float64) floa
 		scratch = make([]float64, n)
 	}
 	vals, pw := scratch[:steps+1], scratch[steps+1:n]
-	dt := t / float64(steps)
-	vDt := v * math.Sqrt(dt)
-	u := math.Exp(vDt)
-	d := 1 / u
-	rInv := math.Exp(-r * dt)
-	pu := (math.Exp(r*dt) - d) / (u - d)
-	pd := 1 - pu
-
-	// The stock price at node j of a step is s*u^(2j-step), and 2j-step
-	// takes only the 2*steps+1 values in [-steps, steps]: pw[m] holds the
-	// price for m-steps, computed by the same expression a per-node
-	// math.Exp would use, so the table changes no bit of the result.
-	for m := range pw {
-		pw[m] = s * math.Exp(vDt*float64(m-steps))
-	}
-	// Terminal payoffs.
-	for j := range vals {
-		payoff := pw[2*j] - x
-		if payoff < 0 {
-			payoff = 0
-		}
-		vals[j] = payoff
-	}
+	rInv, pu, pd := setup(s, x, t, r, v, steps, vals, pw, 1)
 	// Backward induction with the early-exercise test; node j of a step
 	// reads pw[2j-step+steps].
 	for step := steps - 1; step >= 0; step-- {
@@ -142,6 +151,39 @@ func PriceAmericanCall(s, x, t, r, v float64, steps int, scratch []float64) floa
 		}
 	}
 	return vals[0]
+}
+
+// setup writes one option's 2*steps+1 node prices to pw and its steps+1
+// terminal payoffs to vals, entry m of each at m*stride, and returns the
+// per-step discount and the up and down probabilities. The scalar
+// lattice calls it at stride 1; the vector one at stride 4, once per
+// lane, so both start each option from the same bits.
+func setup(s, x, t, r, v float64, steps int, vals, pw []float64, stride int) (rInv, pu, pd float64) {
+	dt := t / float64(steps)
+	vDt := v * math.Sqrt(dt)
+	u := math.Exp(vDt)
+	d := 1 / u
+	rInv = math.Exp(-r * dt)
+	pu = (math.Exp(r*dt) - d) / (u - d)
+	pd = 1 - pu
+
+	// The stock price at node j of a step is s*u^(2j-step), and 2j-step
+	// takes only the 2*steps+1 values in [-steps, steps]: pw[m] holds the
+	// price for m-steps, computed by the same expression a per-node
+	// math.Exp would use, so the table changes no bit of the result.
+	for m := 0; m <= 2*steps; m++ {
+		pw[m*stride] = s * math.Exp(vDt*float64(m-steps))
+	}
+	// Terminal payoffs. The clamp keeps a NaN payoff, which VMAXPD
+	// against 0 would not, so it stays here for both lattices.
+	for j := 0; j <= steps; j++ {
+		payoff := pw[2*j*stride] - x
+		if payoff < 0 {
+			payoff = 0
+		}
+		vals[j*stride] = payoff
+	}
+	return rInv, pu, pd
 }
 
 // EuropeanBlackScholesCall is the closed-form European call price, used

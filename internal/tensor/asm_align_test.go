@@ -2,20 +2,37 @@ package tensor
 
 import (
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 )
 
-// TestAsmLoopHeadsAligned fails when a loop head in matmul_amd64.s (a
-// label that a later jump in the same function branches back to) is not
-// directly preceded by PCALIGN $64, and when a sweep lacks one of its
-// three hot loops (both, loopA, loopB) or a lister its loop (list) as
-// an aligned loop head. An unaligned loop's speed follows where the
-// linker happens to place its function, so an edit anywhere in the
-// package could move the kernels' throughput.
+// TestAsmLoopHeadsAligned fails when a loop head in matmul_amd64.s or
+// in the binomial lattice's lattice_amd64.s (a label that a later jump
+// in the same function branches back to) is not directly preceded by
+// PCALIGN $64, and when a sweep lacks one of its three hot loops (both,
+// loopA, loopB), a lister its loop (list) or the lattice its step or
+// node loop as an aligned loop head. An unaligned loop's speed follows
+// where the linker happens to place its function, so an edit anywhere
+// in the package could move the kernels' throughput.
 func TestAsmLoopHeadsAligned(t *testing.T) {
-	src, err := os.ReadFile("matmul_amd64.s")
+	hot := map[string]map[string][]string{
+		"matmul_amd64.s": {
+			"sweepF64AVX": {"both", "loopA", "loopB"}, "sweepF32AVX": {"both", "loopA", "loopB"},
+			"sweepI8AVX2": {"both", "loopA", "loopB"}, "listF64Asm": {"list"}, "listF32Asm": {"list"},
+			"listPairsAsm": {"list"},
+		},
+		"../benchmarks/binomial/lattice_amd64.s": {"induct4": {"step", "node"}},
+	}
+	for file, loops := range hot {
+		t.Run(filepath.Base(file), func(t *testing.T) { checkLoopHeads(t, file, loops) })
+	}
+}
+
+// checkLoopHeads checks one .s file's loop heads and its hot loops.
+func checkLoopHeads(t *testing.T, file string, hot map[string][]string) {
+	src, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +73,6 @@ func TestAsmLoopHeadsAligned(t *testing.T) {
 			}
 		}
 		prev = strings.Join(fields, " ")
-	}
-	hot := map[string][]string{
-		"sweepF64AVX": {"both", "loopA", "loopB"}, "sweepF32AVX": {"both", "loopA", "loopB"},
-		"sweepI8AVX2": {"both", "loopA", "loopB"}, "listF64Asm": {"list"}, "listF32Asm": {"list"},
-		"listPairsAsm": {"list"},
 	}
 	for fn, loops := range hot {
 		for _, loop := range loops {

@@ -1,11 +1,15 @@
 package tensor
 
-import "unsafe"
+import (
+	"unsafe"
+
+	"repro/internal/cpu"
+)
 
 // f64Vector selects listF64Asm and sweepF64AVX for the f64 row kernel.
 // It is set once, from the CPU, and tests clear it to run the portable
 // lister and sweep.
-var f64Vector = cpuAVX()
+var f64Vector = cpu.AVX
 
 // listF64 is listNonzero, run by listF64Asm under the vector sweep.
 func listF64(list []f64Entry, a []float64) int {
@@ -34,7 +38,7 @@ func sweepF64(out []float64, stride int, pw [][panelWidth]float64, bias *[panelW
 // f32Vector selects listF32Asm and sweepF32AVX for the f32 row kernel.
 // It is set once, from the CPU, and tests clear it to run the portable
 // lister and sweep.
-var f32Vector = cpuAVX()
+var f32Vector = cpu.AVX
 
 // listF32 is listNonzero, run by listF32Asm under the vector sweep.
 func listF32(list []f32Entry, a []float32) int {
@@ -63,7 +67,7 @@ func sweepF32(out []float32, stride int, pw [][f32PanelWidth]float32, bias *[f32
 // i8Vector selects listPairsAsm and sweepI8AVX2 for the int8 row
 // kernel. It is set once, from the CPU, and tests clear it to run the
 // portable lister and sweep.
-var i8Vector = cpuAVX() && cpuidLeaf7EBX()&(1<<5) != 0
+var i8Vector = cpu.AVX2
 
 // listEvenPairs is listPairsGo, run by listPairsAsm under the vector
 // sweep.
@@ -90,15 +94,6 @@ func sweepI8(out []int32, stride int, pw []i8PanelRow, base *[i8PanelWidth]int32
 	}
 	sweepI8Go(out, stride, pw, base, list, pairs, cnt, rows)
 }
-
-// cpuAVX reports whether the CPU has AVX and the OS saves the YMM
-// registers (CPUID.1:ECX OSXSAVE and AVX, XCR0 bits 1 and 2).
-func cpuAVX() bool
-
-// cpuidLeaf7EBX returns CPUID leaf 7 (subleaf 0) EBX, the structured
-// extended feature flags (bit 5 is AVX2), or 0 when the CPU has no
-// leaf 7.
-func cpuidLeaf7EBX() uint32
 
 // listF64Asm, listF32Asm and listPairsAsm are listNonzero's and
 // listPairsGo's loops in assembly, where PCALIGN keeps each loop head

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/cpu"
 )
 
 // TestSweepDispatchMatchesCPU fails when a vector sweep this CPU can run
@@ -12,7 +14,7 @@ import (
 // the portable one, so a broken CPUID or XGETBV check that silently
 // served the portable loop would leave them all green. Linux lists avx
 // and avx2 in /proc/cpuinfo only when the OS also saves the YMM
-// registers, which is the condition cpuAVX checks.
+// registers, which is the condition cpu.AVX checks.
 func TestSweepDispatchMatchesCPU(t *testing.T) {
 	info, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
@@ -29,8 +31,8 @@ func TestSweepDispatchMatchesCPU(t *testing.T) {
 		t.Skip("/proc/cpuinfo lists no flags")
 	}
 	avx, avx2 := slices.Contains(flags, "avx"), slices.Contains(flags, "avx2")
-	if avx != cpuAVX() {
-		t.Errorf("/proc/cpuinfo lists avx: %t, but cpuAVX() = %t", avx, cpuAVX())
+	if avx != cpu.AVX {
+		t.Errorf("/proc/cpuinfo lists avx: %t, but cpu.AVX = %t", avx, cpu.AVX)
 	}
 	if avx && !f64Vector {
 		t.Error("the CPU has AVX, but the f64 row kernel runs the portable sweep")
