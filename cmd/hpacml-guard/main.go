@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 
 	hpacml "repro"
@@ -78,14 +77,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		path = hpacml.GuardrailPath(*model)
 	}
-	// Checked before the fit reads the database; Save refuses the same.
-	switch {
-	case math.IsNaN(*margin) || math.IsInf(*margin, 0):
-		return fmt.Errorf("margin %g is not finite", *margin)
-	case *margin < 0:
-		return fmt.Errorf("negative margin %g", *margin)
-	}
-
 	g, err := hpacml.FitGuardrailFromDB(*db, *region, *quantile)
 	if err != nil {
 		return err

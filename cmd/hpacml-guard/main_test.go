@@ -69,7 +69,7 @@ func TestRefusesBadMarginAndQuantile(t *testing.T) {
 	for _, tc := range []struct {
 		flag, value, reason string
 	}{
-		{"-margin", "-1", "negative margin -1"},
+		{"-margin", "-1", "margin -1 is negative"},
 		{"-margin", "NaN", "margin NaN is not finite"},
 		{"-margin", "Inf", "margin +Inf is not finite"},
 		{"-quantile", "0.5", "quantile 0.5 out of [0, 0.5)"},

@@ -47,7 +47,7 @@ func main() {
 	t := make([]float64, chunk)
 	prices := make([]float64, chunk)
 	// One lattice scratch, reused by every chunk the accurate path prices.
-	scratch := make([]float64, 4*binomial.ScratchLen(steps))
+	scratch := make([]float64, binomial.CallsScratchLen(steps))
 
 	useModel := false
 	region, err := hpacml.NewRegion("options",

@@ -223,17 +223,14 @@ func (g *Guardrail) Encode(w io.Writer) error {
 }
 
 // Save writes the sidecar file at path (conventionally
-// GuardrailPath(modelPath)).
+// GuardrailPath(modelPath)). It encodes before it creates the file, so a
+// guardrail Encode refuses leaves an existing sidecar as it was.
 func (g *Guardrail) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := g.Encode(&buf); err != nil {
 		return err
 	}
-	if err := g.Encode(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return os.WriteFile(path, buf.Bytes(), 0o666)
 }
 
 // DecodeGuardrail reads a sidecar-format guardrail. It refuses a

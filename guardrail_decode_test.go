@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -48,40 +50,68 @@ func TestDecodeGuardrailForgedCountAllocs(t *testing.T) {
 	}
 }
 
-// guardForgeries overwrite one float64 of an encoded two-feature
-// guardrail (header 12 bytes, margin at 12, Lo at 20, Hi at 36) with a
-// value the sidecar format refuses, and name the reason the decoder
-// must give.
-var guardForgeries = []struct {
+// guardForgery sets one float64 of a guardrail, the margin or bound
+// feat of Lo or Hi, to a value the sidecar format refuses, and names
+// the reason Encode and DecodeGuardrail must give.
+type guardForgery struct {
 	name   string
-	offset int
+	field  string // "margin", "lo" or "hi"
+	feat   int
 	value  float64
 	reason string
-}{
-	{"NaN margin", 12, math.NaN(), "margin NaN is not finite"},
-	{"Inf margin", 12, math.Inf(1), "margin +Inf is not finite"},
-	{"negative margin", 12, -0.5, "margin -0.5 is negative"},
-	{"NaN lo", 20, math.NaN(), "feature 0 has a NaN bound"},
-	{"NaN hi", 44, math.NaN(), "feature 1 has a NaN bound"},
 }
 
-// forgeGuardrail returns a copy of raw with the float64 at offset set
-// to v.
-func forgeGuardrail(raw []byte, offset int, v float64) []byte {
+var guardForgeries = []guardForgery{
+	{"NaN margin", "margin", 0, math.NaN(), "margin NaN is not finite"},
+	{"Inf margin", "margin", 0, math.Inf(1), "margin +Inf is not finite"},
+	{"negative margin", "margin", 0, -0.5, "margin -0.5 is negative"},
+	{"NaN lo", "lo", 0, math.NaN(), "feature 0 has a NaN bound"},
+	{"NaN hi", "hi", 1, math.NaN(), "feature 1 has a NaN bound"},
+	{"inverted bounds", "lo", 0, 20, "feature 0 has inverted bounds"},
+}
+
+// apply sets the forged value in g.
+func (f guardForgery) apply(g *hpacml.Guardrail) {
+	switch f.field {
+	case "margin":
+		g.Margin = f.value
+	case "lo":
+		g.Lo[f.feat] = f.value
+	default:
+		g.Hi[f.feat] = f.value
+	}
+}
+
+// forge returns a copy of raw, an encoded guardrail of n features, with
+// the forged value written over its float64: the header is 12 bytes,
+// the margin at 12, Lo at 20 and Hi at 20+8n.
+func (f guardForgery) forge(raw []byte, n int) []byte {
+	offset := 12
+	switch f.field {
+	case "lo":
+		offset = 20 + 8*f.feat
+	case "hi":
+		offset = 20 + 8*(n+f.feat)
+	}
 	b := append([]byte(nil), raw...)
-	binary.LittleEndian.PutUint64(b[offset:], math.Float64bits(v))
+	binary.LittleEndian.PutUint64(b[offset:], math.Float64bits(f.value))
 	return b
+}
+
+// validGuardrail is the two-feature guardrail the forgeries start from.
+func validGuardrail() *hpacml.Guardrail {
+	return &hpacml.Guardrail{Lo: []float64{0, 1}, Hi: []float64{2, 3}, Margin: 0.05}
 }
 
 // TestGuardrailRefusesNonFinite: a margin that is NaN, infinite or
 // negative, or a NaN bound, makes CheckRow compare false or widen the
 // envelope backwards, so every finite row, {1e9, -1e9} included, would
-// read as in-domain. Encode refuses to write such a guardrail and
-// DecodeGuardrail to read one, each naming its reason.
+// read as in-domain; inverted bounds admit no row at all. Encode refuses
+// to write such a guardrail and DecodeGuardrail to read one, each naming
+// its reason.
 func TestGuardrailRefusesNonFinite(t *testing.T) {
-	g := &hpacml.Guardrail{Lo: []float64{0, 1}, Hi: []float64{2, 3}, Margin: 0.05}
 	var buf bytes.Buffer
-	if err := g.Encode(&buf); err != nil {
+	if err := validGuardrail().Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -89,22 +119,42 @@ func TestGuardrailRefusesNonFinite(t *testing.T) {
 		t.Fatalf("the valid sidecar: %v, or it accepts {1e9, -1e9}", err)
 	}
 	for _, forge := range guardForgeries {
-		data := forgeGuardrail(raw, forge.offset, forge.value)
+		data := forge.forge(raw, 2)
 		if _, err := hpacml.DecodeGuardrail(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), forge.reason) {
 			t.Errorf("%s: decode error %v, want %q", forge.name, err, forge.reason)
 		}
-		bad := &hpacml.Guardrail{Lo: []float64{0, 1}, Hi: []float64{2, 3}, Margin: 0.05}
-		switch forge.offset {
-		case 12:
-			bad.Margin = forge.value
-		case 20:
-			bad.Lo[0] = forge.value
-		case 44:
-			bad.Hi[1] = forge.value
-		}
+		bad := validGuardrail()
+		forge.apply(bad)
 		if err := bad.Encode(&bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), forge.reason) {
 			t.Errorf("%s: encode error %v, want %q", forge.name, err, forge.reason)
 		}
+	}
+}
+
+// TestGuardrailRefusedSaveKeepsSidecar: Save of a guardrail Encode
+// refuses leaves the sidecar already at the path byte for byte, so a
+// region with trust(domain:on) keeps its gate.
+func TestGuardrailRefusedSaveKeepsSidecar(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.gmod.guard")
+	if err := validGuardrail().Save(path); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, forge := range guardForgeries {
+		bad := validGuardrail()
+		forge.apply(bad)
+		if err := bad.Save(path); err == nil || !strings.Contains(err.Error(), forge.reason) {
+			t.Errorf("%s: save error %v, want %q", forge.name, err, forge.reason)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: the refused save changed the sidecar (%v):\n%x\nwant\n%x", forge.name, err, got, want)
+		}
+	}
+	if _, err := hpacml.LoadGuardrail(path); err != nil {
+		t.Fatalf("the kept sidecar: %v", err)
 	}
 }
 
@@ -129,7 +179,7 @@ func FuzzDecodeGuardrail(f *testing.F) {
 	}
 	f.Add(forgedGuardHeader(make([]byte, 24)...))
 	for _, forge := range guardForgeries {
-		f.Add(forgeGuardrail(raw, forge.offset, forge.value))
+		f.Add(forge.forge(raw, len(g.Lo)))
 	}
 
 	encode := func(t *testing.T, g *hpacml.Guardrail) []byte {

@@ -87,17 +87,21 @@ func (in *Instance) RandomizeOptions(seed int64) {
 func (in *Instance) ComputePrices() {
 	steps := in.Cfg.Steps
 	parallel.ForRange(in.Cfg.NumOptions, func(lo, hi int) {
-		// Per-block scratch reused across the options of this block,
-		// mirroring the CUDA kernel's shared-memory call value array.
+		// A nil scratch: PriceAmericanCalls allocates one per block and
+		// reuses it across the block's options, mirroring the CUDA
+		// kernel's shared-memory call value array.
 		PriceAmericanCalls(in.Prices[lo:hi], in.S[lo:hi], in.X[lo:hi], in.T[lo:hi],
-			in.Cfg.RiskFree, in.Cfg.Volatility, steps, make([]float64, lanes*ScratchLen(steps)))
+			in.Cfg.RiskFree, in.Cfg.Volatility, steps, nil)
 	})
 }
 
 // ScratchLen is the scratch length PriceAmericanCall needs at a lattice
 // depth: steps+1 option values and 2*steps+1 node prices.
-// PriceAmericanCalls needs four times as much.
 func ScratchLen(steps int) int { return 3*steps + 2 }
+
+// CallsScratchLen is the scratch length PriceAmericanCalls needs at a
+// lattice depth: ScratchLen for each of four options.
+func CallsScratchLen(steps int) int { return lanes * ScratchLen(steps) }
 
 // lanes is the number of options the vector lattice prices at once: one
 // per float64 lane of a 256-bit register.
@@ -108,12 +112,12 @@ const lanes = 4
 // with AVX it prices four options per register (priceGroups); the last
 // len(dst)%4 options, and any group of four that holds a zero expiry,
 // go through PriceAmericanCall. A scratch shorter than
-// 4*ScratchLen(steps), nil included, is replaced by a fresh one.
+// CallsScratchLen(steps), nil included, is replaced by a fresh one.
 func PriceAmericanCalls(dst, s, x, t []float64, r, v float64, steps int, scratch []float64) {
 	n := len(dst)
 	s, x, t = s[:n], x[:n], t[:n]
-	if len(scratch) < lanes*ScratchLen(steps) {
-		scratch = make([]float64, lanes*ScratchLen(steps))
+	if len(scratch) < CallsScratchLen(steps) {
+		scratch = make([]float64, CallsScratchLen(steps))
 	}
 	i := 0
 	if latticeVector {

@@ -18,7 +18,7 @@ type coeffs struct {
 // 2*steps+1 rows of four node prices. A group that holds a zero expiry
 // goes through PriceAmericanCall, which prices it as intrinsic value.
 func priceGroups(dst, s, x, t []float64, r, v float64, steps int, scratch []float64) int {
-	vals, pw := scratch[:lanes*(steps+1)], scratch[lanes*(steps+1):lanes*ScratchLen(steps)]
+	vals, pw := scratch[:lanes*(steps+1)], scratch[lanes*(steps+1):CallsScratchLen(steps)]
 	var c coeffs
 	i := 0
 	for ; i+lanes <= len(dst); i += lanes {

@@ -24,7 +24,7 @@ func forLattices(t *testing.T, f func(t *testing.T)) {
 // PriceAmericanCall's bits, from a dirty scratch and from none.
 func checkCalls(t *testing.T, name string, s, x, tt []float64, r, v float64, steps int) {
 	t.Helper()
-	for _, n := range []int{-1, lanes * ScratchLen(steps)} {
+	for _, n := range []int{-1, CallsScratchLen(steps)} {
 		got := make([]float64, len(s))
 		PriceAmericanCalls(got, s, x, tt, r, v, steps, dirtyScratch(n))
 		for i, p := range got {
