@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/bo"
@@ -21,38 +23,72 @@ import (
 	"repro/internal/workflow"
 )
 
+// errUsage is a command line run refuses before doing any work. run
+// has already written why, and the flag usage, to stderr; main exits 2.
+var errUsage = errors.New("hpacml-search: usage")
+
 func main() {
-	benchmark := flag.String("benchmark", "", "benchmark name, or 'all' for the full campaign")
-	outer := flag.Int("outer", 20, "outer-level (architecture) iterations; the paper uses 100")
-	inner := flag.Int("inner", 8, "inner-level (hyperparameter) iterations; the paper uses 30")
-	patience := flag.Int("patience", 5, "outer early-stopping patience (paper: 5)")
-	epochs := flag.Int("epochs", 60, "training epochs per trial")
-	out := flag.String("out", "search-out", "working directory for databases and models")
-	full := flag.Bool("full", false, "use campaign-scale problem sizes")
-	seed := flag.Int64("seed", 29, "random seed")
-	parallelism := flag.Int("parallel", 1, "benchmarks searched in parallel when -benchmark all")
-	innerWorkers := flag.Int("inner-workers", 1, "concurrent training runs during each inner search's random-initialization phase (>1 adds contention noise to measured latencies)")
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
+	switch err := run(os.Args[1:], os.Stdout, os.Stderr); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "hpacml-search:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command: it parses args, checks them before it creates
+// the -out directory, runs the campaign and reports on stdout.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("hpacml-search", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	benchmark := fs.String("benchmark", "", "benchmark name, or 'all' for the full campaign")
+	outer := fs.Int("outer", 20, "outer-level (architecture) iterations; the paper uses 100")
+	inner := fs.Int("inner", 8, "inner-level (hyperparameter) iterations; the paper uses 30")
+	patience := fs.Int("patience", 5, "outer early-stopping patience (paper: 5)")
+	epochs := fs.Int("epochs", 60, "training epochs per trial")
+	out := fs.String("out", "search-out", "working directory for databases and models")
+	full := fs.Bool("full", false, "use campaign-scale problem sizes")
+	seed := fs.Int64("seed", 29, "random seed")
+	parallelism := fs.Int("parallel", 1, "benchmarks searched in parallel when -benchmark all")
+	innerWorkers := fs.Int("inner-workers", 1, "concurrent training runs during each inner search's random-initialization phase (>1 adds contention noise to measured latencies)")
+	version := fs.Bool("version", false, "print version and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
 	if *version {
-		fmt.Println(telemetry.VersionString("hpacml-search"))
-		return
+		fmt.Fprintln(stdout, telemetry.VersionString("hpacml-search"))
+		return nil
 	}
 
 	if *benchmark == "" {
-		fmt.Fprintln(os.Stderr, "hpacml-search: -benchmark is required")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "hpacml-search: -benchmark is required")
+		fs.Usage()
+		return errUsage
 	}
 	if *parallelism < 1 {
-		fatal(fmt.Errorf("-parallel must be positive, got %d", *parallelism))
+		return fmt.Errorf("-parallel must be positive, got %d", *parallelism)
 	}
 	scale := experiments.ScaleTest
 	if *full {
 		scale = experiments.ScaleFull
 	}
+	var targets []*experiments.Harness
+	if *benchmark == "all" {
+		targets = experiments.Registry(scale)
+	} else {
+		h, err := experiments.Lookup(*benchmark, scale)
+		if err != nil {
+			return err
+		}
+		targets = []*experiments.Harness{h}
+	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fatal(err)
+		return err
 	}
 	opt := experiments.QuickOptions()
 	opt.TrainEpochs = *epochs
@@ -63,17 +99,6 @@ func main() {
 		OuterPatience: *patience,
 		Seed:          *seed,
 		InnerWorkers:  *innerWorkers,
-	}
-
-	var targets []*experiments.Harness
-	if *benchmark == "all" {
-		targets = experiments.Registry(scale)
-	} else {
-		h, err := experiments.Lookup(*benchmark, scale)
-		if err != nil {
-			fatal(err)
-		}
-		targets = []*experiments.Harness{h}
 	}
 
 	// The campaign is orchestrated like the paper's Parsl workflow:
@@ -91,23 +116,24 @@ func main() {
 		return outcome{name: h.Info().Name, res: res}, nil
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	total := 0
 	for _, oc := range results {
 		res := oc.res
 		total += res.ModelsEvaluated
-		fmt.Printf("\n=== %s: %d models evaluated, %d Pareto-optimal ===\n",
+		fmt.Fprintf(stdout, "\n=== %s: %d models evaluated, %d Pareto-optimal ===\n",
 			oc.name, res.ModelsEvaluated, len(res.Pareto))
 		for _, tr := range res.Pareto {
-			fmt.Printf("  latency %.3gs  val-error %.6g  arch %v\n",
+			fmt.Fprintf(stdout, "  latency %.3gs  val-error %.6g  arch %v\n",
 				tr.LatencySec, tr.ValError, renderAssign(tr.Arch))
 		}
-		fmt.Printf("  knee point: latency %.3gs, val-error %.6g, hyper %v\n",
+		fmt.Fprintf(stdout, "  knee point: latency %.3gs, val-error %.6g, hyper %v\n",
 			res.Best.LatencySec, res.Best.ValError, renderAssign(res.Best.BestHyper))
 	}
-	fmt.Printf("\ncampaign explored %d models total\n", total)
+	fmt.Fprintf(stdout, "\ncampaign explored %d models total\n", total)
+	return nil
 }
 
 func renderAssign(m map[string]bo.Value) string {
@@ -125,9 +151,4 @@ func renderAssign(m map[string]bo.Value) string {
 		}
 	}
 	return s + "}"
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hpacml-search:", err)
-	os.Exit(1)
 }

@@ -2,7 +2,7 @@
 // HTTP API (internal/serve): slabs of rows from simulation ranks run as
 // MaxBatch-row engine calls on views of the request itself, many
 // concurrent single-invocation clients are coalesced into such calls, all
-// over a pool of replica engines, with checksum-based hot reload when a
+// over a pool of replica workers, with checksum-based hot reload when a
 // model file is retrained in place.
 //
 // Serve one or more .gmod models:
@@ -148,7 +148,7 @@ func main() {
 	maxBatch := flag.Int("max-batch", 32, "most rows in one engine call: longer requests are cut into ranges of this size, shorter ones coalesce up to it")
 	maxDelay := flag.Duration("max-delay", 2*time.Millisecond, "max wait for a batch to fill before cutting it")
 	queueCap := flag.Int("queue", 0, "most rows waiting per model (0 = 8*max-batch); overflow rejects with 429")
-	workers := flag.Int("workers", 2, "replica engines per model")
+	workers := flag.Int("workers", 2, "replica workers per model")
 	reload := flag.Duration("reload", 2*time.Second, "model-file checksum poll interval for hot reload (0 disables)")
 	f32 := flag.Bool("f32", false, "run inference in single precision: model weights convert to float32 once at load and batches skip the float64 round trip (unsupported models stay float64)")
 	int8Flag := flag.Bool("int8", false, "run inference through the quantized int8 path: each model's .quant calibration sidecar (written by hpacml-quant) is loaded beside its .gmod; models without a gate-passing sidecar stay in wide precision")

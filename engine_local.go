@@ -15,16 +15,15 @@ import (
 
 // modelCache shares loaded models across local engines keyed by path,
 // matching the paper's "loads the model file if it has not already been
-// loaded". It lives with the local backend: remote engines never touch
-// it, and the serving registry publishes validated networks into it
-// with StoreModel so a whole replica pool swaps onto one object.
+// loaded". It lives with the local backend: remote engines and engines
+// built by NewLocalEngineFor never touch it.
 var modelCache sync.Map // string -> *cachedModel
 
 // ClearModelCache drops all cached models (used by tests and the
 // model-cache ablation benchmark).
 func ClearModelCache() { modelCache = sync.Map{} }
 
-// cachedModel is one published model: the frozen network and the
+// cachedModel is one loaded model: the frozen network and the
 // reduced-precision programs compiled from it. Each program is compiled
 // at most once per entry and shared by every engine that resolves the
 // entry (ForwardI8 and Forward32 are safe for concurrent use).
@@ -32,8 +31,9 @@ type cachedModel struct {
 	path string
 	net  *nn.Network
 	// quant holds the ".quant" sidecar's bytes as read with the network
-	// (nil: there was none) once quantRead is set; an entry an engine
-	// loaded from disk reads them at its first int8 compile instead.
+	// (nil: there was none) once quantRead is set, as NewLocalEngineFor
+	// sets it; an entry loaded from disk reads them at its first int8
+	// compile instead.
 	quant     []byte
 	quantRead bool
 
@@ -131,36 +131,6 @@ func (c *cachedModel) compileI8() (*program, error) {
 	return &program{"int8", f.InDim(), f.OutDim(), f.Forward}, nil
 }
 
-// StoreModel publishes an already-loaded model under path in the shared
-// local-engine model cache, so every region whose model() clause names
-// that path resolves to this exact object on its next (re)load. quant
-// holds the bytes of the ".quant" sidecar read in the same pass as the
-// weights (nil when there was none): engines compile the int8 program
-// from them, once per published model, and never read the disk. The
-// serving registry publishes each generation this way, so its replicas
-// swap onto one network and one program without a file read of their
-// own.
-//
-// StoreModel freezes m first (nn.Network.Freeze), so every engine that
-// resolves it shares one copy of its packed weights. A published network
-// must not be written afterwards: training it fails, and a write to its
-// weights would go unseen. To change a model, load a fresh copy and
-// publish that.
-func StoreModel(path string, m *nn.Network, quant []byte) {
-	m.Freeze()
-	modelCache.Store(path, &cachedModel{path: path, net: m, quant: quant, quantRead: true})
-}
-
-// ReleaseModel undoes a StoreModel: it drops path's cache entry if that
-// entry still holds m. An entry published under path since, by another
-// StoreModel or a LocalEngine's own load, stays. Engines that already
-// hold m keep it; the next engine to resolve path loads the file.
-func ReleaseModel(path string, m *nn.Network) {
-	if c, ok := modelCache.Load(path); ok && c.(*cachedModel).net == m {
-		modelCache.CompareAndDelete(path, c)
-	}
-}
-
 // resolveModel returns the cache entry for path, loading and freezing
 // the file on a miss (of two concurrent loads, the first published
 // serves both).
@@ -178,26 +148,33 @@ func resolveModel(path string) (*cachedModel, error) {
 }
 
 // LocalEngine is the default backend: in-process inference on a
-// network loaded from a .gmod file through the shared path-keyed model
-// cache. It is the engine every region with a plain file path in its
-// model() clause gets, and its behavior — cache sharing, refresh
-// re-resolving from the cache without touching disk, invalidate
-// evicting the cache entry — is exactly the model handling Region
-// itself used to hard-wire. Every network it resolves is frozen before
-// the cache publishes it, so batches read the weights packed once, and
-// the network must not be written while it is published (see
-// StoreModel).
+// frozen network, so batches read the weights packed once.
+//
+// NewLocalEngine loads its network from a .gmod file through the shared
+// path-keyed model cache. It is the engine every region with a plain
+// file path in its model() clause gets, and its behavior — cache
+// sharing, refresh re-resolving from the cache without touching disk,
+// invalidate evicting the cache entry — is exactly the model handling
+// Region itself used to hard-wire. NewLocalEngineFor instead serves a
+// network the caller already decoded, from a private entry: the serving
+// registry builds one per generation, and every replica runs it.
 //
 // An engine opted into reduced precision takes one program with the
 // network — int8 if asked and its sidecar serves, else f32 if asked and
 // the model compiles, else none — and runs every contiguous rank-2
 // batch of the program's widths through it; anything else runs the
-// float64 network. The cache entry compiles each program once, for
-// every engine that shares it, so a replica pool swapping onto a
-// published generation compiles nothing and reads no file. Precision
-// and PrecisionReason are final from Warmup until the next Refresh.
+// float64 network. The entry compiles each program once, for every
+// engine that shares it. Precision and PrecisionReason are final from
+// Warmup until the next Refresh.
+//
+// Like every engine it is driven from one goroutine at a time, with one
+// exception: once Warmup has returned, Infer only reads the engine and
+// its network and program, which are safe for concurrent use, so many
+// goroutines may call Infer on it as long as none calls Refresh or
+// Invalidate.
 type LocalEngine struct {
 	path string
+	own  *cachedModel // NewLocalEngineFor's private entry; nil: resolve path through the cache
 	net  *nn.Network
 	f32  bool
 	i8   bool
@@ -252,6 +229,25 @@ func NewLocalEngine(path string, opts ...LocalOption) *LocalEngine {
 	return e
 }
 
+// NewLocalEngineFor builds a local engine that serves net, already
+// decoded from the file at path, with quant the bytes of that file's
+// ".quant" sidecar (nil when there is none). The engine owns its entry:
+// it never reads or writes the model cache, so its Refresh re-takes the
+// network and program from that entry and its Invalidate evicts
+// nothing, and it reads no file — the int8 program is compiled from
+// quant. path only names the sidecar in PrecisionReason.
+//
+// NewLocalEngineFor freezes net (nn.Network.Freeze). The network must
+// not be written afterwards: training it fails, and a write to its
+// weights would go unseen. To change a model, decode a fresh copy and
+// build a new engine.
+func NewLocalEngineFor(path string, net *nn.Network, quant []byte, opts ...LocalOption) *LocalEngine {
+	net.Freeze()
+	e := NewLocalEngine(path, opts...)
+	e.own = &cachedModel{path: path, net: net, quant: quant, quantRead: true}
+	return e
+}
+
 // Precision reports which program batches run on the currently
 // resolved model: "int8", "f32" or "f64". It is the outcome, not the
 // request — a missing, corrupt or gate-failed sidecar, or a model the
@@ -280,18 +276,21 @@ func (e *LocalEngine) Path() string { return e.path }
 func (e *LocalEngine) Network() *nn.Network { return e.net }
 
 // ensure resolves the network and the program the engine asked for
-// from the shared cache entry (loading it on a miss); the entry
-// compiles each program once for every engine that shares it.
+// from its own entry or the shared cache entry (loading it on a miss);
+// the entry compiles each program once for every engine that shares it.
 func (e *LocalEngine) ensure() error {
 	if e.net != nil {
 		return nil
 	}
-	if e.path == "" {
-		return fmt.Errorf("hpacml: local engine has no model path")
-	}
-	c, err := resolveModel(e.path)
-	if err != nil {
-		return err
+	c := e.own
+	if c == nil {
+		if e.path == "" {
+			return fmt.Errorf("hpacml: local engine has no model path")
+		}
+		var err error
+		if c, err = resolveModel(e.path); err != nil {
+			return err
+		}
 	}
 	e.net = c.net
 	e.prog, e.reason = c.program(e.i8, e.f32)
@@ -342,19 +341,19 @@ func (e *LocalEngine) Infer(ctx context.Context, in, out *tensor.Tensor) error {
 }
 
 // Refresh drops the engine's network pointer so the next use
-// re-resolves from the shared cache — the replica-pool hot-reload swap,
-// which must not re-read disk (a concurrent retrain could hand
-// different replicas different or torn bytes for the same swap).
+// re-resolves from the shared cache without re-reading disk (an engine
+// built by NewLocalEngineFor re-resolves its own entry).
 func (e *LocalEngine) Refresh() {
 	e.net, e.prog, e.reason = nil, nil, ""
 }
 
 // Invalidate additionally evicts the shared cache entry, forcing the
 // next load to re-read the file (e.g. after a new training round wrote
-// it).
+// it). An engine built by NewLocalEngineFor has no cache entry to
+// evict.
 func (e *LocalEngine) Invalidate() {
 	e.Refresh()
-	if e.path != "" {
+	if e.own == nil && e.path != "" {
 		modelCache.Delete(e.path)
 	}
 }

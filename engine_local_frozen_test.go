@@ -59,9 +59,11 @@ func inferBits(t *testing.T, eng hpacml.Engine, x *tensor.Tensor, want []float64
 }
 
 // TestLocalEngineServesFrozenNetworks: a network a LocalEngine resolves
-// from disk, or one published through StoreModel, is frozen before any
+// from disk, or one handed to NewLocalEngineFor, is frozen before any
 // engine sees it, and serves its per-call answers bit for bit.
-// Invalidate followed by a rewritten file serves the new weights.
+// Invalidate followed by a rewritten file serves the new weights; an
+// engine built by NewLocalEngineFor keeps its network through
+// Invalidate, with no file at its path.
 func TestLocalEngineServesFrozenNetworks(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "frozen.gmod")
@@ -88,58 +90,61 @@ func TestLocalEngineServesFrozenNetworks(t *testing.T) {
 	stored := frozenTestNet(3)
 	wantStored := forwardOf(t, stored, x)
 	storedPath := filepath.Join(dir, "stored.gmod")
-	hpacml.StoreModel(storedPath, stored, nil)
-	assertFrozen(t, stored, x, "StoreModel")
-	viaStore := hpacml.NewLocalEngine(storedPath)
-	inferBits(t, viaStore, x, wantStored, "StoreModel")
-	if viaStore.Network() != stored {
-		t.Fatal("the engine did not resolve the stored network")
+	viaFor := hpacml.NewLocalEngineFor(storedPath, stored, nil)
+	assertFrozen(t, stored, x, "NewLocalEngineFor")
+	inferBits(t, viaFor, x, wantStored, "NewLocalEngineFor")
+	if viaFor.Network() != stored {
+		t.Fatal("the engine did not resolve the handed network")
+	}
+	viaFor.Invalidate()
+	inferBits(t, viaFor, x, wantStored, "NewLocalEngineFor after Invalidate")
+	if viaFor.Network() != stored {
+		t.Fatal("Invalidate swapped the handed network out")
 	}
 }
 
-// TestFrozenNetworkSharedAcrossSwap: two engines serve one frozen
-// network concurrently while StoreModel publishes a replacement; each
-// refreshes onto it at a batch boundary, the way serve replicas do.
-// Every batch must equal one of the two networks' per-call answers, and
-// after the refresh the new one's. Run it under -race.
+// TestFrozenNetworkSharedAcrossSwap: two goroutines run one engine's
+// frozen network concurrently while a second engine, built on a
+// replacement, is published through one pointer; each swaps onto it at
+// a batch boundary, the way serve replicas do. Every batch must equal
+// the per-call answers of the network its engine serves. Run it under
+// -race.
 func TestFrozenNetworkSharedAcrossSwap(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "swap.gmod")
 	x := goldenBatch(t, 33, 6)
 	netA, netB := frozenTestNet(4), frozenTestNet(5)
 	wantA, wantB := forwardOf(t, netA, x), forwardOf(t, netB, x)
-	hpacml.StoreModel(path, netA, nil)
+	engA, engB := hpacml.NewLocalEngineFor(path, netA, nil), hpacml.NewLocalEngineFor(path, netB, nil)
+	for _, e := range []*hpacml.LocalEngine{engA, engB} {
+		if err := e.Warmup(context.Background(), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var cur atomic.Pointer[hpacml.LocalEngine]
+	cur.Store(engA)
 
-	var swapped atomic.Bool
 	var batches atomic.Int64
 	var wg sync.WaitGroup
 	errs := make(chan string, 2)
 	for w := 0; w < 2; w++ {
-		eng := hpacml.NewLocalEngine(path)
-		if err := eng.Warmup(context.Background(), nil); err != nil {
-			t.Fatal(err)
-		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			out := tensor.New(33, 3)
-			refreshed := false
 			for i := 0; i < 200; i++ {
-				if !refreshed && swapped.Load() {
-					eng.Refresh()
-					refreshed = true
-				}
+				eng := cur.Load()
 				if err := eng.Infer(context.Background(), x, out); err != nil {
 					errs <- err.Error()
 					return
 				}
 				batches.Add(1)
 				want := wantA
-				if refreshed {
+				if eng == engB {
 					want = wantB
 				}
 				for j, v := range want {
 					if math.Float64bits(out.Data()[j]) != math.Float64bits(v) {
-						errs <- "a batch did not match the network the engine resolved"
+						errs <- "a batch did not match the network its engine serves"
 						return
 					}
 				}
@@ -149,8 +154,7 @@ func TestFrozenNetworkSharedAcrossSwap(t *testing.T) {
 	for batches.Load() < 20 && len(errs) == 0 {
 		runtime.Gosched()
 	}
-	hpacml.StoreModel(path, netB, nil)
-	swapped.Store(true)
+	cur.Store(engB)
 	wg.Wait()
 	close(errs)
 	for e := range errs {

@@ -210,24 +210,54 @@ func TestRegionInt8Precedence(t *testing.T) {
 	}
 }
 
-// TestCacheEntryCompilesOnce: engines that share a published entry
-// share its int8 program, compiled once per entry however many engines
-// resolve it (four here, concurrently, as a replica pool does), and
-// built from the sidecar bytes published with the weights: the file on
-// disk is never read. Publishing the next generation compiles once
-// more.
+// TestCacheEntryCompilesOnce: engines that share an entry share its
+// int8 program, compiled once per entry however many engines use it.
+// Four engines resolving one path through the model cache, warmed
+// concurrently, compile once; after Invalidate and a rewritten file,
+// once more. An engine built by NewLocalEngineFor compiles from the
+// sidecar bytes it was handed — the file on disk is gone — once per
+// generation, however many goroutines run its Infer concurrently, as a
+// serving replica pool does, each answer bit for bit the serial one.
 func TestCacheEntryCompilesOnce(t *testing.T) {
 	ClearModelCache()
 	path := filepath.Join(t.TempDir(), "m.gmod")
 	var compiles atomic.Int64
 	testHookCompileI8 = func(string) { compiles.Add(1) }
 	defer func() { testHookCompileI8 = nil }()
+	ctx := context.Background()
 
 	engines := make([]*LocalEngine, 4)
 	for i := range engines {
 		engines[i] = NewLocalEngine(path, WithInt8Inference())
 	}
 	for gen := int64(1); gen <= 2; gen++ {
+		net := quantTestNet(gen)
+		fitI8Sidecar(t, net, path, QuantFitConfig{RTol: 0.1})
+		engines[0].Invalidate()
+		var wg sync.WaitGroup
+		for _, e := range engines {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				e.Refresh()
+				if err := e.Warmup(ctx, nil); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		if got := compiles.Load(); got != gen {
+			t.Fatalf("cache generation %d: %d int8 compiles in total, want %d", gen, got, gen)
+		}
+		for _, e := range engines {
+			if e.Precision() != "int8" || e.prog != engines[0].prog || e.Network() != engines[0].Network() {
+				t.Fatalf("cache generation %d: engine serves %s (%s), not the entry's one program", gen, e.Precision(), e.PrecisionReason())
+			}
+		}
+	}
+
+	x := quantSlab(22, 16, 5)
+	for gen := int64(3); gen <= 4; gen++ {
 		net := quantTestNet(gen)
 		fitI8Sidecar(t, net, path, QuantFitConfig{RTol: 0.1})
 		quant, err := os.ReadFile(nn.QuantPath(path))
@@ -237,26 +267,40 @@ func TestCacheEntryCompilesOnce(t *testing.T) {
 		if err := os.Remove(nn.QuantPath(path)); err != nil {
 			t.Fatal(err)
 		}
-		StoreModel(path, net, quant)
+		e := NewLocalEngineFor(path, net, quant, WithInt8Inference())
+		if err := e.Warmup(ctx, nil); err != nil {
+			t.Fatal(err)
+		}
+		if e.Precision() != "int8" || e.Network() != net {
+			t.Fatalf("generation %d: engine serves %s (%s), not the handed network's int8 program", gen, e.Precision(), e.PrecisionReason())
+		}
+		want := tensor.New(16, 1)
+		if err := e.Infer(ctx, x, want); err != nil {
+			t.Fatal(err)
+		}
 		var wg sync.WaitGroup
-		for _, e := range engines {
+		for range 4 {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				e.Refresh()
-				if err := e.Warmup(context.Background(), nil); err != nil {
-					t.Error(err)
+				out := tensor.New(16, 1)
+				for range 20 {
+					if err := e.Infer(ctx, x, out); err != nil {
+						t.Error(err)
+						return
+					}
+					for i, w := range want.Data() {
+						if math.Float64bits(out.Data()[i]) != math.Float64bits(w) {
+							t.Errorf("generation %d: concurrent element %d = %v, serial %v", gen, i, out.Data()[i], w)
+							return
+						}
+					}
 				}
 			}()
 		}
 		wg.Wait()
 		if got := compiles.Load(); got != gen {
 			t.Fatalf("generation %d: %d int8 compiles in total, want %d", gen, got, gen)
-		}
-		for _, e := range engines {
-			if e.Precision() != "int8" || e.prog != engines[0].prog || e.Network() != net {
-				t.Fatalf("generation %d: engine serves %s (%s), not the entry's one program", gen, e.Precision(), e.PrecisionReason())
-			}
 		}
 	}
 }

@@ -76,50 +76,90 @@ func startServe(t *testing.T, modelPath string) string {
 	return ts.URL
 }
 
-// TestServerCloseReleasesModelCache checks that a closed server leaves
-// no model-cache entry behind: nine servers over distinct model files
-// end with the cache where it started. An entry another publisher
-// stored under a closed server's path survives it.
-func TestServerCloseReleasesModelCache(t *testing.T) {
-	dir := t.TempDir()
-	before := hpacml.ModelCacheLen()
-	for i := range 9 {
-		srv, err := serve.NewServer(serve.Config{MaxBatch: 8, Workers: 2},
-			serve.ModelSpec{Name: "vec", Path: saveVectorNet(t, dir, int64(60+i), 3, 2)})
+// TestServerLeavesModelCacheAlone: a server builds each generation's
+// engines itself, so its load, traffic, hot reload and Close leave the
+// path-keyed model cache as they found it, and a LocalEngine a region
+// builds on a served path loads that path's file, not the generation
+// the server serves from it.
+func TestServerLeavesModelCacheAlone(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "vec.gmod")
+	save := func(seed int64) *nn.Network {
+		t.Helper()
+		net := nn.NewNetwork(seed)
+		net.Add(net.NewDense(3, 8), nn.NewActivation(nn.ActTanh), net.NewDense(8, 2))
+		if err := net.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		return net
+	}
+	in := []float64{0.1, 0.2, 0.3}
+	x, err := tensor.FromSlice(append([]float64(nil), in...), 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer := func(net *nn.Network) []float64 {
+		t.Helper()
+		y, err := net.Forward(x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := srv.Infer("vec", []float64{0.1, 0.2, 0.3}); err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.Close(); err != nil {
-			t.Fatal(err)
-		}
+		return y.Data()
 	}
-	if after := hpacml.ModelCacheLen(); after != before {
-		t.Fatalf("model cache holds %d entries after nine servers closed, %d before", after, before)
+	serves := func(srv *serve.Server, want []float64, step string) {
+		t.Helper()
+		got, err := srv.Infer("vec", in)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: server answers %v, want %v", step, got, want)
+			}
+		}
 	}
 
-	path := saveVectorNet(t, dir, 70, 3, 2)
-	srv, err := serve.NewServer(serve.Config{MaxBatch: 8, Workers: 1}, serve.ModelSpec{Name: "vec", Path: path})
+	before := hpacml.ModelCacheLen()
+	cacheIs := func(want int, step string) {
+		t.Helper()
+		if got := hpacml.ModelCacheLen(); got != want {
+			t.Fatalf("after %s the model cache holds %d entries, want %d", step, got, want)
+		}
+	}
+	wantA := answer(save(71))
+	srv, err := serve.NewServer(serve.Config{MaxBatch: 8, Workers: 2}, serve.ModelSpec{Name: "vec", Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	later, err := nn.Load(path)
-	if err != nil {
+	defer srv.Close()
+	cacheIs(before, "the load")
+	serves(srv, wantA, "traffic")
+	cacheIs(before, "traffic")
+
+	wantB := answer(save(72))
+	if err := srv.CheckReload(); err != nil {
 		t.Fatal(err)
 	}
-	hpacml.StoreModel(path, later, nil)
+	serves(srv, wantB, "the hot reload")
+	cacheIs(before, "the hot reload")
+
+	wantC := answer(save(73))
+	local := hpacml.NewLocalEngine(path)
+	defer local.Invalidate()
+	y := tensor.New(1, 2)
+	if err := local.Infer(context.Background(), x, y); err != nil {
+		t.Fatal(err)
+	}
+	for i := range wantC {
+		if y.Data()[i] != wantC[i] {
+			t.Fatalf("a LocalEngine on the served path answers %v, want the file's %v", y.Data(), wantC)
+		}
+	}
+	serves(srv, wantB, "a region's load of the served path")
+	cacheIs(before+1, "a region's load of the served path")
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if after := hpacml.ModelCacheLen(); after != before+1 {
-		t.Fatalf("model cache holds %d entries, want %d: Close dropped a later publisher's entry", after, before+1)
-	}
-	hpacml.ReleaseModel(path, later)
-	if after := hpacml.ModelCacheLen(); after != before {
-		t.Fatalf("model cache holds %d entries after ReleaseModel, want %d", after, before)
-	}
+	cacheIs(before+1, "Close")
 }
 
 // TestRemoteEngineMatchesLocal round-trips single and batched region

@@ -36,7 +36,7 @@ type Guardrail struct {
 	// set are not rejected: a row is in-domain when
 	// Lo[f]-Margin*span <= v <= Hi[f]+Margin*span for every feature.
 	// It must be finite and not negative; Encode and DecodeGuardrail
-	// refuse any other margin, and a NaN bound.
+	// refuse any other margin, and a NaN or infinite bound.
 	Margin float64
 }
 
@@ -116,7 +116,8 @@ func (g *Guardrail) Features() int { return len(g.Lo) }
 
 // CheckRow reports whether one model-layout input row is inside the
 // (margin-widened) envelope. Non-finite features are always
-// out-of-domain.
+// out-of-domain. A zero margin compares against the bounds themselves:
+// a span that overflows to +Inf would make 0*span NaN.
 func (g *Guardrail) CheckRow(row []float64) bool {
 	if len(row) != len(g.Lo) {
 		return false
@@ -125,8 +126,12 @@ func (g *Guardrail) CheckRow(row []float64) bool {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return false
 		}
-		span := g.Hi[f] - g.Lo[f]
-		if v < g.Lo[f]-g.Margin*span || v > g.Hi[f]+g.Margin*span {
+		lo, hi := g.Lo[f], g.Hi[f]
+		if g.Margin > 0 {
+			span := hi - lo
+			lo, hi = lo-g.Margin*span, hi+g.Margin*span
+		}
+		if v < lo || v > hi {
 			return false
 		}
 	}
@@ -185,12 +190,15 @@ func checkMargin(m float64) error {
 }
 
 // checkBounds refuses a NaN bound, which CheckRow would compare false
-// against every value, and an inverted pair.
+// against every value, an infinite one, whose span is infinite or NaN,
+// and an inverted pair.
 func checkBounds(lo, hi []float64) error {
 	for f := range lo {
 		switch {
 		case math.IsNaN(lo[f]) || math.IsNaN(hi[f]):
 			return fmt.Errorf("hpacml: guardrail feature %d has a NaN bound [%g, %g]", f, lo[f], hi[f])
+		case math.IsInf(lo[f], 0) || math.IsInf(hi[f], 0):
+			return fmt.Errorf("hpacml: guardrail feature %d has an infinite bound [%g, %g]", f, lo[f], hi[f])
 		case lo[f] > hi[f]:
 			return fmt.Errorf("hpacml: guardrail feature %d has inverted bounds [%g, %g]", f, lo[f], hi[f])
 		}
@@ -199,8 +207,8 @@ func checkBounds(lo, hi []float64) error {
 }
 
 // Encode writes the guardrail in sidecar format. It refuses what
-// DecodeGuardrail refuses: a negative or non-finite margin, a NaN
-// bound, inverted bounds.
+// DecodeGuardrail refuses: a negative or non-finite margin, a NaN or
+// infinite bound, inverted bounds.
 func (g *Guardrail) Encode(w io.Writer) error {
 	if len(g.Lo) == 0 || len(g.Lo) != len(g.Hi) {
 		return fmt.Errorf("hpacml: encoding malformed guardrail (%d lo, %d hi bounds)", len(g.Lo), len(g.Hi))
@@ -234,7 +242,8 @@ func (g *Guardrail) Save(path string) error {
 }
 
 // DecodeGuardrail reads a sidecar-format guardrail. It refuses a
-// negative or non-finite margin, a NaN bound and inverted bounds.
+// negative or non-finite margin, a NaN or infinite bound and inverted
+// bounds.
 func DecodeGuardrail(r io.Reader) (*Guardrail, error) {
 	var hdr [3]uint32
 	if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {

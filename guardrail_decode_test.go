@@ -68,6 +68,7 @@ var guardForgeries = []guardForgery{
 	{"NaN lo", "lo", 0, math.NaN(), "feature 0 has a NaN bound"},
 	{"NaN hi", "hi", 1, math.NaN(), "feature 1 has a NaN bound"},
 	{"inverted bounds", "lo", 0, 20, "feature 0 has inverted bounds"},
+	{"Inf hi", "hi", 1, math.Inf(1), "feature 1 has an infinite bound"},
 }
 
 // apply sets the forged value in g.
@@ -104,11 +105,13 @@ func validGuardrail() *hpacml.Guardrail {
 }
 
 // TestGuardrailRefusesNonFinite: a margin that is NaN, infinite or
-// negative, or a NaN bound, makes CheckRow compare false or widen the
-// envelope backwards, so every finite row, {1e9, -1e9} included, would
-// read as in-domain; inverted bounds admit no row at all. Encode refuses
-// to write such a guardrail and DecodeGuardrail to read one, each naming
-// its reason.
+// negative, or a NaN or infinite bound, makes CheckRow compare false or
+// widen the envelope backwards or without end, so every finite row,
+// {1e9, -1e9} included, would read as in-domain; inverted bounds admit
+// no row at all. Encode refuses to write such a guardrail and
+// DecodeGuardrail to read one, each naming its reason. Bounds Lo = Hi =
+// +Inf are refused too, and finite bounds whose span overflows serve
+// at a zero margin without a NaN widening.
 func TestGuardrailRefusesNonFinite(t *testing.T) {
 	var buf bytes.Buffer
 	if err := validGuardrail().Encode(&buf); err != nil {
@@ -128,6 +131,26 @@ func TestGuardrailRefusesNonFinite(t *testing.T) {
 		if err := bad.Encode(&bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), forge.reason) {
 			t.Errorf("%s: encode error %v, want %q", forge.name, err, forge.reason)
 		}
+	}
+
+	inf := &hpacml.Guardrail{Lo: []float64{0, math.Inf(1)}, Hi: []float64{2, math.Inf(1)}}
+	if err := inf.Encode(&bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "feature 1 has an infinite bound") {
+		t.Errorf("Lo = Hi = +Inf: encode error %v", err)
+	}
+	data := raw
+	for _, field := range []string{"lo", "hi"} {
+		data = guardForgery{field: field, feat: 1, value: math.Inf(1)}.forge(data, 2)
+	}
+	if _, err := hpacml.DecodeGuardrail(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "feature 1 has an infinite bound") {
+		t.Errorf("Lo = Hi = +Inf: decode error %v", err)
+	}
+
+	wide := &hpacml.Guardrail{Lo: []float64{-1e308}, Hi: []float64{1e308}}
+	if err := wide.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if wide.CheckRow([]float64{-1.7e308}) || wide.CheckRow([]float64{1.7e308}) || !wide.CheckRow([]float64{0}) {
+		t.Error("bounds ±1e308 at margin 0: CheckRow misjudges {-1.7e308}, {1.7e308} or {0}")
 	}
 }
 

@@ -174,18 +174,14 @@ func (s *Server) worker(m *model, rep *replica) {
 // boundary is the only point where the single-threaded replica can
 // safely swap models.
 func (s *Server) runBatch(m *model, rep *replica, batch []rowRange, rows int) {
-	var err error
-	if gen := m.gen.Load(); gen != rep.gen {
-		err = rep.reload(m, gen)
+	if g := m.gen.Load(); g != rep.gen {
+		rep.swap(g)
 	}
 	if s.cfg.batchHook != nil {
 		s.cfg.batchHook(m.name, rows)
 	}
 	cut := time.Now()
-	var ph batchPhases
-	if err == nil {
-		ph, err = rep.run(m, batch, rows)
-	}
+	ph, err := rep.run(m, batch, rows)
 	end := time.Now()
 	m.stats.observe(ph, batch, rows, cut, end, err)
 	forward := end.Sub(cut)

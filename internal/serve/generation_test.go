@@ -130,9 +130,11 @@ func TestQuantOnlyChangeReloads(t *testing.T) {
 
 // TestReloadReadsSetOnce: with four int8 replicas, an accepted reload
 // reads the .quant once, in the load step, and every replica then swaps
-// onto the one published network without touching the disk: the model
-// files are gone before any replica reloads, and each still serves
-// int8 at the new generation.
+// onto the generation's one engine — one network, one int8 program —
+// without touching the disk: the model files are gone before any
+// replica swaps, and each still serves int8 at the new generation. At
+// registration every replica holds the first generation's one engine
+// too.
 func TestReloadReadsSetOnce(t *testing.T) {
 	hpacml.ClearModelCache()
 	path := saveMLP(t, t.TempDir(), "m.gmod", 85, 5, 16, 2)
@@ -144,6 +146,13 @@ func TestReloadReadsSetOnce(t *testing.T) {
 	}
 	defer s.Close()
 	defer stall.release()
+	m := s.models["m"]
+	first := m.gen.Load()
+	for _, rep := range m.replicas {
+		if rep.gen != first || rep.engine != first.engines[0] {
+			t.Fatalf("replica %d after registration does not hold the generation's one engine", rep.idx)
+		}
+	}
 
 	if err := mlp(86, 5, 16, 2).Save(path); err != nil {
 		t.Fatal(err)
@@ -186,12 +195,12 @@ func TestReloadReadsSetOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m := s.models["m"]
+	g := m.gen.Load()
 	for _, rep := range m.replicas {
 		e := rep.engine.(*hpacml.LocalEngine)
-		if rep.gen != 1 || e.Precision() != "int8" || e.Network() != m.replicas[0].engine.(*hpacml.LocalEngine).Network() {
-			t.Fatalf("replica %d: generation %d precision %s (%s); want generation 1 serving the shared int8 network",
-				rep.idx, rep.gen, e.Precision(), e.PrecisionReason())
+		if rep.gen != g || g.num != 1 || e != g.engines[0] || e.Precision() != "int8" {
+			t.Fatalf("replica %d: generation %d precision %s (%s); want generation 1's one int8 engine",
+				rep.idx, rep.gen.num, e.Precision(), e.PrecisionReason())
 		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/nn"
 	"repro/internal/serveapi"
+	"repro/internal/tensor"
 )
 
 // ModelSpec registers one named surrogate: a .gmod file served as a flat
@@ -29,26 +30,25 @@ type ModelSpec struct {
 	Path string
 	// Ensemble lists additional member model files. When non-empty each
 	// replica serves the deep ensemble {Path, Ensemble...} through an
-	// EnsembleEngine: the response is the member-mean prediction, and
+	// EnsembleEngine of its own over the generation's member engines: the response is the member-mean prediction, and
 	// the per-row predictive variance is available to trust gates. All
 	// members must share the primary's I/O widths.
 	Ensemble []string
 	In       int
 	Out      int
 	// F32 serves the model through the single-precision inference path:
-	// each replica's LocalEngine is built WithFloat32Inference, converts
-	// the weights to float32 once at load and runs batches in single
-	// precision. Ensembles ignore it, and a model the f32 compiler
+	// each generation's LocalEngine is built WithFloat32Inference,
+	// converts the weights to float32 once at load and runs batches in
+	// single precision. Ensembles ignore it, and a model the f32 compiler
 	// cannot handle stays float64 — ModelInfo.Precision says which path
 	// serves, ModelInfo.PrecisionReason why it is not the asked one, and
 	// a downgrade is logged once per load.
 	F32 bool
 	// I8 serves the model through the quantized int8 path: each
-	// replica's LocalEngine is built WithInt8Inference and runs the int8
-	// program compiled once per generation from the ".quant"
-	// calibration sidecar beside the model file (written by
-	// hpacml-quant), read with the weights as part of the model's file
-	// set. A missing, corrupt or gate-failed sidecar, or one fitted for
+	// generation's LocalEngine is built WithInt8Inference and runs the
+	// int8 program compiled once from the ".quant" calibration sidecar
+	// beside the model file (written by hpacml-quant), read with the
+	// weights as part of the model's file set. A missing, corrupt or gate-failed sidecar, or one fitted for
 	// other weights, keeps the wider path (reported and logged like
 	// F32's), and ensembles ignore it. When both F32 and I8 are set the
 	// engine prefers int8 where the sidecar allows it.
@@ -67,7 +67,7 @@ type model struct {
 	members []string // every served model file: path first, then the ensemble
 	in, out int
 	asked   string               // the precision the spec requested: "int8", "f32" or "f64"
-	opts    []hpacml.LocalOption // the LocalEngine options that request it
+	opts    []hpacml.LocalOption // the LocalEngine options its members are built with
 
 	// queue carries row ranges of caller-owned slabs; waiting counts the
 	// rows in it, which is what QueueCap bounds.
@@ -77,57 +77,64 @@ type model struct {
 	replicas []*replica
 	stats    *modelStats
 
-	// gen counts accepted reloads; replicas compare it against their own
-	// generation at each batch boundary and re-resolve their engine on
-	// mismatch, picking up the network and program load published to
-	// the shared cache.
-	gen atomic.Uint64
+	// gen is the served generation; replicas compare it against their
+	// own at each batch boundary and swap onto it on mismatch.
+	gen atomic.Pointer[generation]
 	// loadMu serializes load steps (the poll and the learner's reload),
-	// so generations publish in the order their files were read.
+	// so generations publish in the order their files were read;
+	// closed, guarded by it, stops later loads.
 	loadMu sync.Mutex
-	// published holds the networks the last load stored, one per
-	// member, for close to take back out of the shared cache; released
-	// stops later loads. Both are guarded by loadMu.
-	published []*nn.Network
-	released  bool
+	closed bool
+}
 
-	sumMu sync.Mutex
-	sum   string // ModelInfo.Checksum
+// generation is one published file set: the engines every replica runs
+// and what /v1/models reports of them. It is immutable once published.
+type generation struct {
+	num uint64 // accepted reloads before it: ModelInfo.Generation
+	// engines holds one warmed LocalEngine per member, path first. Every
+	// replica runs them: a warmed LocalEngine's Infer is safe for
+	// concurrent use.
+	engines []*hpacml.LocalEngine
+	sum     string // ModelInfo.Checksum
 	// loadedAt is when the served weights were (re)loaded — provenance
-	// for /v1/models, guarded by sumMu like the checksum it travels with.
+	// for /v1/models.
 	loadedAt time.Time
-	// precision is the compute path the replicas run on the served
-	// generation, and reason why it is not the asked one; load decides
-	// both once per generation. Guarded by sumMu.
+	// precision is the compute path the engines run, and reason why it
+	// is not the asked one.
 	precision string
 	reason    string
 }
 
-// replicaEngine is what a replica needs of its engine: the Engine calls
-// plus the hot-reload hook both local backends export.
-type replicaEngine interface {
-	hpacml.Engine
-	Refresh()
+// engine returns what a replica runs on the generation: its one
+// LocalEngine, or for a member set an EnsembleEngine over the shared
+// members, whose scratch is the caller's own.
+func (g *generation) engine() hpacml.Engine {
+	if len(g.engines) == 1 {
+		return g.engines[0]
+	}
+	members := make([]hpacml.Engine, len(g.engines))
+	for i, e := range g.engines {
+		members[i] = e
+	}
+	ens, _ := hpacml.NewEnsembleEngine(members...) // fails only without members
+	return ens
 }
 
-// replica is one worker's single-threaded execution context: an engine
-// (a LocalEngine, or an EnsembleEngine for a member set — engine
-// scratch is single-threaded, so replicas never share one) and the
-// [MaxBatch, in] / [MaxBatch, out] staging slabs that stack short
-// ranges into one batch.
+// replica is one worker's single-threaded execution context: the
+// engine it runs on generation gen and the [MaxBatch, in] /
+// [MaxBatch, out] staging slabs that stack short ranges into one batch.
 type replica struct {
 	idx    int
-	engine replicaEngine
+	engine hpacml.Engine
 	in     []float64
 	out    []float64
-	gen    uint64
+	gen    *generation
 }
 
 // newModel registers the spec: the load step reads, checks and
 // publishes its file set (inferring the dimensions from the primary
 // when the spec leaves them zero), then the replica pool is built on
-// the published generation. On failure every already-built replica is
-// closed and the published networks are released.
+// the published generation.
 func newModel(spec ModelSpec, cfg Config, met *metrics) (*model, error) {
 	if spec.Name == "" || spec.Path == "" {
 		return nil, fmt.Errorf("serve: model spec needs a name and a path, got %+v", spec)
@@ -150,11 +157,12 @@ func newModel(spec ModelSpec, cfg Config, met *metrics) (*model, error) {
 		return nil, fmt.Errorf("serve: model %q: %w", spec.Name, err)
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		rep, err := newReplica(m, i, cfg.MaxBatch)
-		if err != nil {
-			m.close()
-			return nil, err
+		rep := &replica{
+			idx: i,
+			in:  make([]float64, cfg.MaxBatch*m.in),
+			out: make([]float64, cfg.MaxBatch*m.out),
 		}
+		rep.swap(m.gen.Load())
 		m.replicas = append(m.replicas, rep)
 	}
 	return m, nil
@@ -172,9 +180,13 @@ func askedPrecision(spec ModelSpec) string {
 	return "f64"
 }
 
-// localOptions are the LocalEngine options that request it.
+// localOptions are the LocalEngine options that request it; an
+// ensemble's members run float64.
 func localOptions(spec ModelSpec) []hpacml.LocalOption {
 	var opts []hpacml.LocalOption
+	if len(spec.Ensemble) > 0 {
+		return nil
+	}
 	if spec.F32 {
 		opts = append(opts, hpacml.WithFloat32Inference())
 	}
@@ -276,30 +288,28 @@ func moved(members, files []string, read []os.FileInfo) bool {
 // checks it against the registered widths (a width change would no
 // longer fit the slabs callers and replicas size by them, and is
 // refused; the first load infers them from the primary when the spec
-// left them zero). Only a set whose members all pass is published: each
-// network with its .quant bytes into the shared cache, where its
-// programs are compiled once for the whole replica pool. load then
-// decides the generation's precision and reason once, and logs a
-// downgrade from the asked precision once. A reload bumps the model
-// generation last, so replicas swap onto a complete publication. It
-// reports whether it published a new set.
+// left them zero). It builds one LocalEngine per member from the
+// decoded network and its .quant bytes, which compiles the
+// generation's program once, warms them and serves one zero-input row
+// through the engine the replicas will run. Only a set that passes all
+// of this is published, by one pointer store that replicas pick up at
+// their next batch boundary; a downgrade from the asked precision is
+// logged once. It reports whether it published a new set.
 func (m *model) load() (bool, error) {
 	m.loadMu.Lock()
 	defer m.loadMu.Unlock()
-	if m.released {
+	if m.closed {
 		return false, ErrServerClosed
 	}
 	set, err := readSet(m.members)
 	if err != nil {
 		return false, err
 	}
-	m.sumMu.Lock()
-	first, same := m.sum == "", set.sum == m.sum
-	m.sumMu.Unlock()
-	if same {
+	cur := m.gen.Load()
+	if cur != nil && set.sum == cur.sum {
 		return false, nil
 	}
-	nets := make([]*nn.Network, len(m.members))
+	g := &generation{sum: set.sum, loadedAt: time.Now(), engines: make([]*hpacml.LocalEngine, len(m.members))}
 	for i, p := range m.members {
 		net, err := nn.Decode(bytes.NewReader(set.file(p)))
 		if err != nil {
@@ -313,60 +323,41 @@ func (m *model) load() (bool, error) {
 		if err := validateDims(net, m.in, m.out); err != nil {
 			return false, fmt.Errorf("refused %s: %w", p, err)
 		}
-		nets[i] = net
+		g.engines[i] = hpacml.NewLocalEngineFor(p, net, set.file(nn.QuantPath(p)), m.opts...)
 	}
-	for i, p := range m.members {
-		hpacml.StoreModel(p, nets[i], set.file(nn.QuantPath(p)))
+	if err := check(g.engine(), m.in, m.out); err != nil {
+		return false, fmt.Errorf("warmup: %w", err)
 	}
-	m.published = nets
-	precision, reason := m.servedPrecision()
-	m.sumMu.Lock()
-	m.sum, m.loadedAt, m.precision, m.reason = set.sum, time.Now(), precision, reason
-	m.sumMu.Unlock()
-	gen := m.gen.Load()
-	if !first {
-		gen = m.gen.Add(1)
+	g.precision, g.reason = g.engines[0].Precision(), g.engines[0].PrecisionReason()
+	if len(m.members) > 1 && m.asked != "f64" {
+		g.reason = "ensemble runs f64"
 	}
-	if precision != m.asked {
+	if cur != nil {
+		g.num = cur.num + 1
+	}
+	m.gen.Store(g)
+	if g.precision != m.asked {
 		slog.Warn("serve: model is not served at the precision it was registered with",
-			"model", m.name, "asked", m.asked, "serving", precision, "reason", reason, "generation", gen)
+			"model", m.name, "asked", m.asked, "serving", g.precision, "reason", g.reason, "generation", g.num)
 	}
 	return true, nil
 }
 
-// servedPrecision is the compute path the replicas will find on the
-// generation just published, and why it is not the asked one. A local
-// model is resolved once through an engine built like the replicas'
-// (which compiles the entry's program, so the replicas only take it);
-// ensembles run their members in float64.
-func (m *model) servedPrecision() (string, string) {
-	if len(m.members) > 1 {
-		if m.asked == "f64" {
-			return "f64", ""
-		}
-		return "f64", "ensemble runs f64"
+// check warms eng for the model's widths and serves one zero-input row
+// through it, so a file set that cannot serve fails its load, not a
+// batch.
+func check(eng hpacml.Engine, in, out int) error {
+	if err := eng.Warmup(context.Background(), []int{1, in}); err != nil {
+		return err
 	}
-	e := hpacml.NewLocalEngine(m.path, m.opts...)
-	if err := e.Warmup(context.Background(), nil); err != nil {
-		return "f64", err.Error()
-	}
-	return e.Precision(), e.PrecisionReason()
+	return eng.Infer(context.Background(), tensor.New(1, in), tensor.New(1, out))
 }
 
-// close releases every replica engine built so far, then drops the
-// networks load published from the shared model cache
-// (hpacml.ReleaseModel), so a closed server leaves no entry behind but
-// one another publisher stored since. No load publishes afterwards.
+// close stops later loads.
 func (m *model) close() {
-	for _, rep := range m.replicas {
-		rep.close()
-	}
 	m.loadMu.Lock()
-	defer m.loadMu.Unlock()
-	for i, net := range m.published {
-		hpacml.ReleaseModel(m.members[i], net)
-	}
-	m.published, m.released = nil, true
+	m.closed = true
+	m.loadMu.Unlock()
 }
 
 // validateDims checks that net maps [in]-feature samples to out total
@@ -386,88 +377,36 @@ func validateDims(net *nn.Network, in, out int) error {
 	return nil
 }
 
-// newReplica builds one worker's engine and staging slabs: a
-// LocalEngine at the spec's precision, or with more than one member
-// path an EnsembleEngine of its own. The engine is warmed and serves one
-// zero-input row immediately, so a bad model file fails replica
-// construction, not the first request.
-func newReplica(m *model, idx, maxBatch int) (*replica, error) {
-	rep := &replica{
-		idx: idx,
-		in:  make([]float64, maxBatch*m.in),
-		out: make([]float64, maxBatch*m.out),
-	}
-	if len(m.members) > 1 {
-		ens, err := hpacml.NewLocalEnsemble(m.members...)
-		if err != nil {
-			return nil, fmt.Errorf("serve: model %q replica %d: %w", m.name, idx, err)
-		}
-		rep.engine = ens
-	} else {
-		rep.engine = hpacml.NewLocalEngine(m.path, m.opts...)
-	}
-	err := rep.engine.Warmup(context.Background(), []int{1, m.in})
-	if err == nil {
-		_, err = rep.run(m, []rowRange{{in: rep.in[:m.in], out: rep.out[:m.out], n: 1}}, 1)
-	}
-	if err != nil {
-		rep.close()
-		return nil, fmt.Errorf("serve: model %q warmup: %w", m.name, err)
-	}
-	return rep, nil
-}
-
-// reload swaps the replica onto generation gen: Refresh drops the
-// resolved model and Warmup takes the shared cache entry the load step
-// published — its network and the program it compiled once for the
-// pool. It reads no file and compiles nothing, so every replica serves
-// the same bytes. A failed swap leaves the replica's generation behind,
-// so the next batch boundary tries again.
-func (rep *replica) reload(m *model, gen uint64) error {
-	rep.engine.Refresh()
-	if err := rep.engine.Warmup(context.Background(), []int{1, m.in}); err != nil {
-		return fmt.Errorf("serve: model %q replica %d reload: %w", m.name, rep.idx, err)
-	}
-	rep.gen = gen
-	return nil
-}
-
-// close releases the engine when it holds resources (an ensemble owns
-// its members).
-func (rep *replica) close() {
-	if c, ok := rep.engine.(io.Closer); ok {
-		c.Close()
-	}
+// swap points the replica at generation g: its shared engine, or an
+// ensemble of its own over the shared members. It reads no file and
+// compiles nothing.
+func (rep *replica) swap(g *generation) {
+	rep.engine, rep.gen = g.engine(), g
 }
 
 // info snapshots the registry view.
 func (m *model) info() ModelInfo {
-	m.sumMu.Lock()
-	sum := m.sum
-	loadedAt := m.loadedAt
-	precision, reason := m.precision, m.reason
-	m.sumMu.Unlock()
+	g := m.gen.Load()
 	return ModelInfo{
 		Name:            m.name,
 		Path:            m.path,
 		Ensemble:        len(m.members),
 		InDim:           m.in,
 		OutDim:          m.out,
-		Checksum:        sum,
-		Generation:      m.gen.Load(),
+		Checksum:        g.sum,
+		Generation:      g.num,
 		Replicas:        len(m.replicas),
-		Precision:       precision,
-		PrecisionReason: reason,
-		LoadedAt:        loadedAt,
+		Precision:       g.precision,
+		PrecisionReason: g.reason,
+		LoadedAt:        g.loadedAt,
 	}
 }
 
-// checkReload runs the load step. When it published a new set (and
-// bumped the model generation), each replica swaps onto the published
-// networks at its next batch boundary (replica.reload; an ensemble
-// engine forwards the refresh to every member), so in-flight ranges
-// finish on the old ones and every replica sees the same objects. A
-// failed load keeps the served set and counts a failed reload.
+// checkReload runs the load step. When it published a new generation,
+// each replica swaps onto its engines at its next batch boundary
+// (replica.swap), so in-flight ranges finish on the old ones and every
+// replica runs the same objects. A failed load keeps the served set and
+// counts a failed reload.
 func (m *model) checkReload() error {
 	changed, err := m.load()
 	if err != nil {

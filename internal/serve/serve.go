@@ -20,22 +20,26 @@
 //     requests in a per-replica staging slab until MaxBatch rows have
 //     accumulated or MaxDelay has elapsed since the batch's first range
 //     — the micro-batching coalescer.
-//   - An engine is not safe for concurrent use, so each worker owns a
-//     replica: its own hpacml.Engine (LocalEngine, or EnsembleEngine for
-//     a member set) and staging slabs. Replicas share the loaded model
-//     through the runtime's path-keyed model cache, and the nn engine's
-//     pooled scratch buffers keep concurrent Forward calls safe. The bridge (Region) is not involved: it maps
-//     application memory to tensors, and the server already holds one.
+//   - Each worker owns a replica: the engine it runs and its staging
+//     slabs. Every replica of a model runs the served generation's one
+//     warmed LocalEngine, whose Infer is safe for concurrent use; for a
+//     member set, each replica wraps the generation's member engines
+//     in an EnsembleEngine of its own, whose scratch is single-threaded.
+//     The bridge (Region) is not involved: it maps application memory
+//     to tensors, and the server already holds one.
 //
 // Models are named entries in a registry loaded from .gmod files; a
 // checksum poll over each model's file set (members and sidecars)
-// detects retrained files, reads, validates and publishes the new
-// networks and their int8 program once (hpacml.StoreModel),
-// and swaps replicas onto them at their next batch boundary without
-// dropping in-flight requests or re-reading disk per replica. A serving stats layer tracks per-model throughput,
-// the batch-size histogram (the direct evidence coalescing happens),
-// p50/p95/p99 latency, the compute precision actually serving, and the
-// to-tensor / inference / from-tensor time of the served batches.
+// detects retrained files, reads and validates the new networks, and
+// builds the generation's engines from them once
+// (hpacml.NewLocalEngineFor), compiling their int8 or f32 program once.
+// Publishing a generation is one pointer store; replicas point at it at
+// their next batch boundary without dropping in-flight requests,
+// reading disk or compiling anything. A serving stats layer tracks
+// per-model throughput, the batch-size histogram (the direct evidence
+// coalescing happens), p50/p95/p99 latency, the compute precision
+// actually serving, and the to-tensor / inference / from-tensor time of
+// the served batches.
 //
 // The server is also the capture-side aggregation point: a registry of
 // server-owned sharded .gh5 databases (Config.CaptureDBs) behind the
@@ -83,8 +87,8 @@ type Config struct {
 	// QueueCap bounds the rows waiting in each model's queue;
 	// submissions beyond it fail with ErrQueueFull. Default 8 * MaxBatch.
 	QueueCap int
-	// Workers is the replica-pool size per model: how many engines serve
-	// the shared queue concurrently. Default 2.
+	// Workers is the replica-pool size per model: how many batches of
+	// the shared queue run concurrently. Default 2.
 	Workers int
 	// ReloadInterval is how often model files are re-checksummed for
 	// hot reload. Zero disables background polling (CheckReload still
@@ -150,9 +154,9 @@ type Server struct {
 
 // NewServer builds the registry (loading every model to resolve and
 // validate its dimensions), spins up each model's replica pool, and
-// starts the hot-reload poller when configured. Every replica runs one
-// zero-input warmup inference so model-load errors surface here, not on
-// the first request.
+// starts the hot-reload poller when configured. Each model's load runs
+// one zero-input warmup inference so model-load errors surface here,
+// not on the first request.
 func NewServer(cfg Config, specs ...ModelSpec) (*Server, error) {
 	if len(specs) == 0 && len(cfg.CaptureDBs) == 0 {
 		return nil, fmt.Errorf("serve: no models registered")
@@ -370,8 +374,7 @@ func (s *Server) pollReload() {
 // already queued, and waits for them to exit. In-flight and queued
 // ranges complete normally; only later submissions — a new request, or
 // the not-yet-enqueued remainder of a multi-range one — see
-// ErrServerClosed. Close then drops the networks it published from the
-// shared model cache, and later reloads fail with ErrServerClosed.
+// ErrServerClosed. Later reloads fail with ErrServerClosed.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {

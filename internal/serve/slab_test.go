@@ -569,9 +569,9 @@ func TestRejectedRowsAddUp(t *testing.T) {
 // TestFailedBatchRowsAddUp: a frame whose batch fails mid-frame stops
 // submitting, and the rows it never submitted count as errors, so ok +
 // error + rejected is still the number of rows offered, on /metrics and
-// in the snapshot alike. The failure is a replica reload that cannot
-// serve the model's width: the cache is handed a network of another
-// input width and the generation bumped while the first batch parks.
+// in the snapshot alike. The failure is a generation that cannot serve
+// the model's width: the registry is handed an engine over a network of
+// another input width while the first batch parks.
 func TestFailedBatchRowsAddUp(t *testing.T) {
 	hpacml.ClearModelCache()
 	const maxBatch, cols, rows = 4, 3, 200
@@ -587,8 +587,8 @@ func TestFailedBatchRowsAddUp(t *testing.T) {
 
 	resp := postFrame(t, NewHandler(s), rows, cols, slabInputs(8, rows, cols))
 	<-stall.entered
-	hpacml.StoreModel(path, mlp(5, cols+1, 8, 1), nil)
-	s.models["m"].gen.Add(1)
+	s.models["m"].gen.Store(&generation{num: 1, engines: []*hpacml.LocalEngine{
+		hpacml.NewLocalEngineFor(path, mlp(5, cols+1, 8, 1), nil)}})
 	stall.release()
 	if rec := <-resp; rec.Code == http.StatusOK {
 		t.Fatalf("frame with a failed batch answered %d", rec.Code)

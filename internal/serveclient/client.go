@@ -74,10 +74,9 @@ func WithTimeout(d time.Duration) Option {
 // use; the default transport keeps idle connections to the server warm
 // so steady-state inference traffic never pays connection setup.
 type Client struct {
-	base  string
-	http  *http.Client
-	wire  Wire
-	dtype serveapi.Dtype // frame element encoding; zero value is DtypeF64
+	base string
+	http *http.Client
+	wire Wire
 }
 
 // New builds a client for the server at base (e.g.

@@ -41,15 +41,6 @@ func WithWire(w Wire) Option {
 	return func(c *Client) { c.wire = w }
 }
 
-// WithFrameDtype selects the element encoding of outgoing binary
-// frames (default serveapi.DtypeF64). DtypeF32 halves the request
-// payload. The server answers /v1/infer in the request's dtype, so
-// this choice bounds the response precision too. It has no effect
-// under WireJSON.
-func WithFrameDtype(d serveapi.Dtype) Option {
-	return func(c *Client) { c.dtype = d }
-}
-
 // frameBuf is the per-request scratch a frame round-trip needs: the
 // encoded request and the raw response body. Pooled so steady-state
 // binary traffic reuses the same two byte slabs per concurrent caller.
@@ -85,7 +76,7 @@ func (c *Client) inferMatrixFrame(ctx context.Context, model string, rows, cols 
 	fb := framePool.Get().(*frameBuf)
 	defer framePool.Put(fb)
 	var err error
-	if fb.enc, err = serveapi.AppendInferRequest(fb.enc[:0], c.dtype, model, rows, cols, in); err != nil {
+	if fb.enc, err = serveapi.AppendInferRequest(fb.enc[:0], serveapi.DtypeF64, model, rows, cols, in); err != nil {
 		return nil, 0, fmt.Errorf("serveclient: %w", err)
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/infer", bytes.NewReader(fb.enc))
@@ -147,7 +138,7 @@ func (c *Client) captureFrame(ctx context.Context, db string, recs []serveapi.Ca
 	fb := framePool.Get().(*frameBuf)
 	defer framePool.Put(fb)
 	var err error
-	if fb.enc, err = serveapi.AppendCaptureRequest(fb.enc[:0], c.dtype, db, recs); err != nil {
+	if fb.enc, err = serveapi.AppendCaptureRequest(fb.enc[:0], serveapi.DtypeF64, db, recs); err != nil {
 		return 0, fmt.Errorf("serveclient: %w", err)
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/capture", bytes.NewReader(fb.enc))

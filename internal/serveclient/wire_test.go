@@ -230,30 +230,6 @@ func TestClientBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestClientBinaryI8Dtype: the one-byte i8 frame dtype is retired, so
-// a client configured with it (dtype byte 2) fails locally on both hot
-// paths and never puts a frame on the wire.
-func TestClientBinaryI8Dtype(t *testing.T) {
-	ts, counts := dualStub(t)
-	c := serveclient.New(ts.URL,
-		serveclient.WithWire(serveclient.WireBinary),
-		serveclient.WithFrameDtype(serveapi.Dtype(2)))
-	ctx := context.Background()
-
-	if _, _, err := c.InferMatrix(ctx, "sum", 1, 2, []float64{1, 2}, nil); err == nil {
-		t.Fatal("InferMatrix with dtype 2 succeeded")
-	}
-	recs := []serveapi.CaptureRecord{
-		{Region: "r", InputShape: []int{1, 2}, Inputs: []float64{5, -3}, OutputShape: []int{1, 1}, Outputs: []float64{4}},
-	}
-	if _, err := c.Capture(ctx, "d", recs); err == nil {
-		t.Fatal("Capture with dtype 2 succeeded")
-	}
-	if got := counts.frames.Load() + counts.jsons.Load(); got != 0 {
-		t.Fatalf("dtype-2 client sent %d requests", got)
-	}
-}
-
 // TestClientReusesConnections is the satellite regression for body
 // drain/close: across successes and every error shape, the client must
 // keep using one pooled connection. A leaked (undrained or unclosed)
