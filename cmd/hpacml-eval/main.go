@@ -20,8 +20,10 @@ package main
 
 import (
 	"encoding/csv"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/experiments"
@@ -29,26 +31,54 @@ import (
 	"repro/internal/telemetry"
 )
 
+// errUsage is a command line run refuses before doing any work. run
+// has already written why, and the flag usage, to stderr; main exits 2.
+var errUsage = errors.New("hpacml-eval: usage")
+
 func main() {
-	benchmark := flag.String("benchmark", "", "benchmark name")
-	model := flag.String("model", "", "trained model path (.gmod), or a model URI http://host:port/name served by hpacml-serve")
-	runs := flag.Int("runs", 20, "timing repetitions")
-	full := flag.Bool("full", false, "use campaign-scale problem sizes")
-	seed := flag.Int64("seed", 29, "random seed")
-	csvOut := flag.String("csv", "", "optional CSV output path (default stdout)")
-	jsonOut := flag.Bool("json", false, "emit the shared results schema (internal/results) instead of CSV")
-	outPath := flag.String("out", "", "with -json: output path (default stdout)")
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
+	switch err := run(os.Args[1:], os.Stdout, os.Stderr); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "hpacml-eval:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command: it parses args, evaluates, and writes the CSV row
+// to stdout or -csv, or the -json record to stdout or -out. Every
+// refusal comes before either output is created.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("hpacml-eval", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	benchmark := fs.String("benchmark", "", "benchmark name")
+	model := fs.String("model", "", "trained model path (.gmod), or a model URI http://host:port/name served by hpacml-serve")
+	runs := fs.Int("runs", 20, "timing repetitions")
+	full := fs.Bool("full", false, "use campaign-scale problem sizes")
+	seed := fs.Int64("seed", 29, "random seed")
+	csvOut := fs.String("csv", "", "optional CSV output path (default stdout)")
+	jsonOut := fs.Bool("json", false, "emit the shared results schema (internal/results) instead of CSV")
+	outPath := fs.String("out", "", "with -json: output path (default stdout)")
+	version := fs.Bool("version", false, "print version and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
 	if *version {
-		fmt.Println(telemetry.VersionString("hpacml-eval"))
-		return
+		fmt.Fprintln(stdout, telemetry.VersionString("hpacml-eval"))
+		return nil
 	}
 
 	if *benchmark == "" || *model == "" {
-		fmt.Fprintln(os.Stderr, "hpacml-eval: -benchmark and -model are required")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "hpacml-eval: -benchmark and -model are required")
+		fs.Usage()
+		return errUsage
+	}
+	if *runs < 1 {
+		return fmt.Errorf("-runs must be positive, got %d", *runs)
 	}
 	scale := experiments.ScaleTest
 	if *full {
@@ -56,14 +86,14 @@ func main() {
 	}
 	h, err := experiments.Lookup(*benchmark, scale)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	opt := experiments.QuickOptions()
 	opt.EvalRuns = *runs
 	opt.Seed = *seed
 	res, err := h.Evaluate(*model, opt)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	if *jsonOut {
@@ -87,23 +117,22 @@ func main() {
 				OutOfDomainRows: res.OutOfDomainRows,
 			},
 		}
-		if err := rec.WriteFile(*outPath); err != nil {
-			fatal(err)
+		if *outPath == "" {
+			return rec.WriteJSON(stdout)
 		}
-		return
+		return rec.WriteFile(*outPath)
 	}
 
-	out := os.Stdout
+	out := stdout
 	if *csvOut != "" {
 		f, err := os.Create(*csvOut)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer f.Close()
 		out = f
 	}
 	w := csv.NewWriter(out)
-	defer w.Flush()
 	w.Write([]string{"benchmark", "speedup", "error", "metric", "params",
 		"to_tensor_sec", "inference_sec", "from_tensor_sec", "baseline_error",
 		"fallbacks", "remote_inference", "trusted_rows", "uncertain_rows", "out_of_domain_rows"})
@@ -123,9 +152,6 @@ func main() {
 		fmt.Sprintf("%d", res.UncertainRows),
 		fmt.Sprintf("%d", res.OutOfDomainRows),
 	})
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hpacml-eval:", err)
-	os.Exit(1)
+	w.Flush()
+	return w.Error()
 }

@@ -34,7 +34,8 @@ type Guardrail struct {
 	// Margin widens the envelope at check time by this fraction of each
 	// feature's span, so boundary-hugging inputs of a coarse training
 	// set are not rejected: a row is in-domain when
-	// Lo[f]-Margin*span <= v <= Hi[f]+Margin*span for every feature.
+	// Lo[f]-Margin*span <= v <= Hi[f]+Margin*span for every feature,
+	// also where span = Hi[f]-Lo[f] itself overflows float64.
 	// It must be finite and not negative; Encode and DecodeGuardrail
 	// refuse any other margin, and a NaN or infinite bound.
 	Margin float64
@@ -128,8 +129,15 @@ func (g *Guardrail) CheckRow(row []float64) bool {
 		}
 		lo, hi := g.Lo[f], g.Hi[f]
 		if g.Margin > 0 {
-			span := hi - lo
-			lo, hi = lo-g.Margin*span, hi+g.Margin*span
+			w := g.Margin * (hi - lo)
+			if math.IsInf(w, 1) {
+				// The span or the widening overflowed. Half the span
+				// cannot, so twice the widening of half the span is
+				// +Inf only where the widened bound is truly past the
+				// float range, and every finite value inside it.
+				w = 2 * (g.Margin * (hi/2 - lo/2))
+			}
+			lo, hi = lo-w, hi+w
 		}
 		if v < lo || v > hi {
 			return false

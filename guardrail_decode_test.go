@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/big"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -111,7 +112,8 @@ func validGuardrail() *hpacml.Guardrail {
 // no row at all. Encode refuses to write such a guardrail and
 // DecodeGuardrail to read one, each naming its reason. Bounds Lo = Hi =
 // +Inf are refused too, and finite bounds whose span overflows serve
-// at a zero margin without a NaN widening.
+// at a zero margin without a NaN widening and at a positive one without
+// an infinite one.
 func TestGuardrailRefusesNonFinite(t *testing.T) {
 	var buf bytes.Buffer
 	if err := validGuardrail().Encode(&buf); err != nil {
@@ -152,6 +154,13 @@ func TestGuardrailRefusesNonFinite(t *testing.T) {
 	if wide.CheckRow([]float64{-1.7e308}) || wide.CheckRow([]float64{1.7e308}) || !wide.CheckRow([]float64{0}) {
 		t.Error("bounds ±1e308 at margin 0: CheckRow misjudges {-1.7e308}, {1.7e308} or {0}")
 	}
+	// Under a positive margin the span 2e308 overflows; the envelope is
+	// still [-1.1e308, 1.1e308], not every finite value.
+	wide.Margin = 0.05
+	if wide.CheckRow([]float64{-1.7e308}) || wide.CheckRow([]float64{1.7e308}) ||
+		!wide.CheckRow([]float64{-1.09e308}) || !wide.CheckRow([]float64{1.09e308}) {
+		t.Error("bounds ±1e308 at margin 0.05: CheckRow misjudges {±1.7e308} or {±1.09e308}")
+	}
 }
 
 // TestGuardrailRefusedSaveKeepsSidecar: Save of a guardrail Encode
@@ -183,9 +192,10 @@ func TestGuardrailRefusedSaveKeepsSidecar(t *testing.T) {
 
 // FuzzDecodeGuardrail: the .guard decoder never panics on truncated or
 // forged bytes, and a guardrail it accepts re-encodes to a decode fixed
-// point. Seeds are an encoded guardrail, truncations of it, a header
-// forging the largest feature count, and the guardrail with a margin or
-// a bound the format refuses.
+// point, whose CheckRow agrees with exact arithmetic at ±MaxFloat64.
+// Seeds are an encoded guardrail, truncations of it, a header forging
+// the largest feature count, the guardrail with a margin or a bound the
+// format refuses, and the guardrail with a span that overflows.
 func FuzzDecodeGuardrail(f *testing.F) {
 	g := &hpacml.Guardrail{
 		Lo:     []float64{-1, 0, 2.5, -1e300, 3},
@@ -204,6 +214,8 @@ func FuzzDecodeGuardrail(f *testing.F) {
 	for _, forge := range guardForgeries {
 		f.Add(forge.forge(raw, len(g.Lo)))
 	}
+	// Hi[3] = MaxFloat64 over Lo[3] = -1e300: a span that overflows.
+	f.Add(guardForgery{field: "hi", feat: 3, value: math.MaxFloat64}.forge(raw, len(g.Lo)))
 
 	encode := func(t *testing.T, g *hpacml.Guardrail) []byte {
 		var buf bytes.Buffer
@@ -225,5 +237,39 @@ func FuzzDecodeGuardrail(f *testing.F) {
 		if twice := encode(t, again); !bytes.Equal(once, twice) {
 			t.Fatalf("re-encode is not a fixed point:\n%x\n%x", once, twice)
 		}
+		// At the ends of the float range CheckRow must agree with the
+		// envelope in exact arithmetic, so a span that overflows
+		// float64 does not open it to every finite value.
+		for f := range min(len(g.Lo), 8) {
+			for _, v := range []float64{-math.MaxFloat64, math.MaxFloat64} {
+				row := append([]float64(nil), g.Lo...)
+				row[f] = v
+				if inside, sure := exactlyInside(g, f, v); sure && g.CheckRow(row) != inside {
+					t.Fatalf("feature %d in [%g, %g], margin %g: CheckRow(%g) = %t, exact envelope says %t",
+						f, g.Lo[f], g.Hi[f], g.Margin, v, !inside, inside)
+				}
+			}
+		}
 	})
+}
+
+// exactlyInside reports whether v lies in feature f's widened envelope,
+// Lo-Margin*span <= v <= Hi+Margin*span, computed exactly, and whether
+// v is clear of both ends by more than CheckRow's roundings can move
+// them (2^-40 of |v|).
+func exactlyInside(g *hpacml.Guardrail, f int, v float64) (inside, sure bool) {
+	const prec = 4096 // holds any float64 difference, times the margin, exactly
+	lo := new(big.Float).SetPrec(prec).SetFloat64(g.Lo[f])
+	hi := new(big.Float).SetPrec(prec).SetFloat64(g.Hi[f])
+	w := new(big.Float).SetPrec(prec).Sub(hi, lo)
+	w.Mul(w, big.NewFloat(g.Margin))
+	lo.Sub(lo, w)
+	hi.Add(hi, w)
+	x := big.NewFloat(v)
+	tol := big.NewFloat(math.Abs(v) * 0x1p-40)
+	clear := func(end *big.Float) bool {
+		d := new(big.Float).SetPrec(prec).Sub(x, end)
+		return d.Abs(d).Cmp(tol) > 0
+	}
+	return lo.Cmp(x) <= 0 && x.Cmp(hi) <= 0, clear(lo) && clear(hi)
 }

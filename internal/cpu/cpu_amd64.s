@@ -35,3 +35,10 @@ TEXT ·cpuidLeaf7EBX(SB), NOSPLIT, $0-4
 noleaf7:
 	MOVL $0, ret+0(FP)
 	RET
+
+// func xcr0() uint32
+TEXT ·xcr0(SB), NOSPLIT, $0-4
+	XORL   CX, CX
+	XGETBV
+	MOVL   AX, ret+0(FP)
+	RET

@@ -2,5 +2,5 @@
 
 package cpu
 
-// AVX and AVX2 are false off amd64.
-var AVX, AVX2 = false, false
+// AVX, AVX2 and AVX512 are false off amd64.
+var AVX, AVX2, AVX512 = false, false, false

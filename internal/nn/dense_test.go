@@ -144,27 +144,29 @@ func denseKernelInputs(rng *rand.Rand, rows, in int, special bool) []float64 {
 	return x
 }
 
-// f64Vector and i8Vector are internal/tensor's choices between its
-// vector and its portable f64 and int8 sweeps, linked here so that the
-// oracle tests hold both.
+// f64Sweep and i8Sweep are internal/tensor's sweep levels for its f64
+// and int8 row kernels, linked here so that the oracle tests run every
+// sweep this CPU has.
 //
-//go:linkname f64Vector repro/internal/tensor.f64Vector
-var f64Vector bool
+//go:linkname f64Sweep repro/internal/tensor.f64Sweep
+var f64Sweep uint8
 
-//go:linkname i8Vector repro/internal/tensor.i8Vector
-var i8Vector bool
+//go:linkname i8Sweep repro/internal/tensor.i8Sweep
+var i8Sweep uint8
 
-// forSweeps runs f under the vector sweep *vector selects, when this
-// CPU has one, and under the portable sweep.
-func forSweeps(t *testing.T, vector *bool, f func(t *testing.T)) {
+// sweepNames names the levels as internal/tensor's subtests do: the
+// portable sweep, the 256-bit one and the 512-bit one.
+var sweepNames = [...]string{"portable", "vector", "avx512"}
+
+// forSweeps runs f as one subtest per sweep *level can take on this
+// CPU: the one the CPU selected and each below it.
+func forSweeps(t *testing.T, level *uint8, f func(t *testing.T)) {
 	t.Helper()
-	saved := *vector
-	defer func() { *vector = saved }()
-	if saved {
-		t.Run("vector", f)
+	defer func(saved uint8) { *level = saved }(*level)
+	for l := int(*level); l >= 0; l-- {
+		*level = uint8(l)
+		t.Run(sweepNames[l], f)
 	}
-	*vector = false
-	t.Run("portable", f)
 }
 
 // TestDenseKernelMatchesRowLoop is the bitwise differential test of the
@@ -175,7 +177,7 @@ func forSweeps(t *testing.T, vector *bool, f func(t *testing.T)) {
 // biases are -0 (a zero row must keep it), and some inputs are ±Inf or
 // NaN (a skipped zero must never meet an infinite weight).
 func TestDenseKernelMatchesRowLoop(t *testing.T) {
-	forSweeps(t, &f64Vector, func(t *testing.T) {
+	forSweeps(t, &f64Sweep, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(27))
 		type model struct {
 			name    string

@@ -554,7 +554,7 @@ func randomMLP(rng *rand.Rand) (*Network, int, int) {
 // Forward equals refForwardI8 in every output bit — including batches
 // wide enough to take the parallel row split, single rows and no rows.
 func TestForwardI8MatchesReference(t *testing.T) {
-	forSweeps(t, &i8Vector, func(t *testing.T) {
+	forSweeps(t, &i8Sweep, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(99))
 		for trial := 0; trial < 60; trial++ {
 			net, inDim, outDim := randomMLP(rng)

@@ -74,7 +74,7 @@ const f64RowBlock = rowBlock
 
 // f64Kernel is the f64 row kernel: 8-column panels, each sum starting
 // at the bias, and the split threshold parMACs was first sized for.
-var f64Kernel = kernel[float64, [panelWidth]float64]{list: listF64, sweep: sweepF64, vector: &f64Vector, cost: costF64}
+var f64Kernel = kernel[float64, [panelWidth]float64]{list: listF64, sweep: sweepF64, level: &f64Sweep, cost: costF64}
 
 // PackedF64 is a [k, n] f64 matrix and its bias packed for the f64 row
 // kernel: panel q holds columns 8q to 8q+7 of every row as [k][8]
@@ -106,10 +106,12 @@ func PackF64(b, bias []float64, k, n int) *PackedF64 {
 // -0 included, and a 0 * Inf weight never turns an output into NaN.
 //
 // Rows run through the packed-panel driver (packed.rows), each keeping
-// its eight outputs in registers across its list of nonzero activations
-// (two 256-bit registers on amd64 with AVX). The sweep applies identity
-// and ReLU in registers and stores the outputs straight into dst; any
-// other act maps them in place afterwards.
+// its eight outputs in registers across its list of nonzero activations:
+// on amd64, one 512-bit register with four rows in flight under
+// AVX-512, or two 256-bit registers with two rows in flight under AVX
+// alone; either way the bits are the plain row loop's. The sweep
+// applies identity and ReLU in registers and stores the outputs
+// straight into dst; any other act maps them in place afterwards.
 func (p *PackedF64) Into(dst, a []float64, m int, act Act) {
 	if m == 0 || p.n == 0 {
 		return

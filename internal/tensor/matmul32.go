@@ -43,7 +43,7 @@ const f32RowBlock = rowBlock
 // f32Kernel is the f32 row kernel: 16-column panels, each sum starting
 // at +0 with the bias added last, and a vector multiply-add counting a
 // quarter in split, whose f32 split breaks even at 2^20.
-var f32Kernel = kernel[float32, [f32PanelWidth]float32]{list: listF32, sweep: sweepF32, vector: &f32Vector, cost: costF32Vector}
+var f32Kernel = kernel[float32, [f32PanelWidth]float32]{list: listF32, sweep: sweepF32, level: &f32Sweep, cost: costF32Vector}
 
 // PackedF32 is a [k, n] f32 matrix and its bias packed for the f32 row
 // kernel: panel q holds columns 16q to 16q+15 of every row as [k][16]

@@ -40,7 +40,7 @@ func randSlab32(rng *rand.Rand, n int) []float32 {
 // cross the parallel-dispatch threshold, both splits and partial
 // panels, under each sweep.
 func TestPropMatMul32MatchesReference(t *testing.T) {
-	forSweeps(t, &f32Vector, func(t *testing.T) {
+	forSweeps(t, &f32Sweep, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(42))
 		shapes := [][3]int{{1, 1, 1}, {1, 7, 3}, {5, 1, 4}, {3, 300, 2}}
 		for trial := 0; trial < 20; trial++ {
@@ -241,16 +241,16 @@ func FuzzPackedF32(f *testing.F) {
 			bias = nil
 		}
 		want := rowLoopF32(a, b, bias, m, k, n, act)
-		defer func(saved bool) { f32Vector = saved }(f32Vector)
+		defer func(saved sweepLevel) { f32Sweep = saved }(f32Sweep)
 		p := PackF32(b, bias, k, n)
-		for _, vec := range sweeps(f32Vector) {
-			f32Vector = vec
+		for _, level := range sweeps(f32Sweep) {
+			f32Sweep = level
 			got := make([]float32, m*n)
 			p.Into(got, a, m, act)
 			for i := range want {
 				if !sameBits32(got[i], want[i]) {
-					t.Fatalf("[%d %d %d] act %d bias %t vector %t element %d: Into %#x, want %#x",
-						m, k, n, act, bias != nil, vec, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+					t.Fatalf("[%d %d %d] act %d bias %t sweep %v element %d: Into %#x, want %#x",
+						m, k, n, act, bias != nil, level, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
 				}
 			}
 			if act != ActIdentity || bias != nil {
@@ -261,64 +261,74 @@ func FuzzPackedF32(f *testing.F) {
 			}
 			for i := range want {
 				if !sameBits32(got[i], want[i]) {
-					t.Fatalf("[%d %d %d] vector %t element %d: MatMulInto32 %#x, want %#x",
-						m, k, n, vec, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+					t.Fatalf("[%d %d %d] sweep %v element %d: MatMulInto32 %#x, want %#x",
+						m, k, n, level, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
 				}
 			}
 		}
 	})
 }
 
-// TestSweepF32AVXOperandOrder pins the vector sweep's operand order with
+// TestSweepF32AVXOperandOrder pins each vector sweep's operand order with
 // NaN payloads, which x86 takes from the first operand when both are
 // NaN: each product is weight * value, each sum acc + product, and the
-// bias is added as sum + bias.
+// bias is added as sum + bias, in the loops rows share and in those a
+// row finishes alone.
 func TestSweepF32AVXOperandOrder(t *testing.T) {
-	if !f32Vector {
-		t.Skip("no vector sweep on this CPU")
-	}
-	nan := func(payload uint32) float32 { return math.Float32frombits(0x7fc0_0000 | payload) }
-	for _, c := range []struct {
-		name          string
-		bias, w, v, u float32 // u is a second entry's value, 0 for none
-		want          float32
-	}{
-		{"weight*value", 1, nan(2), nan(3), 0, nan(2)},
-		{"sum+bias", nan(1), nan(2), nan(3), 0, nan(2)},
-		{"acc+product", 0, nan(2), 1, nan(3), nan(2)},
-	} {
-		var bias, w [f32PanelWidth]float32
-		for j := range bias {
-			bias[j], w[j] = c.bias, c.w
+	forSweeps(t, &f32Sweep, func(t *testing.T) {
+		if f32Sweep == sweepPortable {
+			t.Skip("the portable sweep's NaN payloads are the compiler's choice")
 		}
-		entries := []f32Entry{{0, c.v}}
-		if c.u != 0 {
-			// The second entry multiplies weight row 1 (all ones) by
-			// nan(3) into an acc that already holds nan(2).
-			entries = append(entries, f32Entry{1, c.u})
-		}
-		pw := [][f32PanelWidth]float32{w, {}}
-		for j := range pw[1] {
-			pw[1][j] = 1
-		}
-		for _, rows := range []int{1, 2, 3} {
-			var cnt [f32RowBlock]int
-			k := len(pw)
-			list := make([]f32Entry, rows*k)
-			for r := 0; r < rows; r++ {
-				copy(list[r*k:], entries)
-				cnt[r] = len(entries)
+		nan := func(payload uint32) float32 { return math.Float32frombits(0x7fc0_0000 | payload) }
+		for _, c := range []struct {
+			name          string
+			bias, w, v, u float32 // u is a second entry's value, 0 for none
+			want          float32
+		}{
+			{"weight*value", 1, nan(2), nan(3), 0, nan(2)},
+			{"sum+bias", nan(1), nan(2), nan(3), 0, nan(2)},
+			{"acc+product", 0, nan(2), 1, nan(3), nan(2)},
+		} {
+			var bias, w [f32PanelWidth]float32
+			for j := range bias {
+				bias[j], w[j] = c.bias, c.w
 			}
-			out := make([]float32, rows*f32PanelWidth)
-			sweepF32(out, f32PanelWidth, pw, &bias, list, k, &cnt, rows, false)
-			for i, got := range out {
-				if math.Float32bits(got) != math.Float32bits(c.want) {
-					t.Fatalf("%s, %d rows: row %d lane %d = %#x, want %#x", c.name, rows, i/f32PanelWidth, i%f32PanelWidth,
-						math.Float32bits(got), math.Float32bits(c.want))
+			entries := []f32Entry{{0, c.v}}
+			if c.u != 0 {
+				// The second entry multiplies weight row 1 (all ones) by
+				// nan(3) into an acc that already holds nan(2).
+				entries = append(entries, f32Entry{1, c.u})
+			}
+			pw := [][f32PanelWidth]float32{w, {}, {}}
+			for j := range pw[1] {
+				pw[1][j] = 1
+			}
+			for _, rows := range []int{1, 2, 3, 4, 5, 8} {
+				// Rows B and D of the first four-row group, and A and C
+				// of the second, first add 1 * the zero panel row 2,
+				// which leaves the acc at +0, so they reach the NaN
+				// entries alone, after the group's shared count.
+				var cnt [f32RowBlock]int
+				k := len(pw)
+				list := make([]f32Entry, rows*k)
+				for r := 0; r < rows; r++ {
+					rl := entries
+					if (r+r/4)%2 == 1 {
+						rl = append([]f32Entry{{2, 1}}, entries...)
+					}
+					cnt[r] = copy(list[r*k:], rl)
+				}
+				out := make([]float32, rows*f32PanelWidth)
+				sweepF32(out, f32PanelWidth, pw, &bias, list, k, &cnt, rows, false)
+				for i, got := range out {
+					if math.Float32bits(got) != math.Float32bits(c.want) {
+						t.Fatalf("%s, %d rows: row %d lane %d = %#x, want %#x", c.name, rows, i/f32PanelWidth, i%f32PanelWidth,
+							math.Float32bits(got), math.Float32bits(c.want))
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestSweepF32ReLU pins the ReLU each sweep applies before its store:
@@ -335,7 +345,7 @@ func TestSweepF32ReLU(t *testing.T) {
 		float32(math.Copysign(0, -1)), 0, float32(math.Inf(-1)), -0x1p-148, -2.5}
 	keeps := []float32{float32(math.Inf(1)), 1.5, 0x1p-148, math.MaxFloat32}
 	vals := append(append([]float32{}, relus...), keeps...)
-	forSweeps(t, &f32Vector, func(t *testing.T) {
+	forSweeps(t, &f32Sweep, func(t *testing.T) {
 		for base := 0; base < len(vals); base += f32PanelWidth {
 			var bias [f32PanelWidth]float32
 			want := make([]uint32, f32PanelWidth)
@@ -347,7 +357,7 @@ func TestSweepF32ReLU(t *testing.T) {
 				}
 			}
 			for _, entries := range []int{0, 1} {
-				for _, rows := range []int{1, 2, 3} {
+				for _, rows := range []int{1, 2, 3, 4, 5} {
 					var cnt [f32RowBlock]int
 					list := make([]f32Entry, rows)
 					for r := range list {
@@ -371,7 +381,7 @@ func TestSweepF32ReLU(t *testing.T) {
 		for j := range bias {
 			bias[j], one[j] = 1, 1
 		}
-		for _, rows := range []int{1, 2, 3} {
+		for _, rows := range []int{1, 2, 3, 4, 5} {
 			var cnt [f32RowBlock]int
 			list := make([]f32Entry, 2*rows)
 			for r := 0; r < rows; r++ {
@@ -396,7 +406,7 @@ func TestSweepF32ReLU(t *testing.T) {
 func TestPackedF32RowsStoreOnlyTheirRange(t *testing.T) {
 	const guard = 16
 	sentinel := math.Float32frombits(0x7fc0_beef)
-	forSweeps(t, &f32Vector, func(t *testing.T) {
+	forSweeps(t, &f32Sweep, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(41))
 		for _, s := range [][3]int{{5, 3, 16}, {9, 13, 40}, {40, 7, 33}, {70, 33, 1}, {37, 10, 48}} {
 			m, k, n := s[0], s[1], s[2]
@@ -442,8 +452,8 @@ func TestPackedF32RowsStoreOnlyTheirRange(t *testing.T) {
 // only panel is partial, so its outputs go through the row scratch.
 func BenchmarkPackedF32(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	paths := sweeps(f32Vector)
-	defer func(saved bool) { f32Vector = saved }(f32Vector)
+	paths := sweeps(f32Sweep)
+	defer func(saved sweepLevel) { f32Sweep = saved }(f32Sweep)
 	for _, s := range [][3]int{{32, 512, 512}, {32, 64, 32}, {32, 3, 64}, {32, 32, 1}} {
 		m, k, n := s[0], s[1], s[2]
 		a := make([]float32, m*k)
@@ -452,13 +462,10 @@ func BenchmarkPackedF32(b *testing.B) {
 		}
 		p := PackF32(randSlab32(rng, k*n), randSlab32(rng, n), k, n)
 		dst := make([]float32, m*n)
-		for _, vec := range paths {
-			name := fmt.Sprintf("%dx%dx%d/portable", m, k, n)
-			if vec {
-				name = fmt.Sprintf("%dx%dx%d/vector", m, k, n)
-			}
+		for _, level := range paths {
+			name := fmt.Sprintf("%dx%dx%d/%v", m, k, n, level)
 			b.Run(name, func(b *testing.B) {
-				f32Vector = vec
+				f32Sweep = level
 				for b.Loop() {
 					p.Into(dst, a, m, ActReLU)
 				}

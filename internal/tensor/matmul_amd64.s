@@ -36,7 +36,7 @@ listed:
 	MOVQ DI, ret+24(FP)
 	RET
 
-// func sweepF64AVX(out *float64, stride int, pw *[8]float64, bias *[8]float64, list *f64Entry, k int, cnt *[32]int, rows int, relu bool)
+// func sweepF64AVX(out *float64, stride int, pw *[8]float64, bias *[8]float64, list *f64Entry, k int, cnt *int, rows int, relu bool)
 //
 // Rows go in pairs, A and B: A's list starts at AX and B's one list
 // (R8 bytes) later. Both lists run together for as many entries as the
@@ -206,7 +206,7 @@ listed:
 	MOVQ DI, ret+24(FP)
 	RET
 
-// func sweepF32AVX(out *float32, stride int, pw *[16]float32, bias *[16]float32, list *f32Entry, k int, cnt *[32]int, rows int, relu bool)
+// func sweepF32AVX(out *float32, stride int, pw *[16]float32, bias *[16]float32, list *f32Entry, k int, cnt *int, rows int, relu bool)
 //
 // sweepI8AVX2's pairing over float32 panel rows: rows go in pairs, A
 // and B, A's list at AX and B's one list (R8 bytes) later, both lists
@@ -505,6 +505,376 @@ store:
 	LEAQ    (AX)(R8*2), AX
 	SUBQ    $2, R10
 	JMP     pair
+
+done:
+	VZEROUPPER
+	RET
+
+// func sweepF64AVX512(out *float64, stride int, pw *[8]float64, bias *[8]float64, list *f64Entry, k int, cnt *int, rows int, relu bool)
+//
+// sweepF64AVX's contract in 512-bit registers, for a row count that is a
+// multiple of four. Rows go in fours, A to D: A's list starts at AX,
+// B's one list (R8 bytes) later, C's two and D's three (R12 bytes). The
+// four lists run together for as many entries as the shortest has, B's
+// to D's entries R8, 2*R8 and R12 bytes past A's, then each row
+// finishes its own list alone. An entry is 16 bytes, its index at 0
+// and its value at 8; a panel row is 64 bytes, one ZMM register. Each
+// product is the panel row, the first source, times the entry's value,
+// broadcast by the multiply itself. A's outputs are Z0, B's Z1, C's Z2
+// and D's Z3, each starting from the bias (Z13). With relu set each
+// goes through VMAXPD with Z12 = +0 as the second source before the
+// store. Row r of a group is stored r output rows (R14 bytes each) past
+// DI.
+TEXT ·sweepF64AVX512(SB), NOSPLIT, $0-65
+	MOVQ        out+0(FP), DI
+	MOVQ        stride+8(FP), R14
+	SHLQ        $3, R14                  // bytes per output row: 8 per column
+	MOVQ        pw+16(FP), BX
+	MOVQ        bias+24(FP), AX
+	VMOVUPD     0(AX), Z13
+	VPXORQ      Z12, Z12, Z12            // +0 in every lane
+	MOVQ        list+32(FP), AX
+	MOVQ        k+40(FP), R8
+	SHLQ        $4, R8                   // bytes per row list: 16 per entry
+	LEAQ        (R8)(R8*2), R12          // three row lists
+	MOVQ        cnt+48(FP), R9
+	MOVQ        rows+56(FP), R10
+	TESTQ       R10, R10
+	JLE         done
+
+	PCALIGN $64
+group:
+	MOVQ        0(R9), CX                // the shared count: the fewest of the four
+	CMPQ        8(R9), CX
+	CMOVQLT     8(R9), CX
+	CMPQ        16(R9), CX
+	CMOVQLT     16(R9), CX
+	CMPQ        24(R9), CX
+	CMOVQLT     24(R9), CX
+	VMOVAPD     Z13, Z0
+	VMOVAPD     Z13, Z1
+	VMOVAPD     Z13, Z2
+	VMOVAPD     Z13, Z3
+	MOVQ        AX, SI
+	MOVQ        CX, R11
+	TESTQ       CX, CX
+	JEQ         rest
+
+	PCALIGN $64
+four:
+	MOVL        0(SI), DX
+	SHLQ        $6, DX                   // 64 bytes per panel row
+	VMOVUPD     0(BX)(DX*1), Z4
+	MOVL        0(SI)(R8*1), R13
+	SHLQ        $6, R13
+	VMOVUPD     0(BX)(R13*1), Z5
+	MOVL        0(SI)(R8*2), DX
+	SHLQ        $6, DX
+	VMOVUPD     0(BX)(DX*1), Z6
+	MOVL        0(SI)(R12*1), R13
+	SHLQ        $6, R13
+	VMOVUPD     0(BX)(R13*1), Z7
+	VMULPD.BCST 8(SI), Z4, Z4            // weight * value
+	VMULPD.BCST 8(SI)(R8*1), Z5, Z5
+	VMULPD.BCST 8(SI)(R8*2), Z6, Z6
+	VMULPD.BCST 8(SI)(R12*1), Z7, Z7
+	VADDPD      Z4, Z0, Z0               // acc + product
+	VADDPD      Z5, Z1, Z1
+	VADDPD      Z6, Z2, Z2
+	VADDPD      Z7, Z3, Z3
+	ADDQ        $16, SI
+	DECQ        CX
+	JNE         four
+
+rest:
+	MOVQ        SI, DX                   // A's next entry
+	MOVQ        0(R9), CX
+	SUBQ        R11, CX                  // A's entries left
+	JEQ         storeA
+
+	PCALIGN $64
+restA:
+	MOVL        0(DX), R13
+	SHLQ        $6, R13
+	VMOVUPD     0(BX)(R13*1), Z4
+	VMULPD.BCST 8(DX), Z4, Z4
+	VADDPD      Z4, Z0, Z0
+	ADDQ        $16, DX
+	DECQ        CX
+	JNE         restA
+
+storeA:
+	CMPB        relu+64(FP), $0
+	JEQ         writeA
+	VMAXPD      Z12, Z0, Z0              // max(acc, +0), +0 the second source
+
+writeA:
+	VMOVUPD     Z0, 0(DI)
+
+	LEAQ        (SI)(R8*1), DX           // B's next entry
+	MOVQ        8(R9), CX
+	SUBQ        R11, CX                  // B's entries left
+	JEQ         storeB
+
+	PCALIGN $64
+restB:
+	MOVL        0(DX), R13
+	SHLQ        $6, R13
+	VMOVUPD     0(BX)(R13*1), Z4
+	VMULPD.BCST 8(DX), Z4, Z4
+	VADDPD      Z4, Z1, Z1
+	ADDQ        $16, DX
+	DECQ        CX
+	JNE         restB
+
+storeB:
+	CMPB        relu+64(FP), $0
+	JEQ         writeB
+	VMAXPD      Z12, Z1, Z1
+
+writeB:
+	VMOVUPD     Z1, 0(DI)(R14*1)
+
+	LEAQ        (SI)(R8*2), DX           // C's next entry
+	MOVQ        16(R9), CX
+	SUBQ        R11, CX                  // C's entries left
+	JEQ         storeC
+
+	PCALIGN $64
+restC:
+	MOVL        0(DX), R13
+	SHLQ        $6, R13
+	VMOVUPD     0(BX)(R13*1), Z4
+	VMULPD.BCST 8(DX), Z4, Z4
+	VADDPD      Z4, Z2, Z2
+	ADDQ        $16, DX
+	DECQ        CX
+	JNE         restC
+
+storeC:
+	CMPB        relu+64(FP), $0
+	JEQ         writeC
+	VMAXPD      Z12, Z2, Z2
+
+writeC:
+	VMOVUPD     Z2, 0(DI)(R14*2)
+
+	LEAQ        (SI)(R12*1), DX          // D's next entry
+	MOVQ        24(R9), CX
+	SUBQ        R11, CX                  // D's entries left
+	JEQ         storeD
+
+	PCALIGN $64
+restD:
+	MOVL        0(DX), R13
+	SHLQ        $6, R13
+	VMOVUPD     0(BX)(R13*1), Z4
+	VMULPD.BCST 8(DX), Z4, Z4
+	VADDPD      Z4, Z3, Z3
+	ADDQ        $16, DX
+	DECQ        CX
+	JNE         restD
+
+storeD:
+	CMPB        relu+64(FP), $0
+	JEQ         writeD
+	VMAXPD      Z12, Z3, Z3
+
+writeD:
+	LEAQ        (DI)(R14*2), DX
+	VMOVUPD     Z3, 0(DX)(R14*1)
+	LEAQ        (DI)(R14*4), DI
+	ADDQ        $32, R9
+	LEAQ        (AX)(R8*4), AX
+	SUBQ        $4, R10
+	JNE         group
+
+done:
+	VZEROUPPER
+	RET
+
+// func sweepF32AVX512(out *float32, stride int, pw *[16]float32, bias *[16]float32, list *f32Entry, k int, cnt *int, rows int, relu bool)
+//
+// sweepF32AVX's contract in 512-bit registers, for a row count that is a
+// multiple of four. Rows go in fours, A to D: A's list starts at AX,
+// B's one list (R8 bytes) later, C's two and D's three (R12 bytes). The
+// four lists run together for as many entries as the shortest has, B's
+// to D's entries R8, 2*R8 and R12 bytes past A's, then each row
+// finishes its own list alone. An entry is 8 bytes, its index at 0
+// and its value at 4; a panel row is 64 bytes, one ZMM register. Each
+// product is the panel row, the first source, times the entry's value,
+// broadcast by the multiply itself. A's outputs are Z0, B's Z1, C's Z2
+// and D's Z3, each starting at +0; the bias (Z13) is added after the
+// list. With relu set each sum then goes through VMAXPS with Z12 = +0
+// as the second source before the store. Row r of a group is stored r
+// output rows (R14 bytes each) past DI.
+TEXT ·sweepF32AVX512(SB), NOSPLIT, $0-65
+	MOVQ        out+0(FP), DI
+	MOVQ        stride+8(FP), R14
+	SHLQ        $2, R14                  // bytes per output row: 4 per column
+	MOVQ        pw+16(FP), BX
+	MOVQ        bias+24(FP), AX
+	VMOVUPS     0(AX), Z13
+	VPXORQ      Z12, Z12, Z12            // +0 in every lane
+	MOVQ        list+32(FP), AX
+	MOVQ        k+40(FP), R8
+	SHLQ        $3, R8                   // bytes per row list: 8 per entry
+	LEAQ        (R8)(R8*2), R12          // three row lists
+	MOVQ        cnt+48(FP), R9
+	MOVQ        rows+56(FP), R10
+	TESTQ       R10, R10
+	JLE         done
+
+	PCALIGN $64
+group:
+	MOVQ        0(R9), CX                // the shared count: the fewest of the four
+	CMPQ        8(R9), CX
+	CMOVQLT     8(R9), CX
+	CMPQ        16(R9), CX
+	CMOVQLT     16(R9), CX
+	CMPQ        24(R9), CX
+	CMOVQLT     24(R9), CX
+	VMOVAPS     Z12, Z0
+	VMOVAPS     Z12, Z1
+	VMOVAPS     Z12, Z2
+	VMOVAPS     Z12, Z3
+	MOVQ        AX, SI
+	MOVQ        CX, R11
+	TESTQ       CX, CX
+	JEQ         rest
+
+	PCALIGN $64
+four:
+	MOVL        0(SI), DX
+	SHLQ        $6, DX                   // 64 bytes per panel row
+	VMOVUPS     0(BX)(DX*1), Z4
+	MOVL        0(SI)(R8*1), R13
+	SHLQ        $6, R13
+	VMOVUPS     0(BX)(R13*1), Z5
+	MOVL        0(SI)(R8*2), DX
+	SHLQ        $6, DX
+	VMOVUPS     0(BX)(DX*1), Z6
+	MOVL        0(SI)(R12*1), R13
+	SHLQ        $6, R13
+	VMOVUPS     0(BX)(R13*1), Z7
+	VMULPS.BCST 4(SI), Z4, Z4            // weight * value
+	VMULPS.BCST 4(SI)(R8*1), Z5, Z5
+	VMULPS.BCST 4(SI)(R8*2), Z6, Z6
+	VMULPS.BCST 4(SI)(R12*1), Z7, Z7
+	VADDPS      Z4, Z0, Z0               // acc + product
+	VADDPS      Z5, Z1, Z1
+	VADDPS      Z6, Z2, Z2
+	VADDPS      Z7, Z3, Z3
+	ADDQ        $8, SI
+	DECQ        CX
+	JNE         four
+
+rest:
+	MOVQ        SI, DX                   // A's next entry
+	MOVQ        0(R9), CX
+	SUBQ        R11, CX                  // A's entries left
+	JEQ         storeA
+
+	PCALIGN $64
+restA:
+	MOVL        0(DX), R13
+	SHLQ        $6, R13
+	VMOVUPS     0(BX)(R13*1), Z4
+	VMULPS.BCST 4(DX), Z4, Z4
+	VADDPS      Z4, Z0, Z0
+	ADDQ        $8, DX
+	DECQ        CX
+	JNE         restA
+
+storeA:
+	VADDPS      Z13, Z0, Z0              // acc + bias
+	CMPB        relu+64(FP), $0
+	JEQ         writeA
+	VMAXPS      Z12, Z0, Z0              // max(sum, +0), +0 the second source
+
+writeA:
+	VMOVUPS     Z0, 0(DI)
+
+	LEAQ        (SI)(R8*1), DX           // B's next entry
+	MOVQ        8(R9), CX
+	SUBQ        R11, CX                  // B's entries left
+	JEQ         storeB
+
+	PCALIGN $64
+restB:
+	MOVL        0(DX), R13
+	SHLQ        $6, R13
+	VMOVUPS     0(BX)(R13*1), Z4
+	VMULPS.BCST 4(DX), Z4, Z4
+	VADDPS      Z4, Z1, Z1
+	ADDQ        $8, DX
+	DECQ        CX
+	JNE         restB
+
+storeB:
+	VADDPS      Z13, Z1, Z1
+	CMPB        relu+64(FP), $0
+	JEQ         writeB
+	VMAXPS      Z12, Z1, Z1
+
+writeB:
+	VMOVUPS     Z1, 0(DI)(R14*1)
+
+	LEAQ        (SI)(R8*2), DX           // C's next entry
+	MOVQ        16(R9), CX
+	SUBQ        R11, CX                  // C's entries left
+	JEQ         storeC
+
+	PCALIGN $64
+restC:
+	MOVL        0(DX), R13
+	SHLQ        $6, R13
+	VMOVUPS     0(BX)(R13*1), Z4
+	VMULPS.BCST 4(DX), Z4, Z4
+	VADDPS      Z4, Z2, Z2
+	ADDQ        $8, DX
+	DECQ        CX
+	JNE         restC
+
+storeC:
+	VADDPS      Z13, Z2, Z2
+	CMPB        relu+64(FP), $0
+	JEQ         writeC
+	VMAXPS      Z12, Z2, Z2
+
+writeC:
+	VMOVUPS     Z2, 0(DI)(R14*2)
+
+	LEAQ        (SI)(R12*1), DX          // D's next entry
+	MOVQ        24(R9), CX
+	SUBQ        R11, CX                  // D's entries left
+	JEQ         storeD
+
+	PCALIGN $64
+restD:
+	MOVL        0(DX), R13
+	SHLQ        $6, R13
+	VMOVUPS     0(BX)(R13*1), Z4
+	VMULPS.BCST 4(DX), Z4, Z4
+	VADDPS      Z4, Z3, Z3
+	ADDQ        $8, DX
+	DECQ        CX
+	JNE         restD
+
+storeD:
+	VADDPS      Z13, Z3, Z3
+	CMPB        relu+64(FP), $0
+	JEQ         writeD
+	VMAXPS      Z12, Z3, Z3
+
+writeD:
+	LEAQ        (DI)(R14*2), DX
+	VMOVUPS     Z3, 0(DX)(R14*1)
+	LEAQ        (DI)(R14*4), DI
+	ADDQ        $32, R9
+	LEAQ        (AX)(R8*4), AX
+	SUBQ        $4, R10
+	JNE         group
 
 done:
 	VZEROUPPER

@@ -2,9 +2,10 @@
 
 package tensor
 
-// f64Vector, f32Vector and i8Vector are false off amd64: listNonzero,
-// listPairsGo, sweepGo and sweepI8Go are the only listers and sweeps.
-var f64Vector, f32Vector, i8Vector = false, false, false
+// f64Sweep, f32Sweep and i8Sweep are sweepPortable off amd64:
+// listNonzero, listPairsGo, sweepGo and sweepI8Go are the only listers
+// and sweeps.
+var f64Sweep, f32Sweep, i8Sweep = sweepPortable, sweepPortable, sweepPortable
 
 func listF64(list []f64Entry, a []float64) int { return listNonzero(list, a) }
 

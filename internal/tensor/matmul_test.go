@@ -82,7 +82,7 @@ func TestPropMatMulMatchesReference(t *testing.T) {
 // whole gives bit-identical rows to computing any row subset: the batched
 // inference path relies on this to match sequential execution exactly.
 func TestMatMulBitIdenticalAcrossRowSplits(t *testing.T) {
-	forSweeps(t, &f64Vector, func(t *testing.T) {
+	forSweeps(t, &f64Sweep, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		const m, k, n = 96, 130, 50
 		a := randTensor(rng, m, k)
@@ -113,7 +113,7 @@ func TestMatMulBitIdenticalAcrossRowSplits(t *testing.T) {
 // across the serial case and both parallel splits, and that the packed
 // copy does not see later writes to the matrix it was packed from.
 func TestPackedF64MatchesDenseInto(t *testing.T) {
-	forSweeps(t, &f64Vector, func(t *testing.T) {
+	forSweeps(t, &f64Sweep, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(31))
 		for _, s := range [][3]int{{0, 4, 5}, {1, 1, 1}, {1, 7, 3}, {7, 13, 8}, {9, 30, 17}, {70, 300, 64}, {9, 520, 530}} {
 			m, k, n := s[0], s[1], s[2]
@@ -260,26 +260,26 @@ func BenchmarkMatMul(b *testing.B) {
 	}
 }
 
-// forSweeps runs f under the vector sweep *vector selects, when this
-// CPU has one, and under the portable sweep.
-func forSweeps(t *testing.T, vector *bool, f func(t *testing.T)) {
+// forSweeps runs f as one subtest per sweep *level can take on this
+// CPU, named after the sweep: the one the CPU selected, each vector
+// sweep below it, and the portable one.
+func forSweeps(t *testing.T, level *sweepLevel, f func(t *testing.T)) {
 	t.Helper()
-	saved := *vector
-	defer func() { *vector = saved }()
-	if saved {
-		t.Run("vector", f)
+	defer func(saved sweepLevel) { *level = saved }(*level)
+	for _, l := range sweeps(*level) {
+		*level = l
+		t.Run(l.String(), f)
 	}
-	*vector = false
-	t.Run("portable", f)
 }
 
-// sweeps lists the values a sweep switch can take on this CPU, vector
-// first, for a fuzz target or benchmark that sets it to each in turn.
-func sweeps(vector bool) []bool {
-	if vector {
-		return []bool{true, false}
+// sweeps lists the levels from top down to sweepPortable, for a fuzz
+// target or benchmark that sets a sweep switch to each in turn.
+func sweeps(top sweepLevel) []sweepLevel {
+	var levels []sweepLevel
+	for l := top; l > sweepPortable; l-- {
+		levels = append(levels, l)
 	}
-	return []bool{false}
+	return append(levels, sweepPortable)
 }
 
 // BenchmarkPackedF64 times PackedF64.Into on the benchmark models' layer
@@ -290,8 +290,8 @@ func sweeps(vector bool) []bool {
 // partial, so its outputs go through the row scratch.
 func BenchmarkPackedF64(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	paths := sweeps(f64Vector)
-	defer func(saved bool) { f64Vector = saved }(f64Vector)
+	paths := sweeps(f64Sweep)
+	defer func(saved sweepLevel) { f64Sweep = saved }(f64Sweep)
 	for _, s := range [][3]int{{32, 512, 512}, {32, 64, 32}, {32, 3, 64}, {32, 32, 1}} {
 		m, k, n := s[0], s[1], s[2]
 		a := make([]float64, m*k)
@@ -300,13 +300,10 @@ func BenchmarkPackedF64(b *testing.B) {
 		}
 		p := PackF64(randTensor(rng, k, n).Data(), randTensor(rng, n).Data(), k, n)
 		dst := make([]float64, m*n)
-		for _, vec := range paths {
-			name := fmt.Sprintf("%dx%dx%d/portable", m, k, n)
-			if vec {
-				name = fmt.Sprintf("%dx%dx%d/vector", m, k, n)
-			}
+		for _, level := range paths {
+			name := fmt.Sprintf("%dx%dx%d/%v", m, k, n, level)
 			b.Run(name, func(b *testing.B) {
-				f64Vector = vec
+				f64Sweep = level
 				for b.Loop() {
 					p.Into(dst, a, m, ActReLU)
 				}
@@ -366,18 +363,18 @@ func FuzzPackedF64(f *testing.F) {
 			bias = nil
 		}
 		want := rowLoopF64(a, b, bias, m, k, n, act)
-		defer func(saved bool) { f64Vector = saved }(f64Vector)
-		paths := sweeps(f64Vector)
+		defer func(saved sweepLevel) { f64Sweep = saved }(f64Sweep)
+		paths := sweeps(f64Sweep)
 		p := PackF64(b, bias, k, n)
-		for _, vec := range paths {
-			f64Vector = vec
+		for _, level := range paths {
+			f64Sweep = level
 			got, dense := make([]float64, m*n), make([]float64, m*n)
 			p.Into(got, a, m, act)
 			DenseInto(dense, a, b, bias, m, k, n, act)
 			for i := range want {
 				if !sameBits(got[i], want[i]) || !sameBits(dense[i], want[i]) {
-					t.Fatalf("[%d %d %d] act %d bias %t vector %t element %d: Into %#x, DenseInto %#x, want %#x",
-						m, k, n, act, bias != nil, vec, i, math.Float64bits(got[i]), math.Float64bits(dense[i]), math.Float64bits(want[i]))
+					t.Fatalf("[%d %d %d] act %d bias %t sweep %v element %d: Into %#x, DenseInto %#x, want %#x",
+						m, k, n, act, bias != nil, level, i, math.Float64bits(got[i]), math.Float64bits(dense[i]), math.Float64bits(want[i]))
 				}
 			}
 		}
@@ -435,42 +432,54 @@ func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
 }
 
-// TestSweepF64AVXOperandOrder pins the vector sweep's operand order with
+// TestSweepF64AVXOperandOrder pins each vector sweep's operand order with
 // NaN payloads, which x86 takes from the first operand when both are
-// NaN: each product is weight * value and each sum acc + product.
+// NaN: each product is weight * value and each sum acc + product, in
+// the loops rows share and in those a row finishes alone.
 func TestSweepF64AVXOperandOrder(t *testing.T) {
-	if !f64Vector {
-		t.Skip("no vector sweep on this CPU")
-	}
-	nan := func(payload uint64) float64 { return math.Float64frombits(0x7ff8_0000_0000_0000 | payload) }
-	for _, c := range []struct {
-		name       string
-		bias, w, v float64
-		want       float64
-	}{
-		{"weight*value", 1, nan(2), nan(3), nan(2)},
-		{"acc+product", nan(1), nan(2), nan(3), nan(1)},
-	} {
-		var bias, w [panelWidth]float64
-		for j := range bias {
-			bias[j], w[j] = c.bias, c.w
+	forSweeps(t, &f64Sweep, func(t *testing.T) {
+		if f64Sweep == sweepPortable {
+			t.Skip("the portable sweep's NaN payloads are the compiler's choice")
 		}
-		for _, rows := range []int{1, 2, 3} {
-			var cnt [f64RowBlock]int
-			list := make([]f64Entry, rows)
-			for r := range list {
-				list[r], cnt[r] = f64Entry{0, c.v}, 1
+		nan := func(payload uint64) float64 { return math.Float64frombits(0x7ff8_0000_0000_0000 | payload) }
+		for _, c := range []struct {
+			name       string
+			bias, w, v float64
+			want       float64
+		}{
+			{"weight*value", 1, nan(2), nan(3), nan(2)},
+			{"acc+product", nan(1), nan(2), nan(3), nan(1)},
+		} {
+			var bias, w [panelWidth]float64
+			for j := range bias {
+				bias[j], w[j] = c.bias, c.w
 			}
-			out := make([]float64, rows*panelWidth)
-			sweepF64(out, panelWidth, [][panelWidth]float64{w}, &bias, list, 1, &cnt, rows, false)
-			for i, got := range out {
-				if math.Float64bits(got) != math.Float64bits(c.want) {
-					t.Fatalf("%s, %d rows: row %d lane %d = %#x, want %#x", c.name, rows, i/panelWidth, i%panelWidth,
-						math.Float64bits(got), math.Float64bits(c.want))
+			for _, rows := range []int{1, 2, 3, 4, 5, 8} {
+				// Rows B and D of the first four-row group, and A and C
+				// of the second, first add 1 * the zero panel row 1,
+				// which leaves the acc as it is, so they reach the NaN
+				// entry alone, after the group's shared count.
+				var cnt [f64RowBlock]int
+				const k = 2
+				list := make([]f64Entry, rows*k)
+				for r := 0; r < rows; r++ {
+					rl := []f64Entry{{0, c.v}}
+					if (r+r/4)%2 == 1 {
+						rl = []f64Entry{{1, 1}, {0, c.v}}
+					}
+					cnt[r] = copy(list[r*k:], rl)
+				}
+				out := make([]float64, rows*panelWidth)
+				sweepF64(out, panelWidth, [][panelWidth]float64{w, {}}, &bias, list, k, &cnt, rows, false)
+				for i, got := range out {
+					if math.Float64bits(got) != math.Float64bits(c.want) {
+						t.Fatalf("%s, %d rows: row %d lane %d = %#x, want %#x", c.name, rows, i/panelWidth, i%panelWidth,
+							math.Float64bits(got), math.Float64bits(c.want))
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestSweepF64ReLU pins the ReLU each sweep applies before its store:
@@ -486,7 +495,7 @@ func TestSweepF64ReLU(t *testing.T) {
 		f(0xfff4_0000_0000_0002), math.Copysign(0, -1), 0, math.Inf(-1), -0x1p-1070, -2.5}
 	keeps := []float64{math.Inf(1), 1.5, 0x1p-1070, math.MaxFloat64}
 	vals := append(append([]float64{}, relus...), keeps...)
-	forSweeps(t, &f64Vector, func(t *testing.T) {
+	forSweeps(t, &f64Sweep, func(t *testing.T) {
 		for base := 0; base < len(vals); base += panelWidth {
 			var bias [panelWidth]float64
 			want := make([]uint64, panelWidth)
@@ -498,7 +507,7 @@ func TestSweepF64ReLU(t *testing.T) {
 				}
 			}
 			for _, entries := range []int{0, 1} {
-				for _, rows := range []int{1, 2, 3} {
+				for _, rows := range []int{1, 2, 3, 4, 5} {
 					var cnt [f64RowBlock]int
 					list := make([]f64Entry, rows)
 					for r := range list {
@@ -533,7 +542,7 @@ func TestSweepF64ReLU(t *testing.T) {
 func TestPackedF64RowsStoreOnlyTheirRange(t *testing.T) {
 	const guard = 16
 	sentinel := math.Float64frombits(0x7ff8_dead_beef_0001)
-	forSweeps(t, &f64Vector, func(t *testing.T) {
+	forSweeps(t, &f64Sweep, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(41))
 		for _, s := range [][3]int{{5, 3, 8}, {9, 13, 20}, {40, 7, 17}, {70, 33, 1}, {37, 10, 24}} {
 			m, k, n := s[0], s[1], s[2]
@@ -572,4 +581,72 @@ func TestPackedF64RowsStoreOnlyTheirRange(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSweepRowGroups holds every sweep of the f64 and f32 kernels to
+// sweepGo on blocks of 1 to 9 rows: a whole four-row group, a group and
+// one more row, and last groups of one to three rows. Row counts differ
+// (empty lists, one entry, the whole list, and gaps wider than a
+// group's shared count, so rows finish alone), at a stride of one panel
+// width and at a wider one whose gap elements must stay unwritten, with
+// and without ReLU.
+func TestSweepRowGroups(t *testing.T) {
+	t.Run("f64", func(t *testing.T) {
+		forSweeps(t, &f64Sweep, func(t *testing.T) { checkRowGroups(t, sweepF64, true, 8, 11) })
+	})
+	t.Run("f32", func(t *testing.T) {
+		forSweeps(t, &f32Sweep, func(t *testing.T) { checkRowGroups(t, sweepF32, false, 16, 19) })
+	})
+}
+
+// checkRowGroups runs TestSweepRowGroups' blocks through sweep and
+// sweepGo at each of strides and compares every element's bits.
+func checkRowGroups[E float, P panelRow[E]](t *testing.T,
+	sweep func(out []E, stride int, pw []P, bias *P, list []entry[E], k int, cnt *[rowBlock]int, rows int, relu bool),
+	biasFirst bool, strides ...int) {
+	const k = 13
+	rng := rand.New(rand.NewSource(59))
+	var bias P
+	w := len(bias)
+	for j := range w {
+		bias[j] = E(rng.NormFloat64())
+	}
+	pw := make([]P, k)
+	for kk := range pw {
+		for j := range w {
+			pw[kk][j] = E(rng.NormFloat64())
+		}
+	}
+	sentinel := E(math.Float64frombits(0x7ff8_dead_beef_0001))
+	for rows := 1; rows <= 9; rows++ {
+		for trial := 0; trial < 8; trial++ {
+			var cnt [rowBlock]int
+			list := make([]entry[E], rows*k)
+			for r := 0; r < rows; r++ {
+				cnt[r] = []int{0, 1, k, rng.Intn(k + 1)}[rng.Intn(4)]
+				if trial == 0 {
+					cnt[r] = []int{k, 1, 0, k, 5, k, 2, 0, k}[r]
+				}
+				for i := range k {
+					list[r*k+i] = entry[E]{int32(rng.Intn(k)), E(rng.NormFloat64())}
+				}
+			}
+			for _, stride := range strides {
+				for _, relu := range []bool{false, true} {
+					got, want := make([]E, (rows-1)*stride+w), make([]E, (rows-1)*stride+w)
+					for i := range got {
+						got[i], want[i] = sentinel, sentinel
+					}
+					sweep(got, stride, pw, &bias, list, k, &cnt, rows, relu)
+					sweepGo(want, stride, pw, &bias, list, k, &cnt, rows, relu, biasFirst)
+					for i := range want {
+						if g, x := math.Float64bits(float64(got[i])), math.Float64bits(float64(want[i])); g != x {
+							t.Fatalf("%d rows, counts %v, stride %d, relu %t: element %d (row %d) = %#x, want %#x",
+								rows, cnt[:rows], stride, relu, i, i/stride, g, x)
+						}
+					}
+				}
+			}
+		}
+	}
 }

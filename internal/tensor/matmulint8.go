@@ -119,7 +119,7 @@ func (p *PackedInt8) MatMulRows(a []int8, m int, centre int8, sink Int8RowSink) 
 // matMul runs the row kernel over split's ranges, always of whole rows,
 // into dst when it is non-nil and through sink otherwise.
 func (p *PackedInt8) matMul(dst []int32, a []int8, m int, centre int8, sink Int8RowSink) {
-	if split(m, p.k, p.n, macCost(i8Vector, costI8Vector), true) == serial {
+	if split(m, p.k, p.n, macCost(i8Sweep, costI8Vector), true) == serial {
 		p.rows(dst, a, 0, m, centre, sink)
 		return
 	}

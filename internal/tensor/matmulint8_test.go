@@ -40,7 +40,7 @@ func randSlabI8(rng *rand.Rand, n int) []int8 {
 // reference across shapes that cross the parallel-dispatch threshold,
 // back to back so the pooled packing is reused across sizes.
 func TestPropMatMulInt8MatchesReference(t *testing.T) {
-	forSweeps(t, &i8Vector, func(t *testing.T) {
+	forSweeps(t, &i8Sweep, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(42))
 		shapes := [][3]int{{1, 1, 1}, {1, 7, 3}, {5, 1, 4}, {3, 300, 2}}
 		for trial := 0; trial < 20; trial++ {
@@ -112,7 +112,7 @@ func runPackedRows(t *testing.T, a, b []int8, m, k, n int, centre int8) []int32 
 // and rows with nothing at the centre (a full one); centres cover both
 // ends of int8 and their neighbours.
 func TestPropPackedRowsMatchReference(t *testing.T) {
-	forSweeps(t, &i8Vector, func(t *testing.T) {
+	forSweeps(t, &i8Sweep, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		shapes := [][3]int{
 			{0, 5, 3}, {4, 0, 3}, {4, 5, 0}, {1, 1, 1}, {3, 2, 1}, {3, 3, 1}, {2, 4, 1},
@@ -204,7 +204,7 @@ func TestPropPackedRowsMatchReference(t *testing.T) {
 // either extreme. One deeper and
 // packing refuses instead of overflowing the accumulator.
 func TestMatMulInt8DepthBound(t *testing.T) {
-	forSweeps(t, &i8Vector, func(t *testing.T) {
+	forSweeps(t, &i8Sweep, func(t *testing.T) {
 		const m, n = 2, 5
 		for _, tc := range []struct {
 			k  int
@@ -259,7 +259,7 @@ func TestMatMulInt8DepthBound(t *testing.T) {
 // must match the widening reference bit for bit, through MatMulRows and
 // MatMulInt8Into, under each sweep.
 func TestPackedInt8PairBound(t *testing.T) {
-	forSweeps(t, &i8Vector, func(t *testing.T) {
+	forSweeps(t, &i8Sweep, func(t *testing.T) {
 		for _, n := range []int{1, i8PanelWidth, 2*i8PanelWidth + 1} {
 			for _, k := range []int{MaxInt8Depth - 1, MaxInt8Depth} {
 				b := make([]int8, k*n)
@@ -321,9 +321,9 @@ func FuzzPackedRows(f *testing.F) {
 			b[i] = code(len(a) + i)
 		}
 		want := matMulRefI8(a, b, m, k, n)
-		defer func(saved bool) { i8Vector = saved }(i8Vector)
-		for _, vec := range sweeps(i8Vector) {
-			i8Vector = vec
+		defer func(saved sweepLevel) { i8Sweep = saved }(i8Sweep)
+		for _, level := range sweeps(i8Sweep) {
+			i8Sweep = level
 			got := runPackedRows(t, a, b, m, k, n, centre)
 			dst := make([]int32, m*n)
 			if err := MatMulInt8Into(dst, a, b, m, k, n); err != nil {
@@ -331,8 +331,8 @@ func FuzzPackedRows(f *testing.F) {
 			}
 			for i := range want {
 				if got[i] != want[i] || dst[i] != want[i] {
-					t.Fatalf("[%d %d %d] centre %d vector %t element %d: rows %d, wrapper %d, want %d",
-						m, k, n, centre, vec, i, got[i], dst[i], want[i])
+					t.Fatalf("[%d %d %d] centre %d sweep %v element %d: rows %d, wrapper %d, want %d",
+						m, k, n, centre, level, i, got[i], dst[i], want[i])
 				}
 			}
 		}
@@ -438,8 +438,8 @@ func BenchmarkMatMulInt8vs32(b *testing.B) {
 func BenchmarkPackedInt8(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	const m, slabs, centre = 32, 64, int8(-3)
-	paths := sweeps(i8Vector)
-	defer func(saved bool) { i8Vector = saved }(i8Vector)
+	paths := sweeps(i8Sweep)
+	defer func(saved sweepLevel) { i8Sweep = saved }(i8Sweep)
 	for _, s := range [][2]int{{512, 512}, {64, 512}, {512, 16}} {
 		k, n := s[0], s[1]
 		p, err := PackInt8(randSlabI8(rng, k*n), k, n)
@@ -463,13 +463,10 @@ func BenchmarkPackedInt8(b *testing.B) {
 			as[i] = a
 		}
 		sink := &slabSink{n: n, dst: make([]int32, m*n), seen: make([]atomic.Int32, m)}
-		for _, vec := range paths {
-			name := fmt.Sprintf("%dx%d/portable", k, n)
-			if vec {
-				name = fmt.Sprintf("%dx%d/vector", k, n)
-			}
+		for _, level := range paths {
+			name := fmt.Sprintf("%dx%d/%v", k, n, level)
 			b.Run(name, func(b *testing.B) {
-				i8Vector = vec
+				i8Sweep = level
 				entries := 0
 				for i := 0; b.Loop(); i++ {
 					if err := p.MatMulRows(as[i%slabs], m, centre, sink); err != nil {

@@ -28,10 +28,29 @@ const (
 	costPortable  = 4
 )
 
-// macCost is a kernel's cost per multiply-add: cost under its vector
+// sweepLevel is the sweep a row kernel runs: its portable Go loop, or
+// its assembly in 256-bit (AVX, AVX2 for the int8 kernel) or 512-bit
+// (AVX-512) registers. Each kernel's level is set once, from the CPU;
+// tests lower it to run every sweep below.
+type sweepLevel uint8
+
+const (
+	sweepPortable sweepLevel = iota
+	sweepAVX
+	sweepAVX512
+)
+
+// String names a level as the kernels' subtests and benchmarks do:
+// "vector" is the 256-bit sweep, the one vector sweep each kernel had
+// before the 512-bit ones.
+func (l sweepLevel) String() string {
+	return [...]string{"portable", "vector", "avx512"}[l]
+}
+
+// macCost is a kernel's cost per multiply-add: cost under a vector
 // sweep, costPortable under the portable one.
-func macCost(vector bool, cost int) int {
-	if vector {
+func macCost(level sweepLevel, cost int) int {
+	if level != sweepPortable {
 		return cost
 	}
 	return costPortable
@@ -67,8 +86,8 @@ func split(m, k, n, cost int, wholeRows bool) splitMode {
 type float interface{ float32 | float64 }
 
 // panelRow is one row of a packed panel: 64 bytes, the outputs one row
-// keeps in registers (two 256-bit registers on amd64 with AVX), so
-// eight float64 or sixteen float32 columns.
+// keeps in registers (one 512-bit register on amd64 with AVX-512, two
+// 256-bit ones with AVX), so eight float64 or sixteen float32 columns.
 type panelRow[E float] interface{ [8]E | [16]E }
 
 // entry is one listed activation: its index k and its value. An f64
@@ -91,12 +110,12 @@ const rowBlock = 32
 // kernel describes one element type's row kernel to the driver. Its
 // panel width is P's length and its entry is entry[E]. list is
 // listNonzero's contract and sweep sweepGo's, with the bias where the
-// kernel puts it; both run in assembly when *vector is set. cost is the
-// vector sweep's cost per multiply-add in split.
+// kernel puts it; both run in assembly above *level's sweepPortable.
+// cost is the vector sweeps' cost per multiply-add in split.
 type kernel[E float, P panelRow[E]] struct {
 	list    func(list []entry[E], a []E) int
 	sweep   func(out []E, stride int, pw []P, bias *P, list []entry[E], k int, cnt *[rowBlock]int, rows int, relu bool)
-	vector  *bool
+	level   *sweepLevel
 	cost    int
 	scratch sync.Pool // *rowScratch[E]
 }
@@ -158,7 +177,7 @@ func (p *packed[E, P]) pack(b []E, q0, q1 int) {
 // panels split, so a pack as large as the product's rows is not left
 // serial.
 func (p *packed[E, P]) into(dst, a []E, m int, act Act, b []E) {
-	switch split(m, p.k, p.n, macCost(*p.kern.vector, p.kern.cost), false) {
+	switch split(m, p.k, p.n, macCost(*p.kern.level, p.kern.cost), false) {
 	case serial:
 		p.pack(b, 0, p.panels)
 		p.rows(dst, a, 0, m, 0, p.panels, act)
