@@ -154,9 +154,11 @@ var f64Sweep uint8
 //go:linkname i8Sweep repro/internal/tensor.i8Sweep
 var i8Sweep uint8
 
-// sweepNames names the levels as internal/tensor's subtests do: the
-// portable sweep, the 256-bit one and the 512-bit one.
-var sweepNames = [...]string{"portable", "vector", "avx512"}
+// sweepName is internal/tensor's sweepLevel.String, linked here so
+// that the subtests carry internal/tensor's names for the levels.
+//
+//go:linkname sweepName repro/internal/tensor.sweepLevel.String
+func sweepName(level uint8) string
 
 // forSweeps runs f as one subtest per sweep *level can take on this
 // CPU: the one the CPU selected and each below it.
@@ -165,7 +167,7 @@ func forSweeps(t *testing.T, level *uint8, f func(t *testing.T)) {
 	defer func(saved uint8) { *level = saved }(*level)
 	for l := int(*level); l >= 0; l-- {
 		*level = uint8(l)
-		t.Run(sweepNames[l], f)
+		t.Run(sweepName(uint8(l)), f)
 	}
 }
 

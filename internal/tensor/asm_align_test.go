@@ -12,7 +12,7 @@ import (
 // in the binomial lattice's lattice_amd64.s (a label that a later jump
 // in the same function branches back to) is not directly preceded by
 // PCALIGN $64, and when a sweep lacks one of its hot loops (both, loopA
-// and loopB in a 256-bit sweep; group, four and restA to restD in a
+// and loopB in a 256-bit sweep; group, four, finish and lone in a
 // 512-bit one), a lister its loop (list) or the lattice its step or
 // node loop as an aligned loop head. An unaligned loop's speed follows
 // where the linker happens to place its function, so an edit anywhere
@@ -21,8 +21,8 @@ func TestAsmLoopHeadsAligned(t *testing.T) {
 	hot := map[string]map[string][]string{
 		"matmul_amd64.s": {
 			"sweepF64AVX": {"both", "loopA", "loopB"}, "sweepF32AVX": {"both", "loopA", "loopB"},
-			"sweepF64AVX512": {"group", "four", "restA", "restB", "restC", "restD"},
-			"sweepF32AVX512": {"group", "four", "restA", "restB", "restC", "restD"},
+			"sweepF64AVX512": {"group", "four", "finish", "lone"},
+			"sweepF32AVX512": {"group", "four", "finish", "lone"},
 			"sweepI8AVX2":    {"both", "loopA", "loopB"}, "listF64Asm": {"list"}, "listF32Asm": {"list"},
 			"listPairsAsm": {"list"},
 		},

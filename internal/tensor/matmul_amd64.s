@@ -521,10 +521,10 @@ done:
 // and its value at 8; a panel row is 64 bytes, one ZMM register. Each
 // product is the panel row, the first source, times the entry's value,
 // broadcast by the multiply itself. A's outputs are Z0, B's Z1, C's Z2
-// and D's Z3, each starting from the bias (Z13). With relu set each
-// goes through VMAXPD with Z12 = +0 as the second source before the
-// store. Row r of a group is stored r output rows (R14 bytes each) past
-// DI.
+// and D's Z3, each starting from the bias (Z13). The finish loop runs
+// four times on Z0: it ends the row's list, goes through VMAXPD with
+// Z12 = +0 as the second source if relu is set, stores the row at DI,
+// then moves Z1 to Z3 down one register and SI, R9 and DI on one row.
 TEXT ·sweepF64AVX512(SB), NOSPLIT, $0-65
 	MOVQ        out+0(FP), DI
 	MOVQ        stride+8(FP), R14
@@ -536,7 +536,6 @@ TEXT ·sweepF64AVX512(SB), NOSPLIT, $0-65
 	MOVQ        list+32(FP), AX
 	MOVQ        k+40(FP), R8
 	SHLQ        $4, R8                   // bytes per row list: 16 per entry
-	LEAQ        (R8)(R8*2), R12          // three row lists
 	MOVQ        cnt+48(FP), R9
 	MOVQ        rows+56(FP), R10
 	TESTQ       R10, R10
@@ -544,6 +543,7 @@ TEXT ·sweepF64AVX512(SB), NOSPLIT, $0-65
 
 	PCALIGN $64
 group:
+	LEAQ        (R8)(R8*2), R12          // three row lists
 	MOVQ        0(R9), CX                // the shared count: the fewest of the four
 	CMPQ        8(R9), CX
 	CMOVQLT     8(R9), CX
@@ -587,13 +587,17 @@ four:
 	JNE         four
 
 rest:
-	MOVQ        SI, DX                   // A's next entry
-	MOVQ        0(R9), CX
-	SUBQ        R11, CX                  // A's entries left
-	JEQ         storeA
+	MOVQ        $4, R12                  // rows of the group left to finish
 
 	PCALIGN $64
-restA:
+finish:
+	MOVQ        SI, DX                   // this row's next entry
+	MOVQ        0(R9), CX
+	SUBQ        R11, CX                  // its entries left
+	JEQ         store
+
+	PCALIGN $64
+lone:
 	MOVL        0(DX), R13
 	SHLQ        $6, R13
 	VMOVUPD     0(BX)(R13*1), Z4
@@ -601,90 +605,23 @@ restA:
 	VADDPD      Z4, Z0, Z0
 	ADDQ        $16, DX
 	DECQ        CX
-	JNE         restA
+	JNE         lone
 
-storeA:
+store:
 	CMPB        relu+64(FP), $0
-	JEQ         writeA
+	JEQ         write
 	VMAXPD      Z12, Z0, Z0              // max(acc, +0), +0 the second source
 
-writeA:
+write:
 	VMOVUPD     Z0, 0(DI)
-
-	LEAQ        (SI)(R8*1), DX           // B's next entry
-	MOVQ        8(R9), CX
-	SUBQ        R11, CX                  // B's entries left
-	JEQ         storeB
-
-	PCALIGN $64
-restB:
-	MOVL        0(DX), R13
-	SHLQ        $6, R13
-	VMOVUPD     0(BX)(R13*1), Z4
-	VMULPD.BCST 8(DX), Z4, Z4
-	VADDPD      Z4, Z1, Z1
-	ADDQ        $16, DX
-	DECQ        CX
-	JNE         restB
-
-storeB:
-	CMPB        relu+64(FP), $0
-	JEQ         writeB
-	VMAXPD      Z12, Z1, Z1
-
-writeB:
-	VMOVUPD     Z1, 0(DI)(R14*1)
-
-	LEAQ        (SI)(R8*2), DX           // C's next entry
-	MOVQ        16(R9), CX
-	SUBQ        R11, CX                  // C's entries left
-	JEQ         storeC
-
-	PCALIGN $64
-restC:
-	MOVL        0(DX), R13
-	SHLQ        $6, R13
-	VMOVUPD     0(BX)(R13*1), Z4
-	VMULPD.BCST 8(DX), Z4, Z4
-	VADDPD      Z4, Z2, Z2
-	ADDQ        $16, DX
-	DECQ        CX
-	JNE         restC
-
-storeC:
-	CMPB        relu+64(FP), $0
-	JEQ         writeC
-	VMAXPD      Z12, Z2, Z2
-
-writeC:
-	VMOVUPD     Z2, 0(DI)(R14*2)
-
-	LEAQ        (SI)(R12*1), DX          // D's next entry
-	MOVQ        24(R9), CX
-	SUBQ        R11, CX                  // D's entries left
-	JEQ         storeD
-
-	PCALIGN $64
-restD:
-	MOVL        0(DX), R13
-	SHLQ        $6, R13
-	VMOVUPD     0(BX)(R13*1), Z4
-	VMULPD.BCST 8(DX), Z4, Z4
-	VADDPD      Z4, Z3, Z3
-	ADDQ        $16, DX
-	DECQ        CX
-	JNE         restD
-
-storeD:
-	CMPB        relu+64(FP), $0
-	JEQ         writeD
-	VMAXPD      Z12, Z3, Z3
-
-writeD:
-	LEAQ        (DI)(R14*2), DX
-	VMOVUPD     Z3, 0(DX)(R14*1)
-	LEAQ        (DI)(R14*4), DI
-	ADDQ        $32, R9
+	VMOVAPD     Z1, Z0                   // the next row's accumulator moves up
+	VMOVAPD     Z2, Z1
+	VMOVAPD     Z3, Z2
+	ADDQ        R8, SI                   // the next row's list
+	ADDQ        $8, R9
+	ADDQ        R14, DI
+	DECQ        R12
+	JNE         finish
 	LEAQ        (AX)(R8*4), AX
 	SUBQ        $4, R10
 	JNE         group
@@ -704,10 +641,11 @@ done:
 // and its value at 4; a panel row is 64 bytes, one ZMM register. Each
 // product is the panel row, the first source, times the entry's value,
 // broadcast by the multiply itself. A's outputs are Z0, B's Z1, C's Z2
-// and D's Z3, each starting at +0; the bias (Z13) is added after the
-// list. With relu set each sum then goes through VMAXPS with Z12 = +0
-// as the second source before the store. Row r of a group is stored r
-// output rows (R14 bytes each) past DI.
+// and D's Z3, each starting at +0. The finish loop runs four times on
+// Z0: it ends the row's list, adds the bias (Z13), goes through VMAXPS
+// with Z12 = +0 as the second source if relu is set, stores the row at
+// DI, then moves Z1 to Z3 down one register and SI, R9 and DI on one
+// row.
 TEXT ·sweepF32AVX512(SB), NOSPLIT, $0-65
 	MOVQ        out+0(FP), DI
 	MOVQ        stride+8(FP), R14
@@ -719,7 +657,6 @@ TEXT ·sweepF32AVX512(SB), NOSPLIT, $0-65
 	MOVQ        list+32(FP), AX
 	MOVQ        k+40(FP), R8
 	SHLQ        $3, R8                   // bytes per row list: 8 per entry
-	LEAQ        (R8)(R8*2), R12          // three row lists
 	MOVQ        cnt+48(FP), R9
 	MOVQ        rows+56(FP), R10
 	TESTQ       R10, R10
@@ -727,6 +664,7 @@ TEXT ·sweepF32AVX512(SB), NOSPLIT, $0-65
 
 	PCALIGN $64
 group:
+	LEAQ        (R8)(R8*2), R12          // three row lists
 	MOVQ        0(R9), CX                // the shared count: the fewest of the four
 	CMPQ        8(R9), CX
 	CMOVQLT     8(R9), CX
@@ -770,13 +708,17 @@ four:
 	JNE         four
 
 rest:
-	MOVQ        SI, DX                   // A's next entry
-	MOVQ        0(R9), CX
-	SUBQ        R11, CX                  // A's entries left
-	JEQ         storeA
+	MOVQ        $4, R12                  // rows of the group left to finish
 
 	PCALIGN $64
-restA:
+finish:
+	MOVQ        SI, DX                   // this row's next entry
+	MOVQ        0(R9), CX
+	SUBQ        R11, CX                  // its entries left
+	JEQ         store
+
+	PCALIGN $64
+lone:
 	MOVL        0(DX), R13
 	SHLQ        $6, R13
 	VMOVUPS     0(BX)(R13*1), Z4
@@ -784,94 +726,24 @@ restA:
 	VADDPS      Z4, Z0, Z0
 	ADDQ        $8, DX
 	DECQ        CX
-	JNE         restA
+	JNE         lone
 
-storeA:
+store:
 	VADDPS      Z13, Z0, Z0              // acc + bias
 	CMPB        relu+64(FP), $0
-	JEQ         writeA
+	JEQ         write
 	VMAXPS      Z12, Z0, Z0              // max(sum, +0), +0 the second source
 
-writeA:
+write:
 	VMOVUPS     Z0, 0(DI)
-
-	LEAQ        (SI)(R8*1), DX           // B's next entry
-	MOVQ        8(R9), CX
-	SUBQ        R11, CX                  // B's entries left
-	JEQ         storeB
-
-	PCALIGN $64
-restB:
-	MOVL        0(DX), R13
-	SHLQ        $6, R13
-	VMOVUPS     0(BX)(R13*1), Z4
-	VMULPS.BCST 4(DX), Z4, Z4
-	VADDPS      Z4, Z1, Z1
-	ADDQ        $8, DX
-	DECQ        CX
-	JNE         restB
-
-storeB:
-	VADDPS      Z13, Z1, Z1
-	CMPB        relu+64(FP), $0
-	JEQ         writeB
-	VMAXPS      Z12, Z1, Z1
-
-writeB:
-	VMOVUPS     Z1, 0(DI)(R14*1)
-
-	LEAQ        (SI)(R8*2), DX           // C's next entry
-	MOVQ        16(R9), CX
-	SUBQ        R11, CX                  // C's entries left
-	JEQ         storeC
-
-	PCALIGN $64
-restC:
-	MOVL        0(DX), R13
-	SHLQ        $6, R13
-	VMOVUPS     0(BX)(R13*1), Z4
-	VMULPS.BCST 4(DX), Z4, Z4
-	VADDPS      Z4, Z2, Z2
-	ADDQ        $8, DX
-	DECQ        CX
-	JNE         restC
-
-storeC:
-	VADDPS      Z13, Z2, Z2
-	CMPB        relu+64(FP), $0
-	JEQ         writeC
-	VMAXPS      Z12, Z2, Z2
-
-writeC:
-	VMOVUPS     Z2, 0(DI)(R14*2)
-
-	LEAQ        (SI)(R12*1), DX          // D's next entry
-	MOVQ        24(R9), CX
-	SUBQ        R11, CX                  // D's entries left
-	JEQ         storeD
-
-	PCALIGN $64
-restD:
-	MOVL        0(DX), R13
-	SHLQ        $6, R13
-	VMOVUPS     0(BX)(R13*1), Z4
-	VMULPS.BCST 4(DX), Z4, Z4
-	VADDPS      Z4, Z3, Z3
-	ADDQ        $8, DX
-	DECQ        CX
-	JNE         restD
-
-storeD:
-	VADDPS      Z13, Z3, Z3
-	CMPB        relu+64(FP), $0
-	JEQ         writeD
-	VMAXPS      Z12, Z3, Z3
-
-writeD:
-	LEAQ        (DI)(R14*2), DX
-	VMOVUPS     Z3, 0(DX)(R14*1)
-	LEAQ        (DI)(R14*4), DI
-	ADDQ        $32, R9
+	VMOVAPS     Z1, Z0                   // the next row's accumulator moves up
+	VMOVAPS     Z2, Z1
+	VMOVAPS     Z3, Z2
+	ADDQ        R8, SI                   // the next row's list
+	ADDQ        $8, R9
+	ADDQ        R14, DI
+	DECQ        R12
+	JNE         finish
 	LEAQ        (AX)(R8*4), AX
 	SUBQ        $4, R10
 	JNE         group
