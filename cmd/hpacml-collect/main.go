@@ -20,8 +20,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -32,32 +34,62 @@ import (
 	"repro/internal/telemetry"
 )
 
-func main() {
-	benchmark := flag.String("benchmark", "", "benchmark name: minibude, binomial, bonds, miniweather, particlefilter")
-	db := flag.String("db", "", "output database: a .gh5 path, or an http(s)://host/db-name capture URI of a running hpacml-serve")
-	runs := flag.Int("runs", 10, "number of region invocations to record")
-	full := flag.Bool("full", false, "use campaign-scale problem sizes")
-	seed := flag.Int64("seed", 29, "random seed")
+// errUsage is a command line run refuses before doing any work. run
+// has already written why, and the flag usage, to stderr; main exits 2.
+var errUsage = errors.New("hpacml-collect: usage")
 
-	shardRecords := flag.Int("shard-records", 0, "rotate the local database to a fresh shard every N records (0 = single file)")
-	queueCap := flag.Int("queue", 0, "capture queue bound in records (0 = default 256)")
-	drop := flag.Bool("drop", false, "drop records when the capture queue is full instead of blocking the solver")
-	flushEvery := flag.Duration("flush-every", 0, "periodic capture flush interval (0 = default 1s)")
-	out := flag.String("out", "", "write the collection report as shared-schema JSON (internal/results) to this path")
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
+func main() {
+	switch err := run(os.Args[1:], os.Stdout, os.Stderr); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "hpacml-collect:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command: it parses args, collects, and reports on stdout.
+// It refuses a run count below one, a malformed -db reference and an
+// unknown benchmark before creating any directory.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("hpacml-collect", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	benchmark := fs.String("benchmark", "", "benchmark name: minibude, binomial, bonds, miniweather, particlefilter")
+	db := fs.String("db", "", "output database: a .gh5 path, or an http(s)://host/db-name capture URI of a running hpacml-serve")
+	runs := fs.Int("runs", 10, "number of region invocations to record (at least 1)")
+	full := fs.Bool("full", false, "use campaign-scale problem sizes")
+	seed := fs.Int64("seed", 29, "random seed")
+
+	shardRecords := fs.Int("shard-records", 0, "rotate the local database to a fresh shard every N records (0 = single file)")
+	queueCap := fs.Int("queue", 0, "capture queue bound in records (0 = default 256)")
+	drop := fs.Bool("drop", false, "drop records when the capture queue is full instead of blocking the solver")
+	flushEvery := fs.Duration("flush-every", 0, "periodic capture flush interval (0 = default 1s)")
+	out := fs.String("out", "", "write the collection report as shared-schema JSON (internal/results) to this path")
+	version := fs.Bool("version", false, "print version and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
 	if *version {
-		fmt.Println(telemetry.VersionString("hpacml-collect"))
-		return
+		fmt.Fprintln(stdout, telemetry.VersionString("hpacml-collect"))
+		return nil
 	}
 
 	if *benchmark == "" || *db == "" {
-		fmt.Fprintln(os.Stderr, "hpacml-collect: -benchmark and -db are required")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "hpacml-collect: -benchmark and -db are required")
+		fs.Usage()
+		return errUsage
+	}
+	if *runs < 1 {
+		// No invocation means no training set: fail the job, as a
+		// capture that lost records does.
+		return fmt.Errorf("-runs must be at least 1, got %d", *runs)
 	}
 	if err := directive.ValidateDBRef(*db); err != nil {
-		fatal(err)
+		return err
 	}
 	scale := experiments.ScaleTest
 	if *full {
@@ -65,11 +97,11 @@ func main() {
 	}
 	h, err := experiments.Lookup(*benchmark, scale)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if !directive.IsRemoteDB(*db) {
 		if err := os.MkdirAll(filepath.Dir(*db), 0o755); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	opt := experiments.QuickOptions()
@@ -86,22 +118,22 @@ func main() {
 	start := time.Now()
 	rep, err := h.Collect(*db, opt)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	fmt.Printf("collected %d invocations of %s into %s in %.2fs\n",
+	fmt.Fprintf(stdout, "collected %d invocations of %s into %s in %.2fs\n",
 		rep.Invocations, *benchmark, *db, time.Since(start).Seconds())
-	fmt.Printf("capture: %d records written", rep.Records)
+	fmt.Fprintf(stdout, "capture: %d records written", rep.Records)
 	if rep.Sampled > 0 {
-		fmt.Printf(" (%d sampled out)", rep.Sampled)
+		fmt.Fprintf(stdout, " (%d sampled out)", rep.Sampled)
 	}
 	if rep.Shards > 0 {
-		fmt.Printf(", %d shard(s)", rep.Shards)
+		fmt.Fprintf(stdout, ", %d shard(s)", rep.Shards)
 	}
 	if rep.RemoteRecords > 0 {
-		fmt.Printf(", %d ingested remotely", rep.RemoteRecords)
+		fmt.Fprintf(stdout, ", %d ingested remotely", rep.RemoteRecords)
 	}
-	fmt.Printf(", %d dropped, %d flushes (%d failed), %d write errors\n",
+	fmt.Fprintf(stdout, ", %d dropped, %d flushes (%d failed), %d write errors\n",
 		rep.Dropped, rep.Flushes, rep.FlushErrors, rep.WriteErrors)
 
 	if *out != "" {
@@ -122,17 +154,12 @@ func main() {
 			},
 		}
 		if err := rec.WriteFile(*out); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	if rep.Failed() {
-		fmt.Fprintf(os.Stderr, "hpacml-collect: capture pipeline lost records (%d dropped, %d flush failures, %d write errors)\n",
+		return fmt.Errorf("capture pipeline lost records (%d dropped, %d flush failures, %d write errors)",
 			rep.Dropped, rep.FlushErrors, rep.WriteErrors)
-		os.Exit(1)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hpacml-collect:", err)
-	os.Exit(1)
+	return nil
 }

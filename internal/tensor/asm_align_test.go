@@ -13,10 +13,11 @@ import (
 // in the same function branches back to) is not directly preceded by
 // PCALIGN $64, and when a sweep lacks one of its hot loops (both, loopA
 // and loopB in a 256-bit sweep; group, four, finish and lone in a
-// 512-bit one), a lister its loop (list) or the lattice its step or
-// node loop as an aligned loop head. An unaligned loop's speed follows
-// where the linker happens to place its function, so an edit anywhere
-// in the package could move the kernels' throughput.
+// 512-bit one), a lister its loop (list; step and list in a 512-bit
+// one) or the lattice its step or node loop as an aligned loop head.
+// An unaligned loop's speed follows where the linker happens to place
+// its function, so an edit anywhere in the package could move the
+// kernels' throughput.
 func TestAsmLoopHeadsAligned(t *testing.T) {
 	hot := map[string]map[string][]string{
 		"matmul_amd64.s": {
@@ -24,6 +25,7 @@ func TestAsmLoopHeadsAligned(t *testing.T) {
 			"sweepF64AVX512": {"group", "four", "finish", "lone"},
 			"sweepF32AVX512": {"group", "four", "finish", "lone"},
 			"sweepI8AVX2":    {"both", "loopA", "loopB"}, "listF64Asm": {"list"}, "listF32Asm": {"list"},
+			"listF64AVX512": {"step", "list"}, "listF32AVX512": {"step", "list"},
 			"listPairsAsm": {"list"},
 		},
 		"../benchmarks/binomial/lattice_amd64.s": {"induct4": {"step", "node"}},

@@ -18,19 +18,24 @@ func vectorLevel() sweepLevel {
 	return sweepPortable
 }
 
-// f64Sweep selects the f64 row kernel's sweep: sweepF64AVX512,
-// sweepF64AVX or sweepGo, and listF64Asm under either vector sweep. It
-// is set once, from the CPU, and tests lower it to run each sweep
-// below.
+// f64Sweep selects the f64 row kernel's sweep and lister:
+// sweepF64AVX512 and listF64AVX512, sweepF64AVX and listF64Asm, or
+// sweepGo and listNonzero. It is set once, from the CPU, and tests
+// lower it to run each level below.
 var f64Sweep = vectorLevel()
 
-// listF64 is listNonzero, run by listF64Asm under a vector sweep.
+// listF64 is listNonzero, run by listF64AVX512 under the 512-bit sweep
+// and by listF64Asm under the 256-bit one.
 func listF64(list []f64Entry, a []float64) int {
-	if f64Sweep != sweepPortable {
-		// The assembly writes list[:len(a)] and reads a.
-		return listF64Asm(unsafe.SliceData(list[:len(a)]), unsafe.SliceData(a), len(a))
+	if f64Sweep == sweepPortable {
+		return listNonzero(list, a)
 	}
-	return listNonzero(list, a)
+	// The assembly writes list[:len(a)] and reads a.
+	l, p, n := unsafe.SliceData(list[:len(a)]), unsafe.SliceData(a), len(a)
+	if f64Sweep == sweepAVX512 {
+		return listF64AVX512(l, p, n)
+	}
+	return listF64Asm(l, p, n)
 }
 
 // sweepF64 is sweepGo's contract with the bias first, run by
@@ -58,19 +63,24 @@ func sweepF64(out []float64, stride int, pw [][panelWidth]float64, bias *[panelW
 	}
 }
 
-// f32Sweep selects the f32 row kernel's sweep: sweepF32AVX512,
-// sweepF32AVX or sweepGo, and listF32Asm under either vector sweep. It
-// is set once, from the CPU, and tests lower it to run each sweep
-// below.
+// f32Sweep selects the f32 row kernel's sweep and lister:
+// sweepF32AVX512 and listF32AVX512, sweepF32AVX and listF32Asm, or
+// sweepGo and listNonzero. It is set once, from the CPU, and tests
+// lower it to run each level below.
 var f32Sweep = vectorLevel()
 
-// listF32 is listNonzero, run by listF32Asm under a vector sweep.
+// listF32 is listNonzero, run by listF32AVX512 under the 512-bit sweep
+// and by listF32Asm under the 256-bit one.
 func listF32(list []f32Entry, a []float32) int {
-	if f32Sweep != sweepPortable {
-		// The assembly writes list[:len(a)] and reads a.
-		return listF32Asm(unsafe.SliceData(list[:len(a)]), unsafe.SliceData(a), len(a))
+	if f32Sweep == sweepPortable {
+		return listNonzero(list, a)
 	}
-	return listNonzero(list, a)
+	// The assembly writes list[:len(a)] and reads a.
+	l, p, n := unsafe.SliceData(list[:len(a)]), unsafe.SliceData(a), len(a)
+	if f32Sweep == sweepAVX512 {
+		return listF32AVX512(l, p, n)
+	}
+	return listF32Asm(l, p, n)
 }
 
 // sweepF32 is sweepGo's contract with the bias last, run by
@@ -150,6 +160,19 @@ func listF32Asm(list *f32Entry, a *float32, n int) int
 
 //go:noescape
 func listPairsAsm(list *i8Entry, a *int8, pairs int, c int32) int
+
+// listF64AVX512 and listF32AVX512 are listF64Asm and listF32Asm eight
+// or sixteen activations a step in 512-bit registers: each step
+// compresses the nonzero lanes' values and indices to the front,
+// interleaves them into entries and stores a whole vector of entries,
+// of which the list keeps the nonzero ones. The stores stay inside
+// list[:n] and the entries kept are listNonzero's, bit for bit.
+//
+//go:noescape
+func listF64AVX512(list *f64Entry, a *float64, n int) int
+
+//go:noescape
+func listF32AVX512(list *f32Entry, a *float32, n int) int
 
 // sweepF64AVX is sweepGo with the bias first, in 256-bit registers: the
 // f64 kernel's sweep on CPUs with AVX but not AVX-512. Each listed

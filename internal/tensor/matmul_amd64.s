@@ -36,6 +36,86 @@ listed:
 	MOVQ DI, ret+24(FP)
 	RET
 
+// func listF64AVX512(list *f64Entry, a *float64, n int) int
+//
+// listF64Asm eight activations a step, on CPUs with AVX-512. VCMPPD $4
+// (NEQ_UQ) against +0 sets K1's bit for every lane but ±0, NaN
+// included, as UCOMISD does. VPCOMPRESSQ packs the listed values and
+// their indices (Z4, kk to kk+7) into the low lanes, two VPERMI2Q
+// interleave them into eight 16-byte entries, and all 128 bytes are
+// stored at DI, which then moves on POPCNT(K1) entries. DI is never
+// past entry kk, so the stores stay inside list[:n]. A row shorter than
+// eight skips the vector setup, and the last n mod 8 activations take
+// listF64Asm's loop.
+TEXT ·listF64AVX512(SB), NOSPLIT, $0-32
+	MOVQ          list+0(FP), DI
+	MOVQ          a+8(FP), SI
+	MOVQ          n+16(FP), CX
+	MOVQ          DI, R8                    // the list's start
+	XORQ          DX, DX                    // kk
+	XORPS         X1, X1                    // +0
+	MOVQ          CX, R10
+	ANDQ          $~7, R10                  // the vector steps' end
+	JEQ           tail
+	VPMOVZXBQ     listF64Tables<>+0(SB), Z4 // kk to kk+7
+	VPMOVZXBQ     listF64Tables<>+8(SB), Z2
+	VPMOVZXBQ     listF64Tables<>+16(SB), Z3
+	MOVL          $8, R11
+	VPBROADCASTQ  R11, Z5
+
+	PCALIGN $64
+step:
+	VMOVUPD       (SI)(DX*8), Z0
+	VCMPPD        $4, Z1, Z0, K1            // a[kk] != +0, or NaN
+	KMOVW         K1, R9
+	POPCNTL       R9, R9
+	VPCOMPRESSQ.Z Z0, K1, Z6                // the listed values
+	VPCOMPRESSQ.Z Z4, K1, Z7                // and their indices
+	VMOVDQA64     Z2, Z8
+	VPERMI2Q      Z6, Z7, Z8                // entries 0 to 3
+	VMOVDQA64     Z3, Z9
+	VPERMI2Q      Z6, Z7, Z9                // entries 4 to 7
+	VMOVDQU64     Z8, 0(DI)
+	VMOVDQU64     Z9, 64(DI)
+	SHLQ          $4, R9                    // 16 bytes per entry
+	ADDQ          R9, DI
+	VPADDQ        Z5, Z4, Z4
+	ADDQ          $8, DX
+	CMPQ          DX, R10
+	JLT           step
+	VZEROUPPER
+
+tail:
+	CMPQ DX, CX
+	JGE  listed
+
+	PCALIGN $64
+list:
+	MOVSD   (SI)(DX*8), X0
+	MOVL    DX, 0(DI)
+	MOVSD   X0, 8(DI)
+	LEAQ    16(DI), R9
+	UCOMISD X1, X0
+	CMOVQNE R9, DI              // nonzero
+	CMOVQPS R9, DI              // NaN
+	INCQ    DX
+	CMPQ    DX, CX
+	JLT     list
+
+listed:
+	SUBQ R8, DI
+	SHRQ $4, DI                 // 16 bytes per entry
+	MOVQ DI, ret+24(FP)
+	RET
+
+// listF64Tables holds byte lanes that VPMOVZXBQ widens to quadwords:
+// the indices 0 to 7, then the VPERMI2Q tables that interleave indices
+// (0-7) with values (8-15) into entries 0 to 3 and 4 to 7.
+DATA  listF64Tables<>+0(SB)/8, $0x0706050403020100
+DATA  listF64Tables<>+8(SB)/8, $0x0b030a0209010800  // 0, 8, 1, 9, 2, 10, 3, 11
+DATA  listF64Tables<>+16(SB)/8, $0x0f070e060d050c04 // 4, 12, 5, 13, 6, 14, 7, 15
+GLOBL listF64Tables<>(SB), RODATA|NOPTR, $24
+
 // func sweepF64AVX(out *float64, stride int, pw *[8]float64, bias *[8]float64, list *f64Entry, k int, cnt *int, rows int, relu bool)
 //
 // Rows go in pairs, A and B: A's list starts at AX and B's one list
@@ -205,6 +285,86 @@ listed:
 	SHRQ $3, DI                 // 8 bytes per entry
 	MOVQ DI, ret+24(FP)
 	RET
+
+// func listF32AVX512(list *f32Entry, a *float32, n int) int
+//
+// listF64AVX512 over float32, sixteen activations a step: VCMPPS $4
+// against +0 into K1, VPCOMPRESSD of the values and their indices (Z4,
+// kk to kk+15), two VPERMI2D into sixteen 8-byte entries, all 128
+// bytes stored at DI and DI moved on POPCNT(K1) entries. The last n
+// mod 16 activations, and rows shorter than sixteen, take listF32Asm's
+// loop.
+TEXT ·listF32AVX512(SB), NOSPLIT, $0-32
+	MOVQ          list+0(FP), DI
+	MOVQ          a+8(FP), SI
+	MOVQ          n+16(FP), CX
+	MOVQ          DI, R8                    // the list's start
+	XORQ          DX, DX                    // kk
+	XORPS         X1, X1                    // +0
+	MOVQ          CX, R10
+	ANDQ          $~15, R10                 // the vector steps' end
+	JEQ           tail
+	VPMOVZXBD     listF32Tables<>+0(SB), Z4 // kk to kk+15
+	VPMOVZXBD     listF32Tables<>+16(SB), Z2
+	VPMOVZXBD     listF32Tables<>+32(SB), Z3
+	MOVL          $16, R11
+	VPBROADCASTD  R11, Z5
+
+	PCALIGN $64
+step:
+	VMOVUPS       (SI)(DX*4), Z0
+	VCMPPS        $4, Z1, Z0, K1            // a[kk] != +0, or NaN
+	KMOVW         K1, R9
+	POPCNTL       R9, R9
+	VPCOMPRESSD.Z Z0, K1, Z6                // the listed values
+	VPCOMPRESSD.Z Z4, K1, Z7                // and their indices
+	VMOVDQA32     Z2, Z8
+	VPERMI2D      Z6, Z7, Z8                // entries 0 to 7
+	VMOVDQA32     Z3, Z9
+	VPERMI2D      Z6, Z7, Z9                // entries 8 to 15
+	VMOVDQU32     Z8, 0(DI)
+	VMOVDQU32     Z9, 64(DI)
+	SHLQ          $3, R9                    // 8 bytes per entry
+	ADDQ          R9, DI
+	VPADDD        Z5, Z4, Z4
+	ADDQ          $16, DX
+	CMPQ          DX, R10
+	JLT           step
+	VZEROUPPER
+
+tail:
+	CMPQ DX, CX
+	JGE  listed
+
+	PCALIGN $64
+list:
+	MOVSS   (SI)(DX*4), X0
+	MOVL    DX, 0(DI)
+	MOVSS   X0, 4(DI)
+	LEAQ    8(DI), R9
+	UCOMISS X1, X0
+	CMOVQNE R9, DI              // nonzero
+	CMOVQPS R9, DI              // NaN
+	INCQ    DX
+	CMPQ    DX, CX
+	JLT     list
+
+listed:
+	SUBQ R8, DI
+	SHRQ $3, DI                 // 8 bytes per entry
+	MOVQ DI, ret+24(FP)
+	RET
+
+// listF32Tables holds byte lanes that VPMOVZXBD widens to doublewords:
+// the indices 0 to 15, then the VPERMI2D tables that interleave indices
+// (0-15) with values (16-31) into entries 0 to 7 and 8 to 15.
+DATA  listF32Tables<>+0(SB)/8, $0x0706050403020100
+DATA  listF32Tables<>+8(SB)/8, $0x0f0e0d0c0b0a0908
+DATA  listF32Tables<>+16(SB)/8, $0x1303120211011000 // 0, 16, 1, 17, 2, 18, 3, 19
+DATA  listF32Tables<>+24(SB)/8, $0x1707160615051404 // 4, 20, 5, 21, 6, 22, 7, 23
+DATA  listF32Tables<>+32(SB)/8, $0x1b0b1a0a19091808 // 8, 24, 9, 25, 10, 26, 11, 27
+DATA  listF32Tables<>+40(SB)/8, $0x1f0f1e0e1d0d1c0c // 12, 28, 13, 29, 14, 30, 15, 31
+GLOBL listF32Tables<>(SB), RODATA|NOPTR, $48
 
 // func sweepF32AVX(out *float32, stride int, pw *[16]float32, bias *[16]float32, list *f32Entry, k int, cnt *int, rows int, relu bool)
 //

@@ -15,8 +15,9 @@ import (
 // or XGETBV check that silently served a narrower loop would leave them
 // all green. Linux lists avx, avx2 and avx512f in /proc/cpuinfo only
 // when the OS also saves the registers they use, which is the condition
-// cpu.AVX and cpu.AVX512 check. It logs the sweep each kernel runs, so
-// a -v run records which ones a machine exercised.
+// cpu.AVX and cpu.AVX512 check. It logs the sweep and the lister each
+// kernel runs, so a -v run records which ones a machine exercised (a
+// runner without AVX-512 lists with listF64Asm and listF32Asm).
 func TestSweepDispatchMatchesCPU(t *testing.T) {
 	info, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
@@ -60,4 +61,14 @@ func TestSweepDispatchMatchesCPU(t *testing.T) {
 		t.Errorf("the int8 row kernel runs the %v sweep, want %v (avx %t, avx2 %t)", i8Sweep, i8, avx, avx2)
 	}
 	t.Logf("sweeps: f64 %v, f32 %v, int8 %v (avx %t, avx2 %t, avx512f %t)", f64Sweep, f32Sweep, i8Sweep, avx, avx2, avx512)
+	t.Logf("listers: f64 %s, f32 %s, int8 %s", floatLister("F64", f64Sweep), floatLister("F32", f32Sweep),
+		map[sweepLevel]string{sweepPortable: "listPairsGo", sweepAVX: "listPairsAsm"}[i8Sweep])
+}
+
+// floatLister names the lister listF64 or listF32 runs at level: the
+// 512-bit one, the 256-bit one or the portable one.
+func floatLister(kind string, level sweepLevel) string {
+	return map[sweepLevel]string{
+		sweepPortable: "listNonzero", sweepAVX: "list" + kind + "Asm", sweepAVX512: "list" + kind + "AVX512",
+	}[level]
 }
