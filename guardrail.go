@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/big"
 	"os"
 	"sort"
 
@@ -116,34 +117,58 @@ func quantile(sorted []float64, q float64) float64 {
 func (g *Guardrail) Features() int { return len(g.Lo) }
 
 // CheckRow reports whether one model-layout input row is inside the
-// (margin-widened) envelope. Non-finite features are always
-// out-of-domain. A zero margin compares against the bounds themselves:
-// a span that overflows to +Inf would make 0*span NaN.
+// margin-widened envelope, Lo[f]-Margin*span <= v <= Hi[f]+Margin*span
+// for every feature, decided as exact arithmetic decides it (within).
+// Non-finite features are always out-of-domain.
 func (g *Guardrail) CheckRow(row []float64) bool {
 	if len(row) != len(g.Lo) {
 		return false
 	}
 	for f, v := range row {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-		lo, hi := g.Lo[f], g.Hi[f]
-		if g.Margin > 0 {
-			w := g.Margin * (hi - lo)
-			if math.IsInf(w, 1) {
-				// The span or the widening overflowed. Half the span
-				// cannot, so twice the widening of half the span is
-				// +Inf only where the widened bound is truly past the
-				// float range, and every finite value inside it.
-				w = 2 * (g.Margin * (hi/2 - lo/2))
-			}
-			lo, hi = lo-w, hi+w
-		}
-		if v < lo || v > hi {
+		if math.IsNaN(v) || math.IsInf(v, 0) || !within(v, g.Lo[f], g.Hi[f], g.Margin) {
 			return false
 		}
 	}
 	return true
+}
+
+// within reports lo-m*(hi-lo) <= v <= hi+m*(hi-lo) for a finite v, in
+// exact arithmetic. A margin that is not above 0 compares against the
+// bounds themselves: a span that overflows to +Inf would make 0*span
+// NaN. Otherwise float64 decides wherever v is clear of both widened
+// bounds by more than their roundings can move them (tol, eight times
+// the error of the three rounded operations), and withinExact decides
+// the rest: a v within a few ulps of a widened bound, where rounding
+// would admit a value one float past it, and a widening that
+// overflows. Bounds or a margin that Encode refuses, which have no
+// exact envelope, keep the rounded one.
+func within(v, lo, hi, m float64) bool {
+	if !(m > 0) {
+		return lo <= v && v <= hi
+	}
+	w := m * (hi - lo)
+	l, h := lo-w, hi+w
+	tol := (math.Abs(lo)+math.Abs(hi)+w)*0x1p-48 + 0x1p-1070
+	switch {
+	case v >= l+tol && v <= h-tol:
+		return true
+	case v < l-tol || v > h+tol:
+		return false
+	case math.IsInf(lo, 0) || math.IsInf(hi, 0) || math.IsInf(m, 0) || math.IsNaN(lo+hi):
+		return l <= v && v <= h
+	}
+	return withinExact(v, lo, hi, m)
+}
+
+// withinExact is within in math/big arithmetic at 4096 bits, which
+// hold any difference of two finite float64s, times a third, and
+// plus or minus a fourth, exactly.
+func withinExact(v, lo, hi, m float64) bool {
+	exact := func(x float64) *big.Float { return new(big.Float).SetPrec(4096).SetFloat64(x) }
+	w := exact(hi)
+	w.Mul(w.Sub(w, exact(lo)), exact(m))
+	l, h, x := exact(lo), exact(hi), exact(v)
+	return l.Sub(l, w).Cmp(x) <= 0 && x.Cmp(h.Add(h, w)) <= 0
 }
 
 // Check evaluates every row of x (rows along dim 0, features flattened

@@ -13,8 +13,9 @@ import (
 // in the same function branches back to) is not directly preceded by
 // PCALIGN $64, and when a sweep lacks one of its hot loops (both, loopA
 // and loopB in a 256-bit sweep; group, four, finish and lone in a
-// 512-bit one), a lister its loop (list; step and list in a 512-bit
-// one) or the lattice its step or node loop as an aligned loop head.
+// 512-bit one and in a 512-bit pair sweep), a lister its loop (list;
+// row, step and list in a 512-bit block one) or the lattice its step
+// or node loop as an aligned loop head.
 // An unaligned loop's speed follows where the linker happens to place
 // its function, so an edit anywhere in the package could move the
 // kernels' throughput.
@@ -22,10 +23,12 @@ func TestAsmLoopHeadsAligned(t *testing.T) {
 	hot := map[string]map[string][]string{
 		"matmul_amd64.s": {
 			"sweepF64AVX": {"both", "loopA", "loopB"}, "sweepF32AVX": {"both", "loopA", "loopB"},
-			"sweepF64AVX512": {"group", "four", "finish", "lone"},
-			"sweepF32AVX512": {"group", "four", "finish", "lone"},
-			"sweepI8AVX2":    {"both", "loopA", "loopB"}, "listF64Asm": {"list"}, "listF32Asm": {"list"},
-			"listF64AVX512": {"step", "list"}, "listF32AVX512": {"step", "list"},
+			"sweepF64AVX512":   {"group", "four", "finish", "lone"},
+			"sweepF32AVX512":   {"group", "four", "finish", "lone"},
+			"sweepF64AVX512x2": {"group", "four", "finish", "lone"},
+			"sweepF32AVX512x2": {"group", "four", "finish", "lone"},
+			"sweepI8AVX2":      {"both", "loopA", "loopB"}, "listF64Asm": {"list"}, "listF32Asm": {"list"},
+			"listF64AVX512": {"row", "step", "list"}, "listF32AVX512": {"row", "step", "list"},
 			"listPairsAsm": {"list"},
 		},
 		"../benchmarks/binomial/lattice_amd64.s": {"induct4": {"step", "node"}},

@@ -14,6 +14,21 @@ import (
 // entry size, so a store that runs past list[:len(a)] lands on them.
 const listGuard = 24
 
+// listF64 and listF32 list one row of activations through the f64 and
+// f32 kernels' block listers, as a block of one row whose k is len(a),
+// and return its count: the per-row view the lister tests and
+// BenchmarkListers hold to listNonzero.
+func listF64(list []f64Entry, a []float64) int { return listOne(listF64Rows, list, a) }
+
+func listF32(list []f32Entry, a []float32) int { return listOne(listF32Rows, list, a) }
+
+// listOne runs block lister on a one-row block.
+func listOne[E float](block func([]entry[E], []E, int, int, *[rowBlock]int), list []entry[E], a []E) int {
+	var cnt [rowBlock]int
+	block(list, a, len(a), 1, &cnt)
+	return cnt[0]
+}
+
 // TestListersMatchPortable holds each kernel's lister at every level
 // the CPU has (on an AVX-512 host: the 512-bit lister, the 256-bit
 // one and the portable one) to its portable Go lister entry for entry,

@@ -74,7 +74,7 @@ const f64RowBlock = rowBlock
 
 // f64Kernel is the f64 row kernel: 8-column panels, each sum starting
 // at the bias, and the split threshold parMACs was first sized for.
-var f64Kernel = kernel[float64, [panelWidth]float64]{list: listF64, sweep: sweepF64, level: &f64Sweep, cost: costF64}
+var f64Kernel = kernel[float64, [panelWidth]float64]{list: listF64Rows, sweep: sweepF64, pair: sweepF64Pair, level: &f64Sweep, cost: costF64}
 
 // PackedF64 is a [k, n] f64 matrix and its bias packed for the f64 row
 // kernel: panel q holds columns 8q to 8q+7 of every row as [k][8]

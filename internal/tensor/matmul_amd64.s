@@ -36,32 +36,46 @@ listed:
 	MOVQ DI, ret+24(FP)
 	RET
 
-// func listF64AVX512(list *f64Entry, a *float64, n int) int
+// func listF64AVX512(list *f64Entry, a *float64, k int, rows int, cnt *int)
 //
-// listF64Asm eight activations a step, on CPUs with AVX-512. VCMPPD $4
-// (NEQ_UQ) against +0 sets K1's bit for every lane but ±0, NaN
-// included, as UCOMISD does. VPCOMPRESSQ packs the listed values and
-// their indices (Z4, kk to kk+7) into the low lanes, two VPERMI2Q
-// interleave them into eight 16-byte entries, and all 128 bytes are
-// stored at DI, which then moves on POPCNT(K1) entries. DI is never
-// past entry kk, so the stores stay inside list[:n]. A row shorter than
-// eight skips the vector setup, and the last n mod 8 activations take
-// listF64Asm's loop.
-TEXT ·listF64AVX512(SB), NOSPLIT, $0-32
-	MOVQ          list+0(FP), DI
-	MOVQ          a+8(FP), SI
-	MOVQ          n+16(FP), CX
-	MOVQ          DI, R8                    // the list's start
-	XORQ          DX, DX                    // kk
-	XORPS         X1, X1                    // +0
+// listF64Asm eight activations a step, on CPUs with AVX-512, over a
+// block of rows: row r's k activations start at a + 8*r*k, its list at
+// list + 16*r*k, and its count is stored at cnt + 8*r. The tables and
+// the +0 are loaded once per call. VCMPPD $4 (NEQ_UQ) against +0 sets
+// K1's bit for every lane but ±0, NaN included, as UCOMISD does.
+// VPCOMPRESSQ packs the listed values and their indices (Z4, kk to
+// kk+7) into the low lanes, two VPERMI2Q interleave them into eight
+// 16-byte entries, and all 128 bytes are stored at DI, which then moves
+// on POPCNT(K1) entries. DI is never past entry kk, so the stores stay
+// inside the row's list. A row's last k mod 8 activations take
+// listF64Asm's loop in VEX encoding, which leaves the ZMM registers'
+// upper halves alone, so no VZEROUPPER is needed until the block ends.
+TEXT ·listF64AVX512(SB), NOSPLIT, $0-40
+	MOVQ          list+0(FP), R13           // the row's list
+	MOVQ          a+8(FP), SI               // the row's activations
+	MOVQ          k+16(FP), CX
+	MOVQ          rows+24(FP), R11
+	MOVQ          cnt+32(FP), R12
+	MOVQ          CX, R8
+	SHLQ          $4, R8                    // bytes per row list: 16 per entry
 	MOVQ          CX, R10
 	ANDQ          $~7, R10                  // the vector steps' end
-	JEQ           tail
-	VPMOVZXBQ     listF64Tables<>+0(SB), Z4 // kk to kk+7
+	VPXORQ        Z1, Z1, Z1                // +0
+	VPMOVZXBQ     listF64Tables<>+0(SB), Z10 // 0 to 7
 	VPMOVZXBQ     listF64Tables<>+8(SB), Z2
 	VPMOVZXBQ     listF64Tables<>+16(SB), Z3
-	MOVL          $8, R11
-	VPBROADCASTQ  R11, Z5
+	MOVL          $8, R9
+	VPBROADCASTQ  R9, Z5
+	TESTQ         R11, R11
+	JLE           done
+
+	PCALIGN $64
+row:
+	MOVQ          R13, DI
+	XORQ          DX, DX                    // kk
+	VMOVDQA64     Z10, Z4                   // kk to kk+7
+	TESTQ         R10, R10
+	JEQ           tail
 
 	PCALIGN $64
 step:
@@ -83,7 +97,6 @@ step:
 	ADDQ          $8, DX
 	CMPQ          DX, R10
 	JLT           step
-	VZEROUPPER
 
 tail:
 	CMPQ DX, CX
@@ -91,21 +104,30 @@ tail:
 
 	PCALIGN $64
 list:
-	MOVSD   (SI)(DX*8), X0
-	MOVL    DX, 0(DI)
-	MOVSD   X0, 8(DI)
-	LEAQ    16(DI), R9
-	UCOMISD X1, X0
-	CMOVQNE R9, DI              // nonzero
-	CMOVQPS R9, DI              // NaN
-	INCQ    DX
-	CMPQ    DX, CX
-	JLT     list
+	VMOVSD   (SI)(DX*8), X0
+	MOVL     DX, 0(DI)
+	VMOVSD   X0, 8(DI)
+	LEAQ     16(DI), R9
+	VUCOMISD X1, X0
+	CMOVQNE  R9, DI             // nonzero
+	CMOVQPS  R9, DI             // NaN
+	INCQ     DX
+	CMPQ     DX, CX
+	JLT      list
 
 listed:
-	SUBQ R8, DI
-	SHRQ $4, DI                 // 16 bytes per entry
-	MOVQ DI, ret+24(FP)
+	MOVQ DI, R9
+	SUBQ R13, R9
+	SHRQ $4, R9                 // 16 bytes per entry
+	MOVQ R9, 0(R12)
+	ADDQ $8, R12                // the next row's count
+	LEAQ (SI)(CX*8), SI         // activations
+	ADDQ R8, R13                // and list
+	DECQ R11
+	JNE  row
+
+done:
+	VZEROUPPER
 	RET
 
 // listF64Tables holds byte lanes that VPMOVZXBQ widens to quadwords:
@@ -286,29 +308,41 @@ listed:
 	MOVQ DI, ret+24(FP)
 	RET
 
-// func listF32AVX512(list *f32Entry, a *float32, n int) int
+// func listF32AVX512(list *f32Entry, a *float32, k int, rows int, cnt *int)
 //
-// listF64AVX512 over float32, sixteen activations a step: VCMPPS $4
-// against +0 into K1, VPCOMPRESSD of the values and their indices (Z4,
-// kk to kk+15), two VPERMI2D into sixteen 8-byte entries, all 128
-// bytes stored at DI and DI moved on POPCNT(K1) entries. The last n
-// mod 16 activations, and rows shorter than sixteen, take listF32Asm's
-// loop.
-TEXT ·listF32AVX512(SB), NOSPLIT, $0-32
-	MOVQ          list+0(FP), DI
-	MOVQ          a+8(FP), SI
-	MOVQ          n+16(FP), CX
-	MOVQ          DI, R8                    // the list's start
-	XORQ          DX, DX                    // kk
-	XORPS         X1, X1                    // +0
+// listF64AVX512 over float32, sixteen activations a step: row r's
+// activations start at a + 4*r*k and its list at list + 8*r*k.
+// VCMPPS $4 against +0 into K1, VPCOMPRESSD of the values and their
+// indices (Z4, kk to kk+15), two VPERMI2D into sixteen 8-byte entries,
+// all 128 bytes stored at DI and DI moved on POPCNT(K1) entries. A
+// row's last k mod 16 activations take listF32Asm's loop in VEX
+// encoding.
+TEXT ·listF32AVX512(SB), NOSPLIT, $0-40
+	MOVQ          list+0(FP), R13           // the row's list
+	MOVQ          a+8(FP), SI               // the row's activations
+	MOVQ          k+16(FP), CX
+	MOVQ          rows+24(FP), R11
+	MOVQ          cnt+32(FP), R12
+	MOVQ          CX, R8
+	SHLQ          $3, R8                    // bytes per row list: 8 per entry
 	MOVQ          CX, R10
 	ANDQ          $~15, R10                 // the vector steps' end
-	JEQ           tail
-	VPMOVZXBD     listF32Tables<>+0(SB), Z4 // kk to kk+15
+	VPXORQ        Z1, Z1, Z1                // +0
+	VPMOVZXBD     listF32Tables<>+0(SB), Z10 // 0 to 15
 	VPMOVZXBD     listF32Tables<>+16(SB), Z2
 	VPMOVZXBD     listF32Tables<>+32(SB), Z3
-	MOVL          $16, R11
-	VPBROADCASTD  R11, Z5
+	MOVL          $16, R9
+	VPBROADCASTD  R9, Z5
+	TESTQ         R11, R11
+	JLE           done
+
+	PCALIGN $64
+row:
+	MOVQ          R13, DI
+	XORQ          DX, DX                    // kk
+	VMOVDQA32     Z10, Z4                   // kk to kk+15
+	TESTQ         R10, R10
+	JEQ           tail
 
 	PCALIGN $64
 step:
@@ -330,7 +364,6 @@ step:
 	ADDQ          $16, DX
 	CMPQ          DX, R10
 	JLT           step
-	VZEROUPPER
 
 tail:
 	CMPQ DX, CX
@@ -338,21 +371,30 @@ tail:
 
 	PCALIGN $64
 list:
-	MOVSS   (SI)(DX*4), X0
-	MOVL    DX, 0(DI)
-	MOVSS   X0, 4(DI)
-	LEAQ    8(DI), R9
-	UCOMISS X1, X0
-	CMOVQNE R9, DI              // nonzero
-	CMOVQPS R9, DI              // NaN
-	INCQ    DX
-	CMPQ    DX, CX
-	JLT     list
+	VMOVSS   (SI)(DX*4), X0
+	MOVL     DX, 0(DI)
+	VMOVSS   X0, 4(DI)
+	LEAQ     8(DI), R9
+	VUCOMISS X1, X0
+	CMOVQNE  R9, DI             // nonzero
+	CMOVQPS  R9, DI             // NaN
+	INCQ     DX
+	CMPQ     DX, CX
+	JLT      list
 
 listed:
-	SUBQ R8, DI
-	SHRQ $3, DI                 // 8 bytes per entry
-	MOVQ DI, ret+24(FP)
+	MOVQ DI, R9
+	SUBQ R13, R9
+	SHRQ $3, R9                 // 8 bytes per entry
+	MOVQ R9, 0(R12)
+	ADDQ $8, R12                // the next row's count
+	LEAQ (SI)(CX*4), SI         // activations
+	ADDQ R8, R13                // and list
+	DECQ R11
+	JNE  row
+
+done:
+	VZEROUPPER
 	RET
 
 // listF32Tables holds byte lanes that VPMOVZXBD widens to doublewords:
@@ -907,6 +949,307 @@ write:
 	LEAQ        (AX)(R8*4), AX
 	SUBQ        $4, R10
 	JNE         group
+
+done:
+	VZEROUPPER
+	RET
+
+// func sweepF64AVX512x2(out *float64, stride int, pw *[8]float64, bias *[8]float64, list *f64Entry, k int, cnt *int, rows int, relu bool)
+//
+// sweepF64AVX512 over two adjacent panels in one pass, for a row count
+// that is a multiple of four. pw and bias are the first panel's; the
+// second panel's rows start k panel rows later (R15) and its bias 64
+// bytes later. Each row keeps one accumulator per panel: A's are Z0
+// and Z1, B's Z2 and Z3, C's Z4 and Z5, D's Z6 and Z7, each starting
+// from its panel's bias (Z13, Z14). Each entry's index and value are
+// loaded once for both panels: the value is broadcast into a register
+// (Z8 or Z11) and multiplies the two panel rows it indexes, each panel
+// row the first source, and the products are added as acc + product,
+// with no FMA. The four lists run together for as many entries as the
+// shortest has, then the finish loop runs four times on Z0 and Z1: it
+// ends the row's list, goes through VMAXPD against +0 (Z8) as the
+// second source if relu is set, stores the row's two panels at DI and
+// DI + 64, then moves Z2 to Z7 down two registers and SI, R9 and DI on
+// one row.
+TEXT ·sweepF64AVX512x2(SB), NOSPLIT, $0-65
+	MOVQ         out+0(FP), DI
+	MOVQ         stride+8(FP), R14
+	SHLQ         $3, R14             // bytes per output row: 8 per column
+	MOVQ         pw+16(FP), BX
+	MOVQ         k+40(FP), R8
+	SHLQ         $6, R8              // bytes per panel: 64 per panel row
+	LEAQ         (BX)(R8*1), R15     // the second panel
+	SHRQ         $2, R8              // bytes per row list: 16 per entry
+	MOVQ         bias+24(FP), AX
+	VMOVUPD      0(AX), Z13          // the first panel's bias
+	VMOVUPD      64(AX), Z14         // the second's
+	MOVQ         list+32(FP), AX
+	MOVQ         cnt+48(FP), R9
+	MOVQ         rows+56(FP), R10
+	TESTQ        R10, R10
+	JLE          done
+
+	PCALIGN $64
+group:
+	LEAQ         (R8)(R8*2), R12     // three row lists
+	MOVQ         0(R9), CX           // the shared count: the fewest of the four
+	CMPQ         8(R9), CX
+	CMOVQLT      8(R9), CX
+	CMPQ         16(R9), CX
+	CMOVQLT      16(R9), CX
+	CMPQ         24(R9), CX
+	CMOVQLT      24(R9), CX
+	VMOVAPD      Z13, Z0
+	VMOVAPD      Z14, Z1
+	VMOVAPD      Z13, Z2
+	VMOVAPD      Z14, Z3
+	VMOVAPD      Z13, Z4
+	VMOVAPD      Z14, Z5
+	VMOVAPD      Z13, Z6
+	VMOVAPD      Z14, Z7
+	MOVQ         AX, SI
+	MOVQ         CX, R11
+	TESTQ        CX, CX
+	JEQ          rest
+
+	PCALIGN $64
+four:
+	MOVL         0(SI), DX
+	SHLQ         $6, DX              // 64 bytes per panel row
+	VBROADCASTSD 8(SI), Z8
+	VMOVUPD      0(BX)(DX*1), Z9
+	VMOVUPD      0(R15)(DX*1), Z10
+	MOVL         0(SI)(R8*1), R13
+	SHLQ         $6, R13
+	VBROADCASTSD 8(SI)(R8*1), Z11
+	VMOVUPD      0(BX)(R13*1), Z12
+	VMOVUPD      0(R15)(R13*1), Z15
+	VMULPD       Z8, Z9, Z9          // weight * value
+	VMULPD       Z8, Z10, Z10
+	VMULPD       Z11, Z12, Z12
+	VMULPD       Z11, Z15, Z15
+	VADDPD       Z9, Z0, Z0          // acc + product
+	VADDPD       Z10, Z1, Z1
+	VADDPD       Z12, Z2, Z2
+	VADDPD       Z15, Z3, Z3
+	MOVL         0(SI)(R8*2), DX
+	SHLQ         $6, DX
+	VBROADCASTSD 8(SI)(R8*2), Z8
+	VMOVUPD      0(BX)(DX*1), Z9
+	VMOVUPD      0(R15)(DX*1), Z10
+	MOVL         0(SI)(R12*1), R13
+	SHLQ         $6, R13
+	VBROADCASTSD 8(SI)(R12*1), Z11
+	VMOVUPD      0(BX)(R13*1), Z12
+	VMOVUPD      0(R15)(R13*1), Z15
+	VMULPD       Z8, Z9, Z9
+	VMULPD       Z8, Z10, Z10
+	VMULPD       Z11, Z12, Z12
+	VMULPD       Z11, Z15, Z15
+	VADDPD       Z9, Z4, Z4
+	VADDPD       Z10, Z5, Z5
+	VADDPD       Z12, Z6, Z6
+	VADDPD       Z15, Z7, Z7
+	ADDQ         $16, SI
+	DECQ         CX
+	JNE          four
+
+rest:
+	MOVQ         $4, R12             // rows of the group left to finish
+
+	PCALIGN $64
+finish:
+	MOVQ         SI, DX              // this row's next entry
+	MOVQ         0(R9), CX
+	SUBQ         R11, CX             // its entries left
+	JEQ          store
+
+	PCALIGN $64
+lone:
+	MOVL         0(DX), R13
+	SHLQ         $6, R13
+	VBROADCASTSD 8(DX), Z8
+	VMOVUPD      0(BX)(R13*1), Z9
+	VMOVUPD      0(R15)(R13*1), Z10
+	VMULPD       Z8, Z9, Z9
+	VMULPD       Z8, Z10, Z10
+	VADDPD       Z9, Z0, Z0
+	VADDPD       Z10, Z1, Z1
+	ADDQ         $16, DX
+	DECQ         CX
+	JNE          lone
+
+store:
+	CMPB         relu+64(FP), $0
+	JEQ          write
+	VPXORQ       Z8, Z8, Z8          // +0 in every lane
+	VMAXPD       Z8, Z0, Z0          // max(acc, +0), +0 the second source
+	VMAXPD       Z8, Z1, Z1
+
+write:
+	VMOVUPD      Z0, 0(DI)
+	VMOVUPD      Z1, 64(DI)
+	VMOVAPD      Z2, Z0              // the next row's accumulators move up
+	VMOVAPD      Z3, Z1
+	VMOVAPD      Z4, Z2
+	VMOVAPD      Z5, Z3
+	VMOVAPD      Z6, Z4
+	VMOVAPD      Z7, Z5
+	ADDQ         R8, SI              // the next row's list
+	ADDQ         $8, R9
+	ADDQ         R14, DI
+	DECQ         R12
+	JNE          finish
+	LEAQ         (AX)(R8*4), AX
+	SUBQ         $4, R10
+	JNE          group
+
+done:
+	VZEROUPPER
+	RET
+
+// func sweepF32AVX512x2(out *float32, stride int, pw *[16]float32, bias *[16]float32, list *f32Entry, k int, cnt *int, rows int, relu bool)
+//
+// sweepF64AVX512x2's pairing in sweepF32AVX512's arithmetic, for a row
+// count that is a multiple of four: an entry is 8 bytes, its value at
+// 4, and each of a row's two accumulators (A's Z0 and Z1 to D's Z6 and
+// Z7) starts at +0. The finish loop adds the first panel's bias (Z13)
+// to Z0 and the second's (Z14) to Z1 after the row's list, as
+// acc + bias, before the relu and the store.
+TEXT ·sweepF32AVX512x2(SB), NOSPLIT, $0-65
+	MOVQ         out+0(FP), DI
+	MOVQ         stride+8(FP), R14
+	SHLQ         $2, R14             // bytes per output row: 4 per column
+	MOVQ         pw+16(FP), BX
+	MOVQ         k+40(FP), R8
+	SHLQ         $6, R8              // bytes per panel: 64 per panel row
+	LEAQ         (BX)(R8*1), R15     // the second panel
+	SHRQ         $3, R8              // bytes per row list: 8 per entry
+	MOVQ         bias+24(FP), AX
+	VMOVUPS      0(AX), Z13          // the first panel's bias
+	VMOVUPS      64(AX), Z14         // the second's
+	MOVQ         list+32(FP), AX
+	MOVQ         cnt+48(FP), R9
+	MOVQ         rows+56(FP), R10
+	TESTQ        R10, R10
+	JLE          done
+
+	PCALIGN $64
+group:
+	LEAQ         (R8)(R8*2), R12     // three row lists
+	MOVQ         0(R9), CX           // the shared count: the fewest of the four
+	CMPQ         8(R9), CX
+	CMOVQLT      8(R9), CX
+	CMPQ         16(R9), CX
+	CMOVQLT      16(R9), CX
+	CMPQ         24(R9), CX
+	CMOVQLT      24(R9), CX
+	VPXORQ       Z0, Z0, Z0
+	VPXORQ       Z1, Z1, Z1
+	VPXORQ       Z2, Z2, Z2
+	VPXORQ       Z3, Z3, Z3
+	VPXORQ       Z4, Z4, Z4
+	VPXORQ       Z5, Z5, Z5
+	VPXORQ       Z6, Z6, Z6
+	VPXORQ       Z7, Z7, Z7
+	MOVQ         AX, SI
+	MOVQ         CX, R11
+	TESTQ        CX, CX
+	JEQ          rest
+
+	PCALIGN $64
+four:
+	MOVL         0(SI), DX
+	SHLQ         $6, DX              // 64 bytes per panel row
+	VBROADCASTSS 4(SI), Z8
+	VMOVUPS      0(BX)(DX*1), Z9
+	VMOVUPS      0(R15)(DX*1), Z10
+	MOVL         0(SI)(R8*1), R13
+	SHLQ         $6, R13
+	VBROADCASTSS 4(SI)(R8*1), Z11
+	VMOVUPS      0(BX)(R13*1), Z12
+	VMOVUPS      0(R15)(R13*1), Z15
+	VMULPS       Z8, Z9, Z9          // weight * value
+	VMULPS       Z8, Z10, Z10
+	VMULPS       Z11, Z12, Z12
+	VMULPS       Z11, Z15, Z15
+	VADDPS       Z9, Z0, Z0          // acc + product
+	VADDPS       Z10, Z1, Z1
+	VADDPS       Z12, Z2, Z2
+	VADDPS       Z15, Z3, Z3
+	MOVL         0(SI)(R8*2), DX
+	SHLQ         $6, DX
+	VBROADCASTSS 4(SI)(R8*2), Z8
+	VMOVUPS      0(BX)(DX*1), Z9
+	VMOVUPS      0(R15)(DX*1), Z10
+	MOVL         0(SI)(R12*1), R13
+	SHLQ         $6, R13
+	VBROADCASTSS 4(SI)(R12*1), Z11
+	VMOVUPS      0(BX)(R13*1), Z12
+	VMOVUPS      0(R15)(R13*1), Z15
+	VMULPS       Z8, Z9, Z9
+	VMULPS       Z8, Z10, Z10
+	VMULPS       Z11, Z12, Z12
+	VMULPS       Z11, Z15, Z15
+	VADDPS       Z9, Z4, Z4
+	VADDPS       Z10, Z5, Z5
+	VADDPS       Z12, Z6, Z6
+	VADDPS       Z15, Z7, Z7
+	ADDQ         $8, SI
+	DECQ         CX
+	JNE          four
+
+rest:
+	MOVQ         $4, R12             // rows of the group left to finish
+
+	PCALIGN $64
+finish:
+	MOVQ         SI, DX              // this row's next entry
+	MOVQ         0(R9), CX
+	SUBQ         R11, CX             // its entries left
+	JEQ          store
+
+	PCALIGN $64
+lone:
+	MOVL         0(DX), R13
+	SHLQ         $6, R13
+	VBROADCASTSS 4(DX), Z8
+	VMOVUPS      0(BX)(R13*1), Z9
+	VMOVUPS      0(R15)(R13*1), Z10
+	VMULPS       Z8, Z9, Z9
+	VMULPS       Z8, Z10, Z10
+	VADDPS       Z9, Z0, Z0
+	VADDPS       Z10, Z1, Z1
+	ADDQ         $8, DX
+	DECQ         CX
+	JNE          lone
+
+store:
+	VADDPS       Z13, Z0, Z0         // acc + bias
+	VADDPS       Z14, Z1, Z1
+	CMPB         relu+64(FP), $0
+	JEQ          write
+	VPXORQ       Z8, Z8, Z8          // +0 in every lane
+	VMAXPS       Z8, Z0, Z0          // max(sum, +0), +0 the second source
+	VMAXPS       Z8, Z1, Z1
+
+write:
+	VMOVUPS      Z0, 0(DI)
+	VMOVUPS      Z1, 64(DI)
+	VMOVAPS      Z2, Z0              // the next row's accumulators move up
+	VMOVAPS      Z3, Z1
+	VMOVAPS      Z4, Z2
+	VMOVAPS      Z5, Z3
+	VMOVAPS      Z6, Z4
+	VMOVAPS      Z7, Z5
+	ADDQ         R8, SI              // the next row's list
+	ADDQ         $8, R9
+	ADDQ         R14, DI
+	DECQ         R12
+	JNE          finish
+	LEAQ         (AX)(R8*4), AX
+	SUBQ         $4, R10
+	JNE          group
 
 done:
 	VZEROUPPER

@@ -7,9 +7,13 @@ package tensor
 // and sweeps.
 var f64Sweep, f32Sweep, i8Sweep = sweepPortable, sweepPortable, sweepPortable
 
-func listF64(list []f64Entry, a []float64) int { return listNonzero(list, a) }
+func listF64Rows(list []f64Entry, a []float64, k, rows int, cnt *[rowBlock]int) {
+	listRows(list, a, k, rows, cnt)
+}
 
-func listF32(list []f32Entry, a []float32) int { return listNonzero(list, a) }
+func listF32Rows(list []f32Entry, a []float32, k, rows int, cnt *[rowBlock]int) {
+	listRows(list, a, k, rows, cnt)
+}
 
 func listEvenPairs(list []i8Entry, even []int8, c int32) int { return listPairsGo(list, even, c) }
 
@@ -18,9 +22,19 @@ func sweepF64(out []float64, stride int, pw [][panelWidth]float64, bias *[panelW
 	sweepGo(out, stride, pw, bias, list, k, cnt, rows, relu, true)
 }
 
+func sweepF64Pair(out []float64, stride int, pw [][panelWidth]float64, bias *[2][panelWidth]float64,
+	list []f64Entry, k int, cnt *[rowBlock]int, rows int, relu bool) {
+	sweepPairGo(out, stride, pw, bias, list, k, cnt, rows, relu, true)
+}
+
 func sweepF32(out []float32, stride int, pw [][f32PanelWidth]float32, bias *[f32PanelWidth]float32,
 	list []f32Entry, k int, cnt *[rowBlock]int, rows int, relu bool) {
 	sweepGo(out, stride, pw, bias, list, k, cnt, rows, relu, false)
+}
+
+func sweepF32Pair(out []float32, stride int, pw [][f32PanelWidth]float32, bias *[2][f32PanelWidth]float32,
+	list []f32Entry, k int, cnt *[rowBlock]int, rows int, relu bool) {
+	sweepPairGo(out, stride, pw, bias, list, k, cnt, rows, relu, false)
 }
 
 func sweepI8(out []int32, stride int, pw []i8PanelRow, base *[i8PanelWidth]int32,

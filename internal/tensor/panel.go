@@ -109,12 +109,18 @@ const rowBlock = 32
 
 // kernel describes one element type's row kernel to the driver. Its
 // panel width is P's length and its entry is entry[E]. list is
-// listNonzero's contract and sweep sweepGo's, with the bias where the
-// kernel puts it; both run in assembly above *level's sweepPortable.
-// cost is the vector sweeps' cost per multiply-add in split.
+// listRows' contract: it lists a row block's activations in one call
+// and fills cnt itself. sweep is sweepGo's, with the bias where the
+// kernel puts it, and pair is two sweeps of adjacent full panels, pw[:k]
+// and pw[k:2k] with biases bias[0] and bias[1], whose outputs sit side
+// by side in each output row. Above *level's sweepPortable the lister
+// and the sweeps run in assembly; at the top level, AVX-512, pair runs
+// each row's list once over both panels. cost is the vector sweeps'
+// cost per multiply-add in split.
 type kernel[E float, P panelRow[E]] struct {
-	list    func(list []entry[E], a []E) int
+	list    func(list []entry[E], a []E, k, rows int, cnt *[rowBlock]int)
 	sweep   func(out []E, stride int, pw []P, bias *P, list []entry[E], k int, cnt *[rowBlock]int, rows int, relu bool)
+	pair    func(out []E, stride int, pw []P, bias *[2]P, list []entry[E], k int, cnt *[rowBlock]int, rows int, relu bool)
 	level   *sweepLevel
 	cost    int
 	scratch sync.Pool // *rowScratch[E]
@@ -175,14 +181,17 @@ func (p *packed[E, P]) pack(b []E, q0, q1 int) {
 // into computes dst = act(a @ p) under split's policy. A non-nil b is
 // packed into p first: by each worker into its own panels when the
 // panels split, so a pack as large as the product's rows is not left
-// serial.
+// serial. A panel split hands out whole panel pairs, so every worker's
+// range starts at an even panel and only the product's last panel can
+// be swept alone.
 func (p *packed[E, P]) into(dst, a []E, m int, act Act, b []E) {
 	switch split(m, p.k, p.n, macCost(*p.kern.level, p.kern.cost), false) {
 	case serial:
 		p.pack(b, 0, p.panels)
 		p.rows(dst, a, 0, m, 0, p.panels, act)
 	case byPanels:
-		parallel.ForRange(p.panels, func(q0, q1 int) {
+		parallel.ForRange((p.panels+1)/2, func(h0, h1 int) {
+			q0, q1 := 2*h0, min(2*h1, p.panels)
 			p.pack(b, q0, q1)
 			p.rows(dst, a, 0, m, q0, q1, act)
 		})
@@ -204,12 +213,15 @@ type rowScratch[E float] struct {
 }
 
 // rows is the one row loop: output rows [lo, hi) of panels [q0, q1).
-// Rows are taken a block at a time: (a) each row lists its nonzero
-// activations, (b) the panels are swept in the outer loop and the
-// block's rows in the inner one, so a panel stays in L1 across the
-// block while each row keeps its outputs in registers across its list,
-// and (c) any act the sweep does not fuse (it fuses identity and ReLU)
-// is mapped over the stored outputs. Each panel stores only its own
+// Rows are taken a block at a time: (a) one list call lists the block's
+// nonzero activations, row by row, (b) the panels are swept in the
+// outer loop and the block's rows in the inner one, two adjacent full
+// panels per pair call, so a panel is reused from cache across the
+// block while each row keeps its outputs in registers across its list
+// (a 512-deep f64 pair is 64 KB, more than many an L1d), and (c) any
+// act the sweep does not fuse (it fuses identity and ReLU) is mapped
+// over the stored outputs. A last panel of an odd range, and one before
+// a partial last panel, is swept alone. Each panel stores only its own
 // columns, so two workers splitting the panels never write the same
 // element. A full panel sweeps straight into dst at stride n; a partial
 // last panel sweeps into s.acc at stride len(P), and its first columns
@@ -231,27 +243,49 @@ func (p *packed[E, P]) rows(dst, a []E, lo, hi, q0, q1 int, act Act) {
 	}
 	for r0 := lo; r0 < hi; r0 += rowBlock {
 		r1 := min(r0+rowBlock, hi)
-		for r := r0; r < r1; r++ {
-			s.cnt[r-r0] = p.kern.list(s.list[(r-r0)*k:][:k], a[r*k:(r+1)*k])
-		}
+		p.kern.list(s.list, a[r0*k:r1*k], k, r1-r0, &s.cnt)
 		for q := q0; q < q1; q++ {
-			pw, j0 := p.w[q*k:(q+1)*k], q*w
-			if j0+w > n {
-				p.kern.sweep(s.acc, w, pw, &p.bias[q], s.list, k, &s.cnt, r1-r0, relu)
+			j0, cols := q*w, w
+			switch {
+			case j0+w > n:
+				p.kern.sweep(s.acc, w, p.w[q*k:(q+1)*k], &p.bias[q], s.list, k, &s.cnt, r1-r0, relu)
 				for r := r0; r < r1; r++ {
 					MapAct(post, dst[r*n+j0:(r+1)*n], s.acc[(r-r0)*w:])
 				}
 				continue
+			case q+1 < q1 && j0+2*w <= n:
+				p.kern.pair(dst[r0*n+j0:], n, p.w[q*k:(q+2)*k], (*[2]P)(p.bias[q:q+2]), s.list, k, &s.cnt, r1-r0, relu)
+				q, cols = q+1, 2*w
+			default:
+				p.kern.sweep(dst[r0*n+j0:], n, p.w[q*k:(q+1)*k], &p.bias[q], s.list, k, &s.cnt, r1-r0, relu)
 			}
-			p.kern.sweep(dst[r0*n+j0:], n, pw, &p.bias[q], s.list, k, &s.cnt, r1-r0, relu)
 			if post != ActIdentity {
 				for r := r0; r < r1; r++ {
-					o := dst[r*n+j0:][:w]
+					o := dst[r*n+j0:][:cols]
 					MapAct(post, o, o)
 				}
 			}
 		}
 	}
+}
+
+// listRows is the block lister's contract, in portable Go: for each
+// of the block's rows r < rows it lists row a[r*k:][:k]'s nonzero
+// activations into list[r*k:][:k] with listNonzero and stores their
+// count at cnt[r].
+func listRows[E float](list []entry[E], a []E, k, rows int, cnt *[rowBlock]int) {
+	for r := range rows {
+		cnt[r] = listNonzero(list[r*k:][:k], a[r*k:][:k])
+	}
+}
+
+// sweepPairGo is the pair contract in portable Go: sweepGo on panel
+// pw[:k] with bias[0] into out's first len(P) columns, then on pw[k:2k]
+// with bias[1] into the next len(P).
+func sweepPairGo[E float, P panelRow[E]](out []E, stride int, pw []P, bias *[2]P,
+	list []entry[E], k int, cnt *[rowBlock]int, rows int, relu, biasFirst bool) {
+	sweepGo(out, stride, pw[:k], &bias[0], list, k, cnt, rows, relu, biasFirst)
+	sweepGo(out[len(bias[0]):], stride, pw[k:2*k], &bias[1], list, k, cnt, rows, relu, biasFirst)
 }
 
 // listNonzero is the portable lister, the only one off amd64 and the

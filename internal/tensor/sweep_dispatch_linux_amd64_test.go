@@ -15,9 +15,10 @@ import (
 // or XGETBV check that silently served a narrower loop would leave them
 // all green. Linux lists avx, avx2 and avx512f in /proc/cpuinfo only
 // when the OS also saves the registers they use, which is the condition
-// cpu.AVX and cpu.AVX512 check. It logs the sweep and the lister each
-// kernel runs, so a -v run records which ones a machine exercised (a
-// runner without AVX-512 lists with listF64Asm and listF32Asm).
+// cpu.AVX and cpu.AVX512 check. It logs the sweep, the lister and the
+// pair sweep each kernel runs, so a -v run records which ones a machine
+// exercised (a runner without AVX-512 lists with listF64Asm and
+// listF32Asm and sweeps a panel pair as two one-panel sweeps).
 func TestSweepDispatchMatchesCPU(t *testing.T) {
 	info, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
@@ -63,6 +64,16 @@ func TestSweepDispatchMatchesCPU(t *testing.T) {
 	t.Logf("sweeps: f64 %v, f32 %v, int8 %v (avx %t, avx2 %t, avx512f %t)", f64Sweep, f32Sweep, i8Sweep, avx, avx2, avx512)
 	t.Logf("listers: f64 %s, f32 %s, int8 %s", floatLister("F64", f64Sweep), floatLister("F32", f32Sweep),
 		map[sweepLevel]string{sweepPortable: "listPairsGo", sweepAVX: "listPairsAsm"}[i8Sweep])
+	t.Logf("pair sweeps: f64 %s, f32 %s", pairSweep("F64", f64Sweep), pairSweep("F32", f32Sweep))
+}
+
+// pairSweep names what sweepF64Pair or sweepF32Pair runs at level: the
+// 512-bit pair sweep, or one sweep per panel.
+func pairSweep(kind string, level sweepLevel) string {
+	if level == sweepAVX512 {
+		return "sweep" + kind + "AVX512x2"
+	}
+	return "two sweep" + kind + " calls"
 }
 
 // floatLister names the lister listF64 or listF32 runs at level: the
